@@ -1,6 +1,6 @@
 (* The benchmark harness.
 
-   Part 1 regenerates every experiment table (E1..E17) — the paper has no
+   Part 1 regenerates every experiment table (E1..E19) — the paper has no
    quantitative tables of its own, so these operationalize its qualitative
    claims; the mapping is documented in DESIGN.md §3 and EXPERIMENTS.md.
    The whole sweep runs with a shared metrics registry, summarized after
@@ -428,6 +428,6 @@ let () =
   in
   let term = Term.(const bench $ quick $ jobs $ domains $ json) in
   let info =
-    Cmd.info "bench" ~doc:"Regenerate the experiment tables (E1..E17) and run the microbenchmarks (M1..M15)."
+    Cmd.info "bench" ~doc:"Regenerate the experiment tables (E1..E19) and run the microbenchmarks (M1..M15)."
   in
   exit (Cmd.eval (Cmd.v info term))

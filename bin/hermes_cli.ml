@@ -492,8 +492,9 @@ let run_cmd =
         Fmt.pr "history written to %s (%d operations)@." path (History.length r.Driver.history)
     | None -> ());
     write_obs_outputs obs ~metrics_out ~trace_out ~summary:metrics_summary;
-    Fmt.pr "@.%a@." Report.pp (Report.analyze r.Driver.history);
-    if Report.serializable (Report.analyze r.Driver.history) then 0 else 1
+    let rep = Report.analyze r.Driver.history in
+    Fmt.pr "@.%a@." Report.pp rep;
+    if Report.serializable rep then 0 else 1
   in
   let term =
     Term.(

@@ -32,17 +32,15 @@ let pp_global ppf d =
     Site.pp d.site d.inc_other reason d.reason d.inc_base
 
 (* The footprint of an incarnation: its DML operations in order, reads
-   annotated with the logical transaction they read from. *)
+   annotated with the logical transaction they read from. The replay lists
+   its reads in history order, one per Read operation, so one walk over
+   the history paired with that list annotates every read. Keyed by
+   incarnation, so a comparison looks its two footprints up directly. *)
 type step = { kind : Op.kind; item : Item.t; from : Txn.t option }
 
-let footprints h =
-  let outcome = Replay.run h in
-  let reads_tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (r : Replay.logical_read) -> Hashtbl.replace reads_tbl (r.l_reader, r.l_item, r.l_occurrence) r.l_from)
-    (Replay.logical_reads outcome);
+let footprint_table h =
+  let reads = ref (Replay.run h).Replay.reads in
   let foot : (Txn.Incarnation.t, step list ref) Hashtbl.t = Hashtbl.create 16 in
-  let occ = Hashtbl.create 64 in
   History.iteri
     (fun _ op ->
       match op with
@@ -56,17 +54,19 @@ let footprints h =
                 r
           in
           let from =
-            match kind with
-            | Op.Write -> None
-            | Op.Read ->
-                let o = Option.value ~default:0 (Hashtbl.find_opt occ (inc, item)) in
-                Hashtbl.replace occ (inc, item) (o + 1);
-                Option.join (Hashtbl.find_opt reads_tbl (inc, item, o))
+            match (kind, !reads) with
+            | Op.Write, _ -> None
+            | Op.Read, r :: rest ->
+                reads := rest;
+                Option.map (fun (w : Txn.Incarnation.t) -> w.txn) r.Replay.from
+            | Op.Read, [] -> invalid_arg "Anomaly.footprints: replay lost a read"
           in
           steps := { kind; item; from } :: !steps
       | _ -> ())
     h;
-  Hashtbl.fold (fun inc steps acc -> (inc, List.rev !steps) :: acc) foot []
+  foot
+
+let footprints h = Hashtbl.fold (fun inc steps acc -> (inc, List.rev !steps) :: acc) (footprint_table h) []
 
 (* Compare all resubmissions against the first incarnation present.
 
@@ -74,65 +74,68 @@ let footprints h =
    only a *prefix* of the subtransaction's commands; that is not a
    distortion as long as the prefix's decomposition and views agree with
    the original. A *committed* incarnation, by contrast, replayed
-   everything and must agree exactly. *)
+   everything and must agree exactly.
+
+   Only subtransactions with two or more incarnations can diverge, so they
+   are listed first; a history without any skips the replay. *)
 let global_view_distortions h =
-  let foots = footprints h in
-  let lookup txn site inc =
-    List.find_map
-      (fun ((i : Txn.Incarnation.t), steps) ->
-        if Txn.equal i.txn txn && Site.equal i.site site && i.inc = inc then Some steps else None)
-      foots
+  let resubmitted =
+    List.concat_map
+      (fun txn ->
+        if not (Txn.is_global txn) then []
+        else
+          List.filter_map
+            (fun site ->
+              match History.incarnations_at h txn ~site with
+              | base :: (_ :: _ as rest) -> Some (txn, site, base, rest)
+              | [] | [ _ ] -> None)
+            (History.sites_of_txn h txn))
+      (History.txns h)
   in
-  let out = ref [] in
-  List.iter
-    (fun txn ->
-      if Txn.is_global txn then
-        List.iter
-          (fun site ->
-            match History.incarnations_at h txn ~site with
-            | [] | [ _ ] -> ()
-            | base :: rest -> (
-                match lookup txn site base with
-                | None -> ()
-                | Some base_steps ->
-                    List.iter
-                      (fun k ->
-                        let steps = Option.value ~default:[] (lookup txn site k) in
-                        let committed =
-                          History.locally_committed h (Txn.Incarnation.make ~txn ~site ~inc:k)
+  if resubmitted = [] then []
+  else
+    let foot = footprint_table h in
+    let lookup txn site inc =
+      Option.map (fun steps -> List.rev !steps) (Hashtbl.find_opt foot (Txn.Incarnation.make ~txn ~site ~inc))
+    in
+    let shapes l = List.map (fun s -> (s.kind, s.item)) l in
+    (* l1 a prefix of l2 *)
+    let rec is_prefix = function
+      | [], _ -> true
+      | _, [] -> false
+      | x :: xs, y :: ys -> Stdlib.( = ) x y && is_prefix (xs, ys)
+    in
+    List.concat_map
+      (fun (txn, site, base, rest) ->
+        match lookup txn site base with
+        | None -> []
+        | Some base_steps ->
+            let base_shapes = shapes base_steps in
+            List.concat_map
+              (fun k ->
+                let distortion reason = { txn; site; inc_base = base; inc_other = k; reason } in
+                let steps = Option.value ~default:[] (lookup txn site k) in
+                let committed = History.locally_committed h (Txn.Incarnation.make ~txn ~site ~inc:k) in
+                let shape_ok =
+                  if committed then shapes steps = base_shapes else is_prefix (shapes steps, base_shapes)
+                in
+                if not shape_ok then [ distortion `Different_decomposition ]
+                else
+                  (* Views must agree on the common (prefix) length: walk
+                     both footprints in step. *)
+                  let rec views acc = function
+                    | (s : step) :: ss, (b : step) :: bs ->
+                        let acc =
+                          if s.kind = Op.Read && not (Stdlib.( = ) s.from b.from) then
+                            distortion (`Different_view s.item) :: acc
+                          else acc
                         in
-                        let shapes l = List.map (fun s -> (s.kind, s.item)) l in
-                        let is_prefix l1 l2 =
-                          (* l1 a prefix of l2 *)
-                          let rec go = function
-                            | [], _ -> true
-                            | _, [] -> false
-                            | x :: xs, y :: ys -> Stdlib.( = ) x y && go (xs, ys)
-                          in
-                          go (l1, l2)
-                        in
-                        let shape_ok =
-                          if committed then shapes steps = shapes base_steps
-                          else is_prefix (shapes steps) (shapes base_steps)
-                        in
-                        if not shape_ok then
-                          out :=
-                            { txn; site; inc_base = base; inc_other = k; reason = `Different_decomposition }
-                            :: !out
-                        else
-                          (* Views must agree on the common (prefix) length. *)
-                          List.iteri
-                            (fun i (s : step) ->
-                              let b = List.nth base_steps i in
-                              if s.kind = Op.Read && not (Stdlib.( = ) s.from b.from) then
-                                out :=
-                                  { txn; site; inc_base = base; inc_other = k; reason = `Different_view s.item }
-                                  :: !out)
-                            steps)
-                      rest))
-          (History.sites_of_txn h txn))
-    (History.txns h);
-  List.rev !out
+                        views acc (ss, bs)
+                    | _ -> List.rev acc
+                  in
+                  views [] (steps, base_steps))
+              rest)
+      resubmitted
 
 (* Local view distortion is *possible* only if CG(C(H)) is cyclic
    (paper §5.1); the cycle is the diagnostic. *)

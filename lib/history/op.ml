@@ -57,11 +57,6 @@ let is_dml = function Dml _ -> true | _ -> false
 let is_read = function Dml { kind = Read; _ } -> true | _ -> false
 let is_write = function Dml { kind = Write; _ } -> true | _ -> false
 
-let is_termination_of op ~inc:i =
-  match op with
-  | Local_commit j | Local_abort j -> Txn.Incarnation.equal i j
-  | Dml _ | Prepare _ | Global_commit _ | Global_abort _ -> false
-
 (* Two DML operations conflict iff they touch the same item, belong to
    different *logical* transactions, and at least one writes. Operations of
    two incarnations of the same global transaction never conflict — they
@@ -71,17 +66,6 @@ let conflicts a b =
   | Dml da, Dml db ->
       Item.equal da.item db.item
       && (not (Txn.equal da.inc.Txn.Incarnation.txn db.inc.Txn.Incarnation.txn))
-      && (da.kind = Write || db.kind = Write)
-  | _ -> false
-
-(* Conflict at the LTM level: incarnations are independent transactions to
-   the local scheduler, so conflicts are between distinct incarnations.
-   Used by the rigorousness checker. *)
-let conflicts_ltm a b =
-  match (a, b) with
-  | Dml da, Dml db ->
-      Item.equal da.item db.item
-      && (not (Txn.Incarnation.equal da.inc db.inc))
       && (da.kind = Write || db.kind = Write)
   | _ -> false
 

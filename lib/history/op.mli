@@ -39,17 +39,11 @@ val item : t -> Item.t option
 val is_dml : t -> bool
 val is_read : t -> bool
 val is_write : t -> bool
-val is_termination_of : t -> inc:Txn.Incarnation.t -> bool
 
 val conflicts : t -> t -> bool
 (** Conflict between *logical* transactions: same item, different logical
     transactions, at least one write. Incarnations of the same global
     transaction never conflict. *)
-
-val conflicts_ltm : t -> t -> bool
-(** Conflict as the LTM sees it: between distinct incarnations (each
-    incarnation is an independent local transaction). Used by the
-    rigorousness checker. *)
 
 val pp : t Fmt.t
 (** Paper-style notation: [R_1.0[Xa]], [P^a_T1], [C^a_1.1], [C_T1]. *)

@@ -41,8 +41,7 @@ let pp_verdict ppf = function
   | Not_quasi_serializable scc ->
       Fmt.pf ppf "NOT quasi serializable (entangled globals: %a)" Fmt.(list ~sep:comma Txn.pp) scc
 
-let check h =
-  let g = Serialization_graph.build h in
+let of_graph g =
   let sccs = Serialization_graph.G.sccs g in
   let bad =
     List.find_opt (fun scc -> List.length scc >= 2 && List.exists Txn.is_global scc) sccs
@@ -53,6 +52,8 @@ let check h =
       (* SCCs come out in topological order of the component DAG; the
          globals in that order witness a quasi-serial equivalent. *)
       Quasi_serializable (List.concat_map (List.filter Txn.is_global) sccs)
+
+let check h = of_graph (Serialization_graph.build h)
 
 let is_quasi_serializable h =
   match check h with Quasi_serializable _ -> true | Not_quasi_serializable _ -> false

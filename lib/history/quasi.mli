@@ -11,5 +11,12 @@ type verdict =
   | Not_quasi_serializable of Txn.t list  (** a non-trivial SCC containing a global *)
 
 val pp_verdict : verdict Fmt.t
+
+val of_graph : Serialization_graph.G.t -> verdict
+(** The verdict on a serialization graph already built, e.g. the one
+    {!Report.analyze} also searches for a cycle. *)
+
 val check : History.t -> verdict
+(** [of_graph (Serialization_graph.build h)]. *)
+
 val is_quasi_serializable : History.t -> bool

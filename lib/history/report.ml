@@ -25,17 +25,19 @@ type t = {
 
 let analyze ?(vsr_limit = 10) h =
   let c = Committed.extended h in
+  (* SG(C(H)) is built once for the cycle search and the QSR verdict. *)
+  let sg = Serialization_graph.build c in
   {
     n_txns = List.length (History.txns c);
     n_global = List.length (History.global_txns c);
     n_local = List.length (History.local_txns c);
     n_ops = History.length c;
     rigorous_violations = Rigorous.check_all_sites h;
-    sg_cycle = Serialization_graph.find_cycle c;
+    sg_cycle = Serialization_graph.G.find_cycle sg;
     cg_cycle = Commit_order_graph.find_cycle c;
     global_distortions = Anomaly.global_view_distortions c;
     view = View.view_serializable ~limit:vsr_limit c;
-    quasi = Quasi.check c;
+    quasi = Quasi.of_graph sg;
     value_mismatches = Values.check h;
   }
 

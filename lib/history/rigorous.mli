@@ -11,11 +11,15 @@ type violation = { first : Op.t; first_index : int; second : Op.t; second_index 
 val pp_violation : violation Fmt.t
 
 val violations : History.t -> violation list
-(** Violations in a single-site (LTM-level) history. *)
+(** Violations in a single-site (LTM-level) history, ordered by
+    [(first_index, second_index)]; indices are positions in the history.
+    One sweep, near-linear in the history plus the violations reported. *)
 
 val is_rigorous : History.t -> bool
 
 val check_all_sites : History.t -> (Site.t * violation list) list
-(** Check the LTM projection of every site appearing in the history. *)
+(** Check the LTM projection ({!Projection.ltm}) of every site appearing
+    in the history, in one pass; sites ascending, indices are positions
+    in the site's projection. *)
 
 val all_sites_rigorous : History.t -> bool

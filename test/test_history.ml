@@ -760,6 +760,360 @@ let prop_committed_idempotent =
       let twice = Committed.extended once in
       History.ops once = History.ops twice)
 
+(* ------------------------------------------------------------------ *)
+(* Checkers against their pairwise / list-lookup references            *)
+(* ------------------------------------------------------------------ *)
+
+(* The rigorousness rule read literally: every DML pair that conflicts at
+   the LTM level (distinct incarnations, same item, at least one write),
+   with a rescan of the span between them for a termination of the first
+   incarnation. *)
+let conflicts_ltm a b =
+  match (a, b) with
+  | Op.Dml da, Op.Dml db ->
+      Item.equal da.item db.item
+      && (not (Txn.Incarnation.equal da.inc db.inc))
+      && (da.kind = Op.Write || db.kind = Op.Write)
+  | _ -> false
+
+let is_termination_of op ~inc =
+  match op with Op.Local_commit j | Op.Local_abort j -> Txn.Incarnation.equal inc j | _ -> false
+
+let rigorous_reference h =
+  let ops = Array.of_list (History.ops h) in
+  let n = Array.length ops in
+  let terminated_between i j inc =
+    let rec go k = k < j && (is_termination_of ops.(k) ~inc || go (k + 1)) in
+    go (i + 1)
+  in
+  let out = ref [] in
+  for i = 0 to n - 1 do
+    match ops.(i) with
+    | Op.Dml { inc; _ } ->
+        for j = i + 1 to n - 1 do
+          if conflicts_ltm ops.(i) ops.(j) && not (terminated_between i j inc) then
+            out := { Rigorous.first = ops.(i); first_index = i; second = ops.(j); second_index = j } :: !out
+        done
+    | _ -> ()
+  done;
+  List.rev !out
+
+let rigorous_all_sites_reference h =
+  let sites =
+    History.fold
+      (fun acc op -> match Op.site op with Some s -> Site.Set.add s acc | None -> acc)
+      Site.Set.empty h
+  in
+  Site.Set.fold (fun s acc -> (s, rigorous_reference (Projection.ltm h s)) :: acc) sites [] |> List.rev
+
+(* Random interleavings of a few incarnations over 2-4 items per site: R/W
+   mixes, commits and aborts at random points (so some incarnations never
+   terminate and some keep operating after their own termination), and
+   prepares, which count toward whole-history indices but not toward the
+   LTM projection's. *)
+let random_ltm_history rng ~n_sites =
+  let n_items = 2 + Rng.int rng ~bound:3 in
+  let incs =
+    Array.init
+      (2 + Rng.int rng ~bound:4)
+      (fun k ->
+        let site = Site.of_int (Rng.int rng ~bound:n_sites) in
+        if Rng.bool rng ~p:0.3 then inc (Txn.local ~site ~n:(k + 1)) site 0
+        else inc (g (1 + Rng.int rng ~bound:3)) site (Rng.int rng ~bound:3))
+  in
+  let ops =
+    List.init
+      (1 + Rng.int rng ~bound:24)
+      (fun _ ->
+        let i = incs.(Rng.int rng ~bound:(Array.length incs)) in
+        let it = Item.make ~site:i.Txn.Incarnation.site ~table:"X" ~key:(Rng.int rng ~bound:n_items) in
+        match Rng.int rng ~bound:10 with
+        | 0 -> lc i
+        | 1 -> la i
+        | 2 -> p i.Txn.Incarnation.txn i.Txn.Incarnation.site
+        | k when k < 6 -> r i it
+        | _ -> w i it)
+  in
+  History.of_ops ops
+
+let prop_rigorous_sweep_matches_pairwise =
+  QCheck.Test.make ~name:"rigorousness sweep = pairwise rule (one site)" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let h = random_ltm_history (Rng.create ~seed) ~n_sites:1 in
+      Rigorous.violations h = rigorous_reference h)
+
+let prop_rigorous_all_sites_matches_projections =
+  QCheck.Test.make ~name:"one-pass check_all_sites = sweep per LTM projection" ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let h = random_ltm_history (Rng.create ~seed) ~n_sites:3 in
+      Rigorous.violations h = rigorous_reference h
+      && Rigorous.check_all_sites h = rigorous_all_sites_reference h)
+
+let test_rigorous_projection_indices () =
+  (* One violation per site. Whole-history positions are 0->4 and 2->3;
+     the per-site report counts positions in the LTM projection, where
+     the prepare at a does not occur. *)
+  let h =
+    History.of_ops
+      [ w i10a xa; p t1 a; w i10b zb; r i20b zb; r i20a xa; lc i10a; lc i10b; lc i20a; lc i20b ]
+  in
+  let show vs = List.map (Fmt.str "%a" Rigorous.pp_violation) vs in
+  Alcotest.(check (list (pair int int))) "whole-history indices" [ (0, 4); (2, 3) ]
+    (List.map (fun (v : Rigorous.violation) -> (v.first_index, v.second_index)) (Rigorous.violations h));
+  match Rigorous.check_all_sites h with
+  | [ (sa, va); (sb, vb) ] ->
+      Alcotest.(check bool) "sites a, b" true (Site.equal sa a && Site.equal sb b);
+      Alcotest.(check (list string)) "site a"
+        [ Fmt.str "%a (#0) conflicts with later %a (#1) without intervening termination" Op.pp (w i10a xa) Op.pp
+            (r i20a xa) ]
+        (show va);
+      Alcotest.(check (list string)) "site b"
+        [ Fmt.str "%a (#0) conflicts with later %a (#1) without intervening termination" Op.pp (w i10b zb) Op.pp
+            (r i20b zb) ]
+        (show vb)
+  | other -> Alcotest.failf "expected two sites, got %d" (List.length other)
+
+(* Global view distortions as first written: reads-from rebuilt through
+   tuple-keyed tables, footprints looked up by a scan of the whole list. *)
+let footprints_reference h =
+  let outcome = Replay.run h in
+  let reads_tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (rd : Replay.logical_read) -> Hashtbl.replace reads_tbl (rd.l_reader, rd.l_item, rd.l_occurrence) rd.l_from)
+    (Replay.logical_reads outcome);
+  let foot : (Txn.Incarnation.t, Anomaly.step list ref) Hashtbl.t = Hashtbl.create 16 in
+  let occ = Hashtbl.create 64 in
+  History.iteri
+    (fun _ op ->
+      match op with
+      | Op.Dml { kind; inc; item; _ } ->
+          let steps =
+            match Hashtbl.find_opt foot inc with
+            | Some st -> st
+            | None ->
+                let st = ref [] in
+                Hashtbl.replace foot inc st;
+                st
+          in
+          let from =
+            match kind with
+            | Op.Write -> None
+            | Op.Read ->
+                let o = Option.value ~default:0 (Hashtbl.find_opt occ (inc, item)) in
+                Hashtbl.replace occ (inc, item) (o + 1);
+                Option.join (Hashtbl.find_opt reads_tbl (inc, item, o))
+          in
+          steps := { Anomaly.kind; item; from } :: !steps
+      | _ -> ())
+    h;
+  Hashtbl.fold (fun inc steps acc -> (inc, List.rev !steps) :: acc) foot []
+
+let distortions_reference h =
+  let foots = footprints_reference h in
+  let lookup txn site k =
+    List.find_map
+      (fun ((i : Txn.Incarnation.t), steps) ->
+        if Txn.equal i.txn txn && Site.equal i.site site && i.inc = k then Some steps else None)
+      foots
+  in
+  let out = ref [] in
+  List.iter
+    (fun txn ->
+      if Txn.is_global txn then
+        List.iter
+          (fun site ->
+            match History.incarnations_at h txn ~site with
+            | [] | [ _ ] -> ()
+            | base :: rest -> (
+                match lookup txn site base with
+                | None -> ()
+                | Some base_steps ->
+                    List.iter
+                      (fun k ->
+                        let steps = Option.value ~default:[] (lookup txn site k) in
+                        let committed = History.locally_committed h (inc txn site k) in
+                        let shapes l = List.map (fun (s : Anomaly.step) -> (s.kind, s.item)) l in
+                        let rec is_prefix = function
+                          | [], _ -> true
+                          | _, [] -> false
+                          | x :: xs, y :: ys -> x = y && is_prefix (xs, ys)
+                        in
+                        let shape_ok =
+                          if committed then shapes steps = shapes base_steps
+                          else is_prefix (shapes steps, shapes base_steps)
+                        in
+                        if not shape_ok then
+                          out :=
+                            { Anomaly.txn; site; inc_base = base; inc_other = k; reason = `Different_decomposition }
+                            :: !out
+                        else
+                          List.iteri
+                            (fun i (s : Anomaly.step) ->
+                              let bs = List.nth base_steps i in
+                              if s.kind = Op.Read && s.from <> bs.Anomaly.from then
+                                out :=
+                                  { Anomaly.txn; site; inc_base = base; inc_other = k; reason = `Different_view s.item }
+                                  :: !out)
+                            steps)
+                      rest))
+          (History.sites_of_txn h txn))
+    (History.txns h);
+  List.rev !out
+
+(* Random histories with resubmission: per (global, site) a command list,
+   replayed by up to three incarnations. An incarnation that aborts may
+   stop after any prefix; the occasional incarnation runs a different
+   decomposition. Locals write the same items between incarnations, so
+   interleaving gives resubmissions diverging reads-from. *)
+let random_resubmission_history rng =
+  let sites = [| a; b |] in
+  let item_at site = Item.make ~site ~table:"X" ~key:(Rng.int rng ~bound:3) in
+  let command site = (Rng.bool rng ~p:0.5, item_at site) in
+  let run i cmds = List.map (fun (is_w, it) -> if is_w then w i it else r i it) cmds in
+  let global n =
+    let txn = g n in
+    let legs =
+      List.filter_map
+        (fun site -> if Rng.bool rng ~p:0.7 then Some site else None)
+        (Array.to_list sites)
+    in
+    let legs = if legs = [] then [ a ] else legs in
+    let leg site =
+      let cmds = List.init (1 + Rng.int rng ~bound:3) (fun _ -> command site) in
+      let n_incs = 1 + Rng.int rng ~bound:3 in
+      List.concat
+        (List.init n_incs (fun k ->
+             let i = inc txn site k in
+             let final = k = n_incs - 1 in
+             let cmds =
+               if k > 0 && Rng.bool rng ~p:0.15 then List.init (1 + Rng.int rng ~bound:3) (fun _ -> command site)
+               else if final then cmds
+               else List.filteri (fun j _ -> j < Rng.int rng ~bound:(List.length cmds + 1)) cmds
+             in
+             run i cmds @ [ (if final then lc i else la i) ]))
+    in
+    List.concat_map leg legs @ [ gc txn ]
+  in
+  let local n =
+    let site = sites.(Rng.int rng ~bound:2) in
+    let i = inc (Txn.local ~site ~n) site 0 in
+    run i (List.init (1 + Rng.int rng ~bound:2) (fun _ -> (true, item_at site))) @ [ lc i ]
+  in
+  let streams =
+    Array.of_list
+      (List.init (1 + Rng.int rng ~bound:4) (fun k -> ref (global (k + 1)))
+      @ List.init (Rng.int rng ~bound:4) (fun k -> ref (local (k + 1))))
+  in
+  let ops = ref [] in
+  let live () = Array.to_list streams |> List.filter (fun s -> !s <> []) in
+  let rec go () =
+    match live () with
+    | [] -> ()
+    | l -> (
+        let s = List.nth l (Rng.int rng ~bound:(List.length l)) in
+        match !s with
+        | [] -> ()
+        | op :: rest ->
+            ops := op :: !ops;
+            s := rest;
+            go ())
+  in
+  go ();
+  History.of_ops (List.rev !ops)
+
+let sorted_footprints l =
+  List.sort (fun (x, _) (y, _) -> Txn.Incarnation.compare x y) l
+
+let prop_distortions_match_reference =
+  QCheck.Test.make ~name:"hashed distortion check = list-lookup reference" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let h = random_resubmission_history (Rng.create ~seed) in
+      let c = Committed.extended h in
+      Anomaly.global_view_distortions h = distortions_reference h
+      && Anomaly.global_view_distortions c = distortions_reference c
+      && sorted_footprints (Anomaly.footprints h) = sorted_footprints (footprints_reference h))
+
+(* The generator does produce both kinds of distortion (a property that
+   only ever compared empty lists would prove nothing). *)
+let test_resubmission_generator_distorts () =
+  let reasons =
+    List.concat_map
+      (fun seed ->
+        List.map
+          (fun (d : Anomaly.global_distortion) -> d.reason)
+          (distortions_reference (random_resubmission_history (Rng.create ~seed))))
+      (List.init 300 Fun.id)
+  in
+  Alcotest.(check bool) "different views" true
+    (List.exists (function `Different_view _ -> true | `Different_decomposition -> false) reasons);
+  Alcotest.(check bool) "different decompositions" true (List.mem `Different_decomposition reasons)
+
+(* Report.analyze builds SG(C(H)) once for both uses; the cycle and the
+   QSR verdict must be those the standalone checkers compute. *)
+let test_report_shares_sg () =
+  let lost_update =
+    History.of_ops [ r i10a xa; r i20a xa; w i10a xa; w i20a xa; lc i10a; lc i20a; gc t1; gc t2 ]
+  in
+  List.iter
+    (fun (name, h) ->
+      let rep = Report.analyze h and c = Committed.extended h in
+      Alcotest.(check (option (list string))) (name ^ " sg_cycle")
+        (Option.map (List.map Txn.show) (Serialization_graph.find_cycle c))
+        (Option.map (List.map Txn.show) rep.Report.sg_cycle);
+      Alcotest.(check string) (name ^ " quasi")
+        (Fmt.str "%a" Quasi.pp_verdict (Quasi.check c))
+        (Fmt.str "%a" Quasi.pp_verdict rep.Report.quasi))
+    [ ("H1", h1); ("H2", h2); ("H3", h3); ("lost update", lost_update) ];
+  Alcotest.(check bool) "lost update SG is cyclic" true
+    ((Report.analyze lost_update).Report.sg_cycle <> None)
+
+(* ------------------------------------------------------------------ *)
+(* Golden report digests                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Mid-size fault runs: unilateral aborts of prepared subtransactions with
+   resubmission, 1% message drops and a rotating crash schedule that takes
+   coordinators down. The [Report.pp] text of each is pinned by digest, so
+   any change to a checker that alters a verdict, a violation list or the
+   order anything is printed in shows up here. The naive certifier lets
+   resubmissions diverge, so its report lists global view distortions. *)
+let fault_setup ~certifier =
+  let module Driver = Hermes_workload.Driver in
+  let module Spec = Hermes_workload.Spec in
+  let module Network = Hermes_net.Network in
+  let n_global = 300 in
+  {
+    Driver.default_setup with
+    Driver.seed = 11;
+    spec =
+      Spec.make ~n_sites:4 ~n_global
+        ~arrival:(Spec.Closed { mpl = 8; think_time_mean = 2_000 })
+        ~key_dist:(Spec.Zipf { theta = 0.6 })
+        ~mix:{ Spec.sites_per_txn = 2; ops_per_site = 2; write_ratio = 0.5 }
+        ~local_txn_cap:(n_global / 2) ~max_retries:100 ();
+    protocol = Driver.Two_pca { certifier with Hermes_core.Config.decision_inquiry_interval = 10_000 };
+    failure = Hermes_ltm.Failure.prepared_rate 0.3;
+    net = { Network.default_config with Network.faults = { Network.no_faults with Network.drop = 0.01 } };
+    crash_coordinators = true;
+    reboot_delay = 20_000;
+    crash_schedule = List.init 4 (fun k -> ((k + 1) * 200_000, k));
+  }
+
+let report_digest setup =
+  let h = (Hermes_workload.Driver.run setup).Hermes_workload.Driver.history in
+  Digest.to_hex (Digest.string (Fmt.str "%a" Report.pp (Report.analyze h)))
+
+let test_golden_report_full () =
+  Alcotest.(check string) "Report.pp digest" "11926215a8f58f3d83d9c1be3a4791f2"
+    (report_digest (fault_setup ~certifier:Hermes_core.Config.full))
+
+let test_golden_report_naive () =
+  Alcotest.(check string) "Report.pp digest" "12715281982bb62a48b0407474963a70"
+    (report_digest (fault_setup ~certifier:Hermes_core.Config.naive))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "history"
@@ -825,7 +1179,15 @@ let () =
           Alcotest.test_case "read-then-write" `Quick test_rigorous_read_then_write;
           Alcotest.test_case "abort terminates" `Quick test_rigorous_abort_counts;
           Alcotest.test_case "R-R ok" `Quick test_rigorous_reads_dont_conflict;
+          Alcotest.test_case "indices are projection-relative" `Quick test_rigorous_projection_indices;
           q prop_serial_is_rigorous;
+          q prop_rigorous_sweep_matches_pairwise;
+          q prop_rigorous_all_sites_matches_projections;
+        ] );
+      ( "distortions",
+        [
+          Alcotest.test_case "generator exercises both reasons" `Quick test_resubmission_generator_distorts;
+          q prop_distortions_match_reference;
         ] );
       ( "graphs",
         [
@@ -949,5 +1311,11 @@ let () =
         [
           Alcotest.test_case "H1 report" `Quick test_report_h1;
           Alcotest.test_case "clean report" `Quick test_report_clean;
+          Alcotest.test_case "one SG for cycle and QSR" `Quick test_report_shares_sg;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "fault run report digest (full 2CM)" `Quick test_golden_report_full;
+          Alcotest.test_case "fault run report digest (naive)" `Quick test_golden_report_naive;
         ] );
     ]
