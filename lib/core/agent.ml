@@ -8,8 +8,9 @@
 
    - translating network deliveries, timer pops, LTM callbacks (command
      completion, commit completion, UAN) and crash/recover calls into
-     machine inputs, with the read-only environment ([Ltm.is_alive],
-     [Ltm.last_op_done], the stable log's views) sampled at input time;
+     machine inputs, with the read-only environment (the stable log's
+     views sampled at input time; [Ltm.is_alive] and [Ltm.last_op_done]
+     looked up per gid while the machine steps);
    - interpreting the returned effect list, in order, against the
      network, the engine's timers, the {!Agent_log}, the LTM and the
      observability layer.
@@ -60,6 +61,9 @@ type stats = {
   mutable recovered : int;  (* in-doubt subtransactions rebuilt from the log *)
 }
 
+(* Per-gid bookkeeping, looked up on every input and timer arm. *)
+module Gid_tbl = Hashtbl.Make (Int)
+
 type t = {
   site : Site.t;
   engine : Engine.t;
@@ -73,10 +77,10 @@ type t = {
          the shard map); constantly 0 on runs that never reconfigure *)
   log : Agent_log.t;  (* stable storage: survives crash *)
   mutable machine : Agent_sm.state;  (* the volatile protocol state *)
-  txns : (int, Ltm.txn) Hashtbl.t;  (* current incarnation's LTM handle *)
-  alive_timers : (int, Engine.timer) Hashtbl.t;
-  retry_timers : (int, Engine.timer) Hashtbl.t;
-  inquiry_timers : (int, Engine.timer) Hashtbl.t;
+  txns : Ltm.txn Gid_tbl.t;  (* current incarnation's LTM handle *)
+  alive_timers : Engine.timer Gid_tbl.t;
+  retry_timers : Engine.timer Gid_tbl.t;
+  inquiry_timers : Engine.timer Gid_tbl.t;
   mutable flush_timer : Engine.timer option;  (* group commit: the batch window *)
   stats : stats;
   obs : Obs.t option;
@@ -104,10 +108,10 @@ let create ~site ~engine ~ltm ~net ~trace ?obs ?(termination = false) ?(epoch = 
     epoch;
     log = Agent_log.create ();
     machine = Agent_sm.init ~site;
-    txns = Hashtbl.create 32;
-    alive_timers = Hashtbl.create 32;
-    retry_timers = Hashtbl.create 32;
-    inquiry_timers = Hashtbl.create 32;
+    txns = Gid_tbl.create 32;
+    alive_timers = Gid_tbl.create 32;
+    retry_timers = Gid_tbl.create 32;
+    inquiry_timers = Gid_tbl.create 32;
     flush_timer = None;
     stats =
       {
@@ -143,7 +147,7 @@ let flush_pending t = Agent_sm.flush_pending t.machine
 let now t = Engine.now t.engine
 
 let txn_exn t gid =
-  match Hashtbl.find_opt t.txns gid with
+  match Gid_tbl.find_opt t.txns gid with
   | Some txn -> txn
   | None -> Fmt.invalid_arg "agent %a: no LTM transaction for T%d" Site.pp t.site gid
 
@@ -152,17 +156,19 @@ let entry_exn t gid =
   | Some e -> e
   | None -> Fmt.invalid_arg "agent %a: no log entry for T%d" Site.pp t.site gid
 
-(* The read-only LTM snapshot the machine certifies against. Sampling at
-   input-build time is exact: the machine reads these before any of its
+(* The read-only LTM view the machine certifies against, looked up per
+   gid while the machine steps. That is as exact as a snapshot taken when
+   the input is built: the machine reads these before any of its
    LTM-mutating effects is interpreted. *)
+let view t gid =
+  match Gid_tbl.find_opt t.txns gid with
+  | Some txn -> Some { Agent_sm.alive = Ltm.is_alive txn; last_op_done = Ltm.last_op_done txn }
+  | None -> None
+
 let env t =
   {
     Agent_sm.now = now t;
-    views =
-      Hashtbl.fold
-        (fun gid txn acc ->
-          (gid, { Agent_sm.alive = Ltm.is_alive txn; last_op_done = Ltm.last_op_done txn }) :: acc)
-        t.txns [];
+    views = view t;
     max_committed_sn = Agent_log.max_committed_sn t.log;
     (* The termination protocol engages whenever coordinator crashes are
        enabled for this run, so crash-free runs arm no extra timers and
@@ -346,11 +352,11 @@ and interpret t (eff : Agent_sm.effect) =
 and arm t (timer : Agent_sm.timer) ~delay =
   match timer with
   | T_alive gid ->
-      Hashtbl.replace t.alive_timers gid
+      Gid_tbl.replace t.alive_timers gid
         (Engine.schedule t.engine ~delay (fun () ->
              feed t (Agent_sm.Alive_fired { env = env t; gid })))
   | T_commit_retry gid ->
-      Hashtbl.replace t.retry_timers gid
+      Gid_tbl.replace t.retry_timers gid
         (Engine.schedule t.engine ~delay (fun () ->
              feed t (Agent_sm.Retry_fired { env = env t; gid })))
   | T_backoff { gid; inc } ->
@@ -359,7 +365,7 @@ and arm t (timer : Agent_sm.timer) ~delay =
       Engine.schedule_unit t.engine ~delay (fun () ->
           feed t (Agent_sm.Backoff_fired { env = env t; gid; inc }))
   | T_inquiry gid ->
-      Hashtbl.replace t.inquiry_timers gid
+      Gid_tbl.replace t.inquiry_timers gid
         (Engine.schedule t.engine ~delay (fun () ->
              feed t (Agent_sm.Inquiry_fired { env = env t; gid })))
   | T_flush ->
@@ -371,10 +377,10 @@ and arm t (timer : Agent_sm.timer) ~delay =
 
 and cancel t (timer : Agent_sm.timer) =
   let stop timers gid =
-    match Hashtbl.find_opt timers gid with
+    match Gid_tbl.find_opt timers gid with
     | Some tm ->
         Engine.cancel tm;
-        Hashtbl.remove timers gid
+        Gid_tbl.remove timers gid
     | None -> ()
   in
   match timer with
@@ -393,7 +399,7 @@ and ltm_call t (c : Agent_sm.call) =
   match c with
   | L_begin { gid; inc } ->
       let owner = Txn.Incarnation.make ~txn:(Txn.global gid) ~site:t.site ~inc in
-      Hashtbl.replace t.txns gid (Ltm.begin_txn t.ltm ~owner)
+      Gid_tbl.replace t.txns gid (Ltm.begin_txn t.ltm ~owner)
   | L_exec { gid; inc; purpose; cmd } ->
       Ltm.exec t.ltm (txn_exn t gid) cmd ~on_done:(fun result ->
           let result =
@@ -434,10 +440,10 @@ and ltm_call t (c : Agent_sm.call) =
         e.Agent_log.bound <- []
       end
   | L_forget { gid } ->
-      Hashtbl.remove t.txns gid;
-      Hashtbl.remove t.alive_timers gid;
-      Hashtbl.remove t.retry_timers gid;
-      Hashtbl.remove t.inquiry_timers gid
+      Gid_tbl.remove t.txns gid;
+      Gid_tbl.remove t.alive_timers gid;
+      Gid_tbl.remove t.retry_timers gid;
+      Gid_tbl.remove t.inquiry_timers gid
 
 (* ------------------------------------------------------------------ *)
 (* Inbound boundaries: network, crash, recovery                        *)
@@ -487,10 +493,10 @@ let crash t =
   (* Drop the dead incarnations' bookkeeping: their scheduled callbacks
      (UANs of the collective abort, in-flight command completions) are
      filtered by the machine's incarnation tags when they pop. *)
-  Hashtbl.reset t.txns;
-  Hashtbl.reset t.alive_timers;
-  Hashtbl.reset t.retry_timers;
-  Hashtbl.reset t.inquiry_timers
+  Gid_tbl.reset t.txns;
+  Gid_tbl.reset t.alive_timers;
+  Gid_tbl.reset t.retry_timers;
+  Gid_tbl.reset t.inquiry_timers
 
 (* Shard handover: thin shell over the machine's pure export/adopt/drop.
    The Dtm drives these around a reconfiguration — export at the losing

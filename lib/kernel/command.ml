@@ -25,12 +25,10 @@ type t =
   | Assign of { table : string; key : int; value : int }  (* v := value if the row exists *)
   | Insert of { table : string; key : int; value : int }  (* create or overwrite the row *)
   | Delete of { table : string; key : int }  (* remove the row if it exists *)
-[@@deriving eq, ord]
 
 type result =
   | Rows of (int * int) list  (* (key, value) pairs returned by a select *)
   | Count of int  (* rows affected by an update/insert/delete *)
-[@@deriving eq, ord]
 
 let table = function
   | Select { table; _ }

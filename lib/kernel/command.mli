@@ -26,10 +26,5 @@ val is_read_only : t -> bool
 
 val pp : t Fmt.t
 val show : t -> string
-val equal : t -> t -> bool
-val compare : t -> t -> int
-
 val pp_result : result Fmt.t
 val show_result : result -> string
-val equal_result : result -> result -> bool
-val compare_result : result -> result -> int

@@ -7,7 +7,10 @@
    simultaneously, and under rigorousness simultaneously-alive
    subtransactions cannot conflict. *)
 
-type t = { lo : Time.t; hi : Time.t } [@@deriving eq, ord]
+type t = { lo : Time.t; hi : Time.t }
+
+let equal a b = Time.equal a.lo b.lo && Time.equal a.hi b.hi
+let compare a b = match Time.compare a.lo b.lo with 0 -> Time.compare a.hi b.hi | c -> c
 
 let make ~lo ~hi =
   if Time.(hi < lo) then invalid_arg "Interval.make: hi < lo";

@@ -5,7 +5,15 @@
    site a"). Items are the granularity of elementary Read/Write operations,
    of locking, and of the DLU bound-data registry. *)
 
-type t = { site : Site.t; table : string; key : int } [@@deriving eq, ord]
+type t = { site : Site.t; table : string; key : int }
+
+(* Lexicographic on (site, table, key). *)
+let equal a b = Site.equal a.site b.site && Int.equal a.key b.key && String.equal a.table b.table
+
+let compare a b =
+  match Site.compare a.site b.site with
+  | 0 -> ( match String.compare a.table b.table with 0 -> Int.compare a.key b.key | c -> c)
+  | c -> c
 
 let make ~site ~table ~key = { site; table; key }
 let site t = t.site

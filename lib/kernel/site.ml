@@ -5,7 +5,10 @@
    in serial numbers, as the paper suggests ("real time site clocks,
    expanded with the unique site identifier"). *)
 
-type t = int [@@deriving eq, ord]
+type t = int
+
+let equal (a : t) (b : t) = a = b
+let compare (a : t) (b : t) = Int.compare a b
 
 let of_int i =
   if i < 0 then invalid_arg "Site.of_int: negative site id";

@@ -8,7 +8,15 @@
    cause unnecessary aborts. The [seq] component makes numbers issued by
    one coordinator within the same tick unique. *)
 
-type t = { ts : Time.t; site : Site.t; seq : int } [@@deriving eq, ord]
+type t = { ts : Time.t; site : Site.t; seq : int }
+
+(* Lexicographic on (ts, site, seq). *)
+let equal a b = Time.equal a.ts b.ts && Site.equal a.site b.site && Int.equal a.seq b.seq
+
+let compare a b =
+  match Time.compare a.ts b.ts with
+  | 0 -> ( match Site.compare a.site b.site with 0 -> Int.compare a.seq b.seq | c -> c)
+  | c -> c
 
 let make ~ts ~site ~seq =
   if seq < 0 then invalid_arg "Sn.make: negative seq";

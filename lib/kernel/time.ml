@@ -3,7 +3,14 @@
    One tick is morally a microsecond. Integer time keeps the simulation
    exactly deterministic (no float rounding) and totally ordered. *)
 
-type t = int [@@deriving eq, ord]
+type t = int
+
+(* Comparators are written out by hand here and in every kernel type the
+   engine and the certifier order: a derived comparator allocates a
+   closure per call, and these run on every heap merge and table
+   operation of the simulation. *)
+let equal (a : t) (b : t) = a = b
+let compare (a : t) (b : t) = Int.compare a b
 
 let zero = 0
 let of_int i = i

@@ -10,7 +10,21 @@
 type t =
   | Global of int
   | Local of { site : Site.t; n : int }
-[@@deriving eq, ord]
+
+(* Globals order before locals, then by their fields — the declaration
+   order, as [Stdlib.compare] has it. *)
+let equal a b =
+  match (a, b) with
+  | Global x, Global y -> Int.equal x y
+  | Local x, Local y -> Site.equal x.site y.site && Int.equal x.n y.n
+  | Global _, Local _ | Local _, Global _ -> false
+
+let compare a b =
+  match (a, b) with
+  | Global x, Global y -> Int.compare x y
+  | Local x, Local y -> ( match Site.compare x.site y.site with 0 -> Int.compare x.n y.n | c -> c)
+  | Global _, Local _ -> -1
+  | Local _, Global _ -> 1
 
 let global i =
   if i < 0 then invalid_arg "Txn.global: negative id";
@@ -42,10 +56,20 @@ module Set = Set.Make (T)
    subtransaction at [site] ([inc] = 0 is the original submission, higher
    values are resubmissions after unilateral aborts). Local transactions
    always have [inc] = 0. *)
-type txn = t [@@deriving eq, ord]
+type txn = t
+
+let equal_txn = equal
+let compare_txn = compare
 
 module Incarnation = struct
-  type t = { txn : txn; site : Site.t; inc : int } [@@deriving eq, ord]
+  type t = { txn : txn; site : Site.t; inc : int }
+
+  let equal a b = Int.equal a.inc b.inc && Site.equal a.site b.site && equal_txn a.txn b.txn
+
+  let compare a b =
+    match compare_txn a.txn b.txn with
+    | 0 -> ( match Site.compare a.site b.site with 0 -> Int.compare a.inc b.inc | c -> c)
+    | c -> c
 
   let make ~txn ~site ~inc =
     if inc < 0 then invalid_arg "Incarnation.make: negative incarnation";

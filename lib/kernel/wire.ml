@@ -24,6 +24,12 @@ let equal_address a b =
   | Acceptor x, Acceptor y -> Int.equal x.gid y.gid && Int.equal x.idx y.idx
   | (Coordinator _ | Agent _ | Acceptor _), _ -> false
 
+(* The constructor in the low bits, the integer fields above them. *)
+let hash_address = function
+  | Coordinator gid -> gid * 3
+  | Agent s -> (Site.to_int s * 3) + 1
+  | Acceptor { gid; idx } -> (((gid * 31) + idx) * 3) + 2
+
 (* Why a Participant refused PREPARE (or a scheduler refused service). *)
 type refusal =
   | Extension_refused  (* an "older" (bigger-SN) subtransaction already committed: §5.3 *)

@@ -14,6 +14,9 @@ type address =
 val pp_address : address Fmt.t
 val equal_address : address -> address -> bool
 
+val hash_address : address -> int
+(** A hash consistent with {!equal_address}, for typed hash tables. *)
+
 (** Why a Participant refused PREPARE (or a baseline scheduler refused
     service). *)
 type refusal =

@@ -14,7 +14,12 @@
    the LTM's timeout/detection resolves.
 
    Grant callbacks run synchronously inside [release_all]/[cancel_waits];
-   the LTM defers real work through the engine to avoid reentrancy. *)
+   the LTM defers real work through the engine to avoid reentrancy.
+
+   An owner waits on at most one key at a time (the LTM runs one command
+   per transaction and acquires its locks one after another), so an
+   owner -> key index of the queued requests lets [cancel_waits] go
+   straight to the one queue to purge. *)
 
 type mode = Shared | Exclusive
 
@@ -34,25 +39,40 @@ type entry = {
   mutable queue : request list;  (* head = next to grant *)
 }
 
+let key_equal ((table, k) : key) (table', k') = Int.equal k k' && String.equal table table'
+
+(* Typed tables: lookups compare keys with their own equality, not the
+   polymorphic one. The entry table keeps the generic hash, so its
+   iteration order, which [waiting] exposes, is what it always was. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal = key_equal
+  let hash = Hashtbl.hash
+end)
+
+module Owner_tbl = Hashtbl.Make (Int)
+
 type t = {
-  entries : (key, entry) Hashtbl.t;
-  held : (int, key list ref) Hashtbl.t;  (* owner -> keys it holds *)
+  entries : entry Key_tbl.t;
+  held : key list ref Owner_tbl.t;  (* owner -> keys it holds *)
+  waits : key Owner_tbl.t;  (* owner -> the key it is queued on *)
 }
 
-let create () = { entries = Hashtbl.create 256; held = Hashtbl.create 64 }
+let create () = { entries = Key_tbl.create 256; held = Owner_tbl.create 64; waits = Owner_tbl.create 64 }
 
 let entry t key =
-  match Hashtbl.find_opt t.entries key with
+  match Key_tbl.find_opt t.entries key with
   | Some e -> e
   | None ->
       let e = { holders = []; queue = [] } in
-      Hashtbl.replace t.entries key e;
+      Key_tbl.replace t.entries key e;
       e
 
 let note_held t ~owner key =
-  match Hashtbl.find_opt t.held owner with
-  | Some l -> if not (List.mem key !l) then l := key :: !l
-  | None -> Hashtbl.replace t.held owner (ref [ key ])
+  match Owner_tbl.find_opt t.held owner with
+  | Some l -> if not (List.exists (key_equal key) !l) then l := key :: !l
+  | None -> Owner_tbl.replace t.held owner (ref [ key ])
 
 let compatible requested held = match (requested, held) with Shared, Shared -> true | _ -> false
 
@@ -98,6 +118,20 @@ let drain e =
   go ();
   List.rev !granted
 
+(* Queue a request, recording it in the wait index. *)
+let enqueue t key ~owner =
+  if Owner_tbl.mem t.waits owner then invalid_arg "Lock.acquire: owner is already waiting";
+  Owner_tbl.replace t.waits owner key
+
+(* Apply a drain's grants to the indexes: each granted owner holds [key]
+   and waits no more. *)
+let note_granted t key granted =
+  List.iter
+    (fun r ->
+      Owner_tbl.remove t.waits r.req_owner;
+      note_held t ~owner:r.req_owner key)
+    granted
+
 let acquire t key ~owner ~mode ~on_grant =
   let e = entry t key in
   match holder_mode e owner with
@@ -110,6 +144,7 @@ let acquire t key ~owner ~mode ~on_grant =
         Granted
       end
       else begin
+        enqueue t key ~owner;
         e.queue <- { req_owner = owner; req_mode = Exclusive; upgrade = true; on_grant } :: e.queue;
         Waiting
       end
@@ -120,41 +155,39 @@ let acquire t key ~owner ~mode ~on_grant =
         Granted
       end
       else begin
+        enqueue t key ~owner;
         e.queue <- e.queue @ [ { req_owner = owner; req_mode = mode; upgrade = false; on_grant } ];
         Waiting
       end
 
-(* Remove all queued requests of [owner] (e.g. it was aborted while
+(* Remove the queued request of [owner] (e.g. it was aborted while
    waiting); may unblock others whose grant was queued behind it. Returns
    the callbacks of newly granted requests. *)
 let cancel_waits t ~owner =
-  let newly = ref [] in
-  Hashtbl.iter
-    (fun key e ->
-      let before = List.length e.queue in
+  match Owner_tbl.find_opt t.waits owner with
+  | None -> []
+  | Some key ->
+      Owner_tbl.remove t.waits owner;
+      let e = Key_tbl.find t.entries key in
       e.queue <- List.filter (fun r -> r.req_owner <> owner) e.queue;
-      if List.length e.queue <> before then begin
-        let granted = drain e in
-        List.iter (fun r -> note_held t ~owner:r.req_owner key) granted;
-        newly := List.map (fun r -> r.on_grant) granted @ !newly
-      end)
-    t.entries;
-  !newly
+      let granted = drain e in
+      note_granted t key granted;
+      List.map (fun r -> r.on_grant) granted
 
 (* Release every lock [owner] holds. Returns grant callbacks of waiters
    that became grantable. *)
 let release_all t ~owner =
-  let keys = match Hashtbl.find_opt t.held owner with Some l -> !l | None -> [] in
-  Hashtbl.remove t.held owner;
+  let keys = match Owner_tbl.find_opt t.held owner with Some l -> !l | None -> [] in
+  Owner_tbl.remove t.held owner;
   let newly = ref [] in
   List.iter
     (fun key ->
-      match Hashtbl.find_opt t.entries key with
+      match Key_tbl.find_opt t.entries key with
       | None -> ()
       | Some e ->
           e.holders <- List.remove_assoc owner e.holders;
           let granted = drain e in
-          List.iter (fun r -> note_held t ~owner:r.req_owner key) granted;
+          note_granted t key granted;
           newly := List.map (fun r -> r.on_grant) granted @ !newly)
     keys;
   !newly
@@ -162,32 +195,32 @@ let release_all t ~owner =
 (* Release only the Shared locks of [owner] — the non-rigorous ablation
    (dropping read locks early breaks the SRS assumption on purpose). *)
 let release_shared t ~owner =
-  let keys = match Hashtbl.find_opt t.held owner with Some l -> !l | None -> [] in
+  let keys = match Owner_tbl.find_opt t.held owner with Some l -> !l | None -> [] in
   let newly = ref [] in
   let kept = ref [] in
   List.iter
     (fun key ->
-      match Hashtbl.find_opt t.entries key with
+      match Key_tbl.find_opt t.entries key with
       | None -> ()
       | Some e -> (
           match holder_mode e owner with
           | Some Shared ->
               e.holders <- List.remove_assoc owner e.holders;
               let granted = drain e in
-              List.iter (fun r -> note_held t ~owner:r.req_owner key) granted;
+              note_granted t key granted;
               newly := List.map (fun r -> r.on_grant) granted @ !newly
           | Some Exclusive -> kept := key :: !kept
           | None -> ()))
     keys;
-  (match Hashtbl.find_opt t.held owner with Some l -> l := !kept | None -> ());
+  (match Owner_tbl.find_opt t.held owner with Some l -> l := !kept | None -> ());
   !newly
 
-let holders t key = match Hashtbl.find_opt t.entries key with Some e -> e.holders | None -> []
+let holders t key = match Key_tbl.find_opt t.entries key with Some e -> e.holders | None -> []
 
 (* Current holders that conflict with a (hypothetical or queued) request —
    the wait-for edges for deadlock detection. *)
 let blockers t key ~owner ~mode =
-  match Hashtbl.find_opt t.entries key with
+  match Key_tbl.find_opt t.entries key with
   | None -> []
   | Some e ->
       List.filter_map
@@ -196,11 +229,11 @@ let blockers t key ~owner ~mode =
 
 (* All waiting requests, as (key, owner, mode) triples. *)
 let waiting t =
-  Hashtbl.fold
+  Key_tbl.fold
     (fun key e acc -> List.fold_left (fun acc r -> (key, r.req_owner, r.req_mode) :: acc) acc e.queue)
     t.entries []
 
-let held_keys t ~owner = match Hashtbl.find_opt t.held owner with Some l -> !l | None -> []
+let held_keys t ~owner = match Owner_tbl.find_opt t.held owner with Some l -> !l | None -> []
 
-let n_locks_held t = Hashtbl.fold (fun _ e acc -> acc + List.length e.holders) t.entries 0
-let n_waiting t = Hashtbl.fold (fun _ e acc -> acc + List.length e.queue) t.entries 0
+let n_locks_held t = Key_tbl.fold (fun _ e acc -> acc + List.length e.holders) t.entries 0
+let n_waiting t = Key_tbl.fold (fun _ e acc -> acc + List.length e.queue) t.entries 0

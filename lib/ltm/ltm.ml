@@ -77,6 +77,8 @@ type stats = {
   mutable commands : int;
 }
 
+module Id_tbl = Hashtbl.Make (Int)
+
 type t = {
   engine : Engine.t;
   db : Database.t;
@@ -84,7 +86,7 @@ type t = {
   trace : Trace.t;
   locks : Lock.t;
   bound : Bound.t;
-  txns : (int, txn) Hashtbl.t;
+  txns : txn Id_tbl.t;  (* the active transactions: dropped on commit or abort *)
   mutable next_id : int;
   stats : stats;
   mutable on_begin : (txn -> unit) option;  (* failure-injector hook *)
@@ -100,7 +102,7 @@ let create ~engine ~db ~config ~trace ?obs () =
     trace;
     locks = Lock.create ();
     bound = Bound.create ();
-    txns = Hashtbl.create 64;
+    txns = Id_tbl.create 64;
     next_id = 0;
     stats =
       {
@@ -124,8 +126,8 @@ let database t = t.db
 
 let owner txn = txn.owner
 let last_op_done txn = txn.last_op_done
-let is_alive txn = txn.state = Active && not txn.busy
-let is_active txn = txn.state = Active
+let is_active txn = match txn.state with Active -> true | Committed_state | Aborted_state _ -> false
+let is_alive txn = is_active txn && not txn.busy
 let is_held_open txn = txn.held_open
 
 let mark_held_open t txn v =
@@ -155,15 +157,16 @@ let begin_txn t ~owner =
   in
   t.next_id <- t.next_id + 1;
   t.stats.begun <- t.stats.begun + 1;
-  Hashtbl.replace t.txns txn.id txn;
+  Id_tbl.replace t.txns txn.id txn;
   (match t.on_begin with Some hook -> hook txn | None -> ());
   txn
 
 let footprint txn = Item.Set.elements txn.footprint
 
 let live_txns t =
-  Hashtbl.fold (fun _ txn acc -> if txn.state = Active then txn :: acc else acc) t.txns []
-  |> List.sort (fun a b -> Int.compare a.id b.id)
+  Id_tbl.fold (fun _ txn acc -> txn :: acc) t.txns [] |> List.sort (fun a b -> Int.compare a.id b.id)
+
+let tracked t = Id_tbl.length t.txns
 
 (* Grant callbacks from the lock table run inside release/cancel; each is
    an engine-deferring closure, so calling them synchronously is safe. *)
@@ -180,11 +183,12 @@ let cancel_wait_timer txn =
    store, trace the abort, then release locks (strictness: the undo is in
    place before anyone else can touch the data). *)
 let abort_internal t txn reason ~notify =
-  if txn.state = Active then begin
+  if is_active txn then begin
     Log.debug (fun m ->
         m "[%a %a] abort %a: %a" Time.pp (Engine.now t.engine) Site.pp (site t) Txn.Incarnation.pp txn.owner
           pp_abort_reason reason);
     txn.state <- Aborted_state reason;
+    Id_tbl.remove t.txns txn.id;
     t.stats.aborted <- t.stats.aborted + 1;
     (match reason with
     | Unilateral -> t.stats.unilateral_aborts <- t.stats.unilateral_aborts + 1
@@ -220,7 +224,7 @@ let abort t txn = abort_internal t txn Owner_abort ~notify:false
 (* The failure injector's entry point: a spontaneous, LDBS-internal abort
    (log overflow, system bug, ... — paper §1). Notifies via UAN. *)
 let unilateral_abort t txn =
-  if txn.state = Active then begin
+  if is_active txn then begin
     abort_internal t txn Unilateral ~notify:true;
     true
   end
@@ -235,6 +239,7 @@ let commit t txn ~on_done =
       Log.debug (fun m ->
           m "[%a %a] commit %a" Time.pp (Engine.now t.engine) Site.pp (site t) Txn.Incarnation.pp txn.owner);
       txn.state <- Committed_state;
+      Id_tbl.remove t.txns txn.id;
       t.stats.committed <- t.stats.committed + 1;
       Undo.discard txn.undo;
       Trace.record t.trace ~at:(Engine.now t.engine) (Op.Local_commit txn.owner);
@@ -363,7 +368,7 @@ let exec t txn cmd ~on_done =
         else if t.config.Ltm_config.dlu = Ltm_config.Block && !dlu_budget > 0 then begin
           dlu_budget := !dlu_budget - t.config.Ltm_config.dlu_retry_interval;
           Engine.schedule_unit t.engine ~delay:t.config.Ltm_config.dlu_retry_interval (fun () ->
-              if txn.state = Active then dlu_gate k)
+              if is_active txn then dlu_gate k)
         end
         else begin
           Bound.note_denial t.bound;
@@ -375,7 +380,7 @@ let exec t txn cmd ~on_done =
         let n_ops = max 1 (List.length (Decompose.elementary_planned t.db cmd ~planned)) in
         let dur = t.config.Ltm_config.cmd_latency + (t.config.Ltm_config.op_latency * n_ops) in
         Engine.schedule_unit t.engine ~delay:dur (fun () ->
-            if txn.state = Active then
+            if is_active txn then
               (* The item may have become bound while the command waited. *)
               dlu_gate (fun () ->
                   let result = apply t txn cmd ~planned in
@@ -392,7 +397,7 @@ let exec t txn cmd ~on_done =
             let lkey = (table, key) in
             let wait_started = Engine.now t.engine in
             let continue () =
-              if txn.state = Active then begin
+              if is_active txn then begin
                 cancel_wait_timer txn;
                 Obs.emit t.obs ~at:(Engine.now t.engine) (fun () ->
                     Tracer.Lock_wait
@@ -412,10 +417,10 @@ let exec t txn cmd ~on_done =
                   txn.wait_timer <-
                     Some
                       (Engine.schedule t.engine ~delay:t.config.Ltm_config.lock_timeout (fun () ->
-                           if txn.state = Active then abort_internal t txn Lock_timeout ~notify:false))
+                           if is_active txn then abort_internal t txn Lock_timeout ~notify:false))
                 in
                 let conflicting_holders () =
-                  List.filter_map (fun id -> Hashtbl.find_opt t.txns id)
+                  List.filter_map (fun id -> Id_tbl.find_opt t.txns id)
                     (Lock.blockers t.locks lkey ~owner:txn.id ~mode)
                 in
                 (match t.config.Ltm_config.deadlock with

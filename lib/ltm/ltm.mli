@@ -92,4 +92,11 @@ val footprint : txn -> Item.t list
 (** Items the transaction has accessed — the bound-data set at prepare. *)
 
 val live_txns : t -> txn list
+(** The active transactions, oldest first. *)
+
+val tracked : t -> int
+(** How many transactions the LTM still holds: those begun and not yet
+    committed or aborted. A finished transaction is forgotten, so a
+    quiesced run leaves 0. *)
+
 val is_held_open : txn -> bool

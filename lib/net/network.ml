@@ -66,6 +66,24 @@ type config = {
 
 let default_config = { base_delay = 500; jitter = 200; faults = no_faults }
 
+(* Tables keyed by address (and by link) hash and compare with the
+   address's own functions, not the polymorphic ones: they are consulted
+   on every send and every delivery. None of them is iterated, so the
+   choice of hash cannot reorder anything. *)
+module Addr_tbl = Hashtbl.Make (struct
+  type t = Message.address
+
+  let equal = Message.equal_address
+  let hash = Message.hash_address
+end)
+
+module Link_tbl = Hashtbl.Make (struct
+  type t = Message.address * Message.address
+
+  let equal (s, d) (s', d') = Message.equal_address s s' && Message.equal_address d d'
+  let hash (s, d) = (Message.hash_address s * 65599) + Message.hash_address d
+end)
+
 type fabric = {
   here : int;  (* this network instance's shard *)
   locate : Message.address -> int;  (* owning shard of an address *)
@@ -79,14 +97,14 @@ type t = {
   rng : Rng.t;
   config : config;
   fabric : fabric option;
-  handlers : (Message.address, Message.t -> unit) Hashtbl.t;
-  last_delivery : (Message.address * Message.address, Time.t) Hashtbl.t;
-  in_flight : (Message.address, (Time.t * int) list) Hashtbl.t;
+  handlers : (Message.t -> unit) Addr_tbl.t;
+  last_delivery : Time.t Link_tbl.t;
+  in_flight : (Time.t * int) list Addr_tbl.t;
       (* per destination: every in-flight (arrival, gid), purged on
          delivery, for overtaking detection (the §5.3 race is cross-link,
          so per-link FIFO does not prevent it) *)
-  down : (Message.address, unit) Hashtbl.t;
-  gray : (Message.address, unit) Hashtbl.t;
+  down : unit Addr_tbl.t;
+  gray : unit Addr_tbl.t;
       (* dynamically gray-marked addresses (e.g. coordinators hosted at a
          gray site, whose address carries no site id); agent addresses
          are matched statically against [faults.gray_sites] *)
@@ -110,11 +128,11 @@ let create ~engine ~rng ?obs ?fabric ~config () = {
   rng;
   config;
   fabric;
-  handlers = Hashtbl.create 32;
-  last_delivery = Hashtbl.create 64;
-  in_flight = Hashtbl.create 32;
-  down = Hashtbl.create 4;
-  gray = Hashtbl.create 4;
+  handlers = Addr_tbl.create 32;
+  last_delivery = Link_tbl.create 64;
+  in_flight = Addr_tbl.create 32;
+  down = Addr_tbl.create 4;
+  gray = Addr_tbl.create 4;
   obs;
   delay_hist = Option.map (fun o -> Registry.histogram (Obs.metrics o) "net.delay") obs;
   overtakes = Option.map (fun o -> Registry.counter (Obs.metrics o) "net.overtakes") obs;
@@ -125,26 +143,26 @@ let create ~engine ~rng ?obs ?fabric ~config () = {
   lossy = config_lossy config.faults;
 }
 
-let register t addr handler = Hashtbl.replace t.handlers addr handler
-let unregister t addr = Hashtbl.remove t.handlers addr
+let register t addr handler = Addr_tbl.replace t.handlers addr handler
+let unregister t addr = Addr_tbl.remove t.handlers addr
 
 let assume_lossy t = t.lossy <- true
 let lossy t = t.lossy
 
 let mark_down t addr =
   t.lossy <- true;
-  Hashtbl.replace t.down addr ()
+  Addr_tbl.replace t.down addr ()
 
-let mark_up t addr = Hashtbl.remove t.down addr
-let is_down t addr = Hashtbl.mem t.down addr
+let mark_up t addr = Addr_tbl.remove t.down addr
+let is_down t addr = Addr_tbl.mem t.down addr
 
 (* Gray failure: [addr]'s links slow down by [gray_factor] but nothing is
    lost, so — unlike [mark_down] — the network stays non-lossy and no
    loss-recovery timers arm. *)
-let mark_gray t addr = Hashtbl.replace t.gray addr ()
+let mark_gray t addr = Addr_tbl.replace t.gray addr ()
 
 let is_gray t addr =
-  Hashtbl.mem t.gray addr
+  Addr_tbl.mem t.gray addr
   ||
   match addr with
   | Message.Agent s -> List.mem (Site.to_int s) t.config.faults.gray_sites
@@ -155,7 +173,7 @@ let count_drop t ~at ~dst ~gid ~reason =
   Obs.emit t.obs ~at (fun () ->
       Tracer.Message_dropped { dst = Fmt.str "%a" Message.pp_address dst; gid; reason })
 
-let endpoint_matches ep addr = match ep with Any_addr -> true | Addr a -> a = addr
+let endpoint_matches ep addr = match ep with Any_addr -> true | Addr a -> Message.equal_address a addr
 
 let partitioned t ~src ~dst ~now =
   List.exists
@@ -168,18 +186,18 @@ let partitioned t ~src ~dst ~now =
 
 (* Remove one in-flight record (the delivered copy); identical tuples are
    interchangeable, so removing the first match is enough. *)
-let purge_in_flight t dst entry =
-  match Hashtbl.find_opt t.in_flight dst with
+let purge_in_flight t dst ~arrival ~gid =
+  match Addr_tbl.find_opt t.in_flight dst with
   | None -> ()
   | Some l ->
       let rec drop_one = function
         | [] -> []
-        | e :: rest when e = entry -> rest
+        | (a, g) :: rest when Time.equal a arrival && Int.equal g gid -> rest
         | e :: rest -> e :: drop_one rest
       in
       (match drop_one l with
-      | [] -> Hashtbl.remove t.in_flight dst
-      | l' -> Hashtbl.replace t.in_flight dst l')
+      | [] -> Addr_tbl.remove t.in_flight dst
+      | l' -> Addr_tbl.replace t.in_flight dst l')
 
 (* Destination-side intake: account overtaking against every in-flight
    message to the same destination and schedule the delivery (which
@@ -190,7 +208,7 @@ let purge_in_flight t dst entry =
 let intake t msg ~arrival =
   let { Message.dst; gid; _ } = msg in
   let now = Engine.now t.engine in
-  let inbound = Option.value (Hashtbl.find_opt t.in_flight dst) ~default:[] in
+  let inbound = Option.value (Addr_tbl.find_opt t.in_flight dst) ~default:[] in
   List.iter
     (fun (behind_arrival, behind_gid) ->
       if Time.(behind_arrival > arrival) then begin
@@ -199,14 +217,14 @@ let intake t msg ~arrival =
             Tracer.Overtaking { dst = Fmt.str "%a" Message.pp_address dst; gid; behind_gid })
       end)
     inbound;
-  Hashtbl.replace t.in_flight dst ((arrival, gid) :: inbound);
+  Addr_tbl.replace t.in_flight dst ((arrival, gid) :: inbound);
   Log.debug (fun m -> m "[%a] %a (delivery %a)" Time.pp now Message.pp msg Time.pp arrival);
   Engine.schedule_unit t.engine ~delay:(Time.diff arrival now) (fun () ->
-      purge_in_flight t dst (arrival, gid);
+      purge_in_flight t dst ~arrival ~gid;
       if is_down t dst then count_drop t ~at:arrival ~dst ~gid ~reason:"down"
       else begin
         t.delivered <- t.delivered + 1;
-        match Hashtbl.find_opt t.handlers dst with
+        match Addr_tbl.find_opt t.handlers dst with
         | Some handler -> handler msg
         | None ->
             Fmt.failwith "Network.send: no handler for %a (message %a)" Message.pp_address dst
@@ -239,11 +257,11 @@ let transmit t msg ~now =
   (* Per-link FIFO: never deliver before the link's previous message. *)
   let arrival =
     let earliest = Time.add now delay in
-    match Hashtbl.find_opt t.last_delivery (src, dst) with
+    match Link_tbl.find_opt t.last_delivery (src, dst) with
     | Some last when Time.(last >= earliest) -> Time.add last 1
     | _ -> earliest
   in
-  Hashtbl.replace t.last_delivery (src, dst) arrival;
+  Link_tbl.replace t.last_delivery (src, dst) arrival;
   (match t.delay_hist with Some h -> Histogram.record h (Time.diff arrival now) | None -> ());
   match t.fabric with
   | Some f when f.locate dst <> f.here ->

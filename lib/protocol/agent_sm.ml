@@ -24,14 +24,20 @@
       prepared subtransaction at this site has a smaller serial number;
       otherwise retry after a timeout.
 
-   Purity contract: [step] never mutates its input state (the alive
-   table, the one imperative structure, is copied on entry) and performs
-   no effect — everything external arrives pre-sampled in the input
-   ([env] snapshots, log views, recovery entries) and everything
-   outbound leaves as an ordered effect list. Effect order is the old
-   imperative call order, which is what keeps adapter-driven runs
-   byte-identical (engine event sequence numbers, RNG draw order, trace
-   append order).
+   Purity contract: [step] performs no effect — everything external
+   arrives in the input ([env], log views, recovery entries) and
+   everything outbound leaves as an ordered effect list. Effect order is
+   the old imperative call order, which is what keeps adapter-driven
+   runs byte-identical (engine event sequence numbers, RNG draw order,
+   trace append order). [step] takes ownership of its input state: the
+   alive table, the one imperative structure, is updated in place and
+   shared with the returned state, so the input state must not be used
+   again. A caller that branches from a state (the model checker's DFS)
+   steps on [copy st] instead. [env.views] is a lookup into the
+   adapter's live LTM handles, valid only for the duration of the step:
+   the machine reads it before any of its LTM-mutating effects is
+   interpreted, so it sees exactly what a snapshot taken when the input
+   was built would show.
 
    Volatility: the machine state is exactly the agent's *volatile* state
    — a crash input empties it. The stable Agent log lives outside (the
@@ -67,14 +73,16 @@ type sub = {
   inquiry_armed : bool;  (* termination-protocol inquiry timer *)
 }
 
-(* Read-only snapshot of one LTM transaction, sampled by the adapter
-   when it builds the input (safe: the old code always read these before
-   performing any LTM-mutating effect within a transition). *)
+(* Read-only view of one LTM transaction, looked up by the machine while
+   it steps (safe: the machine reads these before any LTM-mutating effect
+   of the transition is performed). *)
 type view = { alive : bool; last_op_done : Time.t }
 
 type env = {
   now : Time.t;
-  views : (int * view) list;  (* by gid; a gid without a view is a just-begun (alive) txn *)
+  views : int -> view option;
+      (* by gid; a gid without a view is a just-begun (alive) txn. Read
+         during the step only *)
   max_committed_sn : Sn.t option;  (* the stable log's biggest committed SN *)
   epoch : int;
       (* the agent's installed placement epoch; a BEGIN/EXEC stamped with
@@ -320,7 +328,7 @@ let inquiry_delay (config : Config.t) env =
     else config.Config.suspicion_timeout
   else config.Config.decision_inquiry_interval
 
-let view env gid = List.assoc_opt gid env.views
+let view env gid = env.views gid
 let view_alive env gid = match view env gid with Some v -> v.alive | None -> true
 let update st (sub : sub) = { st with subs = Int_map.add sub.gid sub st.subs }
 let send (sub : sub) payload = Send { dst = sub.coordinator; gid = sub.gid; payload }
@@ -943,11 +951,10 @@ let deliver config st env ~src ~gid ~payload ~(log : log_view) =
   | Wire.Px_decision _ ->
       unexpected st ~src ~gid ~payload
 
+(* An independent state to step on when [st] itself must survive. *)
+let copy st = { st with table = Alive_table.copy st.table }
+
 let step (config : Config.t) (st : state) (input : input) : state * effect list =
-  (* Copy-on-step: the table is the one imperative structure in the
-     state; copying it up front keeps the input state intact for callers
-     that branch from it (the model checker's DFS). *)
-  let st = { st with table = Alive_table.copy st.table } in
   match input with
   | Deliver { env; src; gid; payload; log } -> deliver config st env ~src ~gid ~payload ~log
   | Alive_fired { env; gid } -> (

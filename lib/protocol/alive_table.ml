@@ -105,9 +105,9 @@ let remove t ~gid =
 let find t ~gid = Hashtbl.find_opt t.entries gid
 
 (* An independent copy (entry records are duplicated, so mutating one
-   table never touches the other) — the pure state machines hand tables
-   from state to state, and the model checker branches from a state many
-   times. *)
+   table never touches the other) — for the model checker, which branches
+   from an agent state many times while [Agent_sm.step] updates the
+   table it is given in place. *)
 let copy t =
   let c = create () in
   Hashtbl.iter

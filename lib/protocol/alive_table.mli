@@ -28,8 +28,9 @@ val find : t -> gid:int -> entry option
 
 val copy : t -> t
 (** An independent copy: mutations of either table never touch the
-    other. Used by the pure state machines (whose [step] never mutates
-    its input state) and the model checker's DFS. *)
+    other. [Agent_sm.copy] uses it for callers that branch from a state
+    (the model checker's DFS), since [Agent_sm.step] updates its input's
+    table in place; the shard-handover operations copy on write. *)
 
 val mem : t -> gid:int -> bool
 val entries : t -> entry list

@@ -290,14 +290,11 @@ let env_of scenario g s =
       && (scenario.budgets.coord_crashes > 0 || scenario.budgets.replica_kills > 0);
     now = Time.of_int g.clock;
     views =
-      List.map
-        (fun l ->
-          ( l.l_gid,
-            {
-              A.alive = (l.l_status = `Active && l.l_in_flight = 0);
-              last_op_done = Time.of_int l.l_last;
-            } ))
-        (assoc_or s g.ltms ~default:[]);
+      (fun gid ->
+        Option.map
+          (fun l ->
+            { A.alive = l.l_status = `Active && l.l_in_flight = 0; last_op_done = Time.of_int l.l_last })
+          (find_ltxn g s gid));
     max_committed_sn = List.assoc_opt s g.max_csn;
     epoch = g.epoch;
   }
@@ -500,7 +497,9 @@ let rec ltm_call scenario g s (c : A.call) =
 let feed_agent scenario g s input =
   let old = List.assoc s g.agents in
   let st, effs =
-    try A.step scenario.config old input with
+    (* [step] consumes its state's alive table; [old] is still [g]'s, and
+       the DFS branches from [g] again. *)
+    try A.step scenario.config (A.copy old) input with
     | Failure m -> raise (Violation m)
     | Invalid_argument m -> raise (Violation ("machine exception: " ^ m))
   in

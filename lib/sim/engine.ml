@@ -12,9 +12,9 @@
 
 open Hermes_kernel
 
-type timer = { mutable cancelled : bool; fire_at : Time.t }
-
-type event = { at : Time.t; seq : int; timer : timer; run : unit -> unit }
+(* An event is its own cancellation handle. *)
+type event = { at : Time.t; seq : int; run : unit -> unit; mutable cancelled : bool }
+type timer = event
 
 module Eq = Pqueue.Make (struct
   type t = event
@@ -55,18 +55,17 @@ let last_event_at t = t.last_fired
 
 let schedule t ~delay run =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  let at = Time.add t.now delay in
-  let timer = { cancelled = false; fire_at = at } in
-  t.queue <- Eq.insert t.queue { at; seq = t.seq; timer; run };
+  let ev = { at = Time.add t.now delay; seq = t.seq; run; cancelled = false } in
+  t.queue <- Eq.insert t.queue ev;
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   if t.live > t.max_pending then t.max_pending <- t.live;
-  timer
+  ev
 
 let schedule_unit t ~delay run = ignore (schedule t ~delay run)
 
 let cancel timer = timer.cancelled <- true
-let fire_at timer = timer.fire_at
+let fire_at timer = timer.at
 
 let halt t = t.halted <- true
 
@@ -78,7 +77,7 @@ let step t =
       t.live <- t.live - 1;
       if Time.(ev.at < t.now) then invalid_arg "Engine.step: time went backwards";
       t.now <- ev.at;
-      if ev.timer.cancelled then t.cancelled_fired <- t.cancelled_fired + 1
+      if ev.cancelled then t.cancelled_fired <- t.cancelled_fired + 1
       else begin
         t.executed <- t.executed + 1;
         t.last_fired <- ev.at;

@@ -25,19 +25,20 @@ end
 module Make (E : ORDERED) : S with type elt = E.t = struct
   type elt = E.t
 
+  (* No cached size: every insert and pop allocates a node per level of
+     the merge path, and a field less per node is a word less each. *)
   type t =
     | Leaf
-    | Node of { rank : int; v : elt; l : t; r : t; n : int }
+    | Node of { rank : int; v : elt; l : t; r : t }
 
   let empty = Leaf
   let is_empty = function Leaf -> true | Node _ -> false
   let rank = function Leaf -> 0 | Node { rank; _ } -> rank
-  let size = function Leaf -> 0 | Node { n; _ } -> n
+  let rec size = function Leaf -> 0 | Node { l; r; _ } -> 1 + size l + size r
 
   let node v l r =
-    let n = 1 + size l + size r in
-    if rank l >= rank r then Node { rank = rank r + 1; v; l; r; n }
-    else Node { rank = rank l + 1; v; l = r; r = l; n }
+    if rank l >= rank r then Node { rank = rank r + 1; v; l; r }
+    else Node { rank = rank l + 1; v; l = r; r = l }
 
   let rec merge a b =
     match (a, b) with
@@ -46,7 +47,7 @@ module Make (E : ORDERED) : S with type elt = E.t = struct
         if E.compare na.v nb.v <= 0 then node na.v na.l (merge na.r b)
         else node nb.v nb.l (merge a nb.r)
 
-  let insert t v = merge t (Node { rank = 1; v; l = Leaf; r = Leaf; n = 1 })
+  let insert t v = merge t (Node { rank = 1; v; l = Leaf; r = Leaf })
   let min = function Leaf -> None | Node { v; _ } -> Some v
   let pop = function Leaf -> None | Node { v; l; r; _ } -> Some (v, merge l r)
   let of_list l = List.fold_left insert empty l

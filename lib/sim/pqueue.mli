@@ -16,6 +16,8 @@ module type S = sig
   val min : t -> elt option
   val pop : t -> (elt * t) option
   val size : t -> int
+  (** Counts the nodes: O(n). *)
+
   val of_list : elt list -> t
   val to_sorted_list : t -> elt list
 end

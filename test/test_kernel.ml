@@ -212,6 +212,114 @@ let test_rng_shuffle_permutation () =
     (List.sort Int.compare (Array.to_list out));
   Alcotest.(check (list int)) "input untouched" (List.init 50 Fun.id) (Array.to_list input)
 
+(* ------------------------------------------------------------------ *)
+(* Comparators                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Random kernel values from small ranges, so that equal values and
+   every tie-break are common. *)
+let gen_time = QCheck.Gen.(map Time.of_int (int_bound 3))
+let gen_site = QCheck.Gen.(map Site.of_int (int_bound 2))
+
+let gen_sn =
+  QCheck.Gen.(
+    map3 (fun ts site seq -> Sn.make ~ts ~site ~seq) gen_time gen_site (int_bound 2))
+
+let gen_interval =
+  QCheck.Gen.(
+    map2
+      (fun lo len -> Interval.make ~lo ~hi:(Time.add lo len))
+      gen_time (int_bound 2))
+
+let gen_item =
+  QCheck.Gen.(
+    map3
+      (fun site table key -> Item.make ~site ~table ~key)
+      gen_site (oneofl [ ""; "X"; "XY"; "Y" ]) (int_bound 2))
+
+let gen_txn =
+  QCheck.Gen.(
+    oneof
+      [
+        map Txn.global (int_bound 3);
+        map2 (fun site n -> Txn.local ~site ~n) gen_site (int_bound 2);
+      ])
+
+let gen_incarnation =
+  QCheck.Gen.(
+    gen_txn >>= fun txn ->
+    match txn with
+    | Txn.Local { site; _ } -> return (Txn.Incarnation.make ~txn ~site ~inc:0)
+    | Txn.Global _ ->
+        map2 (fun site inc -> Txn.Incarnation.make ~txn ~site ~inc) gen_site (int_bound 2))
+
+let sign c = if c < 0 then -1 else if c > 0 then 1 else 0
+
+(* A hand-written comparator orders like [Stdlib.compare] (so every
+   [Map]/[Set] iterates, and every history comes out, as before), and its
+   [equal] agrees with that order. *)
+let prop_agrees_with_stdlib name gen ~compare ~equal =
+  QCheck.Test.make ~name:(name ^ " orders as Stdlib") ~count:1000
+    (QCheck.make QCheck.Gen.(pair gen gen))
+    (fun (x, y) ->
+      sign (compare x y) = sign (Stdlib.compare x y) && equal x y = (Stdlib.compare x y = 0))
+
+let comparator_props =
+  [
+    prop_agrees_with_stdlib "Time" gen_time ~compare:Time.compare ~equal:Time.equal;
+    prop_agrees_with_stdlib "Site" gen_site ~compare:Site.compare ~equal:Site.equal;
+    prop_agrees_with_stdlib "Sn" gen_sn ~compare:Sn.compare ~equal:Sn.equal;
+    prop_agrees_with_stdlib "Interval" gen_interval ~compare:Interval.compare ~equal:Interval.equal;
+    prop_agrees_with_stdlib "Item" gen_item ~compare:Item.compare ~equal:Item.equal;
+    prop_agrees_with_stdlib "Txn" gen_txn ~compare:Txn.compare ~equal:Txn.equal;
+    prop_agrees_with_stdlib "Incarnation" gen_incarnation ~compare:Txn.Incarnation.compare
+      ~equal:Txn.Incarnation.equal;
+  ]
+
+(* Minor-heap words allocated by 1 000 calls of [f]. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Gc.minor_words () -. before
+
+let test_comparators_do_not_allocate () =
+  (* The engine's heap merges and the certifier's table operations call
+     these on every event. Each pair is equal but not physically equal,
+     so every field is compared; [Sys.opaque_identity] keeps the integer
+     comparisons from being folded away. *)
+  let opaque = Sys.opaque_identity in
+  let iv = Interval.make ~lo:(t 1) ~hi:(t 5) and iv' = Interval.make ~lo:(t 1) ~hi:(t 5) in
+  let sn = Sn.make ~ts:(t 7) ~site:(site 1) ~seq:2 and sn' = Sn.make ~ts:(t 7) ~site:(site 1) ~seq:2 in
+  let item = Item.make ~site:(site 1) ~table:"X" ~key:3 in
+  let item' = Item.make ~site:(site 1) ~table:(String.concat "" [ "X" ]) ~key:3 in
+  let local = Txn.local ~site:(site 1) ~n:4 and local' = Txn.local ~site:(site 1) ~n:4 in
+  let inc = Txn.Incarnation.make ~txn:(Txn.global 9) ~site:(site 1) ~inc:2 in
+  let inc' = Txn.Incarnation.make ~txn:(Txn.global 9) ~site:(site 1) ~inc:2 in
+  let cases =
+    [
+      ("Time.compare", fun () -> Time.compare (opaque (t 3)) (t 3));
+      ("Time.equal", fun () -> Bool.to_int (Time.equal (opaque (t 3)) (t 3)));
+      ("Site.compare", fun () -> Site.compare (opaque (site 1)) (site 1));
+      ("Site.equal", fun () -> Bool.to_int (Site.equal (opaque (site 1)) (site 1)));
+      ("Sn.compare", fun () -> Sn.compare sn sn');
+      ("Sn.equal", fun () -> Bool.to_int (Sn.equal sn sn'));
+      ("Interval.compare", fun () -> Interval.compare iv iv');
+      ("Interval.equal", fun () -> Bool.to_int (Interval.equal iv iv'));
+      ("Item.compare", fun () -> Item.compare item item');
+      ("Item.equal", fun () -> Bool.to_int (Item.equal item item'));
+      ("Txn.compare", fun () -> Txn.compare local local');
+      ("Txn.equal", fun () -> Bool.to_int (Txn.equal local local'));
+      ("Incarnation.compare", fun () -> Txn.Incarnation.compare inc inc');
+      ("Incarnation.equal", fun () -> Bool.to_int (Txn.Incarnation.equal inc inc'));
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0. (minor_words_of f))
+    cases
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kernel"
@@ -250,6 +358,9 @@ let () =
           Alcotest.test_case "item pp" `Quick test_item_pp;
           Alcotest.test_case "command read-only" `Quick test_command_read_only;
         ] );
+      ( "comparators",
+        Alcotest.test_case "no allocation" `Quick test_comparators_do_not_allocate
+        :: List.map q comparator_props );
       ( "clock",
         [
           Alcotest.test_case "perfect" `Quick test_clock_perfect;

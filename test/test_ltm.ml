@@ -112,6 +112,200 @@ let test_lock_blockers () =
     (List.sort Int.compare (Lock.blockers t k ~owner:3 ~mode:Lock.Exclusive));
   Alcotest.(check (list int)) "S blocked by nobody" [] (Lock.blockers t k ~owner:3 ~mode:Lock.Shared)
 
+(* The lock table as it was before [cancel_waits] had an owner -> key
+   index: the same grant discipline, with [cancel_waits] scanning every
+   lock entry for the owner's queued requests. Test-only: the reference
+   the indexed table must agree with. *)
+module Lock_reference = struct
+  type request = { req_owner : int; req_mode : Lock.mode; upgrade : bool; on_grant : unit -> unit }
+  type entry = { mutable holders : (int * Lock.mode) list; mutable queue : request list }
+  type t = { entries : (Lock.key, entry) Hashtbl.t; held : (int, Lock.key list ref) Hashtbl.t }
+
+  let create () = { entries = Hashtbl.create 256; held = Hashtbl.create 64 }
+
+  let entry t key =
+    match Hashtbl.find_opt t.entries key with
+    | Some e -> e
+    | None ->
+        let e = { holders = []; queue = [] } in
+        Hashtbl.replace t.entries key e;
+        e
+
+  let note_held t ~owner key =
+    match Hashtbl.find_opt t.held owner with
+    | Some l -> if not (List.mem key !l) then l := key :: !l
+    | None -> Hashtbl.replace t.held owner (ref [ key ])
+
+  let compatible requested held =
+    match (requested, held) with Lock.Shared, Lock.Shared -> true | _ -> false
+
+  let grantable e ~owner ~mode = List.for_all (fun (h, m) -> h = owner || compatible mode m) e.holders
+
+  let set_holder e ~owner ~mode =
+    let others = List.remove_assoc owner e.holders in
+    let mode =
+      match (List.assoc_opt owner e.holders, mode) with
+      | Some Lock.Exclusive, _ -> Lock.Exclusive
+      | _, m -> m
+    in
+    e.holders <- (owner, mode) :: others
+
+  let drain e =
+    let granted = ref [] in
+    let rec go () =
+      match e.queue with
+      | [] -> ()
+      | r :: rest ->
+          let ok =
+            if r.upgrade then List.for_all (fun (h, _) -> h = r.req_owner) e.holders
+            else grantable e ~owner:r.req_owner ~mode:r.req_mode
+          in
+          if ok then begin
+            e.queue <- rest;
+            set_holder e ~owner:r.req_owner ~mode:r.req_mode;
+            granted := r :: !granted;
+            go ()
+          end
+    in
+    go ();
+    List.rev !granted
+
+  let acquire t key ~owner ~mode ~on_grant =
+    let e = entry t key in
+    match List.assoc_opt owner e.holders with
+    | Some Lock.Exclusive -> Lock.Granted
+    | Some Lock.Shared when mode = Lock.Shared -> Lock.Granted
+    | Some Lock.Shared ->
+        if List.for_all (fun (h, _) -> h = owner) e.holders && e.queue = [] then begin
+          set_holder e ~owner ~mode:Lock.Exclusive;
+          Lock.Granted
+        end
+        else begin
+          e.queue <- { req_owner = owner; req_mode = Lock.Exclusive; upgrade = true; on_grant } :: e.queue;
+          Lock.Waiting
+        end
+    | None ->
+        if e.queue = [] && grantable e ~owner ~mode then begin
+          set_holder e ~owner ~mode;
+          note_held t ~owner key;
+          Lock.Granted
+        end
+        else begin
+          e.queue <- e.queue @ [ { req_owner = owner; req_mode = mode; upgrade = false; on_grant } ];
+          Lock.Waiting
+        end
+
+  let cancel_waits t ~owner =
+    let newly = ref [] in
+    Hashtbl.iter
+      (fun key e ->
+        let before = List.length e.queue in
+        e.queue <- List.filter (fun r -> r.req_owner <> owner) e.queue;
+        if List.length e.queue <> before then begin
+          let granted = drain e in
+          List.iter (fun r -> note_held t ~owner:r.req_owner key) granted;
+          newly := List.map (fun r -> r.on_grant) granted @ !newly
+        end)
+      t.entries;
+    !newly
+
+  let release_all t ~owner =
+    let keys = match Hashtbl.find_opt t.held owner with Some l -> !l | None -> [] in
+    Hashtbl.remove t.held owner;
+    let newly = ref [] in
+    List.iter
+      (fun key ->
+        match Hashtbl.find_opt t.entries key with
+        | None -> ()
+        | Some e ->
+            e.holders <- List.remove_assoc owner e.holders;
+            let granted = drain e in
+            List.iter (fun r -> note_held t ~owner:r.req_owner key) granted;
+            newly := List.map (fun r -> r.on_grant) granted @ !newly)
+      keys;
+    !newly
+
+  let holders t key = match Hashtbl.find_opt t.entries key with Some e -> e.holders | None -> []
+
+  let waiting t =
+    Hashtbl.fold
+      (fun key e acc ->
+        List.fold_left (fun acc r -> (key, r.req_owner, r.req_mode) :: acc) acc e.queue)
+      t.entries []
+
+  let held_keys t ~owner = match Hashtbl.find_opt t.held owner with Some l -> !l | None -> []
+end
+
+(* A random acquire / release_all / cancel_waits sequence over a few
+   owners and keys, applied to the indexed table and to the reference. An
+   owner requests a lock only while it has none queued, as the LTM does.
+   After every operation the two must have answered the same, run the
+   same grant callbacks in the same order, and agree on every holder
+   list, every queue and every owner's held keys. Returns that verdict
+   and how many [cancel_waits] calls granted something. *)
+let lock_sequence_agrees seed =
+  let rng = Rng.create ~seed in
+  let owners = List.init 5 (fun i -> i + 1) in
+  let keys = List.init 4 (fun k -> ("X", k)) in
+  let idx = Lock.create () and ref_ = Lock_reference.create () in
+  let log_idx = ref [] and log_ref = ref [] in
+  let answers_agree = ref true and cancel_grants = ref 0 in
+  let run cbs = List.iter (fun cb -> cb ()) cbs in
+  let same () =
+    !answers_agree && !log_idx = !log_ref
+    && Lock.waiting idx = Lock_reference.waiting ref_
+    && List.for_all (fun k -> Lock.holders idx k = Lock_reference.holders ref_ k) keys
+    && List.for_all
+         (fun owner -> Lock.held_keys idx ~owner = Lock_reference.held_keys ref_ ~owner)
+         owners
+  in
+  let waiting owner = List.exists (fun (_, o, _) -> o = owner) (Lock.waiting idx) in
+  let rec go n =
+    n = 0
+    ||
+    let owner = 1 + Rng.int rng ~bound:5 in
+    (match Rng.int rng ~bound:4 with
+    | (0 | 1) when not (waiting owner) ->
+        let key = ("X", Rng.int rng ~bound:4) in
+        let mode = if Rng.bool rng ~p:0.5 then Lock.Shared else Lock.Exclusive in
+        let grant log () = log := (owner, key, mode) :: !log in
+        let a = Lock.acquire idx key ~owner ~mode ~on_grant:(grant log_idx) in
+        let b = Lock_reference.acquire ref_ key ~owner ~mode ~on_grant:(grant log_ref) in
+        if a <> b then answers_agree := false
+    | 0 | 1 | 2 ->
+        let cbs = Lock.cancel_waits idx ~owner in
+        if cbs <> [] then incr cancel_grants;
+        run cbs;
+        run (Lock_reference.cancel_waits ref_ ~owner)
+    | _ ->
+        run (Lock.release_all idx ~owner);
+        run (Lock_reference.release_all ref_ ~owner));
+    same () && go (n - 1)
+  in
+  let agrees = go (10 + Rng.int rng ~bound:60) in
+  (agrees, !cancel_grants)
+
+let prop_lock_index_matches_reference =
+  QCheck.Test.make ~name:"indexed cancel_waits = full scan" ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> fst (lock_sequence_agrees seed))
+
+let test_lock_sequence_coverage () =
+  (* The property is only as good as its sequences: some cancellations
+     must unblock requests queued behind the cancelled one. *)
+  let grants = List.fold_left (fun acc seed -> acc + snd (lock_sequence_agrees seed)) 0 (List.init 100 Fun.id) in
+  Alcotest.(check bool) "cancel_waits grants in some sequences" true (grants > 0)
+
+let test_lock_second_wait_rejected () =
+  (* The wait index holds one key per owner: an owner with a queued
+     request may not queue another. *)
+  let t = Lock.create () in
+  ignore (Lock.acquire t ("X", 1) ~owner:1 ~mode:Lock.Exclusive ~on_grant:ignore);
+  ignore (Lock.acquire t ("X", 2) ~owner:1 ~mode:Lock.Exclusive ~on_grant:ignore);
+  ignore (Lock.acquire t ("X", 1) ~owner:2 ~mode:Lock.Exclusive ~on_grant:ignore);
+  Alcotest.check_raises "second wait" (Invalid_argument "Lock.acquire: owner is already waiting")
+    (fun () -> ignore (Lock.acquire t ("X", 2) ~owner:2 ~mode:Lock.Shared ~on_grant:ignore))
+
 (* ------------------------------------------------------------------ *)
 (* Decomposition (DDF)                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -542,6 +736,9 @@ let () =
           Alcotest.test_case "FIFO no overtaking" `Quick test_lock_fifo_no_overtaking;
           Alcotest.test_case "cancel waits" `Quick test_lock_cancel_waits;
           Alcotest.test_case "blockers" `Quick test_lock_blockers;
+          Alcotest.test_case "one wait per owner" `Quick test_lock_second_wait_rejected;
+          QCheck_alcotest.to_alcotest prop_lock_index_matches_reference;
+          Alcotest.test_case "index sequences cover grants" `Quick test_lock_sequence_coverage;
         ] );
       ( "decompose",
         [

@@ -119,7 +119,13 @@ let mk_sn ?(ts = 0) seq = Sn.make ~ts:(Time.of_int ts) ~site:a ~seq
 let v ?(alive = true) ?(last = 0) () = { A.alive; last_op_done = Time.of_int last }
 
 let env ?(now = 0) ?(views = []) ?max_sn ?(inquiry = false) ?(epoch = 0) () =
-  { A.now = Time.of_int now; views; max_committed_sn = max_sn; inquiry; epoch }
+  {
+    A.now = Time.of_int now;
+    views = (fun gid -> List.assoc_opt gid views);
+    max_committed_sn = max_sn;
+    inquiry;
+    epoch;
+  }
 
 let no_log =
   { A.known = false; prepared = false; committed = false; locally_committed = false;
@@ -243,21 +249,31 @@ let test_alive_check_triggers_resubmission () =
     (has_call effs (A.L_exec { gid = 1; inc = 1; purpose = A.Feed; cmd }));
   Alcotest.(check bool) "still re-arms the alive check" true (has_arm effs (A.T_alive 1))
 
-let test_step_is_pure () =
-  (* The same state stepped twice produces the same result — the alive
-     table is copied, never mutated in place. *)
+let test_step_on_copy_leaves_state () =
+  (* [step] updates its input's alive table in place; a caller that
+     branches from [st] steps on [A.copy st], and [st]'s table stays as it
+     was — here through an alive check that extends the interval, and a
+     COMMIT whose local-commit release removes the entry. *)
+  let table_of st =
+    List.map
+      (fun (e : Alive_table.entry) -> (e.Alive_table.gid, e.Alive_table.intervals))
+      (Alive_table.entries st.A.table)
+  in
   let st, _ = prepared ~sn:(mk_sn 0) (A.init ~site:a) in
-  let input = A.Alive_fired { env = env ~now:7 ~views:[ (1, v ()) ] (); gid = 1 } in
-  let st1, effs1 = A.step cfg st input in
-  let st2, effs2 = A.step cfg st input in
-  Alcotest.(check bool) "same effects" true (effs1 = effs2);
-  Alcotest.(check bool) "same successor table" true
-    (List.map
-       (fun (e : Alive_table.entry) -> (e.Alive_table.gid, e.Alive_table.intervals))
-       (Alive_table.entries st1.A.table)
-    = List.map
-        (fun (e : Alive_table.entry) -> (e.Alive_table.gid, e.Alive_table.intervals))
-        (Alive_table.entries st2.A.table))
+  let before = table_of st in
+  let views = [ (1, v ()) ] in
+  let st1, _ = A.step cfg (A.copy st) (A.Alive_fired { env = env ~now:7 ~views (); gid = 1 }) in
+  Alcotest.(check bool) "the copy's table moved on" true (table_of st1 <> before);
+  Alcotest.(check bool) "st's table unchanged by the alive check" true (table_of st = before);
+  let st2, _ = deliver (A.copy st) ~gid:1 Wire.Commit in
+  let st2, _ =
+    A.step cfg st2 (A.Commit_done { env = env ~views (); gid = 1; inc = 0; committed = true })
+  in
+  Alcotest.(check int) "the copy's entry is gone" 0 (A.n_prepared st2);
+  Alcotest.(check bool) "st's table unchanged by the commit" true (table_of st = before);
+  (* and st itself still steps like it did the first time *)
+  let st3, _ = A.step cfg st (A.Alive_fired { env = env ~now:7 ~views (); gid = 1 }) in
+  Alcotest.(check bool) "same successor as the copy's" true (table_of st3 = table_of st1)
 
 (* ------------------------------------------------------------------ *)
 (* Agent machine: Appendix C (commit certification)                     *)
@@ -419,7 +435,8 @@ let test_recovery_undecided_rearms_inquiry () =
     }
   in
   let st = A.init ~site:a in
-  let _, effs = A.step cfg st (A.Recover { env = ienv ~now:50 (); entries = [ entry ] }) in
+  (* [st] is stepped again below, so this step runs on a copy *)
+  let _, effs = A.step cfg (A.copy st) (A.Recover { env = ienv ~now:50 (); entries = [ entry ] }) in
   Alcotest.(check bool) "back in doubt" true
     (List.exists (function T.Emit (A.Ev_in_doubt { gid = 4 }) -> true | _ -> false) effs);
   Alcotest.(check bool) "inquiry timer restarted" true (has_arm effs (A.T_inquiry 4));
@@ -744,7 +761,7 @@ let test_explore_no_handover_unsound () =
        st.Explore.violations)
 
 (* ------------------------------------------------------------------ *)
-(* Timer hygiene: a quiesced run leaves no live engine timers           *)
+(* Timer hygiene: a quiesced run leaves no live timers, no LTM txns   *)
 (* ------------------------------------------------------------------ *)
 
 let quiesced_run ?(certifier = Config.full) ~net_config () =
@@ -777,6 +794,15 @@ let quiesced_run ?(certifier = Config.full) ~net_config () =
      re-arm forever and hang this test. *)
   Alcotest.(check int) "all transactions finished" 5 !finished;
   Alcotest.(check int) "quiesced run leaves no live timers" 0 (Engine.stats engine).Engine.live;
+  (* Nor does any LTM still hold a transaction: every one committed or
+     aborted, and a finished transaction is forgotten. *)
+  List.iter
+    (fun s ->
+      Alcotest.(check int)
+        (Fmt.str "LTM %a tracks no transaction" Site.pp s)
+        0
+        (Hermes_ltm.Ltm.tracked (Dtm.ltm dtm s)))
+    (Dtm.site_ids dtm);
   dtm
 
 let test_quiesced_no_live_timers () =
@@ -1555,7 +1581,7 @@ let () =
         [
           Alcotest.test_case "alive check extends the interval" `Quick test_alive_check_extends_interval;
           Alcotest.test_case "dead subtransaction resubmits" `Quick test_alive_check_triggers_resubmission;
-          Alcotest.test_case "step is pure" `Quick test_step_is_pure;
+          Alcotest.test_case "step on a copy leaves st" `Quick test_step_on_copy_leaves_state;
         ] );
       ( "agent-commit",
         [
