@@ -32,7 +32,7 @@
 open Hermes_kernel
 module Experiment = Hermes_harness.Experiment
 module Table_fmt = Hermes_harness.Table_fmt
-module Alive_table = Hermes_core.Alive_table
+module Alive_table = Hermes_protocol.Alive_table
 module Lock = Hermes_ltm.Lock
 module History = Hermes_history.History
 module Op = Hermes_history.Op

@@ -14,7 +14,6 @@
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
 module Ltm = Hermes_ltm.Ltm
-module Trace = Hermes_ltm.Trace
 module Failure = Hermes_ltm.Failure
 module Config = Hermes_core.Config
 module Program = Hermes_core.Program
@@ -31,9 +30,8 @@ let fee = 1
 let () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:7 in
-  let trace = Trace.create () in
   let dtm =
-    Dtm.create ~engine ~rng ~trace ~net_config:Hermes_net.Network.default_config
+    Dtm.create ~engines:[| engine |] ~rng ~net_config:Hermes_net.Network.default_config
       ~certifier:Config.full
       ~site_specs:
         (Array.make n_banks { Dtm.default_site_spec with Dtm.failure = Failure.prepared_rate 0.15 })

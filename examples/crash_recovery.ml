@@ -11,7 +11,6 @@
 
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
-module Trace = Hermes_ltm.Trace
 module Agent = Hermes_core.Agent
 module Agent_log = Hermes_core.Agent_log
 module Config = Hermes_core.Config
@@ -29,9 +28,8 @@ let () =
   | _ -> ());
   let engine = Engine.create () in
   let rng = Rng.create ~seed:1992 in
-  let trace = Trace.create () in
   let dtm =
-    Dtm.create ~engine ~rng ~trace
+    Dtm.create ~engines:[| engine |] ~rng
       ~net_config:{ Hermes_net.Network.default_config with base_delay = 500; jitter = 0 }
       ~certifier:Config.full
       ~site_specs:(Array.make 2 Dtm.default_site_spec)

@@ -6,7 +6,6 @@
 
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
-module Trace = Hermes_ltm.Trace
 module Failure = Hermes_ltm.Failure
 module Config = Hermes_core.Config
 module Program = Hermes_core.Program
@@ -16,17 +15,16 @@ module History = Hermes_history.History
 module Report = Hermes_history.Report
 
 let () =
-  (* 1. A simulation world: engine, RNG, trace. *)
+  (* 1. A simulation world: engine and RNG. *)
   let engine = Engine.create () in
   let rng = Rng.create ~seed:2026 in
-  let trace = Trace.create () in
 
   (* 2. Two autonomous sites, each an LDBS with a rigorous (S2PL) LTM and
      a 2PC Agent running the full Certifier. Prepared subtransactions
      suffer unilateral aborts with probability 0.5 — an INGRES log
      overflow in miniature. *)
   let dtm =
-    Dtm.create ~engine ~rng ~trace ~net_config:Hermes_net.Network.default_config
+    Dtm.create ~engines:[| engine |] ~rng ~net_config:Hermes_net.Network.default_config
       ~certifier:Config.full
       ~site_specs:
         (Array.make 2 { Dtm.default_site_spec with Dtm.failure = Failure.prepared_rate 0.5 })

@@ -15,7 +15,6 @@
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
 module Ltm = Hermes_ltm.Ltm
-module Trace = Hermes_ltm.Trace
 module Failure = Hermes_ltm.Failure
 module Config = Hermes_core.Config
 module Program = Hermes_core.Program
@@ -36,9 +35,8 @@ let n_bookings = 80
 let run ~name ~certifier ~seed =
   let engine = Engine.create () in
   let rng = Rng.create ~seed in
-  let trace = Trace.create () in
   let dtm =
-    Dtm.create ~engine ~rng ~trace ~net_config:Hermes_net.Network.default_config ~certifier
+    Dtm.create ~engines:[| engine |] ~rng ~net_config:Hermes_net.Network.default_config ~certifier
       ~site_specs:(Array.make 3 { Dtm.default_site_spec with Dtm.failure = Failure.prepared_rate 0.3 })
       ()
   in

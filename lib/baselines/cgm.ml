@@ -25,7 +25,6 @@
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
 module Lock = Hermes_ltm.Lock
-module Trace = Hermes_ltm.Trace
 module Network = Hermes_net.Network
 module Config = Hermes_core.Config
 module Program = Hermes_core.Program
@@ -64,8 +63,10 @@ type t = {
   stats : stats;
 }
 
-let create ~engine ~rng ~trace ~net_config ~config ?obs ~site_specs () =
-  let dtm = Dtm.create ~engine ~rng ~trace ~net_config ~certifier:Config.naive ?obs ~site_specs () in
+let create ~engine ~rng ~net_config ~config ?obs ~site_specs () =
+  let dtm =
+    Dtm.create ~engines:[| engine |] ~rng ~net_config ~certifier:Config.naive ?obs ~site_specs ()
+  in
   {
     engine;
     dtm;

@@ -32,7 +32,6 @@ type t
 val create :
   engine:Hermes_sim.Engine.t ->
   rng:Rng.t ->
-  trace:Hermes_ltm.Trace.t ->
   net_config:Hermes_net.Network.config ->
   config:config ->
   ?obs:Hermes_obs.Obs.t ->

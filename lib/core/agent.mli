@@ -64,7 +64,7 @@ val attach : t -> unit
 
 val address : t -> Hermes_net.Message.address
 val stats : t -> stats
-val alive_table : t -> Alive_table.t
+val alive_table : t -> Hermes_protocol.Alive_table.t
 val agent_log : t -> Agent_log.t
 val n_prepared : t -> int
 

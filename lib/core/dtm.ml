@@ -2,7 +2,8 @@
    + LTM + failure injector + 2PC Agent) and a coordinator factory. This
    is the "totally decentralized" architecture of Fig. 1 — the only shared
    pieces here are simulation infrastructure (engine, network, trace), not
-   protocol state.
+   protocol state. Which engine runs a site's events is an execution
+   choice: the sites are spread over k execution shards.
 
    The coordinating site of a global transaction is its first
    participant; serial numbers are stamped by that site's (possibly
@@ -11,6 +12,9 @@
 
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
+module Mailbox = Hermes_sim.Mailbox
+module Parallel = Hermes_sim.Parallel
+module Alive_table = Hermes_protocol.Alive_table
 module Database = Hermes_store.Database
 module Ltm = Hermes_ltm.Ltm
 module Failure = Hermes_ltm.Failure
@@ -30,12 +34,31 @@ type site_spec = {
 let default_site_spec =
   { ltm_config = Hermes_ltm.Ltm_config.default; clock = Clock.perfect; failure = Failure.disabled }
 
+(* An execution shard: one engine, one network instance, one trace and
+   one observability context, hosting sites [x, x + k, x + 2k, ...] of a
+   k-shard assembly. One shard is the sequential engine; one per site is
+   the windowed engine, whose shards may each run on their own domain.
+   Shards share no mutable state: cross-shard messages go through
+   [inbox], and each shard's gids and placement bookkeeping are its own. *)
+type exec_shard = {
+  engine : Engine.t;
+  net : Network.t;
+  trace : Trace.t;
+  obs : Obs.t option;
+  inbox : Hermes_net.Message.t Mailbox.t;  (* cross-shard arrivals, drained between windows *)
+  mutable gid_ctr : int;  (* shard x allocates gids x+1, x+1+k, x+1+2k, ... *)
+  shard_gids : (int, int list) Hashtbl.t;
+      (* in-flight gid coordinated here -> placement shards it touches
+         (when [submit] was told); lets [reconfigure] hand over only the
+         moved shard's state *)
+  foreign : (int, Site.t) Hashtbl.t;
+      (* gid coordinated here -> gainer sites holding adopted (foreign)
+         alive-table entries for it; released when the gid's decision lands *)
+}
+
 type site_ctx = {
   site : Site.t;
-  engine : Engine.t;  (* the engine this site's components schedule on *)
-  net : Network.t;  (* the network instance this site sends through *)
-  strace : Trace.t;  (* the trace this site's components record into *)
-  sobs : Obs.t option;
+  exec : exec_shard;  (* the shard this site's components run on *)
   db : Database.t;
   ltm : Ltm.t;
   agent : Agent.t;
@@ -49,48 +72,32 @@ type site_ctx = {
   mutable sn_seq : int;
   mutable down : bool;  (* crashed, reboot pending *)
   mutable hosted : Coordinator.t list;  (* coordinators this site ever hosted, newest first *)
-  mutable gid_ctr : int;  (* sharded mode: per-site strided gid counter *)
   mutable submitted : int;
 }
 
 type t = {
-  engine : Engine.t;  (* legacy: the shared engine; sharded: site 0's *)
-  rng : Rng.t;
-  trace : Trace.t;  (* legacy: the shared trace; sharded: site 0's *)
-  net : Network.t;
   certifier : Config.t;
-  obs : Obs.t option;
+  obs : Obs.t option;  (* the caller's; with k > 1 each shard records into its own *)
   crash_coordinators : bool;
       (* [crash_site] also crashes the site's coordinators (and the
          agents run the termination protocol); off by default so earlier
          fault scenarios replay byte-identically *)
-  sharded : bool;
-      (* one engine/network/trace per site (each site on its own domain):
-         gids are strided so the hosting shard is computable from the
-         address, and the omniscient history is a merge *)
   gray_sites : int list;
       (* sites whose links the network slows by [gray_factor] (copied
          from the net config): coordinators they host are gray-marked at
          [submit] so their decision traffic crawls too *)
+  execs : exec_shard array;
   sites : site_ctx array;
   placement : Shard_map.t ref;
       (* the installed shard map; agents sample its epoch per input and
          coordinators stamp it on BEGIN/EXEC, so a [reconfigure] turns
          every in-flight stale-epoch message into a WRONG-EPOCH refusal *)
-  shard_gids : (int, int list) Hashtbl.t;
-      (* in-flight gid -> shards it touches (when [submit] was told);
-         lets [reconfigure] hand over only the moved shard's state *)
-  foreign : (int, Site.t) Hashtbl.t;
-      (* gid -> gainer sites holding adopted (foreign) alive-table
-         entries for it; released when the gid's decision lands *)
-  mutable next_gid : int;
 }
 
-(* Assemble one site's LDBS on the given engine/network/trace handles.
-   In the legacy (single-engine) mode every site gets the same shared
-   handles; in sharded mode each site gets its own. *)
-let make_ctx ~engine ~net ~trace ~obs ~rng ~certifier ~crash_coordinators ~epoch i spec =
+(* Assemble one site's LDBS on its execution shard. *)
+let make_ctx ~exec ~failure_rng ~certifier ~crash_coordinators ~epoch i spec =
   let site = Site.of_int i in
+  let { engine; net; trace; obs; _ } = exec in
   let db = Database.create ~site in
   let ltm = Ltm.create ~engine ~db ~config:spec.ltm_config ~trace ?obs () in
   let agent =
@@ -98,11 +105,7 @@ let make_ctx ~engine ~net ~trace ~obs ~rng ~certifier ~crash_coordinators ~epoch
       ~config:certifier ()
   in
   Agent.attach agent;
-  let injector =
-    Failure.attach ~engine
-      ~rng:(Rng.split rng ~label:(Fmt.str "failure-%d" i))
-      ~config:spec.failure ltm
-  in
+  let injector = Failure.attach ~engine ~rng:failure_rng ~config:spec.failure ltm in
   let clog = Coordinator_log.create () in
   let acceptors =
     if Config.n_acceptors certifier > 0 then
@@ -122,10 +125,7 @@ let make_ctx ~engine ~net ~trace ~obs ~rng ~certifier ~crash_coordinators ~epoch
   in
   {
     site;
-    engine;
-    net;
-    strace = trace;
-    sobs = obs;
+    exec;
     db;
     ltm;
     agent;
@@ -137,92 +137,88 @@ let make_ctx ~engine ~net ~trace ~obs ~rng ~certifier ~crash_coordinators ~epoch
     sn_seq = 0;
     down = false;
     hosted = [];
-    gid_ctr = 0;
     submitted = 0;
   }
 
-let create ~engine ~rng ~trace ~net_config ~certifier ?obs ?(crash_coordinators = false) ?n_shards
+(* Address-to-shard routing. Agents live at their site's shard; a
+   coordinator's shard is recoverable from its gid because [submit]
+   strides gid allocation: shard [x] allocates [x + 1, x + 1 + k, ...].
+   Only several shards route, and they refuse replicated protocols, so
+   no acceptor address ever reaches here. *)
+let locate ~n_exec = function
+  | Hermes_net.Message.Agent s -> Site.to_int s mod n_exec
+  | Hermes_net.Message.Coordinator gid -> (gid - 1) mod n_exec
+  | Hermes_net.Message.Acceptor _ ->
+      invalid_arg "Dtm.locate: acceptors run on one execution shard only"
+
+let create ~engines ~rng ~net_config ~certifier ?obs ?(crash_coordinators = false) ?n_shards
     ~site_specs () =
-  let net = Network.create ~engine ~rng:(Rng.split rng ~label:"net") ?obs ~config:net_config () in
-  let placement = ref (Shard_map.static ?n_shards ~n_sites:(Array.length site_specs) ()) in
+  let n = Array.length site_specs and k = Array.length engines in
+  if k < 1 || k > n then invalid_arg "Dtm.create: one to n_sites engines required";
+  if k > 1 && Config.n_acceptors certifier > 0 then
+    invalid_arg "Dtm.create: replicated commit protocols run on one execution shard only";
+  (* Every stream is split here, in this order: a shard's [net] stream
+     just before its first site's [failure] stream, suffixed with the
+     shard only when there are several. One shard splits net, failure-0,
+     failure-1, ...; per-site shards split net-0, failure-0, net-1, ... *)
+  let streams =
+    Array.init n (fun i ->
+        let net =
+          if i >= k then None
+          else Some (Rng.split rng ~label:(if k = 1 then "net" else Fmt.str "net-%d" i))
+        in
+        (net, Rng.split rng ~label:(Fmt.str "failure-%d" i)))
+  in
+  let inboxes = Array.init k (fun _ -> Mailbox.create ()) in
+  let execs =
+    Array.init k (fun x ->
+        let engine = engines.(x) in
+        let obs = if k = 1 then obs else Option.map (fun _ -> Obs.create ()) obs in
+        let fabric =
+          if k = 1 then None
+          else
+            let sent = ref 0 in
+            Some
+              {
+                Network.here = x;
+                locate = locate ~n_exec:k;
+                forward =
+                  (fun ~shard ~arrival msg ->
+                    Mailbox.push inboxes.(shard) ~at:(Time.to_int arrival) ~src_shard:x
+                      ~src_seq:!sent msg;
+                    incr sent);
+              }
+        in
+        {
+          engine;
+          net =
+            Network.create ~engine ~rng:(Option.get (fst streams.(x))) ?obs ?fabric
+              ~config:net_config ();
+          trace = Trace.create ();
+          obs;
+          inbox = inboxes.(x);
+          gid_ctr = 0;
+          shard_gids = Hashtbl.create 64;
+          foreign = Hashtbl.create 16;
+        })
+  in
+  let placement = ref (Shard_map.static ?n_shards ~n_sites:n ()) in
   let epoch () = Shard_map.epoch !placement in
   let sites =
     Array.mapi
       (fun i spec ->
-        make_ctx ~engine ~net ~trace ~obs ~rng ~certifier ~crash_coordinators ~epoch i spec)
+        make_ctx ~exec:execs.(i mod k) ~failure_rng:(snd streams.(i)) ~certifier
+          ~crash_coordinators ~epoch i spec)
       site_specs
   in
   {
-    engine;
-    rng;
-    trace;
-    net;
     certifier;
     obs;
     crash_coordinators;
-    sharded = false;
     gray_sites = net_config.Network.faults.Network.gray_sites;
+    execs;
     sites;
     placement;
-    shard_gids = Hashtbl.create 64;
-    foreign = Hashtbl.create 16;
-    next_gid = 1;
-  }
-
-(* Address-to-shard routing for sharded mode. Agents live at their site;
-   a coordinator's hosting site is recoverable from its gid because
-   [submit] strides gid allocation: site [s] allocates gids
-   [s + 1, s + 1 + n, s + 1 + 2n, ...]. *)
-let locate ~n_sites = function
-  | Hermes_net.Message.Agent s -> Site.to_int s
-  | Hermes_net.Message.Coordinator gid -> (gid - 1) mod n_sites
-  | Hermes_net.Message.Acceptor { gid; idx } ->
-      (* acceptor idx of gid's register is strided one past the leader's
-         site; unreachable today (replicated protocols are sequential-
-         engine only) but kept consistent with [submit]'s placement *)
-      (gid + idx) mod n_sites
-
-let create_sharded ~engines ~rng ~net_config ~certifier ?obs_of ?(crash_coordinators = false)
-    ~fabric_of ~site_specs () =
-  let n = Array.length site_specs in
-  if Array.length engines <> n then
-    invalid_arg "Dtm.create_sharded: one engine per site required";
-  if Config.n_acceptors certifier > 0 then
-    invalid_arg "Dtm.create_sharded: replicated commit protocols run on the sequential engine only";
-  (* Sharded mode runs on the static epoch-0 map: online reconfiguration
-     is sequential-engine only (cross-domain handover would need a stop-
-     the-world barrier), so the epoch getter is constant. *)
-  let placement = ref (Shard_map.static ~n_sites:n ()) in
-  let epoch () = 0 in
-  let sites =
-    Array.mapi
-      (fun i spec ->
-        let obs = match obs_of with Some f -> f i | None -> None in
-        let net =
-          Network.create ~engine:engines.(i)
-            ~rng:(Rng.split rng ~label:(Fmt.str "net-%d" i))
-            ?obs ~fabric:(fabric_of i) ~config:net_config ()
-        in
-        let trace = Trace.create () in
-        make_ctx ~engine:engines.(i) ~net ~trace ~obs ~rng ~certifier ~crash_coordinators ~epoch i
-          spec)
-      site_specs
-  in
-  {
-    engine = sites.(0).engine;
-    rng;
-    trace = sites.(0).strace;
-    net = sites.(0).net;
-    certifier;
-    obs = (match obs_of with Some f -> f 0 | None -> None);
-    crash_coordinators;
-    sharded = true;
-    gray_sites = net_config.Network.faults.Network.gray_sites;
-    sites;
-    placement;
-    shard_gids = Hashtbl.create 1;
-    foreign = Hashtbl.create 1;
-    next_gid = 1;
   }
 
 let n_sites t = Array.length t.sites
@@ -233,20 +229,32 @@ let database t site = (ctx t site).db
 let agent t site = (ctx t site).agent
 let coordinator_log t site = (ctx t site).clog
 let injector t site = (ctx t site).injector
-let network t = t.net
-let networks t =
-  if t.sharded then Array.to_list (Array.map (fun (c : site_ctx) -> c.net) t.sites)
-  else [ t.net ]
-let trace t = t.trace
+let networks t = Array.to_list (Array.map (fun x -> x.net) t.execs)
 let submitted t = Array.fold_left (fun acc c -> acc + c.submitted) 0 t.sites
 let placement t = !(t.placement)
+
+(* The shards as {!Parallel} runs them: a shard's inbox drains into its
+   own network instance, which schedules each delivery on its engine. *)
+let exec_shards t =
+  Array.map
+    (fun x ->
+      {
+        Parallel.engine = x.engine;
+        drain =
+          (fun () ->
+            List.iter
+              (fun (e : _ Mailbox.entry) ->
+                Network.deliver_remote x.net ~arrival:(Time.of_int e.Mailbox.at) e.Mailbox.payload)
+              (Mailbox.drain x.inbox));
+      })
+    t.execs
 
 (* Serial number generation at a site: drifting clock reading + site id +
    per-site sequence (uniqueness even within one tick). *)
 let sn_gen t site () =
   let c = ctx t site in
   c.sn_seq <- c.sn_seq + 1;
-  Sn.make ~ts:(Clock.read c.clock ~real:(Engine.now c.engine)) ~site:c.site ~seq:c.sn_seq
+  Sn.make ~ts:(Clock.read c.clock ~real:(Engine.now c.exec.engine)) ~site:c.site ~seq:c.sn_seq
 
 (* The stale-clock adversary: even-gid coordinators draw their serial
    numbers [sn_drift] ticks in the past, slotting the commit below serial
@@ -264,21 +272,13 @@ let submit ?gate ?shards t program ~on_done =
     match Program.sites program with s :: _ -> s | [] -> assert false (* Program.make forbids [] *)
   in
   let c = ctx t coord_site in
-  let gid =
-    if t.sharded then begin
-      (* Strided: site s allocates s+1, s+1+n, s+1+2n, ... so [locate]
-         can route Coordinator addresses without shared state. Only the
-         coordinating site's domain touches its own counter. *)
-      let g = Site.to_int coord_site + 1 + (Array.length t.sites * c.gid_ctr) in
-      c.gid_ctr <- c.gid_ctr + 1;
-      g
-    end
-    else begin
-      let g = t.next_gid in
-      t.next_gid <- t.next_gid + 1;
-      g
-    end
-  in
+  let x = c.exec in
+  (* Strided: shard x allocates x+1, x+1+k, x+1+2k, ... so [locate] can
+     route Coordinator addresses without shared state; with one shard
+     this is a global counter. *)
+  let k = Array.length t.execs in
+  let gid = (Site.to_int coord_site mod k) + 1 + (k * x.gid_ctr) in
+  x.gid_ctr <- x.gid_ctr + 1;
   c.submitted <- c.submitted + 1;
   (* Replicated commit: bring up the round's decision register before
      the leader starts — the network fails fast on a send to an
@@ -291,34 +291,29 @@ let submit ?gate ?shards t program ~on_done =
     | Some a -> Acceptor.host a ~gid ~idx
     | None -> assert false (* every site has a host when the protocol is replicated *)
   done;
-  (* Placement bookkeeping — sequential engine only (the hashtables are
-     shared, and reconfiguration is rejected in sharded mode anyway). *)
-  let on_done =
-    if t.sharded then on_done
-    else begin
-      (match shards with Some ss -> Hashtbl.replace t.shard_gids gid ss | None -> ());
-      fun outcome ->
-        Hashtbl.remove t.shard_gids gid;
-        (match Hashtbl.find_all t.foreign gid with
-        | [] -> ()
-        | gainers ->
-            (* the decision landed: the gainer's adopted entries for this
-               gid stop gating certification *)
-            List.iter (fun s -> Agent.drop_foreign t.sites.(Site.to_int s).agent ~gid) gainers;
-            while Hashtbl.mem t.foreign gid do
-              Hashtbl.remove t.foreign gid
-            done);
-        on_done outcome
-    end
+  (* Placement bookkeeping, on the coordinating shard. *)
+  (match shards with Some ss -> Hashtbl.replace x.shard_gids gid ss | None -> ());
+  let on_done outcome =
+    Hashtbl.remove x.shard_gids gid;
+    (match Hashtbl.find_all x.foreign gid with
+    | [] -> ()
+    | gainers ->
+        (* the decision landed: the gainer's adopted entries for this
+           gid stop gating certification *)
+        List.iter (fun s -> Agent.drop_foreign (ctx t s).agent ~gid) gainers;
+        while Hashtbl.mem x.foreign gid do
+          Hashtbl.remove x.foreign gid
+        done);
+    on_done outcome
   in
   (* Gray coordinator: a coordinator hosted at a gray site inherits the
      site's slow links — its address carries no site id, so the network
      is told explicitly, before the first message leaves. *)
   if List.mem (Site.to_int coord_site) t.gray_sites then
-    Network.mark_gray c.net (Hermes_net.Message.Coordinator gid);
+    Network.mark_gray x.net (Hermes_net.Message.Coordinator gid);
   let coord =
-    Coordinator.start ?gate ?obs:c.sobs ~log:c.clog ?batcher:c.batcher ~gid ~site:coord_site
-      ~engine:c.engine ~net:c.net ~trace:c.strace ~config:t.certifier
+    Coordinator.start ?gate ?obs:x.obs ~log:c.clog ?batcher:c.batcher ~gid ~site:coord_site
+      ~engine:x.engine ~net:x.net ~trace:x.trace ~config:t.certifier
       ~epoch:(Shard_map.epoch !(t.placement))
       ~sn_gen:(adversarial_sn_gen t coord_site ~gid)
       ~program ~on_done ()
@@ -326,41 +321,57 @@ let submit ?gate ?shards t program ~on_done =
   c.hosted <- coord :: c.hosted;
   gid
 
+(* Placement changes swap the map every shard's agents read, so they
+   run on one execution shard only. *)
+let one_shard t fn =
+  if Array.length t.execs > 1 then
+    invalid_arg (fn ^ ": online reconfiguration runs on one execution shard only")
+
+(* Hand [shard]'s prepared certification state (serial number + current
+   alive interval per in-flight gid) from [from] to [to_], which adopts
+   it as [foreign] entries until each gid's decision lands. Every gid
+   recorded as touching [shard] goes over; a gid [submit] was not told
+   about is included conservatively — over-transfer only costs
+   precision, while a missed entry would let the gainer certify blind. *)
+let hand_over t ~shard ~from ~to_ =
+  let home gid = t.execs.((gid - 1) mod Array.length t.execs) in
+  let touches gid =
+    match Hashtbl.find_opt (home gid).shard_gids gid with
+    | Some shards -> List.mem shard shards
+    | None -> true
+  in
+  let loser = (ctx t from).agent in
+  let gids =
+    Alive_table.entries (Agent.alive_table loser)
+    |> List.filter_map (fun (e : Alive_table.entry) ->
+           if touches e.Alive_table.gid then Some e.Alive_table.gid else None)
+    |> List.sort compare
+  in
+  let entries = Agent.export_handover loser ~gids in
+  Agent.adopt_handover (ctx t to_).agent entries;
+  List.iter
+    (fun (h : Agent_sm.handover_entry) ->
+      let foreign = (home h.h_gid).foreign in
+      if not (List.mem to_ (Hashtbl.find_all foreign h.h_gid)) then
+        Hashtbl.add foreign h.h_gid to_)
+    entries
+
 (* Online reconfiguration: move [shard] to [to_] in a new placement
    epoch. Before the new map is installed the losing site hands the moved
-   shard's prepared certification state (serial number + current alive
-   interval per in-flight gid) to the gainer, which adopts it as
-   [foreign] entries — they gate interval-intersection and min-SN
-   certification at the gainer exactly like native prepared work, so a
-   commit certified under the new epoch still observes transactions
-   prepared under the old one (invariant I6(b)). In-flight rounds stamped
-   with the old epoch get WRONG-EPOCH refusals and abort; the workload
-   driver re-resolves through the new map on resubmission. *)
+   shard's prepared state to the gainer ([hand_over]) — the adopted
+   entries gate interval-intersection and min-SN certification at the
+   gainer exactly like native prepared work, so a commit certified under
+   the new epoch still observes transactions prepared under the old one
+   (invariant I6(b)). In-flight rounds stamped with the old epoch get
+   WRONG-EPOCH refusals and abort; the workload driver re-resolves
+   through the new map on resubmission. A move onto the current owner or
+   onto a site that is not serving changes nothing. *)
 let reconfigure t ~shard ~to_ =
-  if t.sharded then
-    invalid_arg "Dtm.reconfigure: online reconfiguration runs on the sequential engine only";
+  one_shard t "Dtm.reconfigure";
   let map = !(t.placement) in
   let from = Shard_map.owner map ~shard in
-  if not (Site.equal from to_) then begin
-    let loser = (ctx t from).agent in
-    (* Hand over every in-flight gid recorded as touching the moved
-       shard; a gid [submit] was not told about is included
-       conservatively — over-transfer only costs precision, while a
-       missed entry would let the gainer certify blind. *)
-    let touches_shard gid =
-      match Hashtbl.find_opt t.shard_gids gid with
-      | Some shards -> List.mem shard shards
-      | None -> true
-    in
-    let gids =
-      Alive_table.entries (Agent.alive_table loser)
-      |> List.filter_map (fun e ->
-             if touches_shard e.Alive_table.gid then Some e.Alive_table.gid else None)
-      |> List.sort compare
-    in
-    let entries = Agent.export_handover loser ~gids in
-    Agent.adopt_handover (ctx t to_).agent entries;
-    List.iter (fun (h : Agent_sm.handover_entry) -> Hashtbl.add t.foreign h.h_gid to_) entries;
+  if (not (Site.equal from to_)) && Shard_map.mem_site map to_ then begin
+    hand_over t ~shard ~from ~to_;
     (* install only after the handover: the first message the gainer
        serves under the new epoch already sees the adopted intervals *)
     t.placement := Shard_map.move map ~shard ~to_
@@ -370,7 +381,7 @@ let reconfigure t ~shard ~to_ =
    until a [reconfigure] moves shards onto it. Installing the new epoch is
    enough — there is no state to hand over. *)
 let join t ~site =
-  if t.sharded then invalid_arg "Dtm.join: online reconfiguration runs on the sequential engine only";
+  one_shard t "Dtm.join";
   t.placement := Shard_map.add_site !(t.placement) ~site
 
 (* A site leaves the serving set: its shards redistribute round-robin
@@ -380,32 +391,11 @@ let join t ~site =
    In-flight rounds stamped with the old epoch get WRONG-EPOCH refusals
    and re-resolve through the new map. *)
 let leave t ~site =
-  if t.sharded then
-    invalid_arg "Dtm.leave: online reconfiguration runs on the sequential engine only";
+  one_shard t "Dtm.leave";
   let map = !(t.placement) in
   let next = Shard_map.remove_site map ~site in
-  let loser = (ctx t site).agent in
-  let touches_shard shard gid =
-    match Hashtbl.find_opt t.shard_gids gid with
-    | Some shards -> List.mem shard shards
-    | None -> true
-  in
   List.iter
-    (fun shard ->
-      let to_ = Shard_map.owner next ~shard in
-      let gids =
-        Alive_table.entries (Agent.alive_table loser)
-        |> List.filter_map (fun e ->
-               if touches_shard shard e.Alive_table.gid then Some e.Alive_table.gid else None)
-        |> List.sort compare
-      in
-      let entries = Agent.export_handover loser ~gids in
-      Agent.adopt_handover (ctx t to_).agent entries;
-      List.iter
-        (fun (h : Agent_sm.handover_entry) ->
-          if not (List.mem to_ (Hashtbl.find_all t.foreign h.h_gid)) then
-            Hashtbl.add t.foreign h.h_gid to_)
-        entries)
+    (fun shard -> hand_over t ~shard ~from:site ~to_:(Shard_map.owner next ~shard))
     (Shard_map.shards_of map ~site);
   t.placement := next
 
@@ -446,34 +436,33 @@ let crash_site ?(reboot_delay = 0) t site =
     end
     else begin
       (* Down-ness is destination-side state, so it lives on the crashed
-         site's own network instance — in sharded mode that is exactly
-         where every delivery to this site's agent and hosted
-         coordinators is scheduled. *)
+         site's own network instance — exactly where every delivery to
+         this site's agent and hosted coordinators is scheduled. *)
       c.down <- true;
       List.iter
         (fun co ->
           Coordinator.crash co;
-          Network.mark_down c.net (Hermes_net.Message.Coordinator (Coordinator.gid co)))
+          Network.mark_down c.exec.net (Hermes_net.Message.Coordinator (Coordinator.gid co)))
         coords;
       Agent.crash c.agent;
-      Network.mark_down c.net (Hermes_net.Message.Agent site);
+      Network.mark_down c.exec.net (Hermes_net.Message.Agent site);
       (match c.acceptors with
       | Some a ->
           Acceptor.crash a;
-          List.iter (Network.mark_down c.net) (Acceptor.addresses a)
+          List.iter (Network.mark_down c.exec.net) (Acceptor.addresses a)
       | None -> ());
-      Engine.schedule_unit c.engine ~delay:reboot_delay (fun () ->
-          Network.mark_up c.net (Hermes_net.Message.Agent site);
+      Engine.schedule_unit c.exec.engine ~delay:reboot_delay (fun () ->
+          Network.mark_up c.exec.net (Hermes_net.Message.Agent site);
           c.down <- false;
           (match c.acceptors with
           | Some a ->
-              List.iter (Network.mark_up c.net) (Acceptor.addresses a);
+              List.iter (Network.mark_up c.exec.net) (Acceptor.addresses a);
               Acceptor.recover a
           | None -> ());
           Agent.recover c.agent;
           List.iter
             (fun co ->
-              Network.mark_up c.net (Hermes_net.Message.Coordinator (Coordinator.gid co));
+              Network.mark_up c.exec.net (Hermes_net.Message.Coordinator (Coordinator.gid co));
               Coordinator.recover co)
             coords)
     end
@@ -483,9 +472,21 @@ let crash_site ?(reboot_delay = 0) t site =
 let load t site ~table ~key ~value =
   ignore (Database.write (database t site) ~table ~key (Hermes_store.Row.initial value))
 
-let history t =
-  if t.sharded then Trace.merged (Array.to_list (Array.map (fun c -> c.strace) t.sites))
-  else Trace.history t.trace
+let history t = Trace.merged (Array.to_list (Array.map (fun x -> x.trace) t.execs))
+
+(* With several shards, fold their observability contexts into the
+   caller's: registries absorb exactly; trace events merge by time, a
+   stable sort keeping each shard's emission order. One shard records
+   straight into the caller's context. *)
+let merge_obs t =
+  match t.obs with
+  | Some o when Array.length t.execs > 1 ->
+      let shard_obs = List.filter_map (fun (x : exec_shard) -> x.obs) (Array.to_list t.execs) in
+      List.iter (fun so -> Registry.absorb (Obs.metrics o) (Obs.metrics so)) shard_obs;
+      List.concat_map (fun so -> Hermes_obs.Tracer.events (Obs.trace so)) shard_obs
+      |> List.stable_sort (fun (a, _) (b, _) -> Time.compare a b)
+      |> List.iter (fun (at, ev) -> Hermes_obs.Tracer.emit (Obs.trace o) ~at ev)
+  | _ -> ()
 
 (* Aggregate statistics across sites, for the harness. *)
 type totals = {

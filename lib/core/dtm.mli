@@ -16,9 +16,8 @@ val default_site_spec : site_spec
 type t
 
 val create :
-  engine:Hermes_sim.Engine.t ->
+  engines:Hermes_sim.Engine.t array ->
   rng:Rng.t ->
-  trace:Hermes_ltm.Trace.t ->
   net_config:Hermes_net.Network.config ->
   certifier:Config.t ->
   ?obs:Hermes_obs.Obs.t ->
@@ -27,9 +26,26 @@ val create :
   site_specs:site_spec array ->
   unit ->
   t
-(** Site [i] of the array becomes {!Site.of_int}[ i]. [?obs] is threaded
-    into every component — agents, LTMs, the network, coordinators — so
-    their decision points emit trace events and record histograms.
+(** Site [i] of the array becomes {!Site.of_int}[ i]. The sites are
+    spread over k = [Array.length engines] execution shards, at least one
+    and at most one per site: site [i] runs on shard [i mod k], and each
+    shard has its own engine, network instance, trace and observability
+    context. One shard is the sequential engine. With several, each shard
+    may run on its own domain under {!Hermes_sim.Parallel}
+    ({!exec_shards}): gid allocation is strided per shard (see
+    {!locate}), so {!submit} touches only the coordinating shard's state,
+    and {!history} is the deterministic merge of the shards' traces.
+    Construction itself is single-threaded, and several shards refuse
+    replicated commit protocols.
+
+    The random streams are split from [rng] here, in a fixed order: a
+    shard's [net] stream just before its first site's [failure-i]
+    stream, suffixed [-x] only when there are several shards.
+
+    [?obs] is threaded into every component — agents, LTMs, the network,
+    coordinators — so their decision points emit trace events and record
+    histograms. With several shards each shard records into its own
+    context, folded into [obs] by {!merge_obs}.
 
     [?crash_coordinators] (default [false]) makes {!crash_site} also
     crash the coordinators hosted at the site — they reboot from the
@@ -38,34 +54,21 @@ val create :
     Off, runs are byte-identical to earlier revisions.
 
     [?n_shards] sizes the initial {!Hermes_placement.Shard_map.static}
-    placement (default: one shard per site, shard [i] at site [i]) —
-    epoch 0, under which every message passes the epoch check and runs
-    replay byte-identically with earlier revisions. *)
+    placement (default: one placement shard per site, shard [i] at site
+    [i]) — epoch 0, under which every message passes the epoch check and
+    runs replay byte-identically with earlier revisions. Placement shards
+    partition the keys; they are unrelated to execution shards. *)
 
-val create_sharded :
-  engines:Hermes_sim.Engine.t array ->
-  rng:Rng.t ->
-  net_config:Hermes_net.Network.config ->
-  certifier:Config.t ->
-  ?obs_of:(int -> Hermes_obs.Obs.t option) ->
-  ?crash_coordinators:bool ->
-  fabric_of:(int -> Hermes_net.Network.fabric) ->
-  site_specs:site_spec array ->
-  unit ->
-  t
-(** Sharded assembly for the parallel execution engine: one engine,
-    network instance, trace and (via [obs_of]) observability context per
-    site, so each site can run on its own domain. [fabric_of i] wires
-    site [i]'s network into the cross-shard inboxes. Gid allocation is
-    strided per coordinating site (see {!locate}), so {!submit} touches
-    only that site's state and may be called from its domain. The
-    omniscient {!history} is the deterministic merge of the per-site
-    traces. Construction itself is single-threaded. *)
+val locate : n_exec:int -> Hermes_net.Message.address -> int
+(** The execution shard owning an address among [n_exec] execution
+    shards: an agent lives on its site's shard; a coordinator on shard
+    [(gid - 1) mod n_exec], by the strided gid allocation. Raises
+    [Invalid_argument] on an acceptor address: replicated commit
+    protocols run on one execution shard, where nothing is routed. *)
 
-val locate : n_sites:int -> Hermes_net.Message.address -> int
-(** The shard owning an address under {!create_sharded}: an agent lives
-    at its site; a coordinator's hosting site is [(gid - 1) mod n_sites]
-    by the strided gid allocation. *)
+val exec_shards : t -> Hermes_sim.Parallel.shard array
+(** The execution shards as {!Hermes_sim.Parallel.run} takes them, each
+    draining its cross-shard inbox into its own network instance. *)
 
 val n_sites : t -> int
 val site_ids : t -> Site.t list
@@ -79,14 +82,10 @@ val coordinator_log : t -> Site.t -> Coordinator_log.t
 
 val injector : t -> Site.t -> Hermes_ltm.Failure.t
 
-val network : t -> Hermes_net.Network.t
-(** The shared network — site 0's instance in sharded mode. *)
-
 val networks : t -> Hermes_net.Network.t list
-(** Every network instance: the singleton shared one, or one per site in
-    sharded mode (e.g. to sum traffic counters or declare all lossy). *)
+(** Every network instance, one per execution shard (e.g. to sum traffic
+    counters or declare all lossy). *)
 
-val trace : t -> Hermes_ltm.Trace.t
 val submitted : t -> int
 
 val placement : t -> Hermes_placement.Shard_map.t
@@ -116,21 +115,23 @@ val reconfigure : t -> shard:int -> to_:Site.t -> unit
     lands — then the new map is installed, so the new epoch never serves
     traffic before the handover. Stale-epoch BEGIN/EXEC messages from
     in-flight rounds are refused WRONG-EPOCH and the rounds abort for
-    re-resolution. Moving a shard onto its current owner is a no-op
-    (the epoch does not advance). Sequential engine only. *)
+    re-resolution. Moving a shard onto its current owner, or onto a site
+    that is not serving (one that has left), is a no-op: nothing is
+    handed over and the epoch does not advance. One execution shard
+    only. *)
 
 val join : t -> site:Site.t -> unit
 (** Install {!Hermes_placement.Shard_map.add_site} as a new placement
     epoch: [site] (re)joins the serving set, owning nothing until a
     {!reconfigure} moves shards onto it. Raises if already serving.
-    Sequential engine only. *)
+    One execution shard only. *)
 
 val leave : t -> site:Site.t -> unit
 (** Install {!Hermes_placement.Shard_map.remove_site} as a new placement
     epoch: [site]'s shards redistribute round-robin over the survivors,
     and each gainer first adopts the leaver's prepared certification
     state for the shards it inherits, exactly like a {!reconfigure}
-    handover. Raises on the last serving site. Sequential engine only. *)
+    handover. Raises on the last serving site. One execution shard only. *)
 
 val load : t -> Site.t -> table:string -> key:int -> value:int -> unit
 (** Install an initial row (written by the initializing transaction T_0). *)
@@ -152,7 +153,14 @@ val crash_site : ?reboot_delay:int -> t -> Site.t -> unit
     presuming abort. *)
 
 val history : t -> Hermes_history.History.t
-(** The trace so far, as a history. *)
+(** The trace so far, as a history: with several shards, their traces
+    merged by time, same-instant events interleaved by shard index. *)
+
+val merge_obs : t -> unit
+(** Fold the shards' own observability contexts into the one given to
+    {!create}, once, after the run: registries absorb exactly, trace
+    events merge by time. A no-op with one shard, which records straight
+    into the caller's context. *)
 
 (** Aggregate LTM/agent statistics across sites. *)
 type totals = {

@@ -1083,7 +1083,6 @@ let e16_multicore ?(seeds = 1) ?(domains = [ 1; 2; 4; 8 ]) ?metrics () =
 let e17_commit_protocols ?(seeds = 3) ?(jobs = 1) ?metrics () =
   let module Engine = Hermes_sim.Engine in
   let module Network = Hermes_net.Network in
-  let module Trace = Hermes_ltm.Trace in
   let module Agent = Hermes_core.Agent in
   let module Program = Hermes_core.Program in
   let strandings = 12 in
@@ -1097,9 +1096,8 @@ let e17_commit_protocols ?(seeds = 3) ?(jobs = 1) ?metrics () =
     let obs = Obs.create () in
     let engine = Engine.create () in
     let rng = Rng.create ~seed in
-    let trace = Trace.create () in
     let dtm =
-      Dtm.create ~engine ~rng ~trace ~net_config:Network.default_config ~certifier ~obs
+      Dtm.create ~engines:[| engine |] ~rng ~net_config:Network.default_config ~certifier ~obs
         ~crash_coordinators:true
         ~site_specs:(Array.make 3 Dtm.default_site_spec)
         ()

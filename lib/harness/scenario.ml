@@ -16,7 +16,6 @@ open Hermes_kernel
 module Engine = Hermes_sim.Engine
 module Ltm = Hermes_ltm.Ltm
 module Failure = Hermes_ltm.Failure
-module Trace = Hermes_ltm.Trace
 module Network = Hermes_net.Network
 module Config = Hermes_core.Config
 module Program = Hermes_core.Program
@@ -28,20 +27,19 @@ module Report = Hermes_history.Report
 let site_a = Site.of_int 0
 let site_b = Site.of_int 1
 
-type world = { engine : Engine.t; trace : Trace.t; dtm : Dtm.t; obs : Hermes_obs.Obs.t option }
+type world = { engine : Engine.t; dtm : Dtm.t; obs : Hermes_obs.Obs.t option }
 
 let make_world ?obs ~certifier ~seed () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed in
-  let trace = Trace.create () in
   let dtm =
-    Dtm.create ~engine ~rng ~trace
+    Dtm.create ~engines:[| engine |] ~rng
       ~net_config:{ Network.default_config with base_delay = 500; jitter = 0 }
       ~certifier ?obs
       ~site_specs:(Array.make 2 Dtm.default_site_spec)
       ()
   in
-  { engine; trace; dtm; obs }
+  { engine; dtm; obs }
 
 (* The saboteur: unilaterally abort the subtransaction of global [gid] at
    [site], once per element of [graces], each strike [grace] ticks after
@@ -294,15 +292,14 @@ type overtake_result = {
 let overtake ?(certifier = Config.naive) ?obs ~jitter ~seed () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed in
-  let trace = Trace.create () in
   let dtm =
-    Dtm.create ~engine ~rng ~trace
+    Dtm.create ~engines:[| engine |] ~rng
       ~net_config:{ Network.default_config with base_delay = 500; jitter }
       ~certifier ?obs
       ~site_specs:(Array.make 2 Dtm.default_site_spec)
       ()
   in
-  let w = { engine; trace; dtm; obs } in
+  let w = { engine; dtm; obs } in
   List.iter (fun k -> Dtm.load w.dtm site_a ~table:"X" ~key:k ~value:0) [ 0; 2 ];
   List.iter (fun k -> Dtm.load w.dtm site_b ~table:"X" ~key:k ~value:0) [ 1; 3 ];
   let tj_outcome = ref None and tk_outcome = ref None in

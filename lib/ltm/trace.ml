@@ -23,20 +23,23 @@ let count t = t.count
    anyway — the recording order is the explicit tie-break. *)
 let history t = History.of_events (List.rev t.events)
 
-(* Sharded execution keeps one trace per site; the omniscient history is
-   their merge. Re-tag seq as [seq * shards + shard] — per-shard recording
-   order is preserved and same-instant events across shards interleave by
-   shard index, a deterministic (if arbitrary) tie-break; [of_events]
-   then re-sorts by (time, seq). *)
-let merged ts =
-  let n = List.length ts in
-  let events =
-    List.concat
-      (List.mapi
-         (fun shard t ->
-           List.rev_map
-             (fun (e : History.event) -> { e with History.seq = (e.seq * n) + shard })
-             t.events)
-         ts)
-  in
-  History.of_events events
+(* Execution over several shards keeps one trace per shard; the
+   omniscient history is their merge. Re-tag seq as [seq * shards + shard]
+   — per-shard recording order is preserved and same-instant events across
+   shards interleave by shard index, a deterministic (if arbitrary)
+   tie-break; [of_events] then re-sorts by (time, seq). A single trace is
+   its own history, with no copy. *)
+let merged = function
+  | [ t ] -> history t
+  | ts ->
+      let n = List.length ts in
+      let events =
+        List.concat
+          (List.mapi
+             (fun shard t ->
+               List.rev_map
+                 (fun (e : History.event) -> { e with History.seq = (e.seq * n) + shard })
+                 t.events)
+             ts)
+      in
+      History.of_events events

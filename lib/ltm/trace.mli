@@ -12,7 +12,7 @@ val count : t -> int
 val history : t -> History.t
 
 val merged : t list -> History.t
-(** Merge per-site traces from a sharded run into one omniscient history:
-    sequence numbers are re-tagged ([seq * shards + shard]) so per-site
-    recording order is preserved and same-instant cross-site events get a
-    deterministic tie-break. *)
+(** Merge per-shard traces into one omniscient history: sequence numbers
+    are re-tagged ([seq * shards + shard]) so per-shard recording order is
+    preserved and same-instant cross-shard events get a deterministic
+    tie-break. [merged [t]] is [history t]. *)

@@ -24,6 +24,9 @@ val n_shards : t -> int
 val sites : t -> Site.t list
 (** Serving sites, ascending. *)
 
+val mem_site : t -> Site.t -> bool
+(** Whether the site is serving. *)
+
 val owner : t -> shard:int -> Site.t
 (** Raises [Invalid_argument] on an out-of-range shard. *)
 

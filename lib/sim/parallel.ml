@@ -24,7 +24,11 @@
    mutable state within a window, and window bounds are a function of
    virtual time only — so results are independent of the domain count
    and of wall-clock interleaving. [run ~domains:1] executes the same
-   windowed schedule on the calling domain alone. *)
+   windowed schedule on the calling domain alone: the same loop, behind a
+   one-party barrier.
+
+   A single shard needs no windows at all: nothing can cross a shard
+   boundary, so its engine runs straight to the cap. *)
 
 open Hermes_kernel
 
@@ -33,7 +37,6 @@ type shard = {
   drain : unit -> unit;
       (* move the shard's inbox into its engine; called only in the
          serial phase, when every producer has quiesced *)
-  inbox_empty : unit -> bool;
 }
 
 (* Sense-reversing barrier. *)
@@ -79,48 +82,46 @@ let global_min shards =
     None shards
 
 let run ?(max_events = 50_000_000) ~domains ~lookahead ~until shards =
-  if lookahead < 1 then invalid_arg "Parallel.run: lookahead must be >= 1";
   let n = Array.length shards in
-  let domains = max 1 (min domains n) in
-  let windows = ref 0 in
-  let run_mine d ~w_end =
-    for i = 0 to n - 1 do
-      if i mod domains = d then Engine.run ~until:w_end ~max_events shards.(i).engine
-    done
-  in
-  (* One round of the serial phase: [Some w_end] to execute, [None] when
-     the system has quiesced or passed the cap. *)
-  let next_window () =
-    match global_min shards with
-    | None -> None
-    | Some m when Time.(m > until) -> None
-    | Some m ->
-        incr windows;
-        Some (Time.min (Time.add m (lookahead - 1)) until)
-  in
-  if domains = 1 then begin
-    let rec loop () =
-      match next_window () with
-      | None -> ()
-      | Some w_end ->
-          run_mine 0 ~w_end;
-          loop ()
-    in
-    loop ()
+  if n = 1 then begin
+    shards.(0).drain ();
+    Engine.run ~until ~max_events shards.(0).engine;
+    { windows = 1; domains = 1 }
   end
   else begin
+    if lookahead < 1 then invalid_arg "Parallel.run: lookahead must be >= 1";
+    let domains = max 1 (min domains n) in
+    let windows = ref 0 in
+    let run_mine d ~w_end =
+      for i = 0 to n - 1 do
+        if i mod domains = d then Engine.run ~until:w_end ~max_events shards.(i).engine
+      done
+    in
+    (* One round of the serial phase: [Some w_end] to execute, [None] when
+       the system has quiesced or passed the cap. *)
+    let next_window () =
+      match global_min shards with
+      | None -> None
+      | Some m when Time.(m > until) -> None
+      | Some m ->
+          incr windows;
+          Some (Time.min (Time.add m (lookahead - 1)) until)
+    in
     let start_b = Barrier.create domains and end_b = Barrier.create domains in
     let stop = Atomic.make false in
     let w_end = ref Time.zero in
     let error : (exn * Printexc.raw_backtrace) option Atomic.t = Atomic.make None in
+    let run_window d w =
+      try run_mine d ~w_end:w
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (Atomic.compare_and_set error None (Some (e, bt)))
+    in
     let worker d () =
       let rec loop () =
         Barrier.wait start_b;
         if not (Atomic.get stop) then begin
-          (try run_mine d ~w_end:!w_end
-           with e ->
-             let bt = Printexc.get_raw_backtrace () in
-             ignore (Atomic.compare_and_set error None (Some (e, bt))));
+          run_window d !w_end;
           Barrier.wait end_b;
           loop ()
         end
@@ -136,17 +137,14 @@ let run ?(max_events = 50_000_000) ~domains ~lookahead ~until shards =
       | Some w ->
           w_end := w;
           Barrier.wait start_b;
-          (try run_mine 0 ~w_end:w
-           with e ->
-             let bt = Printexc.get_raw_backtrace () in
-             ignore (Atomic.compare_and_set error None (Some (e, bt))));
+          run_window 0 w;
           Barrier.wait end_b;
           loop ()
     in
     loop ();
     List.iter Domain.join others;
-    match Atomic.get error with
+    (match Atomic.get error with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end;
-  { windows = !windows; domains }
+    | None -> ());
+    { windows = !windows; domains }
+  end

@@ -8,12 +8,10 @@
 
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
-module Mailbox = Hermes_sim.Mailbox
 module Parallel = Hermes_sim.Parallel
 module Ltm = Hermes_ltm.Ltm
 module Ltm_config = Hermes_ltm.Ltm_config
 module Failure = Hermes_ltm.Failure
-module Trace = Hermes_ltm.Trace
 module Network = Hermes_net.Network
 module Config = Hermes_core.Config
 module Program = Hermes_core.Program
@@ -78,11 +76,11 @@ type setup = {
       (* (tick, site index): the site (re)joins the serving set, owning
          nothing until a later move ({!Dtm.join}) *)
   domains : int;
-      (* OCaml domains for the run. 1 (default) = the legacy sequential
-         engine, byte-identical to earlier revisions; > 1 = the sharded
-         conservative-window engine (one engine per site), which is
+      (* OCaml domains for the run. 1 (default) runs every site on one
+         execution shard — the sequential engine; > 1 runs one shard per
+         site in conservative windows over this many domains, which is
          deterministic and domain-count-invariant but a different
-         schedule from the sequential engine *)
+         schedule from the one-shard run *)
 }
 
 let default_setup =
@@ -119,13 +117,36 @@ type result = {
   stuck : int;  (* global transactions unfinished at the time cap (livelock) *)
 }
 
-let run_single setup =
+(* The driver's random streams for one execution shard. *)
+type streams = {
+  gen : Generator.t;
+  think : Rng.t;
+  moves : Rng.t option;  (* the coordinating shard 0's, when moves are scheduled *)
+  arrivals : Rng.t option;  (* open loop only *)
+}
+
+(* One run over [k] execution shards ({!Dtm.create}): one shard is the
+   sequential engine, one per site the windowed engine. The client code
+   runs once per shard, shard [x] taking the [x]th share of the quota,
+   the client population and the local budget, scheduling only on its own
+   engine and counting into its own [Stats] — merged after quiescence. *)
+let execute ~k ~domains setup =
   let spec = setup.spec in
-  let engine = Engine.create () in
+  let n = spec.Spec.n_sites in
+  let cgm = match setup.protocol with Cgm_baseline _ -> true | Two_pca _ -> false in
+  let churn = setup.leave_schedule <> [] || setup.join_schedule <> [] in
+  if cgm && (setup.moves > 0 || churn) then
+    invalid_arg "Driver: placement changes require the 2PCA protocol";
+  if k > 1 then begin
+    let refuse why = invalid_arg ("Driver.run_windowed: " ^ why) in
+    if cgm then refuse "the CGM baseline is single-domain only";
+    if setup.moves > 0 then refuse "online reconfiguration runs on the sequential engine only";
+    if churn then refuse "site churn runs on the sequential engine only"
+  end;
   let rng = Rng.create ~seed:setup.seed in
-  let trace = Trace.create () in
+  let engines = Array.init k (fun _ -> Engine.create ()) in
   let site_specs =
-    Array.init spec.Spec.n_sites (fun i ->
+    Array.init n (fun i ->
         let uniform =
           { Dtm.ltm_config = setup.ltm; clock = setup.clock_of_site i; failure = setup.failure }
         in
@@ -137,37 +158,87 @@ let run_single setup =
     match setup.protocol with
     | Two_pca certifier ->
         let dtm =
-          Dtm.create ~engine ~rng ~trace ~net_config:setup.net ~certifier ?obs:setup.obs
-            ~crash_coordinators:setup.crash_coordinators ~n_shards:(Spec.shards spec)
-            ~site_specs ()
+          Dtm.create ~engines ~rng ~net_config:setup.net ~certifier ?obs:setup.obs
+            ~crash_coordinators:setup.crash_coordinators ~n_shards:(Spec.shards spec) ~site_specs
+            ()
         in
         (dtm, (fun ?shards program ~on_done -> ignore (Dtm.submit dtm ?shards program ~on_done)), None)
     | Cgm_baseline config ->
         let cgm =
-          Cgm.create ~engine ~rng ~trace ~net_config:setup.net ~config ?obs:setup.obs ~site_specs ()
+          Cgm.create ~engine:engines.(0) ~rng ~net_config:setup.net ~config ?obs:setup.obs
+            ~site_specs ()
         in
         (Cgm.dtm cgm, (fun ?shards:_ program ~on_done -> Cgm.submit cgm program ~on_done),
          Some (Cgm.stats cgm))
   in
-  let partitioned = match setup.protocol with Cgm_baseline _ -> true | Two_pca _ -> false in
   (* Populate every site (plus CGM's locally-updateable partition). *)
   List.iter
     (fun site ->
       List.iter
         (fun table ->
-          for k = 0 to spec.Spec.keys_per_site - 1 do
-            Dtm.load dtm site ~table ~key:k ~value:spec.Spec.initial_value
+          for key = 0 to spec.Spec.keys_per_site - 1 do
+            Dtm.load dtm site ~table ~key ~value:spec.Spec.initial_value
           done)
         (Generator.local_partition_table :: Spec.tables spec))
     (Dtm.site_ids dtm);
-  let stats = Stats.create () in
-  let gen = Generator.create ~spec ~rng:(Rng.split rng ~label:"generator") in
-  let think_rng = Rng.split rng ~label:"think" in
-  let remaining = ref spec.Spec.n_global in
-  let in_flight = ref 0 in
-  let queued = ref 0 in
-  let locals_active = ref true in
-  let think k = Engine.schedule_unit engine ~delay:(Rng.exponential think_rng ~mean:(Spec.think_time spec)) k in
+  (* Every stream is split before any event is scheduled, shard by
+     shard; the shard suffix appears only when there are several. *)
+  let label name x = if k = 1 then name else Fmt.str "%s-%d" name x in
+  let streams =
+    Array.init k (fun x ->
+        let gen = Generator.create ~spec ~rng:(Rng.split rng ~label:(label "generator" x)) in
+        let think = Rng.split rng ~label:(label "think" x) in
+        let moves =
+          if x = 0 && setup.moves > 0 then Some (Rng.split rng ~label:"reconfigure") else None
+        in
+        let arrivals =
+          match spec.Spec.arrival with
+          | Spec.Open _ -> Some (Rng.split rng ~label:(label "arrivals" x))
+          | Spec.Closed _ -> None
+        in
+        { gen; think; moves; arrivals })
+  in
+  (* Scheduled full site crashes, on the crashed site's shard. With a
+     non-zero reboot delay, sites will be marked down mid-run —
+     coordinators must arm their loss-recovery retransmissions from the
+     first transaction on, so declare the network lossy up front.
+     Coordinator crashes imply the same even with instantaneous reboots:
+     a recovered decision may need retransmitting. (The agents' inquiry
+     timers are NOT lossiness-gated — they arm whenever coordinator
+     crashes are enabled — so this flag is purely about the
+     coordinators' retransmission machinery.) Crashes, moves and churn
+     are all scheduled before any client starts. *)
+  if (setup.reboot_delay > 0 || setup.crash_coordinators) && setup.crash_schedule <> [] then
+    List.iter Network.assume_lossy (Dtm.networks dtm);
+  let at_sites schedule f =
+    List.iter
+      (fun (at, i) ->
+        if i >= 0 && i < n then
+          Engine.schedule_unit engines.(i mod k) ~delay:at (fun () -> f (Site.of_int i)))
+      schedule
+  in
+  at_sites setup.crash_schedule (Dtm.crash_site ~reboot_delay:setup.reboot_delay dtm);
+  (* Online reconfiguration: [moves] shard moves at [m * reconfigure_at],
+     targets drawn up front from a dedicated stream. Moving a shard onto
+     its current owner is a deliberate possibility: it exercises the no-op
+     path; so is a target that has left the serving set by the time the
+     move fires ({!Dtm.reconfigure} ignores both). *)
+  Option.iter
+    (fun rrng ->
+      let gap = max 1 setup.reconfigure_at in
+      for m = 1 to setup.moves do
+        let shard = Rng.int rrng ~bound:(Spec.shards spec) in
+        let to_ = Site.of_int (Rng.int rrng ~bound:n) in
+        Engine.schedule_unit engines.(0) ~delay:(m * gap) (fun () ->
+            Dtm.reconfigure dtm ~shard ~to_)
+      done)
+    streams.(0).moves;
+  (* Site churn: scheduled leaves hand the leaver's shards (and prepared
+     certification state) to the survivors; scheduled joins re-admit a
+     site to the serving set. Each installs a new placement epoch, so
+     in-flight rounds re-resolve exactly as under a shard move. *)
+  at_sites setup.leave_schedule (fun site -> Dtm.leave dtm ~site);
+  at_sites setup.join_schedule (fun site -> Dtm.join dtm ~site);
   (* Per-attempt placement resolution: the generator's steps are in shard
      space; every submission (first try and each resubmission) routes
      them through the placement map current at that moment. A shard move
@@ -178,441 +249,131 @@ let run_single setup =
     let map = Dtm.placement dtm in
     Program.make (List.map (fun (shard, c) -> (Shard_map.owner map ~shard, c)) steps)
   in
-  let shards_of steps = List.sort_uniq compare (List.map fst steps) in
-  (* Global traffic, by arrival discipline. The closed loop is the
-     historical code path, draw for draw. *)
-  let start_globals () =
-    match spec.Spec.arrival with
+  (* Integer partition of [total] over the shards: shard [x] gets the
+     [x]th share, shares differ by at most one. *)
+  let share total x = (total / k) + if x < total mod k then 1 else 0 in
+  let shard_stats = Array.init k (fun _ -> Stats.create ()) in
+  let local_seq = Array.make n 0 in
+  let partitioned = cgm in
+  (* Start shard [x]'s clients; returns its count of unfinished globals. *)
+  let start_shard x =
+    let engine = engines.(x) and stats = shard_stats.(x) and s = streams.(x) in
+    let quota = share spec.Spec.n_global x in
+    let remaining = ref quota in
+    let in_flight = ref 0 in
+    let queued = ref 0 in
+    let locals_active = ref true in
+    let think next =
+      Engine.schedule_unit engine ~delay:(Rng.exponential s.think ~mean:(Spec.think_time spec)) next
+    in
+    (* The program draw is the one step that depends on [k]: one shard
+       draws shard-space steps, resolved through the placement map on
+       every attempt; per-site shards draw programs rooted at their own
+       site, so each coordinator starts on its own shard. *)
+    let draw () =
+      if k = 1 then `Steps (Generator.shard_steps s.gen)
+      else `Rooted (Generator.global_program_rooted s.gen ~site:(Site.of_int x))
+    in
+    let submit_drawn drawn ~on_done =
+      match drawn with
+      | `Steps steps ->
+          submit ~shards:(List.sort_uniq compare (List.map fst steps)) (resolve steps) ~on_done
+      | `Rooted program -> submit program ~on_done
+    in
+    (* One global transaction, from [started], until it commits or runs
+       out of retries; then [finish]. *)
+    let run_global ~started drawn ~finish =
+      let rec attempt tries =
+        Stats.note_attempt stats;
+        submit_drawn drawn ~on_done:(function
+          | Coordinator.Committed ->
+              Stats.note_committed stats;
+              Stats.record_latency stats ~started ~finished:(Engine.now engine);
+              finish ()
+          | Coordinator.Aborted (Coordinator.Refused (_, Wire.Wrong_epoch)) ->
+              (* reconfiguration noise, not contention: re-resolve
+                 through the new map without consuming the budget *)
+              Stats.note_retry stats;
+              think (fun () -> attempt tries)
+          | Coordinator.Aborted _ when tries < spec.Spec.max_retries ->
+              Stats.note_retry stats;
+              think (fun () -> attempt (tries + 1))
+          | Coordinator.Aborted _ ->
+              Stats.note_final_abort stats;
+              finish ())
+      in
+      attempt 0
+    in
+    (match spec.Spec.arrival with
     | Spec.Closed { mpl; think_time_mean = _ } ->
         (* Closed loop: a fixed population works off the quota. *)
         let rec global_client () =
           if !remaining > 0 then begin
             decr remaining;
             incr in_flight;
-            let steps = Generator.shard_steps gen in
-            let started = Engine.now engine in
-            let rec attempt tries =
-              Stats.note_attempt stats;
-              submit ~shards:(shards_of steps) (resolve steps) ~on_done:(fun outcome ->
-                  match outcome with
-                  | Coordinator.Committed ->
-                      Stats.note_committed stats;
-                      Stats.record_latency stats ~started ~finished:(Engine.now engine);
-                      finish_one ()
-                  | Coordinator.Aborted (Coordinator.Refused (_, Wire.Wrong_epoch)) ->
-                      (* reconfiguration noise, not contention: re-resolve
-                         through the new map without consuming the budget *)
-                      Stats.note_retry stats;
-                      think (fun () -> attempt tries)
-                  | Coordinator.Aborted _ when tries < spec.Spec.max_retries ->
-                      Stats.note_retry stats;
-                      think (fun () -> attempt (tries + 1))
-                  | Coordinator.Aborted _ ->
-                      Stats.note_final_abort stats;
-                      finish_one ())
-            and finish_one () =
-              decr in_flight;
-              if !remaining = 0 && !in_flight = 0 then locals_active := false;
-              think global_client
-            in
-            attempt 0
+            run_global ~started:(Engine.now engine) (draw ()) ~finish:client_done
           end
+        and client_done () =
+          decr in_flight;
+          if !remaining = 0 && !in_flight = 0 then locals_active := false;
+          think global_client
         in
-        for _ = 1 to min mpl spec.Spec.n_global do
+        for _ = 1 to min (max 1 (share mpl x)) quota do
           global_client ()
         done
     | Spec.Open { rate; max_in_flight } ->
-        (* Open loop: Poisson arrivals at [rate] txns per simulated second
-           (ticks are microseconds). Arrivals beyond the in-service cap
-           queue; latency runs from arrival, so queueing delay under
-           saturation lands in the percentiles. The arrival process gets
-           its own rng stream, split only on this branch. *)
-        let arr_rng = Rng.split rng ~label:"arrivals" in
-        let mean_gap = int_of_float (Float.max 1.0 (1_000_000.0 /. rate)) in
-        let cap = max 1 max_in_flight in
-        let completed = ref 0 in
-        let queue = Queue.create () in
-        let rec maybe_start () =
-          if !in_flight < cap && not (Queue.is_empty queue) then begin
-            let arrived, steps = Queue.pop queue in
-            decr queued;
-            incr in_flight;
-            let rec attempt tries =
-              Stats.note_attempt stats;
-              submit ~shards:(shards_of steps) (resolve steps) ~on_done:(fun outcome ->
-                  match outcome with
-                  | Coordinator.Committed ->
-                      Stats.note_committed stats;
-                      Stats.record_latency stats ~started:arrived ~finished:(Engine.now engine);
-                      finish_one ()
-                  | Coordinator.Aborted (Coordinator.Refused (_, Wire.Wrong_epoch)) ->
-                      (* reconfiguration noise, not contention: re-resolve
-                         through the new map without consuming the budget *)
-                      Stats.note_retry stats;
-                      think (fun () -> attempt tries)
-                  | Coordinator.Aborted _ when tries < spec.Spec.max_retries ->
-                      Stats.note_retry stats;
-                      think (fun () -> attempt (tries + 1))
-                  | Coordinator.Aborted _ ->
-                      Stats.note_final_abort stats;
-                      finish_one ())
-            and finish_one () =
-              decr in_flight;
-              incr completed;
-              if !completed = spec.Spec.n_global then locals_active := false;
-              maybe_start ()
-            in
-            attempt 0;
-            maybe_start ()
-          end
-        in
-        let rec arrival_loop () =
-          if !remaining > 0 then
-            Engine.schedule_unit engine ~delay:(Rng.exponential arr_rng ~mean:mean_gap)
-              (fun () ->
-                decr remaining;
-                incr queued;
-                Queue.push (Engine.now engine, Generator.shard_steps gen) queue;
-                maybe_start ();
-                arrival_loop ())
-        in
-        arrival_loop ()
-  in
-  (* Local clients: one loop per (site, slot), stopping when the global
-     quota is done or the per-run local cap is reached. *)
-  let local_counters = Array.make spec.Spec.n_sites 0 in
-  let total_locals = ref 0 in
-  let local_client site =
-    let ltm = Dtm.ltm dtm site in
-    let rec loop () =
-      if !locals_active && !total_locals < spec.Spec.local_txn_cap then
-        think (fun () ->
-            if !locals_active && !total_locals < spec.Spec.local_txn_cap then begin
-              incr total_locals;
-              let i = Site.to_int site in
-              local_counters.(i) <- local_counters.(i) + 1;
-              let owner =
-                Txn.Incarnation.make ~txn:(Txn.local ~site ~n:local_counters.(i)) ~site ~inc:0
-              in
-              let txn = Ltm.begin_txn ltm ~owner in
-              let rec step = function
-                | [] ->
-                    Ltm.commit ltm txn ~on_done:(fun r ->
-                        (match r with
-                        | Ltm.Committed -> Stats.note_local_committed stats
-                        | Ltm.Commit_refused _ -> Stats.note_local_aborted stats);
-                        loop ())
-                | cmd :: rest ->
-                    Ltm.exec ltm txn cmd ~on_done:(function
-                      | Ltm.Done _ -> step rest
-                      | Ltm.Failed _ ->
-                          Stats.note_local_aborted stats;
-                          loop ())
-              in
-              step (Generator.local_commands ~partitioned gen)
-            end)
-    in
-    loop ()
-  in
-  (* Scheduled full site crashes. With a non-zero reboot delay, sites will
-     be marked down mid-run — coordinators must arm their loss-recovery
-     retransmissions from the first transaction on, so declare the network
-     lossy up front. Coordinator crashes imply the same even with
-     instantaneous reboots: a recovered decision may need retransmitting.
-     (The agents' inquiry timers are NOT lossiness-gated — they arm
-     whenever coordinator crashes are enabled — so this flag is purely
-     about the coordinators' retransmission machinery.) *)
-  if (setup.reboot_delay > 0 || setup.crash_coordinators) && setup.crash_schedule <> [] then
-    Network.assume_lossy (Dtm.network dtm);
-  List.iter
-    (fun (at, site_idx) ->
-      if site_idx >= 0 && site_idx < spec.Spec.n_sites then
-        Engine.schedule_unit engine ~delay:at (fun () ->
-            Dtm.crash_site ~reboot_delay:setup.reboot_delay dtm (Site.of_int site_idx)))
-    setup.crash_schedule;
-  (* Online reconfiguration: [moves] shard moves at [m * reconfigure_at],
-     targets drawn up front from a dedicated stream (split only when the
-     feature is on, so unreconfigured runs replay byte-identically).
-     Moving a shard onto its current owner is a deliberate possibility:
-     it exercises the no-op path. *)
-  if setup.moves > 0 then begin
-    (match setup.protocol with
-    | Cgm_baseline _ -> invalid_arg "Driver: reconfiguration requires the 2PCA protocol"
-    | Two_pca _ -> ());
-    let rrng = Rng.split rng ~label:"reconfigure" in
-    let n_shards = Spec.shards spec in
-    let gap = max 1 setup.reconfigure_at in
-    for m = 1 to setup.moves do
-      let shard = Rng.int rrng ~bound:n_shards in
-      let to_ = Site.of_int (Rng.int rrng ~bound:spec.Spec.n_sites) in
-      Engine.schedule_unit engine ~delay:(m * gap) (fun () -> Dtm.reconfigure dtm ~shard ~to_)
-    done
-  end;
-  (* Site churn: scheduled leaves hand the leaver's shards (and prepared
-     certification state) to the survivors; scheduled joins re-admit a
-     site to the serving set. Each installs a new placement epoch, so
-     in-flight rounds re-resolve exactly as under a shard move. *)
-  if setup.leave_schedule <> [] || setup.join_schedule <> [] then begin
-    (match setup.protocol with
-    | Cgm_baseline _ -> invalid_arg "Driver: site churn requires the 2PCA protocol"
-    | Two_pca _ -> ());
-    List.iter
-      (fun (at, site_idx) ->
-        if site_idx >= 0 && site_idx < spec.Spec.n_sites then
-          Engine.schedule_unit engine ~delay:at (fun () -> Dtm.leave dtm ~site:(Site.of_int site_idx)))
-      setup.leave_schedule;
-    List.iter
-      (fun (at, site_idx) ->
-        if site_idx >= 0 && site_idx < spec.Spec.n_sites then
-          Engine.schedule_unit engine ~delay:at (fun () -> Dtm.join dtm ~site:(Site.of_int site_idx)))
-      setup.join_schedule
-  end;
-  start_globals ();
-  List.iter
-    (fun site ->
-      for _ = 1 to spec.Spec.local_mpl_per_site do
-        local_client site
-      done)
-    (Dtm.site_ids dtm);
-  let wall_start = Unix.gettimeofday () in
-  Engine.run ~until:(Time.of_int setup.time_limit) engine;
-  let wall_s = Unix.gettimeofday () -. wall_start in
-  Engine.halt engine;
-  let sim_ticks = Time.to_int (Engine.last_event_at engine) in
-  let engine_stats = Engine.stats engine in
-  (* End-of-run export: the component counters (agents, LTMs, DLU, net),
-     the client-side statistics and the engine totals all land in the
-     run's registry, joining the histograms recorded live. *)
-  (match setup.obs with
-  | Some o ->
-      let reg = Obs.metrics o in
-      Dtm.export_metrics dtm reg;
-      Stats.export stats reg;
-      Registry.Counter.add (Registry.counter reg "sim.events") engine_stats.Engine.events;
-      Registry.Counter.add (Registry.counter reg "sim.cancelled") engine_stats.Engine.cancelled;
-      Registry.Gauge.set (Registry.gauge reg "sim.max_pending") engine_stats.Engine.max_pending
-  | None -> ());
-  {
-    stats;
-    totals = Dtm.totals dtm;
-    cgm = cgm_stats;
-    history = Trace.history trace;
-    sim_ticks;
-    events = engine_stats.Engine.events;
-    throughput =
-      (if sim_ticks = 0 then 0.0
-       else float_of_int (Stats.committed stats) *. 1_000_000.0 /. float_of_int sim_ticks);
-    wall_s;
-    stuck = !in_flight + !queued + !remaining;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* The sharded conservative-window runner: one engine, network instance
-   and trace per site, sites spread over OCaml domains, cross-site
-   messages through lock-free inboxes, execution in bounded virtual-time
-   windows (see {!Hermes_sim.Parallel}).
-
-   The workload is sharded with the system: each site gets its own
-   generator (programs rooted at that site, so its coordinators run on
-   its shard), its own share of the global quota, client population and
-   local-transaction budget, and its own [Stats] — merged after
-   quiescence. The run is deterministic and independent of the domain
-   count, but it is a *different* schedule from the sequential engine:
-   per-shard RNG streams replace the shared ones, so [domains = 1]
-   through [run] keeps the legacy path and its byte-identical replays. *)
-
-let run_windowed ?(domains = 0) setup =
-  let spec = setup.spec in
-  let n = spec.Spec.n_sites in
-  let domains = if domains > 0 then domains else setup.domains in
-  let certifier =
-    match setup.protocol with
-    | Two_pca c -> c
-    | Cgm_baseline _ ->
-        invalid_arg "Driver.run_windowed: the CGM baseline is single-domain only"
-  in
-  if setup.moves > 0 then
-    invalid_arg "Driver.run_windowed: online reconfiguration runs on the sequential engine only";
-  if setup.leave_schedule <> [] || setup.join_schedule <> [] then
-    invalid_arg "Driver.run_windowed: site churn runs on the sequential engine only";
-  if setup.net.Network.base_delay < 1 then
-    invalid_arg "Driver.run_windowed: base_delay must be >= 1 (it is the lookahead)";
-  let lookahead = setup.net.Network.base_delay in
-  let rng = Rng.create ~seed:setup.seed in
-  let engines = Array.init n (fun _ -> Engine.create ()) in
-  let mailboxes : Hermes_net.Message.t Mailbox.t array =
-    Array.init n (fun _ -> Mailbox.create ())
-  in
-  let send_seq = Array.make n 0 in
-  let fabric_of i =
-    {
-      Network.here = i;
-      locate = (fun addr -> Dtm.locate ~n_sites:n addr);
-      forward =
-        (fun ~shard ~arrival msg ->
-          let s = send_seq.(i) in
-          send_seq.(i) <- s + 1;
-          Mailbox.push mailboxes.(shard) ~at:(Time.to_int arrival) ~src_shard:i ~src_seq:s msg);
-    }
-  in
-  (* Per-site observability contexts (registries and tracers are not
-     domain-safe); merged into [setup.obs] after quiescence. *)
-  let site_obs =
-    match setup.obs with
-    | None -> Array.make n None
-    | Some _ -> Array.init n (fun _ -> Some (Obs.create ()))
-  in
-  let site_specs =
-    Array.init n (fun i ->
-        let uniform =
-          { Dtm.ltm_config = setup.ltm; clock = setup.clock_of_site i; failure = setup.failure }
-        in
-        match setup.site_override with
-        | Some f -> Option.value ~default:uniform (f i)
-        | None -> uniform)
-  in
-  let dtm =
-    Dtm.create_sharded ~engines ~rng ~net_config:setup.net ~certifier
-      ~obs_of:(fun i -> site_obs.(i))
-      ~crash_coordinators:setup.crash_coordinators ~fabric_of ~site_specs ()
-  in
-  List.iter
-    (fun site ->
-      List.iter
-        (fun table ->
-          for k = 0 to spec.Spec.keys_per_site - 1 do
-            Dtm.load dtm site ~table ~key:k ~value:spec.Spec.initial_value
-          done)
-        (Generator.local_partition_table :: Spec.tables spec))
-    (Dtm.site_ids dtm);
-  (* Integer partition of [total] over the shards: shard [i] gets the
-     [i]th share, shares differ by at most one. *)
-  let share total i = (total / n) + if i < total mod n then 1 else 0 in
-  let shard_stats = Array.init n (fun _ -> Stats.create ()) in
-  let shard_stuck = Array.make n 0 in
-  (* Per-shard client populations — everything below closes over shard-
-     local state only and schedules only on the shard's engine. *)
-  let setup_shard i =
-    let engine = engines.(i) in
-    let site = Site.of_int i in
-    let stats = shard_stats.(i) in
-    let gen = Generator.create ~spec ~rng:(Rng.split rng ~label:(Fmt.str "generator-%d" i)) in
-    let think_rng = Rng.split rng ~label:(Fmt.str "think-%d" i) in
-    let quota = share spec.Spec.n_global i in
-    let remaining = ref quota in
-    let in_flight = ref 0 in
-    let queued = ref 0 in
-    let locals_active = ref true in
-    let submit program ~on_done = ignore (Dtm.submit dtm program ~on_done) in
-    let think k =
-      Engine.schedule_unit engine ~delay:(Rng.exponential think_rng ~mean:(Spec.think_time spec)) k
-    in
-    (match spec.Spec.arrival with
-    | Spec.Closed { mpl; think_time_mean = _ } ->
-        let mpl_here = if quota = 0 then 0 else max 1 (share mpl i) in
-        let rec global_client () =
-          if !remaining > 0 then begin
-            decr remaining;
-            incr in_flight;
-            let program = Generator.global_program_rooted gen ~site in
-            let started = Engine.now engine in
-            let rec attempt tries =
-              Stats.note_attempt stats;
-              submit program ~on_done:(fun outcome ->
-                  match outcome with
-                  | Coordinator.Committed ->
-                      Stats.note_committed stats;
-                      Stats.record_latency stats ~started ~finished:(Engine.now engine);
-                      finish_one ()
-                  | Coordinator.Aborted (Coordinator.Refused (_, Wire.Wrong_epoch)) ->
-                      (* reconfiguration noise, not contention: re-resolve
-                         through the new map without consuming the budget *)
-                      Stats.note_retry stats;
-                      think (fun () -> attempt tries)
-                  | Coordinator.Aborted _ when tries < spec.Spec.max_retries ->
-                      Stats.note_retry stats;
-                      think (fun () -> attempt (tries + 1))
-                  | Coordinator.Aborted _ ->
-                      Stats.note_final_abort stats;
-                      finish_one ())
-            and finish_one () =
-              decr in_flight;
-              if !remaining = 0 && !in_flight = 0 then locals_active := false;
-              think global_client
-            in
-            attempt 0
-          end
-        in
-        for _ = 1 to min mpl_here quota do
-          global_client ()
-        done
-    | Spec.Open { rate; max_in_flight } ->
-        (* Poisson superposition: the global rate splits evenly over the
-           shards; each shard runs an independent arrival process. *)
-        let arr_rng = Rng.split rng ~label:(Fmt.str "arrivals-%d" i) in
-        let rate_here = rate /. float_of_int n in
+        (* Open loop: Poisson arrivals at the shard's share of [rate] txns
+           per simulated second (ticks are microseconds) — shards run
+           independent arrival processes, whose superposition is the
+           global one. Arrivals beyond the in-service cap queue; latency
+           runs from arrival, so queueing delay under saturation lands in
+           the percentiles. *)
+        let arr_rng = Option.get s.arrivals in
+        let rate_here = rate /. float_of_int k in
         let mean_gap = int_of_float (Float.max 1.0 (1_000_000.0 /. Float.max 1e-9 rate_here)) in
-        let cap = if quota = 0 then 1 else max 1 (share (max 1 max_in_flight) i) in
+        let cap = max 1 (share max_in_flight x) in
         let completed = ref 0 in
         let queue = Queue.create () in
         let rec maybe_start () =
           if !in_flight < cap && not (Queue.is_empty queue) then begin
-            let arrived, program = Queue.pop queue in
+            let arrived, drawn = Queue.pop queue in
             decr queued;
             incr in_flight;
-            let rec attempt tries =
-              Stats.note_attempt stats;
-              submit program ~on_done:(fun outcome ->
-                  match outcome with
-                  | Coordinator.Committed ->
-                      Stats.note_committed stats;
-                      Stats.record_latency stats ~started:arrived ~finished:(Engine.now engine);
-                      finish_one ()
-                  | Coordinator.Aborted (Coordinator.Refused (_, Wire.Wrong_epoch)) ->
-                      (* reconfiguration noise, not contention: re-resolve
-                         through the new map without consuming the budget *)
-                      Stats.note_retry stats;
-                      think (fun () -> attempt tries)
-                  | Coordinator.Aborted _ when tries < spec.Spec.max_retries ->
-                      Stats.note_retry stats;
-                      think (fun () -> attempt (tries + 1))
-                  | Coordinator.Aborted _ ->
-                      Stats.note_final_abort stats;
-                      finish_one ())
-            and finish_one () =
-              decr in_flight;
-              incr completed;
-              if !completed = quota then locals_active := false;
-              maybe_start ()
-            in
-            attempt 0;
+            run_global ~started:arrived drawn ~finish:arrival_done;
             maybe_start ()
           end
+        and arrival_done () =
+          decr in_flight;
+          incr completed;
+          if !completed = quota then locals_active := false;
+          maybe_start ()
         in
         let rec arrival_loop () =
           if !remaining > 0 then
             Engine.schedule_unit engine ~delay:(Rng.exponential arr_rng ~mean:mean_gap) (fun () ->
                 decr remaining;
                 incr queued;
-                Queue.push (Engine.now engine, Generator.global_program_rooted gen ~site) queue;
+                Queue.push (Engine.now engine, draw ()) queue;
                 maybe_start ();
                 arrival_loop ())
         in
         if quota > 0 then arrival_loop () else locals_active := false);
-    (* Local clients at this site, against its shard-local budget. *)
-    let local_cap = share spec.Spec.local_txn_cap i in
+    (* Local clients: [local_mpl_per_site] loops per site of the shard,
+       stopping when the shard's global quota is done or its local budget
+       is spent. *)
+    let local_cap = share spec.Spec.local_txn_cap x in
     let local_count = ref 0 in
-    let local_seq = ref 0 in
-    let local_client () =
+    let local_client site =
       let ltm = Dtm.ltm dtm site in
+      let i = Site.to_int site in
       let rec loop () =
         if !locals_active && !local_count < local_cap then
           think (fun () ->
               if !locals_active && !local_count < local_cap then begin
                 incr local_count;
-                incr local_seq;
+                local_seq.(i) <- local_seq.(i) + 1;
                 let owner =
-                  Txn.Incarnation.make ~txn:(Txn.local ~site ~n:!local_seq) ~site ~inc:0
+                  Txn.Incarnation.make ~txn:(Txn.local ~site ~n:local_seq.(i)) ~site ~inc:0
                 in
                 let txn = Ltm.begin_txn ltm ~owner in
                 let rec step = function
@@ -629,89 +390,52 @@ let run_windowed ?(domains = 0) setup =
                             Stats.note_local_aborted stats;
                             loop ())
                 in
-                step (Generator.local_commands gen)
+                step (Generator.local_commands ~partitioned s.gen)
               end)
       in
       loop ()
     in
-    for _ = 1 to spec.Spec.local_mpl_per_site do
-      local_client ()
-    done;
-    fun () -> shard_stuck.(i) <- !in_flight + !queued + !remaining
+    List.iter
+      (fun site ->
+        if Site.to_int site mod k = x then
+          for _ = 1 to spec.Spec.local_mpl_per_site do
+            local_client site
+          done)
+      (Dtm.site_ids dtm);
+    fun () -> !in_flight + !queued + !remaining
   in
-  let finishers = List.init n setup_shard in
-  (* Scheduled site crashes land on the crashed site's own shard. *)
-  if (setup.reboot_delay > 0 || setup.crash_coordinators) && setup.crash_schedule <> [] then
-    List.iter Network.assume_lossy (Dtm.networks dtm);
-  List.iter
-    (fun (at, site_idx) ->
-      if site_idx >= 0 && site_idx < n then
-        Engine.schedule_unit engines.(site_idx) ~delay:at (fun () ->
-            Dtm.crash_site ~reboot_delay:setup.reboot_delay dtm (Site.of_int site_idx)))
-    setup.crash_schedule;
-  let nets = Array.of_list (Dtm.networks dtm) in
-  let shards =
-    Array.init n (fun i ->
-        {
-          Parallel.engine = engines.(i);
-          drain =
-            (fun () ->
-              List.iter
-                (fun (e : _ Mailbox.entry) ->
-                  Network.deliver_remote nets.(i) ~arrival:(Time.of_int e.Mailbox.at)
-                    e.Mailbox.payload)
-                (Mailbox.drain mailboxes.(i)));
-          inbox_empty = (fun () -> Mailbox.is_empty mailboxes.(i));
-        })
-  in
+  let unfinished = List.init k start_shard in
   let wall_start = Unix.gettimeofday () in
   ignore
-    (Parallel.run ~domains ~lookahead ~until:(Time.of_int setup.time_limit) shards);
+    (Parallel.run ~domains ~lookahead:setup.net.Network.base_delay
+       ~until:(Time.of_int setup.time_limit) (Dtm.exec_shards dtm));
   let wall_s = Unix.gettimeofday () -. wall_start in
   Array.iter Engine.halt engines;
-  List.iter (fun f -> f ()) finishers;
-  let stats = Array.fold_left (fun acc s -> Stats.merge acc s) (Stats.create ()) shard_stats in
+  let stats = Array.fold_left Stats.merge (Stats.create ()) shard_stats in
+  let engine_stats = Array.map Engine.stats engines in
+  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 engine_stats in
   let sim_ticks =
     Array.fold_left (fun acc e -> max acc (Time.to_int (Engine.last_event_at e))) 0 engines
   in
-  let events =
-    Array.fold_left (fun acc e -> acc + (Engine.stats e).Engine.events) 0 engines
-  in
-  (* Fold the per-shard observability contexts into the caller's: metric
-     registries absorb exactly; trace events merge by (time, shard) —
-     stable sort keeps each shard's emission order. *)
+  let events = sum (fun s -> s.Engine.events) in
+  (* End-of-run export: the component counters (agents, LTMs, DLU, net),
+     the client-side statistics and the engine totals all land in the
+     run's registry, joining the histograms recorded live. *)
   (match setup.obs with
   | Some o ->
       let reg = Obs.metrics o in
-      Array.iter
-        (function Some so -> Registry.absorb reg (Obs.metrics so) | None -> ())
-        site_obs;
-      let trace_events =
-        List.concat
-          (Array.to_list
-             (Array.map
-                (function
-                  | Some so -> Hermes_obs.Tracer.events (Obs.trace so) | None -> [])
-                site_obs))
-      in
-      let sorted = List.stable_sort (fun (a, _) (b, _) -> Time.compare a b) trace_events in
-      List.iter (fun (at, ev) -> Hermes_obs.Tracer.emit (Obs.trace o) ~at ev) sorted;
+      Dtm.merge_obs dtm;
       Dtm.export_metrics dtm reg;
       Stats.export stats reg;
       Registry.Counter.add (Registry.counter reg "sim.events") events;
-      let cancelled =
-        Array.fold_left (fun acc e -> acc + (Engine.stats e).Engine.cancelled) 0 engines
-      in
-      Registry.Counter.add (Registry.counter reg "sim.cancelled") cancelled;
-      let max_pending =
-        Array.fold_left (fun acc e -> max acc (Engine.stats e).Engine.max_pending) 0 engines
-      in
-      Registry.Gauge.set (Registry.gauge reg "sim.max_pending") max_pending
+      Registry.Counter.add (Registry.counter reg "sim.cancelled") (sum (fun s -> s.Engine.cancelled));
+      Registry.Gauge.set (Registry.gauge reg "sim.max_pending")
+        (Array.fold_left (fun acc s -> max acc s.Engine.max_pending) 0 engine_stats)
   | None -> ());
   {
     stats;
     totals = Dtm.totals dtm;
-    cgm = None;
+    cgm = cgm_stats;
     history = Dtm.history dtm;
     sim_ticks;
     events;
@@ -719,7 +443,10 @@ let run_windowed ?(domains = 0) setup =
       (if sim_ticks = 0 then 0.0
        else float_of_int (Stats.committed stats) *. 1_000_000.0 /. float_of_int sim_ticks);
     wall_s;
-    stuck = Array.fold_left ( + ) 0 shard_stuck;
+    stuck = List.fold_left (fun acc f -> acc + f ()) 0 unfinished;
   }
 
-let run setup = if setup.domains > 1 then run_windowed setup else run_single setup
+let run_windowed ?(domains = 0) setup =
+  execute ~k:setup.spec.Spec.n_sites ~domains:(if domains > 0 then domains else setup.domains) setup
+
+let run setup = if setup.domains > 1 then run_windowed setup else execute ~k:1 ~domains:1 setup

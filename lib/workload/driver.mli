@@ -64,14 +64,16 @@ type setup = {
           A join of a site already serving raises, so pair it with an
           earlier leave. 2PCA, sequential engine only. *)
   domains : int;
-      (** OCaml domains executing the run. [1] (the default) is the
-          legacy sequential engine — byte-identical to earlier revisions
-          at the same seed. [> 1] is the sharded conservative-window
-          engine: one engine/network/trace per site spread over this many
-          domains. That mode is deterministic and domain-count-invariant,
-          but it is a different (per-shard RNG) schedule from the
-          sequential engine, so its numbers are comparable across domain
-          counts, not with [domains = 1]. 2PCA only. *)
+      (** OCaml domains executing the run. [1] (the default) runs every
+          site on one execution shard: the sequential engine,
+          byte-identical to earlier revisions at the same seed. [> 1]
+          runs one execution shard (engine, network instance, trace) per
+          site in conservative windows spread over this many domains.
+          That run is deterministic and domain-count-invariant, but its
+          per-shard random streams and site-rooted programs make it a
+          different schedule from the one-shard run, so its numbers are
+          comparable across domain counts, not with [domains = 1]. 2PCA
+          only. *)
 }
 
 val default_setup : setup
@@ -89,13 +91,16 @@ type result = {
 }
 
 val run : setup -> result
-(** Dispatches on [setup.domains]: [<= 1] runs the sequential engine,
-    [> 1] runs {!run_windowed}. *)
+(** One execution shard when [setup.domains <= 1]; otherwise
+    {!run_windowed}. Either way one body runs the clients, once per
+    shard. *)
 
 val run_windowed : ?domains:int -> setup -> result
-(** The sharded conservative-window engine regardless of [setup.domains]
+(** One execution shard per site, regardless of [setup.domains]
     (overridden by [?domains] when given, e.g. [~domains:1] to execute
-    the windowed schedule on the calling domain alone — it produces the
-    same result as any other domain count). Requires a {!Two_pca}
-    protocol and [net.base_delay >= 1] (the lookahead); raises
-    [Invalid_argument] otherwise. *)
+    the per-site schedule on the calling domain alone — it produces the
+    same result as any other domain count). With more than one site it
+    requires a {!Two_pca} protocol without moves or churn, and
+    [net.base_delay >= 1] (the lookahead); raises [Invalid_argument]
+    otherwise. A one-site setup is a single shard: the sequential
+    schedule. *)

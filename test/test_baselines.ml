@@ -3,7 +3,6 @@
 
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
-module Trace = Hermes_ltm.Trace
 module Failure = Hermes_ltm.Failure
 module Program = Hermes_core.Program
 module Coordinator = Hermes_core.Coordinator
@@ -55,9 +54,8 @@ type world = { engine : Engine.t; cgm : Cgm.t }
 let make_world ?(config = Cgm.default_config) ?(failure = Failure.disabled) ?(seed = 3) () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed in
-  let trace = Trace.create () in
   let cgm =
-    Cgm.create ~engine ~rng ~trace ~net_config:Hermes_net.Network.default_config ~config
+    Cgm.create ~engine ~rng ~net_config:Hermes_net.Network.default_config ~config
       ~site_specs:(Array.make 2 { Dtm.default_site_spec with Dtm.failure }) ()
   in
   List.iter

@@ -11,7 +11,7 @@ module Failure = Hermes_ltm.Failure
 module Trace = Hermes_ltm.Trace
 module Config = Hermes_core.Config
 module Program = Hermes_core.Program
-module Alive_table = Hermes_core.Alive_table
+module Alive_table = Hermes_protocol.Alive_table
 module Coordinator = Hermes_core.Coordinator
 module Dtm = Hermes_core.Dtm
 module Report = Hermes_history.Report
@@ -24,18 +24,17 @@ module Op = Hermes_history.Op
 let a = Site.of_int 0
 let b = Site.of_int 1
 
-type world = { engine : Engine.t; dtm : Dtm.t; trace : Trace.t }
+type world = { engine : Engine.t; dtm : Dtm.t }
 
 let make_world ?(n_sites = 2) ?(certifier = Config.full) ?(site_spec = fun _ -> Dtm.default_site_spec)
     ?(seed = 42) ?(crash_coordinators = false) ?obs () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed in
-  let trace = Trace.create () in
   let dtm =
-    Dtm.create ~engine ~rng ~trace ~net_config:Hermes_net.Network.default_config ~certifier
+    Dtm.create ~engines:[| engine |] ~rng ~net_config:Hermes_net.Network.default_config ~certifier
       ?obs ~crash_coordinators ~site_specs:(Array.init n_sites site_spec) ()
   in
-  { engine; dtm; trace }
+  { engine; dtm }
 
 (* Standard initial data: table "X" keys 0..9 value 100 at every site. *)
 let load_standard w =
@@ -440,9 +439,8 @@ let test_commit_while_crashed_noted_durably () =
 let test_fully_duplicated_network () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:42 in
-  let trace = Trace.create () in
   let dtm =
-    Dtm.create ~engine ~rng ~trace
+    Dtm.create ~engines:[| engine |] ~rng
       ~net_config:
         {
           Hermes_net.Network.default_config with
@@ -452,7 +450,7 @@ let test_fully_duplicated_network () =
       ~site_specs:(Array.init 2 (fun _ -> Dtm.default_site_spec))
       ()
   in
-  let w = { engine; dtm; trace } in
+  let w = { engine; dtm } in
   load_standard w;
   let committed = ref 0 and finished = ref 0 in
   for i = 0 to 9 do

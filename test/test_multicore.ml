@@ -1,15 +1,15 @@
 (* Tests for the multicore execution engine: the lock-free mailbox, the
    conservative windowed runner, and the end-to-end equivalence of the
-   sharded driver across domain counts.
+   per-site driver across domain counts.
 
-   The determinism contract under test: the windowed engine produces the
-   SAME result at any domain count (1, 2, 4, ...) — same merged history,
-   same statistics, same outcome sets — because windows are a function of
-   virtual time only and cross-shard drains are deterministically
-   ordered. It is a *different* schedule from the legacy sequential
-   engine; the legacy engine's byte-identity is pinned separately by the
+   The determinism contract under test: one execution shard per site
+   produces the SAME result at any domain count (1, 2, 4, ...) — same
+   merged history, same statistics, same outcome sets — because windows
+   are a function of virtual time only and cross-shard drains are
+   deterministically ordered. It is a *different* schedule from the
+   one-shard (sequential) run, whose byte-identity is pinned by the
    golden digests in test_protocol.ml (and re-asserted here for
-   [domains = 1] dispatch). *)
+   [domains = 1] dispatch); digests here pin the per-site schedules. *)
 
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
@@ -118,7 +118,6 @@ let run_pingpong ~domains =
                     ~delay:(Time.to_int (Time.of_int e.Mailbox.at) - Time.to_int now)
                     (fun () -> receive i e.Mailbox.payload))
                 (Mailbox.drain mailboxes.(i)));
-          inbox_empty = (fun () -> Mailbox.is_empty mailboxes.(i));
         })
   in
   Engine.schedule_unit engines.(0) ~delay:5 (fun () -> receive 0 10);
@@ -140,13 +139,29 @@ let test_parallel_domain_invariance () =
   let _, l2 = run_pingpong ~domains:2 in
   Alcotest.(check bool) "domains 1 = domains 2" true (l1 = l2)
 
+(* One shard has no boundary to cross: it runs straight to the cap in a
+   single window, and needs no lookahead. *)
+let test_parallel_one_shard () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  List.iter
+    (fun d -> Engine.schedule_unit e ~delay:d (fun () -> fired := d :: !fired))
+    [ 30; 10; 20 ];
+  let stats =
+    Parallel.run ~domains:4 ~lookahead:0 ~until:(Time.of_int 25)
+      [| { Parallel.engine = e; drain = (fun () -> ()) } |]
+  in
+  Alcotest.(check (list int)) "ran to the cap" [ 10; 20 ] (List.rev !fired);
+  Alcotest.(check int) "one window" 1 stats.Parallel.windows;
+  Alcotest.(check int) "one domain" 1 stats.Parallel.domains
+
 let test_parallel_worker_exception () =
   let engines = [| Engine.create (); Engine.create () |] in
   Engine.schedule_unit engines.(1) ~delay:10 (fun () -> failwith "boom");
   let shards =
     Array.map
       (fun e ->
-        { Parallel.engine = e; drain = (fun () -> ()); inbox_empty = (fun () -> true) })
+        { Parallel.engine = e; drain = (fun () -> ()) })
       engines
   in
   Alcotest.check_raises "re-raised on caller" (Failure "boom") (fun () ->
@@ -230,32 +245,71 @@ let prop_windowed_equivalence =
       && base.Driver.sim_ticks = par.Driver.sim_ticks
       && Report.ok (Report.analyze par.Driver.history))
 
-(* The [domains = 1] dispatch must stay on the legacy sequential engine:
-   re-assert one of test_protocol.ml's golden digests through it. *)
-let test_domains1_golden_digest () =
+(* Golden digests in test_protocol.ml's format: trace JSON, registry JSON
+   and the run counters. *)
+let run_digest run setup =
   let obs = Obs.create () in
-  let r =
-    Driver.run
-      {
-        Driver.default_setup with
-        Driver.protocol = Driver.Two_pca Config.full;
-        seed = 7;
-        spec =
-          Spec.make ~n_global:40
-            ~arrival:(Spec.Closed { mpl = 4; think_time_mean = Spec.think_time Spec.default })
-            ();
-        domains = 1;
-        obs = Some obs;
-      }
-  in
+  let r = run { setup with Driver.obs = Some obs } in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Tracer.to_json_lines (Obs.trace obs));
   Buffer.add_string buf (Registry.to_json (Obs.metrics obs));
   Buffer.add_string buf
     (Fmt.str "committed=%d events=%d ticks=%d stuck=%d" (Stats.committed r.Driver.stats)
        r.Driver.events r.Driver.sim_ticks r.Driver.stuck);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* The [domains = 1] dispatch must stay on the one-shard schedule:
+   re-assert one of test_protocol.ml's golden digests through it. *)
+let test_domains1_golden_digest () =
   Alcotest.(check string) "legacy digest unchanged" "99cdc870e03bfb9eb99a7b7479910efd"
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    (run_digest Driver.run
+       {
+         Driver.default_setup with
+         Driver.protocol = Driver.Two_pca Config.full;
+         seed = 7;
+         spec =
+           Spec.make ~n_global:40
+             ~arrival:(Spec.Closed { mpl = 4; think_time_mean = Spec.think_time Spec.default })
+             ();
+         domains = 1;
+       })
+
+(* Schedule pins: the per-site windowed schedule under a closed loop, an
+   open loop and a crash schedule with real reboot windows, plus the one
+   sequential run whose stream order puts the reconfiguration stream
+   before the arrival stream. *)
+let open_arrival = Spec.Open { rate = 150.0; max_in_flight = 8 }
+
+let test_windowed_closed_digest () =
+  Alcotest.(check string) "windowed closed loop" "b04ac8162dbdce009860dbf473e965b1"
+    (run_digest (Driver.run_windowed ~domains:1) windowed_setup)
+
+let test_windowed_open_digest () =
+  Alcotest.(check string) "windowed open loop" "ef75bc049dc79cf753111de1e37e8af9"
+    (run_digest (Driver.run_windowed ~domains:1)
+       {
+         windowed_setup with
+         Driver.spec = Spec.make ~n_sites:4 ~n_global:60 ~arrival:open_arrival ~local_txn_cap:120 ();
+       })
+
+let test_windowed_crash_digest () =
+  Alcotest.(check string) "windowed crashes with reboot windows" "53e7614bfd31449868622cc5dd5c3a7b"
+    (run_digest (Driver.run_windowed ~domains:1)
+       {
+         windowed_setup with
+         Driver.crash_schedule = [ (30_000, 1); (90_000, 3) ];
+         reboot_delay = 40_000;
+       })
+
+let test_sequential_moves_open_digest () =
+  Alcotest.(check string) "sequential moves under an open loop" "d52bb9011aed1df36484f97daab7174c"
+    (run_digest Driver.run
+       {
+         windowed_setup with
+         Driver.spec = Spec.make ~n_sites:4 ~n_global:60 ~arrival:open_arrival ~local_txn_cap:120 ();
+         moves = 4;
+         reconfigure_at = 40_000;
+       })
 
 let test_windowed_rejects_cgm () =
   let setup =
@@ -279,6 +333,7 @@ let () =
           Alcotest.test_case "pingpong windows" `Quick test_parallel_pingpong;
           Alcotest.test_case "domain invariance" `Quick test_parallel_domain_invariance;
           Alcotest.test_case "worker exception" `Quick test_parallel_worker_exception;
+          Alcotest.test_case "one shard runs to the cap" `Quick test_parallel_one_shard;
         ] );
       ( "driver",
         [
@@ -287,6 +342,11 @@ let () =
           Alcotest.test_case "obs merge" `Quick test_windowed_obs_merge;
           QCheck_alcotest.to_alcotest prop_windowed_equivalence;
           Alcotest.test_case "domains=1 golden digest" `Quick test_domains1_golden_digest;
+          Alcotest.test_case "windowed closed-loop digest" `Quick test_windowed_closed_digest;
+          Alcotest.test_case "windowed open-loop digest" `Quick test_windowed_open_digest;
+          Alcotest.test_case "windowed crash digest" `Quick test_windowed_crash_digest;
+          Alcotest.test_case "sequential moves open-loop digest" `Quick
+            test_sequential_moves_open_digest;
           Alcotest.test_case "rejects CGM" `Quick test_windowed_rejects_cgm;
         ] );
     ]

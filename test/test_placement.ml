@@ -6,6 +6,10 @@ open Hermes_kernel
 module Shard_map = Hermes_placement.Shard_map
 module Dtm = Hermes_core.Dtm
 module Message = Hermes_net.Message
+module Driver = Hermes_workload.Driver
+module Spec = Hermes_workload.Spec
+module Stats = Hermes_workload.Stats
+module Report = Hermes_history.Report
 
 (* ------------------------------------------------------------------ *)
 (* unit: static map shape                                              *)
@@ -142,16 +146,44 @@ let prop_resolve_serving =
 (* property: Dtm.locate inverts the strided gid allocation             *)
 (* ------------------------------------------------------------------ *)
 
-(* Site [s] allocates gids [s + 1, s + 1 + n, s + 1 + 2n, ...]; [locate]
-   must send coordinator traffic for such a gid back to [s]. *)
+(* Execution shard [x] of [k] allocates gids [x + 1, x + 1 + k,
+   x + 1 + 2k, ...]; [locate] must send coordinator traffic for such a gid
+   back to [x], and agent traffic for site [s] to its shard [s mod k]. *)
 let prop_locate_strided =
   QCheck.Test.make ~name:"Dtm.locate inverts strided gid allocation" ~count:500
-    QCheck.(triple (int_range 1 16) (int_bound 15) (int_bound 1000))
-    (fun (n_sites, site, k) ->
-      let site = site mod n_sites in
-      let gid = site + 1 + (k * n_sites) in
-      Dtm.locate ~n_sites (Message.Coordinator gid) = site
-      && Dtm.locate ~n_sites (Message.Agent (Site.of_int site)) = site)
+    QCheck.(
+      pair (triple (int_range 1 16) (int_bound 15) (int_bound 15)) (pair (int_bound 1000) (int_bound 15)))
+    (fun ((n_sites, k, x), (j, s)) ->
+      let n_exec = 1 + (k mod n_sites) in
+      let x = x mod n_exec and s = s mod n_sites in
+      let gid = x + 1 + (j * n_exec) in
+      Dtm.locate ~n_exec (Message.Coordinator gid) = x
+      && Dtm.locate ~n_exec (Message.Agent (Site.of_int s)) = s mod n_exec)
+
+(* ------------------------------------------------------------------ *)
+(* unit: a move drawn onto a site that has since left                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Move targets are drawn before the run, so a move can fire after its
+   target has left the serving set (here site 3 leaves at tick 10k and
+   the moves fire from tick 20k on). Such a move is a no-op, like a move
+   onto the current owner, and the run completes clean. *)
+let test_move_onto_departed_site () =
+  let r =
+    Driver.run
+      {
+        Driver.default_setup with
+        Driver.spec = Spec.make ~n_sites:4 ~n_global:200 ();
+        seed = 1;
+        moves = 12;
+        reconfigure_at = 20_000;
+        leave_schedule = [ (10_000, 3) ];
+      }
+  in
+  Alcotest.(check int) "quota completed" 200
+    (Stats.committed r.Driver.stats + Stats.aborted_final r.Driver.stats);
+  Alcotest.(check int) "nothing stuck" 0 r.Driver.stuck;
+  Alcotest.(check bool) "history clean" true (Report.ok (Report.analyze r.Driver.history))
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -163,6 +195,8 @@ let () =
           Alcotest.test_case "move bumps epoch, pure value" `Quick test_move_epoch;
           q prop_transitions_preserve_coverage;
           q prop_resolve_serving;
+          Alcotest.test_case "move onto a departed site is a no-op" `Quick
+            test_move_onto_departed_site;
         ] );
       ("routing", [ q prop_locate_strided ]);
     ]

@@ -19,7 +19,6 @@ module Dtm = Hermes_core.Dtm
 module Coordinator = Hermes_core.Coordinator
 module Program = Hermes_core.Program
 module Engine = Hermes_sim.Engine
-module Trace = Hermes_ltm.Trace
 module Network = Hermes_net.Network
 module Driver = Hermes_workload.Driver
 module Spec = Hermes_workload.Spec
@@ -767,9 +766,8 @@ let test_explore_no_handover_unsound () =
 let quiesced_run ?(certifier = Config.full) ~net_config () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:42 in
-  let trace = Trace.create () in
   let dtm =
-    Dtm.create ~engine ~rng ~trace ~net_config ~certifier
+    Dtm.create ~engines:[| engine |] ~rng ~net_config ~certifier
       ~site_specs:(Array.init 2 (fun _ -> Dtm.default_site_spec))
       ()
   in
@@ -1272,9 +1270,8 @@ let test_inquiry_arms_on_reliable_network () =
   let obs = Obs.create () in
   let engine = Engine.create () in
   let rng = Rng.create ~seed:42 in
-  let trace = Trace.create () in
   let dtm =
-    Dtm.create ~engine ~rng ~trace ~net_config:Network.default_config ~certifier:Config.full
+    Dtm.create ~engines:[| engine |] ~rng ~net_config:Network.default_config ~certifier:Config.full
       ~obs ~crash_coordinators:true
       ~site_specs:[| Dtm.default_site_spec; Dtm.default_site_spec |]
       ()
