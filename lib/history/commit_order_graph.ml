@@ -14,17 +14,9 @@
    greedy emission: a transaction can be emitted when it is at the
    unemitted head of every site sequence it appears in; a stall with
    transactions remaining proves a cycle, which is extracted by following
-   blocked heads. [build] still materializes the graph for small-history
-   diagnostics. *)
+   blocked heads. *)
 
 open Hermes_kernel
-
-module G = Hermes_graph.Digraph.Make (struct
-  type t = Txn.t
-
-  let compare = Txn.compare
-  let pp = Txn.pp
-end)
 
 (* Per-site commit sequences, in history order (first committer first).
    A transaction commits at most once per site in any run the simulator
@@ -168,19 +160,3 @@ let is_acyclic h = find_cycle h = None
 (* A global view serialization order, when CG is acyclic (paper §5.1). *)
 let serialization_order h = match emit h with Ok order -> Some order | Error _ -> None
 
-(* Materialized graph, for small-history diagnostics and tests. *)
-let build h =
-  let g = ref G.empty in
-  List.iter
-    (fun seq ->
-      let rec arcs = function
-        | [] -> ()
-        | x :: rest ->
-            List.iter (fun y -> if not (Txn.equal x y) then g := G.add_edge !g x y) rest;
-            arcs rest
-      in
-      let l = Array.to_list seq in
-      List.iter (fun x -> g := G.add_vertex !g x) l;
-      arcs l)
-    (commit_sequences h);
-  !g

@@ -5,9 +5,6 @@
 
 open Hermes_kernel
 
-module G : Hermes_graph.Digraph.S with type vertex = Txn.t
-
-val build : History.t -> G.t
 val is_acyclic : History.t -> bool
 val find_cycle : History.t -> Txn.t list option
 val serialization_order : History.t -> Txn.t list option

@@ -15,11 +15,11 @@ module G = Hermes_graph.Digraph.Make (struct
 end)
 
 let wait_for_graph locks =
-  List.fold_left
-    (fun g (key, waiter, mode) ->
-      List.fold_left (fun g holder -> G.add_edge g waiter holder) g
-        (Lock.blockers locks key ~owner:waiter ~mode))
-    G.empty (Lock.waiting locks)
+  G.of_edges
+    (List.concat_map
+       (fun (key, waiter, mode) ->
+         List.map (fun holder -> (waiter, holder)) (Lock.blockers locks key ~owner:waiter ~mode))
+       (Lock.waiting locks))
 
 (* Would [waiter]'s (not yet queued) request for [key]/[mode] close a
    wait-for cycle through [waiter]? True iff some blocking holder can

@@ -1,9 +1,5 @@
 (** Wait-for-graph deadlock detection (incomplete by design — queue-order
     waits are not edges; the lock-wait timeout is the backstop). *)
 
-module G : Hermes_graph.Digraph.S with type vertex = int
-
-val wait_for_graph : Lock.t -> G.t
-
 val would_deadlock : Lock.t -> waiter:int -> key:Lock.key -> mode:Lock.mode -> bool
 (** Would queueing this request close a wait-for cycle through [waiter]? *)

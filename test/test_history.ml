@@ -653,13 +653,35 @@ let history_of_commit_seqs seqs =
             List.map (fun n -> lc (inc (g n) site 0)) seq)
           seqs))
 
+module Txn_graph = Hermes_graph.Digraph.Make (Txn)
+
+(* CG(H) materialized, the reference for the greedy emission: per site
+   the transactions in order of their first local commit there, and an
+   arc from each to every later one in the same sequence. *)
+let cg_reference h =
+  let seqs = Hashtbl.create 8 in
+  History.iteri
+    (fun _ op ->
+      match op with
+      | Op.Local_commit i ->
+          let site = i.Txn.Incarnation.site in
+          let seq = Option.value ~default:[] (Hashtbl.find_opt seqs site) in
+          if not (List.exists (Txn.equal i.txn) seq) then Hashtbl.replace seqs site (i.txn :: seq)
+      | _ -> ())
+    h;
+  let rec arcs acc = function [] -> acc | x :: later -> arcs (List.map (fun y -> (x, y)) later @ acc) later in
+  let vertices, edges =
+    Hashtbl.fold (fun _ seq (vs, es) -> (seq @ vs, arcs es (List.rev seq))) seqs ([], [])
+  in
+  Txn_graph.of_edges ~vertices edges
+
 let prop_cg_greedy_matches_reference =
   QCheck.Test.make ~name:"CG greedy cycle check agrees with the materialized graph" ~count:500
     (QCheck.make commit_history_gen)
     (fun (_, seqs) ->
       let h = history_of_commit_seqs seqs in
       let greedy_acyclic = Commit_order_graph.is_acyclic h in
-      let reference_acyclic = Commit_order_graph.G.is_acyclic (Commit_order_graph.build h) in
+      let reference_acyclic = Txn_graph.is_acyclic (cg_reference h) in
       greedy_acyclic = reference_acyclic)
 
 let prop_cg_order_is_topological =
@@ -670,12 +692,11 @@ let prop_cg_order_is_topological =
       match Commit_order_graph.serialization_order h with
       | None -> Commit_order_graph.find_cycle h <> None
       | Some order ->
-          let gph = Commit_order_graph.build h in
           List.for_all
             (fun (u, v) ->
               let pos x = Option.get (List.find_index (Txn.equal x) order) in
               pos u < pos v)
-            (Commit_order_graph.G.edges gph))
+            (Txn_graph.edges (cg_reference h)))
 
 let prop_cg_cycle_is_real =
   QCheck.Test.make ~name:"CG extracted cycle is an actual cycle" ~count:500
@@ -685,12 +706,11 @@ let prop_cg_cycle_is_real =
       match Commit_order_graph.find_cycle h with
       | None -> true
       | Some cycle ->
-          let gph = Commit_order_graph.build h in
+          let gph = cg_reference h in
           let n = List.length cycle in
           n > 0
           && List.for_all
-               (fun i ->
-                 Commit_order_graph.G.mem_edge gph (List.nth cycle i) (List.nth cycle ((i + 1) mod n)))
+               (fun i -> Txn_graph.mem_edge gph (List.nth cycle i) (List.nth cycle ((i + 1) mod n)))
                (List.init n Fun.id))
 
 (* Random small committed histories: single incarnations, one site, all
@@ -1051,6 +1071,69 @@ let test_resubmission_generator_distorts () =
     (List.exists (function `Different_view _ -> true | `Different_decomposition -> false) reasons);
   Alcotest.(check bool) "different decompositions" true (List.mem `Different_decomposition reasons)
 
+(* SG(H) as first written: an edge for every pair of same-item
+   operations, in history order, that [Op.conflicts]. *)
+let sg_reference h =
+  let by_item = Hashtbl.create 16 in
+  History.iteri
+    (fun _ op ->
+      match Op.item op with
+      | Some item -> Hashtbl.replace by_item item (op :: Option.value ~default:[] (Hashtbl.find_opt by_item item))
+      | None -> ())
+    h;
+  let edges = ref [] in
+  Hashtbl.iter
+    (fun _ l ->
+      let ops = Array.of_list (List.rev l) in
+      let n = Array.length ops in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          if Op.conflicts ops.(i) ops.(j) then edges := (Op.txn ops.(i), Op.txn ops.(j)) :: !edges
+        done
+      done)
+    by_item;
+  Serialization_graph.G.of_edges ~vertices:(History.txns h) !edges
+
+let sg_matches_reference h =
+  let module G = Serialization_graph.G in
+  let g = Serialization_graph.build h and r = sg_reference h in
+  G.vertices g = G.vertices r
+  && G.edges g = G.edges r
+  && Serialization_graph.find_cycle h = G.find_cycle r
+  && Quasi.check h = Quasi.of_graph r
+
+let prop_sg_matches_pairwise_resubmission =
+  QCheck.Test.make ~name:"resubmission histories: SG = pairwise SG" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let h = random_resubmission_history (Rng.create ~seed) in
+      sg_matches_reference h && sg_matches_reference (Committed.extended h))
+
+let prop_sg_matches_pairwise_multi_site =
+  QCheck.Test.make ~name:"multi-site histories: SG = pairwise SG" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let h = random_ltm_history (Rng.create ~seed) ~n_sites:3 in
+      sg_matches_reference h && sg_matches_reference (Committed.extended h))
+
+(* The SG properties see cycles and entangled components of three or
+   more, not only acyclic graphs. *)
+let test_sg_generators_entangle () =
+  let sccs gen =
+    List.concat_map
+      (fun seed -> Serialization_graph.G.sccs (sg_reference (gen (Rng.create ~seed))))
+      (List.init 300 Fun.id)
+  in
+  List.iter
+    (fun (name, gen) ->
+      let sizes = List.map List.length (sccs gen) in
+      Alcotest.(check bool) (name ^ ": an SCC of two") true (List.mem 2 sizes);
+      Alcotest.(check bool) (name ^ ": an SCC of three or more") true (List.exists (fun k -> k >= 3) sizes))
+    [
+      ("resubmission", random_resubmission_history);
+      ("multi-site", fun rng -> random_ltm_history rng ~n_sites:3);
+    ]
+
 (* Report.analyze builds SG(C(H)) once for both uses; the cycle and the
    QSR verdict must be those the standalone checkers compute. *)
 let test_report_shares_sg () =
@@ -1080,14 +1163,14 @@ let test_report_shares_sg () =
    any change to a checker that alters a verdict, a violation list or the
    order anything is printed in shows up here. The naive certifier lets
    resubmissions diverge, so its report lists global view distortions. *)
-let fault_setup ~certifier =
+let fault_setup ?(seed = 11) ~certifier () =
   let module Driver = Hermes_workload.Driver in
   let module Spec = Hermes_workload.Spec in
   let module Network = Hermes_net.Network in
   let n_global = 300 in
   {
     Driver.default_setup with
-    Driver.seed = 11;
+    Driver.seed;
     spec =
       Spec.make ~n_sites:4 ~n_global
         ~arrival:(Spec.Closed { mpl = 8; think_time_mean = 2_000 })
@@ -1102,17 +1185,27 @@ let fault_setup ~certifier =
     crash_schedule = List.init 4 (fun k -> ((k + 1) * 200_000, k));
   }
 
-let report_digest setup =
-  let h = (Hermes_workload.Driver.run setup).Hermes_workload.Driver.history in
-  Digest.to_hex (Digest.string (Fmt.str "%a" Report.pp (Report.analyze h)))
+let fault_report setup = Report.analyze (Hermes_workload.Driver.run setup).Hermes_workload.Driver.history
+let report_digest rep = Digest.to_hex (Digest.string (Fmt.str "%a" Report.pp rep))
 
 let test_golden_report_full () =
   Alcotest.(check string) "Report.pp digest" "11926215a8f58f3d83d9c1be3a4791f2"
-    (report_digest (fault_setup ~certifier:Hermes_core.Config.full))
+    (report_digest (fault_report (fault_setup ~certifier:Hermes_core.Config.full ())))
 
 let test_golden_report_naive () =
   Alcotest.(check string) "Report.pp digest" "12715281982bb62a48b0407474963a70"
-    (report_digest (fault_setup ~certifier:Hermes_core.Config.naive))
+    (report_digest (fault_report (fault_setup ~certifier:Hermes_core.Config.naive ())))
+
+(* Seed 8 entangles three transactions in one SCC of SG(C(H)), so the
+   report prints Tarjan's member order inside a component larger than a
+   2-cycle. *)
+let test_golden_report_naive_scc3 () =
+  let rep = fault_report (fault_setup ~seed:8 ~certifier:Hermes_core.Config.naive ()) in
+  (match rep.Report.quasi with
+  | Quasi.Not_quasi_serializable scc ->
+      Alcotest.(check (list string)) "entangled SCC" [ "T9"; "T12"; "L5c" ] (List.map Txn.show scc)
+  | Quasi.Quasi_serializable _ -> Alcotest.fail "expected an entangled SCC");
+  Alcotest.(check string) "Report.pp digest" "825c31bdf0e9e8ba5a653ff941ab4150" (report_digest rep)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -1188,6 +1281,12 @@ let () =
         [
           Alcotest.test_case "generator exercises both reasons" `Quick test_resubmission_generator_distorts;
           q prop_distortions_match_reference;
+        ] );
+      ( "sg-reference",
+        [
+          Alcotest.test_case "generators entangle" `Quick test_sg_generators_entangle;
+          q prop_sg_matches_pairwise_resubmission;
+          q prop_sg_matches_pairwise_multi_site;
         ] );
       ( "graphs",
         [
@@ -1317,5 +1416,6 @@ let () =
         [
           Alcotest.test_case "fault run report digest (full 2CM)" `Quick test_golden_report_full;
           Alcotest.test_case "fault run report digest (naive)" `Quick test_golden_report_naive;
+          Alcotest.test_case "naive run with a 3-member SCC: report digest" `Quick test_golden_report_naive_scc3;
         ] );
     ]
