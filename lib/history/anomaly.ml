@@ -34,25 +34,19 @@ let pp_global ppf d =
 (* The footprint of an incarnation: its DML operations in order, reads
    annotated with the logical transaction they read from. The replay lists
    its reads in history order, one per Read operation, so one walk over
-   the history paired with that list annotates every read. Keyed by
-   incarnation, so a comparison looks its two footprints up directly. *)
+   the history paired with that list annotates every read. Footprints are
+   kept by incarnation id (newest step first), for the incarnations
+   [wanted] selects. *)
 type step = { kind : Op.kind; item : Item.t; from : Txn.t option }
 
-let footprint_table h =
+let footprint_table h wanted =
+  let ix = History.index h in
   let reads = ref (Replay.run h).Replay.reads in
-  let foot : (Txn.Incarnation.t, step list ref) Hashtbl.t = Hashtbl.create 16 in
+  let foot = Array.make (Array.length ix.incs) [] in
   History.iteri
-    (fun _ op ->
+    (fun i op ->
       match op with
-      | Op.Dml { kind; inc; item; _ } ->
-          let steps =
-            match Hashtbl.find_opt foot inc with
-            | Some r -> r
-            | None ->
-                let r = ref [] in
-                Hashtbl.replace foot inc r;
-                r
-          in
+      | Op.Dml { kind; item; _ } ->
           let from =
             match (kind, !reads) with
             | Op.Write, _ -> None
@@ -61,12 +55,18 @@ let footprint_table h =
                 Option.map (fun (w : Txn.Incarnation.t) -> w.txn) r.Replay.from
             | Op.Read, [] -> invalid_arg "Anomaly.footprints: replay lost a read"
           in
-          steps := { kind; item; from } :: !steps
+          let j = ix.inc_of_op.(i) in
+          if wanted j then foot.(j) <- { kind; item; from } :: foot.(j)
       | _ -> ())
     h;
   foot
 
-let footprints h = Hashtbl.fold (fun inc steps acc -> (inc, List.rev !steps) :: acc) (footprint_table h) []
+let footprints h =
+  let ix = History.index h in
+  let foot = footprint_table h (fun _ -> true) in
+  List.filter_map
+    (fun j -> match foot.(j) with [] -> None | steps -> Some (ix.incs.(j), List.rev steps))
+    (List.init (Array.length foot) Fun.id)
 
 (* Compare all resubmissions against the first incarnation present.
 
@@ -76,66 +76,78 @@ let footprints h = Hashtbl.fold (fun inc steps acc -> (inc, List.rev !steps) :: 
    the original. A *committed* incarnation, by contrast, replayed
    everything and must agree exactly.
 
-   Only subtransactions with two or more incarnations can diverge, so they
-   are listed first; a history without any skips the replay. *)
+   Only subtransactions with two or more incarnations can diverge. The
+   index holds each subtransaction's incarnations consecutively, in
+   ascending order, with subtransactions in (transaction, site) order, so
+   they are read off it as runs; a history without any skips the
+   replay. *)
 let global_view_distortions h =
-  let resubmitted =
-    List.concat_map
-      (fun txn ->
-        if not (Txn.is_global txn) then []
-        else
-          List.filter_map
-            (fun site ->
-              match History.incarnations_at h txn ~site with
-              | base :: (_ :: _ as rest) -> Some (txn, site, base, rest)
-              | [] | [ _ ] -> None)
-            (History.sites_of_txn h txn))
-      (History.txns h)
-  in
-  if resubmitted = [] then []
-  else
-    let foot = footprint_table h in
-    let lookup txn site inc =
-      Option.map (fun steps -> List.rev !steps) (Hashtbl.find_opt foot (Txn.Incarnation.make ~txn ~site ~inc))
-    in
-    let shapes l = List.map (fun s -> (s.kind, s.item)) l in
-    (* l1 a prefix of l2 *)
-    let rec is_prefix = function
-      | [], _ -> true
-      | _, [] -> false
-      | x :: xs, y :: ys -> Stdlib.( = ) x y && is_prefix (xs, ys)
-    in
-    List.concat_map
-      (fun (txn, site, base, rest) ->
-        match lookup txn site base with
-        | None -> []
-        | Some base_steps ->
-            let base_shapes = shapes base_steps in
-            List.concat_map
-              (fun k ->
-                let distortion reason = { txn; site; inc_base = base; inc_other = k; reason } in
-                let steps = Option.value ~default:[] (lookup txn site k) in
-                let committed = History.locally_committed h (Txn.Incarnation.make ~txn ~site ~inc:k) in
-                let shape_ok =
-                  if committed then shapes steps = base_shapes else is_prefix (shapes steps, base_shapes)
-                in
-                if not shape_ok then [ distortion `Different_decomposition ]
-                else
-                  (* Views must agree on the common (prefix) length: walk
-                     both footprints in step. *)
-                  let rec views acc = function
-                    | (s : step) :: ss, (b : step) :: bs ->
-                        let acc =
-                          if s.kind = Op.Read && not (Stdlib.( = ) s.from b.from) then
-                            distortion (`Different_view s.item) :: acc
-                          else acc
-                        in
-                        views acc (ss, bs)
-                    | _ -> List.rev acc
+  let ix = History.index h in
+  let runs = ref [] in
+  Array.iteri
+    (fun x txn ->
+      if Txn.is_global txn then begin
+        let j = ref ix.txn_incs.(x) in
+        while !j < ix.txn_incs.(x + 1) do
+          let first = !j in
+          while !j + 1 < ix.txn_incs.(x + 1) && Site.equal ix.incs.(!j + 1).site ix.incs.(first).site do
+            incr j
+          done;
+          if !j > first then runs := (first, !j) :: !runs;
+          incr j
+        done
+      end)
+    ix.txns;
+  match List.rev !runs with
+  | [] -> []
+  | runs ->
+      let wanted = Array.make (Array.length ix.incs) false in
+      List.iter (fun (first, last) -> Array.fill wanted first (last - first + 1) true) runs;
+      let foot = footprint_table h (Array.get wanted) in
+      let committed = Array.make (Array.length ix.incs) false in
+      History.iteri
+        (fun i op -> match op with Op.Local_commit _ -> committed.(ix.inc_of_op.(i)) <- true | _ -> ())
+        h;
+      let shapes l = List.map (fun s -> (s.kind, s.item)) l in
+      (* l1 a prefix of l2 *)
+      let rec is_prefix = function
+        | [], _ -> true
+        | _, [] -> false
+        | x :: xs, y :: ys -> Stdlib.( = ) x y && is_prefix (xs, ys)
+      in
+      List.concat_map
+        (fun (first, last) ->
+          let base = ix.incs.(first) in
+          match List.rev foot.(first) with
+          | [] -> []
+          | base_steps ->
+              let base_shapes = shapes base_steps in
+              List.concat_map
+                (fun j ->
+                  let distortion reason =
+                    { txn = base.txn; site = base.site; inc_base = base.inc; inc_other = ix.incs.(j).inc; reason }
                   in
-                  views [] (steps, base_steps))
-              rest)
-      resubmitted
+                  let steps = List.rev foot.(j) in
+                  let shape_ok =
+                    if committed.(j) then shapes steps = base_shapes else is_prefix (shapes steps, base_shapes)
+                  in
+                  if not shape_ok then [ distortion `Different_decomposition ]
+                  else
+                    (* Views must agree on the common (prefix) length: walk
+                       both footprints in step. *)
+                    let rec views acc = function
+                      | (s : step) :: ss, (b : step) :: bs ->
+                          let acc =
+                            if s.kind = Op.Read && not (Stdlib.( = ) s.from b.from) then
+                              distortion (`Different_view s.item) :: acc
+                            else acc
+                          in
+                          views acc (ss, bs)
+                      | _ -> List.rev acc
+                    in
+                    views [] (steps, base_steps))
+                (List.init (last - first) (fun k -> first + 1 + k)))
+        runs
 
 (* Local view distortion is *possible* only if CG(C(H)) is cyclic
    (paper §5.1); the cycle is the diagnostic. *)

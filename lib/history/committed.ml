@@ -4,67 +4,48 @@
    of committed local transactions — as in Bernstein/Hadzilacos/Goodman —
    the paper's C(H) also includes *all unilaterally aborted local
    subtransactions that belong to globally committed complete
-   transactions*. It is this extension that makes the resubmission
-   anomalies visible: in H1, the aborted incarnation T^a_10 stays in C(H1)
-   and exposes the two different views T_1 obtained.
+   transactions*. It is this extension that makes resubmission anomalies
+   visible: in H1, the aborted incarnation T^a_10 stays in C(H1) and
+   exposes the two different views T_1 obtained.
 
-   Computed in two linear passes (histories from long simulations contain
-   hundreds of thousands of operations, so the per-transaction helpers of
-   {!History} would be quadratic here). *)
+   Computed in one linear pass over the history's dense index: per
+   transaction whether it committed, per incarnation whether it locally
+   committed. C(H) is H's index restricted to the kept transactions. *)
 
 open Hermes_kernel
 
-module Inc_key = struct
-  type t = Txn.t * Site.t * int
-end
-
-(* One linear pass collecting: which transactions have a global commit,
-   which incarnations locally committed, and the maximal incarnation index
-   per (transaction, site). *)
-let index h =
-  let globally_committed : (Txn.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let committed_inc : (Inc_key.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let max_inc : (Txn.t * Site.t, int) Hashtbl.t = Hashtbl.create 64 in
+(* A transaction is kept iff it committed (a global commit, or a local
+   commit of a local transaction) and is complete: the final incarnation
+   of each of its subtransactions locally committed. A subtransaction's
+   final incarnation is the last of its run in the index's (site,
+   incarnation) order. *)
+let keep h =
+  let ix = History.index h in
+  let committed = Array.make (Array.length ix.txns) false in
+  let inc_committed = Array.make (Array.length ix.incs) false in
   History.iteri
-    (fun _ op ->
-      (match Op.incarnation op with
-      | Some inc ->
-          let key = (inc.Txn.Incarnation.txn, inc.site) in
-          let prev = Option.value ~default:(-1) (Hashtbl.find_opt max_inc key) in
-          if inc.inc > prev then Hashtbl.replace max_inc key inc.inc
-      | None -> ());
+    (fun i op ->
       match op with
-      | Op.Global_commit txn -> Hashtbl.replace globally_committed txn ()
+      | Op.Global_commit _ -> committed.(ix.txn_of_op.(i)) <- true
       | Op.Local_commit inc ->
-          Hashtbl.replace committed_inc (inc.Txn.Incarnation.txn, inc.site, inc.inc) ();
-          if Txn.is_local inc.txn then Hashtbl.replace globally_committed inc.txn ()
+          inc_committed.(ix.inc_of_op.(i)) <- true;
+          if Txn.is_local inc.Txn.Incarnation.txn then committed.(ix.txn_of_op.(i)) <- true
       | _ -> ())
     h;
-  (globally_committed, committed_inc, max_inc)
-
-let keep_set h =
-  let globally_committed, committed_inc, max_inc = index h in
-  let keep : (Txn.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* A transaction is kept iff globally committed and complete: its final
-     incarnation locally committed at every site it operated at. Collect
-     the incomplete ones in one sweep of the (txn, site) index. *)
-  let incomplete : (Txn.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun (t, site) m -> if not (Hashtbl.mem committed_inc (t, site, m)) then Hashtbl.replace incomplete t ())
-    max_inc;
-  Hashtbl.iter
-    (fun txn () -> if not (Hashtbl.mem incomplete txn) then Hashtbl.replace keep txn ())
-    globally_committed;
-  keep
-
-let keep_txn h x = Hashtbl.mem (keep_set h) x
+  Array.mapi
+    (fun x committed ->
+      let kept = ref committed and last = ix.txn_incs.(x + 1) - 1 in
+      for j = ix.txn_incs.(x) to last do
+        let final = j = last || not (Site.equal ix.incs.(j).site ix.incs.(j + 1).site) in
+        if final && not inc_committed.(j) then kept := false
+      done;
+      !kept)
+    committed
 
 (* The extended committed projection: every operation (including operations
    and aborts of unilaterally aborted incarnations) of every kept
    transaction. *)
-let extended h =
-  let keep = keep_set h in
-  History.filter (fun op -> Hashtbl.mem keep (Op.txn op)) h
+let extended h = History.restrict h ~keep:(keep h)
 
 (* The classical committed projection: as [extended], but operations of
    aborted incarnations are dropped (only what eventually committed
@@ -72,16 +53,14 @@ let extended h =
    precisely the paper's argument for extending it. *)
 let classical h =
   let c = extended h in
-  let aborted : (Inc_key.t, unit) Hashtbl.t = Hashtbl.create 16 in
+  let ix = History.index c in
+  let aborted = Array.make (Array.length ix.incs) false in
   History.iteri
-    (fun _ op ->
-      match op with
-      | Op.Local_abort inc -> Hashtbl.replace aborted (inc.Txn.Incarnation.txn, inc.site, inc.inc) ()
-      | _ -> ())
+    (fun i op -> match op with Op.Local_abort _ -> aborted.(ix.inc_of_op.(i)) <- true | _ -> ())
     c;
-  History.filter
-    (fun op ->
-      match Op.incarnation op with
-      | Some inc -> not (Hashtbl.mem aborted (inc.Txn.Incarnation.txn, inc.site, inc.inc))
-      | None -> true)
-    c
+  History.of_ops
+    (List.filteri
+       (fun i _ ->
+         let j = ix.inc_of_op.(i) in
+         j < 0 || not aborted.(j))
+       (History.ops c))

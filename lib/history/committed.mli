@@ -4,9 +4,6 @@
     subtransactions. The extension is what makes resubmission anomalies
     (global/local view distortion) formally visible. *)
 
-open Hermes_kernel
-
-val keep_txn : History.t -> Txn.t -> bool
 val extended : History.t -> History.t
 
 val classical : History.t -> History.t

@@ -2,87 +2,290 @@
    the transaction histories). The simulator produces one by tracing; tests
    also build them literally, e.g. the paper's H1, H2, H3.
 
-   The container carries a lazily-built per-transaction index (transaction
-   -> operation positions, plus the first-appearance order) so the
-   per-transaction accessors — [ops_of_txn], [sites_of_txn],
-   [incarnations_at], [txns] — cost O(ops of that transaction) instead of
-   a scan of the whole history. The index is built on first use and cached;
-   it is derived state only, so histories stay values for every other
-   purpose. Builders ([of_ops], [filter], [append], ...) return unindexed
-   histories; nothing is paid until a per-transaction query happens. *)
+   The container carries a lazily-built dense index that every checker
+   reads: per operation the ids of its transaction, incarnation and item,
+   the transactions in first-appearance order, and the incarnations
+   grouped by (transaction, site). The per-transaction accessors add
+   each transaction's operation positions. The index is built on first
+   use and cached; it is derived state only, so histories stay values
+   for every other purpose. Builders ([of_ops], [filter], [append], ...)
+   return unindexed histories; nothing is paid until a checker or a
+   per-transaction query asks. *)
 
 open Hermes_kernel
 
 type event = { op : Op.t; at : Time.t; seq : int }
 
 type index = {
-  order : Txn.t list;  (* first-appearance order *)
-  positions : (Txn.t, int array) Hashtbl.t;  (* ascending op positions *)
+  txn_of_op : int array;
+  inc_of_op : int array;
+  item_of_op : int array;
+  txns : Txn.t array;
+  txn_incs : int array;
+  incs : Txn.Incarnation.t array;
+  items : Item.t array;
 }
 
-type t = { ops : Op.t array; mutable index : index option }
+(* [find] maps a transaction to its id, or -1. [by_txn] holds the
+   transactions' operation positions as CSR slices (offsets by id,
+   positions), built on the first per-transaction query: the checkers
+   never ask for them. *)
+type dense = { ix : index; find : Txn.t -> int; mutable by_txn : (int array * int array) option }
+type t = { ops : Op.t array; mutable dense : dense option }
 
-let of_ops ops = { ops = Array.of_list ops; index = None }
+let of_ops ops = { ops = Array.of_list ops; dense = None }
 
+(* Events come in (at, seq) order from a single trace, so the sort runs
+   only when some neighbouring pair is out of order. *)
 let of_events events =
-  let events =
-    List.sort
-      (fun a b ->
-        match Time.compare a.at b.at with 0 -> Int.compare a.seq b.seq | c -> c)
-      events
-  in
+  let compare a b = match Time.compare a.at b.at with 0 -> Int.compare a.seq b.seq | c -> c in
+  let rec ordered = function a :: (b :: _ as rest) -> compare a b <= 0 && ordered rest | [ _ ] | [] -> true in
+  let events = if ordered events then events else List.sort compare events in
   of_ops (List.map (fun e -> e.op) events)
 
 let ops t = Array.to_list t.ops
 let length t = Array.length t.ops
 let get t i = t.ops.(i)
-let append a b = { ops = Array.append a.ops b.ops; index = None }
-let concat ts = { ops = Array.concat (List.map (fun t -> t.ops) ts); index = None }
-let filter f t = { ops = Array.of_list (List.filter f (ops t)); index = None }
+let append a b = { ops = Array.append a.ops b.ops; dense = None }
+let concat ts = { ops = Array.concat (List.map (fun t -> t.ops) ts); dense = None }
+let filter f t = { ops = Array.of_list (List.filter f (ops t)); dense = None }
 
 let fold f init t = Array.fold_left f init t.ops
 let iteri f t = Array.iteri f t.ops
 let exists f t = Array.exists f t.ops
 
-(* One pass over the history: first-appearance order and the positions of
-   every transaction's operations. *)
-let build_index t =
-  let positions_rev : (Txn.t, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
+module Txn_tbl = Hashtbl.Make (struct
+  type t = Txn.t
+
+  let equal = Txn.equal
+  let hash = function Txn.Global i -> i | Txn.Local { site; n } -> (n * 131) + Site.to_int site
+end)
+
+module Item_tbl = Hashtbl.Make (struct
+  type t = Item.t
+
+  let equal = Item.equal
+
+  let hash it =
+    String.fold_left
+      (fun h c -> (h * 31) + Char.code c)
+      ((Item.key it * 131) + Site.to_int (Item.site it))
+      (Item.table it)
+end)
+
+(* A growable array: ids are handed out as values are first seen. *)
+type 'a vec = { mutable data : 'a array; mutable len : int }
+
+let vec () = { data = [||]; len = 0 }
+
+let push v x =
+  if v.len = Array.length v.data then begin
+    let data = Array.make (max 16 (2 * v.len)) x in
+    Array.blit v.data 0 data 0 v.len;
+    v.data <- data
+  end;
+  v.data.(v.len) <- x;
+  v.len <- v.len + 1;
+  v.len - 1
+
+(* Offsets of [n] groups from each member's group: group [g]'s members
+   are [pos.(off.(g))] .. [pos.(off.(g + 1) - 1)], ascending. *)
+let csr n group_of =
+  let off = Array.make (n + 1) 0 in
+  Array.iter (fun g -> off.(g + 1) <- off.(g + 1) + 1) group_of;
+  for g = 0 to n - 1 do
+    off.(g + 1) <- off.(g + 1) + off.(g)
+  done;
+  let pos = Array.make (Array.length group_of) 0 and fill = Array.sub off 0 n in
+  Array.iteri
+    (fun i g ->
+      pos.(fill.(g)) <- i;
+      fill.(g) <- fill.(g) + 1)
+    group_of;
+  (off, pos)
+
+(* [ids] maps old ids to new ones or -1; the inverse, for [n] new ids. *)
+let invert ids n =
+  let old = Array.make n 0 in
+  Array.iteri (fun o k -> if k >= 0 then old.(k) <- o) ids;
+  old
+
+(* One pass interns every transaction and item through a monomorphic
+   table, and every incarnation through the (few) incarnations already
+   seen for its transaction. The incarnations are then renumbered in
+   (transaction id, site, incarnation) order. *)
+let build ops =
+  let n = Array.length ops in
+  let txn_of_op = Array.make n 0 and inc_of_op = Array.make n (-1) and item_of_op = Array.make n (-1) in
+  let txn_ids = Txn_tbl.create (1 + (n / 8)) and item_ids = Item_tbl.create (1 + (n / 64)) in
+  let txns = vec () and items = vec () and incs = vec () in
+  let incs_of_txn = vec () in
+  let intern_inc x (inc : Txn.Incarnation.t) =
+    let rec find = function
+      | [] ->
+          let j = push incs inc in
+          incs_of_txn.data.(x) <- j :: incs_of_txn.data.(x);
+          j
+      | j :: rest ->
+          let k : Txn.Incarnation.t = incs.data.(j) in
+          if k == inc || (Int.equal k.inc inc.inc && Site.equal k.site inc.site) then j else find rest
+    in
+    find incs_of_txn.data.(x)
+  in
   Array.iteri
     (fun i op ->
-      let x = Op.txn op in
-      match Hashtbl.find_opt positions_rev x with
-      | Some l -> l := i :: !l
-      | None ->
-          Hashtbl.add positions_rev x (ref [ i ]);
-          order := x :: !order)
-    t.ops;
-  let positions = Hashtbl.create (Hashtbl.length positions_rev) in
-  Hashtbl.iter
-    (fun x l -> Hashtbl.replace positions x (Array.of_list (List.rev !l)))
-    positions_rev;
-  { order = List.rev !order; positions }
+      let x =
+        let txn = Op.txn op in
+        match Txn_tbl.find txn_ids txn with
+        | x -> x
+        | exception Not_found ->
+            let x = push txns txn in
+            ignore (push incs_of_txn []);
+            Txn_tbl.add txn_ids txn x;
+            x
+      in
+      txn_of_op.(i) <- x;
+      match op with
+      | Op.Dml { inc; item; _ } ->
+          inc_of_op.(i) <- intern_inc x inc;
+          item_of_op.(i) <-
+            (match Item_tbl.find item_ids item with
+            | k -> k
+            | exception Not_found ->
+                let k = push items item in
+                Item_tbl.add item_ids item k;
+                k)
+      | Op.Local_commit inc | Op.Local_abort inc -> inc_of_op.(i) <- intern_inc x inc
+      | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ())
+    ops;
+  (* Each transaction's incarnations are laid out from its offset in
+     [order] and sorted there by insertion: a transaction has a handful. *)
+  let n_txns = txns.len in
+  let txn_incs = Array.make (n_txns + 1) 0 and order = Array.make incs.len 0 in
+  let before j j' =
+    let a : Txn.Incarnation.t = incs.data.(j) and b : Txn.Incarnation.t = incs.data.(j') in
+    match Site.compare a.site b.site with 0 -> a.inc < b.inc | c -> c < 0
+  in
+  for x = 0 to n_txns - 1 do
+    let first = txn_incs.(x) in
+    let next =
+      List.fold_left
+        (fun p j ->
+          order.(p) <- j;
+          p + 1)
+        first incs_of_txn.data.(x)
+    in
+    for p = first + 1 to next - 1 do
+      let j = order.(p) and q = ref p in
+      while !q > first && before j order.(!q - 1) do
+        order.(!q) <- order.(!q - 1);
+        decr q
+      done;
+      order.(!q) <- j
+    done;
+    txn_incs.(x + 1) <- next
+  done;
+  let renumber = invert order incs.len in
+  Array.iteri (fun i j -> if j >= 0 then inc_of_op.(i) <- renumber.(j)) inc_of_op;
+  let ix =
+    {
+      txn_of_op;
+      inc_of_op;
+      item_of_op;
+      txns = Array.sub txns.data 0 n_txns;
+      txn_incs;
+      incs = Array.map (Array.get incs.data) order;
+      items = Array.sub items.data 0 items.len;
+    }
+  in
+  { ix; find = (fun txn -> Option.value ~default:(-1) (Txn_tbl.find_opt txn_ids txn)); by_txn = None }
 
-let index t =
-  match t.index with
-  | Some idx -> idx
+let dense t =
+  match t.dense with
+  | Some d -> d
   | None ->
-      let idx = build_index t in
-      t.index <- Some idx;
-      idx
+      let d = build t.ops in
+      t.dense <- Some d;
+      d
+
+let index t = (dense t).ix
+
+(* Every operation of the kept transactions, with the index restricted
+   to them. A kept transaction keeps all its operations, so renumbering
+   transactions and incarnations in order keeps first-appearance order
+   and the (transaction, site, incarnation) grouping; item ids stay those
+   of the full history. *)
+let restrict t ~keep =
+  let { ix; find; _ } = dense t in
+  if Array.length keep <> Array.length ix.txns then invalid_arg "History.restrict: one flag per transaction";
+  let txn_id = Array.make (Array.length ix.txns) (-1) and inc_id = Array.make (Array.length ix.incs) (-1) in
+  let n_txns = ref 0 and n_incs = ref 0 in
+  Array.iteri
+    (fun x kept ->
+      if kept then begin
+        txn_id.(x) <- !n_txns;
+        incr n_txns;
+        for j = ix.txn_incs.(x) to ix.txn_incs.(x + 1) - 1 do
+          inc_id.(j) <- !n_incs;
+          incr n_incs
+        done
+      end)
+    keep;
+  let m = Array.fold_left (fun m x -> if keep.(x) then m + 1 else m) 0 ix.txn_of_op in
+  let ops = if m = 0 then [||] else Array.make m t.ops.(0) in
+  let txn_of_op = Array.make m 0 and inc_of_op = Array.make m (-1) and item_of_op = Array.make m (-1) in
+  let k = ref 0 in
+  Array.iteri
+    (fun i x ->
+      if keep.(x) then begin
+        ops.(!k) <- t.ops.(i);
+        txn_of_op.(!k) <- txn_id.(x);
+        (match ix.inc_of_op.(i) with -1 -> () | j -> inc_of_op.(!k) <- inc_id.(j));
+        item_of_op.(!k) <- ix.item_of_op.(i);
+        incr k
+      end)
+    ix.txn_of_op;
+  let old_txn = invert txn_id !n_txns in
+  let txn_incs = Array.make (!n_txns + 1) 0 in
+  Array.iteri (fun y x -> txn_incs.(y + 1) <- txn_incs.(y) + ix.txn_incs.(x + 1) - ix.txn_incs.(x)) old_txn;
+  let ix' =
+    {
+      txn_of_op;
+      inc_of_op;
+      item_of_op;
+      txns = Array.map (Array.get ix.txns) old_txn;
+      txn_incs;
+      incs = Array.map (Array.get ix.incs) (invert inc_id !n_incs);
+      items = ix.items;
+    }
+  in
+  let find txn = match find txn with -1 -> -1 | x -> txn_id.(x) in
+  { ops; dense = Some { ix = ix'; find; by_txn = None } }
 
 (* Transactions in order of first appearance. *)
-let txns t = (index t).order
+let txns t = Array.to_list (index t).txns
 
 let global_txns t = List.filter Txn.is_global (txns t)
 let local_txns t = List.filter Txn.is_local (txns t)
 
-let positions_of_txn t x =
-  match Hashtbl.find_opt (index t).positions x with Some ps -> ps | None -> [||]
-
 let fold_ops_of_txn t x f init =
-  Array.fold_left (fun acc i -> f acc t.ops.(i)) init (positions_of_txn t x)
+  let d = dense t in
+  match d.find x with
+  | -1 -> init
+  | k ->
+      let off, pos =
+        match d.by_txn with
+        | Some p -> p
+        | None ->
+            let p = csr (Array.length d.ix.txns) d.ix.txn_of_op in
+            d.by_txn <- Some p;
+            p
+      in
+      let acc = ref init in
+      for p = off.(k) to off.(k + 1) - 1 do
+        acc := f !acc t.ops.(pos.(p))
+      done;
+      !acc
 
 let ops_of_txn t x = List.rev (fold_ops_of_txn t x (fun acc op -> op :: acc) [])
 
@@ -92,21 +295,22 @@ let sites_of_txn t x =
     Site.Set.empty
   |> Site.Set.elements
 
-(* Incarnation indices of [x] at [site], ascending. *)
-let incarnations_at t x ~site =
-  fold_ops_of_txn t x
-    (fun acc op ->
-      match Op.incarnation op with
-      | Some inc when Txn.equal inc.Txn.Incarnation.txn x && Site.equal inc.site site ->
-          if List.mem inc.inc acc then acc else inc.inc :: acc
-      | _ -> acc)
-    []
-  |> List.sort Int.compare
+(* The transaction's incarnations at [site], ascending: a slice of its
+   (site, incarnation)-ordered range. *)
+let incarnations_of t x ~site =
+  let { ix; find; _ } = dense t in
+  match find x with
+  | -1 -> []
+  | k ->
+      let acc = ref [] in
+      for j = ix.txn_incs.(k + 1) - 1 downto ix.txn_incs.(k) do
+        let inc = ix.incs.(j) in
+        if Site.equal inc.Txn.Incarnation.site site then acc := inc :: !acc
+      done;
+      !acc
 
-let final_incarnation_at t x ~site =
-  match List.rev (incarnations_at t x ~site) with
-  | [] -> None
-  | k :: _ -> Some (Txn.Incarnation.make ~txn:x ~site ~inc:k)
+let incarnations_at t x ~site = List.map (fun (i : Txn.Incarnation.t) -> i.inc) (incarnations_of t x ~site)
+let final_incarnation_at t x ~site = List.fold_left (fun _ i -> Some i) None (incarnations_of t x ~site)
 
 let is_globally_committed t x =
   match x with

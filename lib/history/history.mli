@@ -11,7 +11,8 @@ type t
 
 val of_ops : Op.t list -> t
 val of_events : event list -> t
-(** Sorts by [(at, seq)] — a total, explicit order. *)
+(** Orders by [(at, seq)] — a total, explicit order. Input already in
+    that order (one trace, recorded in engine order) is taken as is. *)
 
 val ops : t -> Op.t list
 val length : t -> int
@@ -30,11 +31,11 @@ val global_txns : t -> Txn.t list
 val local_txns : t -> Txn.t list
 
 val ops_of_txn : t -> Txn.t -> Op.t list
-(** O(ops of the transaction) after a one-off O(history) index build that
-    is cached on the history (as are the other per-transaction
-    accessors). The cached index makes per-transaction queries cheap but
-    is built unsynchronized: share a history across domains only after
-    forcing it once (e.g. by calling [txns]). *)
+(** O(ops of the transaction) after a one-off O(history) build of the
+    {!index}, which is cached on the history (as are the other
+    per-transaction accessors). The cached index makes per-transaction
+    queries cheap but is built unsynchronized: share a history across
+    domains only after forcing it once (e.g. by calling [txns]). *)
 
 val sites_of_txn : t -> Txn.t -> Site.t list
 
@@ -57,3 +58,32 @@ val is_complete : t -> Txn.t -> bool
 val pp : t Fmt.t
 val pp_with_from : t Fmt.t
 val show : t -> string
+
+(** {1 Dense index}
+
+    The checkers read a history through one index that gives its
+    transactions, incarnations and items dense ids. It is built on the
+    first query and cached. *)
+
+type index = private {
+  txn_of_op : int array;  (** per operation: its transaction's id *)
+  inc_of_op : int array;  (** per operation: its incarnation's id, or [-1] (prepares, global decisions) *)
+  item_of_op : int array;  (** per operation: its item's id, or [-1] (not DML) *)
+  txns : Txn.t array;  (** by id: the order of first appearance *)
+  txn_incs : int array;
+      (** transaction [x]'s incarnations have the ids [txn_incs.(x)] ..
+          [txn_incs.(x + 1) - 1] *)
+  incs : Txn.Incarnation.t array;
+      (** by id: ordered by (transaction id, site, incarnation), so each
+          subtransaction's incarnations are consecutive and ascending *)
+  items : Item.t array;  (** by id *)
+}
+
+val index : t -> index
+
+val restrict : t -> keep:bool array -> t
+(** [restrict h ~keep] has every operation of the transactions whose id
+    [x] has [keep.(x)], in order, and is indexed on creation: its index
+    is [h]'s restricted to those transactions, renumbered in order. Item
+    ids stay [h]'s, so some may not occur in the result. Raises
+    [Invalid_argument] unless [keep] has one flag per transaction. *)

@@ -29,48 +29,51 @@ type outcome = {
   uncommitted : Txn.Incarnation.t list;  (* incarnations that wrote but never terminated *)
 }
 
-(* Per-incarnation undo log entry: the writer the item had before this
-   incarnation's first overwrite is what an abort must restore. Recording
-   every write and restoring in reverse order is equivalent. *)
-type undo = (Item.t * Txn.Incarnation.t option) list
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
 
+  let equal = Int.equal
+  let hash x = x
+end)
+
+(* Per-item state and per-incarnation undo logs are arrays over the
+   history's dense ids. An undo log entry is an item and the writer it had
+   before the write: an abort restores the entries newest first, which
+   leaves each item with the writer it had before the incarnation's first
+   overwrite. An empty log means none is open. *)
 let run h =
-  let state : (Item.t, Txn.Incarnation.t option) Hashtbl.t = Hashtbl.create 64 in
-  let undos : (Txn.Incarnation.t, undo ref) Hashtbl.t = Hashtbl.create 16 in
-  let occurrences : (Txn.Incarnation.t * Item.t, int) Hashtbl.t = Hashtbl.create 64 in
+  let ix = History.index h in
+  let n_items = Array.length ix.items in
+  let state = Array.make n_items None and written = Array.make n_items false in
+  let undos = Array.make (Array.length ix.incs) [] in
+  (* reads so far per (incarnation, item), keyed [inc * n_items + item] *)
+  let occurrences = Int_tbl.create 64 in
   let reads = ref [] in
-  let writer item = match Hashtbl.find_opt state item with Some w -> w | None -> None in
-  let undo_of inc =
-    match Hashtbl.find_opt undos inc with
-    | Some u -> u
-    | None ->
-        let u = ref [] in
-        Hashtbl.replace undos inc u;
-        u
-  in
   History.iteri
-    (fun _ op ->
+    (fun i op ->
       match op with
       | Op.Dml { kind = Read; inc; item; _ } ->
-          let occ = Option.value ~default:0 (Hashtbl.find_opt occurrences (inc, item)) in
-          Hashtbl.replace occurrences (inc, item) (occ + 1);
-          reads := { reader = inc; item; occurrence = occ; from = writer item } :: !reads
-      | Op.Dml { kind = Write; inc; item; _ } ->
-          let u = undo_of inc in
-          u := (item, writer item) :: !u;
-          Hashtbl.replace state item (Some inc)
-      | Op.Local_abort inc -> (
-          match Hashtbl.find_opt undos inc with
-          | None -> ()
-          | Some u ->
-              List.iter (fun (item, before) -> Hashtbl.replace state item before) !u;
-              Hashtbl.remove undos inc)
-      | Op.Local_commit inc -> Hashtbl.remove undos inc
+          let k = ix.item_of_op.(i) in
+          let key = (ix.inc_of_op.(i) * n_items) + k in
+          let occ = Option.value ~default:0 (Int_tbl.find_opt occurrences key) in
+          Int_tbl.replace occurrences key (occ + 1);
+          reads := { reader = inc; item; occurrence = occ; from = state.(k) } :: !reads
+      | Op.Dml { kind = Write; inc; _ } ->
+          let j = ix.inc_of_op.(i) and k = ix.item_of_op.(i) in
+          undos.(j) <- (k, state.(k)) :: undos.(j);
+          state.(k) <- Some inc;
+          written.(k) <- true
+      | Op.Local_abort _ ->
+          let j = ix.inc_of_op.(i) in
+          List.iter (fun (k, before) -> state.(k) <- before) undos.(j);
+          undos.(j) <- []
+      | Op.Local_commit _ -> undos.(ix.inc_of_op.(i)) <- []
       | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ())
     h;
-  let final = Hashtbl.fold Item.Map.add state Item.Map.empty in
-  let uncommitted = Hashtbl.fold (fun inc _ acc -> inc :: acc) undos [] in
-  { reads = List.rev !reads; final; uncommitted }
+  let final = ref Item.Map.empty and uncommitted = ref [] in
+  Array.iteri (fun k w -> if w then final := Item.Map.add ix.items.(k) state.(k) !final) written;
+  Array.iteri (fun j u -> if u <> [] then uncommitted := ix.incs.(j) :: !uncommitted) undos;
+  { reads = List.rev !reads; final = !final; uncommitted = List.rev !uncommitted }
 
 (* The logical (transaction-level) view of an outcome: the paper judges
    reads-from between *transactions* (T^a_11 reads X^a "from T_2"), not

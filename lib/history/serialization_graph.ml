@@ -7,54 +7,59 @@
    Only operations on the same item conflict. A later operation o of S
    on an item conflicts with an earlier one of T there iff S <> T and
    either o is a write after T's first access, or o comes after T's
-   first write. The builder interns the transactions once, in
-   [Txn.compare] order, keeps each item's operations as (transaction id,
-   is-write) codes in history order, and emits each source's successor
-   row directly from those rules; no per-edge structure is ever built. *)
+   first write. The builder takes the history's dense transaction and
+   item ids, remaps the transactions to [Txn.compare] order, keeps each
+   item's operations as (transaction, is-write) codes in history order,
+   and emits each source's successor row directly from those rules; no
+   per-edge structure is ever built. *)
 
 open Hermes_kernel
 
 module G = Hermes_graph.Digraph.Make (Txn)
 
 let build h =
-  let vertices = Array.of_list (List.sort Txn.compare (History.txns h)) in
-  let n = Array.length vertices in
-  let id : (Txn.t, int) Hashtbl.t = Hashtbl.create (2 * n) in
-  Array.iteri (fun i x -> Hashtbl.replace id x i) vertices;
-  (* Each item's DML operations as (id lsl 1) lor is-write, in history
+  let ix = History.index h in
+  let n = Array.length ix.txns in
+  let by_rank = Array.init n Fun.id in
+  Array.sort (fun a b -> Txn.compare ix.txns.(a) ix.txns.(b)) by_rank;
+  let vertices = Array.map (Array.get ix.txns) by_rank in
+  let rank = Array.make n 0 in
+  Array.iteri (fun r x -> rank.(x) <- r) by_rank;
+  (* Each item's DML operations as (rank lsl 1) lor is-write, in history
      order. *)
-  let by_item : (Item.t, int list ref) Hashtbl.t = Hashtbl.create 64 in
+  let n_items = Array.length ix.items in
+  let start = Array.make (n_items + 1) 0 in
+  Array.iter (fun k -> if k >= 0 then start.(k + 1) <- start.(k + 1) + 1) ix.item_of_op;
+  for k = 0 to n_items - 1 do
+    start.(k + 1) <- start.(k + 1) + start.(k)
+  done;
+  let codes = Array.make start.(n_items) 0 and fill = Array.sub start 0 n_items in
   History.iteri
-    (fun _ op ->
-      match Op.item op with
-      | Some item -> (
-          let code = (Hashtbl.find id (Op.txn op) lsl 1) lor Bool.to_int (Op.is_write op) in
-          match Hashtbl.find_opt by_item item with
-          | Some l -> l := code :: !l
-          | None -> Hashtbl.add by_item item (ref [ code ]))
-      | None -> ())
+    (fun i op ->
+      let k = ix.item_of_op.(i) in
+      if k >= 0 then begin
+        codes.(fill.(k)) <- (rank.(ix.txn_of_op.(i)) lsl 1) lor Bool.to_int (Op.is_write op);
+        fill.(k) <- fill.(k) + 1
+      end)
     h;
-  let items = Array.of_seq (Seq.map (fun l -> Array.of_list (List.rev !l)) (Hashtbl.to_seq_values by_item)) in
   (* Per transaction, each item it touches: (item, first access, first
-     write or max_int). *)
+     write or max_int), as positions in [codes]. *)
   let touched = Array.make n [] in
   let seen_in = Array.make n (-1) and first = Array.make n 0 and first_write = Array.make n 0 in
-  Array.iteri
-    (fun k ops ->
-      let txns = ref [] in
-      Array.iteri
-        (fun p code ->
-          let t = code lsr 1 in
-          if seen_in.(t) <> k then begin
-            seen_in.(t) <- k;
-            first.(t) <- p;
-            first_write.(t) <- max_int;
-            txns := t :: !txns
-          end;
-          if code land 1 = 1 && first_write.(t) = max_int then first_write.(t) <- p)
-        ops;
-      List.iter (fun t -> touched.(t) <- (k, first.(t), first_write.(t)) :: touched.(t)) !txns)
-    items;
+  for k = 0 to n_items - 1 do
+    let txns = ref [] in
+    for p = start.(k) to start.(k + 1) - 1 do
+      let t = codes.(p) lsr 1 in
+      if seen_in.(t) <> k then begin
+        seen_in.(t) <- k;
+        first.(t) <- p;
+        first_write.(t) <- max_int;
+        txns := t :: !txns
+      end;
+      if codes.(p) land 1 = 1 && first_write.(t) = max_int then first_write.(t) <- p
+    done;
+    List.iter (fun t -> touched.(t) <- (k, first.(t), first_write.(t)) :: touched.(t)) !txns
+  done;
   (* Rows are emitted in source order; [stamp.(d) = s] marks d as already
      in s's row. *)
   let stamp = Array.make n (-1) and row = Array.make n 0 in
@@ -62,9 +67,8 @@ let build h =
       let len = ref 0 in
       List.iter
         (fun (k, f, fw) ->
-          let ops = items.(k) in
-          for p = f + 1 to Array.length ops - 1 do
-            let code = ops.(p) in
+          for p = f + 1 to start.(k + 1) - 1 do
+            let code = codes.(p) in
             let d = code lsr 1 in
             if d <> s && (code land 1 = 1 || p > fw) && stamp.(d) <> s then begin
               stamp.(d) <- s;

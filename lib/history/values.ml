@@ -27,53 +27,57 @@ let pp_mismatch ppf m =
     Fmt.(option ~none:(any "?") int)
     m.expected_value pp_from m.expected_from
 
-(* Physical state per item: (writer, value). A [None] value means unknown
-   (e.g. a delete, or an unannotated write): subsequent reads of it are
-   not checkable for value, only for writer. *)
-type cell = { writer : Txn.Incarnation.t option; value : int option }
-
-let check h =
-  let state : (Item.t, cell) Hashtbl.t = Hashtbl.create 64 in
-  let undos : (Txn.Incarnation.t, (Item.t * cell) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let cell item = Option.value ~default:{ writer = None; value = None } (Hashtbl.find_opt state item) in
-  let violations = ref [] in
+(* The replay over values: per item id its physical writer and value,
+   writes applied in place, each incarnation's undo log restored on its
+   abort and dropped on its commit. A [None] value means unknown (e.g. a
+   delete, or an unannotated write): subsequent reads of it are not
+   checkable for value, only for writer. [on_read index op writer value]
+   sees every read with the item's state at that point; the final values
+   are returned, by item id. *)
+let replay h on_read =
+  let ix = History.index h in
+  let n_items = Array.length ix.items in
+  let writers = Array.make n_items None and values = Array.make n_items None in
+  let undos = Array.make (Array.length ix.incs) [] in
   History.iteri
     (fun index op ->
       match op with
-      | Op.Dml { kind = Op.Read; item; from; value; _ } ->
-          (* Only annotated reads are checkable: a hand-built history's
-             [from = None] means "unspecified", not "T_0"; recorded traces
-             always carry values, and there [from] is authoritative. *)
-          if value <> None then begin
-            let c = cell item in
-            let from_ok = Stdlib.( = ) from c.writer in
-            let value_ok =
-              match (value, c.value) with Some v, Some v' -> v = v' | None, _ | _, None -> true
-            in
-            if not (from_ok && value_ok) then
-              violations :=
-                { read = op; index; expected_from = c.writer; expected_value = c.value } :: !violations
-          end
-      | Op.Dml { kind = Op.Write; inc; item; value; _ } ->
-          let u =
-            match Hashtbl.find_opt undos inc with
-            | Some u -> u
-            | None ->
-                let u = ref [] in
-                Hashtbl.replace undos inc u;
-                u
-          in
-          u := (item, cell item) :: !u;
-          Hashtbl.replace state item { writer = Some inc; value }
-      | Op.Local_abort inc -> (
-          match Hashtbl.find_opt undos inc with
-          | None -> ()
-          | Some u ->
-              List.iter (fun (item, before) -> Hashtbl.replace state item before) !u;
-              Hashtbl.remove undos inc)
-      | Op.Local_commit inc -> Hashtbl.remove undos inc
+      | Op.Dml { kind = Op.Read; _ } ->
+          let k = ix.item_of_op.(index) in
+          on_read index op writers.(k) values.(k)
+      | Op.Dml { kind = Op.Write; inc; value; _ } ->
+          let j = ix.inc_of_op.(index) and k = ix.item_of_op.(index) in
+          undos.(j) <- (k, writers.(k), values.(k)) :: undos.(j);
+          writers.(k) <- Some inc;
+          values.(k) <- value
+      | Op.Local_abort _ ->
+          let j = ix.inc_of_op.(index) in
+          List.iter
+            (fun (k, writer, value) ->
+              writers.(k) <- writer;
+              values.(k) <- value)
+            undos.(j);
+          undos.(j) <- []
+      | Op.Local_commit _ -> undos.(ix.inc_of_op.(index)) <- []
       | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ())
     h;
+  (ix, values)
+
+let check h =
+  let violations = ref [] in
+  ignore
+    (replay h (fun index op writer cur ->
+         match op with
+         | Op.Dml { from; value = Some v; _ } ->
+             (* Only annotated reads are checkable: a hand-built history's
+                [from = None] means "unspecified", not "T_0"; recorded
+                traces always carry values, and there [from] is
+                authoritative. *)
+             let from_ok = Stdlib.( = ) from writer in
+             let value_ok = match cur with Some v' -> v = v' | None -> true in
+             if not (from_ok && value_ok) then
+               violations := { read = op; index; expected_from = writer; expected_value = cur } :: !violations
+         | _ -> ()));
   List.rev !violations
 
 let consistent h = check h = []
@@ -81,31 +85,7 @@ let consistent h = check h = []
 (* The final physical value of every item whose last write carried one —
    for comparing a trace against a database snapshot. *)
 let final_values h =
-  let state : (Item.t, cell) Hashtbl.t = Hashtbl.create 64 in
-  let undos : (Txn.Incarnation.t, (Item.t * cell) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let cell item = Option.value ~default:{ writer = None; value = None } (Hashtbl.find_opt state item) in
-  History.iteri
-    (fun _ op ->
-      match op with
-      | Op.Dml { kind = Op.Write; inc; item; value; _ } ->
-          let u =
-            match Hashtbl.find_opt undos inc with
-            | Some u -> u
-            | None ->
-                let u = ref [] in
-                Hashtbl.replace undos inc u;
-                u
-          in
-          u := (item, cell item) :: !u;
-          Hashtbl.replace state item { writer = Some inc; value }
-      | Op.Local_abort inc -> (
-          match Hashtbl.find_opt undos inc with
-          | None -> ()
-          | Some u ->
-              List.iter (fun (item, before) -> Hashtbl.replace state item before) !u;
-              Hashtbl.remove undos inc)
-      | Op.Local_commit inc -> Hashtbl.remove undos inc
-      | _ -> ())
-    h;
-  Hashtbl.fold (fun item c acc -> match c.value with Some v -> (item, v) :: acc | None -> acc) state []
-  |> List.sort (fun (i1, _) (i2, _) -> Item.compare i1 i2)
+  let ix, values = replay h (fun _ _ _ _ -> ()) in
+  let finals = ref [] in
+  Array.iteri (fun k v -> Option.iter (fun v -> finals := (ix.History.items.(k), v) :: !finals) v) values;
+  List.sort (fun (i1, _) (i2, _) -> Item.compare i1 i2) !finals

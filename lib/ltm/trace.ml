@@ -19,8 +19,9 @@ let record t ~at op =
 let count t = t.count
 
 (* Events are appended in nondecreasing time order (the engine fires in
-   order), so a reverse is enough; [of_events] re-sorts by (time, seq)
-   anyway — the recording order is the explicit tie-break. *)
+   order), so a reverse is enough: [of_events] finds them in (time, seq)
+   order and does not sort — the recording order is the explicit
+   tie-break. *)
 let history t = History.of_events (List.rev t.events)
 
 (* Execution over several shards keeps one trace per shard; the

@@ -273,9 +273,15 @@ let test_uncommitted_dropped () =
 
 let test_of_events_sorts () =
   let e op at seq = { History.op; at = Time.of_int at; seq } in
-  let h = History.of_events [ e (lc i10a) 30 0; e (r i10a xa) 10 1; e (w i10a xa) 20 2 ] in
-  Alcotest.(check bool) "sorted by time" true
-    (History.ops h = [ r i10a xa; w i10a xa; lc i10a ])
+  let ordered = [ e (r i10a xa) 10 1; e (w i10a xa) 20 2; e (lc i10a) 30 0 ] in
+  List.iter
+    (fun (name, events) ->
+      Alcotest.(check bool) name true (History.ops (History.of_events events) = [ r i10a xa; w i10a xa; lc i10a ]))
+    [
+      ("sorted by time", [ e (lc i10a) 30 0; e (r i10a xa) 10 1; e (w i10a xa) 20 2 ]);
+      ("ordered input kept", ordered);
+      ("reversed input sorted", List.rev ordered);
+    ]
 
 let test_of_events_seq_tie_break () =
   (* Simultaneous events (different sites, equal tick) are ordered by the
@@ -285,7 +291,12 @@ let test_of_events_seq_tie_break () =
   let h1 = History.of_events [ e (r i10a xa) 0; e (r i10b zb) 1; e (w i10a xa) 2 ] in
   let h2 = History.of_events [ e (w i10a xa) 2; e (r i10b zb) 1; e (r i10a xa) 0 ] in
   Alcotest.(check bool) "list order irrelevant" true
-    (History.ops h1 = expected && History.ops h2 = expected)
+    (History.ops h1 = expected && History.ops h2 = expected);
+  (* an equal-time pair out of seq order, with an earlier event between *)
+  let at t op seq = { History.op; at = Time.of_int t; seq } in
+  let h3 = History.of_events [ at 10 (w i10a xa) 2; at 5 (r i10a xa) 0; at 10 (r i10b zb) 1 ] in
+  Alcotest.(check bool) "equal times ordered by seq" true
+    (History.ops h3 = [ r i10a xa; r i10b zb; w i10a xa ])
 
 let test_projection_site () =
   let ha = Projection.site h1 a in
@@ -781,6 +792,405 @@ let prop_committed_idempotent =
       History.ops once = History.ops twice)
 
 (* ------------------------------------------------------------------ *)
+(* The checkers before the dense index                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The history index, C(H), the replay, the value checks and the greedy
+   CG as they were before the checkers read one dense index per history:
+   a Hashtbl of position lists per transaction, tuple-keyed tables, and
+   polymorphic Txn/Incarnation/Item tables. Kept verbatim, reading the
+   history through its public API (and with the index rebuilt on every
+   query), as the references the index-based checkers must agree with. *)
+module Reference = struct
+  (* --- History: the per-transaction index and its accessors --- *)
+
+  type index = {
+    order : Txn.t list;  (* first-appearance order *)
+    positions : (Txn.t, int array) Hashtbl.t;  (* ascending op positions *)
+  }
+
+  (* One pass over the history: first-appearance order and the positions of
+     every transaction's operations. *)
+  let build_index t =
+    let positions_rev : (Txn.t, int list ref) Hashtbl.t = Hashtbl.create 16 in
+    let order = ref [] in
+    History.iteri
+      (fun i op ->
+        let x = Op.txn op in
+        match Hashtbl.find_opt positions_rev x with
+        | Some l -> l := i :: !l
+        | None ->
+            Hashtbl.add positions_rev x (ref [ i ]);
+            order := x :: !order)
+      t;
+    let positions = Hashtbl.create (Hashtbl.length positions_rev) in
+    Hashtbl.iter
+      (fun x l -> Hashtbl.replace positions x (Array.of_list (List.rev !l)))
+      positions_rev;
+    { order = List.rev !order; positions }
+
+  let index = build_index
+
+  (* Transactions in order of first appearance. *)
+  let txns t = (index t).order
+
+  let global_txns t = List.filter Txn.is_global (txns t)
+  let local_txns t = List.filter Txn.is_local (txns t)
+
+  let positions_of_txn t x =
+    match Hashtbl.find_opt (index t).positions x with Some ps -> ps | None -> [||]
+
+  let fold_ops_of_txn t x f init =
+    Array.fold_left (fun acc i -> f acc (History.get t i)) init (positions_of_txn t x)
+
+  let ops_of_txn t x = List.rev (fold_ops_of_txn t x (fun acc op -> op :: acc) [])
+
+  let sites_of_txn t x =
+    fold_ops_of_txn t x
+      (fun acc op -> match Op.site op with Some s -> Site.Set.add s acc | None -> acc)
+      Site.Set.empty
+    |> Site.Set.elements
+
+  (* Incarnation indices of [x] at [site], ascending. *)
+  let incarnations_at t x ~site =
+    fold_ops_of_txn t x
+      (fun acc op ->
+        match Op.incarnation op with
+        | Some inc when Txn.equal inc.Txn.Incarnation.txn x && Site.equal inc.site site ->
+            if List.mem inc.inc acc then acc else inc.inc :: acc
+        | _ -> acc)
+      []
+    |> List.sort Int.compare
+
+  let final_incarnation_at t x ~site =
+    match List.rev (incarnations_at t x ~site) with
+    | [] -> None
+    | k :: _ -> Some (Txn.Incarnation.make ~txn:x ~site ~inc:k)
+
+  let is_globally_committed t x =
+    match x with
+    | Txn.Global _ ->
+        fold_ops_of_txn t x
+          (fun acc op -> acc || match op with Op.Global_commit y -> Txn.equal x y | _ -> false)
+          false
+    | Txn.Local _ ->
+        fold_ops_of_txn t x
+          (fun acc op ->
+            acc || match op with Op.Local_commit inc -> Txn.equal inc.Txn.Incarnation.txn x | _ -> false)
+          false
+
+  let locally_committed t inc =
+    fold_ops_of_txn t inc.Txn.Incarnation.txn
+      (fun acc op -> acc || match op with Op.Local_commit j -> Txn.Incarnation.equal inc j | _ -> false)
+      false
+
+  let is_complete t x =
+    is_globally_committed t x
+    && List.for_all
+         (fun site ->
+           match final_incarnation_at t x ~site with
+           | None -> true
+           | Some inc -> locally_committed t inc)
+         (sites_of_txn t x)
+
+  (* --- Committed: C(H) through tuple-keyed tables --- *)
+
+  module Inc_key = struct
+    type t = Txn.t * Site.t * int
+  end
+
+  let committed_index h =
+    let globally_committed : (Txn.t, unit) Hashtbl.t = Hashtbl.create 64 in
+    let committed_inc : (Inc_key.t, unit) Hashtbl.t = Hashtbl.create 64 in
+    let max_inc : (Txn.t * Site.t, int) Hashtbl.t = Hashtbl.create 64 in
+    History.iteri
+      (fun _ op ->
+        (match Op.incarnation op with
+        | Some inc ->
+            let key = (inc.Txn.Incarnation.txn, inc.site) in
+            let prev = Option.value ~default:(-1) (Hashtbl.find_opt max_inc key) in
+            if inc.inc > prev then Hashtbl.replace max_inc key inc.inc
+        | None -> ());
+        match op with
+        | Op.Global_commit txn -> Hashtbl.replace globally_committed txn ()
+        | Op.Local_commit inc ->
+            Hashtbl.replace committed_inc (inc.Txn.Incarnation.txn, inc.site, inc.inc) ();
+            if Txn.is_local inc.txn then Hashtbl.replace globally_committed inc.txn ()
+        | _ -> ())
+      h;
+    (globally_committed, committed_inc, max_inc)
+
+  let keep_set h =
+    let globally_committed, committed_inc, max_inc = committed_index h in
+    let keep : (Txn.t, unit) Hashtbl.t = Hashtbl.create 64 in
+    let incomplete : (Txn.t, unit) Hashtbl.t = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun (t, site) m -> if not (Hashtbl.mem committed_inc (t, site, m)) then Hashtbl.replace incomplete t ())
+      max_inc;
+    Hashtbl.iter
+      (fun txn () -> if not (Hashtbl.mem incomplete txn) then Hashtbl.replace keep txn ())
+      globally_committed;
+    keep
+
+  let extended h =
+    let keep = keep_set h in
+    History.filter (fun op -> Hashtbl.mem keep (Op.txn op)) h
+
+  let classical h =
+    let c = extended h in
+    let aborted : (Inc_key.t, unit) Hashtbl.t = Hashtbl.create 16 in
+    History.iteri
+      (fun _ op ->
+        match op with
+        | Op.Local_abort inc -> Hashtbl.replace aborted (inc.Txn.Incarnation.txn, inc.site, inc.inc) ()
+        | _ -> ())
+      c;
+    History.filter
+      (fun op ->
+        match Op.incarnation op with
+        | Some inc -> not (Hashtbl.mem aborted (inc.Txn.Incarnation.txn, inc.site, inc.inc))
+        | None -> true)
+      c
+
+  (* --- Replay: polymorphic per-item and per-incarnation tables --- *)
+
+  type undo = (Item.t * Txn.Incarnation.t option) list
+
+  let replay h =
+    let state : (Item.t, Txn.Incarnation.t option) Hashtbl.t = Hashtbl.create 64 in
+    let undos : (Txn.Incarnation.t, undo ref) Hashtbl.t = Hashtbl.create 16 in
+    let occurrences : (Txn.Incarnation.t * Item.t, int) Hashtbl.t = Hashtbl.create 64 in
+    let reads = ref [] in
+    let writer item = match Hashtbl.find_opt state item with Some w -> w | None -> None in
+    let undo_of inc =
+      match Hashtbl.find_opt undos inc with
+      | Some u -> u
+      | None ->
+          let u = ref [] in
+          Hashtbl.replace undos inc u;
+          u
+    in
+    History.iteri
+      (fun _ op ->
+        match op with
+        | Op.Dml { kind = Read; inc; item; _ } ->
+            let occ = Option.value ~default:0 (Hashtbl.find_opt occurrences (inc, item)) in
+            Hashtbl.replace occurrences (inc, item) (occ + 1);
+            reads := { Replay.reader = inc; item; occurrence = occ; from = writer item } :: !reads
+        | Op.Dml { kind = Write; inc; item; _ } ->
+            let u = undo_of inc in
+            u := (item, writer item) :: !u;
+            Hashtbl.replace state item (Some inc)
+        | Op.Local_abort inc -> (
+            match Hashtbl.find_opt undos inc with
+            | None -> ()
+            | Some u ->
+                List.iter (fun (item, before) -> Hashtbl.replace state item before) !u;
+                Hashtbl.remove undos inc)
+        | Op.Local_commit inc -> Hashtbl.remove undos inc
+        | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ())
+      h;
+    let final = Hashtbl.fold Item.Map.add state Item.Map.empty in
+    let uncommitted = Hashtbl.fold (fun inc _ acc -> inc :: acc) undos [] in
+    { Replay.reads = List.rev !reads; final; uncommitted }
+
+  (* --- Values: (writer, value) cells in polymorphic tables --- *)
+
+  type cell = { writer : Txn.Incarnation.t option; value : int option }
+
+  let check h =
+    let state : (Item.t, cell) Hashtbl.t = Hashtbl.create 64 in
+    let undos : (Txn.Incarnation.t, (Item.t * cell) list ref) Hashtbl.t = Hashtbl.create 16 in
+    let cell item = Option.value ~default:{ writer = None; value = None } (Hashtbl.find_opt state item) in
+    let violations = ref [] in
+    History.iteri
+      (fun index op ->
+        match op with
+        | Op.Dml { kind = Op.Read; item; from; value; _ } ->
+            if value <> None then begin
+              let c = cell item in
+              let from_ok = Stdlib.( = ) from c.writer in
+              let value_ok =
+                match (value, c.value) with Some v, Some v' -> v = v' | None, _ | _, None -> true
+              in
+              if not (from_ok && value_ok) then
+                violations :=
+                  { Values.read = op; index; expected_from = c.writer; expected_value = c.value }
+                  :: !violations
+            end
+        | Op.Dml { kind = Op.Write; inc; item; value; _ } ->
+            let u =
+              match Hashtbl.find_opt undos inc with
+              | Some u -> u
+              | None ->
+                  let u = ref [] in
+                  Hashtbl.replace undos inc u;
+                  u
+            in
+            u := (item, cell item) :: !u;
+            Hashtbl.replace state item { writer = Some inc; value }
+        | Op.Local_abort inc -> (
+            match Hashtbl.find_opt undos inc with
+            | None -> ()
+            | Some u ->
+                List.iter (fun (item, before) -> Hashtbl.replace state item before) !u;
+                Hashtbl.remove undos inc)
+        | Op.Local_commit inc -> Hashtbl.remove undos inc
+        | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ())
+      h;
+    List.rev !violations
+
+  let final_values h =
+    let state : (Item.t, cell) Hashtbl.t = Hashtbl.create 64 in
+    let undos : (Txn.Incarnation.t, (Item.t * cell) list ref) Hashtbl.t = Hashtbl.create 16 in
+    let cell item = Option.value ~default:{ writer = None; value = None } (Hashtbl.find_opt state item) in
+    History.iteri
+      (fun _ op ->
+        match op with
+        | Op.Dml { kind = Op.Write; inc; item; value; _ } ->
+            let u =
+              match Hashtbl.find_opt undos inc with
+              | Some u -> u
+              | None ->
+                  let u = ref [] in
+                  Hashtbl.replace undos inc u;
+                  u
+            in
+            u := (item, cell item) :: !u;
+            Hashtbl.replace state item { writer = Some inc; value }
+        | Op.Local_abort inc -> (
+            match Hashtbl.find_opt undos inc with
+            | None -> ()
+            | Some u ->
+                List.iter (fun (item, before) -> Hashtbl.replace state item before) !u;
+                Hashtbl.remove undos inc)
+        | Op.Local_commit inc -> Hashtbl.remove undos inc
+        | _ -> ())
+      h;
+    Hashtbl.fold (fun item c acc -> match c.value with Some v -> (item, v) :: acc | None -> acc) state []
+    |> List.sort (fun (i1, _) (i2, _) -> Item.compare i1 i2)
+
+  (* --- Commit_order_graph: greedy emission over Txn-keyed tables --- *)
+
+  let commit_sequences h =
+    let per_site : (Site.t, Txn.t list ref) Hashtbl.t = Hashtbl.create 8 in
+    History.iteri
+      (fun _ op ->
+        match op with
+        | Op.Local_commit inc -> (
+            let s = inc.Txn.Incarnation.site in
+            match Hashtbl.find_opt per_site s with
+            | Some l -> l := inc.txn :: !l
+            | None -> Hashtbl.add per_site s (ref [ inc.txn ]))
+        | _ -> ())
+      h;
+    Hashtbl.fold
+      (fun _ l acc ->
+        let seen = Hashtbl.create 8 in
+        let dedup =
+          List.filter
+            (fun x ->
+              if Hashtbl.mem seen x then false
+              else begin
+                Hashtbl.add seen x ();
+                true
+              end)
+            (List.rev !l)
+        in
+        Array.of_list dedup :: acc)
+      per_site []
+
+  let emit h =
+    let seqs = Array.of_list (commit_sequences h) in
+    let n_seqs = Array.length seqs in
+    let heads = Array.make n_seqs 0 in
+    let appears : (Txn.t, int) Hashtbl.t = Hashtbl.create 64 in
+    let at_head : (Txn.t, int) Hashtbl.t = Hashtbl.create 64 in
+    let bump tbl x d = Hashtbl.replace tbl x (d + Option.value ~default:0 (Hashtbl.find_opt tbl x)) in
+    Array.iter (fun seq -> Array.iter (fun x -> bump appears x 1) seq) seqs;
+    let total = Hashtbl.length appears in
+    let ready = Queue.create () in
+    let check_ready x = if Hashtbl.find at_head x = Hashtbl.find appears x then Queue.add x ready in
+    Array.iter
+      (fun seq ->
+        if Array.length seq > 0 then begin
+          bump at_head seq.(0) 1;
+          check_ready seq.(0)
+        end)
+      seqs;
+    let emitted : (Txn.t, unit) Hashtbl.t = Hashtbl.create 64 in
+    let order = ref [] in
+    let advance i =
+      let seq = seqs.(i) in
+      while heads.(i) < Array.length seq && Hashtbl.mem emitted seq.(heads.(i)) do
+        heads.(i) <- heads.(i) + 1;
+        if heads.(i) < Array.length seq then begin
+          let x = seq.(heads.(i)) in
+          bump at_head x 1;
+          check_ready x
+        end
+      done
+    in
+    while not (Queue.is_empty ready) do
+      let x = Queue.pop ready in
+      if not (Hashtbl.mem emitted x) then begin
+        Hashtbl.add emitted x ();
+        order := x :: !order;
+        for i = 0 to n_seqs - 1 do
+          advance i
+        done
+      end
+    done;
+    if Hashtbl.length emitted = total then Ok (List.rev !order)
+    else begin
+      let head_of i = seqs.(i).(heads.(i)) in
+      let contains_unemitted i x =
+        let seq = seqs.(i) in
+        let rec go j = j < Array.length seq && (Txn.equal seq.(j) x || go (j + 1)) in
+        go heads.(i)
+      in
+      let blocker x =
+        let rec find i =
+          if i >= n_seqs then assert false
+          else if
+            heads.(i) < Array.length seqs.(i)
+            && (not (Txn.equal (head_of i) x))
+            && contains_unemitted i x
+          then head_of i
+          else find (i + 1)
+        in
+        find 0
+      in
+      let start =
+        let rec find i =
+          if i >= n_seqs then assert false
+          else if heads.(i) < Array.length seqs.(i) then head_of i
+          else find (i + 1)
+        in
+        find 0
+      in
+      let seen = Hashtbl.create 16 in
+      let rec walk path x =
+        if Hashtbl.mem seen x then begin
+          let rec take acc = function
+            | [] -> acc
+            | y :: rest -> if Txn.equal y x then List.rev (y :: acc) else take (y :: acc) rest
+          in
+          take [] path
+        end
+        else begin
+          Hashtbl.add seen x ();
+          walk (x :: path) (blocker x)
+        end
+      in
+      Error (walk [] start)
+    end
+
+  let find_cycle h = match emit h with Ok _ -> None | Error cycle -> Some cycle
+  let serialization_order h = match emit h with Ok order -> Some order | Error _ -> None
+end
+
+(* ------------------------------------------------------------------ *)
 (* Checkers against their pairwise / list-lookup references            *)
 (* ------------------------------------------------------------------ *)
 
@@ -896,9 +1306,10 @@ let test_rigorous_projection_indices () =
   | other -> Alcotest.failf "expected two sites, got %d" (List.length other)
 
 (* Global view distortions as first written: reads-from rebuilt through
-   tuple-keyed tables, footprints looked up by a scan of the whole list. *)
+   tuple-keyed tables, footprints looked up by a scan of the whole list,
+   over the reference replay and accessors. *)
 let footprints_reference h =
-  let outcome = Replay.run h in
+  let outcome = Reference.replay h in
   let reads_tbl = Hashtbl.create 64 in
   List.iter
     (fun (rd : Replay.logical_read) -> Hashtbl.replace reads_tbl (rd.l_reader, rd.l_item, rd.l_occurrence) rd.l_from)
@@ -944,7 +1355,7 @@ let distortions_reference h =
       if Txn.is_global txn then
         List.iter
           (fun site ->
-            match History.incarnations_at h txn ~site with
+            match Reference.incarnations_at h txn ~site with
             | [] | [ _ ] -> ()
             | base :: rest -> (
                 match lookup txn site base with
@@ -953,7 +1364,7 @@ let distortions_reference h =
                     List.iter
                       (fun k ->
                         let steps = Option.value ~default:[] (lookup txn site k) in
-                        let committed = History.locally_committed h (inc txn site k) in
+                        let committed = Reference.locally_committed h (inc txn site k) in
                         let shapes l = List.map (fun (s : Anomaly.step) -> (s.kind, s.item)) l in
                         let rec is_prefix = function
                           | [], _ -> true
@@ -978,8 +1389,8 @@ let distortions_reference h =
                                   :: !out)
                             steps)
                       rest))
-          (History.sites_of_txn h txn))
-    (History.txns h);
+          (Reference.sites_of_txn h txn))
+    (Reference.txns h);
   List.rev !out
 
 (* Random histories with resubmission: per (global, site) a command list,
@@ -1070,6 +1481,152 @@ let test_resubmission_generator_distorts () =
   Alcotest.(check bool) "different views" true
     (List.exists (function `Different_view _ -> true | `Different_decomposition -> false) reasons);
   Alcotest.(check bool) "different decompositions" true (List.mem `Different_decomposition reasons)
+
+(* Value annotations for a generated history: a write installs a value
+   fixed by its incarnation and item, or none; a read carries the writer
+   the reference replay saw and that writer's value, except that about
+   one read in five names a wrong writer or a wrong value. So the value
+   checks see agreeing and disagreeing reads alike. *)
+let with_values rng h =
+  let value_of (w : Txn.Incarnation.t) item = 1 + (Hashtbl.hash (Txn.Incarnation.show w, Item.show item) mod 97) in
+  let incs =
+    Array.of_list (List.sort_uniq Txn.Incarnation.compare (List.filter_map Op.incarnation (History.ops h)))
+  in
+  let reads = ref (Reference.replay h).Replay.reads in
+  History.of_ops
+    (List.map
+       (fun op ->
+         match op with
+         | Op.Dml { kind = Op.Write; inc; item; _ } ->
+             if Rng.bool rng ~p:0.1 then Op.write ~inc ~item () else Op.write ~value:(value_of inc item) ~inc ~item ()
+         | Op.Dml { kind = Op.Read; inc; item; _ } -> (
+             let from = (List.hd !reads).Replay.from in
+             reads := List.tl !reads;
+             let value = Option.fold ~none:0 ~some:(fun w -> value_of w item) from in
+             match Rng.int rng ~bound:10 with
+             | 0 -> Op.read ~value ~inc ~item ~from:(Some (Rng.choice rng incs)) ()
+             | 1 -> Op.read ~value:(value + 1) ~inc ~item ~from ()
+             | _ -> Op.read ~value ~inc ~item ~from ())
+         | op -> op)
+       (History.ops h))
+
+(* Global commits for about two thirds of a history's global
+   transactions, appended. Random LTM histories have none; with them,
+   some transactions are complete and some are not, as their final
+   incarnation at some site did or did not commit. *)
+let with_global_commits rng h =
+  History.append h
+    (History.of_ops
+       (List.filter_map
+          (fun x -> if Txn.is_global x && Rng.bool rng ~p:0.7 then Some (gc x) else None)
+          (Reference.txns h)))
+
+(* Every output the dense index serves, from the checkers on [h] and from
+   the references on [r], which must hold the same operations. The
+   per-transaction accessors are asked about every transaction and site
+   of [r] and about an absent transaction, site and incarnation. *)
+let agrees_with_reference ~reference:r h =
+  let absent = Txn.global 999 in
+  let incs = List.sort_uniq Txn.Incarnation.compare (List.filter_map Op.incarnation (History.ops r)) in
+  let outcome (o : Replay.outcome) =
+    (o.reads, Item.Map.bindings o.final, List.sort Txn.Incarnation.compare o.uncommitted)
+  in
+  let same_txn x =
+    History.ops_of_txn h x = Reference.ops_of_txn r x
+    && History.sites_of_txn h x = Reference.sites_of_txn r x
+    && History.is_globally_committed h x = Reference.is_globally_committed r x
+    && History.is_complete h x = Reference.is_complete r x
+    && List.for_all
+         (fun site ->
+           History.incarnations_at h x ~site = Reference.incarnations_at r x ~site
+           && History.final_incarnation_at h x ~site = Reference.final_incarnation_at r x ~site)
+         (Site.of_int 7 :: Reference.sites_of_txn r x)
+  in
+  History.ops h = History.ops r
+  && History.txns h = Reference.txns r
+  && History.global_txns h = Reference.global_txns r
+  && History.local_txns h = Reference.local_txns r
+  && List.for_all same_txn (absent :: Reference.txns r)
+  && List.for_all
+       (fun i -> History.locally_committed h i = Reference.locally_committed r i)
+       (inc absent a 0 :: incs)
+  && History.ops (Committed.classical h) = History.ops (Reference.classical r)
+  && Commit_order_graph.find_cycle h = Reference.find_cycle r
+  && Commit_order_graph.serialization_order h = Reference.serialization_order r
+  && Values.check h = Reference.check r
+  && Values.consistent h = (Reference.check r = [])
+  && Values.final_values h = Reference.final_values r
+  && outcome (Replay.run h) = outcome (Reference.replay r)
+
+(* H, C(H) as the index restricts it, and C(H) indexed afresh. *)
+let index_matches_reference h =
+  let c = Committed.extended h and c_ref = Reference.extended h in
+  agrees_with_reference ~reference:h h
+  && agrees_with_reference ~reference:c_ref c
+  && agrees_with_reference ~reference:c_ref (History.of_ops (History.ops c))
+
+let prop_index_matches_reference_resubmission =
+  QCheck.Test.make ~name:"resubmission histories: dense index = the checkers before it" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      index_matches_reference (with_values rng (random_resubmission_history rng)))
+
+let prop_index_matches_reference_multi_site =
+  QCheck.Test.make ~name:"multi-site histories: dense index = the checkers before it" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      index_matches_reference (with_values rng (with_global_commits rng (random_ltm_history rng ~n_sites:3))))
+
+(* The two properties' inputs hold what the index must get right:
+   committed transactions that are incomplete, CG cycles in C(H), and
+   value checks that pass and that fail. *)
+let test_index_generators_cover () =
+  let inputs =
+    List.concat_map
+      (fun seed ->
+        let rng = Rng.create ~seed and rng' = Rng.create ~seed in
+        [
+          with_values rng (random_resubmission_history rng);
+          with_values rng' (with_global_commits rng' (random_ltm_history rng' ~n_sites:3));
+        ])
+      (List.init 300 Fun.id)
+  in
+  let some name f = Alcotest.(check bool) name true (List.exists f inputs) in
+  some "a committed, incomplete transaction" (fun h ->
+      List.exists
+        (fun x -> Reference.is_globally_committed h x && not (Reference.is_complete h x))
+        (Reference.txns h));
+  some "a CG cycle in C(H)" (fun h -> Reference.find_cycle (Reference.extended h) <> None);
+  some "an aborted incarnation in C(H)" (fun h ->
+      History.exists (function Op.Local_abort _ -> true | _ -> false) (Reference.extended h));
+  some "a value mismatch" (fun h -> Reference.check h <> []);
+  some "consistent values with reads" (fun h -> Reference.check h = [] && History.exists Op.is_read h)
+
+(* A transaction id beyond any hash table's size, a transaction seen only
+   through its global abort, a local commit recorded twice at one site,
+   and a site where a transaction only prepared. *)
+let test_index_edge_cases () =
+  let big = Txn.global 1_000_000_000 and t9 = g 9 in
+  let ib = inc big a 0 in
+  let h =
+    History.of_ops
+      [ w ib xa; p big a; p big b; lc ib; lc ib; gc big; Op.Global_abort t9; r i20a xa; lc i20a; gc t2 ]
+  in
+  let c = Committed.extended h in
+  let show = List.map Txn.show in
+  Alcotest.(check bool) "H agrees with the reference" true (agrees_with_reference ~reference:h h);
+  Alcotest.(check bool) "C(H) agrees with the reference" true
+    (agrees_with_reference ~reference:(Reference.extended h) c);
+  Alcotest.(check (list string)) "H's transactions" [ "T1000000000"; "T9"; "T2" ] (show (History.txns h));
+  Alcotest.(check (list string)) "C(H) drops T9" [ "T1000000000"; "T2" ] (show (History.txns c));
+  Alcotest.(check (list string)) "the prepare-only site counts" [ "a"; "b" ]
+    (List.map Site.show (History.sites_of_txn h big));
+  Alcotest.(check (list int)) "but holds no incarnation" [] (History.incarnations_at h big ~site:b);
+  Alcotest.(check bool) "complete" true (History.is_complete h big);
+  Alcotest.(check (option (list string))) "the duplicate commit orders nothing" (Some [ "T1000000000"; "T2" ])
+    (Option.map show (Commit_order_graph.serialization_order c))
 
 (* SG(H) as first written: an edge for every pair of same-item
    operations, in history order, that [Op.conflicts]. *)
@@ -1281,6 +1838,13 @@ let () =
         [
           Alcotest.test_case "generator exercises both reasons" `Quick test_resubmission_generator_distorts;
           q prop_distortions_match_reference;
+        ] );
+      ( "index-reference",
+        [
+          Alcotest.test_case "edge cases" `Quick test_index_edge_cases;
+          Alcotest.test_case "generators cover" `Quick test_index_generators_cover;
+          q prop_index_matches_reference_resubmission;
+          q prop_index_matches_reference_multi_site;
         ] );
       ( "sg-reference",
         [
