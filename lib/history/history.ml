@@ -34,14 +34,11 @@ type dense = { ix : index; find : Txn.t -> int; mutable by_txn : (int array * in
 type t = { ops : Op.t array; mutable dense : dense option }
 
 let of_ops ops = { ops = Array.of_list ops; dense = None }
+let of_array ops = { ops; dense = None }
 
-(* Events come in (at, seq) order from a single trace, so the sort runs
-   only when some neighbouring pair is out of order. *)
 let of_events events =
   let compare a b = match Time.compare a.at b.at with 0 -> Int.compare a.seq b.seq | c -> c in
-  let rec ordered = function a :: (b :: _ as rest) -> compare a b <= 0 && ordered rest | [ _ ] | [] -> true in
-  let events = if ordered events then events else List.sort compare events in
-  of_ops (List.map (fun e -> e.op) events)
+  of_ops (List.map (fun e -> e.op) (List.sort compare events))
 
 let ops t = Array.to_list t.ops
 let length t = Array.length t.ops

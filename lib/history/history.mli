@@ -10,9 +10,14 @@ type event = { op : Op.t; at : Time.t; seq : int }
 type t
 
 val of_ops : Op.t list -> t
+
+val of_array : Op.t array -> t
+(** The history whose operations are the array's, in order. The history
+    takes the array over without a copy: the caller must not change it
+    afterwards. *)
+
 val of_events : event list -> t
-(** Orders by [(at, seq)] — a total, explicit order. Input already in
-    that order (one trace, recorded in engine order) is taken as is. *)
+(** Orders by [(at, seq)] — a total, explicit order. *)
 
 val ops : t -> Op.t list
 val length : t -> int

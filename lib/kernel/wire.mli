@@ -15,7 +15,9 @@ val pp_address : address Fmt.t
 val equal_address : address -> address -> bool
 
 val hash_address : address -> int
-(** A hash consistent with {!equal_address}, for typed hash tables. *)
+(** A hash consistent with {!equal_address}, for typed hash tables. The
+    strided gids of one execution shard spread over a table's buckets,
+    and consecutive gids get neighbouring ones. *)
 
 (** Why a Participant refused PREPARE (or a baseline scheduler refused
     service). *)

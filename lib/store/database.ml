@@ -43,10 +43,22 @@ let restore t ~table:name ~key before =
   let tbl = table t name in
   match before with None -> Hashtbl.remove tbl key | Some row -> Hashtbl.replace tbl key row
 
+(* A range narrower than the table probes its keys, from [hi] down so the
+   list comes out ascending; any other range folds the rows and sorts.
+   [hi - lo] is negative when [lo > hi] or the width overflows. *)
 let keys_in_range t ~table:name ~lo ~hi =
   let tbl = table t name in
-  Hashtbl.fold (fun k _ acc -> if lo <= k && k <= hi then k :: acc else acc) tbl []
-  |> List.sort Int.compare
+  let width = hi - lo in
+  if width >= 0 && width < Hashtbl.length tbl then begin
+    let keys = ref [] in
+    for k = hi downto lo do
+      if Hashtbl.mem tbl k then keys := k :: !keys
+    done;
+    !keys
+  end
+  else
+    Hashtbl.fold (fun k _ acc -> if lo <= k && k <= hi then k :: acc else acc) tbl []
+    |> List.sort Int.compare
 
 let mem t ~table:name ~key = Hashtbl.mem (table t name) key
 

@@ -320,6 +320,24 @@ let test_comparators_do_not_allocate () =
       Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0. (minor_words_of f))
     cases
 
+(* Shard x of k allocates the gids x + 1 + k * c. The 128 gids of every
+   shard must spread over a 128-bucket table (the hash masked to its low
+   7 bits, as [Hashtbl.Make] does) with at most 8 in any bucket; with the
+   hash [gid * 3] a shard of 64 put all 128 into 2 buckets. *)
+let test_hash_address_spreads_strided_gids () =
+  List.iter
+    (fun k ->
+      for x = 0 to k - 1 do
+        let buckets = Array.make 128 0 in
+        for c = 0 to 127 do
+          let b = Wire.hash_address (Wire.Coordinator (x + 1 + (k * c))) land 127 in
+          buckets.(b) <- buckets.(b) + 1
+        done;
+        let worst = Array.fold_left max 0 buckets in
+        if worst > 8 then Alcotest.failf "k = %d, shard %d: %d gids in one bucket" k x worst
+      done)
+    [ 1; 16; 64 ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kernel"
@@ -368,6 +386,9 @@ let () =
           Alcotest.test_case "skew" `Quick test_clock_skew;
           q prop_clock_monotone;
         ] );
+      ( "wire",
+        [ Alcotest.test_case "strided gids spread over buckets" `Quick test_hash_address_spreads_strided_gids ]
+      );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

@@ -722,6 +722,115 @@ let test_nonrigorous_ablation () =
   done;
   Alcotest.(check bool) "ablation breaks rigorousness" true !found
 
+(* ------------------------------------------------------------------ *)
+(* Trace                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The trace as it was before columnar storage, kept verbatim as the
+   reference: a list of events, reversed into a history on one shard,
+   re-tagged and sorted across several. *)
+module Trace_reference = struct
+  type t = { mutable events : History.event list; mutable count : int }
+
+  let create () = { events = []; count = 0 }
+
+  let record t ~at op =
+    t.events <- { History.op; at; seq = t.count } :: t.events;
+    t.count <- t.count + 1
+
+  let history t = History.of_events (List.rev t.events)
+
+  let merged = function
+    | [ t ] -> history t
+    | ts ->
+        let n = List.length ts in
+        let events =
+          List.concat
+            (List.mapi
+               (fun shard t ->
+                 List.rev_map
+                   (fun (e : History.event) -> { e with History.seq = (e.seq * n) + shard })
+                   t.events)
+               ts)
+        in
+        History.of_events events
+end
+
+(* An operation that names its shard and recording position, so any
+   misplaced operation shows. *)
+let trace_op shard i = Op.Global_commit (Txn.global ((shard * 100_000) + i))
+
+(* One shard's recording: timestamps that mostly stay put (heavy ties
+   within and across shards), lengths from empty to past one chunk, and
+   sometimes a timestamp that goes back, as only a hand-built trace
+   does. *)
+let gen_shard =
+  let open QCheck.Gen in
+  let* len = frequency [ (1, return 0); (6, int_bound 40); (1, int_range 250 600) ] in
+  let* steps = list_repeat len (frequency [ (4, return 0); (2, int_range 1 3); (1, return 50) ]) in
+  let* back = frequency [ (9, return None); (1, map Option.some (int_bound (max 0 (len - 1)))) ] in
+  let ats = List.rev (snd (List.fold_left (fun (at, acc) d -> (at + d, (at + d) :: acc)) (0, []) steps)) in
+  return (List.mapi (fun i at -> if Some i = back then max 0 (at - 60) else at) ats)
+
+let record_shards shards =
+  let columnar = List.map (fun _ -> Trace.create ()) shards in
+  let reference = List.map (fun _ -> Trace_reference.create ()) shards in
+  List.iteri
+    (fun x ats ->
+      List.iteri
+        (fun i at ->
+          Trace.record (List.nth columnar x) ~at:(Time.of_int at) (trace_op x i);
+          Trace_reference.record (List.nth reference x) ~at:(Time.of_int at) (trace_op x i))
+        ats)
+    shards;
+  (columnar, reference)
+
+let prop_trace_matches_reference =
+  QCheck.Test.make ~name:"history and merged = list-and-sort reference" ~count:1000
+    QCheck.(
+      make
+        ~print:Print.(list (fun ats -> Printf.sprintf "%d events: %s" (List.length ats) (list int ats)))
+        Gen.(int_range 1 8 >>= fun k -> list_repeat k gen_shard))
+    (fun shards ->
+      let columnar, reference = record_shards shards in
+      List.for_all2
+        (fun t r -> History.ops (Trace.history t) = History.ops (Trace_reference.history r))
+        columnar reference
+      && History.ops (Trace.merged columnar) = History.ops (Trace_reference.merged reference))
+
+let test_trace_out_of_order () =
+  (* Hand-built: timestamps go back, so recording order is not (at, seq)
+     order and the history is sorted, equal times by recording order. *)
+  let t = Trace.create () in
+  List.iteri (fun i at -> Trace.record t ~at:(Time.of_int at) (trace_op 0 i)) [ 30; 10; 20; 10; 30 ];
+  let expected = List.map (trace_op 0) [ 1; 3; 2; 0; 4 ] in
+  Alcotest.(check bool) "history in (at, seq) order" true (History.ops (Trace.history t) = expected);
+  let u = Trace.create () in
+  List.iteri (fun i at -> Trace.record u ~at:(Time.of_int at) (trace_op 1 i)) [ 10; 20 ];
+  Alcotest.(check bool) "merged in (at, seq, shard) order" true
+    (History.ops (Trace.merged [ t; u ])
+    = [ trace_op 1 0; trace_op 0 1; trace_op 0 3; trace_op 1 1; trace_op 0 2; trace_op 0 0; trace_op 0 4 ])
+
+let test_trace_snapshot_unchanged () =
+  (* A history taken mid-run owns its operations: later records, in the
+     same chunk or past it, leave it as it was. *)
+  let t = Trace.create () and u = Trace.create () in
+  let record n =
+    for i = Trace.count t to Trace.count t + n - 1 do
+      Trace.record t ~at:(Time.of_int i) (trace_op 0 i);
+      Trace.record u ~at:(Time.of_int i) (trace_op 1 i)
+    done
+  in
+  record 300;
+  let h = Trace.history t and m = Trace.merged [ t; u ] in
+  let h_ops = History.ops h and m_ops = History.ops m in
+  record 500;
+  Alcotest.(check int) "history length" 300 (History.length h);
+  Alcotest.(check bool) "history unchanged" true (History.ops h = h_ops);
+  Alcotest.(check bool) "merged unchanged" true (History.ops m = m_ops);
+  Alcotest.(check bool) "history is the first 300 records" true (h_ops = List.init 300 (trace_op 0));
+  Alcotest.(check int) "trace kept recording" 800 (History.length (Trace.history t))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "ltm"
@@ -778,4 +887,10 @@ let () =
       ( "rigorousness",
         [ q prop_s2pl_rigorous; Alcotest.test_case "non-rigorous ablation" `Quick test_nonrigorous_ablation ]
       );
+      ( "trace",
+        [
+          q prop_trace_matches_reference;
+          Alcotest.test_case "out-of-order trace sorted" `Quick test_trace_out_of_order;
+          Alcotest.test_case "mid-run history unchanged" `Quick test_trace_snapshot_unchanged;
+        ] );
     ]

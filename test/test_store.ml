@@ -117,6 +117,40 @@ let prop_rollback_restores =
       Undo.rollback u db;
       Database.snapshot db = snapshot_before)
 
+(* [Database.keys_in_range] as it was before range probes: fold every
+   row, keep those in range, sort. *)
+let keys_in_range_reference db ~table ~lo ~hi =
+  Database.snapshot db
+  |> List.filter_map (fun (item, _) ->
+         let k = Item.key item in
+         if Item.table item = table && lo <= k && k <= hi then Some k else None)
+  |> List.sort Int.compare
+
+(* Property: probing the range and folding the table agree, on tables
+   that are empty, have deleted rows, and are narrower or wider than the
+   range, including ranges with [lo > hi] and ranges whose width
+   overflows. *)
+let prop_range_probe_matches_fold =
+  let bound = QCheck.Gen.(oneof [ int_range (-5) 45; oneofl [ min_int; max_int; -1; 0 ] ]) in
+  QCheck.Test.make ~name:"range probe = fold and sort" ~count:1000
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            fun (ws, ds, (lo, hi)) ->
+              Printf.sprintf "writes %s, deletes %s, [%d, %d]" (list int ws) (list int ds) lo hi)
+        Gen.(
+          triple
+            (list_size (int_bound 60) (int_range (-5) 40))
+            (list_size (int_bound 20) (int_range (-5) 40))
+            (pair bound bound)))
+    (fun (writes, deletes, (lo, hi)) ->
+      let db = Database.create ~site:site0 in
+      List.iter (fun k -> ignore (Database.write db ~table:"X" ~key:k (Row.initial k))) writes;
+      List.iter (fun k -> ignore (Database.delete db ~table:"X" ~key:k)) deletes;
+      ignore (Database.write db ~table:"Y" ~key:lo (Row.initial 0));
+      Database.keys_in_range db ~table:"X" ~lo ~hi = keys_in_range_reference db ~table:"X" ~lo ~hi)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "store"
@@ -127,6 +161,7 @@ let () =
           Alcotest.test_case "delete/restore" `Quick test_delete_restore;
           Alcotest.test_case "writer tags" `Quick test_writer_tag;
           Alcotest.test_case "range scan" `Quick test_range;
+          q prop_range_probe_matches_fold;
           Alcotest.test_case "totals and size" `Quick test_total_and_size;
         ] );
       ( "undo",
