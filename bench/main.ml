@@ -14,8 +14,8 @@
    commit-order graph checks, replay, the exact view-serializability
    decision — pruned DFS vs the naive permutation search on the same
    fixture, plus the DFS alone on a 10-transaction history — and the
-   event-scheduler substrate itself (engine schedule/fire/cancel and
-   priority-queue churn).
+   event-scheduler substrate itself (engine schedule/fire/cancel, and the
+   engine's heap under adversarially ordered keys).
 
    Part 3 runs one fixed workload through the conservative windowed
    engine on 1 and on --domains N OCaml domains and reports wall-clock
@@ -43,7 +43,6 @@ module View = Hermes_history.View
 module Committed = Hermes_history.Committed
 module Json = Hermes_obs.Json
 module Engine = Hermes_sim.Engine
-module Pqueue = Hermes_sim.Pqueue
 module Spec = Hermes_workload.Spec
 module Stats = Hermes_workload.Stats
 module Driver = Hermes_workload.Driver
@@ -226,21 +225,13 @@ let run_microbenchmarks () =
            Engine.run e))
   in
   let m15 =
-    let module Q = Pqueue.Make (Int) in
-    Test.make ~name:"M15 pqueue insert+pop (256 keys, adversarial order)"
+    Test.make ~name:"M15 engine heap insert+pop (256 keys, adversarial order)"
       (Staged.stage (fun () ->
-           let q = ref Q.empty in
+           let e = Engine.create () in
            for i = 0 to 255 do
-             q := Q.insert !q (i * 7919 mod 1024)
+             Engine.schedule_unit e ~delay:(i * 7919 mod 1024) ignore
            done;
-           let rec drain () =
-             match Q.pop !q with
-             | Some (_, rest) ->
-                 q := rest;
-                 drain ()
-             | None -> ()
-           in
-           drain ()))
+           Engine.run e))
   in
   let tests = [ m1; m2; m3; m4; m5; m6; m7; m8; m9; m10; m11; m12; m13; m14; m15 ] in
   let benchmark test =

@@ -99,10 +99,13 @@ type t = {
   fabric : fabric option;
   handlers : (Message.t -> unit) Addr_tbl.t;
   last_delivery : Time.t Link_tbl.t;
-  in_flight : (Time.t * int) list Addr_tbl.t;
-      (* per destination: every in-flight (arrival, gid), purged on
-         delivery, for overtaking detection (the §5.3 race is cross-link,
-         so per-link FIFO does not prevent it) *)
+      (* per link: the arrival of its last message, while that is not yet
+         past (see [prune_links]) *)
+  mutable prune_at : int;  (* sweep [last_delivery] when it holds this many *)
+  in_flight : (Time.t * int) list Addr_tbl.t option;
+      (* with [obs] only, per destination: every in-flight (arrival, gid),
+         purged on delivery, for overtaking detection (the §5.3 race is
+         cross-link, so per-link FIFO does not prevent it) *)
   down : unit Addr_tbl.t;
   gray : unit Addr_tbl.t;
       (* dynamically gray-marked addresses (e.g. coordinators hosted at a
@@ -123,14 +126,19 @@ type t = {
 
 let config_lossy faults = faults.drop > 0. || faults.partitions <> []
 
+(* The size at which the link table is first swept, and below which it
+   never is. *)
+let links_floor = 64
+
 let create ~engine ~rng ?obs ?fabric ~config () = {
   engine;
   rng;
   config;
   fabric;
   handlers = Addr_tbl.create 32;
-  last_delivery = Link_tbl.create 64;
-  in_flight = Addr_tbl.create 32;
+  last_delivery = Link_tbl.create links_floor;
+  prune_at = links_floor;
+  in_flight = Option.map (fun _ -> Addr_tbl.create 32) obs;
   down = Addr_tbl.create 4;
   gray = Addr_tbl.create 4;
   obs;
@@ -186,8 +194,8 @@ let partitioned t ~src ~dst ~now =
 
 (* Remove one in-flight record (the delivered copy); identical tuples are
    interchangeable, so removing the first match is enough. *)
-let purge_in_flight t dst ~arrival ~gid =
-  match Addr_tbl.find_opt t.in_flight dst with
+let purge_in_flight in_flight dst ~arrival ~gid =
+  match Addr_tbl.find_opt in_flight dst with
   | None -> ()
   | Some l ->
       let rec drop_one = function
@@ -196,19 +204,13 @@ let purge_in_flight t dst ~arrival ~gid =
         | e :: rest -> e :: drop_one rest
       in
       (match drop_one l with
-      | [] -> Addr_tbl.remove t.in_flight dst
-      | l' -> Addr_tbl.replace t.in_flight dst l')
+      | [] -> Addr_tbl.remove in_flight dst
+      | l' -> Addr_tbl.replace in_flight dst l')
 
-(* Destination-side intake: account overtaking against every in-flight
-   message to the same destination and schedule the delivery (which
-   re-checks the down set — a message in flight when its destination goes
-   down is lost). Runs on the destination's engine: directly from
-   [transmit] when the destination is local, via [deliver_remote] when it
-   arrived over the fabric. *)
-let intake t msg ~arrival =
-  let { Message.dst; gid; _ } = msg in
-  let now = Engine.now t.engine in
-  let inbound = Option.value (Addr_tbl.find_opt t.in_flight dst) ~default:[] in
+(* Account overtaking against every in-flight message to the same
+   destination, then record this one in flight. *)
+let account_overtakes t in_flight ~now ~dst ~gid ~arrival =
+  let inbound = Option.value (Addr_tbl.find_opt in_flight dst) ~default:[] in
   List.iter
     (fun (behind_arrival, behind_gid) ->
       if Time.(behind_arrival > arrival) then begin
@@ -217,10 +219,25 @@ let intake t msg ~arrival =
             Tracer.Overtaking { dst = Fmt.str "%a" Message.pp_address dst; gid; behind_gid })
       end)
     inbound;
-  Addr_tbl.replace t.in_flight dst ((arrival, gid) :: inbound);
+  Addr_tbl.replace in_flight dst ((arrival, gid) :: inbound)
+
+(* Destination-side intake: account overtaking (with [obs] only: nothing
+   else reads the in-flight records) and schedule the delivery (which
+   re-checks the down set — a message in flight when its destination goes
+   down is lost). Runs on the destination's engine: directly from
+   [transmit] when the destination is local, via [deliver_remote] when it
+   arrived over the fabric. *)
+let intake t msg ~arrival =
+  let { Message.dst; gid; _ } = msg in
+  let now = Engine.now t.engine in
+  (match t.in_flight with
+  | Some in_flight -> account_overtakes t in_flight ~now ~dst ~gid ~arrival
+  | None -> ());
   Log.debug (fun m -> m "[%a] %a (delivery %a)" Time.pp now Message.pp msg Time.pp arrival);
   Engine.schedule_unit t.engine ~delay:(Time.diff arrival now) (fun () ->
-      purge_in_flight t dst ~arrival ~gid;
+      (match t.in_flight with
+      | Some in_flight -> purge_in_flight in_flight dst ~arrival ~gid
+      | None -> ());
       if is_down t dst then count_drop t ~at:arrival ~dst ~gid ~reason:"down"
       else begin
         t.delivered <- t.delivered + 1;
@@ -232,6 +249,18 @@ let intake t msg ~arrival =
       end)
 
 let deliver_remote t ~arrival msg = intake t msg ~arrival
+
+(* A link's clamp only ever moves an arrival that is not after the
+   link's last one, and every arrival is at or after [now]: an entry with
+   [last < now] can never clamp again. Sweeping those out each time the
+   table doubles keeps it at about the links with traffic in flight, not
+   every (coordinator, site) link of the run, at amortized constant cost
+   per send. *)
+let prune_links t ~now =
+  Link_tbl.filter_map_inplace
+    (fun _ last -> if Time.(last < now) then None else Some last)
+    t.last_delivery;
+  t.prune_at <- max links_floor (2 * Link_tbl.length t.last_delivery)
 
 (* Put one copy of [msg] on the wire: draw its delay, clamp to per-link
    FIFO, then either hand it to the local intake or forward it to the
@@ -262,6 +291,7 @@ let transmit t msg ~now =
     | _ -> earliest
   in
   Link_tbl.replace t.last_delivery (src, dst) arrival;
+  if Link_tbl.length t.last_delivery >= t.prune_at then prune_links t ~now;
   (match t.delay_hist with Some h -> Histogram.record h (Time.diff arrival now) | None -> ());
   match t.fabric with
   | Some f when f.locate dst <> f.here ->
@@ -295,3 +325,7 @@ let sent t = t.sent
 let delivered t = t.delivered
 let dropped t = t.dropped
 let duplicated t = t.duplicated
+let links t = Link_tbl.length t.last_delivery
+
+let in_flight t =
+  Option.fold ~none:0 ~some:(fun f -> Addr_tbl.fold (fun _ l n -> n + List.length l) f 0) t.in_flight

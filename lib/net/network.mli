@@ -69,14 +69,23 @@ val create :
     emits an {!Hermes_obs.Tracer.Overtaking} event per overtaken
     message; drops and duplicates emit
     {!Hermes_obs.Tracer.Message_dropped} /
-    {!Hermes_obs.Tracer.Message_duplicated}. *)
+    {!Hermes_obs.Tracer.Message_duplicated}. Only then does the network
+    keep a record of each in-flight message ({!in_flight}); without
+    [?obs] it keeps none, since nothing else reads them.
+
+    The per-link FIFO state holds a link only while its clamp can still
+    move an arrival: once the link's last arrival is in the engine's
+    past it can not, and the entry is swept out the next time the table
+    has doubled ({!links}). Either way delivery order and times are the
+    same. *)
 
 val deliver_remote : t -> arrival:Hermes_kernel.Time.t -> Message.t -> unit
 (** Destination-side intake for a message forwarded over the {!fabric}:
-    registers it in flight (overtake accounting is against this shard's
-    inbound traffic only) and schedules its delivery at [arrival] on this
-    instance's engine. Call only from the owning shard, with [arrival] not
-    in this engine's past — guaranteed by the conservative window bound. *)
+    with [?obs], registers it in flight (overtake accounting is against
+    this shard's inbound traffic only); then schedules its delivery at
+    [arrival] on this instance's engine. Call only from the owning shard,
+    with [arrival] not in this engine's past — guaranteed by the
+    conservative window bound. *)
 
 val register : t -> Message.address -> (Message.t -> unit) -> unit
 val unregister : t -> Message.address -> unit
@@ -119,3 +128,14 @@ val dropped : t -> int
     down destination. *)
 
 val duplicated : t -> int
+
+val links : t -> int
+(** Links whose FIFO state this instance holds: those whose last
+    arrival is not yet past, plus those gone stale since the last sweep.
+    It grows with the links that carry traffic at the same time, not
+    with every link the run has used. *)
+
+val in_flight : t -> int
+(** In-flight records held for overtake accounting: messages this
+    instance has scheduled for delivery (sent locally or forwarded to it)
+    whose delivery has not yet fired. Always 0 without [?obs]. *)

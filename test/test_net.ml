@@ -1,9 +1,12 @@
-(* Tests for hermes.net: reliability, per-link FIFO, cross-link races. *)
+(* Tests for hermes.net: reliability, per-link FIFO, cross-link races,
+   and the pruned link state against the network that kept every link. *)
 
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
 module Message = Hermes_net.Message
 module Network = Hermes_net.Network
+module Obs = Hermes_obs.Obs
+module Registry = Hermes_obs.Registry
 
 let a = Site.of_int 0
 let b = Site.of_int 1
@@ -202,6 +205,296 @@ let prop_fifo_always =
       Engine.run engine;
       List.rev !got = List.init 20 (fun i -> i + 1))
 
+(* ------------------------------------------------------------------ *)
+(* Against the network that kept every link                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The network as it was before its link state was bounded: a FIFO
+   clamp entry for every link ever used, and in-flight records kept
+   whether or not an [Obs] is attached. Kept verbatim as the reference,
+   less the fabric, partitions, gray links and logging, which the
+   property below does not drive. *)
+module Network_reference = struct
+  module Tracer = Hermes_obs.Tracer
+  module Histogram = Hermes_obs.Histogram
+
+  module Addr_tbl = Hashtbl.Make (struct
+    type t = Message.address
+
+    let equal = Message.equal_address
+    let hash = Message.hash_address
+  end)
+
+  module Link_tbl = Hashtbl.Make (struct
+    type t = Message.address * Message.address
+
+    let equal (s, d) (s', d') = Message.equal_address s s' && Message.equal_address d d'
+    let hash (s, d) = (Message.hash_address s * 65599) + Message.hash_address d
+  end)
+
+  type t = {
+    engine : Engine.t;
+    rng : Rng.t;
+    config : Network.config;
+    handlers : (Message.t -> unit) Addr_tbl.t;
+    last_delivery : Time.t Link_tbl.t;
+    in_flight : (Time.t * int) list Addr_tbl.t;
+    down : unit Addr_tbl.t;
+    obs : Obs.t option;
+    delay_hist : Histogram.t option;
+    overtakes : Registry.Counter.t option;
+    mutable sent : int;
+    mutable delivered : int;
+    mutable dropped : int;
+    mutable duplicated : int;
+  }
+
+  let create ~engine ~rng ?obs ~config () =
+    {
+      engine;
+      rng;
+      config;
+      handlers = Addr_tbl.create 32;
+      last_delivery = Link_tbl.create 64;
+      in_flight = Addr_tbl.create 32;
+      down = Addr_tbl.create 4;
+      obs;
+      delay_hist = Option.map (fun o -> Registry.histogram (Obs.metrics o) "net.delay") obs;
+      overtakes = Option.map (fun o -> Registry.counter (Obs.metrics o) "net.overtakes") obs;
+      sent = 0;
+      delivered = 0;
+      dropped = 0;
+      duplicated = 0;
+    }
+
+  let register t addr handler = Addr_tbl.replace t.handlers addr handler
+  let mark_down t addr = Addr_tbl.replace t.down addr ()
+  let mark_up t addr = Addr_tbl.remove t.down addr
+  let is_down t addr = Addr_tbl.mem t.down addr
+
+  let count_drop t ~at ~dst ~gid ~reason =
+    t.dropped <- t.dropped + 1;
+    Obs.emit t.obs ~at (fun () ->
+        Tracer.Message_dropped { dst = Fmt.str "%a" Message.pp_address dst; gid; reason })
+
+  let purge_in_flight t dst ~arrival ~gid =
+    match Addr_tbl.find_opt t.in_flight dst with
+    | None -> ()
+    | Some l ->
+        let rec drop_one = function
+          | [] -> []
+          | (a, g) :: rest when Time.equal a arrival && Int.equal g gid -> rest
+          | e :: rest -> e :: drop_one rest
+        in
+        (match drop_one l with
+        | [] -> Addr_tbl.remove t.in_flight dst
+        | l' -> Addr_tbl.replace t.in_flight dst l')
+
+  let intake t msg ~arrival =
+    let { Message.dst; gid; _ } = msg in
+    let now = Engine.now t.engine in
+    let inbound = Option.value (Addr_tbl.find_opt t.in_flight dst) ~default:[] in
+    List.iter
+      (fun (behind_arrival, behind_gid) ->
+        if Time.(behind_arrival > arrival) then begin
+          (match t.overtakes with Some c -> Registry.Counter.incr c | None -> ());
+          Obs.emit t.obs ~at:now (fun () ->
+              Tracer.Overtaking { dst = Fmt.str "%a" Message.pp_address dst; gid; behind_gid })
+        end)
+      inbound;
+    Addr_tbl.replace t.in_flight dst ((arrival, gid) :: inbound);
+    Engine.schedule_unit t.engine ~delay:(Time.diff arrival now) (fun () ->
+        purge_in_flight t dst ~arrival ~gid;
+        if is_down t dst then count_drop t ~at:arrival ~dst ~gid ~reason:"down"
+        else begin
+          t.delivered <- t.delivered + 1;
+          match Addr_tbl.find_opt t.handlers dst with
+          | Some handler -> handler msg
+          | None ->
+              Fmt.failwith "Network.send: no handler for %a (message %a)" Message.pp_address dst
+                Message.pp msg
+        end)
+
+  let transmit t msg ~now =
+    let { Message.src; dst; _ } = msg in
+    let faults = t.config.faults in
+    let delay =
+      t.config.base_delay + if t.config.jitter > 0 then Rng.int t.rng ~bound:(t.config.jitter + 1) else 0
+    in
+    let delay =
+      if faults.spike_p > 0. && Rng.bool t.rng ~p:faults.spike_p then delay * faults.spike_factor
+      else delay
+    in
+    let arrival =
+      let earliest = Time.add now delay in
+      match Link_tbl.find_opt t.last_delivery (src, dst) with
+      | Some last when Time.(last >= earliest) -> Time.add last 1
+      | _ -> earliest
+    in
+    Link_tbl.replace t.last_delivery (src, dst) arrival;
+    (match t.delay_hist with Some h -> Histogram.record h (Time.diff arrival now) | None -> ());
+    intake t msg ~arrival
+
+  let send t ~src ~dst ~gid payload =
+    let msg = { Message.src; dst; gid; payload } in
+    t.sent <- t.sent + 1;
+    let now = Engine.now t.engine in
+    let faults = t.config.faults in
+    if faults.drop > 0. && Rng.bool t.rng ~p:faults.drop then
+      count_drop t ~at:now ~dst ~gid ~reason:"drop"
+    else begin
+      transmit t msg ~now;
+      if faults.dup > 0. && Rng.bool t.rng ~p:faults.dup then begin
+        t.duplicated <- t.duplicated + 1;
+        Obs.emit t.obs ~at:now (fun () ->
+            Tracer.Message_duplicated { dst = Fmt.str "%a" Message.pp_address dst; gid });
+        transmit t msg ~now
+      end
+    end
+end
+
+(* A random run: after each gap, one send, or an agent going down or
+   coming back up. Coordinators are short-lived: the i-th step's
+   coordinator is one of four around gid i/4, so the run uses hundreds of
+   (coordinator, site) links, each only briefly. *)
+type net_act = Send of Message.address * Message.address | Down of int | Up of int
+
+type net_case = {
+  base_delay : int;
+  jitter : int;
+  drop : float;
+  dup : float;
+  spike_p : float;
+  with_obs : bool;
+  seed : int;
+  steps : (int * net_act) list;  (* gap in ticks before the act, act *)
+}
+
+let n_agents = 4
+
+let gen_net_case =
+  let open QCheck.Gen in
+  let* base_delay = oneofl [ 0; 1; 10; 100 ] in
+  let* jitter = oneofl [ 0; 50; 5_000; 20_000 ] in
+  let* drop = oneofl [ 0.; 0.05 ] in
+  let* dup = oneofl [ 0.; 0.1 ] in
+  let* spike_p = oneofl [ 0.; 0.05 ] in
+  let* with_obs = bool in
+  let* seed = int_bound 10_000 in
+  let* len = int_range 1 600 in
+  let step i =
+    let* gap = frequency [ (3, return 0); (4, int_bound 20); (2, int_bound 200) ] in
+    let* coord = map (fun o -> Message.Coordinator ((i / 4) + o)) (int_bound 3) in
+    let* agent = map (fun s -> Message.Agent (Site.of_int s)) (int_bound (n_agents - 1)) in
+    let* act =
+      frequency
+        [
+          (45, return (Send (coord, agent)));
+          (45, return (Send (agent, coord)));
+          (5, map (fun s -> Send (agent, Message.Agent (Site.of_int s))) (int_bound (n_agents - 1)));
+          (3, map (fun s -> Down s) (int_bound (n_agents - 1)));
+          (2, map (fun s -> Up s) (int_bound (n_agents - 1)));
+        ]
+    in
+    return (gap, act)
+  in
+  let+ steps = flatten_l (List.init len step) in
+  { base_delay; jitter; drop; dup; spike_p; with_obs; seed; steps }
+
+let print_net_case c =
+  let act = function
+    | Send (s, d) -> Fmt.str "%a>%a" Message.pp_address s Message.pp_address d
+    | Down s -> Printf.sprintf "down%d" s
+    | Up s -> Printf.sprintf "up%d" s
+  in
+  Printf.sprintf "base=%d jitter=%d drop=%g dup=%g spike=%g obs=%b seed=%d [%s]" c.base_delay
+    c.jitter c.drop c.dup c.spike_p c.with_obs c.seed
+    (String.concat "; " (List.map (fun (g, a) -> Printf.sprintf "+%d %s" g (act a)) c.steps))
+
+(* What a run shows from outside: every delivery with its time, the
+   counters, and [net.overtakes] when observed. *)
+type net_outcome = {
+  deliveries : (int * Message.address * Message.address * int) list;
+  counters : int * int * int * int;  (* sent, delivered, dropped, duplicated *)
+  overtakes : int;
+}
+
+module type NET = sig
+  type t
+
+  val create : engine:Engine.t -> rng:Rng.t -> ?obs:Obs.t -> config:Network.config -> unit -> t
+  val register : t -> Message.address -> (Message.t -> unit) -> unit
+  val send : t -> src:Message.address -> dst:Message.address -> gid:int -> Message.payload -> unit
+  val mark_down : t -> Message.address -> unit
+  val mark_up : t -> Message.address -> unit
+  val counters : t -> int * int * int * int
+end
+
+module Play (N : NET) = struct
+  let play c =
+    let engine = Engine.create () in
+    let obs = if c.with_obs then Some (Obs.create ()) else None in
+    let config =
+      {
+        Network.base_delay = c.base_delay;
+        jitter = c.jitter;
+        faults =
+          { Network.no_faults with drop = c.drop; dup = c.dup; spike_p = c.spike_p; spike_factor = 10 };
+      }
+    in
+    let net = N.create ~engine ~rng:(Rng.create ~seed:c.seed) ?obs ~config () in
+    let log = ref [] in
+    let record (m : Message.t) =
+      log := (Time.to_int (Engine.now engine), m.src, m.dst, m.gid) :: !log
+    in
+    for s = 0 to n_agents - 1 do
+      N.register net (Message.Agent (Site.of_int s)) record
+    done;
+    for g = 0 to (List.length c.steps / 4) + 3 do
+      N.register net (Message.Coordinator g) record
+    done;
+    ignore
+      (List.fold_left
+         (fun (at, i) (gap, act) ->
+           let at = at + gap in
+           Engine.schedule_unit engine ~delay:at (fun () ->
+               match act with
+               | Send (src, dst) -> N.send net ~src ~dst ~gid:i Message.Commit
+               | Down s -> N.mark_down net (Message.Agent (Site.of_int s))
+               | Up s -> N.mark_up net (Message.Agent (Site.of_int s)));
+           (at, i + 1))
+         (0, 0) c.steps);
+    Engine.run engine;
+    ( net,
+      {
+        deliveries = List.rev !log;
+        counters = N.counters net;
+        overtakes =
+          Option.fold ~none:0 ~some:(fun o -> Registry.sum_counter (Obs.metrics o) "net.overtakes") obs;
+      } )
+end
+
+module Play_network = Play (struct
+  include Network
+
+  let create ~engine ~rng ?obs ~config () = create ~engine ~rng ?obs ~config ()
+  let counters t = (sent t, delivered t, dropped t, duplicated t)
+end)
+
+module Play_reference = Play (struct
+  include Network_reference
+
+  let counters t = (t.sent, t.delivered, t.dropped, t.duplicated)
+end)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"pruned links = network that kept every link" ~count:300
+    (QCheck.make ~print:print_net_case gen_net_case)
+    (fun c ->
+      let net, outcome = Play_network.play c in
+      let _, reference = Play_reference.play c in
+      outcome = reference && Network.in_flight net = 0)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "net"
@@ -219,5 +512,6 @@ let () =
           Alcotest.test_case "partition window" `Quick test_partition_window;
           Alcotest.test_case "overtaking counts every overtaken message" `Quick test_overtake_counts_all;
           q prop_fifo_always;
+          q prop_matches_reference;
         ] );
     ]

@@ -763,34 +763,46 @@ let test_explore_no_handover_unsound () =
 (* Timer hygiene: a quiesced run leaves no live timers, no LTM txns   *)
 (* ------------------------------------------------------------------ *)
 
-let quiesced_run ?(certifier = Config.full) ~net_config () =
+(* Five clients run [globals] transactions between them, each client
+   submitting its next when its last one finishes. *)
+let quiesced_run ?(certifier = Config.full) ?(globals = 5) ~net_config () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:42 in
+  (* Observed, so the network keeps its in-flight records. *)
   let dtm =
-    Dtm.create ~engines:[| engine |] ~rng ~net_config ~certifier
+    Dtm.create ~engines:[| engine |] ~rng ~net_config ~certifier ~obs:(Obs.create ())
       ~site_specs:(Array.init 2 (fun _ -> Dtm.default_site_spec))
       ()
   in
   List.iter
     (fun s -> List.iter (fun k -> Dtm.load dtm s ~table:"X" ~key:k ~value:100) [ 0; 1; 2 ])
     (Dtm.site_ids dtm);
-  let finished = ref 0 in
-  for i = 0 to 4 do
-    ignore
-      (Dtm.submit dtm
-         (Program.make
-            [
-              (a, Command.Update { table = "X"; key = i mod 3; delta = 1 });
-              (b, Command.Update { table = "X"; key = i mod 3; delta = -1 });
-            ])
-         ~on_done:(fun _ -> incr finished))
+  let submitted = ref 0 and finished = ref 0 in
+  let rec submit_next () =
+    if !submitted < globals then begin
+      let i = !submitted in
+      incr submitted;
+      ignore
+        (Dtm.submit dtm
+           (Program.make
+              [
+                (a, Command.Update { table = "X"; key = i mod 3; delta = 1 });
+                (b, Command.Update { table = "X"; key = i mod 3; delta = -1 });
+              ])
+           ~on_done:(fun _ ->
+             incr finished;
+             submit_next ()))
+    end
+  in
+  for _ = 1 to 5 do
+    submit_next ()
   done;
   Engine.run engine;
   (* The queue drained: every alive-check / retry / retransmission timer
      armed during the run was cancelled on a terminal transition (and
      popped), so none is live — a leaked periodic timer would instead
      re-arm forever and hang this test. *)
-  Alcotest.(check int) "all transactions finished" 5 !finished;
+  Alcotest.(check int) "all transactions finished" globals !finished;
   Alcotest.(check int) "quiesced run leaves no live timers" 0 (Engine.stats engine).Engine.live;
   (* Nor does any LTM still hold a transaction: every one committed or
      aborted, and a finished transaction is forgotten. *)
@@ -801,10 +813,26 @@ let quiesced_run ?(certifier = Config.full) ~net_config () =
         0
         (Hermes_ltm.Ltm.tracked (Dtm.ltm dtm s)))
     (Dtm.site_ids dtm);
+  (* Nor does the network hold a message, or per-link state for every
+     link the run used: each global uses four links (coordinator to
+     agent and back, at both sites), and at most five globals run at
+     once, so the network holds fewer than the 64 links at which it
+     first sweeps out stale ones, however many globals ran. *)
+  List.iter
+    (fun net ->
+      Alcotest.(check int) "no message in flight" 0 (Network.in_flight net);
+      Alcotest.(check bool)
+        (Fmt.str "%d links held after %d globals" (Network.links net) globals)
+        true
+        (Network.links net < 64))
+    (Dtm.networks dtm);
   dtm
 
 let test_quiesced_no_live_timers () =
   ignore (quiesced_run ~net_config:Network.default_config () : Dtm.t)
+
+let test_quiesced_many_globals () =
+  ignore (quiesced_run ~globals:400 ~net_config:Network.default_config () : Dtm.t)
 
 let test_quiesced_no_live_timers_dup_network () =
   ignore
@@ -1692,6 +1720,8 @@ let () =
           Alcotest.test_case "quiesced run leaves no live timers" `Quick test_quiesced_no_live_timers;
           Alcotest.test_case "quiesced run (duplicating network)" `Quick
             test_quiesced_no_live_timers_dup_network;
+          Alcotest.test_case "quiesced run: link state bounded over 400 globals" `Quick
+            test_quiesced_many_globals;
         ] );
       ( "group-commit",
         [
