@@ -129,6 +129,10 @@ let h1_chain_history n =
   in
   History.of_ops (h1_ops @ spectators)
 
+(* The baselines M9 and M13 time, the references the tests check the
+   library's fast versions against. *)
+open Deciders_reference
+
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -186,7 +190,7 @@ let run_microbenchmarks () =
   assert (
     View.equal_decision
       (View.view_serializable ~limit:10 h1x)
-      (View.view_serializable_naive ~limit:10 h1x));
+      (view_serializable_naive ~limit:10 h1x));
   let m7 =
     Test.make ~name:"M7 exact VSR decision, pruned DFS (H1 + chain, 7 txns)"
       (Staged.stage (fun () -> ignore (View.view_serializable ~limit:10 h1x)))
@@ -198,7 +202,7 @@ let run_microbenchmarks () =
   in
   let m9 =
     Test.make ~name:"M9 exact VSR decision, naive permutations (same 7 txns)"
-      (Staged.stage (fun () -> ignore (View.view_serializable_naive ~limit:10 h1x)))
+      (Staged.stage (fun () -> ignore (view_serializable_naive ~limit:10 h1x)))
   in
   let m10 =
     Test.make ~name:"M10 exact VSR decision, pruned DFS (H1 + chain, 10 txns)"
@@ -214,7 +218,7 @@ let run_microbenchmarks () =
   in
   let m13 =
     Test.make ~name:"M13 commit certification min-SN, fold baseline (64 prepared)"
-      (Staged.stage (fun () -> ignore (Alive_table.min_sn_holds_fold table64 ~gid:33 ~sn:sn33)))
+      (Staged.stage (fun () -> ignore (min_sn_holds_fold table64 ~gid:33 ~sn:sn33)))
   in
   let m14 =
     Test.make ~name:"M14 engine schedule/fire/cancel (256 events, 1/4 cancelled)"

@@ -71,6 +71,12 @@ let write_obs_outputs obs ~metrics_out ~trace_out ~summary =
           Fmt.pr "trace written to %s (%d events)@." path (Tracer.length (Obs.trace o)))
         trace_out
 
+(* The exit code of a command that verified a history: 0 when it is
+   certainly view serializable and its trace agrees with the execution,
+   1 otherwise. A value mismatch means the trace contradicts itself, so
+   no verdict drawn from it can be trusted. *)
+let verdict_exit rep = if Report.serializable rep && rep.Report.value_mismatches = [] then 0 else 1
+
 (* Structured logging: components emit on the hermes.* sources (agent,
    coordinator, ltm, net); every message carries the simulated time. *)
 let setup_logs =
@@ -494,7 +500,7 @@ let run_cmd =
     write_obs_outputs obs ~metrics_out ~trace_out ~summary:metrics_summary;
     let rep = Report.analyze r.Driver.history in
     Fmt.pr "@.%a@." Report.pp rep;
-    if Report.serializable rep then 0 else 1
+    verdict_exit rep
   in
   let term =
     Term.(
@@ -529,7 +535,7 @@ let scenario_cmd =
       Fmt.pr "@.committed projection:@.  %a@." History.pp_with_from (Committed.extended r.Scenario.history);
       Fmt.pr "@.%a@." Report.pp r.Scenario.report;
       write_obs_outputs obs ~metrics_out ~trace_out ~summary:metrics_summary;
-      if Report.serializable r.Scenario.report then 0 else 1
+      verdict_exit r.Scenario.report
     in
     match which with
     | `H1 -> show (Scenario.h1 ~certifier ~seed ?obs ())
@@ -587,7 +593,7 @@ let verify_cmd =
         let rep = Report.analyze h in
         Fmt.pr "@.%a@." Report.pp rep;
         Option.iter (report_metrics rep) metrics_out;
-        if Report.serializable rep then 0 else 1
+        verdict_exit rep
   in
   let term = Term.(const run $ setup_logs $ file $ verbose $ metrics_out_arg) in
   Cmd.v

@@ -4,7 +4,9 @@
    (j > 0) gets another view — reads the same item from a different
    transaction — or, in the worst case, another decomposition than the
    original T^i_k0. Detected by comparing, per (transaction, site), the
-   footprints and reads-from of all incarnations.
+   footprints and reads-from of all incarnations. The reads-from come
+   from the replay kernel ({!Replay.replay}), asked only about the reads
+   of resubmitted subtransactions.
 
    Local view distortion (§5): local transactions get non-serializable
    views because local commits of global transactions occur in opposite
@@ -32,38 +34,44 @@ let pp_global ppf d =
     Site.pp d.site d.inc_other reason d.reason d.inc_base
 
 (* The footprint of an incarnation: its DML operations in order, reads
-   annotated with the logical transaction they read from. The replay lists
-   its reads in history order, one per Read operation, so one walk over
-   the history paired with that list annotates every read. Footprints are
-   kept by incarnation id (newest step first), for the incarnations
-   [wanted] selects. *)
+   annotated with the logical transaction they read from. The replay
+   kernel gives the writer of each read of a [wanted] incarnation, in
+   history order; one scan of the index's incarnation column then lays
+   out those incarnations' steps, and notes which of them locally
+   committed. Footprints are kept by incarnation id (newest step
+   first). *)
 type step = { kind : Op.kind; item : Item.t; from : Txn.t option }
 
-let footprint_table h wanted =
+let footprint_table h (wanted : bool array) =
   let ix = History.index h in
-  let reads = ref (Replay.run h).Replay.reads in
-  let foot = Array.make (Array.length ix.incs) [] in
-  History.iteri
-    (fun i op ->
-      match op with
-      | Op.Dml { kind; item; _ } ->
-          let from =
-            match (kind, !reads) with
-            | Op.Write, _ -> None
-            | Op.Read, r :: rest ->
-                reads := rest;
-                Option.map (fun (w : Txn.Incarnation.t) -> w.txn) r.Replay.from
-            | Op.Read, [] -> invalid_arg "Anomaly.footprints: replay lost a read"
-          in
-          let j = ix.inc_of_op.(i) in
-          if wanted j then foot.(j) <- { kind; item; from } :: foot.(j)
-      | _ -> ())
-    h;
-  foot
+  let froms = ref [] in
+  ignore
+    (Replay.replay h ~on_read:(fun i _ w _ ->
+         if wanted.(ix.inc_of_op.(i)) then froms := (if w < 0 then None else Some ix.incs.(w).txn) :: !froms));
+  let froms = ref (List.rev !froms) in
+  let foot = Array.make (Array.length ix.incs) [] and committed = Array.make (Array.length ix.incs) false in
+  Array.iteri
+    (fun i j ->
+      if j >= 0 && wanted.(j) then
+        match History.get h i with
+        | Op.Dml { kind; item; _ } ->
+            let from =
+              match (kind, !froms) with
+              | Op.Write, _ -> None
+              | Op.Read, from :: rest ->
+                  froms := rest;
+                  from
+              | Op.Read, [] -> invalid_arg "Anomaly.footprints: replay lost a read"
+            in
+            foot.(j) <- { kind; item; from } :: foot.(j)
+        | Op.Local_commit _ -> committed.(j) <- true
+        | _ -> ())
+    ix.inc_of_op;
+  (foot, committed)
 
 let footprints h =
   let ix = History.index h in
-  let foot = footprint_table h (fun _ -> true) in
+  let foot, _ = footprint_table h (Array.make (Array.length ix.incs) true) in
   List.filter_map
     (fun j -> match foot.(j) with [] -> None | steps -> Some (ix.incs.(j), List.rev steps))
     (List.init (Array.length foot) Fun.id)
@@ -103,11 +111,7 @@ let global_view_distortions h =
   | runs ->
       let wanted = Array.make (Array.length ix.incs) false in
       List.iter (fun (first, last) -> Array.fill wanted first (last - first + 1) true) runs;
-      let foot = footprint_table h (Array.get wanted) in
-      let committed = Array.make (Array.length ix.incs) false in
-      History.iteri
-        (fun i op -> match op with Op.Local_commit _ -> committed.(ix.inc_of_op.(i)) <- true | _ -> ())
-        h;
+      let foot, committed = footprint_table h wanted in
       let shapes l = List.map (fun s -> (s.kind, s.item)) l in
       (* l1 a prefix of l2 *)
       let rec is_prefix = function

@@ -7,8 +7,9 @@
    the transactions in first-appearance order, and the incarnations
    grouped by (transaction, site). The per-transaction accessors add
    each transaction's operation positions. The index is built on first
-   use and cached; it is derived state only, so histories stay values
-   for every other purpose. Builders ([of_ops], [filter], [append], ...)
+   use and cached, without hashing a string or calling a polymorphic
+   hash; it is derived state only, so histories stay values for every
+   other purpose. Builders ([of_ops], [filter], [append], ...)
    return unindexed histories; nothing is paid until a checker or a
    per-transaction query asks. *)
 
@@ -51,25 +52,6 @@ let fold f init t = Array.fold_left f init t.ops
 let iteri f t = Array.iteri f t.ops
 let exists f t = Array.exists f t.ops
 
-module Txn_tbl = Hashtbl.Make (struct
-  type t = Txn.t
-
-  let equal = Txn.equal
-  let hash = function Txn.Global i -> i | Txn.Local { site; n } -> (n * 131) + Site.to_int site
-end)
-
-module Item_tbl = Hashtbl.Make (struct
-  type t = Item.t
-
-  let equal = Item.equal
-
-  let hash it =
-    String.fold_left
-      (fun h c -> (h * 31) + Char.code c)
-      ((Item.key it * 131) + Site.to_int (Item.site it))
-      (Item.table it)
-end)
-
 (* A growable array: ids are handed out as values are first seen. *)
 type 'a vec = { mutable data : 'a array; mutable len : int }
 
@@ -107,16 +89,97 @@ let invert ids n =
   Array.iteri (fun o k -> if k >= 0 then old.(k) <- o) ids;
   old
 
-(* One pass interns every transaction and item through a monomorphic
-   table, and every incarnation through the (few) incarnations already
-   seen for its transaction. The incarnations are then renumbered in
-   (transaction id, site, incarnation) order. *)
+(* Ids of int keys, handed out as keys are first seen. A key in [0,
+   limit) indexes a direct array, grown on demand; any other key,
+   negative or huge, goes to a spill table. The direct arrays of one
+   build share a budget of words, so that no history, however its keys
+   are spread, makes the index more than linear in its size: a key whose
+   array the budget cannot pay for spills too. Only a key outside its
+   map's array is hashed, as an int. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
+type ids = { mutable direct : int array; spill : int Int_tbl.t }
+type space = { limit : int; mutable budget : int }
+
+let ids () = { direct = [||]; spill = Int_tbl.create 1 }
+
+(* A key past the array can only be in the spill table. A key of the
+   range spills only when the budget cannot pay for an array that holds
+   it; the budget only shrinks, so no later array of the map reaches
+   that key. *)
+let find_id m k =
+  if 0 <= k && k < Array.length m.direct then m.direct.(k)
+  else match Int_tbl.find m.spill k with id -> id | exception Not_found -> -1
+
+let add_id sp m k id =
+  let len = Array.length m.direct in
+  if 0 <= k && k < len then m.direct.(k) <- id
+  else begin
+    let size = min sp.limit (max (k + 1) (max 16 (2 * len))) in
+    if 0 <= k && k < sp.limit && size <= sp.budget then begin
+      sp.budget <- sp.budget - size;
+      let direct = Array.make size (-1) in
+      Array.blit m.direct 0 direct 0 len;
+      direct.(k) <- id;
+      m.direct <- direct
+    end
+    else Int_tbl.replace m.spill k id
+  end
+
+(* A site's local transactions by number, and its tables as (name, item
+   ids by key): a site has a handful of tables. *)
+type site_ids = { locals : ids; mutable tables : (string * ids) list }
+
+let rec table_ids at table = function
+  | [] ->
+      let keys = ids () in
+      at.tables <- (table, keys) :: at.tables;
+      keys
+  | (name, keys) :: rest -> if String.equal name table then keys else table_ids at table rest
+
+(* One pass interns every transaction, incarnation and item without
+   hashing a string or calling a polymorphic hash. A global transaction
+   is found by its gid, a local one by its site and then its number; an
+   item by its (site, table), the table's name compared with each of the
+   site's, and then by its key. An incarnation is found among the (few)
+   incarnations already seen for its transaction. Ids follow first
+   appearance; the incarnations are then renumbered in (transaction id,
+   site, incarnation) order. *)
 let build ops =
   let n = Array.length ops in
+  let sp = { limit = (4 * n) + 1024; budget = (8 * n) + 4096 } in
   let txn_of_op = Array.make n 0 and inc_of_op = Array.make n (-1) and item_of_op = Array.make n (-1) in
-  let txn_ids = Txn_tbl.create (1 + (n / 8)) and item_ids = Item_tbl.create (1 + (n / 64)) in
   let txns = vec () and items = vec () and incs = vec () in
   let incs_of_txn = vec () in
+  let globals = ids () and site_slot = ids () and sites = vec () in
+  let at_site (site : Site.t) =
+    let s = (site :> int) in
+    match find_id site_slot s with
+    | -1 ->
+        let at = { locals = ids (); tables = [] } in
+        add_id sp site_slot s (push sites at);
+        at
+    | k -> sites.data.(k)
+  in
+  let intern_txn m k txn =
+    match find_id m k with
+    | -1 ->
+        let x = push txns txn in
+        ignore (push incs_of_txn []);
+        add_id sp m k x;
+        x
+    | x -> x
+  in
+  let txn_id txn =
+    match txn with
+    | Txn.Global g -> intern_txn globals g txn
+    | Txn.Local { site; n } -> intern_txn (at_site site).locals n txn
+  in
   let intern_inc x (inc : Txn.Incarnation.t) =
     let rec find = function
       | [] ->
@@ -129,29 +192,24 @@ let build ops =
     in
     find incs_of_txn.data.(x)
   in
+  let item_id (item : Item.t) =
+    let at = at_site item.site in
+    let keys = table_ids at item.table at.tables in
+    match find_id keys item.key with
+    | -1 ->
+        let k = push items item in
+        add_id sp keys item.key k;
+        k
+    | k -> k
+  in
   Array.iteri
     (fun i op ->
-      let x =
-        let txn = Op.txn op in
-        match Txn_tbl.find txn_ids txn with
-        | x -> x
-        | exception Not_found ->
-            let x = push txns txn in
-            ignore (push incs_of_txn []);
-            Txn_tbl.add txn_ids txn x;
-            x
-      in
+      let x = txn_id (Op.txn op) in
       txn_of_op.(i) <- x;
       match op with
       | Op.Dml { inc; item; _ } ->
           inc_of_op.(i) <- intern_inc x inc;
-          item_of_op.(i) <-
-            (match Item_tbl.find item_ids item with
-            | k -> k
-            | exception Not_found ->
-                let k = push items item in
-                Item_tbl.add item_ids item k;
-                k)
+          item_of_op.(i) <- item_id item
       | Op.Local_commit inc | Op.Local_abort inc -> inc_of_op.(i) <- intern_inc x inc
       | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ())
     ops;
@@ -195,7 +253,12 @@ let build ops =
       items = Array.sub items.data 0 items.len;
     }
   in
-  { ix; find = (fun txn -> Option.value ~default:(-1) (Txn_tbl.find_opt txn_ids txn)); by_txn = None }
+  let find = function
+    | Txn.Global g -> find_id globals g
+    | Txn.Local { site; n } -> (
+        match find_id site_slot (site :> int) with -1 -> -1 | s -> find_id sites.data.(s).locals n)
+  in
+  { ix; find; by_txn = None }
 
 let dense t =
   match t.dense with

@@ -68,7 +68,10 @@ val show : t -> string
 
     The checkers read a history through one index that gives its
     transactions, incarnations and items dense ids. It is built on the
-    first query and cached. *)
+    first query and cached, in one pass that hashes no string and calls
+    no polymorphic hash: a global transaction is found by its gid, a
+    local one by its site and number, an item by its (site, table) and
+    then its key. Ids are handed out in order of first appearance. *)
 
 type index = private {
   txn_of_op : int array;  (** per operation: its transaction's id *)

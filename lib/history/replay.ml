@@ -12,7 +12,11 @@
    The outcome — the reads-from relation and the final writer of every
    item — is exactly the data on which view equivalence is defined (§3,
    following Bernstein/Hadzilacos/Goodman, with only committed writes as
-   final writes). *)
+   final writes).
+
+   The replay itself is one kernel over the history's dense index, shared
+   by [run], the value checks and the distortion footprints: each asks a
+   callback at every read for what it needs. *)
 
 open Hermes_kernel
 
@@ -29,6 +33,96 @@ type outcome = {
   uncommitted : Txn.Incarnation.t list;  (* incarnations that wrote but never terminated *)
 }
 
+(* The replay kernel. Per item id: the incarnation id of its physical
+   writer (-1 = T_0) and the value it installed. A write pushes the item's
+   writer and value before it onto its incarnation's undo chain; a local
+   abort restores the chain newest first, which leaves each item as it
+   was before the incarnation's first write to it; a local commit drops
+   the chain. A chain is linked entries in flat arrays (item, writer and
+   value before, older entry); [top] and [bottom] hold each incarnation's
+   newest and oldest entry, or -1. A dropped chain goes whole onto a free
+   list that later writes take their entries from, so the arrays hold
+   only the writes of incarnations still open at one time. *)
+type store = { writer : int array; value : int option array; written : bool array; uncommitted : bool array }
+
+type chains = {
+  mutable item : int array;
+  mutable before : int array;
+  mutable before_value : int option array;
+  mutable older : int array;
+  mutable len : int;  (* entries ever used *)
+  mutable free : int;  (* the newest free entry, linked by [older], or -1 *)
+}
+
+let entry c =
+  match c.free with
+  | -1 ->
+      let e = c.len in
+      if e = Array.length c.item then begin
+        let extend a fill =
+          let b = Array.make (max 64 (2 * e)) fill in
+          Array.blit a 0 b 0 e;
+          b
+        in
+        c.item <- extend c.item 0;
+        c.before <- extend c.before 0;
+        c.before_value <- extend c.before_value None;
+        c.older <- extend c.older 0
+      end;
+      c.len <- e + 1;
+      e
+  | e ->
+      c.free <- c.older.(e);
+      e
+
+let replay h ~on_read =
+  let ix = History.index h in
+  let n_items = Array.length ix.items and n_incs = Array.length ix.incs in
+  let writer = Array.make n_items (-1) and value = Array.make n_items None in
+  let written = Array.make n_items false in
+  let top = Array.make n_incs (-1) and bottom = Array.make n_incs (-1) in
+  let c = { item = [||]; before = [||]; before_value = [||]; older = [||]; len = 0; free = -1 } in
+  let drop j =
+    if top.(j) >= 0 then begin
+      c.older.(bottom.(j)) <- c.free;
+      c.free <- top.(j);
+      top.(j) <- -1
+    end
+  in
+  History.iteri
+    (fun i op ->
+      match op with
+      | Op.Dml { kind = Read; _ } ->
+          let k = ix.item_of_op.(i) in
+          on_read i op writer.(k) value.(k)
+      | Op.Dml { kind = Write; value = v; _ } ->
+          let j = ix.inc_of_op.(i) and k = ix.item_of_op.(i) and e = entry c in
+          c.item.(e) <- k;
+          c.before.(e) <- writer.(k);
+          c.before_value.(e) <- value.(k);
+          c.older.(e) <- top.(j);
+          if top.(j) < 0 then bottom.(j) <- e;
+          top.(j) <- e;
+          writer.(k) <- j;
+          value.(k) <- v;
+          written.(k) <- true
+      | Op.Local_abort _ ->
+          let j = ix.inc_of_op.(i) in
+          let e = ref top.(j) in
+          while !e >= 0 do
+            let k = c.item.(!e) in
+            writer.(k) <- c.before.(!e);
+            value.(k) <- c.before_value.(!e);
+            e := c.older.(!e)
+          done;
+          drop j
+      | Op.Local_commit _ -> drop ix.inc_of_op.(i)
+      | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ())
+    h;
+  { writer; value; written; uncommitted = Array.map (fun e -> e >= 0) top }
+
+let writer_of (ix : History.index) w = if w < 0 then None else Some ix.incs.(w)
+
 module Int_tbl = Hashtbl.Make (struct
   type t = int
 
@@ -36,43 +130,27 @@ module Int_tbl = Hashtbl.Make (struct
   let hash x = x
 end)
 
-(* Per-item state and per-incarnation undo logs are arrays over the
-   history's dense ids. An undo log entry is an item and the writer it had
-   before the write: an abort restores the entries newest first, which
-   leaves each item with the writer it had before the incarnation's first
-   overwrite. An empty log means none is open. *)
 let run h =
   let ix = History.index h in
   let n_items = Array.length ix.items in
-  let state = Array.make n_items None and written = Array.make n_items false in
-  let undos = Array.make (Array.length ix.incs) [] in
   (* reads so far per (incarnation, item), keyed [inc * n_items + item] *)
   let occurrences = Int_tbl.create 64 in
   let reads = ref [] in
-  History.iteri
-    (fun i op ->
-      match op with
-      | Op.Dml { kind = Read; inc; item; _ } ->
-          let k = ix.item_of_op.(i) in
-          let key = (ix.inc_of_op.(i) * n_items) + k in
-          let occ = Option.value ~default:0 (Int_tbl.find_opt occurrences key) in
-          Int_tbl.replace occurrences key (occ + 1);
-          reads := { reader = inc; item; occurrence = occ; from = state.(k) } :: !reads
-      | Op.Dml { kind = Write; inc; _ } ->
-          let j = ix.inc_of_op.(i) and k = ix.item_of_op.(i) in
-          undos.(j) <- (k, state.(k)) :: undos.(j);
-          state.(k) <- Some inc;
-          written.(k) <- true
-      | Op.Local_abort _ ->
-          let j = ix.inc_of_op.(i) in
-          List.iter (fun (k, before) -> state.(k) <- before) undos.(j);
-          undos.(j) <- []
-      | Op.Local_commit _ -> undos.(ix.inc_of_op.(i)) <- []
-      | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ())
-    h;
+  let store =
+    replay h ~on_read:(fun i op w _ ->
+        match op with
+        | Op.Dml { inc; item; _ } ->
+            let key = (ix.inc_of_op.(i) * n_items) + ix.item_of_op.(i) in
+            let occ = Option.value ~default:0 (Int_tbl.find_opt occurrences key) in
+            Int_tbl.replace occurrences key (occ + 1);
+            reads := { reader = inc; item; occurrence = occ; from = writer_of ix w } :: !reads
+        | _ -> ())
+  in
   let final = ref Item.Map.empty and uncommitted = ref [] in
-  Array.iteri (fun k w -> if w then final := Item.Map.add ix.items.(k) state.(k) !final) written;
-  Array.iteri (fun j u -> if u <> [] then uncommitted := ix.incs.(j) :: !uncommitted) undos;
+  Array.iteri
+    (fun k w -> if w then final := Item.Map.add ix.items.(k) (writer_of ix store.writer.(k)) !final)
+    store.written;
+  Array.iteri (fun j u -> if u then uncommitted := ix.incs.(j) :: !uncommitted) store.uncommitted;
   { reads = List.rev !reads; final = !final; uncommitted = List.rev !uncommitted }
 
 (* The logical (transaction-level) view of an outcome: the paper judges

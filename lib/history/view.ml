@@ -20,8 +20,8 @@
    conflict-serializable history's topological order is tried first
    (almost always a witness, confirmed by replay), and pruning at depth 0
    catches most non-serializable histories early. The blind permutation
-   search survives as [view_serializable_naive] — the reference the
-   property tests and benchmarks compare against. *)
+   search it replaced lives on in [test/reference/], as the reference
+   the tests and benchmarks compare against. *)
 
 open Hermes_kernel
 
@@ -59,31 +59,6 @@ let pp_decision ppf = function
   | Serializable order -> Fmt.pf ppf "view serializable as %a" Fmt.(list ~sep:sp Txn.pp) order
   | Not_serializable -> Fmt.string ppf "NOT view serializable"
   | Too_large -> Fmt.string ppf "undecided (too many transactions for exact search)"
-
-(* ------------------------------------------------------------------ *)
-(* The naive reference decider: enumerate permutations lazily, replaying
-   the whole serial history per candidate, stopping at the first witness. *)
-(* ------------------------------------------------------------------ *)
-
-let rec insertions x = function
-  | [] -> [ [ x ] ]
-  | y :: rest as l -> (x :: l) :: List.map (fun r -> y :: r) (insertions x rest)
-
-let rec permutations = function
-  | [] -> Seq.return []
-  | x :: rest -> Seq.concat_map (fun p -> List.to_seq (insertions x p)) (permutations rest)
-
-let view_serializable_naive ?(limit = 8) h =
-  let txns = History.txns h in
-  if txns = [] then Serializable []
-  else if List.length txns > limit then Too_large
-  else begin
-    let target = view_data h in
-    let witness =
-      Seq.find (fun order -> Stdlib.( = ) (view_data (serial_of_order h order)) target) (permutations txns)
-    in
-    match witness with Some order -> Serializable order | None -> Not_serializable
-  end
 
 (* ------------------------------------------------------------------ *)
 (* The pruned-DFS decider                                               *)

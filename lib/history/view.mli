@@ -1,8 +1,7 @@
 (** View equivalence and view serializability — the paper's ultimate
     correctness criterion for C(H) (§3). Exact decisions by a prefix-pruned
     DFS over serial orders (with a conflict-serializable fast path) for
-    scenario-size histories; the blind permutation search is kept as the
-    reference implementation. *)
+    scenario-size histories. *)
 
 open Hermes_kernel
 
@@ -34,12 +33,6 @@ val view_serializable : ?limit:int -> History.t -> decision
     match the target view, each extension replaying just the added block
     against a journalled (undoable) store. When SG(H) is acyclic its
     topological order is tried first and confirmed by a single replay. *)
-
-val view_serializable_naive : ?limit:int -> History.t -> decision
-(** The pre-optimization reference: lazy permutation enumeration, full
-    replay per candidate order, default [limit] 8. Same decisions as
-    {!view_serializable} (witness orders may differ); kept for the
-    equivalence property tests and the M9 benchmark baseline. *)
 
 val conflict_serializable : History.t -> bool
 (** SG(H) acyclicity. *)

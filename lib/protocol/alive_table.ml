@@ -30,8 +30,9 @@
      [min_sn_blocker] O(log n) instead of a fold per COMMIT attempt, with
      the gid tie-break deterministic by construction.
 
-   The fold-based implementations survive with a [_fold] suffix as the
-   reference the property tests and benchmarks compare against. *)
+   The fold-based intersection rule survives as [all_intersect_fold]: the
+   fast path falls back to it on a window miss, and the property tests
+   and benchmarks compare against it. *)
 
 open Hermes_kernel
 
@@ -197,25 +198,10 @@ let min_other t ~gid =
 let min_sn_holds t ~gid ~sn =
   match min_other t ~gid with None -> true | Some ((s, _), _) -> Sn.(s > sn)
 
-let min_sn_holds_fold t ~gid ~sn =
-  Hashtbl.fold (fun _ e acc -> acc && (e.gid = gid || Sn.(e.sn > sn))) t.entries true
-
 let min_sn_blocker t ~gid ~sn =
   match min_other t ~gid with
   | Some ((s, _), e) when not Sn.(s > sn) -> Some e
   | _ -> None
-
-(* Fold reference; equal serial numbers break ties on the smaller gid, like
-   {!first_non_intersecting}, so the witness is fold-order independent. *)
-let min_sn_blocker_fold t ~gid ~sn =
-  Hashtbl.fold
-    (fun _ e acc ->
-      if e.gid = gid || Sn.(e.sn > sn) then acc
-      else
-        match acc with
-        | Some b when Sn.compare b.sn e.sn < 0 || (Sn.compare b.sn e.sn = 0 && b.gid < e.gid) -> acc
-        | _ -> Some e)
-    t.entries None
 
 let pp ppf t =
   let pp_entry ppf e =

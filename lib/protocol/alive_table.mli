@@ -6,8 +6,7 @@
     window over current intervals and a map sorted by (serial number,
     gid) — so [all_intersect] has an O(log n) accept fast path and
     [min_sn_holds]/[min_sn_blocker] are O(log n) rather than a fold per
-    COMMIT attempt. The fold-based reference implementations are exposed
-    with a [_fold] suffix for property tests and benchmarks.
+    COMMIT attempt.
 
     [entry.intervals] must not be mutated from outside this module: the
     aggregates are maintained by [push_interval]/[update_interval]/
@@ -71,16 +70,8 @@ val min_sn_holds : t -> gid:int -> sn:Sn.t -> bool
 (** Commit certification test (Appendix C): does every *other* entry have
     a bigger serial number? O(log n) via the sorted-by-SN map. *)
 
-val min_sn_holds_fold : t -> gid:int -> sn:Sn.t -> bool
-(** Fold-over-all-entries reference for {!min_sn_holds}; same answers. *)
-
 val min_sn_blocker : t -> gid:int -> sn:Sn.t -> entry option
 (** A deterministic witness for a failed commit certification: the entry
     with the smallest (serial number, gid) at or below [sn]. O(log n). *)
-
-val min_sn_blocker_fold : t -> gid:int -> sn:Sn.t -> entry option
-(** Fold reference for {!min_sn_blocker}; equal serial numbers break ties
-    on the smaller gid, so the witness is fold-order independent and
-    agrees with the map-based version. *)
 
 val pp : t Fmt.t

@@ -782,6 +782,8 @@ let test_alive_table_interval_cap () =
   | Some e -> Alcotest.(check int) "two intervals" 2 (List.length e.Alive_table.intervals)
   | None -> Alcotest.fail "entry missing"
 
+open Deciders_reference
+
 (* Satellite of the aggregate rework: on equal serial numbers both
    blocker variants must agree on the smaller gid, independent of
    hash-fold order. *)
@@ -798,7 +800,7 @@ let test_min_sn_blocker_tie_break () =
   in
   let candidate_sn = Sn.make ~ts:(Time.of_int 9) ~site:a ~seq:0 in
   check_gid "map blocker ties on gid" (Alive_table.min_sn_blocker t ~gid:99 ~sn:candidate_sn);
-  check_gid "fold blocker ties on gid" (Alive_table.min_sn_blocker_fold t ~gid:99 ~sn:candidate_sn)
+  check_gid "fold blocker ties on gid" (min_sn_blocker_fold t ~gid:99 ~sn:candidate_sn)
 
 (* The incremental aggregates must answer exactly like the fold
    references after any operation sequence, including interleaved
@@ -837,10 +839,10 @@ let prop_fast_paths_agree_with_folds =
           !ok
           && Alive_table.all_intersect t cand = Alive_table.all_intersect_fold t cand
           && Alive_table.min_sn_holds t ~gid:gid' ~sn:sn'
-             = Alive_table.min_sn_holds_fold t ~gid:gid' ~sn:sn'
+             = min_sn_holds_fold t ~gid:gid' ~sn:sn'
           && same_entry
                (Alive_table.min_sn_blocker t ~gid:gid' ~sn:sn')
-               (Alive_table.min_sn_blocker_fold t ~gid:gid' ~sn:sn')
+               (min_sn_blocker_fold t ~gid:gid' ~sn:sn')
       done;
       !ok)
 

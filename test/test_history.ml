@@ -571,7 +571,7 @@ let prop_pruned_vsr_agrees_with_naive =
       done;
       let h = Committed.extended (History.of_ops (List.rev !ops)) in
       let witnesses order = View.view_equivalent (View.serial_of_order h order) h in
-      match (View.view_serializable ~limit:6 h, View.view_serializable_naive ~limit:6 h) with
+      match (View.view_serializable ~limit:6 h, Deciders_reference.view_serializable_naive ~limit:6 h) with
       | View.Serializable o1, View.Serializable o2 -> witnesses o1 && witnesses o2
       | View.Not_serializable, View.Not_serializable -> true
       | View.Too_large, View.Too_large -> true
@@ -1191,6 +1191,157 @@ module Reference = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* The interning pass before it stopped hashing                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [History]'s index as it was built when every transaction and item went
+   through a monomorphic hash table (the item hash folding the table
+   name), kept verbatim as the reference the hash-free pass must agree
+   with: the same seven columns, and [find] from transaction to id (-1
+   when absent). *)
+module Index_reference = struct
+  type index = {
+    txn_of_op : int array;
+    inc_of_op : int array;
+    item_of_op : int array;
+    txns : Txn.t array;
+    txn_incs : int array;
+    incs : Txn.Incarnation.t array;
+    items : Item.t array;
+  }
+
+  module Txn_tbl = Hashtbl.Make (struct
+    type t = Txn.t
+
+    let equal = Txn.equal
+    let hash = function Txn.Global i -> i | Txn.Local { site; n } -> (n * 131) + Site.to_int site
+  end)
+
+  module Item_tbl = Hashtbl.Make (struct
+    type t = Item.t
+
+    let equal = Item.equal
+
+    let hash it =
+      String.fold_left
+        (fun h c -> (h * 31) + Char.code c)
+        ((Item.key it * 131) + Site.to_int (Item.site it))
+        (Item.table it)
+  end)
+
+  (* A growable array: ids are handed out as values are first seen. *)
+  type 'a vec = { mutable data : 'a array; mutable len : int }
+
+  let vec () = { data = [||]; len = 0 }
+
+  let push v x =
+    if v.len = Array.length v.data then begin
+      let data = Array.make (max 16 (2 * v.len)) x in
+      Array.blit v.data 0 data 0 v.len;
+      v.data <- data
+    end;
+    v.data.(v.len) <- x;
+    v.len <- v.len + 1;
+    v.len - 1
+
+  (* [ids] maps old ids to new ones or -1; the inverse, for [n] new ids. *)
+  let invert ids n =
+    let old = Array.make n 0 in
+    Array.iteri (fun o k -> if k >= 0 then old.(k) <- o) ids;
+    old
+
+  (* One pass interns every transaction and item through a monomorphic
+     table, and every incarnation through the (few) incarnations already
+     seen for its transaction. The incarnations are then renumbered in
+     (transaction id, site, incarnation) order. *)
+  let build ops =
+    let n = Array.length ops in
+    let txn_of_op = Array.make n 0 and inc_of_op = Array.make n (-1) and item_of_op = Array.make n (-1) in
+    let txn_ids = Txn_tbl.create (1 + (n / 8)) and item_ids = Item_tbl.create (1 + (n / 64)) in
+    let txns = vec () and items = vec () and incs = vec () in
+    let incs_of_txn = vec () in
+    let intern_inc x (inc : Txn.Incarnation.t) =
+      let rec find = function
+        | [] ->
+            let j = push incs inc in
+            incs_of_txn.data.(x) <- j :: incs_of_txn.data.(x);
+            j
+        | j :: rest ->
+            let k : Txn.Incarnation.t = incs.data.(j) in
+            if k == inc || (Int.equal k.inc inc.inc && Site.equal k.site inc.site) then j else find rest
+      in
+      find incs_of_txn.data.(x)
+    in
+    Array.iteri
+      (fun i op ->
+        let x =
+          let txn = Op.txn op in
+          match Txn_tbl.find txn_ids txn with
+          | x -> x
+          | exception Not_found ->
+              let x = push txns txn in
+              ignore (push incs_of_txn []);
+              Txn_tbl.add txn_ids txn x;
+              x
+        in
+        txn_of_op.(i) <- x;
+        match op with
+        | Op.Dml { inc; item; _ } ->
+            inc_of_op.(i) <- intern_inc x inc;
+            item_of_op.(i) <-
+              (match Item_tbl.find item_ids item with
+              | k -> k
+              | exception Not_found ->
+                  let k = push items item in
+                  Item_tbl.add item_ids item k;
+                  k)
+        | Op.Local_commit inc | Op.Local_abort inc -> inc_of_op.(i) <- intern_inc x inc
+        | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ())
+      ops;
+    (* Each transaction's incarnations are laid out from its offset in
+       [order] and sorted there by insertion: a transaction has a handful. *)
+    let n_txns = txns.len in
+    let txn_incs = Array.make (n_txns + 1) 0 and order = Array.make incs.len 0 in
+    let before j j' =
+      let a : Txn.Incarnation.t = incs.data.(j) and b : Txn.Incarnation.t = incs.data.(j') in
+      match Site.compare a.site b.site with 0 -> a.inc < b.inc | c -> c < 0
+    in
+    for x = 0 to n_txns - 1 do
+      let first = txn_incs.(x) in
+      let next =
+        List.fold_left
+          (fun p j ->
+            order.(p) <- j;
+            p + 1)
+          first incs_of_txn.data.(x)
+      in
+      for p = first + 1 to next - 1 do
+        let j = order.(p) and q = ref p in
+        while !q > first && before j order.(!q - 1) do
+          order.(!q) <- order.(!q - 1);
+          decr q
+        done;
+        order.(!q) <- j
+      done;
+      txn_incs.(x + 1) <- next
+    done;
+    let renumber = invert order incs.len in
+    Array.iteri (fun i j -> if j >= 0 then inc_of_op.(i) <- renumber.(j)) inc_of_op;
+    let ix =
+      {
+        txn_of_op;
+        inc_of_op;
+        item_of_op;
+        txns = Array.sub txns.data 0 n_txns;
+        txn_incs;
+        incs = Array.map (Array.get incs.data) order;
+        items = Array.sub items.data 0 items.len;
+      }
+    in
+    (ix, fun txn -> Option.value ~default:(-1) (Txn_tbl.find_opt txn_ids txn))
+end
+
+(* ------------------------------------------------------------------ *)
 (* Checkers against their pairwise / list-lookup references            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1579,6 +1730,54 @@ let prop_index_matches_reference_multi_site =
       let rng = Rng.create ~seed in
       index_matches_reference (with_values rng (with_global_commits rng (random_ltm_history rng ~n_sites:3))))
 
+(* An incarnation writes one item twice and then aborts: its undo chain
+   must be restored newest first for the item to get back the writer it
+   had before the first of the two writes. *)
+let wrote_twice_then_aborted h =
+  let writes = Hashtbl.create 16 in
+  let forget inc = Hashtbl.filter_map_inplace (fun (j, _) n -> if Txn.Incarnation.equal j inc then None else Some n) writes in
+  List.exists
+    (fun op ->
+      match op with
+      | Op.Dml { kind = Op.Write; inc; item; _ } ->
+          Hashtbl.replace writes (inc, item) (1 + Option.value ~default:0 (Hashtbl.find_opt writes (inc, item)));
+          false
+      | Op.Local_abort inc ->
+          let twice = Hashtbl.fold (fun (j, _) n acc -> acc || (Txn.Incarnation.equal j inc && n >= 2)) writes false in
+          forget inc;
+          twice
+      | Op.Local_commit inc ->
+          forget inc;
+          false
+      | _ -> false)
+    (History.ops h)
+
+(* A read of an item whose writer an abort restored to another
+   incarnation, with no write in between. *)
+let read_after_restore h =
+  let state = Hashtbl.create 16 and undos = Hashtbl.create 16 in
+  List.exists
+    (fun op ->
+      match op with
+      | Op.Dml { kind = Op.Read; item; _ } -> (
+          match Hashtbl.find_opt state item with Some (Some _, true) -> true | _ -> false)
+      | Op.Dml { kind = Op.Write; inc; item; _ } ->
+          let before = match Hashtbl.find_opt state item with Some (writer, _) -> writer | None -> None in
+          Hashtbl.replace undos inc ((item, before) :: Option.value ~default:[] (Hashtbl.find_opt undos inc));
+          Hashtbl.replace state item (Some inc, false);
+          false
+      | Op.Local_abort inc ->
+          List.iter
+            (fun (item, before) -> Hashtbl.replace state item (before, true))
+            (Option.value ~default:[] (Hashtbl.find_opt undos inc));
+          Hashtbl.remove undos inc;
+          false
+      | Op.Local_commit inc ->
+          Hashtbl.remove undos inc;
+          false
+      | _ -> false)
+    (History.ops h)
+
 (* The two properties' inputs hold what the index must get right:
    committed transactions that are incomplete, CG cycles in C(H), and
    value checks that pass and that fail. *)
@@ -1602,7 +1801,9 @@ let test_index_generators_cover () =
   some "an aborted incarnation in C(H)" (fun h ->
       History.exists (function Op.Local_abort _ -> true | _ -> false) (Reference.extended h));
   some "a value mismatch" (fun h -> Reference.check h <> []);
-  some "consistent values with reads" (fun h -> Reference.check h = [] && History.exists Op.is_read h)
+  some "consistent values with reads" (fun h -> Reference.check h = [] && History.exists Op.is_read h);
+  some "an abort that restores an item its incarnation wrote twice" wrote_twice_then_aborted;
+  some "a read after an abort restored another incarnation's write" read_after_restore
 
 (* A transaction id beyond any hash table's size, a transaction seen only
    through its global abort, a local commit recorded twice at one site,
@@ -1627,6 +1828,77 @@ let test_index_edge_cases () =
   Alcotest.(check bool) "complete" true (History.is_complete h big);
   Alcotest.(check (option (list string))) "the duplicate commit orders nothing" (Some [ "T1000000000"; "T2" ])
     (Option.map show (Commit_order_graph.serialization_order c))
+
+(* Operations that reach every path of the hash-free interning: gids and
+   local numbers past the direct arrays (4·|H| + 1024 keys), site ids in
+   the hundreds and one past the arrays, item keys that are negative, near
+   [min_int] or near [max_int], keys near 1 000 at many (site, table)
+   pairs, which exhaust the arrays' shared budget, a table name equal to
+   another but not physically equal, and the incarnations of a
+   transaction interleaved, some rebuilt so that equal incarnations are
+   not always physically equal. The index takes any sequence of
+   operations, well formed or not. *)
+let random_index_history rng =
+  let pick a = a.(Rng.int rng ~bound:(Array.length a)) in
+  let sites = Array.map Site.of_int [| 0; 1; 2 + Rng.int rng ~bound:3; 100 + Rng.int rng ~bound:400; 700; 1_000_000 |] in
+  let numbers = [| 1; 2; 3; 1_000 + Rng.int rng ~bound:20; 5_000 + Rng.int rng ~bound:10; max_int - Rng.int rng ~bound:2 |] in
+  let keys = [| 0; 1; 2; -1; -2; min_int; min_int + 1; min_int + 2; max_int; max_int - 1; 1_000; 1_010; 1_020 |] in
+  let table () = match Rng.int rng ~bound:3 with 0 -> "X" | 1 -> "Y" | _ -> String.make 1 'X' in
+  let txns =
+    Array.init
+      (1 + Rng.int rng ~bound:5)
+      (fun _ -> if Rng.bool rng ~p:0.3 then Txn.local ~site:(pick sites) ~n:(pick numbers) else g (pick numbers))
+  in
+  let incs =
+    Array.init
+      (1 + Rng.int rng ~bound:8)
+      (fun _ ->
+        match pick txns with
+        | Txn.Local { site; _ } as txn -> inc txn site 0
+        | txn -> inc txn (pick sites) (Rng.int rng ~bound:3))
+  in
+  let incarnation () =
+    let i = pick incs in
+    if Rng.bool rng ~p:0.3 then inc i.txn i.site i.inc else i
+  in
+  History.of_ops
+    (List.init (Rng.int rng ~bound:40) (fun _ ->
+         let i = incarnation () in
+         match Rng.int rng ~bound:10 with
+         | 0 -> lc i
+         | 1 -> la i
+         | 2 -> p i.txn i.site
+         | 3 -> if Rng.bool rng ~p:0.5 then gc (pick txns) else Op.Global_abort (pick txns)
+         | k ->
+             let it = Item.make ~site:i.site ~table:(table ()) ~key:(pick keys) in
+             if k < 7 then r i it else w i it))
+
+(* The seven columns, and [find] as the per-transaction accessors see it:
+   a transaction's operations are those at the positions the reference
+   gives its id, for the history's transactions and for an unseen gid
+   inside and past the direct array, a local at an unseen site and an
+   unseen local at site a. *)
+let index_matches_hashed h =
+  let ix = History.index h in
+  let ops = History.ops h in
+  let ref_ix, ref_find = Index_reference.build (Array.of_list ops) in
+  let ops_of x =
+    match ref_find x with -1 -> [] | k -> List.filteri (fun i _ -> ref_ix.txn_of_op.(i) = k) ops
+  in
+  let absent = [ g 7; g 4_000_000; Txn.local ~site:(Site.of_int 999) ~n:1; Txn.local ~site:a ~n:4 ] in
+  ix.txn_of_op = ref_ix.txn_of_op
+  && ix.inc_of_op = ref_ix.inc_of_op
+  && ix.item_of_op = ref_ix.item_of_op
+  && ix.txns = ref_ix.txns
+  && ix.txn_incs = ref_ix.txn_incs
+  && ix.incs = ref_ix.incs
+  && ix.items = ref_ix.items
+  && List.for_all (fun x -> History.ops_of_txn h x = ops_of x) (absent @ Array.to_list ix.txns)
+
+let prop_index_matches_hashed =
+  QCheck.Test.make ~name:"hash-free interning = the hashed index before it" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> index_matches_hashed (random_index_history (Rng.create ~seed)))
 
 (* SG(H) as first written: an edge for every pair of same-item
    operations, in history order, that [Op.conflicts]. *)
@@ -1843,6 +2115,7 @@ let () =
         [
           Alcotest.test_case "edge cases" `Quick test_index_edge_cases;
           Alcotest.test_case "generators cover" `Quick test_index_generators_cover;
+          q prop_index_matches_hashed;
           q prop_index_matches_reference_resubmission;
           q prop_index_matches_reference_multi_site;
         ] );
