@@ -1,11 +1,12 @@
 (* The benchmark harness.
 
-   Part 1 regenerates every experiment table (E1..E19) — the paper has no
-   quantitative tables of its own, so these operationalize its qualitative
-   claims; the mapping is documented in DESIGN.md §3 and EXPERIMENTS.md.
-   The whole sweep runs with a shared metrics registry, summarized after
-   the tables (and the registry totals double as a sanity check that the
-   suite actually exercised the certifier paths).
+   Part 1 regenerates every table of the experiment suite
+   ([Experiment.tables]) — the paper has no quantitative tables of its
+   own, so these operationalize its qualitative claims; the mapping is
+   documented in DESIGN.md §3 and EXPERIMENTS.md. The whole sweep runs
+   with a shared metrics registry, summarized after the tables (and the
+   registry totals double as a sanity check that the suite actually
+   exercised the certifier paths).
 
    Part 2 runs Bechamel microbenchmarks (M1..M15) of the certifier's and
    substrate's hot operations: alive-interval certification (fast path
@@ -17,17 +18,14 @@
    event-scheduler substrate itself (engine schedule/fire/cancel, and the
    engine's heap under adversarially ordered keys).
 
-   Part 3 runs one fixed workload through the conservative windowed
-   engine on 1 and on --domains N OCaml domains and reports wall-clock
-   txns/s and the parallel speedup (the merged history is
-   domain-count-invariant, so both runs commit the same transactions).
+   Wall-clock throughput of whole runs is perfbench's job (perfbench/);
+   E16 reports the windowed engine's wall-clock scaling here.
 
    Run with:  dune exec bench/main.exe -- [--quick] [--jobs N] [--domains N] [--json FILE]
 
-   --json dumps every table cell, the suite metrics registry, the
-   microbenchmark estimates and the multicore scaling runs as one JSON
-   document, schema "hermes-bench/3" (see BENCH_0005.json for a
-   committed reference dump). *)
+   --json dumps every table cell, the suite metrics registry and the
+   microbenchmark estimates as one JSON document, schema
+   "hermes-bench/4". *)
 
 open Hermes_kernel
 module Experiment = Hermes_harness.Experiment
@@ -43,9 +41,6 @@ module View = Hermes_history.View
 module Committed = Hermes_history.Committed
 module Json = Hermes_obs.Json
 module Engine = Hermes_sim.Engine
-module Spec = Hermes_workload.Spec
-module Stats = Hermes_workload.Stats
-module Driver = Hermes_workload.Driver
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures for the microbenchmarks                                    *)
@@ -129,8 +124,8 @@ let h1_chain_history n =
   in
   History.of_ops (h1_ops @ spectators)
 
-(* The baselines M9 and M13 time, the references the tests check the
-   library's fast versions against. *)
+(* The baselines M9, M11 and M13 time, the references the tests check
+   the library's fast versions against. *)
 open Deciders_reference
 
 (* ------------------------------------------------------------------ *)
@@ -210,7 +205,7 @@ let run_microbenchmarks () =
   in
   let m11 =
     Test.make ~name:"M11 alive-interval certification, fold baseline (64 prepared)"
-      (Staged.stage (fun () -> ignore (Alive_table.all_intersect_fold table64 candidate)))
+      (Staged.stage (fun () -> ignore (all_intersect_fold table64 candidate)))
   in
   let m12 =
     Test.make ~name:"M12 commit certification min-SN, sorted map (64 prepared)"
@@ -267,48 +262,6 @@ let print_microbenchmarks results =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Multicore scaling                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* One fixed workload through the conservative windowed engine, on one
-   domain and on [domains]: the merged history is domain-count-invariant,
-   so both runs commit the same transactions and the only thing that may
-   change is the wall clock. *)
-let run_multicore ~quick ~domains =
-  let n_sites = 16 in
-  let n_global = if quick then 160 else 480 in
-  let setup =
-    {
-      Driver.default_setup with
-      Driver.seed = 7;
-      spec =
-        Spec.make ~n_sites ~n_global
-          ~arrival:
-            (Spec.Closed { mpl = 2 * n_sites; think_time_mean = Spec.think_time Spec.default })
-          ~local_txn_cap:(20 * n_sites) ();
-    }
-  in
-  List.map
-    (fun d ->
-      let r = Driver.run_windowed ~domains:d setup in
-      let committed = Stats.committed r.Driver.stats in
-      let tps = if r.Driver.wall_s > 0.0 then float_of_int committed /. r.Driver.wall_s else 0.0 in
-      (d, committed, r.Driver.stuck, r.Driver.wall_s, tps))
-    (if domains > 1 then [ 1; domains ] else [ 1 ])
-
-let print_multicore runs =
-  Fmt.pr "@.== Multicore windowed engine (16 sites; host advertises %d core%s) ==@."
-    (Domain.recommended_domain_count ())
-    (if Domain.recommended_domain_count () = 1 then "" else "s");
-  let base_wall = match runs with (_, _, _, w, _) :: _ -> w | [] -> 0.0 in
-  List.iter
-    (fun (d, committed, stuck, wall, tps) ->
-      Fmt.pr "  domains %d: %d committed (%d stuck), %.3fs wall, %.0f txns/s wall, speedup %.2fx@." d
-        committed stuck wall tps
-        (if wall > 0.0 then base_wall /. wall else 0.0))
-    runs
-
-(* ------------------------------------------------------------------ *)
 (* JSON dump                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -322,7 +275,7 @@ let table_json (name, (t : Table_fmt.t)) =
       ("notes", Json.List (List.map (fun n -> Json.String n) t.Table_fmt.notes));
     ]
 
-let dump_json ~path ~quick ~jobs ~domains ~tables ~metrics ~micro ~multicore =
+let dump_json ~path ~quick ~jobs ~domains ~tables ~metrics ~micro =
   let micro_json =
     List.map
       (fun (name, ns) ->
@@ -333,23 +286,10 @@ let dump_json ~path ~quick ~jobs ~domains ~tables ~metrics ~micro ~multicore =
           ])
       micro
   in
-  let multicore_json =
-    List.map
-      (fun (d, committed, stuck, wall, tps) ->
-        Json.Obj
-          [
-            ("domains", Json.Int d);
-            ("committed", Json.Int committed);
-            ("stuck", Json.Int stuck);
-            ("wall_s", Json.Float wall);
-            ("txns_per_sec", Json.Float tps);
-          ])
-      multicore
-  in
   let doc =
     Json.Obj
       [
-        ("schema", Json.String "hermes-bench/3");
+        ("schema", Json.String "hermes-bench/4");
         ("quick", Json.Bool quick);
         ("jobs", Json.Int jobs);
         ("domains", Json.Int domains);
@@ -357,7 +297,6 @@ let dump_json ~path ~quick ~jobs ~domains ~tables ~metrics ~micro ~multicore =
         ("tables", Json.List (List.map table_json tables));
         ("metrics", Json.of_string (Hermes_obs.Registry.to_json metrics));
         ("microbench", Json.List micro_json);
-        ("multicore", Json.List multicore_json);
       ]
   in
   let oc = open_out path in
@@ -385,9 +324,7 @@ let bench quick jobs domains json =
   Hermes_harness.Obs_report.print ~title:"Suite metrics (all experiments)" metrics;
   let micro = run_microbenchmarks () in
   print_microbenchmarks micro;
-  let multicore = run_multicore ~quick ~domains in
-  print_multicore multicore;
-  Option.iter (fun path -> dump_json ~path ~quick ~jobs ~domains ~tables ~metrics ~micro ~multicore) json;
+  Option.iter (fun path -> dump_json ~path ~quick ~jobs ~domains ~tables ~metrics ~micro) json;
   Fmt.pr "@.total wall time: %.1fs@." (Unix.gettimeofday () -. t0)
 
 let () =
@@ -408,9 +345,9 @@ let () =
       & opt int (max 2 (Domain.recommended_domain_count ()))
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Within-run site parallelism for the multicore section and E16: the windowed engine \
-             runs on 1 and on $(docv) OCaml domains (default: the host core count, at least 2). \
-             Contrast $(b,--jobs), which parallelizes across independent runs.")
+            "Within-run site parallelism for E16: the windowed engine runs on 1 and on $(docv) \
+             OCaml domains (default: the host core count, at least 2). Contrast $(b,--jobs), \
+             which parallelizes across independent runs.")
   in
   let json =
     Arg.(
@@ -418,11 +355,11 @@ let () =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Dump every table cell, the metrics registry, the microbenchmark estimates and the \
-             multicore scaling runs to $(docv) (schema $(b,hermes-bench/3)).")
+            "Dump every table cell, the metrics registry and the microbenchmark estimates to \
+             $(docv) (schema $(b,hermes-bench/4)).")
   in
   let term = Term.(const bench $ quick $ jobs $ domains $ json) in
   let info =
-    Cmd.info "bench" ~doc:"Regenerate the experiment tables (E1..E19) and run the microbenchmarks (M1..M15)."
+    Cmd.info "bench" ~doc:"Regenerate the experiment tables and run the microbenchmarks (M1..M15)."
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -148,6 +148,24 @@ let resolve_commit_proto proto f =
       end;
       Config.Paxos { f }
 
+(* The adversary and countermeasure fields [run] and [explore] share.
+   A negative drift bound would refuse every PREPARE, so it is an error
+   like a [--paxos-f] below 1. *)
+let with_adversary certifier ~lying_sites ~equivocate ~sn_drift ~certificates ~drift_bound
+    ~suspicion =
+  (match drift_bound with
+  | Some n when n < 0 ->
+      Fmt.epr "hermes: --drift-bound must be non-negative@.";
+      exit 2
+  | Some _ | None -> ());
+  {
+    certifier with
+    Config.adversary = { Config.lying_sites; equivocate; sn_drift };
+    decision_certificates = certificates;
+    max_sn_drift = drift_bound;
+    suspicion_timeout = suspicion;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* hermes run                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -205,8 +223,10 @@ let run_cmd =
       & flag
       & info [ "group-commit" ]
           ~doc:
-            "Group commit: agents and coordinators stage their forced log records and pay one \
-             synchronous force per batch (1000-tick flush window, 8-record batches).")
+            (Fmt.str
+               "Group commit: agents and coordinators stage their forced log records and pay one \
+                synchronous force per batch (%d-tick flush window, %d-record batches)."
+               Config.grouped.Config.group_commit_window Config.grouped.Config.max_batch))
   in
   let cgm =
     Arg.(
@@ -222,9 +242,10 @@ let run_cmd =
           ~doc:
             "Run the simulation's sites on $(docv) OCaml domains with the conservative windowed \
              scheduler (within-run parallelism; contrast $(b,experiments --jobs), which fans \
-             independent seeded runs out across domains). $(docv) = 1 keeps the legacy sequential \
-             engine and its byte-identical schedules. The windowed schedule is deterministic and \
-             identical for every $(docv) > 1, but differs from the sequential one.")
+             independent seeded runs out across domains). $(docv) = 1 runs every site on one \
+             execution shard, the schedule the golden digests pin. Above 1 every site is its own \
+             shard: that schedule is deterministic and identical for every $(docv) > 1, but \
+             differs from the one-shard one.")
   in
   let shards =
     Arg.(
@@ -383,20 +404,9 @@ let run_cmd =
                on the sequential engine only)@." domains;
       exit 2
     end;
-    let certifier = { certifier with Config.commit_proto } in
     let certifier =
-      {
-        certifier with
-        Config.adversary =
-          { Config.lying_sites; equivocate; sn_drift };
-        decision_certificates = certificates;
-        suspicion_timeout = suspicion;
-      }
-    in
-    let certifier =
-      match drift_bound with
-      | Some n -> { certifier with Config.sn_drift_rejection = true; Config.max_sn_drift = n }
-      | None -> certifier
+      with_adversary { certifier with Config.commit_proto } ~lying_sites ~equivocate ~sn_drift
+        ~certificates ~drift_bound ~suspicion
     in
     let certifier =
       if group_commit then
@@ -476,7 +486,8 @@ let run_cmd =
     if moves > 0 || leave_at <> [] || join_at <> [] then
       Fmt.pr "placement: %d scheduled moves, %d leaves, %d joins, %d wrong-epoch refusals@." moves
         (List.length leave_at) (List.length join_at) t.Dtm.refused_epoch;
-    if lying_sites <> [] || equivocate || sn_drift > 0 || gray_sites <> [] then
+    if lying_sites <> [] || equivocate || sn_drift > 0 || gray_sites <> [] || drift_bound <> None
+    then
       Fmt.pr "adversary: lying %a, equivocate %b, sn-drift %d, gray %a (x%d); %d drift refusals@."
         Fmt.(Dump.list int) lying_sites equivocate sn_drift Fmt.(Dump.list int) gray_sites
         gray_factor t.Dtm.refused_drift;
@@ -613,11 +624,12 @@ let experiments_cmd =
       & info [ "seeds" ] ~docv:"N" ~doc:"Override every experiment's seed count (wins over $(b,--quick)).")
   in
   let only =
-    let names = List.init 19 (fun i -> Fmt.str "e%d" (i + 1)) in
+    let names = List.map fst (Experiment.tables ~seeds_of:Fun.id ()) in
     Arg.(
       value
       & opt (some (enum (List.map (fun n -> (n, n)) names))) None
-      & info [ "only" ] ~docv:"EXP" ~doc:"Run a single experiment ($(b,e1)..$(b,e19)).")
+      & info [ "only" ] ~docv:"EXP"
+          ~doc:"Run a single experiment ($(b,e1)..$(b,e19); $(b,e9) is retired).")
   in
   let jobs =
     Arg.(
@@ -637,8 +649,8 @@ let experiments_cmd =
           ~doc:
             "Override E16's domain sweep to {1, $(docv)}: each scaling block runs the windowed \
              engine single-domain and on $(docv) domains. Other experiments are unaffected (they \
-             pin the legacy sequential engine for byte-identical tables). Contrast $(b,--jobs), \
-             which fans independent seeded runs out across domains.")
+             run every site on one execution shard, for byte-identical tables). Contrast \
+             $(b,--jobs), which fans independent seeded runs out across domains.")
   in
   let run () quick seeds only jobs domains metrics_out metrics_summary =
     let obs = obs_of_flags ~metrics_out ~trace_out:None ~summary:metrics_summary in
@@ -805,17 +817,8 @@ let explore_cmd =
       certificates drift_bound suspicion json quorum =
     let commit_proto = resolve_commit_proto commit_proto paxos_f in
     let certifier =
-      {
-        certifier with
-        Config.adversary = { Config.lying_sites; equivocate; sn_drift };
-        decision_certificates = certificates;
-        suspicion_timeout = suspicion;
-      }
-    in
-    let certifier =
-      match drift_bound with
-      | Some n -> { certifier with Config.sn_drift_rejection = true; Config.max_sn_drift = n }
-      | None -> certifier
+      with_adversary certifier ~lying_sites ~equivocate ~sn_drift ~certificates ~drift_bound
+        ~suspicion
     in
     let scenario =
       {

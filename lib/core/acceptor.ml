@@ -14,7 +14,6 @@
 
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
-module Message = Hermes_net.Message
 module Network = Hermes_net.Network
 module Obs = Hermes_obs.Obs
 module Registry = Hermes_obs.Registry
@@ -108,7 +107,7 @@ let feed t inst input =
     (fun (eff : Sm.effect) ->
       match eff with
       | Types.Send { dst; gid; payload } ->
-          Network.send t.net ~src:(Message.Acceptor { gid = inst.a_gid; idx = inst.a_idx }) ~dst ~gid
+          Network.send t.net ~src:(Wire.Acceptor { gid = inst.a_gid; idx = inst.a_idx }) ~dst ~gid
             payload
       | Types.Force_log r -> log_force t inst r
       | Types.Emit ev -> emit_event t inst ev
@@ -127,8 +126,8 @@ let host t ~gid ~idx =
     let inst = { a_gid = gid; a_idx = idx; machine = Sm.init ~gid ~idx } in
     Hashtbl.replace t.insts key inst;
     Network.register t.net
-      (Message.Acceptor { gid; idx })
-      (fun msg -> feed t inst (Sm.Deliver { src = msg.Message.src; payload = msg.Message.payload }))
+      (Wire.Acceptor { gid; idx })
+      (fun msg -> feed t inst (Sm.Deliver { src = msg.Wire.src; payload = msg.Wire.payload }))
   end
 
 (* The site crashed: every hosted instance loses its volatile state
@@ -149,7 +148,7 @@ let recover t =
     t.insts
 
 let addresses t =
-  Hashtbl.fold (fun (gid, idx) _ acc -> Message.Acceptor { gid; idx } :: acc) t.insts []
+  Hashtbl.fold (fun (gid, idx) _ acc -> Wire.Acceptor { gid; idx } :: acc) t.insts []
 
 let force_writes t = t.force_writes
 let n_hosted t = Hashtbl.length t.insts

@@ -35,7 +35,7 @@ val crash : t -> unit
 val recover : t -> unit
 (** Reboot: replay every hosted instance from its force-written log. *)
 
-val addresses : t -> Hermes_net.Message.address list
+val addresses : t -> Wire.address list
 (** Network addresses of every instance hosted here (for down/up marks). *)
 
 val force_writes : t -> int

@@ -33,7 +33,6 @@ module Ltm = Hermes_ltm.Ltm
 module Bound = Hermes_ltm.Bound
 module Trace = Hermes_ltm.Trace
 module Op = Hermes_history.Op
-module Message = Hermes_net.Message
 module Network = Hermes_net.Network
 module Obs = Hermes_obs.Obs
 module Tracer = Hermes_obs.Tracer
@@ -138,7 +137,7 @@ let create ~site ~engine ~ltm ~net ~trace ?obs ?(termination = false) ?(epoch = 
       Option.map (fun o -> Registry.histogram (Obs.metrics o) ~site "agent.in_doubt_time") term_obs;
   }
 
-let address t = Message.Agent t.site
+let address t = Wire.Agent t.site
 let stats t = t.stats
 let alive_table t = t.machine.Agent_sm.table
 let agent_log t = t.log
@@ -219,15 +218,15 @@ let emit_event t (ev : Agent_sm.event) =
               Tracer.Prepare_certification { site = t.site; gid; sn; verdict = Tracer.Refused_dead }))
   | Ev_refused { gid; refusal } -> (
       Log.info (fun m ->
-          m "[%a %a] REFUSE T%d: %a" Time.pp (now t) Site.pp t.site gid Message.pp_refusal refusal);
+          m "[%a %a] REFUSE T%d: %a" Time.pp (now t) Site.pp t.site gid Wire.pp_refusal refusal);
       match refusal with
-      | Message.Extension_refused -> t.stats.refused_extension <- t.stats.refused_extension + 1
-      | Message.Interval_refused -> t.stats.refused_interval <- t.stats.refused_interval + 1
-      | Message.Dead_refused -> t.stats.refused_dead <- t.stats.refused_dead + 1
-      | Message.Wrong_epoch -> t.stats.refused_epoch <- t.stats.refused_epoch + 1
-      | Message.Drift_refused -> t.stats.refused_drift <- t.stats.refused_drift + 1
-      | Message.Uncertified_refused -> ()
-      | Message.Scheduler_refused _ -> ())
+      | Wire.Extension_refused -> t.stats.refused_extension <- t.stats.refused_extension + 1
+      | Wire.Interval_refused -> t.stats.refused_interval <- t.stats.refused_interval + 1
+      | Wire.Dead_refused -> t.stats.refused_dead <- t.stats.refused_dead + 1
+      | Wire.Wrong_epoch -> t.stats.refused_epoch <- t.stats.refused_epoch + 1
+      | Wire.Drift_refused -> t.stats.refused_drift <- t.stats.refused_drift + 1
+      | Wire.Uncertified_refused -> ()
+      | Wire.Scheduler_refused _ -> ())
   | Ev_commit_delayed { gid; sn; blocking_gid; blocking_sn } ->
       Log.debug (fun m ->
           m "[%a %a] commit certification holds T%d back (smaller SN prepared); retrying" Time.pp
@@ -464,15 +463,15 @@ let log_view t gid : Agent_sm.log_view =
       { known = false; prepared = false; committed = false; locally_committed = false;
         rolled_back = false; sn = None }
 
-let handle t (msg : Message.t) =
+let handle t (msg : Wire.t) =
   feed t
     (Agent_sm.Deliver
        {
          env = env t;
-         src = msg.Message.src;
-         gid = msg.Message.gid;
-         payload = msg.Message.payload;
-         log = log_view t msg.Message.gid;
+         src = msg.Wire.src;
+         gid = msg.Wire.gid;
+         payload = msg.Wire.payload;
+         log = log_view t msg.Wire.gid;
        })
 
 let attach t = Network.register t.net (address t) (handle t)

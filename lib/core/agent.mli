@@ -62,7 +62,7 @@ val create :
 val attach : t -> unit
 (** Register the agent's message handler with the network. *)
 
-val address : t -> Hermes_net.Message.address
+val address : t -> Wire.address
 val stats : t -> stats
 val alive_table : t -> Hermes_protocol.Alive_table.t
 val agent_log : t -> Agent_log.t

@@ -15,14 +15,13 @@
    [Agent.recover] rebuilds the prepared subtransactions from it. *)
 
 open Hermes_kernel
-module Message = Hermes_net.Message
 
 type entry = {
   gid : int;
   mutable commands : Command.t list;  (* newest first *)
   mutable inc : int;  (* highest incarnation index ever begun *)
   mutable sn : Sn.t option;  (* force-written with the prepare record *)
-  mutable coordinator : Message.address option;
+  mutable coordinator : Wire.address option;
   mutable bound : Item.t list;  (* the DLU bound-data set, logged at prepare *)
   mutable prepared : bool;
   mutable committed : bool;  (* the commit record (the decision) is durable *)

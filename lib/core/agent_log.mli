@@ -10,7 +10,7 @@ type entry = {
   mutable commands : Command.t list;  (** newest first; use {!commands} *)
   mutable inc : int;
   mutable sn : Sn.t option;
-  mutable coordinator : Hermes_net.Message.address option;
+  mutable coordinator : Wire.address option;
   mutable bound : Item.t list;  (** the DLU bound-data set, logged at prepare *)
   mutable prepared : bool;
   mutable committed : bool;  (** the decision (commit record) is durable *)
@@ -22,7 +22,7 @@ type t
 
 val create : unit -> t
 
-val entry : t -> gid:int -> coordinator:Hermes_net.Message.address -> entry
+val entry : t -> gid:int -> coordinator:Wire.address -> entry
 (** Find or create. *)
 
 val find : t -> gid:int -> entry option

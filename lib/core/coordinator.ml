@@ -16,7 +16,6 @@ open Hermes_kernel
 module Engine = Hermes_sim.Engine
 module Trace = Hermes_ltm.Trace
 module Op = Hermes_history.Op
-module Message = Hermes_net.Message
 module Network = Hermes_net.Network
 module Obs = Hermes_obs.Obs
 module Registry = Hermes_obs.Registry
@@ -30,7 +29,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type reason = Types.reason =
   | Exec_failed of Site.t * string
-  | Refused of Site.t * Message.refusal
+  | Refused of Site.t * Wire.refusal
   | Gate_refused of string  (* a baseline scheduler (e.g. CGM) rejected the commit *)
   | Presumed_abort  (* coordinator crash recovery found no decision record *)
   | Register_abort  (* a recovery ballot of the replicated decision register chose abort *)
@@ -72,7 +71,7 @@ type t = {
   mutable finished_at : Time.t;
 }
 
-let address t = Message.Coordinator t.gid
+let address t = Wire.Coordinator t.gid
 
 let cancel_timer = function Some timer -> Engine.cancel timer | None -> ()
 
@@ -259,11 +258,11 @@ and arm t (timer : Sm.timer) ~delay =
       t.retransmit_timer <-
         Some (Engine.schedule t.engine ~delay (fun () -> feed t Sm.Prepare_retransmit_fired))
 
-let handle t (msg : Message.t) =
-  match msg.Message.src with
-  | Message.Agent src -> feed t (Sm.From_agent { src; payload = msg.Message.payload })
-  | Message.Acceptor { idx; _ } -> feed t (Sm.From_acceptor { idx; payload = msg.Message.payload })
-  | Message.Coordinator _ -> assert false
+let handle t (msg : Wire.t) =
+  match msg.Wire.src with
+  | Wire.Agent src -> feed t (Sm.From_agent { src; payload = msg.Wire.payload })
+  | Wire.Acceptor { idx; _ } -> feed t (Sm.From_acceptor { idx; payload = msg.Wire.payload })
+  | Wire.Coordinator _ -> assert false
 
 let start ?(gate = open_gate) ?obs ?log ?batcher ?(epoch = 0) ~gid ~site ~engine ~net ~trace
     ~config ~sn_gen ~program ~on_done () =

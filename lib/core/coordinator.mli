@@ -8,7 +8,7 @@ open Hermes_kernel
 
 type reason =
   | Exec_failed of Site.t * string
-  | Refused of Site.t * Hermes_net.Message.refusal
+  | Refused of Site.t * Wire.refusal
   | Gate_refused of string  (** a baseline scheduler (e.g. CGM) rejected the commit *)
   | Presumed_abort
       (** coordinator crash recovery found no decision record for the

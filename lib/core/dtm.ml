@@ -45,7 +45,7 @@ type exec_shard = {
   net : Network.t;
   trace : Trace.t;
   obs : Obs.t option;
-  inbox : Hermes_net.Message.t Mailbox.t;  (* cross-shard arrivals, drained between windows *)
+  inbox : Wire.t Mailbox.t;  (* cross-shard arrivals, drained between windows *)
   mutable gid_ctr : int;  (* shard x allocates gids x+1, x+1+k, x+1+2k, ... *)
   shard_gids : (int, int list) Hashtbl.t;
       (* in-flight gid coordinated here -> placement shards it touches
@@ -146,9 +146,9 @@ let make_ctx ~exec ~failure_rng ~certifier ~crash_coordinators ~epoch i spec =
    Only several shards route, and they refuse replicated protocols, so
    no acceptor address ever reaches here. *)
 let locate ~n_exec = function
-  | Hermes_net.Message.Agent s -> Site.to_int s mod n_exec
-  | Hermes_net.Message.Coordinator gid -> (gid - 1) mod n_exec
-  | Hermes_net.Message.Acceptor _ ->
+  | Wire.Agent s -> Site.to_int s mod n_exec
+  | Wire.Coordinator gid -> (gid - 1) mod n_exec
+  | Wire.Acceptor _ ->
       invalid_arg "Dtm.locate: acceptors run on one execution shard only"
 
 let create ~engines ~rng ~net_config ~certifier ?obs ?(crash_coordinators = false) ?n_shards
@@ -310,7 +310,7 @@ let submit ?gate ?shards t program ~on_done =
      site's slow links — its address carries no site id, so the network
      is told explicitly, before the first message leaves. *)
   if List.mem (Site.to_int coord_site) t.gray_sites then
-    Network.mark_gray x.net (Hermes_net.Message.Coordinator gid);
+    Network.mark_gray x.net (Wire.Coordinator gid);
   let coord =
     Coordinator.start ?gate ?obs:x.obs ~log:c.clog ?batcher:c.batcher ~gid ~site:coord_site
       ~engine:x.engine ~net:x.net ~trace:x.trace ~config:t.certifier
@@ -442,17 +442,17 @@ let crash_site ?(reboot_delay = 0) t site =
       List.iter
         (fun co ->
           Coordinator.crash co;
-          Network.mark_down c.exec.net (Hermes_net.Message.Coordinator (Coordinator.gid co)))
+          Network.mark_down c.exec.net (Wire.Coordinator (Coordinator.gid co)))
         coords;
       Agent.crash c.agent;
-      Network.mark_down c.exec.net (Hermes_net.Message.Agent site);
+      Network.mark_down c.exec.net (Wire.Agent site);
       (match c.acceptors with
       | Some a ->
           Acceptor.crash a;
           List.iter (Network.mark_down c.exec.net) (Acceptor.addresses a)
       | None -> ());
       Engine.schedule_unit c.exec.engine ~delay:reboot_delay (fun () ->
-          Network.mark_up c.exec.net (Hermes_net.Message.Agent site);
+          Network.mark_up c.exec.net (Wire.Agent site);
           c.down <- false;
           (match c.acceptors with
           | Some a ->
@@ -462,7 +462,7 @@ let crash_site ?(reboot_delay = 0) t site =
           Agent.recover c.agent;
           List.iter
             (fun co ->
-              Network.mark_up c.exec.net (Hermes_net.Message.Coordinator (Coordinator.gid co));
+              Network.mark_up c.exec.net (Wire.Coordinator (Coordinator.gid co));
               Coordinator.recover co)
             coords)
     end
@@ -583,7 +583,7 @@ let export_metrics t reg =
       c ~site "agent.refused_dead" ags.Agent.refused_dead;
       (* zero-skipped, so runs on the static map stay byte-identical *)
       c ~site "agent.refused_epoch" ags.Agent.refused_epoch;
-      (* zero-skipped likewise: nonzero only under [sn_drift_rejection] *)
+      (* zero-skipped likewise: nonzero only with a [max_sn_drift] bound *)
       c ~site "agent.refused_drift" ags.Agent.refused_drift;
       c ~site "agent.resubmissions" ags.Agent.resubmissions;
       c ~site "agent.commit_retries" ags.Agent.commit_retries;

@@ -59,7 +59,7 @@ val create :
     runs replay byte-identically with earlier revisions. Placement shards
     partition the keys; they are unrelated to execution shards. *)
 
-val locate : n_exec:int -> Hermes_net.Message.address -> int
+val locate : n_exec:int -> Wire.address -> int
 (** The execution shard owning an address among [n_exec] execution
     shards: an agent lives on its site's shard; a coordinator on shard
     [(gid - 1) mod n_exec], by the strided gid allocation. Raises

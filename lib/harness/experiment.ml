@@ -41,9 +41,9 @@ type params = {
   metrics : Registry.t option;
   jobs : int;
   domains : int option;
-      (* within-run site parallelism for E16 (the other experiments pin
-         the legacy engine for byte-identity); [jobs] above is ACROSS-run
-         fan-out of seed sweeps — the two compose *)
+      (* within-run site parallelism for E16 (the other experiments run
+         on one execution shard for byte-identity); [jobs] above is
+         ACROSS-run fan-out of seed sweeps — the two compose *)
 }
 
 let default_params = { seeds = None; metrics = None; jobs = 1; domains = None }
@@ -69,7 +69,7 @@ let verdict (r : Scenario.run) =
 let outcome_cell o =
   match o with
   | Some Coordinator.Committed -> "committed"
-  | Some (Coordinator.Aborted (Coordinator.Refused (_, r))) -> Fmt.str "refused (%a)" Hermes_net.Message.pp_refusal r
+  | Some (Coordinator.Aborted (Coordinator.Refused (_, r))) -> Fmt.str "refused (%a)" Wire.pp_refusal r
   | Some (Coordinator.Aborted _) -> "aborted"
   | None -> "STUCK"
 
@@ -435,62 +435,6 @@ let e8_commit_retry ?(seeds = 3) ?(jobs = 1) ?metrics () =
   T.make ~title:(Fmt.str "E8  Commit-certification retries vs network jitter (Appendix C), %d seeds" seeds)
     ~headers:[ "jitter (ticks)"; "commits"; "commit-cert retries"; "mean latency (ms)"; "p95 (ms)" ]
     ~notes:[ "Retries measure how often a COMMIT had to wait behind a smaller serial number." ]
-    rows
-
-(* E9 — the §4.2 suggestion: "As an optimization, several of [the alive
-   intervals] might be stored." A reproduction finding: under the paper's
-   own definitions the optimization is vacuous. The candidate's interval
-   is [last operation, checking moment], so its upper end is *now*;
-   intersection with a past entry interval therefore only constrains the
-   candidate's lower end against the entry interval's upper end — and the
-   newest stored interval always has the largest upper end (a resubmitted
-   incarnation's interval begins after the failed one ended). Storing
-   older intervals can thus never admit a candidate the newest interval
-   refuses. The experiment confirms the equivalence empirically: both
-   variants must produce identical numbers. *)
-let e9_multi_interval ?(seeds = 5) ?(jobs = 1) ?metrics () =
-  let spec =
-    Spec.make ~n_global:80 ~arrival:(closed 8)
-      ~key_dist:(Spec.Zipf { theta = 0.9 })
-      ~keys_per_site:12 ~n_tables:2 ()
-  in
-  let variants = [ ("1 (paper baseline)", Config.full); ("4 (optimization)", Config.multi_interval) ] in
-  let rows =
-    List.concat_map
-      (fun p ->
-        List.map
-          (fun (name, certifier) ->
-            let a =
-              aggregate ?metrics ~jobs ~seeds
-                ~setup_of:(fun seed ->
-                  {
-                    Driver.default_setup with
-                    Driver.protocol = Driver.Two_pca certifier;
-                    failure = Failure.prepared_rate p;
-                    seed;
-                    spec;
-                  })
-                ()
-            in
-            [
-              Fmt.str "%.2f" p; name; T.f1 a.a_committed; T.f1 a.a_refused_int; T.f1 a.a_retries;
-              T.pct a.a_abort_rate; Fmt.str "%d/%d" a.a_distortion_runs seeds;
-              Fmt.str "%d/%d" a.a_cycle_runs seeds;
-            ])
-          variants)
-      [ 0.1; 0.3; 0.5 ]
-  in
-  T.make
-    ~title:(Fmt.str "E9  Storing several alive intervals (paper S4.2 optimization), %d seeds per cell" seeds)
-    ~headers:
-      [ "P(abort|prepared)"; "intervals kept"; "commits"; "interval refusals"; "retries"; "abort rate";
-        "distortion runs"; "CG-cycle runs" ]
-    ~notes:
-      [
-        "Reproduction finding: the rows must be IDENTICAL pairwise. The candidate's interval always";
-        "ends at the checking moment, so only each entry's newest interval endpoint matters — the";
-        "paper's suggested optimization cannot change any certification outcome (see EXPERIMENTS.md).";
-      ]
     rows
 
 (* E10 — heterogeneity and site crashes. The setting the paper is *for*:
@@ -1369,7 +1313,7 @@ let e19_adversary ?(seeds = 3) ?(jobs = 1) ?metrics () =
       ("sn drift", "off", drifting, Network.no_faults);
       ( "sn drift",
         "drift bound",
-        { drifting with Config.sn_drift_rejection = true; Config.max_sn_drift = 10_000 },
+        { drifting with Config.max_sn_drift = Some 10_000 },
         Network.no_faults );
       ("gray site 0", "off", gray_base, gray_faults);
       ( "gray site 0",
@@ -1494,7 +1438,6 @@ let tables ~seeds_of ?(jobs = 1) ?metrics ?domains () =
     ("e6", fun () -> e6_failure_sweep ~seeds:(seeds_of 5) ~jobs ?metrics ());
     ("e7", fun () -> e7_clock_drift ~seeds:(seeds_of 3) ~jobs ?metrics ());
     ("e8", fun () -> e8_commit_retry ~seeds:(seeds_of 3) ~jobs ?metrics ());
-    ("e9", fun () -> e9_multi_interval ~seeds:(seeds_of 5) ~jobs ?metrics ());
     ("e10", fun () -> e10_heterogeneity ~seeds:(seeds_of 5) ~jobs ?metrics ());
     ("e11", fun () -> e11_crash_recovery ~seeds:(seeds_of 5) ~jobs ?metrics ());
     ("e12", fun () -> e12_deadlock_policies ~seeds:(seeds_of 3) ~jobs ?metrics ());

@@ -11,9 +11,9 @@ module Registry := Hermes_obs.Registry
     run's metrics are absorbed into (one dump for a whole sweep); [jobs]
     is the number of domains the seed sweeps fan out over (ACROSS runs);
     [domains] overrides E16's within-run site-parallelism sweep to
-    [[1; d]] — the other experiments pin the legacy sequential engine
-    for byte-identity. Results are byte-identical for any [jobs]: runs
-    are independent (each owns its observability context) and their
+    [[1; d]] — the other experiments run every site on one execution
+    shard, for byte-identity. Results are byte-identical for any [jobs]:
+    runs are independent (each owns its observability context) and their
     registries are absorbed in seed order on the calling domain. *)
 type params = {
   seeds : int option;
@@ -27,7 +27,8 @@ val default_params : params
     per-experiment defaults, no metrics collection, sequential. *)
 
 val run_all : ?params:params -> unit -> (string * T.t) list
-(** Every experiment, as [(short name, table)] — ["e1"] .. ["e16"]. *)
+(** Every experiment, as [(short name, table)] — ["e1"] .. ["e19"],
+    without the retired ["e9"] (EXPERIMENTS.md keeps its finding). *)
 
 val tables :
   seeds_of:(int -> int) ->
@@ -65,12 +66,6 @@ val e7_clock_drift : ?seeds:int -> ?jobs:int -> ?metrics:Registry.t -> unit -> T
 
 val e8_commit_retry : ?seeds:int -> ?jobs:int -> ?metrics:Registry.t -> unit -> T.t
 (** Appendix C: commit-certification retry behaviour vs jitter. *)
-
-val e9_multi_interval : ?seeds:int -> ?jobs:int -> ?metrics:Registry.t -> unit -> T.t
-(** The §4.2 "several intervals might be stored" suggestion vs the
-    store-only-the-last baseline — a reproduction finding: they are
-    provably (and measurably) equivalent, because the candidate's interval
-    always ends at the checking moment. *)
 
 val e10_heterogeneity : ?seeds:int -> ?jobs:int -> ?metrics:Registry.t -> unit -> T.t
 (** Heterogeneous LDBSs (different speeds, deadlock policies, clocks and

@@ -7,8 +7,8 @@
    and results ride the same network.
 
    Lives in the kernel so the pure protocol machines (hermes.protocol)
-   can speak the wire types without depending on the simulated network;
-   [Hermes_net.Message] re-exports it for transport-side callers. *)
+   and the simulated network (hermes.net) speak the same wire types
+   without depending on each other. *)
 
 type address = Coordinator of int | Agent of Site.t | Acceptor of { gid : int; idx : int }
 

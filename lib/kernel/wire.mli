@@ -1,8 +1,8 @@
 (** Messages of the DTM — the paper's 2PC vocabulary (§2): BEGIN, command
     submission, PREPARE, READY/REFUSE, COMMIT/ROLLBACK and their ACKs.
 
-    Kernel-resident so the pure protocol layer can use the wire types
-    without a network dependency; {!Hermes_net.Message} re-exports it. *)
+    Kernel-resident so the pure protocol layer and the simulated network
+    use the same wire types without depending on each other. *)
 
 type address =
   | Coordinator of int

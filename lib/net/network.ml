@@ -27,7 +27,7 @@ let src = Logs.Src.create "hermes.net" ~doc:"Simulated network traffic"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type endpoint = Any_addr | Addr of Message.address
+type endpoint = Any_addr | Addr of Wire.address
 
 type partition = {
   between : endpoint * endpoint;  (* matched in either direction *)
@@ -71,23 +71,23 @@ let default_config = { base_delay = 500; jitter = 200; faults = no_faults }
    on every send and every delivery. None of them is iterated, so the
    choice of hash cannot reorder anything. *)
 module Addr_tbl = Hashtbl.Make (struct
-  type t = Message.address
+  type t = Wire.address
 
-  let equal = Message.equal_address
-  let hash = Message.hash_address
+  let equal = Wire.equal_address
+  let hash = Wire.hash_address
 end)
 
 module Link_tbl = Hashtbl.Make (struct
-  type t = Message.address * Message.address
+  type t = Wire.address * Wire.address
 
-  let equal (s, d) (s', d') = Message.equal_address s s' && Message.equal_address d d'
-  let hash (s, d) = (Message.hash_address s * 65599) + Message.hash_address d
+  let equal (s, d) (s', d') = Wire.equal_address s s' && Wire.equal_address d d'
+  let hash (s, d) = (Wire.hash_address s * 65599) + Wire.hash_address d
 end)
 
 type fabric = {
   here : int;  (* this network instance's shard *)
-  locate : Message.address -> int;  (* owning shard of an address *)
-  forward : shard:int -> arrival:Time.t -> Message.t -> unit;
+  locate : Wire.address -> int;  (* owning shard of an address *)
+  forward : shard:int -> arrival:Time.t -> Wire.t -> unit;
       (* hand a message to a remote shard's inbox; the owning shard calls
          [deliver_remote] on its own network when it drains *)
 }
@@ -97,7 +97,7 @@ type t = {
   rng : Rng.t;
   config : config;
   fabric : fabric option;
-  handlers : (Message.t -> unit) Addr_tbl.t;
+  handlers : (Wire.t -> unit) Addr_tbl.t;
   last_delivery : Time.t Link_tbl.t;
       (* per link: the arrival of its last message, while that is not yet
          past (see [prune_links]) *)
@@ -173,15 +173,15 @@ let is_gray t addr =
   Addr_tbl.mem t.gray addr
   ||
   match addr with
-  | Message.Agent s -> List.mem (Site.to_int s) t.config.faults.gray_sites
+  | Wire.Agent s -> List.mem (Site.to_int s) t.config.faults.gray_sites
   | _ -> false
 
 let count_drop t ~at ~dst ~gid ~reason =
   t.dropped <- t.dropped + 1;
   Obs.emit t.obs ~at (fun () ->
-      Tracer.Message_dropped { dst = Fmt.str "%a" Message.pp_address dst; gid; reason })
+      Tracer.Message_dropped { dst = Fmt.str "%a" Wire.pp_address dst; gid; reason })
 
-let endpoint_matches ep addr = match ep with Any_addr -> true | Addr a -> Message.equal_address a addr
+let endpoint_matches ep addr = match ep with Any_addr -> true | Addr a -> Wire.equal_address a addr
 
 let partitioned t ~src ~dst ~now =
   List.exists
@@ -216,7 +216,7 @@ let account_overtakes t in_flight ~now ~dst ~gid ~arrival =
       if Time.(behind_arrival > arrival) then begin
         (match t.overtakes with Some c -> Registry.Counter.incr c | None -> ());
         Obs.emit t.obs ~at:now (fun () ->
-            Tracer.Overtaking { dst = Fmt.str "%a" Message.pp_address dst; gid; behind_gid })
+            Tracer.Overtaking { dst = Fmt.str "%a" Wire.pp_address dst; gid; behind_gid })
       end)
     inbound;
   Addr_tbl.replace in_flight dst ((arrival, gid) :: inbound)
@@ -228,12 +228,12 @@ let account_overtakes t in_flight ~now ~dst ~gid ~arrival =
    [transmit] when the destination is local, via [deliver_remote] when it
    arrived over the fabric. *)
 let intake t msg ~arrival =
-  let { Message.dst; gid; _ } = msg in
+  let { Wire.dst; gid; _ } = msg in
   let now = Engine.now t.engine in
   (match t.in_flight with
   | Some in_flight -> account_overtakes t in_flight ~now ~dst ~gid ~arrival
   | None -> ());
-  Log.debug (fun m -> m "[%a] %a (delivery %a)" Time.pp now Message.pp msg Time.pp arrival);
+  Log.debug (fun m -> m "[%a] %a (delivery %a)" Time.pp now Wire.pp msg Time.pp arrival);
   Engine.schedule_unit t.engine ~delay:(Time.diff arrival now) (fun () ->
       (match t.in_flight with
       | Some in_flight -> purge_in_flight in_flight dst ~arrival ~gid
@@ -244,8 +244,8 @@ let intake t msg ~arrival =
         match Addr_tbl.find_opt t.handlers dst with
         | Some handler -> handler msg
         | None ->
-            Fmt.failwith "Network.send: no handler for %a (message %a)" Message.pp_address dst
-              Message.pp msg
+            Fmt.failwith "Network.send: no handler for %a (message %a)" Wire.pp_address dst
+              Wire.pp msg
       end)
 
 let deliver_remote t ~arrival msg = intake t msg ~arrival
@@ -268,7 +268,7 @@ let prune_links t ~now =
    clamp) is keyed on this instance, so it stays shard-exclusive under
    the fabric. *)
 let transmit t msg ~now =
-  let { Message.src; dst; _ } = msg in
+  let { Wire.src; dst; _ } = msg in
   let faults = t.config.faults in
   let delay =
     t.config.base_delay + if t.config.jitter > 0 then Rng.int t.rng ~bound:(t.config.jitter + 1) else 0
@@ -296,13 +296,13 @@ let transmit t msg ~now =
   match t.fabric with
   | Some f when f.locate dst <> f.here ->
       Log.debug (fun m ->
-          m "[%a] %a (forward to shard %d, delivery %a)" Time.pp now Message.pp msg (f.locate dst)
+          m "[%a] %a (forward to shard %d, delivery %a)" Time.pp now Wire.pp msg (f.locate dst)
             Time.pp arrival);
       f.forward ~shard:(f.locate dst) ~arrival msg
   | _ -> intake t msg ~arrival
 
 let send t ~src ~dst ~gid payload =
-  let msg = { Message.src; dst; gid; payload } in
+  let msg = { Wire.src; dst; gid; payload } in
   t.sent <- t.sent + 1;
   let now = Engine.now t.engine in
   let faults = t.config.faults in
@@ -314,7 +314,7 @@ let send t ~src ~dst ~gid payload =
     if faults.dup > 0. && Rng.bool t.rng ~p:faults.dup then begin
       t.duplicated <- t.duplicated + 1;
       Obs.emit t.obs ~at:now (fun () ->
-          Tracer.Message_duplicated { dst = Fmt.str "%a" Message.pp_address dst; gid });
+          Tracer.Message_duplicated { dst = Fmt.str "%a" Wire.pp_address dst; gid });
       (* The copy rides the same per-link FIFO, so it arrives after the
          original (fresh delay draw, clamped past it). *)
       transmit t msg ~now

@@ -8,9 +8,11 @@
     counted drops). With {!no_faults} and no down sites, runs are
     byte-identical to the fault-free network at the same seed. *)
 
+open Hermes_kernel
+
 type endpoint =
   | Any_addr  (** matches every address (e.g. to isolate one site) *)
-  | Addr of Message.address
+  | Addr of Wire.address
 
 type partition = {
   between : endpoint * endpoint;  (** matched in either direction *)
@@ -44,8 +46,8 @@ type t
 
 type fabric = {
   here : int;  (** this network instance's shard *)
-  locate : Message.address -> int;  (** owning shard of an address *)
-  forward : shard:int -> arrival:Hermes_kernel.Time.t -> Message.t -> unit;
+  locate : Wire.address -> int;  (** owning shard of an address *)
+  forward : shard:int -> arrival:Time.t -> Wire.t -> unit;
       (** hand the message to the destination shard's inbox; that shard
           later calls {!deliver_remote} on its own network instance *)
 }
@@ -57,7 +59,7 @@ type fabric = {
 
 val create :
   engine:Hermes_sim.Engine.t ->
-  rng:Hermes_kernel.Rng.t ->
+  rng:Rng.t ->
   ?obs:Hermes_obs.Obs.t ->
   ?fabric:fabric ->
   config:config ->
@@ -79,7 +81,7 @@ val create :
     has doubled ({!links}). Either way delivery order and times are the
     same. *)
 
-val deliver_remote : t -> arrival:Hermes_kernel.Time.t -> Message.t -> unit
+val deliver_remote : t -> arrival:Time.t -> Wire.t -> unit
 (** Destination-side intake for a message forwarded over the {!fabric}:
     with [?obs], registers it in flight (overtake accounting is against
     this shard's inbound traffic only); then schedules its delivery at
@@ -87,23 +89,23 @@ val deliver_remote : t -> arrival:Hermes_kernel.Time.t -> Message.t -> unit
     with [arrival] not in this engine's past — guaranteed by the
     conservative window bound. *)
 
-val register : t -> Message.address -> (Message.t -> unit) -> unit
-val unregister : t -> Message.address -> unit
+val register : t -> Wire.address -> (Wire.t -> unit) -> unit
+val unregister : t -> Wire.address -> unit
 
-val send : t -> src:Message.address -> dst:Message.address -> gid:int -> Message.payload -> unit
+val send : t -> src:Wire.address -> dst:Wire.address -> gid:int -> Wire.payload -> unit
 (** Raises if the destination has no registered handler at delivery time
     — unless it is {!mark_down}, in which case the delivery is a counted
     drop. *)
 
-val mark_down : t -> Message.address -> unit
+val mark_down : t -> Wire.address -> unit
 (** Make [addr] unreachable: messages delivered to it (including ones
     already in flight) are counted drops. Marks the network {!lossy}. *)
 
-val mark_up : t -> Message.address -> unit
+val mark_up : t -> Wire.address -> unit
 
-val is_down : t -> Message.address -> bool
+val is_down : t -> Wire.address -> bool
 
-val mark_gray : t -> Message.address -> unit
+val mark_gray : t -> Wire.address -> unit
 (** Gray-fail [addr]: its links slow down by [faults.gray_factor] but
     deliver everything, so the network stays non-{!lossy} and crash
     detection never fires. Used for addresses whose hosting site is not

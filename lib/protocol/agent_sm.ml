@@ -50,6 +50,12 @@ open Hermes_kernel
 open Types
 module Int_map = Map.Make (Int)
 
+(* Ticks between periodic alive checks (Appendix A). *)
+let alive_check_interval = 5_000
+
+(* Ticks before retrying a blocked commit certification (Appendix C). *)
+let commit_retry_interval = 2_000
+
 type sub_state = Active | Prepared
 
 (* One global subtransaction at this site (volatile image). *)
@@ -416,10 +422,8 @@ and feed_next config st env (sub : sub) =
 and resubmission_complete (config : Config.t) st env (sub : sub) =
   let sub = { sub with resubmitting = false } in
   (* "A new interval is always initiated after the resubmission of all
-     the commands is complete." With [max_intervals] > 1, the previous
-     incarnations' intervals are remembered too (the §4.2 optimization). *)
-  Alive_table.push_interval st.table ~gid:sub.gid ~max_intervals:config.Config.max_intervals
-    (Interval.point env.now);
+     the commands is complete." *)
+  Alive_table.update_interval st.table ~gid:sub.gid (Interval.point env.now);
   let effs =
     Ltm_call (L_watch_uan { gid = sub.gid; inc = sub.inc })
     ::
@@ -488,8 +492,7 @@ and try_commit_certified (config : Config.t) st env (sub : sub) sn =
         Emit (Ev_commit_delayed { gid = sub.gid; sn; blocking_gid; blocking_sn })
         :: cancels
         @ [
-            Arm_timer
-              { timer = T_commit_retry sub.gid; delay = config.Config.commit_retry_interval };
+            Arm_timer { timer = T_commit_retry sub.gid; delay = commit_retry_interval };
           ] )
     else if not (view_alive env sub.gid) then start_resubmission config st env sub
     else
@@ -531,7 +534,7 @@ and flush config st env ~fired =
   let st = { st with flush_armed = false } in
   let pending = List.rev st.pending in
   let st = { st with pending = [] } in
-  if config.Config.refresh_on_certify && pending <> [] then refresh_table st env;
+  if pending <> [] then refresh_table st env;
   (* Staged decision records count as committed for the extension check:
      a buffered PREPARE behind a staged commit's SN must be refused
      exactly as if the commit had already been forced — the release its
@@ -597,8 +600,9 @@ and certify_prepare ?(refresh = true) (config : Config.t) st env (sub : sub) sn 
   let sub = { sub with sn = Some sn } in
   let st = update st sub in
   let drift_ok =
-    (not config.Config.sn_drift_rejection)
-    || Time.diff env.now (Sn.ts sn) <= config.Config.max_sn_drift
+    match config.Config.max_sn_drift with
+    | Some bound -> Time.diff env.now (Sn.ts sn) <= bound
+    | None -> true
   in
   let extension_ok =
     (not config.Config.certification_extension)
@@ -622,7 +626,7 @@ and certify_prepare ?(refresh = true) (config : Config.t) st env (sub : sub) sn 
   else begin
     (* Basic prepare certification: refresh the table's intervals with an
        immediate alive check, then test the intersection rule. *)
-    if config.Config.refresh_on_certify && refresh then refresh_table st env;
+    if refresh then refresh_table st env;
     let last = (Option.get (view env sub.gid)).last_op_done in
     let candidate = Interval.make ~lo:last ~hi:env.now in
     let interval_ok =
@@ -634,7 +638,7 @@ and certify_prepare ?(refresh = true) (config : Config.t) st env (sub : sub) sn 
         | Some b ->
             V_refused_interval
               { conflicting_gid = b.Alive_table.gid;
-                conflicting = Alive_table.current_interval b;
+                conflicting = b.Alive_table.interval;
                 candidate }
         | None -> V_refused_interval { conflicting_gid = sub.gid; conflicting = candidate; candidate }
       in
@@ -673,7 +677,7 @@ and certify_prepare ?(refresh = true) (config : Config.t) st env (sub : sub) sn 
             send sub
               (if config.Config.decision_certificates then Wire.Ready_certified { sn }
                else Wire.Ready);
-            Arm_timer { timer = T_alive sub.gid; delay = config.Config.alive_check_interval };
+            Arm_timer { timer = T_alive sub.gid; delay = alive_check_interval };
           ]
         @ Emit (Ev_in_doubt { gid = sub.gid })
           ::
@@ -964,7 +968,7 @@ let step (config : Config.t) (st : state) (input : input) : state * effect list 
       | None -> (st, [])
       | Some sub ->
           let rearm =
-            [ Arm_timer { timer = T_alive gid; delay = config.Config.alive_check_interval } ]
+            [ Arm_timer { timer = T_alive gid; delay = alive_check_interval } ]
           in
           if sub.resubmitting then (st, rearm) (* a new interval starts when it completes *)
           else
@@ -1151,7 +1155,7 @@ let step (config : Config.t) (st : state) (input : input) : state * effect list 
           let st, feed_effs = feed_next config st env sub in
           ( st,
             effs @ head @ feed_effs
-            @ [ Arm_timer { timer = T_alive sub.gid; delay = config.Config.alive_check_interval } ]
+            @ [ Arm_timer { timer = T_alive sub.gid; delay = alive_check_interval } ]
             @ (if e.r_committed then [] else [ Emit (Ev_in_doubt { gid = sub.gid }) ])
             @
             if inq then
@@ -1180,7 +1184,7 @@ let export_handover st ~gids =
     (fun gid ->
       match Alive_table.find st.table ~gid with
       | Some e ->
-          Some { h_gid = gid; h_sn = e.Alive_table.sn; h_interval = Alive_table.current_interval e }
+          Some { h_gid = gid; h_sn = e.Alive_table.sn; h_interval = e.Alive_table.interval }
       | None -> None)
     gids
 

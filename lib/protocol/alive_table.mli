@@ -3,18 +3,17 @@
     its serial number and last known alive time interval.
 
     The table maintains incremental aggregates — a (max-lo, min-hi)
-    window over current intervals and a map sorted by (serial number,
-    gid) — so [all_intersect] has an O(log n) accept fast path and
-    [min_sn_holds]/[min_sn_blocker] are O(log n) rather than a fold per
-    COMMIT attempt.
+    window over the intervals and a map sorted by (serial number, gid) —
+    so [all_intersect], [min_sn_holds] and [min_sn_blocker] are
+    O(log n) rather than a fold per PREPARE or COMMIT attempt.
 
-    [entry.intervals] must not be mutated from outside this module: the
-    aggregates are maintained by [push_interval]/[update_interval]/
-    [extend_interval] and would be silently invalidated. *)
+    [entry.interval] must not be mutated from outside this module: the
+    aggregates are maintained by [update_interval]/[extend_interval]
+    and would be silently invalidated. *)
 
 open Hermes_kernel
 
-type entry = { gid : int; sn : Sn.t; mutable intervals : Interval.t list (** newest first; never empty *) }
+type entry = { gid : int; sn : Sn.t; mutable interval : Interval.t }
 type t
 
 val create : unit -> t
@@ -34,37 +33,25 @@ val copy : t -> t
 val mem : t -> gid:int -> bool
 val entries : t -> entry list
 val size : t -> int
-val current_interval : entry -> Interval.t
-
-val push_interval : t -> gid:int -> max_intervals:int -> Interval.t -> unit
-(** Begin a fresh interval after a completed resubmission, keeping at most
-    [max_intervals] intervals per entry — the paper's "several of them
-    might be stored" optimization. No-op on absent gids. *)
 
 val update_interval : t -> gid:int -> Interval.t -> unit
-(** Replace all knowledge with a single interval — the paper's
-    store-only-the-last-interval baseline. No-op on absent gids. *)
+(** Begin a fresh interval after a completed resubmission, replacing the
+    failed incarnation's — the paper's store-only-the-last-interval
+    certifier. No-op on absent gids. *)
 
 val extend_interval : t -> gid:int -> hi:Time.t -> unit
-(** Move the current interval's upper end (a successful alive check).
-    No-op on absent gids or when [hi] precedes the interval. *)
+(** Move the interval's upper end (a successful alive check). No-op on
+    absent gids or when [hi] precedes the interval. *)
 
 val all_intersect : t -> Interval.t -> bool
 (** The Alive Time Intersection Rule: may the candidate be prepared? The
-    candidate must intersect some stored interval of every entry (sound
-    for any stored interval, §4.2: decompositions are stable under CI and
-    DLU, so past simultaneous aliveness proves future conflict-freeness).
-    O(log n) when the candidate sits inside the (max-lo, min-hi) window
-    or when every entry stores a single interval; falls back to
-    {!all_intersect_fold} only on a window miss with multi-interval
-    entries present. *)
-
-val all_intersect_fold : t -> Interval.t -> bool
-(** Fold-over-all-entries reference for {!all_intersect}; same answers. *)
+    candidate must intersect the interval of every entry. O(log n): a
+    candidate intersects them all iff it lies across the (max-lo,
+    min-hi) window. *)
 
 val first_non_intersecting : t -> Interval.t -> entry option
 (** A deterministic witness for a failed intersection rule: the
-    smallest-gid entry none of whose intervals meets the candidate. *)
+    smallest-gid entry whose interval misses the candidate. *)
 
 val min_sn_holds : t -> gid:int -> sn:Sn.t -> bool
 (** Commit certification test (Appendix C): does every *other* entry have

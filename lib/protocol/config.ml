@@ -41,21 +41,9 @@ type t = {
   prepare_certification : bool;  (* §4.2: alive time intersection rule *)
   certification_extension : bool;  (* §5.3: refuse PREPARE behind a bigger committed SN *)
   commit_certification : bool;  (* §5.2: release local commits in SN order *)
-  refresh_on_certify : bool;  (* run an alive check over the table before the intersection test *)
   bind_data : bool;  (* register bound data for DLU enforcement *)
-  alive_check_interval : int;  (* ticks between periodic alive checks (Appendix A) *)
-  commit_retry_interval : int;  (* ticks before retrying a blocked commit certification (Appendix C) *)
   resubmit_backoff : int;  (* ticks to wait before restarting a failed resubmission *)
   sn_at_begin : bool;  (* ticket baseline: draw the SN at BEGIN instead of at global commit *)
-  max_intervals : int;  (* alive intervals kept per prepared subtransaction (paper: "several
-                           of them might be stored"); 1 = the store-only-the-last baseline *)
-  exec_timeout : int;  (* coordinator: ticks to wait for a command reply before aborting
-                          (covers replies swallowed by a site crash) *)
-  decision_retry_interval : int;  (* coordinator: ticks between COMMIT/ROLLBACK retransmissions
-                                     to unacknowledged participants *)
-  prepare_retry_interval : int;  (* coordinator: ticks between PREPARE retransmissions to
-                                    participants that have not voted; armed only on a lossy
-                                    network (Network.lossy), so reliable runs are unchanged *)
   decision_inquiry_interval : int;  (* agent: ticks an in-doubt (prepared, undecided)
                                        subtransaction waits before asking the coordinator (and,
                                        under a replicated commit protocol, the acceptors) for
@@ -79,9 +67,8 @@ type t = {
                                     the Paxos register reject bare (uncertified) votes and
                                     decisions, making vote-denial and equivocation detectable
                                     at the receiver *)
-  sn_drift_rejection : bool;  (* countermeasure: refuse a PREPARE whose serial number is more
-                                 than [max_sn_drift] ticks behind the agent's clock *)
-  max_sn_drift : int;  (* the staleness bound [sn_drift_rejection] enforces *)
+  max_sn_drift : int option;  (* countermeasure: refuse a PREPARE whose serial number is more
+                                 than this many ticks behind the agent's clock; [None] = off *)
   suspicion_timeout : int;  (* countermeasure against gray (alive-but-slow) coordinators:
                                ticks an in-doubt participant waits before escalating to the
                                inquiry/recovery path even on runs where the ordinary
@@ -114,24 +101,16 @@ let full =
     prepare_certification = true;
     certification_extension = true;
     commit_certification = true;
-    refresh_on_certify = true;
     bind_data = true;
-    alive_check_interval = 5_000;
-    commit_retry_interval = 2_000;
     resubmit_backoff = 1_000;
     sn_at_begin = false;
-    max_intervals = 1;
-    exec_timeout = 150_000;
-    decision_retry_interval = 40_000;
-    prepare_retry_interval = 40_000;
     decision_inquiry_interval = 60_000;
     group_commit_window = 0;
     max_batch = 8;
     commit_proto = Two_pc;
     adversary = no_adversary;
     decision_certificates = false;
-    sn_drift_rejection = false;
-    max_sn_drift = 500_000;
+    max_sn_drift = None;
     suspicion_timeout = 0;
   }
 
@@ -152,11 +131,6 @@ let naive =
    must commit in begin order whether they conflict or not. *)
 let ticket = { full with sn_at_begin = true }
 
-(* The §4.2 optimization: remember several alive intervals per prepared
-   subtransaction, so a candidate that overlapped any *past* incarnation
-   of a since-failed neighbour still certifies. *)
-let multi_interval = { full with max_intervals = 4 }
-
 (* Group commit: stage READY and decision records and force them once per
    batch (window- and size-bounded), amortizing the log force and the LTM
    round-trip over a vector of gids. A 10 ms window is wide enough to
@@ -171,5 +145,5 @@ let without_prepare_certification = { full with prepare_certification = false }
 let without_dlu = { full with bind_data = false }
 
 let pp ppf t =
-  Fmt.pf ppf "{prep=%b ext=%b commit=%b refresh=%b dlu=%b ticket=%b}" t.prepare_certification
-    t.certification_extension t.commit_certification t.refresh_on_certify t.bind_data t.sn_at_begin
+  Fmt.pf ppf "{prep=%b ext=%b commit=%b dlu=%b ticket=%b}" t.prepare_certification
+    t.certification_extension t.commit_certification t.bind_data t.sn_at_begin

@@ -1,11 +1,15 @@
 (** Certifier configuration.
 
-    Every certification step of the paper (and every timer the protocol
-    machines arm) is an independent knob, which is how the ablation
-    experiments — and the naive resubmitting agent the paper argues
-    against — are expressed.  A configuration is pure data: the same
-    record drives the pure state machines, the effectful adapters and
-    the {!Explore} model checker. *)
+    Every certification step of the paper is an independent knob, which
+    is how the ablation experiments — and the naive resubmitting agent
+    the paper argues against — are expressed.  So are the timers some
+    run varies (resubmission backoff, decision inquiry, group commit,
+    suspicion), the commit protocol, the adversary and its
+    countermeasures.  The timers no run varies (alive checks, commit
+    retries, command-reply timeouts, decision and PREPARE
+    retransmission) are constants of {!Agent_sm} and {!Coordinator_sm}.
+    A configuration is pure data: the same record drives the pure state
+    machines, the effectful adapters and the {!Explore} model checker. *)
 
 type commit_proto =
   | Two_pc
@@ -54,34 +58,12 @@ type t = {
   commit_certification : bool;
       (** §5.2 / Appendix C: release local commits in global serial-number
           order (the min-SN rule). *)
-  refresh_on_certify : bool;
-      (** Run an alive check over the table before the intersection test,
-          so certification never consults stale liveness information. *)
   bind_data : bool;  (** Register bound data for DLU enforcement. *)
-  alive_check_interval : int;
-      (** Ticks between periodic alive checks (Appendix A). *)
-  commit_retry_interval : int;
-      (** Ticks before retrying a blocked commit certification
-          (Appendix C). *)
   resubmit_backoff : int;
       (** Ticks to wait before restarting a failed resubmission. *)
   sn_at_begin : bool;
       (** Ticket baseline: draw the serial number at BEGIN instead of at
           global commit, forcing commit order = begin order. *)
-  max_intervals : int;
-      (** Alive intervals kept per prepared subtransaction (the paper:
-          "several of them might be stored"); [1] is the
-          store-only-the-last baseline. *)
-  exec_timeout : int;
-      (** Coordinator: ticks to wait for a command reply before aborting
-          (covers replies swallowed by a site crash). *)
-  decision_retry_interval : int;
-      (** Coordinator: ticks between COMMIT/ROLLBACK retransmissions to
-          unacknowledged participants. *)
-  prepare_retry_interval : int;
-      (** Coordinator: ticks between PREPARE retransmissions to
-          participants that have not voted; armed only on a lossy
-          network, so reliable runs are unchanged. *)
   decision_inquiry_interval : int;
       (** Agent: ticks an in-doubt (prepared, undecided) subtransaction
           waits before asking the coordinator — and, under a replicated
@@ -116,11 +98,10 @@ type t = {
           Paxos register reject bare (uncertified) votes and decisions,
           making vote-denial and equivocation detectable at the
           receiver. *)
-  sn_drift_rejection : bool;
-      (** Countermeasure: refuse a PREPARE whose serial number is more
-          than [max_sn_drift] ticks behind the agent's clock. *)
-  max_sn_drift : int;
-      (** The staleness bound [sn_drift_rejection] enforces. *)
+  max_sn_drift : int option;
+      (** Countermeasure: [Some d] refuses a PREPARE whose serial number
+          is more than [d] ticks behind the agent's clock; [None] (the
+          default) refuses none. *)
   suspicion_timeout : int;
       (** Countermeasure against gray (alive-but-slow) coordinators:
           ticks an in-doubt participant waits before escalating to the
@@ -157,10 +138,6 @@ val naive : t
 val ticket : t
 (** The predefined-total-order ("ticket") scheme the paper argues against
     in §5.2: serial numbers drawn at BEGIN. *)
-
-val multi_interval : t
-(** The §4.2 optimization: remember several alive intervals per prepared
-    subtransaction. *)
 
 val grouped : t
 (** {!full} with group commit enabled (10 ms window, batches of 32):

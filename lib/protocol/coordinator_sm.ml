@@ -39,6 +39,19 @@ type config = {
 
 let config ?(quorum = Dedup) ?(epoch = 0) certifier = { certifier; quorum; epoch }
 
+(* Ticks to wait for a command reply before aborting (covers replies
+   swallowed by a site crash). *)
+let exec_timeout = 150_000
+
+(* Ticks between COMMIT/ROLLBACK retransmissions to unacknowledged
+   participants. *)
+let decision_retry_interval = 40_000
+
+(* Ticks between PREPARE retransmissions to participants that have not
+   voted; armed only on a lossy network (Network.lossy), so reliable runs
+   are unchanged. *)
+let prepare_retry_interval = 40_000
+
 (* Group commit: when enabled, log records are staged for the site's
    shared batcher ([Stage_log]) instead of individually forced — the
    adapter withholds the rest of the step until the batch is
@@ -216,7 +229,7 @@ let start_decision config st phase =
   ( st,
     List.map (fun (s, payload) -> send st ~dst:(Wire.Agent s) payload) (decision_sends config st)
     @ cancels
-    @ [ Arm_timer { timer = Retransmit; delay = config.certifier.Config.decision_retry_interval } ] )
+    @ [ Arm_timer { timer = Retransmit; delay = decision_retry_interval } ] )
 
 let start_abort config st reason =
   let cancels = if st.exec_armed then [ Cancel_timer Exec_timeout ] else [] in
@@ -245,7 +258,7 @@ let next_step config st =
       ( { st with remaining_steps = rest; outstanding = Some (site, step); exec_armed = true },
         [ send st ~dst:(Wire.Agent site) (Wire.Exec { step; cmd; epoch = config.epoch }) ]
         @ cancels
-        @ [ Arm_timer { timer = Exec_timeout; delay = config.certifier.Config.exec_timeout } ] )
+        @ [ Arm_timer { timer = Exec_timeout; delay = exec_timeout } ] )
   | [] ->
       let cancels = if st.exec_armed then [ Cancel_timer Exec_timeout ] else [] in
       (* All commands executed: the application submits the global Commit.
@@ -303,8 +316,7 @@ let all_ready config st =
         :: Emit (Replicating_decision { acceptors = n_acceptors config })
         :: send_to_acceptors config st (Wire.Px_accept { ballot = 0; committed = true })
         @ cancels
-        @ [ Arm_timer { timer = Retransmit; delay = config.certifier.Config.decision_retry_interval } ]
-      )
+        @ [ Arm_timer { timer = Retransmit; delay = decision_retry_interval } ] )
     else
       let st, effs = commit_point config st in
       (st, Emit (All_ready { sn = st.sn }) :: effs)
@@ -518,9 +530,7 @@ let step config st input : state * effect list =
           ( st,
             Emit (Retransmitting_decision { unacked = n_participants st - Site.Set.cardinal st.acked })
             :: resend
-            @ [ Arm_timer
-                  { timer = Retransmit; delay = config.certifier.Config.decision_retry_interval };
-              ] )
+            @ [ Arm_timer { timer = Retransmit; delay = decision_retry_interval } ] )
       | Replicating { proposing } ->
           (* Re-drive the register: the ballot-0 proposal against
              acceptors that have not acked, or (when recovering) the
@@ -551,9 +561,7 @@ let step config st input : state * effect list =
           ( st,
             Emit (Retransmitting_proposal { unacked })
             :: resend
-            @ [ Arm_timer
-                  { timer = Retransmit; delay = config.certifier.Config.decision_retry_interval };
-              ] )
+            @ [ Arm_timer { timer = Retransmit; delay = decision_retry_interval } ] )
       | Executing | Preparing -> ({ st with retransmit_armed = false }, []))
   | Prepare_retransmit_fired -> (
       match st.phase with
@@ -570,9 +578,7 @@ let step config st input : state * effect list =
           ( st,
             Emit (Retransmitting_prepare { silent = n_participants st - Site.Set.cardinal st.voters })
             :: resend
-            @ [ Arm_timer
-                  { timer = Prepare_retransmit; delay = config.certifier.Config.prepare_retry_interval };
-              ] )
+            @ [ Arm_timer { timer = Prepare_retransmit; delay = prepare_retry_interval } ] )
       | Executing | Replicating _ | Committing | Aborting _ ->
           ({ st with prepare_retransmit_armed = false }, []))
   | Gate_opened { sn; lossy } when st.phase = Executing && not st.finished ->
@@ -582,19 +588,12 @@ let step config st input : state * effect list =
          before the first PREPARE leaves, so any participant that ever
          promises is discoverable at crash recovery. *)
       let sn = if config.certifier.Config.sn_at_begin then st.sn else sn in
-      let st = { st with phase = Preparing; sn } in
-      let retx =
-        lossy && config.certifier.Config.prepare_retry_interval > 0
-      in
-      let st = { st with prepare_retransmit_armed = retx } in
+      let st = { st with phase = Preparing; sn; prepare_retransmit_armed = lossy } in
       ( st,
         force config (R_prepared { participants = st.participants; sn = Option.get sn })
         :: send_to_all st (Wire.Prepare (Option.get sn))
         @
-        if retx then
-          [ Arm_timer
-              { timer = Prepare_retransmit; delay = config.certifier.Config.prepare_retry_interval };
-          ]
+        if lossy then [ Arm_timer { timer = Prepare_retransmit; delay = prepare_retry_interval } ]
         else [] )
   | Gate_refused why when st.phase = Executing && not st.finished ->
       start_abort config st (Gate_refused why)
@@ -639,8 +638,7 @@ let step config st input : state * effect list =
             [
               Emit (Asking_register { acceptors = n_acceptors config });
               send st ~dst:(Wire.Acceptor { gid = st.gid; idx = 0 }) Wire.Decision_req;
-              Arm_timer
-                { timer = Retransmit; delay = config.certifier.Config.decision_retry_interval };
+              Arm_timer { timer = Retransmit; delay = decision_retry_interval };
             ] )
       | None ->
           let st, effs = start_decision config st (Aborting Presumed_abort) in

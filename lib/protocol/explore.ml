@@ -1318,7 +1318,7 @@ let fingerprint g =
       List.sort compare
         (List.map
            (fun (e : Alive_table.entry) ->
-             (e.Alive_table.gid, e.Alive_table.sn, e.Alive_table.intervals))
+             (e.Alive_table.gid, e.Alive_table.sn, e.Alive_table.interval))
            (Alive_table.entries st.A.table)),
       (st.A.pending, st.A.batch, st.A.flush_armed) )
   in

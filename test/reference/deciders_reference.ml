@@ -47,3 +47,11 @@ let min_sn_blocker_fold t ~gid ~sn =
             acc
         | _ -> Some e)
     None (Alive_table.entries t)
+
+(* The Alive Time Intersection Rule as a fold over every entry: the
+   reference the (max-lo, min-hi) window of [Alive_table.all_intersect]
+   must agree with. *)
+let all_intersect_fold t candidate =
+  List.for_all
+    (fun (e : Alive_table.entry) -> Interval.intersects candidate e.interval)
+    (Alive_table.entries t)

@@ -21,7 +21,6 @@ module Stats = Hermes_workload.Stats
 module Config = Hermes_core.Config
 module Dtm = Hermes_core.Dtm
 module Network = Hermes_net.Network
-module Message = Hermes_net.Message
 module Cgm = Hermes_baselines.Cgm
 module History = Hermes_history.History
 module Report = Hermes_history.Report

@@ -3,7 +3,6 @@
 
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
-module Message = Hermes_net.Message
 module Network = Hermes_net.Network
 module Obs = Hermes_obs.Obs
 module Registry = Hermes_obs.Registry
@@ -19,20 +18,20 @@ let make ?(config = Network.default_config) ?(seed = 1) () =
 let test_delivery () =
   let engine, net = make () in
   let got = ref None in
-  Network.register net (Message.Agent a) (fun m -> got := Some m);
-  Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent a) ~gid:1 (Message.Begin { epoch = 0 });
+  Network.register net (Wire.Agent a) (fun m -> got := Some m);
+  Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:1 (Wire.Begin { epoch = 0 });
   Engine.run engine;
   match !got with
-  | Some { Message.payload = Message.Begin _; gid = 1; _ } -> ()
+  | Some { Wire.payload = Wire.Begin _; gid = 1; _ } -> ()
   | _ -> Alcotest.fail "message not delivered"
 
 let test_per_link_fifo () =
   (* Heavy jitter, many messages on one link: arrival order = send order. *)
   let engine, net = make ~config:{ Network.default_config with base_delay = 100; jitter = 5_000 } () in
   let got = ref [] in
-  Network.register net (Message.Agent a) (fun m -> got := m.Message.gid :: !got);
+  Network.register net (Wire.Agent a) (fun m -> got := m.Wire.gid :: !got);
   for i = 1 to 50 do
-    Network.send net ~src:(Message.Coordinator 7) ~dst:(Message.Agent a) ~gid:i (Message.Begin { epoch = 0 })
+    Network.send net ~src:(Wire.Coordinator 7) ~dst:(Wire.Agent a) ~gid:i (Wire.Begin { epoch = 0 })
   done;
   Engine.run engine;
   Alcotest.(check (list int)) "FIFO" (List.init 50 (fun i -> i + 1)) (List.rev !got)
@@ -42,11 +41,11 @@ let test_cross_link_races_happen () =
      arrive earlier — the §5.3 COMMIT-overtakes-PREPARE race. *)
   let engine, net = make ~config:{ Network.default_config with base_delay = 100; jitter = 2_000 } ~seed:3 () in
   let got = ref [] in
-  Network.register net (Message.Agent a) (fun m -> got := m.Message.gid :: !got);
+  Network.register net (Wire.Agent a) (fun m -> got := m.Wire.gid :: !got);
   let overtaken = ref false in
   for i = 1 to 40 do
-    Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent a) ~gid:(2 * i) (Message.Begin { epoch = 0 });
-    Network.send net ~src:(Message.Coordinator 2) ~dst:(Message.Agent a) ~gid:((2 * i) + 1) (Message.Begin { epoch = 0 })
+    Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:(2 * i) (Wire.Begin { epoch = 0 });
+    Network.send net ~src:(Wire.Coordinator 2) ~dst:(Wire.Agent a) ~gid:((2 * i) + 1) (Wire.Begin { epoch = 0 })
   done;
   Engine.run engine;
   (* If any odd gid (sent second in its pair) arrives before its even
@@ -63,7 +62,7 @@ let test_cross_link_races_happen () =
 
 let test_no_handler_fails () =
   let engine, net = make () in
-  Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent b) ~gid:1 (Message.Begin { epoch = 0 });
+  Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent b) ~gid:1 (Wire.Begin { epoch = 0 });
   Alcotest.(check bool) "raises" true
     (try
        Engine.run engine;
@@ -72,9 +71,9 @@ let test_no_handler_fails () =
 
 let test_counters () =
   let engine, net = make () in
-  Network.register net (Message.Agent a) ignore;
+  Network.register net (Wire.Agent a) ignore;
   for _ = 1 to 5 do
-    Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent a) ~gid:1 Message.Ready
+    Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:1 Wire.Ready
   done;
   Alcotest.(check int) "sent" 5 (Network.sent net);
   Engine.run engine;
@@ -86,9 +85,9 @@ let test_drop_all () =
   (* drop = 1.0: every send is a counted drop, the handler never runs. *)
   let engine, net = make ~config:(faults_config { Network.no_faults with drop = 1.0 }) () in
   let got = ref 0 in
-  Network.register net (Message.Agent a) (fun _ -> incr got);
+  Network.register net (Wire.Agent a) (fun _ -> incr got);
   for i = 1 to 7 do
-    Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent a) ~gid:i (Message.Begin { epoch = 0 })
+    Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:i (Wire.Begin { epoch = 0 })
   done;
   Engine.run engine;
   Alcotest.(check int) "nothing delivered" 0 !got;
@@ -99,9 +98,9 @@ let test_duplicate_all () =
   (* dup = 1.0: every message arrives exactly twice, in FIFO order. *)
   let engine, net = make ~config:(faults_config { Network.no_faults with dup = 1.0 }) () in
   let got = ref [] in
-  Network.register net (Message.Agent a) (fun m -> got := m.Message.gid :: !got);
+  Network.register net (Wire.Agent a) (fun m -> got := m.Wire.gid :: !got);
   for i = 1 to 5 do
-    Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent a) ~gid:i (Message.Begin { epoch = 0 })
+    Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:i (Wire.Begin { epoch = 0 })
   done;
   Engine.run engine;
   Alcotest.(check int) "duplicated counter" 5 (Network.duplicated net);
@@ -114,16 +113,16 @@ let test_down_site_drops () =
      including messages already in flight when the site goes down. *)
   let engine, net = make () in
   let got = ref 0 in
-  Network.register net (Message.Agent a) (fun _ -> incr got);
-  Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent a) ~gid:1 Message.Commit;
-  Network.mark_down net (Message.Agent a);
+  Network.register net (Wire.Agent a) (fun _ -> incr got);
+  Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:1 Wire.Commit;
+  Network.mark_down net (Wire.Agent a);
   Alcotest.(check bool) "lossy once a site is down" true (Network.lossy net);
-  Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent a) ~gid:2 Message.Commit;
+  Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:2 Wire.Commit;
   Engine.run engine;
   Alcotest.(check int) "nothing delivered while down" 0 !got;
   Alcotest.(check int) "both counted drops" 2 (Network.dropped net);
-  Network.mark_up net (Message.Agent a);
-  Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent a) ~gid:3 Message.Commit;
+  Network.mark_up net (Wire.Agent a);
+  Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:3 Wire.Commit;
   Engine.run engine;
   Alcotest.(check int) "delivered after reboot" 1 !got
 
@@ -135,21 +134,21 @@ let test_partition_window () =
       {
         Network.no_faults with
         partitions =
-          [ { Network.between = (Network.Addr (Message.Agent a), Network.Any_addr); window = (0, 1_000) } ];
+          [ { Network.between = (Network.Addr (Wire.Agent a), Network.Any_addr); window = (0, 1_000) } ];
       }
   in
   let engine, net = make ~config () in
   let got = ref 0 in
-  Network.register net (Message.Agent a) (fun _ -> incr got);
-  Network.register net (Message.Agent b) (fun _ -> incr got);
+  Network.register net (Wire.Agent a) (fun _ -> incr got);
+  Network.register net (Wire.Agent b) (fun _ -> incr got);
   (* Inside the window, both directions across the cut. *)
-  Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent a) ~gid:1 (Message.Begin { epoch = 0 });
-  Network.send net ~src:(Message.Agent a) ~dst:(Message.Agent b) ~gid:2 (Message.Begin { epoch = 0 });
+  Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:1 (Wire.Begin { epoch = 0 });
+  Network.send net ~src:(Wire.Agent a) ~dst:(Wire.Agent b) ~gid:2 (Wire.Begin { epoch = 0 });
   (* Unrelated link: unaffected. *)
-  Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent b) ~gid:3 (Message.Begin { epoch = 0 });
+  Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent b) ~gid:3 (Wire.Begin { epoch = 0 });
   (* After the window closes. *)
   Engine.schedule_unit engine ~delay:2_000 (fun () ->
-      Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent a) ~gid:4 (Message.Begin { epoch = 0 }));
+      Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:4 (Wire.Begin { epoch = 0 }));
   Engine.run engine;
   Alcotest.(check int) "partition drops" 2 (Network.dropped net);
   Alcotest.(check int) "others delivered" 2 !got
@@ -180,10 +179,10 @@ let test_overtake_counts_all () =
       ()
   in
   let got = ref [] in
-  Network.register net (Message.Agent a) (fun m -> got := m.Message.gid :: !got);
+  Network.register net (Wire.Agent a) (fun m -> got := m.Wire.gid :: !got);
   (* Many senders, one destination: gid = send order. *)
   for i = 1 to 30 do
-    Network.send net ~src:(Message.Coordinator i) ~dst:(Message.Agent a) ~gid:i (Message.Begin { epoch = 0 })
+    Network.send net ~src:(Wire.Coordinator i) ~dst:(Wire.Agent a) ~gid:i (Wire.Begin { epoch = 0 })
   done;
   Engine.run engine;
   let order = List.rev !got in
@@ -198,9 +197,9 @@ let prop_fifo_always =
     (fun (seed, jitter) ->
       let engine, net = make ~config:{ Network.default_config with base_delay = 10; jitter } ~seed () in
       let got = ref [] in
-      Network.register net (Message.Agent a) (fun m -> got := m.Message.gid :: !got);
+      Network.register net (Wire.Agent a) (fun m -> got := m.Wire.gid :: !got);
       for i = 1 to 20 do
-        Network.send net ~src:(Message.Coordinator 1) ~dst:(Message.Agent a) ~gid:i (Message.Begin { epoch = 0 })
+        Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:i (Wire.Begin { epoch = 0 })
       done;
       Engine.run engine;
       List.rev !got = List.init 20 (fun i -> i + 1))
@@ -219,24 +218,24 @@ module Network_reference = struct
   module Histogram = Hermes_obs.Histogram
 
   module Addr_tbl = Hashtbl.Make (struct
-    type t = Message.address
+    type t = Wire.address
 
-    let equal = Message.equal_address
-    let hash = Message.hash_address
+    let equal = Wire.equal_address
+    let hash = Wire.hash_address
   end)
 
   module Link_tbl = Hashtbl.Make (struct
-    type t = Message.address * Message.address
+    type t = Wire.address * Wire.address
 
-    let equal (s, d) (s', d') = Message.equal_address s s' && Message.equal_address d d'
-    let hash (s, d) = (Message.hash_address s * 65599) + Message.hash_address d
+    let equal (s, d) (s', d') = Wire.equal_address s s' && Wire.equal_address d d'
+    let hash (s, d) = (Wire.hash_address s * 65599) + Wire.hash_address d
   end)
 
   type t = {
     engine : Engine.t;
     rng : Rng.t;
     config : Network.config;
-    handlers : (Message.t -> unit) Addr_tbl.t;
+    handlers : (Wire.t -> unit) Addr_tbl.t;
     last_delivery : Time.t Link_tbl.t;
     in_flight : (Time.t * int) list Addr_tbl.t;
     down : unit Addr_tbl.t;
@@ -275,7 +274,7 @@ module Network_reference = struct
   let count_drop t ~at ~dst ~gid ~reason =
     t.dropped <- t.dropped + 1;
     Obs.emit t.obs ~at (fun () ->
-        Tracer.Message_dropped { dst = Fmt.str "%a" Message.pp_address dst; gid; reason })
+        Tracer.Message_dropped { dst = Fmt.str "%a" Wire.pp_address dst; gid; reason })
 
   let purge_in_flight t dst ~arrival ~gid =
     match Addr_tbl.find_opt t.in_flight dst with
@@ -291,7 +290,7 @@ module Network_reference = struct
         | l' -> Addr_tbl.replace t.in_flight dst l')
 
   let intake t msg ~arrival =
-    let { Message.dst; gid; _ } = msg in
+    let { Wire.dst; gid; _ } = msg in
     let now = Engine.now t.engine in
     let inbound = Option.value (Addr_tbl.find_opt t.in_flight dst) ~default:[] in
     List.iter
@@ -299,7 +298,7 @@ module Network_reference = struct
         if Time.(behind_arrival > arrival) then begin
           (match t.overtakes with Some c -> Registry.Counter.incr c | None -> ());
           Obs.emit t.obs ~at:now (fun () ->
-              Tracer.Overtaking { dst = Fmt.str "%a" Message.pp_address dst; gid; behind_gid })
+              Tracer.Overtaking { dst = Fmt.str "%a" Wire.pp_address dst; gid; behind_gid })
         end)
       inbound;
     Addr_tbl.replace t.in_flight dst ((arrival, gid) :: inbound);
@@ -311,12 +310,12 @@ module Network_reference = struct
           match Addr_tbl.find_opt t.handlers dst with
           | Some handler -> handler msg
           | None ->
-              Fmt.failwith "Network.send: no handler for %a (message %a)" Message.pp_address dst
-                Message.pp msg
+              Fmt.failwith "Network.send: no handler for %a (message %a)" Wire.pp_address dst
+                Wire.pp msg
         end)
 
   let transmit t msg ~now =
-    let { Message.src; dst; _ } = msg in
+    let { Wire.src; dst; _ } = msg in
     let faults = t.config.faults in
     let delay =
       t.config.base_delay + if t.config.jitter > 0 then Rng.int t.rng ~bound:(t.config.jitter + 1) else 0
@@ -336,7 +335,7 @@ module Network_reference = struct
     intake t msg ~arrival
 
   let send t ~src ~dst ~gid payload =
-    let msg = { Message.src; dst; gid; payload } in
+    let msg = { Wire.src; dst; gid; payload } in
     t.sent <- t.sent + 1;
     let now = Engine.now t.engine in
     let faults = t.config.faults in
@@ -347,7 +346,7 @@ module Network_reference = struct
       if faults.dup > 0. && Rng.bool t.rng ~p:faults.dup then begin
         t.duplicated <- t.duplicated + 1;
         Obs.emit t.obs ~at:now (fun () ->
-            Tracer.Message_duplicated { dst = Fmt.str "%a" Message.pp_address dst; gid });
+            Tracer.Message_duplicated { dst = Fmt.str "%a" Wire.pp_address dst; gid });
         transmit t msg ~now
       end
     end
@@ -357,7 +356,7 @@ end
    coming back up. Coordinators are short-lived: the i-th step's
    coordinator is one of four around gid i/4, so the run uses hundreds of
    (coordinator, site) links, each only briefly. *)
-type net_act = Send of Message.address * Message.address | Down of int | Up of int
+type net_act = Send of Wire.address * Wire.address | Down of int | Up of int
 
 type net_case = {
   base_delay : int;
@@ -384,14 +383,14 @@ let gen_net_case =
   let* len = int_range 1 600 in
   let step i =
     let* gap = frequency [ (3, return 0); (4, int_bound 20); (2, int_bound 200) ] in
-    let* coord = map (fun o -> Message.Coordinator ((i / 4) + o)) (int_bound 3) in
-    let* agent = map (fun s -> Message.Agent (Site.of_int s)) (int_bound (n_agents - 1)) in
+    let* coord = map (fun o -> Wire.Coordinator ((i / 4) + o)) (int_bound 3) in
+    let* agent = map (fun s -> Wire.Agent (Site.of_int s)) (int_bound (n_agents - 1)) in
     let* act =
       frequency
         [
           (45, return (Send (coord, agent)));
           (45, return (Send (agent, coord)));
-          (5, map (fun s -> Send (agent, Message.Agent (Site.of_int s))) (int_bound (n_agents - 1)));
+          (5, map (fun s -> Send (agent, Wire.Agent (Site.of_int s))) (int_bound (n_agents - 1)));
           (3, map (fun s -> Down s) (int_bound (n_agents - 1)));
           (2, map (fun s -> Up s) (int_bound (n_agents - 1)));
         ]
@@ -403,7 +402,7 @@ let gen_net_case =
 
 let print_net_case c =
   let act = function
-    | Send (s, d) -> Fmt.str "%a>%a" Message.pp_address s Message.pp_address d
+    | Send (s, d) -> Fmt.str "%a>%a" Wire.pp_address s Wire.pp_address d
     | Down s -> Printf.sprintf "down%d" s
     | Up s -> Printf.sprintf "up%d" s
   in
@@ -414,7 +413,7 @@ let print_net_case c =
 (* What a run shows from outside: every delivery with its time, the
    counters, and [net.overtakes] when observed. *)
 type net_outcome = {
-  deliveries : (int * Message.address * Message.address * int) list;
+  deliveries : (int * Wire.address * Wire.address * int) list;
   counters : int * int * int * int;  (* sent, delivered, dropped, duplicated *)
   overtakes : int;
 }
@@ -423,10 +422,10 @@ module type NET = sig
   type t
 
   val create : engine:Engine.t -> rng:Rng.t -> ?obs:Obs.t -> config:Network.config -> unit -> t
-  val register : t -> Message.address -> (Message.t -> unit) -> unit
-  val send : t -> src:Message.address -> dst:Message.address -> gid:int -> Message.payload -> unit
-  val mark_down : t -> Message.address -> unit
-  val mark_up : t -> Message.address -> unit
+  val register : t -> Wire.address -> (Wire.t -> unit) -> unit
+  val send : t -> src:Wire.address -> dst:Wire.address -> gid:int -> Wire.payload -> unit
+  val mark_down : t -> Wire.address -> unit
+  val mark_up : t -> Wire.address -> unit
   val counters : t -> int * int * int * int
 end
 
@@ -444,14 +443,14 @@ module Play (N : NET) = struct
     in
     let net = N.create ~engine ~rng:(Rng.create ~seed:c.seed) ?obs ~config () in
     let log = ref [] in
-    let record (m : Message.t) =
+    let record (m : Wire.t) =
       log := (Time.to_int (Engine.now engine), m.src, m.dst, m.gid) :: !log
     in
     for s = 0 to n_agents - 1 do
-      N.register net (Message.Agent (Site.of_int s)) record
+      N.register net (Wire.Agent (Site.of_int s)) record
     done;
     for g = 0 to (List.length c.steps / 4) + 3 do
-      N.register net (Message.Coordinator g) record
+      N.register net (Wire.Coordinator g) record
     done;
     ignore
       (List.fold_left
@@ -459,9 +458,9 @@ module Play (N : NET) = struct
            let at = at + gap in
            Engine.schedule_unit engine ~delay:at (fun () ->
                match act with
-               | Send (src, dst) -> N.send net ~src ~dst ~gid:i Message.Commit
-               | Down s -> N.mark_down net (Message.Agent (Site.of_int s))
-               | Up s -> N.mark_up net (Message.Agent (Site.of_int s)));
+               | Send (src, dst) -> N.send net ~src ~dst ~gid:i Wire.Commit
+               | Down s -> N.mark_down net (Wire.Agent (Site.of_int s))
+               | Up s -> N.mark_up net (Wire.Agent (Site.of_int s)));
            (at, i + 1))
          (0, 0) c.steps);
     Engine.run engine;

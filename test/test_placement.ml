@@ -5,7 +5,6 @@
 open Hermes_kernel
 module Shard_map = Hermes_placement.Shard_map
 module Dtm = Hermes_core.Dtm
-module Message = Hermes_net.Message
 module Driver = Hermes_workload.Driver
 module Spec = Hermes_workload.Spec
 module Stats = Hermes_workload.Stats
@@ -157,8 +156,8 @@ let prop_locate_strided =
       let n_exec = 1 + (k mod n_sites) in
       let x = x mod n_exec and s = s mod n_sites in
       let gid = x + 1 + (j * n_exec) in
-      Dtm.locate ~n_exec (Message.Coordinator gid) = x
-      && Dtm.locate ~n_exec (Message.Agent (Site.of_int s)) = s mod n_exec)
+      Dtm.locate ~n_exec (Wire.Coordinator gid) = x
+      && Dtm.locate ~n_exec (Wire.Agent (Site.of_int s)) = s mod n_exec)
 
 (* ------------------------------------------------------------------ *)
 (* unit: a move drawn onto a site that has since left                  *)

@@ -89,12 +89,15 @@ let test_golden_e13 () =
          reboot_delay = 150_000;
        })
 
+(* Captured under the retired multi-interval certifier (four intervals
+   kept per entry), which gave the same digest as [Config.full]: this run
+   has no resubmission, so it never reached an older interval. *)
 let test_golden_e13_multi_interval () =
   check_golden "e13 multi-interval run" "361cdd24e0fa8a274dd7c59928039fee"
     (run_digest
        {
          Driver.default_setup with
-         Driver.protocol = Driver.Two_pca Config.multi_interval;
+         Driver.protocol = Driver.Two_pca Config.full;
          seed = 3;
          spec = Spec.make ~n_global:25 ~arrival:(Spec.Closed { mpl = 3; think_time_mean = Spec.think_time Spec.default }) ();
          net =
@@ -102,6 +105,24 @@ let test_golden_e13_multi_interval () =
              Network.default_config with
              Network.faults = { Network.no_faults with Network.dup = 0.1 };
            };
+       })
+
+(* E9's run at P(abort | prepared) = 0.3, seed 3: 44 resubmissions, each
+   replacing an alive interval. The retired multi-interval certifier
+   (four intervals kept per entry) gave this same digest, so the
+   one-interval table must too. *)
+let test_golden_e9 () =
+  check_golden "e9 resubmitting run" "3a7cd1b8c9153cb4d41610a3b79dfd1f"
+    (run_digest
+       {
+         Driver.default_setup with
+         Driver.protocol = Driver.Two_pca Config.full;
+         failure = Hermes_ltm.Failure.prepared_rate 0.3;
+         seed = 3;
+         spec =
+           Spec.make ~n_global:80
+             ~arrival:(Spec.Closed { mpl = 8; think_time_mean = Spec.think_time Spec.default })
+             ~key_dist:(Spec.Zipf { theta = 0.9 }) ~keys_per_site:12 ~n_tables:2 ();
        })
 
 (* ------------------------------------------------------------------ *)
@@ -231,7 +252,7 @@ let test_alive_check_extends_interval () =
   (match Alive_table.find st.A.table ~gid:1 with
   | Some e ->
       Alcotest.(check int) "interval extended to now" 7
-        (Time.to_int (Interval.hi (Alive_table.current_interval e)))
+        (Time.to_int (Interval.hi e.Alive_table.interval))
   | None -> Alcotest.fail "entry vanished");
   match List.find_map (function T.Emit (A.Ev_alive_check { alive; _ }) -> Some alive | _ -> None) effs with
   | Some alive -> Alcotest.(check bool) "reported alive" true alive
@@ -255,7 +276,7 @@ let test_step_on_copy_leaves_state () =
      COMMIT whose local-commit release removes the entry. *)
   let table_of st =
     List.map
-      (fun (e : Alive_table.entry) -> (e.Alive_table.gid, e.Alive_table.intervals))
+      (fun (e : Alive_table.entry) -> (e.Alive_table.gid, e.Alive_table.interval))
       (Alive_table.entries st.A.table)
   in
   let st, _ = prepared ~sn:(mk_sn 0) (A.init ~site:a) in
@@ -1037,7 +1058,6 @@ let test_explore_group_commit_clean () =
 
 module P = Hermes_protocol.Paxos_coordinator_sm
 module Acceptor = Hermes_core.Acceptor
-module Message = Hermes_net.Message
 
 let pcfg = { cfg with Config.commit_proto = Config.Paxos { f = 1 } }
 let btm_cfg = { cfg with Config.commit_proto = Config.Backup_tm }
@@ -1260,13 +1280,13 @@ let test_acceptor_adapter_replays_its_log () =
   Acceptor.host acc ~gid:1 ~idx:0;
   Alcotest.(check int) "one instance hosted" 1 (Acceptor.n_hosted acc);
   let inbox = ref [] in
-  Network.register net (Message.Acceptor { gid = 1; idx = 1 }) (fun m ->
-      inbox := m.Message.payload :: !inbox);
-  Network.register net (Message.Coordinator 1) (fun _ -> ());
+  Network.register net (Wire.Acceptor { gid = 1; idx = 1 }) (fun m ->
+      inbox := m.Wire.payload :: !inbox);
+  Network.register net (Wire.Coordinator 1) (fun _ -> ());
   let send payload =
     Network.send net
-      ~src:(Message.Acceptor { gid = 1; idx = 1 })
-      ~dst:(Message.Acceptor { gid = 1; idx = 0 })
+      ~src:(Wire.Acceptor { gid = 1; idx = 1 })
+      ~dst:(Wire.Acceptor { gid = 1; idx = 0 })
       ~gid:1 payload;
     Engine.run engine
   in
@@ -1373,7 +1393,7 @@ let test_explore_backup_tm_single_kill_blocks () =
 
 let cfg_certs = { cfg with Config.decision_certificates = true }
 let cfg_lying = { cfg with Config.adversary = { Config.no_adversary with Config.lying_sites = [ 0 ] } }
-let cfg_drift = { cfg with Config.sn_drift_rejection = true; max_sn_drift = 100 }
+let cfg_drift = { cfg with Config.max_sn_drift = Some 100 }
 let cfg_susp = { cfg with Config.suspicion_timeout = 7 }
 
 let test_certified_vote () =
@@ -1469,8 +1489,7 @@ let prop_zero_adversary_byte_identical =
         {
           Config.full with
           Config.adversary = { Config.lying_sites = []; equivocate = false; sn_drift = 0 };
-          Config.sn_drift_rejection = true;
-          max_sn_drift = 1_000_000_000;
+          Config.max_sn_drift = Some 1_000_000_000;
         }
       in
       let dig config =
@@ -1558,8 +1577,7 @@ let drift_scenario ~defended =
       Config.without_extension with
       Config.bind_data = false;
       Config.adversary = { Config.no_adversary with Config.sn_drift = 1_000 };
-      Config.max_sn_drift = 100;
-      Config.sn_drift_rejection = defended;
+      Config.max_sn_drift = (if defended then Some 100 else None);
     }
   in
   {
@@ -1592,6 +1610,7 @@ let () =
           Alcotest.test_case "e5 ticket run byte-identical" `Slow test_golden_e5_ticket;
           Alcotest.test_case "e13-style faulty run byte-identical" `Slow test_golden_e13;
           Alcotest.test_case "e13 multi-interval run byte-identical" `Slow test_golden_e13_multi_interval;
+          Alcotest.test_case "e9 resubmitting run byte-identical" `Slow test_golden_e9;
         ] );
       ( "agent-prepare",
         [
