@@ -29,14 +29,14 @@ val host : t -> gid:int -> idx:int -> unit
 
 val crash : t -> unit
 (** The site crashed: every hosted instance loses its volatile state
-    (leadership, pending askers). The stable log survives; mark the
-    addresses down on the network for the outage. *)
+    (leadership, pending askers). The stable log survives; keep the
+    addresses down on the network for the outage. Constant time: an
+    instance is wiped when its next input arrives. *)
 
 val recover : t -> unit
-(** Reboot: replay every hosted instance from its force-written log. *)
-
-val addresses : t -> Wire.address list
-(** Network addresses of every instance hosted here (for down/up marks). *)
+(** Reboot: replay every hosted instance from its force-written log.
+    Constant time, like {!crash}: an instance replays at its next input,
+    which sees the same state an eager replay would have left. *)
 
 val force_writes : t -> int
 (** Total force-writes to the embedded acceptor log. *)

@@ -60,9 +60,6 @@ type stats = {
   mutable recovered : int;  (* in-doubt subtransactions rebuilt from the log *)
 }
 
-(* Per-gid bookkeeping, looked up on every input and timer arm. *)
-module Gid_tbl = Hashtbl.Make (Int)
-
 type t = {
   site : Site.t;
   engine : Engine.t;
@@ -76,10 +73,10 @@ type t = {
          the shard map); constantly 0 on runs that never reconfigure *)
   log : Agent_log.t;  (* stable storage: survives crash *)
   mutable machine : Agent_sm.state;  (* the volatile protocol state *)
-  txns : Ltm.txn Gid_tbl.t;  (* current incarnation's LTM handle *)
-  alive_timers : Engine.timer Gid_tbl.t;
-  retry_timers : Engine.timer Gid_tbl.t;
-  inquiry_timers : Engine.timer Gid_tbl.t;
+  txns : Ltm.txn Int_tbl.t;  (* current incarnation's LTM handle *)
+  alive_timers : Engine.timer Int_tbl.t;
+  retry_timers : Engine.timer Int_tbl.t;
+  inquiry_timers : Engine.timer Int_tbl.t;
   mutable flush_timer : Engine.timer option;  (* group commit: the batch window *)
   stats : stats;
   obs : Obs.t option;
@@ -107,10 +104,10 @@ let create ~site ~engine ~ltm ~net ~trace ?obs ?(termination = false) ?(epoch = 
     epoch;
     log = Agent_log.create ();
     machine = Agent_sm.init ~site;
-    txns = Gid_tbl.create 32;
-    alive_timers = Gid_tbl.create 32;
-    retry_timers = Gid_tbl.create 32;
-    inquiry_timers = Gid_tbl.create 32;
+    txns = Int_tbl.create 32;
+    alive_timers = Int_tbl.create 32;
+    retry_timers = Int_tbl.create 32;
+    inquiry_timers = Int_tbl.create 32;
     flush_timer = None;
     stats =
       {
@@ -146,7 +143,7 @@ let flush_pending t = Agent_sm.flush_pending t.machine
 let now t = Engine.now t.engine
 
 let txn_exn t gid =
-  match Gid_tbl.find_opt t.txns gid with
+  match Int_tbl.find_opt t.txns gid with
   | Some txn -> txn
   | None -> Fmt.invalid_arg "agent %a: no LTM transaction for T%d" Site.pp t.site gid
 
@@ -160,7 +157,7 @@ let entry_exn t gid =
    the input is built: the machine reads these before any of its
    LTM-mutating effects is interpreted. *)
 let view t gid =
-  match Gid_tbl.find_opt t.txns gid with
+  match Int_tbl.find_opt t.txns gid with
   | Some txn -> Some { Agent_sm.alive = Ltm.is_alive txn; last_op_done = Ltm.last_op_done txn }
   | None -> None
 
@@ -351,11 +348,11 @@ and interpret t (eff : Agent_sm.effect) =
 and arm t (timer : Agent_sm.timer) ~delay =
   match timer with
   | T_alive gid ->
-      Gid_tbl.replace t.alive_timers gid
+      Int_tbl.replace t.alive_timers gid
         (Engine.schedule t.engine ~delay (fun () ->
              feed t (Agent_sm.Alive_fired { env = env t; gid })))
   | T_commit_retry gid ->
-      Gid_tbl.replace t.retry_timers gid
+      Int_tbl.replace t.retry_timers gid
         (Engine.schedule t.engine ~delay (fun () ->
              feed t (Agent_sm.Retry_fired { env = env t; gid })))
   | T_backoff { gid; inc } ->
@@ -364,7 +361,7 @@ and arm t (timer : Agent_sm.timer) ~delay =
       Engine.schedule_unit t.engine ~delay (fun () ->
           feed t (Agent_sm.Backoff_fired { env = env t; gid; inc }))
   | T_inquiry gid ->
-      Gid_tbl.replace t.inquiry_timers gid
+      Int_tbl.replace t.inquiry_timers gid
         (Engine.schedule t.engine ~delay (fun () ->
              feed t (Agent_sm.Inquiry_fired { env = env t; gid })))
   | T_flush ->
@@ -376,10 +373,10 @@ and arm t (timer : Agent_sm.timer) ~delay =
 
 and cancel t (timer : Agent_sm.timer) =
   let stop timers gid =
-    match Gid_tbl.find_opt timers gid with
+    match Int_tbl.find_opt timers gid with
     | Some tm ->
         Engine.cancel tm;
-        Gid_tbl.remove timers gid
+        Int_tbl.remove timers gid
     | None -> ()
   in
   match timer with
@@ -398,7 +395,7 @@ and ltm_call t (c : Agent_sm.call) =
   match c with
   | L_begin { gid; inc } ->
       let owner = Txn.Incarnation.make ~txn:(Txn.global gid) ~site:t.site ~inc in
-      Gid_tbl.replace t.txns gid (Ltm.begin_txn t.ltm ~owner)
+      Int_tbl.replace t.txns gid (Ltm.begin_txn t.ltm ~owner)
   | L_exec { gid; inc; purpose; cmd } ->
       Ltm.exec t.ltm (txn_exn t gid) cmd ~on_done:(fun result ->
           let result =
@@ -439,10 +436,10 @@ and ltm_call t (c : Agent_sm.call) =
         e.Agent_log.bound <- []
       end
   | L_forget { gid } ->
-      Gid_tbl.remove t.txns gid;
-      Gid_tbl.remove t.alive_timers gid;
-      Gid_tbl.remove t.retry_timers gid;
-      Gid_tbl.remove t.inquiry_timers gid
+      Int_tbl.remove t.txns gid;
+      Int_tbl.remove t.alive_timers gid;
+      Int_tbl.remove t.retry_timers gid;
+      Int_tbl.remove t.inquiry_timers gid
 
 (* ------------------------------------------------------------------ *)
 (* Inbound boundaries: network, crash, recovery                        *)
@@ -492,10 +489,10 @@ let crash t =
   (* Drop the dead incarnations' bookkeeping: their scheduled callbacks
      (UANs of the collective abort, in-flight command completions) are
      filtered by the machine's incarnation tags when they pop. *)
-  Gid_tbl.reset t.txns;
-  Gid_tbl.reset t.alive_timers;
-  Gid_tbl.reset t.retry_timers;
-  Gid_tbl.reset t.inquiry_timers
+  Int_tbl.reset t.txns;
+  Int_tbl.reset t.alive_timers;
+  Int_tbl.reset t.retry_timers;
+  Int_tbl.reset t.inquiry_timers
 
 (* Shard handover: thin shell over the machine's pure export/adopt/drop.
    The Dtm drives these around a reconfiguration — export at the losing

@@ -30,15 +30,15 @@ type entry = {
 }
 
 type t = {
-  entries : (int, entry) Hashtbl.t;
+  entries : entry Int_tbl.t;
   mutable max_committed_sn : Sn.t option;
   mutable force_writes : int;  (* how many synchronous log forces were paid *)
 }
 
-let create () = { entries = Hashtbl.create 32; max_committed_sn = None; force_writes = 0 }
+let create () = { entries = Int_tbl.create 32; max_committed_sn = None; force_writes = 0 }
 
 let entry t ~gid ~coordinator =
-  match Hashtbl.find_opt t.entries gid with
+  match Int_tbl.find_opt t.entries gid with
   | Some e -> e
   | None ->
       let e =
@@ -55,10 +55,10 @@ let entry t ~gid ~coordinator =
           rolled_back = false;
         }
       in
-      Hashtbl.replace t.entries gid e;
+      Int_tbl.replace t.entries gid e;
       e
 
-let find t ~gid = Hashtbl.find_opt t.entries gid
+let find t ~gid = Int_tbl.find_opt t.entries gid
 
 let append_command e cmd = e.commands <- cmd :: e.commands
 let commands e = List.rev e.commands
@@ -115,10 +115,10 @@ let force_writes t = t.force_writes
    in-doubt case and the commit-record-forced-but-crashed-before-the-
    local-commit case, which recovery must redo. *)
 let in_doubt t =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun _ e acc ->
       if e.prepared && (not e.locally_committed) && not e.rolled_back then e :: acc else acc)
     t.entries []
   |> List.sort (fun a b -> Int.compare a.gid b.gid)
 
-let n_entries t = Hashtbl.length t.entries
+let n_entries t = Int_tbl.length t.entries

@@ -26,23 +26,23 @@ type entry = {
 }
 
 type t = {
-  entries : (int, entry) Hashtbl.t;
+  entries : entry Int_tbl.t;
   mutable order : int list;  (* gids, newest first (deterministic iteration) *)
   mutable force_writes : int;  (* how many synchronous log forces were paid *)
 }
 
-let create () = { entries = Hashtbl.create 16; order = []; force_writes = 0 }
+let create () = { entries = Int_tbl.create 16; order = []; force_writes = 0 }
 
 let entry t ~gid =
-  match Hashtbl.find_opt t.entries gid with
+  match Int_tbl.find_opt t.entries gid with
   | Some e -> e
   | None ->
       let e = { gid; participants = []; sn = None; prepared = false; decision = None } in
-      Hashtbl.replace t.entries gid e;
+      Int_tbl.replace t.entries gid e;
       t.order <- gid :: t.order;
       e
 
-let find t ~gid = Hashtbl.find_opt t.entries gid
+let find t ~gid = Int_tbl.find_opt t.entries gid
 
 let force_begin t ~gid ~participants =
   let e = entry t ~gid in
@@ -82,11 +82,11 @@ let stage_decision t ~gid ~committed =
 
 let force_tick t = t.force_writes <- t.force_writes + 1
 
-let entries t = List.rev_map (fun gid -> Hashtbl.find t.entries gid) t.order
+let entries t = List.rev_map (fun gid -> Int_tbl.find t.entries gid) t.order
 
 (* What recovery must presume aborted: rounds that started (or even
    prepared) but whose decision record never made it to the log. *)
 let undecided t = List.filter (fun e -> e.decision = None) (entries t)
 
 let force_writes t = t.force_writes
-let n_entries t = Hashtbl.length t.entries
+let n_entries t = Int_tbl.length t.entries

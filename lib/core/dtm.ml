@@ -47,11 +47,14 @@ type exec_shard = {
   obs : Obs.t option;
   inbox : Wire.t Mailbox.t;  (* cross-shard arrivals, drained between windows *)
   mutable gid_ctr : int;  (* shard x allocates gids x+1, x+1+k, x+1+2k, ... *)
-  shard_gids : (int, int list) Hashtbl.t;
+  mutable coord_sites : int array;
+      (* [coord_sites.(c)], for c < gid_ctr: the coordinating site of the
+         shard's c-th gid, x + 1 + k * c — where its coordinator lives *)
+  shard_gids : int list Int_tbl.t;
       (* in-flight gid coordinated here -> placement shards it touches
          (when [submit] was told); lets [reconfigure] hand over only the
          moved shard's state *)
-  foreign : (int, Site.t) Hashtbl.t;
+  foreign : Site.t Int_tbl.t;
       (* gid coordinated here -> gainer sites holding adopted (foreign)
          alive-table entries for it; released when the gid's decision lands *)
 }
@@ -71,7 +74,13 @@ type site_ctx = {
   injector : Failure.t;
   mutable sn_seq : int;
   mutable down : bool;  (* crashed, reboot pending *)
-  mutable hosted : Coordinator.t list;  (* coordinators this site ever hosted, newest first *)
+  mutable down_below : int;
+      (* while down: how many gids the site's shard had handed out at the
+         crash. The coordinators and acceptors hosted here for those gids
+         are down with the site; later ones stay reachable. 0 when up. *)
+  mutable hosted : Coordinator.t list;
+      (* with [crash_coordinators]: the coordinators this site hosts,
+         newest first, less those seen finished at a crash *)
   mutable submitted : int;
 }
 
@@ -136,6 +145,7 @@ let make_ctx ~exec ~failure_rng ~certifier ~crash_coordinators ~epoch i spec =
     injector;
     sn_seq = 0;
     down = false;
+    down_below = 0;
     hosted = [];
     submitted = 0;
   }
@@ -150,6 +160,24 @@ let locate ~n_exec = function
   | Wire.Coordinator gid -> (gid - 1) mod n_exec
   | Wire.Acceptor _ ->
       invalid_arg "Dtm.locate: acceptors run on one execution shard only"
+
+(* The down rule of a shard's network: a coordinator or acceptor address
+   is down iff its host site is down and the address was hosted there at
+   the crash, i.e. its gid is below the site's watermark. Each shard hands
+   out its gids in increasing order, so the shard's gid count at the crash
+   separates the two. A coordinator lives at its gid's coordinating site,
+   on the shard that allocated the gid (only it delivers to the address);
+   acceptor [idx] of [gid] at site [(gid + idx) mod n] — replicated
+   protocols run on one shard, so there the count is global. Agent
+   addresses are marked on the network instead. *)
+let hosted_down ~sites ~crash_coordinators ~n_exec x = function
+  | Wire.Coordinator gid ->
+      crash_coordinators
+      &&
+      let c = (gid - 1) / n_exec in
+      c < x.gid_ctr && c < sites.(x.coord_sites.(c)).down_below
+  | Wire.Acceptor { gid; idx } -> gid - 1 < sites.((gid + idx) mod Array.length sites).down_below
+  | Wire.Agent _ -> false
 
 let create ~engines ~rng ~net_config ~certifier ?obs ?(crash_coordinators = false) ?n_shards
     ~site_specs () =
@@ -198,8 +226,9 @@ let create ~engines ~rng ~net_config ~certifier ?obs ?(crash_coordinators = fals
           obs;
           inbox = inboxes.(x);
           gid_ctr = 0;
-          shard_gids = Hashtbl.create 64;
-          foreign = Hashtbl.create 16;
+          coord_sites = Array.make 64 0;
+          shard_gids = Int_tbl.create 64;
+          foreign = Int_tbl.create 16;
         })
   in
   let placement = ref (Shard_map.static ?n_shards ~n_sites:n ()) in
@@ -211,6 +240,9 @@ let create ~engines ~rng ~net_config ~certifier ?obs ?(crash_coordinators = fals
           ~crash_coordinators ~epoch i spec)
       site_specs
   in
+  Array.iter
+    (fun x -> Network.set_down_rule x.net (hosted_down ~sites ~crash_coordinators ~n_exec:k x))
+    execs;
   {
     certifier;
     obs;
@@ -278,6 +310,12 @@ let submit ?gate ?shards t program ~on_done =
      this is a global counter. *)
   let k = Array.length t.execs in
   let gid = (Site.to_int coord_site mod k) + 1 + (k * x.gid_ctr) in
+  if x.gid_ctr = Array.length x.coord_sites then begin
+    let grown = Array.make (2 * x.gid_ctr) 0 in
+    Array.blit x.coord_sites 0 grown 0 x.gid_ctr;
+    x.coord_sites <- grown
+  end;
+  x.coord_sites.(x.gid_ctr) <- Site.to_int coord_site;
   x.gid_ctr <- x.gid_ctr + 1;
   c.submitted <- c.submitted + 1;
   (* Replicated commit: bring up the round's decision register before
@@ -292,17 +330,17 @@ let submit ?gate ?shards t program ~on_done =
     | None -> assert false (* every site has a host when the protocol is replicated *)
   done;
   (* Placement bookkeeping, on the coordinating shard. *)
-  (match shards with Some ss -> Hashtbl.replace x.shard_gids gid ss | None -> ());
+  (match shards with Some ss -> Int_tbl.replace x.shard_gids gid ss | None -> ());
   let on_done outcome =
-    Hashtbl.remove x.shard_gids gid;
-    (match Hashtbl.find_all x.foreign gid with
+    Int_tbl.remove x.shard_gids gid;
+    (match Int_tbl.find_all x.foreign gid with
     | [] -> ()
     | gainers ->
         (* the decision landed: the gainer's adopted entries for this
            gid stop gating certification *)
         List.iter (fun s -> Agent.drop_foreign (ctx t s).agent ~gid) gainers;
-        while Hashtbl.mem x.foreign gid do
-          Hashtbl.remove x.foreign gid
+        while Int_tbl.mem x.foreign gid do
+          Int_tbl.remove x.foreign gid
         done);
     on_done outcome
   in
@@ -318,7 +356,7 @@ let submit ?gate ?shards t program ~on_done =
       ~sn_gen:(adversarial_sn_gen t coord_site ~gid)
       ~program ~on_done ()
   in
-  c.hosted <- coord :: c.hosted;
+  if t.crash_coordinators then c.hosted <- coord :: c.hosted;
   gid
 
 (* Placement changes swap the map every shard's agents read, so they
@@ -336,7 +374,7 @@ let one_shard t fn =
 let hand_over t ~shard ~from ~to_ =
   let home gid = t.execs.((gid - 1) mod Array.length t.execs) in
   let touches gid =
-    match Hashtbl.find_opt (home gid).shard_gids gid with
+    match Int_tbl.find_opt (home gid).shard_gids gid with
     | Some shards -> List.mem shard shards
     | None -> true
   in
@@ -352,8 +390,8 @@ let hand_over t ~shard ~from ~to_ =
   List.iter
     (fun (h : Agent_sm.handover_entry) ->
       let foreign = (home h.h_gid).foreign in
-      if not (List.mem to_ (Hashtbl.find_all foreign h.h_gid)) then
-        Hashtbl.add foreign h.h_gid to_)
+      if not (List.mem to_ (Int_tbl.find_all foreign h.h_gid)) then
+        Int_tbl.add foreign h.h_gid to_)
     entries
 
 (* Online reconfiguration: move [shard] to [to_] in a new placement
@@ -415,11 +453,24 @@ let leave t ~site =
    go dark for the outage; at reboot each one rebuilds from the site's
    {!Coordinator_log} — re-driving a logged decision, presuming abort
    otherwise. The snapshot of hosted coordinators is taken at crash time
-   so rounds submitted during the outage are untouched by the reboot. *)
+   so rounds submitted during the outage are untouched by the reboot.
+
+   The work is proportional to the rounds still live, not to the run so
+   far. A finished coordinator has no armed timer and nothing to
+   recover, so it is neither crashed nor recovered, and it leaves
+   [hosted] here. Going dark is one watermark per site, read by the
+   network's down rule ([hosted_down]), not a mark per address; and the
+   acceptors resynchronize lazily ({!Acceptor.crash}). *)
 let crash_site ?(reboot_delay = 0) t site =
   let c = ctx t site in
-  let coords = if t.crash_coordinators then c.hosted else [] in
-  if not c.down then
+  if not c.down then begin
+    let coords =
+      if t.crash_coordinators then begin
+        c.hosted <- List.filter (fun co -> not (Coordinator.finished co)) c.hosted;
+        c.hosted
+      end
+      else []
+    in
     if reboot_delay <= 0 then begin
       List.iter Coordinator.crash coords;
       Agent.crash c.agent;
@@ -439,33 +490,20 @@ let crash_site ?(reboot_delay = 0) t site =
          site's own network instance — exactly where every delivery to
          this site's agent and hosted coordinators is scheduled. *)
       c.down <- true;
-      List.iter
-        (fun co ->
-          Coordinator.crash co;
-          Network.mark_down c.exec.net (Wire.Coordinator (Coordinator.gid co)))
-        coords;
+      c.down_below <- c.exec.gid_ctr;
+      List.iter Coordinator.crash coords;
       Agent.crash c.agent;
       Network.mark_down c.exec.net (Wire.Agent site);
-      (match c.acceptors with
-      | Some a ->
-          Acceptor.crash a;
-          List.iter (Network.mark_down c.exec.net) (Acceptor.addresses a)
-      | None -> ());
+      (match c.acceptors with Some a -> Acceptor.crash a | None -> ());
       Engine.schedule_unit c.exec.engine ~delay:reboot_delay (fun () ->
           Network.mark_up c.exec.net (Wire.Agent site);
           c.down <- false;
-          (match c.acceptors with
-          | Some a ->
-              List.iter (Network.mark_up c.exec.net) (Acceptor.addresses a);
-              Acceptor.recover a
-          | None -> ());
+          c.down_below <- 0;
+          (match c.acceptors with Some a -> Acceptor.recover a | None -> ());
           Agent.recover c.agent;
-          List.iter
-            (fun co ->
-              Network.mark_up c.exec.net (Wire.Coordinator (Coordinator.gid co));
-              Coordinator.recover co)
-            coords)
+          List.iter Coordinator.recover coords)
     end
+  end
 
 (* Load a row directly into a site's database (initial state, written by
    the hypothetical initializing transaction T_0). *)

@@ -96,13 +96,6 @@ let invert ids n =
    are spread, makes the index more than linear in its size: a key whose
    array the budget cannot pay for spills too. Only a key outside its
    map's array is hashed, as an int. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
-
 type ids = { mutable direct : int array; spill : int Int_tbl.t }
 type space = { limit : int; mutable budget : int }
 

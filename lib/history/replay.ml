@@ -123,13 +123,6 @@ let replay h ~on_read =
 
 let writer_of (ix : History.index) w = if w < 0 then None else Some ix.incs.(w)
 
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = x
-end)
-
 let run h =
   let ix = History.index h in
   let n_items = Array.length ix.items in

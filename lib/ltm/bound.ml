@@ -14,31 +14,49 @@
 
 open Hermes_kernel
 
-type t = { table : (string * int, int) Hashtbl.t; mutable denials : int }
+(* Per table name (a site has a handful, kept in a short list), the
+   reference count of each bound row key. *)
+type t = { mutable tables : (string * int Int_tbl.t) list; mutable denials : int }
 
-let create () = { table = Hashtbl.create 64; denials = 0 }
+let create () = { tables = []; denials = 0 }
 
-let key (item : Item.t) = (Item.table item, Item.key item)
+(* The rows of table [name]; raises [Not_found] before its first bind. *)
+let rec rows_of tables name =
+  match tables with
+  | [] -> raise Not_found
+  | (name', rows) :: rest -> if String.equal name name' then rows else rows_of rest name
+
+let rows t name =
+  match rows_of t.tables name with
+  | rows -> rows
+  | exception Not_found ->
+      let rows = Int_tbl.create 64 in
+      t.tables <- (name, rows) :: t.tables;
+      rows
 
 let bind t items =
   List.iter
     (fun item ->
-      let k = key item in
-      Hashtbl.replace t.table k (1 + Option.value ~default:0 (Hashtbl.find_opt t.table k)))
+      let rows = rows t (Item.table item) and k = Item.key item in
+      Int_tbl.replace rows k (1 + Option.value ~default:0 (Int_tbl.find_opt rows k)))
     items
 
 let unbind t items =
   List.iter
     (fun item ->
-      let k = key item in
-      match Hashtbl.find_opt t.table k with
-      | Some n when n > 1 -> Hashtbl.replace t.table k (n - 1)
-      | Some _ -> Hashtbl.remove t.table k
-      | None -> ())
+      match rows_of t.tables (Item.table item) with
+      | exception Not_found -> ()
+      | rows -> (
+          let k = Item.key item in
+          match Int_tbl.find_opt rows k with
+          | Some n when n > 1 -> Int_tbl.replace rows k (n - 1)
+          | Some _ -> Int_tbl.remove rows k
+          | None -> ()))
     items
 
-let is_bound t ~table ~key:k = Hashtbl.mem t.table (table, k)
+let is_bound t ~table ~key:k =
+  match rows_of t.tables table with rows -> Int_tbl.mem rows k | exception Not_found -> false
 
 let note_denial t = t.denials <- t.denials + 1
 let denials t = t.denials
-let n_bound t = Hashtbl.length t.table
+let n_bound t = List.fold_left (fun acc (_, rows) -> acc + Int_tbl.length rows) 0 t.tables

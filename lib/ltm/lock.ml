@@ -21,6 +21,8 @@
    owner -> key index of the queued requests lets [cancel_waits] go
    straight to the one queue to purge. *)
 
+open Hermes_kernel
+
 type mode = Shared | Exclusive
 
 let pp_mode ppf = function Shared -> Fmt.string ppf "S" | Exclusive -> Fmt.string ppf "X"
@@ -35,44 +37,56 @@ type request = {
 }
 
 type entry = {
+  key : key;
   mutable holders : (int * mode) list;  (* each owner appears at most once *)
   mutable queue : request list;  (* head = next to grant *)
 }
 
-let key_equal ((table, k) : key) (table', k') = Int.equal k k' && String.equal table table'
+(* A site has a handful of tables, so a lock is found by its table's
+   name in a short list, compared with [String.equal], and then by its
+   row key in that table's int table: no generic hash on the hot path. *)
+type table = { name : string; rows : entry Int_tbl.t }
 
-(* Typed tables: lookups compare keys with their own equality, not the
-   polymorphic one. The entry table keeps the generic hash, so its
-   iteration order, which [waiting] exposes, is what it always was. *)
-module Key_tbl = Hashtbl.Make (struct
-  type t = key
-
-  let equal = key_equal
-  let hash = Hashtbl.hash
-end)
-
-module Owner_tbl = Hashtbl.Make (Int)
-
+(* The owner indexes hold entries, which carry their keys, so releasing
+   and cancelling reach a lock without a lookup. *)
 type t = {
-  entries : entry Key_tbl.t;
-  held : key list ref Owner_tbl.t;  (* owner -> keys it holds *)
-  waits : key Owner_tbl.t;  (* owner -> the key it is queued on *)
+  mutable tables : table list;
+  held : entry list ref Int_tbl.t;  (* owner -> locks it holds, newest first *)
+  waits : entry Int_tbl.t;  (* owner -> the lock it is queued on *)
 }
 
-let create () = { entries = Key_tbl.create 256; held = Owner_tbl.create 64; waits = Owner_tbl.create 64 }
+let create () = { tables = []; held = Int_tbl.create 64; waits = Int_tbl.create 64 }
 
-let entry t key =
-  match Key_tbl.find_opt t.entries key with
+(* The rows of table [name]; raises [Not_found] before its first lock. *)
+let rec rows_of tables name =
+  match tables with
+  | [] -> raise Not_found
+  | tbl :: rest -> if String.equal tbl.name name then tbl.rows else rows_of rest name
+
+let entry t ((name, k) as key) =
+  let rows =
+    match rows_of t.tables name with
+    | rows -> rows
+    | exception Not_found ->
+        let rows = Int_tbl.create 256 in
+        t.tables <- { name; rows } :: t.tables;
+        rows
+  in
+  match Int_tbl.find_opt rows k with
   | Some e -> e
   | None ->
-      let e = { holders = []; queue = [] } in
-      Key_tbl.replace t.entries key e;
+      let e = { key; holders = []; queue = [] } in
+      Int_tbl.replace rows k e;
       e
 
-let note_held t ~owner key =
-  match Owner_tbl.find_opt t.held owner with
-  | Some l -> if not (List.exists (key_equal key) !l) then l := key :: !l
-  | None -> Owner_tbl.replace t.held owner (ref [ key ])
+let find_entry t (name, k) =
+  match rows_of t.tables name with rows -> Int_tbl.find_opt rows k | exception Not_found -> None
+
+(* One entry per key, so an entry's identity stands for its key. *)
+let note_held t ~owner e =
+  match Int_tbl.find_opt t.held owner with
+  | Some l -> if not (List.memq e !l) then l := e :: !l
+  | None -> Int_tbl.replace t.held owner (ref [ e ])
 
 let compatible requested held = match (requested, held) with Shared, Shared -> true | _ -> false
 
@@ -119,17 +133,17 @@ let drain e =
   List.rev !granted
 
 (* Queue a request, recording it in the wait index. *)
-let enqueue t key ~owner =
-  if Owner_tbl.mem t.waits owner then invalid_arg "Lock.acquire: owner is already waiting";
-  Owner_tbl.replace t.waits owner key
+let enqueue t e ~owner =
+  if Int_tbl.mem t.waits owner then invalid_arg "Lock.acquire: owner is already waiting";
+  Int_tbl.replace t.waits owner e
 
-(* Apply a drain's grants to the indexes: each granted owner holds [key]
-   and waits no more. *)
-let note_granted t key granted =
+(* Apply a drain's grants to the indexes: each granted owner holds [e]'s
+   key and waits no more. *)
+let note_granted t e granted =
   List.iter
     (fun r ->
-      Owner_tbl.remove t.waits r.req_owner;
-      note_held t ~owner:r.req_owner key)
+      Int_tbl.remove t.waits r.req_owner;
+      note_held t ~owner:r.req_owner e)
     granted
 
 let acquire t key ~owner ~mode ~on_grant =
@@ -144,18 +158,18 @@ let acquire t key ~owner ~mode ~on_grant =
         Granted
       end
       else begin
-        enqueue t key ~owner;
+        enqueue t e ~owner;
         e.queue <- { req_owner = owner; req_mode = Exclusive; upgrade = true; on_grant } :: e.queue;
         Waiting
       end
   | None ->
       if e.queue = [] && grantable e ~owner ~mode then begin
         set_holder e ~owner ~mode;
-        note_held t ~owner key;
+        note_held t ~owner e;
         Granted
       end
       else begin
-        enqueue t key ~owner;
+        enqueue t e ~owner;
         e.queue <- e.queue @ [ { req_owner = owner; req_mode = mode; upgrade = false; on_grant } ];
         Waiting
       end
@@ -164,76 +178,78 @@ let acquire t key ~owner ~mode ~on_grant =
    waiting); may unblock others whose grant was queued behind it. Returns
    the callbacks of newly granted requests. *)
 let cancel_waits t ~owner =
-  match Owner_tbl.find_opt t.waits owner with
+  match Int_tbl.find_opt t.waits owner with
   | None -> []
-  | Some key ->
-      Owner_tbl.remove t.waits owner;
-      let e = Key_tbl.find t.entries key in
+  | Some e ->
+      Int_tbl.remove t.waits owner;
       e.queue <- List.filter (fun r -> r.req_owner <> owner) e.queue;
       let granted = drain e in
-      note_granted t key granted;
+      note_granted t e granted;
       List.map (fun r -> r.on_grant) granted
 
 (* Release every lock [owner] holds. Returns grant callbacks of waiters
    that became grantable. *)
 let release_all t ~owner =
-  let keys = match Owner_tbl.find_opt t.held owner with Some l -> !l | None -> [] in
-  Owner_tbl.remove t.held owner;
+  let held = match Int_tbl.find_opt t.held owner with Some l -> !l | None -> [] in
+  Int_tbl.remove t.held owner;
   let newly = ref [] in
   List.iter
-    (fun key ->
-      match Key_tbl.find_opt t.entries key with
-      | None -> ()
-      | Some e ->
-          e.holders <- List.remove_assoc owner e.holders;
-          let granted = drain e in
-          note_granted t key granted;
-          newly := List.map (fun r -> r.on_grant) granted @ !newly)
-    keys;
+    (fun e ->
+      e.holders <- List.remove_assoc owner e.holders;
+      let granted = drain e in
+      note_granted t e granted;
+      newly := List.map (fun r -> r.on_grant) granted @ !newly)
+    held;
   !newly
 
 (* Release only the Shared locks of [owner] — the non-rigorous ablation
    (dropping read locks early breaks the SRS assumption on purpose). *)
 let release_shared t ~owner =
-  let keys = match Owner_tbl.find_opt t.held owner with Some l -> !l | None -> [] in
+  let held = match Int_tbl.find_opt t.held owner with Some l -> !l | None -> [] in
   let newly = ref [] in
   let kept = ref [] in
   List.iter
-    (fun key ->
-      match Key_tbl.find_opt t.entries key with
-      | None -> ()
-      | Some e -> (
-          match holder_mode e owner with
-          | Some Shared ->
-              e.holders <- List.remove_assoc owner e.holders;
-              let granted = drain e in
-              note_granted t key granted;
-              newly := List.map (fun r -> r.on_grant) granted @ !newly
-          | Some Exclusive -> kept := key :: !kept
-          | None -> ()))
-    keys;
-  (match Owner_tbl.find_opt t.held owner with Some l -> l := !kept | None -> ());
+    (fun e ->
+      match holder_mode e owner with
+      | Some Shared ->
+          e.holders <- List.remove_assoc owner e.holders;
+          let granted = drain e in
+          note_granted t e granted;
+          newly := List.map (fun r -> r.on_grant) granted @ !newly
+      | Some Exclusive -> kept := e :: !kept
+      | None -> ())
+    held;
+  (match Int_tbl.find_opt t.held owner with Some l -> l := !kept | None -> ());
   !newly
 
-let holders t key = match Key_tbl.find_opt t.entries key with Some e -> e.holders | None -> []
+let holders t key = match find_entry t key with Some e -> e.holders | None -> []
 
 (* Current holders that conflict with a (hypothetical or queued) request —
    the wait-for edges for deadlock detection. *)
 let blockers t key ~owner ~mode =
-  match Key_tbl.find_opt t.entries key with
+  match find_entry t key with
   | None -> []
   | Some e ->
       List.filter_map
         (fun (h, m) -> if h <> owner && not (compatible mode m) then Some h else None)
         e.holders
 
-(* All waiting requests, as (key, owner, mode) triples. *)
+let compare_key (table, k) (table', k') =
+  match String.compare table table' with 0 -> Int.compare k k' | c -> c
+
+let fold_entries f t acc =
+  List.fold_left (fun acc tbl -> Int_tbl.fold (fun _ e acc -> f e acc) tbl.rows acc) acc t.tables
+
+(* All waiting requests, as (key, owner, mode) triples: by ascending key,
+   each key's requests in queue (FIFO) order — independent of how the
+   tables lay their entries out. *)
 let waiting t =
-  Key_tbl.fold
-    (fun key e acc -> List.fold_left (fun acc r -> (key, r.req_owner, r.req_mode) :: acc) acc e.queue)
-    t.entries []
+  fold_entries (fun e acc -> if e.queue = [] then acc else e :: acc) t []
+  |> List.sort (fun e e' -> compare_key e.key e'.key)
+  |> List.concat_map (fun e -> List.map (fun r -> (e.key, r.req_owner, r.req_mode)) e.queue)
 
-let held_keys t ~owner = match Owner_tbl.find_opt t.held owner with Some l -> !l | None -> []
+let held_keys t ~owner =
+  match Int_tbl.find_opt t.held owner with Some l -> List.map (fun e -> e.key) !l | None -> []
 
-let n_locks_held t = Key_tbl.fold (fun _ e acc -> acc + List.length e.holders) t.entries 0
-let n_waiting t = Key_tbl.fold (fun _ e acc -> acc + List.length e.queue) t.entries 0
+let n_locks_held t = fold_entries (fun e acc -> acc + List.length e.holders) t 0
+let n_waiting t = fold_entries (fun e acc -> acc + List.length e.queue) t 0

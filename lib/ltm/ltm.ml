@@ -77,8 +77,6 @@ type stats = {
   mutable commands : int;
 }
 
-module Id_tbl = Hashtbl.Make (Int)
-
 type t = {
   engine : Engine.t;
   db : Database.t;
@@ -86,7 +84,7 @@ type t = {
   trace : Trace.t;
   locks : Lock.t;
   bound : Bound.t;
-  txns : txn Id_tbl.t;  (* the active transactions: dropped on commit or abort *)
+  txns : txn Int_tbl.t;  (* the active transactions: dropped on commit or abort *)
   mutable next_id : int;
   stats : stats;
   mutable on_begin : (txn -> unit) option;  (* failure-injector hook *)
@@ -102,7 +100,7 @@ let create ~engine ~db ~config ~trace ?obs () =
     trace;
     locks = Lock.create ();
     bound = Bound.create ();
-    txns = Id_tbl.create 64;
+    txns = Int_tbl.create 64;
     next_id = 0;
     stats =
       {
@@ -157,16 +155,16 @@ let begin_txn t ~owner =
   in
   t.next_id <- t.next_id + 1;
   t.stats.begun <- t.stats.begun + 1;
-  Id_tbl.replace t.txns txn.id txn;
+  Int_tbl.replace t.txns txn.id txn;
   (match t.on_begin with Some hook -> hook txn | None -> ());
   txn
 
 let footprint txn = Item.Set.elements txn.footprint
 
 let live_txns t =
-  Id_tbl.fold (fun _ txn acc -> txn :: acc) t.txns [] |> List.sort (fun a b -> Int.compare a.id b.id)
+  Int_tbl.fold (fun _ txn acc -> txn :: acc) t.txns [] |> List.sort (fun a b -> Int.compare a.id b.id)
 
-let tracked t = Id_tbl.length t.txns
+let tracked t = Int_tbl.length t.txns
 
 (* Grant callbacks from the lock table run inside release/cancel; each is
    an engine-deferring closure, so calling them synchronously is safe. *)
@@ -188,7 +186,7 @@ let abort_internal t txn reason ~notify =
         m "[%a %a] abort %a: %a" Time.pp (Engine.now t.engine) Site.pp (site t) Txn.Incarnation.pp txn.owner
           pp_abort_reason reason);
     txn.state <- Aborted_state reason;
-    Id_tbl.remove t.txns txn.id;
+    Int_tbl.remove t.txns txn.id;
     t.stats.aborted <- t.stats.aborted + 1;
     (match reason with
     | Unilateral -> t.stats.unilateral_aborts <- t.stats.unilateral_aborts + 1
@@ -239,7 +237,7 @@ let commit t txn ~on_done =
       Log.debug (fun m ->
           m "[%a %a] commit %a" Time.pp (Engine.now t.engine) Site.pp (site t) Txn.Incarnation.pp txn.owner);
       txn.state <- Committed_state;
-      Id_tbl.remove t.txns txn.id;
+      Int_tbl.remove t.txns txn.id;
       t.stats.committed <- t.stats.committed + 1;
       Undo.discard txn.undo;
       Trace.record t.trace ~at:(Engine.now t.engine) (Op.Local_commit txn.owner);
@@ -420,7 +418,7 @@ let exec t txn cmd ~on_done =
                            if is_active txn then abort_internal t txn Lock_timeout ~notify:false))
                 in
                 let conflicting_holders () =
-                  List.filter_map (fun id -> Id_tbl.find_opt t.txns id)
+                  List.filter_map (fun id -> Int_tbl.find_opt t.txns id)
                     (Lock.blockers t.locks lkey ~owner:txn.id ~mode)
                 in
                 (match t.config.Ltm_config.deadlock with

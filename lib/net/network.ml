@@ -98,15 +98,17 @@ type t = {
   config : config;
   fabric : fabric option;
   handlers : (Wire.t -> unit) Addr_tbl.t;
-  last_delivery : Time.t Link_tbl.t;
+  last_delivery : Time.t ref Link_tbl.t;
       (* per link: the arrival of its last message, while that is not yet
-         past (see [prune_links]) *)
+         past (see [prune_links]); a cell, so a send updates it in place *)
   mutable prune_at : int;  (* sweep [last_delivery] when it holds this many *)
   in_flight : (Time.t * int) list Addr_tbl.t option;
       (* with [obs] only, per destination: every in-flight (arrival, gid),
          purged on delivery, for overtaking detection (the §5.3 race is
          cross-link, so per-link FIFO does not prevent it) *)
   down : unit Addr_tbl.t;
+  mutable down_rule : Wire.address -> bool;
+      (* addresses down without a mark of their own (see [set_down_rule]) *)
   gray : unit Addr_tbl.t;
       (* dynamically gray-marked addresses (e.g. coordinators hosted at a
          gray site, whose address carries no site id); agent addresses
@@ -140,6 +142,7 @@ let create ~engine ~rng ?obs ?fabric ~config () = {
   prune_at = links_floor;
   in_flight = Option.map (fun _ -> Addr_tbl.create 32) obs;
   down = Addr_tbl.create 4;
+  down_rule = (fun _ -> false);
   gray = Addr_tbl.create 4;
   obs;
   delay_hist = Option.map (fun o -> Registry.histogram (Obs.metrics o) "net.delay") obs;
@@ -162,7 +165,10 @@ let mark_down t addr =
   Addr_tbl.replace t.down addr ()
 
 let mark_up t addr = Addr_tbl.remove t.down addr
-let is_down t addr = Addr_tbl.mem t.down addr
+let set_down_rule t rule = t.down_rule <- rule
+
+let is_down t addr =
+  (Addr_tbl.length t.down > 0 && Addr_tbl.mem t.down addr) || t.down_rule addr
 
 (* Gray failure: [addr]'s links slow down by [gray_factor] but nothing is
    lost, so — unlike [mark_down] — the network stays non-lossy and no
@@ -258,7 +264,7 @@ let deliver_remote t ~arrival msg = intake t msg ~arrival
    per send. *)
 let prune_links t ~now =
   Link_tbl.filter_map_inplace
-    (fun _ last -> if Time.(last < now) then None else Some last)
+    (fun _ last -> if Time.(!last < now) then None else Some last)
     t.last_delivery;
   t.prune_at <- max links_floor (2 * Link_tbl.length t.last_delivery)
 
@@ -283,15 +289,20 @@ let transmit t msg ~now =
     if faults.gray_factor > 1 && (is_gray t src || is_gray t dst) then delay * faults.gray_factor
     else delay
   in
-  (* Per-link FIFO: never deliver before the link's previous message. *)
+  (* Per-link FIFO: never deliver before the link's previous message.
+     One lookup: a known link's cell is updated in place. *)
+  let earliest = Time.add now delay in
   let arrival =
-    let earliest = Time.add now delay in
-    match Link_tbl.find_opt t.last_delivery (src, dst) with
-    | Some last when Time.(last >= earliest) -> Time.add last 1
-    | _ -> earliest
+    match Link_tbl.find t.last_delivery (src, dst) with
+    | last ->
+        let arrival = if Time.(!last >= earliest) then Time.add !last 1 else earliest in
+        last := arrival;
+        arrival
+    | exception Not_found ->
+        Link_tbl.add t.last_delivery (src, dst) (ref earliest);
+        if Link_tbl.length t.last_delivery >= t.prune_at then prune_links t ~now;
+        earliest
   in
-  Link_tbl.replace t.last_delivery (src, dst) arrival;
-  if Link_tbl.length t.last_delivery >= t.prune_at then prune_links t ~now;
   (match t.delay_hist with Some h -> Histogram.record h (Time.diff arrival now) | None -> ());
   match t.fabric with
   | Some f when f.locate dst <> f.here ->

@@ -103,7 +103,16 @@ val mark_down : t -> Wire.address -> unit
 
 val mark_up : t -> Wire.address -> unit
 
+val set_down_rule : t -> (Wire.address -> bool) -> unit
+(** Make every address the rule accepts down as well, as if marked: for
+    a set of addresses too large to mark one by one and cheap to
+    describe (a crashed site's coordinators and acceptors, by gid). The
+    rule replaces any earlier one and is consulted at every delivery
+    while no mark applies, so it must be cheap; it does not mark the
+    network {!lossy}. *)
+
 val is_down : t -> Wire.address -> bool
+(** Marked with {!mark_down}, or accepted by the {!set_down_rule} rule. *)
 
 val mark_gray : t -> Wire.address -> unit
 (** Gray-fail [addr]: its links slow down by [faults.gray_factor] but

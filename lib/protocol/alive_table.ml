@@ -58,14 +58,14 @@ module Time_bag = struct
 end
 
 type t = {
-  entries : (int, entry) Hashtbl.t;
+  entries : entry Int_tbl.t;
   mutable by_sn : entry Sn_map.t;
   mutable lo_bag : Time_bag.t;  (* interval lower ends *)
   mutable hi_bag : Time_bag.t;  (* interval upper ends *)
 }
 
 let create () =
-  { entries = Hashtbl.create 16; by_sn = Sn_map.empty; lo_bag = Time_bag.empty;
+  { entries = Int_tbl.create 16; by_sn = Sn_map.empty; lo_bag = Time_bag.empty;
     hi_bag = Time_bag.empty }
 
 (* Aggregate bookkeeping around any change to an entry's interval. *)
@@ -78,21 +78,21 @@ let track_interval t e =
   t.hi_bag <- Time_bag.add (Interval.hi e.interval) t.hi_bag
 
 let insert t ~gid ~sn ~interval =
-  if Hashtbl.mem t.entries gid then invalid_arg "Alive_table.insert: duplicate entry";
+  if Int_tbl.mem t.entries gid then invalid_arg "Alive_table.insert: duplicate entry";
   let e = { gid; sn; interval } in
-  Hashtbl.replace t.entries gid e;
+  Int_tbl.replace t.entries gid e;
   t.by_sn <- Sn_map.add (sn, gid) e t.by_sn;
   track_interval t e
 
 let remove t ~gid =
-  match Hashtbl.find_opt t.entries gid with
+  match Int_tbl.find_opt t.entries gid with
   | None -> ()
   | Some e ->
-      Hashtbl.remove t.entries gid;
+      Int_tbl.remove t.entries gid;
       t.by_sn <- Sn_map.remove (e.sn, gid) t.by_sn;
       untrack_interval t e
 
-let find t ~gid = Hashtbl.find_opt t.entries gid
+let find t ~gid = Int_tbl.find_opt t.entries gid
 
 (* An independent copy (entry records are duplicated, so mutating one
    table never touches the other) — for the model checker, which branches
@@ -100,22 +100,22 @@ let find t ~gid = Hashtbl.find_opt t.entries gid
    table it is given in place. *)
 let copy t =
   let c = create () in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun gid e ->
       let e' = { gid = e.gid; sn = e.sn; interval = e.interval } in
-      Hashtbl.replace c.entries gid e';
+      Int_tbl.replace c.entries gid e';
       c.by_sn <- Sn_map.add (e'.sn, gid) e' c.by_sn;
       track_interval c e')
     t.entries;
   c
-let mem t ~gid = Hashtbl.mem t.entries gid
-let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
-let size t = Hashtbl.length t.entries
+let mem t ~gid = Int_tbl.mem t.entries gid
+let entries t = Int_tbl.fold (fun _ e acc -> e :: acc) t.entries []
+let size t = Int_tbl.length t.entries
 
 (* Begin a fresh interval (a resubmission completed), forgetting the
    failed incarnation's. *)
 let update_interval t ~gid interval =
-  match Hashtbl.find_opt t.entries gid with
+  match Int_tbl.find_opt t.entries gid with
   | Some e ->
       untrack_interval t e;
       e.interval <- interval;
@@ -123,7 +123,7 @@ let update_interval t ~gid interval =
   | None -> ()
 
 let extend_interval t ~gid ~hi =
-  match Hashtbl.find_opt t.entries gid with
+  match Int_tbl.find_opt t.entries gid with
   | Some e when Time.(Interval.lo e.interval <= hi) ->
       untrack_interval t e;
       e.interval <- Interval.extend_to e.interval ~hi;
@@ -142,7 +142,7 @@ let all_intersect t candidate =
 (* Deterministic certification witnesses, for the event trace: which
    entry refused the candidate / holds the commit back. *)
 let first_non_intersecting t candidate =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun _ e acc ->
       if Interval.intersects candidate e.interval then acc
       else match acc with Some b when b.gid < e.gid -> acc | _ -> Some e)
@@ -152,7 +152,7 @@ let first_non_intersecting t candidate =
    (serial number, gid) among the *other* entries, if any. *)
 let min_other t ~gid =
   let m =
-    match Hashtbl.find_opt t.entries gid with
+    match Int_tbl.find_opt t.entries gid with
     | Some e -> Sn_map.remove (e.sn, gid) t.by_sn
     | None -> t.by_sn
   in
@@ -172,4 +172,5 @@ let pp ppf t =
   let pp_entry ppf e =
     Fmt.pf ppf "T%d sn=%a %a" e.gid Sn.pp e.sn Interval.pp e.interval
   in
-  Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_entry) (entries t)
+  Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_entry)
+    (List.sort (fun a b -> Int.compare a.gid b.gid) (entries t))

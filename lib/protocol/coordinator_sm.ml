@@ -148,15 +148,18 @@ type input =
 type effect = (timer, record, never, event) Types.effect
 
 (* Tag each command with its per-site step index, so agents and the
-   coordinator can recognize (and ignore) duplicated EXECs and replies. *)
+   coordinator can recognize (and ignore) duplicated EXECs and replies.
+   A step's index is the number of earlier steps at its site: a program
+   has a few steps, so counting them beats building a table for each
+   coordinator. *)
 let number_steps steps =
-  let counts = Hashtbl.create 8 in
-  List.map
-    (fun (site, cmd) ->
-      let k = Option.value (Hashtbl.find_opt counts (Site.to_int site)) ~default:0 in
-      Hashtbl.replace counts (Site.to_int site) (k + 1);
-      (site, k, cmd))
-    steps
+  let rec go earlier = function
+    | [] -> []
+    | (site, cmd) :: rest ->
+        let k = List.fold_left (fun n s -> if Site.equal s site then n + 1 else n) 0 earlier in
+        (site, k, cmd) :: go (site :: earlier) rest
+  in
+  go [] steps
 
 let init ~gid ~site ~participants ~steps ~sn =
   {

@@ -9,39 +9,43 @@
 
 open Hermes_kernel
 
-type table = (int, Row.t) Hashtbl.t
+(* A site has a handful of tables: find one by name in a short list,
+   then the row by key in its int table. *)
+type table = Row.t Int_tbl.t
 
-type t = { site : Site.t; tables : (string, table) Hashtbl.t }
+type t = { site : Site.t; mutable tables : (string * table) list }
 
-let create ~site = { site; tables = Hashtbl.create 16 }
+let create ~site = { site; tables = [] }
 let site t = t.site
 
 let table t name =
-  match Hashtbl.find_opt t.tables name with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 64 in
-      Hashtbl.replace t.tables name tbl;
-      tbl
+  let rec find = function
+    | (name', tbl) :: rest -> if String.equal name name' then tbl else find rest
+    | [] ->
+        let tbl = Int_tbl.create 64 in
+        t.tables <- (name, tbl) :: t.tables;
+        tbl
+  in
+  find t.tables
 
-let read t ~table:name ~key = Hashtbl.find_opt (table t name) key
+let read t ~table:name ~key = Int_tbl.find_opt (table t name) key
 
 let write t ~table:name ~key row =
   let tbl = table t name in
-  let before = Hashtbl.find_opt tbl key in
-  Hashtbl.replace tbl key row;
+  let before = Int_tbl.find_opt tbl key in
+  Int_tbl.replace tbl key row;
   before
 
 let delete t ~table:name ~key =
   let tbl = table t name in
-  let before = Hashtbl.find_opt tbl key in
-  Hashtbl.remove tbl key;
+  let before = Int_tbl.find_opt tbl key in
+  Int_tbl.remove tbl key;
   before
 
 (* Restore a before image: [None] removes the row. *)
 let restore t ~table:name ~key before =
   let tbl = table t name in
-  match before with None -> Hashtbl.remove tbl key | Some row -> Hashtbl.replace tbl key row
+  match before with None -> Int_tbl.remove tbl key | Some row -> Int_tbl.replace tbl key row
 
 (* A range narrower than the table probes its keys, from [hi] down so the
    list comes out ascending; any other range folds the rows and sorts.
@@ -49,24 +53,24 @@ let restore t ~table:name ~key before =
 let keys_in_range t ~table:name ~lo ~hi =
   let tbl = table t name in
   let width = hi - lo in
-  if width >= 0 && width < Hashtbl.length tbl then begin
+  if width >= 0 && width < Int_tbl.length tbl then begin
     let keys = ref [] in
     for k = hi downto lo do
-      if Hashtbl.mem tbl k then keys := k :: !keys
+      if Int_tbl.mem tbl k then keys := k :: !keys
     done;
     !keys
   end
   else
-    Hashtbl.fold (fun k _ acc -> if lo <= k && k <= hi then k :: acc else acc) tbl []
+    Int_tbl.fold (fun k _ acc -> if lo <= k && k <= hi then k :: acc else acc) tbl []
     |> List.sort Int.compare
 
-let mem t ~table:name ~key = Hashtbl.mem (table t name) key
+let mem t ~table:name ~key = Int_tbl.mem (table t name) key
 
 let item t ~table ~key = Item.make ~site:t.site ~table ~key
 
-let table_names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.tables [] |> List.sort String.compare
+let table_names t = List.map fst t.tables |> List.sort String.compare
 
-let size t = Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.tables 0
+let size t = List.fold_left (fun acc (_, tbl) -> acc + Int_tbl.length tbl) 0 t.tables
 
 (* A deterministic snapshot of the whole database, for invariant checks in
    tests and examples (e.g. conservation of money in the banking example). *)
@@ -74,9 +78,9 @@ let snapshot t =
   table_names t
   |> List.concat_map (fun name ->
          let tbl = table t name in
-         Hashtbl.fold (fun k row acc -> (item t ~table:name ~key:k, row) :: acc) tbl []
+         Int_tbl.fold (fun k row acc -> (item t ~table:name ~key:k, row) :: acc) tbl []
          |> List.sort (fun (i1, _) (i2, _) -> Item.compare i1 i2))
 
 let total t ~table:name =
   let tbl = table t name in
-  Hashtbl.fold (fun _ row acc -> acc + Row.value row) tbl 0
+  Int_tbl.fold (fun _ row acc -> acc + Row.value row) tbl 0

@@ -653,6 +653,200 @@ let test_coordinator_crash_after_partial_commit () =
   Alcotest.(check bool) "clean" true (Report.ok (Report.analyze (Dtm.history w.dtm)))
 
 (* ------------------------------------------------------------------ *)
+(* Crash handling cost: only live rounds are touched                   *)
+(* ------------------------------------------------------------------ *)
+
+module Acceptor = Hermes_core.Acceptor
+module Network = Hermes_net.Network
+module Obs = Hermes_obs.Obs
+module Registry = Hermes_obs.Registry
+module Tracer = Hermes_obs.Tracer
+
+let paxos = { Config.full with Config.commit_proto = Config.Paxos { f = 1 } }
+
+(* One acceptor shell with its own engine and network. The fabric says
+   every address lives on another shard, so each send leaves at once
+   into [sent]; inputs come in through [deliver_remote]. *)
+type shell = { s_engine : Engine.t; s_net : Network.t; s_obs : Obs.t; sent : Wire.t list ref }
+
+let shell () =
+  let engine = Engine.create () in
+  let sent = ref [] in
+  let fabric =
+    {
+      Network.here = 0;
+      locate = (fun _ -> 1);
+      forward = (fun ~shard:_ ~arrival:_ msg -> sent := msg :: !sent);
+    }
+  in
+  {
+    s_engine = engine;
+    s_net = Network.create ~engine ~rng:(Rng.create ~seed:1) ~fabric ~config:Network.default_config ();
+    s_obs = Obs.create ();
+    sent;
+  }
+
+let deliver sh msg =
+  Network.deliver_remote sh.s_net ~arrival:(Engine.now sh.s_engine) msg;
+  Engine.run sh.s_engine
+
+(* What a shell has shown since the last look: its sends, in order, then
+   its force count and event counters. *)
+let observe sh ~force_writes =
+  let sent = List.rev !(sh.sent) in
+  sh.sent := [];
+  let reg = Obs.metrics sh.s_obs in
+  ( sent,
+    force_writes,
+    List.map (Registry.sum_counter reg)
+      [ "acceptor.recovery_ballots"; "acceptor.chosen"; "acceptor.nacks"; "acceptor.log_force_writes" ] )
+
+(* A random register input for instance [idx] of [gid]: ballots come from
+   a small range, so promises and acceptances meet the ballots the
+   instances lead (round * 3 + idx + 1). *)
+let random_input rng ~gid ~idx =
+  let draw_ballot () = Rng.int rng ~bound:8 in
+  let flip () = Rng.bool rng ~p:0.5 in
+  let src =
+    match Rng.int rng ~bound:3 with
+    | 0 -> Wire.Acceptor { gid; idx = (idx + 1 + Rng.int rng ~bound:2) mod 3 }
+    | 1 -> Wire.Coordinator gid
+    | _ -> Wire.Agent (Site.of_int (Rng.int rng ~bound:3))
+  in
+  let payload =
+    match Rng.int rng ~bound:7 with
+    | 0 | 1 -> Wire.Decision_req
+    | 2 ->
+        let ballot = draw_ballot () in
+        Wire.Px_accept { ballot; committed = flip () }
+    | 3 -> Wire.Px_query { ballot = draw_ballot () }
+    | 4 ->
+        let ballot = draw_ballot () in
+        let promised = ballot + Rng.int rng ~bound:2 in
+        let accepted = if flip () then Some (draw_ballot (), flip ()) else None in
+        Wire.Px_promise { ballot; promised; accepted; idx = Rng.int rng ~bound:3 }
+    | 5 ->
+        let ballot = draw_ballot () in
+        Wire.Px_accepted { ballot; idx = Rng.int rng ~bound:3 }
+    | _ -> Wire.Px_decision { committed = flip () }
+  in
+  { Wire.src; dst = Wire.Acceptor { gid; idx }; gid; payload }
+
+(* The same random sequence of host, deliver, crash and recover, applied
+   to the lazy acceptor shell and to the eager reference; after each
+   step both must have sent the same messages in the same order, forced
+   as often and counted the same events. *)
+let acceptor_sequence_agrees seed =
+  let rng = Rng.create ~seed in
+  let lazy_ = shell () and eager = shell () in
+  let acc = Acceptor.create ~site:a ~engine:lazy_.s_engine ~net:lazy_.s_net ~obs:lazy_.s_obs ~config:paxos () in
+  let ref_ =
+    Acceptor_reference.create ~site:a ~engine:eager.s_engine ~net:eager.s_net ~obs:eager.s_obs
+      ~config:paxos ()
+  in
+  let hosted = ref [] in
+  let rec go n =
+    n = 0
+    ||
+    let op = Rng.int rng ~bound:8 in
+    (match op with
+    | 0 | 1 ->
+        let gid = 1 + Rng.int rng ~bound:3 and idx = Rng.int rng ~bound:3 in
+        Acceptor.host acc ~gid ~idx;
+        Acceptor_reference.host ref_ ~gid ~idx;
+        if not (List.mem (gid, idx) !hosted) then hosted := (gid, idx) :: !hosted
+    | 2 ->
+        Acceptor.crash acc;
+        Acceptor_reference.crash ref_
+    | 3 ->
+        Acceptor.recover acc;
+        Acceptor_reference.recover ref_
+    | _ -> (
+        match !hosted with
+        | [] -> ()
+        | l ->
+            let gid, idx = List.nth l (Rng.int rng ~bound:(List.length l)) in
+            let msg = random_input rng ~gid ~idx in
+            deliver lazy_ msg;
+            deliver eager msg));
+    observe lazy_ ~force_writes:(Acceptor.force_writes acc)
+    = observe eager ~force_writes:(Acceptor_reference.force_writes ref_)
+    && go (n - 1)
+  in
+  go (10 + Rng.int rng ~bound:80)
+
+let prop_lazy_acceptor_matches_eager =
+  QCheck.Test.make ~name:"lazy acceptor resync = eager crash and recover" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    acceptor_sequence_agrees
+
+(* A reboot-delayed outage under Paxos (f = 1) with coordinator crashes.
+   While site a is down, a message to a coordinator or an acceptor hosted
+   there before the crash is a [down] drop, finished round or not; one to
+   the coordinator or acceptor of a round submitted during the outage is
+   delivered. After the reboot everything is delivered. Probes carry
+   their own gid (1000s during, 2000s after), so their drops can be told
+   apart in the trace, and payloads every phase ignores. *)
+let test_outage_drops_only_pre_crash_rounds () =
+  let s2 = Site.of_int 2 in
+  let obs = Obs.create () in
+  let w = make_world ~n_sites:3 ~certifier:paxos ~crash_coordinators:true ~obs () in
+  load_standard w;
+  let net = List.hd (Dtm.networks w.dtm) in
+  let program key = Program.make [ update a key 1; update b key 1; update s2 key 1 ] in
+  let g1 = Dtm.submit w.dtm (program 0) ~on_done:ignore in
+  run_to_completion w;
+  (* g1 finished; g2 is submitted and its site crashes in the same tick *)
+  let g2 = Dtm.submit w.dtm (program 1) ~on_done:ignore in
+  Dtm.crash_site ~reboot_delay:100_000 w.dtm a;
+  (* acceptor [idx] of [gid] lives at site (gid + idx) mod 3: pick a's *)
+  let at_a gid = Wire.Acceptor { gid; idx = (3 - (gid mod 3)) mod 3 } in
+  let probe_set g3 =
+    [
+      (Wire.Coordinator g1, true);
+      (Wire.Coordinator g2, true);
+      (at_a g1, true);
+      (at_a g2, true);
+      (Wire.Coordinator g3, false);
+      (at_a g3, false);
+    ]
+  in
+  let probe base =
+    List.iteri (fun i (dst, _) ->
+        let payload =
+          match dst with
+          | Wire.Coordinator _ -> Wire.Exec_failed { step = 99; reason = "probe" }
+          | _ -> Wire.Commit_ack
+        in
+        Network.send net ~src:(Wire.Agent b) ~dst ~gid:(base + i) payload)
+  in
+  let g3 = ref 0 in
+  Engine.schedule_unit w.engine ~delay:1_000 (fun () ->
+      g3 := Dtm.submit w.dtm (program 2) ~on_done:ignore;
+      List.iter
+        (fun (dst, down) ->
+          Alcotest.(check bool) (Fmt.str "during: %a down" Wire.pp_address dst) down (Network.is_down net dst))
+        (probe_set !g3);
+      probe 1000 (probe_set !g3));
+  Engine.schedule_unit w.engine ~delay:101_000 (fun () ->
+      List.iter
+        (fun (dst, _) ->
+          Alcotest.(check bool) (Fmt.str "after: %a up" Wire.pp_address dst) false (Network.is_down net dst))
+        (probe_set !g3);
+      probe 2000 (probe_set !g3));
+  run_to_completion w;
+  let down_drops =
+    List.filter_map
+      (function
+        | _, Tracer.Message_dropped { gid; reason = "down"; _ } when gid >= 1000 -> Some gid | _ -> None)
+      (Tracer.events (Obs.trace obs))
+    |> List.sort Int.compare
+  in
+  Alcotest.(check (list int)) "exactly the pre-crash probes dropped during the outage" [ 1000; 1001; 1002; 1003 ]
+    down_drops;
+  Alcotest.(check bool) "clean" true (Report.ok (Report.analyze (Dtm.history w.dtm)))
+
+(* ------------------------------------------------------------------ *)
 (* Certification behaviour                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -916,6 +1110,12 @@ let () =
             test_crash_coordinating_site_presumes_abort;
           Alcotest.test_case "crash after partial COMMIT: termination" `Quick
             test_coordinator_crash_after_partial_commit;
+        ] );
+      ( "crash-cost",
+        [
+          QCheck_alcotest.to_alcotest prop_lazy_acceptor_matches_eager;
+          Alcotest.test_case "outage drops only pre-crash rounds" `Quick
+            test_outage_drops_only_pre_crash_rounds;
         ] );
       ( "certification",
         [

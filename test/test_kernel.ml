@@ -338,6 +338,106 @@ let test_hash_address_spreads_strided_gids () =
       done)
     [ 1; 16; 64 ]
 
+(* ------------------------------------------------------------------ *)
+(* Int_tbl                                                             *)
+(* ------------------------------------------------------------------ *)
+
+type int_tbl_op =
+  | Add of int * int
+  | Replace of int * int
+  | Remove of int
+  | Find_opt of int
+  | Find_all of int
+  | Mem of int
+  | Length
+  | Reset
+
+(* Keys from a small pool, so that operations meet the same keys, with
+   the extremes and negatives always in it. *)
+let gen_int_tbl_key =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1 ];
+        int_range (-20) 20;
+        map (fun c -> 1 + (64 * c)) (int_bound 20);
+      ])
+
+let gen_int_tbl_op =
+  QCheck.Gen.(
+    let k = gen_int_tbl_key and v = int_bound 1000 in
+    frequency
+      [
+        (4, map2 (fun k v -> Add (k, v)) k v);
+        (4, map2 (fun k v -> Replace (k, v)) k v);
+        (3, map (fun k -> Remove k) k);
+        (3, map (fun k -> Find_opt k) k);
+        (2, map (fun k -> Find_all k) k);
+        (2, map (fun k -> Mem k) k);
+        (1, return Length);
+        (1, return Reset);
+      ])
+
+let pp_int_tbl_op ppf = function
+  | Add (k, v) -> Fmt.pf ppf "add %d %d" k v
+  | Replace (k, v) -> Fmt.pf ppf "replace %d %d" k v
+  | Remove k -> Fmt.pf ppf "remove %d" k
+  | Find_opt k -> Fmt.pf ppf "find_opt %d" k
+  | Find_all k -> Fmt.pf ppf "find_all %d" k
+  | Mem k -> Fmt.pf ppf "mem %d" k
+  | Length -> Fmt.string ppf "length"
+  | Reset -> Fmt.string ppf "reset"
+
+(* Every answer, on the same operation sequence, equals the polymorphic
+   table's: bindings stack and unstack per key the same way. *)
+let prop_int_tbl_agrees_with_hashtbl =
+  QCheck.Test.make ~name:"Int_tbl answers as Stdlib.Hashtbl" ~count:1000
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(list ~sep:semi pp_int_tbl_op))
+       QCheck.Gen.(list_size (int_range 1 200) gen_int_tbl_op))
+    (fun ops ->
+      let t = Int_tbl.create 4 and r = Hashtbl.create 4 in
+      List.for_all
+        (function
+          | Add (k, v) ->
+              Int_tbl.add t k v;
+              Hashtbl.add r k v;
+              true
+          | Replace (k, v) ->
+              Int_tbl.replace t k v;
+              Hashtbl.replace r k v;
+              true
+          | Remove k ->
+              Int_tbl.remove t k;
+              Hashtbl.remove r k;
+              true
+          | Find_opt k -> Int_tbl.find_opt t k = Hashtbl.find_opt r k
+          | Find_all k -> Int_tbl.find_all t k = Hashtbl.find_all r k
+          | Mem k -> Int_tbl.mem t k = Hashtbl.mem r k
+          | Length -> Int_tbl.length t = Hashtbl.length r
+          | Reset ->
+              Int_tbl.reset t;
+              Hashtbl.reset r;
+              true)
+        ops)
+
+(* A shard's gids are x + 1 + k * c. Masked to a table's low bits, an
+   identity hash stacks them up to 79 deep at k = 64 and 157 at k = 128;
+   the mixing hash keeps every bucket short. *)
+let test_int_tbl_spreads_strided_gids () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun x ->
+          let t = Int_tbl.create 16 in
+          for c = 0 to 9_999 do
+            Int_tbl.replace t (x + 1 + (k * c)) ()
+          done;
+          let worst = (Int_tbl.stats t).Hashtbl.max_bucket_length in
+          if worst > 10 then Alcotest.failf "k = %d, shard %d: %d gids in one bucket" k x worst)
+        [ 0; k / 2; k - 1 ])
+    [ 1; 16; 64; 128 ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kernel"
@@ -389,6 +489,11 @@ let () =
       ( "wire",
         [ Alcotest.test_case "strided gids spread over buckets" `Quick test_hash_address_spreads_strided_gids ]
       );
+      ( "int-tbl",
+        [
+          q prop_int_tbl_agrees_with_hashtbl;
+          Alcotest.test_case "strided gids spread over buckets" `Quick test_int_tbl_spreads_strided_gids;
+        ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

@@ -251,9 +251,19 @@ let lock_sequence_agrees seed =
   let log_idx = ref [] and log_ref = ref [] in
   let answers_agree = ref true and cancel_grants = ref 0 in
   let run cbs = List.iter (fun cb -> cb ()) cbs in
+  (* [Lock.waiting] lists requests by ascending key, each key's in FIFO
+     order. The reference's fold lists each key's requests newest first,
+     keys in its table's order: reversed, then stably sorted by key, it
+     is in the same order. *)
+  let canonical waiting =
+    List.stable_sort
+      (fun ((t, k), _, _) ((t', k'), _, _) ->
+        match String.compare t t' with 0 -> Int.compare k k' | c -> c)
+      (List.rev waiting)
+  in
   let same () =
     !answers_agree && !log_idx = !log_ref
-    && Lock.waiting idx = Lock_reference.waiting ref_
+    && Lock.waiting idx = canonical (Lock_reference.waiting ref_)
     && List.for_all (fun k -> Lock.holders idx k = Lock_reference.holders ref_ k) keys
     && List.for_all
          (fun owner -> Lock.held_keys idx ~owner = Lock_reference.held_keys ref_ ~owner)

@@ -1106,6 +1106,35 @@ let test_paxos_coordinator_adopts_register_abort_in_preparing () =
   Alcotest.(check int) "ROLLBACK broadcast" 2
     (List.length (List.filter (fun (_, p) -> p = Wire.Rollback) (csends effs)))
 
+(* A finished round has no armed timer, so a crash has nothing to
+   silence: [Dtm.crash_site] skips finished coordinators and drops them
+   from its hosted list on that ground. Checked on a group-commit round,
+   whose decision record is staged, and on a Paxos round, whose commit
+   waits for the register. *)
+let test_coordinator_crash_when_finished_is_a_no_op () =
+  let finished_crash name config ~commit =
+    let step st input = Csm.step config st input in
+    let st, _ = step (coord_init ()) Csm.Start in
+    let exec_ok src = Csm.From_agent { src; payload = Wire.Exec_ok { step = 0; result = Command.Count 1 } } in
+    let st, _ = step st (exec_ok a) in
+    let st, _ = step st (exec_ok b) in
+    let st, _ = step st (Csm.Gate_opened { sn = Some (mk_sn 0); lossy = true }) in
+    let st, _ = step st (Csm.From_agent { src = a; payload = Wire.Ready }) in
+    let st, _ = step st (Csm.From_agent { src = b; payload = Wire.Ready }) in
+    let st = commit step st in
+    let st, _ = step st (Csm.From_agent { src = a; payload = Wire.Commit_ack }) in
+    let st, effs = step st (Csm.From_agent { src = b; payload = Wire.Commit_ack }) in
+    Alcotest.(check bool) (name ^ ": finished") true (st.Csm.finished && List.mem (T.Decide T.Committed) effs);
+    let st', effs = step st Csm.Crash in
+    Alcotest.(check int) (name ^ ": crash emits nothing") 0 (List.length effs);
+    Alcotest.(check bool) (name ^ ": crash leaves the state equal") true (st' = st)
+  in
+  finished_crash "group commit" (Csm.config gcfg) ~commit:(fun _ st -> st);
+  finished_crash "paxos" (Csm.config pcfg) ~commit:(fun step st ->
+      let accepted idx = Csm.From_acceptor { idx; payload = Wire.Px_accepted { ballot = 0; idx } } in
+      let st, _ = step st (accepted 0) in
+      fst (step st (accepted 1)))
+
 (* Acceptor-machine probes. *)
 let pa = P.config pcfg
 let asends effs = List.filter_map (function T.Send { dst; payload; _ } -> Some (dst, payload) | _ -> None) effs
@@ -1680,6 +1709,8 @@ let () =
             test_coordinator_recover_presumes_abort;
           Alcotest.test_case "DECISION-REQ answered once decided" `Quick
             test_coordinator_answers_decision_req;
+          Alcotest.test_case "crash of a finished round is a no-op" `Quick
+            test_coordinator_crash_when_finished_is_a_no_op;
         ] );
       ( "explore",
         [
