@@ -298,7 +298,7 @@ let log_write t (r : Agent_sm.record) =
   | R_incarnation { gid; inc } -> Agent_log.note_incarnation (entry_exn t gid) ~inc
   | R_prepare { gid; sn } -> Agent_log.force_prepare t.log (entry_exn t gid) ~sn
   | R_commit { gid } -> Agent_log.force_commit t.log (entry_exn t gid)
-  | R_local_commit { gid } -> (entry_exn t gid).Agent_log.locally_committed <- true
+  | R_local_commit { gid } -> Agent_log.note_local_commit (entry_exn t gid)
   | R_rollback { gid } -> (
       match Agent_log.find t.log ~gid with Some e -> Agent_log.note_rollback e | None -> ())
 

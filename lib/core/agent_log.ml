@@ -105,7 +105,22 @@ let stage_commit t e =
 
 let batch_forced t = t.force_writes <- t.force_writes + 1
 
-let note_rollback e = e.rolled_back <- true
+(* A finished subtransaction keeps what a late message reads through the
+   agent's log view (the flags and the serial number): its commands and
+   coordinator go, since only recovery reads them and recovery skips
+   finished entries ([in_doubt]). [bound] stays for the cleanup's unbind,
+   which runs next and empties it. *)
+let finish e =
+  e.commands <- [];
+  e.coordinator <- None
+
+let note_local_commit e =
+  e.locally_committed <- true;
+  finish e
+
+let note_rollback e =
+  e.rolled_back <- true;
+  finish e
 
 let max_committed_sn t = t.max_committed_sn
 let force_writes t = t.force_writes

@@ -45,7 +45,16 @@ val stage_commit : t -> entry -> unit
 val batch_forced : t -> unit
 (** Account the one synchronous force of a staged batch. *)
 
+val note_local_commit : entry -> unit
+(** The local commit happened. This finishes the entry: its commands and
+    coordinator go, since only recovery of an {!in_doubt} entry reads
+    them, and every flag, the serial number and the incarnation stay.
+    [bound] is left to the unbind that releases it. *)
+
 val note_rollback : entry -> unit
+(** The subtransaction rolled back; finishes the entry like
+    {!note_local_commit}. *)
+
 val max_committed_sn : t -> Sn.t option
 val force_writes : t -> int
 

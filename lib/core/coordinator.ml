@@ -75,6 +75,11 @@ let address t = Wire.Coordinator t.gid
 
 let cancel_timer = function Some timer -> Engine.cancel timer | None -> ()
 
+let log_inquiry_answer ~now ~gid ~asker ~committed =
+  Log.debug (fun m ->
+      m "[%a] T%d: DECISION-REQ from %a, answering %s" Time.pp now gid Site.pp asker
+        (if committed then "commit" else "rollback"))
+
 let emit_event t (ev : Sm.event) =
   match ev with
   | All_ready { sn } ->
@@ -110,10 +115,7 @@ let emit_event t (ev : Sm.event) =
             | Some false -> "re-driving abort"
             | None -> "no decision record: presumed abort"))
   | Answering_inquiry { asker; committed } ->
-      Log.debug (fun m ->
-          m "[%a] T%d: DECISION-REQ from %a, answering %s" Time.pp (Engine.now t.engine) t.gid
-            Site.pp asker
-            (if committed then "commit" else "rollback"))
+      log_inquiry_answer ~now:(Engine.now t.engine) ~gid:t.gid ~asker ~committed
   | Replicating_decision { acceptors } ->
       Log.debug (fun m ->
           m "[%a] T%d: proposing commit to %d acceptor(s) at ballot 0" Time.pp
@@ -297,6 +299,32 @@ let start ?(gate = open_gate) ?obs ?log ?batcher ?(epoch = 0) ~gid ~site ~engine
   feed t Sm.Start;
   t
 
+(* A retired round: its machine finished and its address left the
+   network. What that machine would do with a late message is a function
+   of the gid and the decision alone ({!Sm.finished_reply}), and the
+   decision is in the coordinating site's log before any participant can
+   acknowledge it, so the log answers in its place. *)
+let retired_reply ~log ~gid (msg : Wire.t) =
+  match Coordinator_log.find log ~gid with
+  | Some { Coordinator_log.decision = Some committed; _ } ->
+      Sm.finished_reply ~gid ~committed ~src:msg.Wire.src msg.Wire.payload
+  | Some _ | None -> None
+
+let answer_retired ~engine ~net ~log ~gid msg =
+  match retired_reply ~log ~gid msg with
+  | None -> false
+  | Some effects ->
+      List.iter
+        (fun (eff : Sm.effect) ->
+          match eff with
+          | Types.Send { dst; gid; payload } ->
+              Network.send net ~src:(Wire.Coordinator gid) ~dst ~gid payload
+          | Types.Emit (Sm.Answering_inquiry { asker; committed }) ->
+              log_inquiry_answer ~now:(Engine.now engine) ~gid ~asker ~committed
+          | _ -> assert false (* a finished round only answers and logs *))
+        effects;
+      true
+
 (* A crash of the coordinating site: the machine's volatile state is
    gone (the Crash input silences the armed timers; the stale machine is
    replaced at [recover]). The network handler stays registered — the
@@ -310,10 +338,10 @@ let crash t =
   feed t Sm.Crash
 
 (* Reboot: rebuild the machine from the site's coordinator log. A
-   finished round needs nothing (every participant acknowledged — and
-   the still-registered handler keeps answering late DECISION-REQs from
-   the durable decision); anything else restarts from its log entry,
-   re-driving the logged decision or presuming abort. *)
+   finished round needs nothing (every participant acknowledged, and a
+   late DECISION-REQ is answered from the durable decision); anything
+   else restarts from its log entry, re-driving the logged decision or
+   presuming abort. *)
 let recover t =
   if not t.machine.Sm.finished then
     match Option.bind t.log (fun log -> Coordinator_log.find log ~gid:t.gid) with

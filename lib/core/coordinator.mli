@@ -61,6 +61,25 @@ val start :
     different installed epoch refuse them WRONG-EPOCH and the round
     aborts for re-resolution. *)
 
+val retired_reply :
+  log:Coordinator_log.t -> gid:int -> Wire.t -> Hermes_protocol.Coordinator_sm.effect list option
+(** What round [gid]'s finished machine would do with the message, from
+    the decision in [log] alone ({!Hermes_protocol.Coordinator_sm.finished_reply}):
+    answer a DECISION-REQ, swallow a stray agent reply or register
+    message. [None] when the machine would fail on the message, or when
+    [log] holds no decision for [gid]. *)
+
+val answer_retired :
+  engine:Hermes_sim.Engine.t ->
+  net:Hermes_net.Network.t ->
+  log:Coordinator_log.t ->
+  gid:int ->
+  Wire.t ->
+  bool
+(** Stand in for round [gid] after its coordinator left the network:
+    interpret {!retired_reply} on [net], sending from the round's
+    address, and return [true]; [false] where it is [None]. *)
+
 val crash : t -> unit
 (** The coordinating site crashed: volatile 2PC state is lost and the
     armed timers are silenced. The handler stays registered — mark the

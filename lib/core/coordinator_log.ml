@@ -27,11 +27,10 @@ type entry = {
 
 type t = {
   entries : entry Int_tbl.t;
-  mutable order : int list;  (* gids, newest first (deterministic iteration) *)
   mutable force_writes : int;  (* how many synchronous log forces were paid *)
 }
 
-let create () = { entries = Int_tbl.create 16; order = []; force_writes = 0 }
+let create () = { entries = Int_tbl.create 16; force_writes = 0 }
 
 let entry t ~gid =
   match Int_tbl.find_opt t.entries gid with
@@ -39,7 +38,6 @@ let entry t ~gid =
   | None ->
       let e = { gid; participants = []; sn = None; prepared = false; decision = None } in
       Int_tbl.replace t.entries gid e;
-      t.order <- gid :: t.order;
       e
 
 let find t ~gid = Int_tbl.find_opt t.entries gid
@@ -82,11 +80,10 @@ let stage_decision t ~gid ~committed =
 
 let force_tick t = t.force_writes <- t.force_writes + 1
 
-let entries t = List.rev_map (fun gid -> Int_tbl.find t.entries gid) t.order
-
-(* What recovery must presume aborted: rounds that started (or even
-   prepared) but whose decision record never made it to the log. *)
-let undecided t = List.filter (fun e -> e.decision = None) (entries t)
+(* The round finished: every participant acknowledged its decision, so
+   no recovery will re-drive it, and the participant set — read only by
+   recovery of an unfinished round — goes. The decision stays: it answers
+   any late inquiry for the round. *)
+let retire t ~gid = match find t ~gid with Some e -> e.participants <- [] | None -> ()
 
 let force_writes t = t.force_writes
-let n_entries t = Int_tbl.length t.entries

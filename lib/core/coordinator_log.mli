@@ -37,11 +37,9 @@ val stage_decision : t -> gid:int -> committed:bool -> unit
 val force_tick : t -> unit
 (** Account the one synchronous force of a flushed batch. *)
 
-val entries : t -> entry list
-(** In first-logged order. *)
-
-val undecided : t -> entry list
-(** Entries with no decision record — presumed aborted at recovery. *)
+val retire : t -> gid:int -> unit
+(** Round [gid] finished (every participant acknowledged its decision):
+    drop its participant set, which only recovery of an unfinished round
+    reads. The decision and serial number stay. *)
 
 val force_writes : t -> int
-val n_entries : t -> int

@@ -91,10 +91,6 @@ type t = {
       (* [crash_site] also crashes the site's coordinators (and the
          agents run the termination protocol); off by default so earlier
          fault scenarios replay byte-identically *)
-  gray_sites : int list;
-      (* sites whose links the network slows by [gray_factor] (copied
-         from the net config): coordinators they host are gray-marked at
-         [submit] so their decision traffic crawls too *)
   execs : exec_shard array;
   sites : site_ctx array;
   placement : Shard_map.t ref;
@@ -161,23 +157,51 @@ let locate ~n_exec = function
   | Wire.Acceptor _ ->
       invalid_arg "Dtm.locate: acceptors run on one execution shard only"
 
+(* The coordinating site of round [gid] if shard [here] of [n_exec]
+   allocated it, else -1. Only the allocating shard knows the round: it
+   alone delivers to the round's coordinator address. *)
+let coord_site ~n_exec ~here x gid =
+  if gid >= 1 && (gid - 1) mod n_exec = here && (gid - 1) / n_exec < x.gid_ctr then
+    x.coord_sites.((gid - 1) / n_exec)
+  else -1
+
 (* The down rule of a shard's network: a coordinator or acceptor address
    is down iff its host site is down and the address was hosted there at
    the crash, i.e. its gid is below the site's watermark. Each shard hands
    out its gids in increasing order, so the shard's gid count at the crash
    separates the two. A coordinator lives at its gid's coordinating site,
-   on the shard that allocated the gid (only it delivers to the address);
-   acceptor [idx] of [gid] at site [(gid + idx) mod n] — replicated
-   protocols run on one shard, so there the count is global. Agent
-   addresses are marked on the network instead. *)
-let hosted_down ~sites ~crash_coordinators ~n_exec x = function
+   on the shard that allocated the gid; acceptor [idx] of [gid] at site
+   [(gid + idx) mod n] — replicated protocols run on one shard, so there
+   the count is global. Agent addresses are marked on the network
+   instead. *)
+let hosted_down ~sites ~crash_coordinators ~n_exec ~here x = function
   | Wire.Coordinator gid ->
       crash_coordinators
       &&
-      let c = (gid - 1) / n_exec in
-      c < x.gid_ctr && c < sites.(x.coord_sites.(c)).down_below
+      let s = coord_site ~n_exec ~here x gid in
+      s >= 0 && (gid - 1) / n_exec < sites.(s).down_below
   | Wire.Acceptor { gid; idx } -> gid - 1 < sites.((gid + idx) mod Array.length sites).down_below
   | Wire.Agent _ -> false
+
+(* The gray rule of a shard's network: a coordinator hosted at a gray site
+   inherits the site's slow links, on the shard that allocated its gid
+   (its address names no site, so the rule finds it). Agents are matched
+   by the network itself; acceptors are never gray. *)
+let hosted_gray ~gray_sites ~n_exec ~here x = function
+  | Wire.Coordinator gid -> List.mem (coord_site ~n_exec ~here x gid) gray_sites
+  | Wire.Acceptor _ | Wire.Agent _ -> false
+
+(* The responder of a shard's network: a round's coordinator leaves the
+   network when its machine finishes ([submit]), and the coordinating
+   site's log answers for it. An address that was never registered gets
+   no answer, and its delivery fails. *)
+let retired_responder ~sites ~n_exec ~here x (msg : Wire.t) =
+  match msg.Wire.dst with
+  | Wire.Coordinator gid ->
+      let s = coord_site ~n_exec ~here x gid in
+      s >= 0
+      && Coordinator.answer_retired ~engine:x.engine ~net:x.net ~log:sites.(s).clog ~gid msg
+  | Wire.Agent _ | Wire.Acceptor _ -> false
 
 let create ~engines ~rng ~net_config ~certifier ?obs ?(crash_coordinators = false) ?n_shards
     ~site_specs () =
@@ -240,14 +264,17 @@ let create ~engines ~rng ~net_config ~certifier ?obs ?(crash_coordinators = fals
           ~crash_coordinators ~epoch i spec)
       site_specs
   in
-  Array.iter
-    (fun x -> Network.set_down_rule x.net (hosted_down ~sites ~crash_coordinators ~n_exec:k x))
+  let gray_sites = net_config.Network.faults.Network.gray_sites in
+  Array.iteri
+    (fun here x ->
+      Network.set_down_rule x.net (hosted_down ~sites ~crash_coordinators ~n_exec:k ~here x);
+      Network.set_gray_rule x.net (hosted_gray ~gray_sites ~n_exec:k ~here x);
+      Network.set_responder x.net (retired_responder ~sites ~n_exec:k ~here x))
     execs;
   {
     certifier;
     obs;
     crash_coordinators;
-    gray_sites = net_config.Network.faults.Network.gray_sites;
     execs;
     sites;
     placement;
@@ -332,6 +359,11 @@ let submit ?gate ?shards t program ~on_done =
   (* Placement bookkeeping, on the coordinating shard. *)
   (match shards with Some ss -> Int_tbl.replace x.shard_gids gid ss | None -> ());
   let on_done outcome =
+    (* The machine finished: it has no armed timer, and any later message
+       for the round gets the answer the shard's responder reads from the
+       coordinator log ([retired_responder]). *)
+    Network.unregister x.net (Wire.Coordinator gid);
+    Coordinator_log.retire c.clog ~gid;
     Int_tbl.remove x.shard_gids gid;
     (match Int_tbl.find_all x.foreign gid with
     | [] -> ()
@@ -344,11 +376,6 @@ let submit ?gate ?shards t program ~on_done =
         done);
     on_done outcome
   in
-  (* Gray coordinator: a coordinator hosted at a gray site inherits the
-     site's slow links — its address carries no site id, so the network
-     is told explicitly, before the first message leaves. *)
-  if List.mem (Site.to_int coord_site) t.gray_sites then
-    Network.mark_gray x.net (Wire.Coordinator gid);
   let coord =
     Coordinator.start ?gate ?obs:x.obs ~log:c.clog ?batcher:c.batcher ~gid ~site:coord_site
       ~engine:x.engine ~net:x.net ~trace:x.trace ~config:t.certifier

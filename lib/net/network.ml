@@ -109,10 +109,12 @@ type t = {
   down : unit Addr_tbl.t;
   mutable down_rule : Wire.address -> bool;
       (* addresses down without a mark of their own (see [set_down_rule]) *)
-  gray : unit Addr_tbl.t;
-      (* dynamically gray-marked addresses (e.g. coordinators hosted at a
-         gray site, whose address carries no site id); agent addresses
-         are matched statically against [faults.gray_sites] *)
+  mutable gray_rule : Wire.address -> bool;
+      (* gray addresses whose host site the address does not name (see
+         [set_gray_rule]); agent addresses are matched statically against
+         [faults.gray_sites] *)
+  mutable responder : Wire.t -> bool;
+      (* deliveries to an address with no handler (see [set_responder]) *)
   obs : Obs.t option;
   delay_hist : Histogram.t option;
   overtakes : Registry.Counter.t option;
@@ -143,7 +145,8 @@ let create ~engine ~rng ?obs ?fabric ~config () = {
   in_flight = Option.map (fun _ -> Addr_tbl.create 32) obs;
   down = Addr_tbl.create 4;
   down_rule = (fun _ -> false);
-  gray = Addr_tbl.create 4;
+  gray_rule = (fun _ -> false);
+  responder = (fun _ -> false);
   obs;
   delay_hist = Option.map (fun o -> Registry.histogram (Obs.metrics o) "net.delay") obs;
   overtakes = Option.map (fun o -> Registry.counter (Obs.metrics o) "net.overtakes") obs;
@@ -173,14 +176,14 @@ let is_down t addr =
 (* Gray failure: [addr]'s links slow down by [gray_factor] but nothing is
    lost, so — unlike [mark_down] — the network stays non-lossy and no
    loss-recovery timers arm. *)
-let mark_gray t addr = Addr_tbl.replace t.gray addr ()
+let set_gray_rule t rule = t.gray_rule <- rule
 
 let is_gray t addr =
-  Addr_tbl.mem t.gray addr
-  ||
   match addr with
   | Wire.Agent s -> List.mem (Site.to_int s) t.config.faults.gray_sites
-  | _ -> false
+  | Wire.Coordinator _ | Wire.Acceptor _ -> t.gray_rule addr
+
+let set_responder t responder = t.responder <- responder
 
 let count_drop t ~at ~dst ~gid ~reason =
   t.dropped <- t.dropped + 1;
@@ -250,8 +253,9 @@ let intake t msg ~arrival =
         match Addr_tbl.find_opt t.handlers dst with
         | Some handler -> handler msg
         | None ->
-            Fmt.failwith "Network.send: no handler for %a (message %a)" Wire.pp_address dst
-              Wire.pp msg
+            if not (t.responder msg) then
+              Fmt.failwith "Network.send: no handler for %a (message %a)" Wire.pp_address dst
+                Wire.pp msg
       end)
 
 let deliver_remote t ~arrival msg = intake t msg ~arrival
@@ -337,6 +341,7 @@ let delivered t = t.delivered
 let dropped t = t.dropped
 let duplicated t = t.duplicated
 let links t = Link_tbl.length t.last_delivery
+let handlers t = Addr_tbl.length t.handlers
 
 let in_flight t =
   Option.fold ~none:0 ~some:(fun f -> Addr_tbl.fold (fun _ l n -> n + List.length l) f 0) t.in_flight

@@ -94,8 +94,16 @@ val unregister : t -> Wire.address -> unit
 
 val send : t -> src:Wire.address -> dst:Wire.address -> gid:int -> Wire.payload -> unit
 (** Raises if the destination has no registered handler at delivery time
-    — unless it is {!mark_down}, in which case the delivery is a counted
-    drop. *)
+    and the {!set_responder} responder does not answer for it — unless it
+    is {!is_down}, in which case the delivery is a counted drop. *)
+
+val set_responder : t -> (Wire.t -> bool) -> unit
+(** Deliver messages to addresses with no registered handler to the
+    responder: it returns [true] once it has handled the message, [false]
+    for an address it does not answer for (the delivery then raises as
+    without it). Consulted only after the down check, so a message to a
+    down address is a counted drop either way. Replaces any earlier
+    responder. *)
 
 val mark_down : t -> Wire.address -> unit
 (** Make [addr] unreachable: messages delivered to it (including ones
@@ -114,12 +122,15 @@ val set_down_rule : t -> (Wire.address -> bool) -> unit
 val is_down : t -> Wire.address -> bool
 (** Marked with {!mark_down}, or accepted by the {!set_down_rule} rule. *)
 
-val mark_gray : t -> Wire.address -> unit
-(** Gray-fail [addr]: its links slow down by [faults.gray_factor] but
-    deliver everything, so the network stays non-{!lossy} and crash
-    detection never fires. Used for addresses whose hosting site is not
-    static — e.g. a coordinator hosted at a gray site. Agent addresses
-    listed in [faults.gray_sites] are gray without marking. *)
+val set_gray_rule : t -> (Wire.address -> bool) -> unit
+(** Gray-fail every coordinator or acceptor address the rule accepts:
+    its links slow down by [faults.gray_factor] but deliver everything,
+    so the network stays non-{!lossy} and crash detection never fires.
+    For addresses whose hosting site the address does not name — e.g. a
+    coordinator hosted at a gray site. Agent addresses are gray iff
+    listed in [faults.gray_sites]. The rule replaces any earlier one and
+    is consulted on every send of a configuration with a gray factor, so
+    it must be cheap. *)
 
 val assume_lossy : t -> unit
 (** Declare that deliveries may fail even though the static fault config
@@ -145,6 +156,9 @@ val links : t -> int
     arrival is not yet past, plus those gone stale since the last sweep.
     It grows with the links that carry traffic at the same time, not
     with every link the run has used. *)
+
+val handlers : t -> int
+(** Addresses with a registered handler. *)
 
 val in_flight : t -> int
 (** In-flight records held for overtake accounting: messages this

@@ -331,13 +331,39 @@ let all_ready config st =
    for the outcome; any coordinator that has decided (including a
    finished one, and a rebooted incarnation replaying its log) answers
    from its durable decision. *)
+let inquiry_answer ~gid ~asker ~committed =
+  [
+    Emit (Answering_inquiry { asker; committed });
+    Send { dst = Wire.Agent asker; gid; payload = Wire.Decision_resp { committed } };
+  ]
+
+let decided_commit st = match st.phase with Committing -> true | _ -> false
 let answer_inquiry st src =
-  let committed = match st.phase with Committing -> true | _ -> false in
-  ( st,
-    [
-      Emit (Answering_inquiry { asker = src; committed });
-      send st ~dst:(Wire.Agent src) (Wire.Decision_resp { committed });
-    ] )
+  (st, inquiry_answer ~gid:st.gid ~asker:src ~committed:(decided_commit st))
+
+(* A finished round's answer to a late message, a function of its gid and
+   decision alone: a DECISION-REQ that raced the last acknowledgement is
+   answered with the decision, long since durable; stray duplicates of any
+   agent reply (a duplicating network, a retransmitted decision re-acked
+   by a recovered agent) and stale register traffic are swallowed. [None]
+   for a message a finished round never expects. The machine and the
+   stand-in that answers for a retired coordinator both answer through
+   this, so the two cannot drift. *)
+let finished_reply ~gid ~committed ~(src : Wire.address) (payload : Wire.payload) :
+    effect list option =
+  match (src, payload) with
+  | Wire.Acceptor _, _ -> Some []
+  | ( Wire.Agent _,
+      ( Wire.Commit_ack | Wire.Rollback_ack | Wire.Ready | Wire.Ready_certified _ | Wire.Refuse _
+      | Wire.Exec_ok _ | Wire.Exec_failed _ ) ) ->
+      Some []
+  | Wire.Agent asker, Wire.Decision_req -> Some (inquiry_answer ~gid ~asker ~committed)
+  | (Wire.Agent _ | Wire.Coordinator _), _ -> None
+
+let finished_step st ~src payload =
+  match finished_reply ~gid:st.gid ~committed:(decided_commit st) ~src payload with
+  | Some effs -> (st, effs)
+  | None -> Fmt.failwith "finished coordinator T%d: unexpected %a" st.gid Wire.pp_payload payload
 
 (* The register decided without us (a recovery ballot ran while we were
    proposing, crashed, or rebooting): adopt its outcome. The decision
@@ -366,18 +392,7 @@ let adopt config st committed =
       @ effs )
 
 let handle_from_agent config st src payload =
-  if st.finished then
-    match payload with
-    | Wire.Commit_ack | Wire.Rollback_ack | Wire.Ready | Wire.Ready_certified _ | Wire.Refuse _
-    | Wire.Exec_ok _ | Wire.Exec_failed _ ->
-        (* Stray duplicates of any agent reply can trail the decision on
-           a duplicating network. *)
-        (st, [])
-    | Wire.Decision_req ->
-        (* A DECISION-REQ that raced the last acknowledgement: the
-           decision is long since durable, repeat it. *)
-        answer_inquiry st src
-    | payload -> Fmt.failwith "finished coordinator T%d: unexpected %a" st.gid Wire.pp_payload payload
+  if st.finished then finished_step st ~src:(Wire.Agent src) payload
   else
     match (st.phase, payload) with
     | (Committing | Aborting _), Wire.Decision_req -> answer_inquiry st src
@@ -482,7 +497,7 @@ let handle_from_agent config st src payload =
         Fmt.failwith "coordinator T%d: unexpected %a in current phase" st.gid Wire.pp_payload payload
 
 let handle_from_acceptor config st idx payload =
-  if st.finished then (st, [])
+  if st.finished then finished_step st ~src:(Wire.Acceptor { gid = st.gid; idx }) payload
   else
     match (st.phase, payload) with
     | Replicating { proposing = true }, Wire.Px_accepted { ballot = 0; idx = _ } ->

@@ -644,6 +644,98 @@ let test_coordinator_answers_decision_req () =
        effs)
 
 (* ------------------------------------------------------------------ *)
+(* Retired rounds: the coordinator log answers for a finished machine   *)
+(* ------------------------------------------------------------------ *)
+
+module Coordinator_log = Hermes_core.Coordinator_log
+
+(* Drive a one-participant round to its finish with the given decision,
+   writing its forced records into a fresh coordinator log as the adapter
+   does. *)
+let finished_round ~gid ~participant ~committed =
+  let log = Coordinator_log.create () in
+  let step st input =
+    let st, effs = cstep st input in
+    List.iter
+      (function
+        | T.Force_log (Csm.R_begin { participants }) ->
+            Coordinator_log.force_begin log ~gid ~participants
+        | T.Force_log (Csm.R_prepared { participants; sn }) ->
+            Coordinator_log.force_prepared log ~gid ~participants ~sn
+        | T.Force_log (Csm.R_decision { committed }) ->
+            Coordinator_log.force_decision log ~gid ~committed
+        | _ -> ())
+      effs;
+    st
+  in
+  let reply payload = Csm.From_agent { src = participant; payload } in
+  let st =
+    Csm.init ~gid ~site:a ~participants:[ participant ] ~steps:[ (participant, cmd) ] ~sn:None
+  in
+  let st = step st Csm.Start in
+  let st = step st (reply (Wire.Exec_ok { step = 0; result = Command.Count 1 })) in
+  let st = step st (Csm.Gate_opened { sn = Some (mk_sn 0); lossy = false }) in
+  let st = step st (reply (if committed then Wire.Ready else Wire.Refuse Wire.Interval_refused)) in
+  let st = step st (reply (if committed then Wire.Commit_ack else Wire.Rollback_ack)) in
+  (st, log)
+
+(* One payload of every constructor. *)
+let every_payload ~participant ~committed =
+  let sn = mk_sn 3 in
+  [
+    Wire.Begin { epoch = 0 };
+    Wire.Exec { step = 0; cmd; epoch = 0 };
+    Wire.Exec_ok { step = 0; result = Command.Count 1 };
+    Wire.Exec_failed { step = 0; reason = "late" };
+    Wire.Prepare sn;
+    Wire.Ready;
+    Wire.Ready_certified { sn };
+    Wire.Refuse Wire.Dead_refused;
+    Wire.Commit;
+    Wire.Commit_certified { voters = [ participant ] };
+    Wire.Rollback;
+    Wire.Rollback_certified;
+    Wire.Commit_ack;
+    Wire.Rollback_ack;
+    Wire.Decision_req;
+    Wire.Decision_resp { committed };
+    Wire.Px_accept { ballot = 0; committed };
+    Wire.Px_accepted { ballot = 0; idx = 1 };
+    Wire.Px_query { ballot = 2 };
+    Wire.Px_promise { ballot = 2; promised = 2; accepted = Some (0, committed); idx = 1 };
+    Wire.Px_decision { committed };
+  ]
+
+(* The stand-in for a retired coordinator reads the decision from the
+   log and answers every message, from an agent or an acceptor, with the
+   effects its finished machine produces for it — and has no answer
+   exactly where the machine fails. *)
+let prop_retired_reply_is_the_finished_machine =
+  QCheck.Test.make ~name:"a retired round answers like its finished machine" ~count:1000
+    QCheck.(quad (int_range 1 1_000_000) bool (int_range 0 63) (int_range 0 4))
+    (fun (gid, committed, s, idx) ->
+      let participant = site s in
+      let st, log = finished_round ~gid ~participant ~committed in
+      let agent payload = Csm.From_agent { src = participant; payload } in
+      let acceptor payload = Csm.From_acceptor { idx; payload } in
+      let agrees (src, input) payload =
+        let machine =
+          match cstep st (input payload) with _, effs -> Some effs | exception Failure _ -> None
+        in
+        let msg = { Wire.src; dst = Wire.Coordinator gid; gid; payload } in
+        machine = Coordinator.retired_reply ~log ~gid msg
+      in
+      st.Csm.finished
+      && cstep st (agent Wire.Decision_req)
+         |> snd
+         |> List.mem
+              (T.Send
+                 { dst = Wire.Agent participant; gid; payload = Wire.Decision_resp { committed } })
+      && List.for_all
+           (fun src -> List.for_all (agrees src) (every_payload ~participant ~committed))
+           [ (Wire.Agent participant, agent); (Wire.Acceptor { gid; idx }, acceptor) ])
+
+(* ------------------------------------------------------------------ *)
 (* The bounded model checker                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -770,6 +862,24 @@ let test_explore_reconfigure_clean () =
   let st = Explore.run (reconfigure_scenario ~handover:true) in
   check_clean "2x2 reconfigure" st
 
+(* CI's unilateral-abort gate, with its counts pinned: the state and
+   transition counts move with any change to a machine's transitions or
+   to the explored space, while the exit code only says "no violation". *)
+let test_explore_uabort_gate_counts () =
+  let st =
+    Explore.run
+      {
+        Explore.default with
+        Explore.txn_shards = 1;
+        budgets =
+          { Explore.no_faults with Explore.uaborts = 1; alive_fires = 1; commit_retries = 1 };
+      }
+  in
+  Alcotest.(check bool) "exhausted" false st.Explore.truncated;
+  Alcotest.(check (list int))
+    "states, transitions, terminals, violations" [ 78_442; 279_522; 114; 0 ]
+    [ st.Explore.states; st.Explore.transitions; st.Explore.terminals; st.Explore.n_violations ]
+
 let test_explore_no_handover_unsound () =
   (* Ablation: install the new epoch without handing over the loser's
      prepared certification state — I6 must find the unsound window. *)
@@ -862,6 +972,163 @@ let test_quiesced_no_live_timers_dup_network () =
          { Network.default_config with Network.faults = { Network.no_faults with Network.dup = 1.0 } }
        ()
       : Dtm.t)
+
+(* ------------------------------------------------------------------ *)
+(* Retired rounds leave the execution state                             *)
+(* ------------------------------------------------------------------ *)
+
+module Agent = Hermes_core.Agent
+module Agent_log = Hermes_core.Agent_log
+
+(* Four clients run [globals] two-site transactions over three sites;
+   with [crashes], the sites take turns crashing for 10 000 ticks every
+   13 000, coordinators included (on 60 globals, most rounds end in a
+   presumed abort and some in-doubt participants recover from the log).
+   Once the run quiesces, no finished round may leave anything behind
+   that no later message or recovery reads. *)
+let retirement_run ?(crashes = false) ~globals ~net_config () =
+  let engine = Engine.create () in
+  let dtm =
+    Dtm.create ~engines:[| engine |] ~rng:(Rng.create ~seed:11) ~net_config ~certifier:Config.full
+      ~crash_coordinators:crashes
+      ~site_specs:(Array.init 3 (fun _ -> Dtm.default_site_spec))
+      ()
+  in
+  let sites = Dtm.site_ids dtm in
+  List.iter
+    (fun s -> List.iter (fun k -> Dtm.load dtm s ~table:"X" ~key:k ~value:100) [ 0; 1; 2 ])
+    sites;
+  let submitted = ref 0 and finished = ref 0 in
+  let rec submit_next () =
+    if !submitted < globals then begin
+      let i = !submitted in
+      incr submitted;
+      let first = site (i mod 3) and second = site ((i + 1) mod 3) in
+      ignore
+        (Dtm.submit dtm
+           (Program.make
+              [
+                (first, Command.Update { table = "X"; key = i mod 3; delta = 1 });
+                (second, Command.Update { table = "X"; key = i mod 3; delta = -1 });
+              ])
+           ~on_done:(fun _ ->
+             incr finished;
+             submit_next ()))
+    end
+  in
+  for _ = 1 to 4 do
+    submit_next ()
+  done;
+  if crashes then
+    for i = 0 to 19 do
+      Engine.schedule_unit engine ~delay:(13_000 * (i + 1)) (fun () ->
+          Dtm.crash_site ~reboot_delay:10_000 dtm (site (i mod 3)))
+    done;
+  Engine.run engine;
+  Alcotest.(check int) "all transactions finished" globals !finished;
+  List.iter
+    (fun net ->
+      Alcotest.(check int)
+        "only the agents keep a handler" (List.length sites) (Network.handlers net))
+    (Dtm.networks dtm);
+  let finished_entries = ref 0 in
+  List.iter
+    (fun s ->
+      let log = Agent.agent_log (Dtm.agent dtm s) and clog = Dtm.coordinator_log dtm s in
+      for gid = 1 to globals do
+        (match Agent_log.find log ~gid with
+        | Some e when e.Agent_log.locally_committed || e.Agent_log.rolled_back ->
+            incr finished_entries;
+            Alcotest.(check bool)
+              (Fmt.str "T%d at %a: a finished Agent-log entry keeps no commands" gid Site.pp s)
+              true
+              (e.Agent_log.commands = [] && e.Agent_log.coordinator = None)
+        | Some _ | None -> ());
+        match Coordinator_log.find clog ~gid with
+        | Some e ->
+            Alcotest.(check bool)
+              (Fmt.str "T%d at %a: a finished round keeps its decision, not its participants" gid
+                 Site.pp s)
+              true
+              (e.Coordinator_log.participants = [] && e.Coordinator_log.decision <> None)
+        | None -> ()
+      done;
+      Alcotest.(check int)
+        (Fmt.str "no data left bound at %a" Site.pp s)
+        0
+        (Hermes_ltm.Bound.n_bound (Hermes_ltm.Ltm.bound_registry (Dtm.ltm dtm s))))
+    sites;
+  Alcotest.(check bool) "finished entries were checked" true (!finished_entries >= globals)
+
+let test_retirement_reliable () = retirement_run ~globals:60 ~net_config:Network.default_config ()
+
+let test_retirement_faults () =
+  retirement_run ~crashes:true ~globals:60
+    ~net_config:
+      {
+        Network.default_config with
+        Network.faults = { Network.no_faults with Network.drop = 0.01; dup = 0.05 };
+      }
+    ()
+
+(* A committed and an aborted round finish and leave the network; a
+   DECISION-REQ to either address is then answered from the coordinator
+   log with its decision, a stray COMMIT-ACK is swallowed, and a message
+   for a round that was never submitted still fails. *)
+let test_retired_address_answers_from_log () =
+  let engine = Engine.create () in
+  let dtm =
+    Dtm.create ~engines:[| engine |] ~rng:(Rng.create ~seed:5) ~net_config:Network.default_config
+      ~certifier:Config.full
+      ~site_specs:(Array.init 2 (fun _ -> Dtm.default_site_spec))
+      ()
+  in
+  List.iter
+    (fun s -> List.iter (fun k -> Dtm.load dtm s ~table:"X" ~key:k ~value:100) [ 0; 1 ])
+    [ a; b ];
+  let program key =
+    Program.make
+      [
+        (a, Command.Update { table = "X"; key; delta = 1 });
+        (b, Command.Update { table = "X"; key; delta = -1 });
+      ]
+  in
+  let outcomes = ref [] in
+  let on_done o = outcomes := o :: !outcomes in
+  let committed = Dtm.submit dtm (program 0) ~on_done in
+  let aborted =
+    Dtm.submit dtm (program 1) ~on_done ~gate:(fun ~gid:_ ~sites:_ ~proceed:_ ~refuse ->
+        refuse "held back")
+  in
+  Engine.run engine;
+  Alcotest.(check int) "both rounds finished" 2 (List.length !outcomes);
+  Alcotest.(check bool) "one committed" true (List.mem Coordinator.Committed !outcomes);
+  let net = List.hd (Dtm.networks dtm) in
+  Alcotest.(check int) "both coordinators left the network" 2 (Network.handlers net);
+  let probe = Wire.Agent (site 9) in
+  let heard = ref [] in
+  Network.register net probe (fun m -> heard := (m.Wire.src, m.Wire.gid, m.Wire.payload) :: !heard);
+  let send gid payload = Network.send net ~src:probe ~dst:(Wire.Coordinator gid) ~gid payload in
+  send committed Wire.Decision_req;
+  send aborted Wire.Decision_req;
+  Engine.run engine;
+  Alcotest.(check bool) "each DECISION-REQ answered with its logged decision" true
+    (List.sort compare !heard
+    = List.sort compare
+        [
+          (Wire.Coordinator committed, committed, Wire.Decision_resp { committed = true });
+          (Wire.Coordinator aborted, aborted, Wire.Decision_resp { committed = false });
+        ]);
+  heard := [];
+  send committed Wire.Commit_ack;
+  Engine.run engine;
+  Alcotest.(check int) "a stray COMMIT-ACK is swallowed" 0 (List.length !heard);
+  send 99 Wire.Decision_req;
+  match Engine.run engine with
+  | () -> Alcotest.fail "a message to a round never submitted was delivered"
+  | exception Failure msg ->
+      Alcotest.(check bool) "no handler for a round never submitted" true
+        (Astring.String.is_infix ~affix:"no handler" msg)
 
 (* ------------------------------------------------------------------ *)
 (* Group commit: buffered PREPAREs, staged decisions, the batch force   *)
@@ -1711,12 +1978,15 @@ let () =
             test_coordinator_answers_decision_req;
           Alcotest.test_case "crash of a finished round is a no-op" `Quick
             test_coordinator_crash_when_finished_is_a_no_op;
+          QCheck_alcotest.to_alcotest prop_retired_reply_is_the_finished_machine;
         ] );
       ( "explore",
         [
           Alcotest.test_case "2x2 reorderings exhaust clean" `Slow test_explore_reorderings_clean;
           Alcotest.test_case "2x1 fault mix exhausts clean" `Slow test_explore_faults_clean;
           Alcotest.test_case "2x1 lossy network exhausts clean" `Slow test_explore_losses_clean;
+          Alcotest.test_case "unilateral-abort gate pins its counts" `Slow
+            test_explore_uabort_gate_counts;
           Alcotest.test_case "fake quorum rediscovered under Counted" `Quick test_explore_finds_fake_quorum;
           Alcotest.test_case "dedup quorum survives the same adversary" `Quick
             test_explore_dedup_quorum_clean;
@@ -1772,6 +2042,14 @@ let () =
             test_quiesced_no_live_timers_dup_network;
           Alcotest.test_case "quiesced run: link state bounded over 400 globals" `Quick
             test_quiesced_many_globals;
+        ] );
+      ( "retirement",
+        [
+          Alcotest.test_case "finished rounds leave nothing behind" `Quick test_retirement_reliable;
+          Alcotest.test_case "finished rounds leave nothing behind (drops, dups, crashes)" `Quick
+            test_retirement_faults;
+          Alcotest.test_case "a retired address answers from the log" `Quick
+            test_retired_address_answers_from_log;
         ] );
       ( "group-commit",
         [
