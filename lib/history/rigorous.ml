@@ -20,123 +20,164 @@ let pp_violation ppf v =
   Fmt.pf ppf "%a (#%d) conflicts with later %a (#%d) without intervening termination" Op.pp v.first
     v.first_index Op.pp v.second v.second_index
 
-(* The checker is one sweep over the history. An operation o1 of
-   incarnation T stays *active* from its position until T's next
+(* The checker is one sweep over the history's dense index. An operation
+   o1 of incarnation T stays *active* from its position until T's next
    termination; a later operation o2 violates rigorousness against o1
    exactly when o1 is still active and the two conflict (another
-   incarnation, same item, at least one write). So the sweep keeps, per
-   item, the active DML operations split into readers and writers and
-   grouped by incarnation, and per incarnation the items it touched:
+   incarnation, same item, at least one write). So each DML operation
+   gets its *expiry*, the position of its incarnation's next
+   termination, from one backward pass. An operation of T after T's own
+   termination expires later than T's earlier ones and starts afresh,
+   as the pairwise rule (termination strictly between the two
+   operations) has it. The sweep then visits each item's operations in
+   history order. It keeps the item's live operations in groups, one
+   per incarnation and expiry, readers apart from writers:
 
-   - a DML operation is reported against every active conflicting entry
-     (a read against the writers, a write against readers and writers),
-     then becomes an active entry itself;
-   - a termination of T drops all of T's entries. An operation T issues
-     after its own termination is a fresh entry, as the pairwise rule
-     (termination strictly between the two operations) has it.
+   - a DML operation is reported against every live group of another
+     incarnation it conflicts with (a read against the writers, a write
+     against readers and writers), and expired groups are dropped on the
+     way;
+   - it then joins its incarnation's live group, or opens one.
 
-   Each operation pays for the incarnations active on its item, each
-   reported pair once, so the cost is near-linear in the history plus the
-   violations reported, where the pairwise rule paid O(n^2) pairs with an
-   O(n) rescan each. *)
-type active = (Txn.Incarnation.t, (int * Op.t) list) Hashtbl.t
-
-type item_state = { readers : active; writers : active }
-
-type sweep = {
-  items : (Item.t, item_state) Hashtbl.t;
-  touched : (Txn.Incarnation.t, item_state list) Hashtbl.t;
-  mutable found : violation list;
-}
-
-let create () = { items = Hashtbl.create 64; touched = Hashtbl.create 64; found = [] }
-
-let item_state s item =
-  match Hashtbl.find_opt s.items item with
-  | Some st -> st
-  | None ->
-      let st = { readers = Hashtbl.create 4; writers = Hashtbl.create 4 } in
-      Hashtbl.add s.items item st;
-      st
-
-let add tbl key x = Hashtbl.replace tbl key (x :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
-
-(* [index] is the operation's position in the history being checked. *)
-let step s index op =
-  match op with
-  | Op.Dml { kind; inc; item; _ } ->
-      let st = item_state s item in
-      let against (tbl : active) =
-        Hashtbl.iter
-          (fun other entries ->
-            if not (Txn.Incarnation.equal other inc) then
-              List.iter
-                (fun (first_index, first) ->
-                  s.found <- { first; first_index; second = op; second_index = index } :: s.found)
-                entries)
-          tbl
-      in
-      against st.writers;
-      (match kind with
-      | Op.Read -> add st.readers inc (index, op)
-      | Op.Write ->
-          against st.readers;
-          add st.writers inc (index, op));
-      add s.touched inc st
-  | Op.Local_commit inc | Op.Local_abort inc -> (
-      match Hashtbl.find_opt s.touched inc with
-      | None -> ()
-      | Some states ->
-          List.iter
-            (fun st ->
-              Hashtbl.remove st.readers inc;
-              Hashtbl.remove st.writers inc)
-            states;
-          Hashtbl.remove s.touched inc)
-  | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ()
+   Every lookup reads an array by dense id, and a scan pays only for the
+   groups it reports, its own and the expired ones it drops, so the
+   sweep is linear in the history plus the violations reported. It calls
+   [report i i'] once for each violating pair of operation positions.
+   Two incarnations conflict only if [part] gives them the same number:
+   a per-site check keeps an item that incarnations of two sites touch
+   apart, as the sites' projections do. *)
+let sweep h ~part report =
+  let ix = History.index h in
+  let n = Array.length ix.inc_of_op and n_incs = Array.length ix.incs in
+  let expiry = Array.make n max_int and next = Array.make n_incs max_int in
+  for i = n - 1 downto 0 do
+    let j = ix.inc_of_op.(i) in
+    if j >= 0 then if ix.item_of_op.(i) >= 0 then expiry.(i) <- next.(j) else next.(j) <- i
+  done;
+  (* Each item's DML operations as (position lsl 1) lor is-write, in
+     history order: item k's are [codes.(start.(k))] ..
+     [codes.(start.(k + 1) - 1)]. *)
+  let n_items = Array.length ix.items in
+  let start = Array.make (n_items + 1) 0 in
+  Array.iter (fun k -> if k >= 0 then start.(k + 1) <- start.(k + 1) + 1) ix.item_of_op;
+  for k = 0 to n_items - 1 do
+    start.(k + 1) <- start.(k + 1) + start.(k)
+  done;
+  let codes = Array.make start.(n_items) 0 and fill = Array.sub start 0 n_items in
+  History.iteri
+    (fun i op ->
+      let k = ix.item_of_op.(i) in
+      if k >= 0 then begin
+        codes.(fill.(k)) <- (i lsl 1) lor Bool.to_int (Op.is_write op);
+        fill.(k) <- fill.(k) + 1
+      end)
+    h;
+  (* A group is named by its first slot in [codes]: [link] chains its
+     slots in order, [last.(g)] is its newest. [reader.(j)] and
+     [writer.(j)] are incarnation j's newest groups. *)
+  let link = Array.make start.(n_items) (-1) and last = Array.make start.(n_items) 0 in
+  let reader = Array.make n_incs (-1) and writer = Array.make n_incs (-1) in
+  (* [against i j live groups] reports operation i of incarnation j
+     against [groups] and adds the live ones to [live]: a group's order
+     in its list is free, since the reports are sorted at the end. *)
+  let rec against i j live = function
+    | [] -> live
+    | g :: rest ->
+        let i0 = codes.(g) lsr 1 in
+        if expiry.(i0) > i then begin
+          let j0 = ix.inc_of_op.(i0) in
+          if j0 <> j && part.(j0) = part.(j) then begin
+            let e = ref g in
+            while !e >= 0 do
+              report (codes.(!e) lsr 1) i;
+              e := link.(!e)
+            done
+          end;
+          against i j (g :: live) rest
+        end
+        else against i j live rest
+  in
+  (* Slot p, operation i of incarnation j, joins j's live group in
+     [newest], or opens one in [groups]. *)
+  let join newest ~first p i j groups =
+    let g = newest.(j) in
+    if g >= first && expiry.(codes.(g) lsr 1) = expiry.(i) then begin
+      link.(last.(g)) <- p;
+      last.(g) <- p;
+      groups
+    end
+    else begin
+      newest.(j) <- p;
+      last.(p) <- p;
+      p :: groups
+    end
+  in
+  for k = 0 to n_items - 1 do
+    let first = start.(k) in
+    let readers = ref [] and writers = ref [] in
+    for p = first to start.(k + 1) - 1 do
+      let i = codes.(p) lsr 1 in
+      let j = ix.inc_of_op.(i) in
+      writers := against i j [] !writers;
+      if codes.(p) land 1 = 1 then begin
+        readers := against i j [] !readers;
+        writers := join writer ~first p i j !writers
+      end
+      else readers := join reader ~first p i j !readers
+    done
+  done
 
 (* In the order the pairwise rule enumerates them. *)
-let finish s =
-  List.sort
-    (fun a b ->
-      match Int.compare a.first_index b.first_index with
-      | 0 -> Int.compare a.second_index b.second_index
-      | c -> c)
-    s.found
+let by_position a b =
+  match Int.compare a.first_index b.first_index with 0 -> Int.compare a.second_index b.second_index | c -> c
 
-(* All rigorousness violations in (what should be) a single-site history. *)
+(* All rigorousness violations in (what should be) a single-site history,
+   at positions in the whole history. *)
 let violations h =
-  let s = create () in
-  History.iteri (step s) h;
-  finish s
+  let found = ref [] in
+  let part = Array.make (Array.length (History.index h).incs) 0 in
+  sweep h ~part (fun i i' ->
+      found := { first = History.get h i; first_index = i; second = History.get h i'; second_index = i' } :: !found);
+  List.sort by_position !found
 
 let is_rigorous h = violations h = []
 
-(* Check every site projection of a global history, in one pass: each site
-   has its own sweep and position counter, which counts exactly the
-   operations of {!Projection.ltm}, so reported indices are positions in
-   that projection. Sites seen only through a Prepare get an empty list. *)
+(* Every site projection of a global history, from one sweep. Sites get
+   dense slots as they first appear, incarnations' sites first and then
+   those seen only through a Prepare, which get an empty list. [pos.(i)]
+   counts the operations of operation i's site before it that
+   {!Projection.ltm} keeps, so reported indices are positions in that
+   projection. *)
 let check_all_sites h =
-  let sites : (Site.t, sweep * int ref) Hashtbl.t = Hashtbl.create 8 in
-  let site s =
-    match Hashtbl.find_opt sites s with
-    | Some x -> x
-    | None ->
-        let x = (create (), ref 0) in
-        Hashtbl.add sites s x;
-        x
+  let ix = History.index h in
+  let slots = Int_tbl.create 8 in
+  let slot site =
+    let s = Site.to_int site in
+    match Int_tbl.find slots s with
+    | k -> k
+    | exception Not_found ->
+        let k = Int_tbl.length slots in
+        Int_tbl.add slots s k;
+        k
   in
+  let slot_of_inc = Array.map (fun (inc : Txn.Incarnation.t) -> slot inc.site) ix.incs in
+  let count = Array.make (Int_tbl.length slots) 0 and pos = Array.make (History.length h) 0 in
   History.iteri
-    (fun _ op ->
-      match op with
-      | Op.Dml { inc; _ } | Op.Local_commit inc | Op.Local_abort inc ->
-          let s, pos = site inc.Txn.Incarnation.site in
-          step s !pos op;
-          incr pos
-      | Op.Prepare { site = p; _ } -> ignore (site p)
-      | Op.Global_commit _ | Op.Global_abort _ -> ())
+    (fun i op ->
+      match ix.inc_of_op.(i) with
+      | -1 -> ( match op with Op.Prepare { site; _ } -> ignore (slot site) | _ -> ())
+      | j ->
+          let s = slot_of_inc.(j) in
+          pos.(i) <- count.(s);
+          count.(s) <- count.(s) + 1)
     h;
-  Hashtbl.fold (fun site (s, _) acc -> (site, finish s) :: acc) sites []
+  let found = Array.make (Int_tbl.length slots) [] in
+  sweep h ~part:slot_of_inc (fun i i' ->
+      let s = slot_of_inc.(ix.inc_of_op.(i)) in
+      found.(s) <-
+        { first = History.get h i; first_index = pos.(i); second = History.get h i'; second_index = pos.(i') }
+        :: found.(s));
+  Int_tbl.fold (fun site s acc -> (Site.of_int site, List.sort by_position found.(s)) :: acc) slots []
   |> List.sort (fun (a, _) (b, _) -> Site.compare a b)
 
 let all_sites_rigorous h = List.for_all (fun (_, vs) -> vs = []) (check_all_sites h)

@@ -13,13 +13,15 @@ val pp_violation : violation Fmt.t
 val violations : History.t -> violation list
 (** Violations in a single-site (LTM-level) history, ordered by
     [(first_index, second_index)]; indices are positions in the history.
-    One sweep, near-linear in the history plus the violations reported. *)
+    One sweep over the history's dense index, linear in the history plus
+    the violations reported, which are then sorted. *)
 
 val is_rigorous : History.t -> bool
 
 val check_all_sites : History.t -> (Site.t * violation list) list
 (** Check the LTM projection ({!Projection.ltm}) of every site appearing
-    in the history, in one pass; sites ascending, indices are positions
-    in the site's projection. *)
+    in the history, in one sweep; sites ascending, indices are positions
+    in the site's projection. A site seen only through a Prepare gets an
+    empty list. *)
 
 val all_sites_rigorous : History.t -> bool

@@ -10,8 +10,14 @@
    first write. The builder takes the history's dense transaction and
    item ids, remaps the transactions to [Txn.compare] order, keeps each
    item's operations as (transaction, is-write) codes in history order,
-   and emits each source's successor row directly from those rules; no
-   per-edge structure is ever built. *)
+   and emits each source's successors directly from those rules, each
+   once, in the order it finds them; no per-edge structure is ever
+   built. Two counting-sort transposes then put every row in ascending
+   order: the sources are scattered into one bucket per destination,
+   and the destinations, walked in ascending order, are scattered back
+   into their sources' rows. Both are linear passes over int arrays, so
+   the build is linear in the history plus the graph, with no
+   comparison sort but the vertices'. *)
 
 open Hermes_kernel
 
@@ -60,26 +66,60 @@ let build h =
     done;
     List.iter (fun t -> touched.(t) <- (k, first.(t), first_write.(t)) :: touched.(t)) !txns
   done;
-  (* Rows are emitted in source order; [stamp.(d) = s] marks d as already
-     in s's row. *)
-  let stamp = Array.make n (-1) and row = Array.make n 0 in
-  G.of_rows vertices (fun s ->
-      let len = ref 0 in
-      List.iter
-        (fun (k, f, fw) ->
-          for p = f + 1 to start.(k + 1) - 1 do
-            let code = codes.(p) in
-            let d = code lsr 1 in
-            if d <> s && (code land 1 = 1 || p > fw) && stamp.(d) <> s then begin
-              stamp.(d) <- s;
-              row.(!len) <- d;
-              incr len
-            end
-          done)
-        touched.(s);
-      let r = Array.sub row 0 !len in
-      Array.sort Int.compare r;
-      r)
+  (* The rows, source after source, each in the order its destinations
+     are found: source s's are [dst.(off.(s))] .. [dst.(off.(s + 1) - 1)].
+     [stamp.(d) = s] marks d as already in s's row. *)
+  let off = Array.make (n + 1) 0 and stamp = Array.make n (-1) in
+  let dst = ref (Array.make (max 16 n) 0) and m = ref 0 in
+  for s = 0 to n - 1 do
+    List.iter
+      (fun (k, f, fw) ->
+        for p = f + 1 to start.(k + 1) - 1 do
+          let code = codes.(p) in
+          let d = code lsr 1 in
+          if d <> s && (code land 1 = 1 || p > fw) && stamp.(d) <> s then begin
+            stamp.(d) <- s;
+            if !m = Array.length !dst then begin
+              let grown = Array.make (2 * !m) 0 in
+              Array.blit !dst 0 grown 0 !m;
+              dst := grown
+            end;
+            !dst.(!m) <- d;
+            incr m
+          end
+        done)
+      touched.(s);
+    off.(s + 1) <- !m
+  done;
+  let dst = !dst and m = !m in
+  (* First transpose: the sources into one bucket per destination;
+     destination d's are [src.(into.(d))] .. [src.(into.(d + 1) - 1)]. *)
+  let into = Array.make (n + 1) 0 in
+  for e = 0 to m - 1 do
+    into.(dst.(e) + 1) <- into.(dst.(e) + 1) + 1
+  done;
+  for d = 0 to n - 1 do
+    into.(d + 1) <- into.(d + 1) + into.(d)
+  done;
+  let src = Array.make m 0 and fill = Array.sub into 0 n in
+  for s = 0 to n - 1 do
+    for e = off.(s) to off.(s + 1) - 1 do
+      let d = dst.(e) in
+      src.(fill.(d)) <- s;
+      fill.(d) <- fill.(d) + 1
+    done
+  done;
+  (* Second transpose: the destinations, ascending, back into their
+     sources' rows, which [dst] holds again. *)
+  let fill = Array.sub off 0 n in
+  for d = 0 to n - 1 do
+    for e = into.(d) to into.(d + 1) - 1 do
+      let s = src.(e) in
+      dst.(fill.(s)) <- d;
+      fill.(s) <- fill.(s) + 1
+    done
+  done;
+  G.of_rows vertices (fun s -> Array.sub dst off.(s) (off.(s + 1) - off.(s)))
 
 let is_acyclic h = G.is_acyclic (build h)
 let find_cycle h = G.find_cycle (build h)

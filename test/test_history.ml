@@ -1432,6 +1432,61 @@ let prop_rigorous_all_sites_matches_projections =
       Rigorous.violations h = rigorous_reference h
       && Rigorous.check_all_sites h = rigorous_all_sites_reference h)
 
+(* An item that incarnations of two sites touch: the single sweep
+   judges the whole history, the per-site check each site's projection
+   on its own, where the two operations never meet. *)
+let test_rigorous_cross_site_item () =
+  let h = History.of_ops [ w i10a zb; r i20b zb; lc i10a; lc i20b ] in
+  Alcotest.(check (list (pair int int))) "whole history" [ (0, 1) ]
+    (List.map (fun (v : Rigorous.violation) -> (v.first_index, v.second_index)) (Rigorous.violations h));
+  Alcotest.(check bool) "= pairwise rule" true (Rigorous.violations h = rigorous_reference h);
+  Alcotest.(check bool) "per site: none, = projections" true
+    (Rigorous.all_sites_rigorous h && Rigorous.check_all_sites h = rigorous_all_sites_reference h)
+
+(* The two properties' inputs hold what the sweep must get right:
+   violations at two or more sites, an operation after its own
+   incarnation's termination, a site seen only through a prepare, and a
+   prepare between the two operations of a violation, where whole-history
+   positions and projection positions part. *)
+let test_rigorous_generator_covers () =
+  let inputs =
+    List.concat_map
+      (fun seed ->
+        [ random_ltm_history (Rng.create ~seed) ~n_sites:1; random_ltm_history (Rng.create ~seed) ~n_sites:3 ])
+      (List.init 300 Fun.id)
+  in
+  let some name f = Alcotest.(check bool) name true (List.exists f inputs) in
+  some "violations at two or more sites" (fun h ->
+      List.length (List.filter (fun (_, vs) -> vs <> []) (rigorous_all_sites_reference h)) >= 2);
+  some "an operation after its own incarnation's termination" (fun h ->
+      let ops = Array.of_list (History.ops h) in
+      let after i = function
+        | Op.Dml { inc; _ } ->
+            let rec go k = k < i && (is_termination_of ops.(k) ~inc || go (k + 1)) in
+            go 0
+        | _ -> false
+      in
+      let rec any i = i < Array.length ops && (after i ops.(i) || any (i + 1)) in
+      any 0);
+  some "a prepare-only site" (fun h ->
+      List.exists
+        (fun (s, _) ->
+          not
+            (History.exists
+               (fun op ->
+                 match Op.incarnation op with Some i -> Site.equal i.Txn.Incarnation.site s | None -> false)
+               h))
+        (rigorous_all_sites_reference h));
+  some "a prepare inside a violation's span" (fun h ->
+      let ops = Array.of_list (History.ops h) in
+      List.exists
+        (fun (v : Rigorous.violation) ->
+          let rec go k =
+            k < v.second_index && ((match ops.(k) with Op.Prepare _ -> true | _ -> false) || go (k + 1))
+          in
+          go (v.first_index + 1))
+        (rigorous_reference h))
+
 let test_rigorous_projection_indices () =
   (* One violation per site. Whole-history positions are 0->4 and 2->3;
      the per-site report counts positions in the LTM projection, where
@@ -1929,6 +1984,7 @@ let sg_matches_reference h =
   G.vertices g = G.vertices r
   && G.edges g = G.edges r
   && Serialization_graph.find_cycle h = G.find_cycle r
+  && G.sccs g = G.sccs r
   && Quasi.check h = Quasi.of_graph r
 
 let prop_sg_matches_pairwise_resubmission =
@@ -1962,6 +2018,97 @@ let test_sg_generators_entangle () =
       ("resubmission", random_resubmission_history);
       ("multi-site", fun rng -> random_ltm_history rng ~n_sites:3);
     ]
+
+(* Hot-item histories, for rows and buckets of some size: one to three
+   sites with one to three items each (item 0 of a site the hottest),
+   10-40 incarnations of local and of global transactions (a global's
+   spread over the sites, some resubmitted), and 50-300 operations. An
+   incarnation often accesses one item twice running (read then write,
+   write then read, or two writes); incarnations commit, abort, keep
+   operating after their termination and prepare, and most globals
+   commit at the end. In about four histories in ten the last item of
+   site a, when there are two or more, is only ever read. *)
+let random_hot_history rng =
+  let n_sites = 1 + Rng.int rng ~bound:3 in
+  let items =
+    Array.init n_sites (fun s ->
+        Array.init (1 + Rng.int rng ~bound:3) (fun key -> Item.make ~site:(Site.of_int s) ~table:"H" ~key))
+  in
+  let read_only = Rng.bool rng ~p:0.4 in
+  let n_incs = 10 + Rng.int rng ~bound:31 in
+  let incs =
+    Array.init n_incs (fun k ->
+        let site = Site.of_int (Rng.int rng ~bound:n_sites) in
+        if Rng.bool rng ~p:0.3 then inc (Txn.local ~site ~n:(k + 1)) site 0
+        else
+          inc (g (1 + Rng.int rng ~bound:(1 + (n_incs / 2)))) site
+            (if Rng.bool rng ~p:0.3 then 1 + Rng.int rng ~bound:2 else 0))
+  in
+  let item (i : Txn.Incarnation.t) ~write =
+    let at = items.(Site.to_int i.site) in
+    let n = Array.length at in
+    let k = if Rng.bool rng ~p:0.6 then 0 else Rng.int rng ~bound:n in
+    if write && read_only && Site.to_int i.site = 0 && n > 1 && k = n - 1 then at.(0) else at.(k)
+  in
+  let n_ops = 50 + Rng.int rng ~bound:251 in
+  let ops = ref [] and len = ref 0 in
+  let emit op =
+    ops := op :: !ops;
+    incr len
+  in
+  while !len < n_ops do
+    let i = incs.(Rng.int rng ~bound:n_incs) in
+    match Rng.int rng ~bound:20 with
+    | 0 | 1 -> emit (lc i)
+    | 2 -> emit (la i)
+    | 3 -> emit (p i.Txn.Incarnation.txn i.Txn.Incarnation.site)
+    | k when k < 8 ->
+        let first_write = Rng.bool rng ~p:0.5 in
+        let second_write = (not first_write) || Rng.bool rng ~p:0.5 in
+        let it = item i ~write:true in
+        emit ((if first_write then w else r) i it);
+        emit ((if second_write then w else r) i it)
+    | k when k < 14 -> emit (r i (item i ~write:false))
+    | _ -> emit (w i (item i ~write:true))
+  done;
+  with_global_commits rng (History.of_ops (List.rev !ops))
+
+let prop_sg_matches_pairwise_hot =
+  QCheck.Test.make ~name:"hot-item histories: SG = pairwise SG" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let h = random_hot_history (Rng.create ~seed) in
+      sg_matches_reference h && sg_matches_reference (Committed.extended h))
+
+let prop_rigorous_hot =
+  QCheck.Test.make ~name:"hot-item histories: rigorousness sweep = pairwise rule" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let h = random_hot_history (Rng.create ~seed) in
+      Rigorous.violations h = rigorous_reference h
+      && Rigorous.check_all_sites h = rigorous_all_sites_reference h)
+
+(* The hot-item generator makes rows and buckets of twenty and more, and
+   items only ever read, whose accesses add no edge. *)
+let test_hot_generator_covers () =
+  let hs = List.map (fun seed -> random_hot_history (Rng.create ~seed)) (List.init 300 Fun.id) in
+  let module G = Serialization_graph.G in
+  let degrees h =
+    let g = sg_reference h in
+    let vs = G.vertices g in
+    let out = List.map (fun v -> List.length (G.successors g v)) vs in
+    let into = List.map (fun v -> List.length (List.filter (fun u -> G.mem_edge g u v) vs)) vs in
+    (out, into)
+  in
+  let some name f = Alcotest.(check bool) name true (List.exists f hs) in
+  some "a row of at least 20 destinations" (fun h -> List.exists (fun k -> k >= 20) (fst (degrees h)));
+  some "a destination with at least 20 sources" (fun h -> List.exists (fun k -> k >= 20) (snd (degrees h)));
+  some "an item touched only by reads" (fun h ->
+      let items = List.sort_uniq Item.compare (List.filter_map Op.item (History.ops h)) in
+      List.exists
+        (fun it ->
+          not (History.exists (fun op -> Op.is_write op && Option.equal Item.equal (Op.item op) (Some it)) h))
+        items)
 
 (* Report.analyze builds SG(C(H)) once for both uses; the cycle and the
    QSR verdict must be those the standalone checkers compute. *)
@@ -2105,6 +2252,9 @@ let () =
           q prop_serial_is_rigorous;
           q prop_rigorous_sweep_matches_pairwise;
           q prop_rigorous_all_sites_matches_projections;
+          Alcotest.test_case "cross-site item" `Quick test_rigorous_cross_site_item;
+          Alcotest.test_case "generator covers" `Quick test_rigorous_generator_covers;
+          q prop_rigorous_hot;
         ] );
       ( "distortions",
         [
@@ -2124,6 +2274,8 @@ let () =
           Alcotest.test_case "generators entangle" `Quick test_sg_generators_entangle;
           q prop_sg_matches_pairwise_resubmission;
           q prop_sg_matches_pairwise_multi_site;
+          Alcotest.test_case "hot-item generator covers" `Quick test_hot_generator_covers;
+          q prop_sg_matches_pairwise_hot;
         ] );
       ( "graphs",
         [
