@@ -21,6 +21,7 @@ module Table_fmt = Hermes_harness.Table_fmt
 module Report = Hermes_history.Report
 module History = Hermes_history.History
 module Committed = Hermes_history.Committed
+module Correctness = Hermes_history.Correctness
 module Obs = Hermes_obs.Obs
 module Registry = Hermes_obs.Registry
 module Tracer = Hermes_obs.Tracer
@@ -265,7 +266,7 @@ let run_cmd =
             "Schedule $(docv) online shard moves across the run. Each move installs a new placement \
              epoch after the losing agent hands the moved shard's prepared certification state to \
              the gaining site; in-flight old-epoch work is refused (WRONG-EPOCH) and resubmitted \
-             against the new map. 2CM, sequential engine only.")
+             against the new map. 2CM, one execution shard only.")
   in
   let reconfigure_at =
     Arg.(
@@ -282,7 +283,7 @@ let run_cmd =
           ~doc:
             "Schedule site $(i,SITE) to leave the serving set at tick $(i,TICK): its shards \
              redistribute over the survivors after a prepared-state handover. Repeatable. 2CM, \
-             sequential engine only.")
+             one execution shard only.")
   in
   let join_at =
     Arg.(
@@ -379,10 +380,10 @@ let run_cmd =
       drift_bound suspicion domains seed verbose dump metrics_out trace_out metrics_summary =
     if domains > 1 && trace_out <> None then
       (* The windowed engine writes the deterministic merged trace — a
-         valid schedule, but not the sequential one the golden digests
+         valid schedule, but not the one-shard one the golden digests
          are pinned to. *)
       Fmt.epr "hermes: note: --trace-out with --domains %d writes the deterministic merged \
-               windowed trace; golden trace digests are pinned to the sequential engine only@."
+               windowed trace; golden trace digests are pinned to the one-shard schedule only@."
         domains;
     if domains > 1 && cgm <> None then begin
       Fmt.epr "hermes: --domains %d requires the 2CM protocol (the CGM baseline is single-domain \
@@ -390,18 +391,18 @@ let run_cmd =
       exit 2
     end;
     if moves > 0 && (cgm <> None || domains > 1) then begin
-      Fmt.epr "hermes: --moves requires the 2CM protocol on the sequential engine (--domains 1)@.";
+      Fmt.epr "hermes: --moves requires the 2CM protocol on one execution shard (--domains 1)@.";
       exit 2
     end;
     if (leave_at <> [] || join_at <> []) && (cgm <> None || domains > 1) then begin
-      Fmt.epr "hermes: --leave-at/--join-at require the 2CM protocol on the sequential engine \
+      Fmt.epr "hermes: --leave-at/--join-at require the 2CM protocol on one execution shard \
                (--domains 1)@.";
       exit 2
     end;
     let commit_proto = resolve_commit_proto commit_proto paxos_f in
     if domains > 1 && commit_proto <> Config.Two_pc then begin
       Fmt.epr "hermes: --domains %d requires --commit-proto 2pc (replicated commit protocols run \
-               on the sequential engine only)@." domains;
+               on one execution shard only)@." domains;
       exit 2
     end;
     let certifier =
@@ -912,43 +913,19 @@ let fuzz_cmd =
     let rng = Hermes_kernel.Rng.create ~seed in
     let failures = ref 0 in
     for i = 1 to count do
-      (* Same space as the test-suite fuzzer, but reported instead of
-         asserted. *)
-      let n_sites = Hermes_kernel.Rng.int_in rng ~lo:2 ~hi:5 in
-      let setup =
-        {
-          Driver.default_setup with
-          Driver.protocol = Driver.Two_pca Config.full;
-          failure = Failure.prepared_rate (Hermes_kernel.Rng.float rng ~bound:0.4);
-          net = { Network.default_config with base_delay = 500; jitter = Hermes_kernel.Rng.int rng ~bound:2_000 };
-          crash_schedule =
-            (if Hermes_kernel.Rng.bool rng ~p:0.3 then
-               [ (20_000, Hermes_kernel.Rng.int rng ~bound:n_sites) ]
-             else []);
-          seed = Hermes_kernel.Rng.int rng ~bound:1_000_000;
-          time_limit = 60_000_000;
-          spec =
-            Spec.make ~n_sites
-              ~n_global:(Hermes_kernel.Rng.int_in rng ~lo:20 ~hi:50)
-              ~arrival:
-                (Spec.Closed
-                   {
-                     mpl = Hermes_kernel.Rng.int_in rng ~lo:2 ~hi:8;
-                     think_time_mean = Spec.think_time Spec.default;
-                   })
-              ~key_dist:(Spec.Zipf { theta = Hermes_kernel.Rng.float rng ~bound:1.1 })
-              ~local_txn_cap:300 ();
-        }
-      in
+      (* The test-suite fuzzer's space and judgement — the verdict plus
+         "nothing stuck" — reported instead of asserted. *)
+      let setup = Experiment.random_setup rng in
       let r = Driver.run setup in
-      let c = Committed.extended r.Driver.history in
-      let distortions = Hermes_history.Anomaly.global_view_distortions c in
-      let cycle = Hermes_history.Anomaly.commit_order_cycle c in
-      let bad = r.Driver.stuck > 0 || distortions <> [] || cycle <> None in
-      if bad then begin
+      let v = Correctness.check r.Driver.history in
+      if r.Driver.stuck > 0 || not (Correctness.ok v) then begin
         incr failures;
-        Fmt.pr "#%d FAILED: stuck=%d distortions=%d cycle=%b (driver seed %d)@." i r.Driver.stuck
-          (List.length distortions) (cycle <> None) setup.Driver.seed
+        Fmt.pr
+          "#%d FAILED: stuck=%d distortions=%d cycle=%b rigorousness violations=%d value mismatches=%d \
+           torn=%d (driver seed %d)@."
+          i r.Driver.stuck (List.length v.Correctness.distortions) (v.Correctness.cg_cycle <> None)
+          (List.fold_left (fun acc (_, vs) -> acc + List.length vs) 0 v.Correctness.rigorous_violations)
+          (List.length v.Correctness.value_mismatches) (List.length v.Correctness.torn) setup.Driver.seed
       end
       else
         Fmt.pr "#%d ok: %d commits, %d resubmissions, %d ops verified@." i

@@ -18,38 +18,87 @@ module Dtm = Hermes_core.Dtm
 module Coordinator = Hermes_core.Coordinator
 module Cgm = Hermes_baselines.Cgm
 module Failure = Hermes_ltm.Failure
+module Ltm_config = Hermes_ltm.Ltm_config
 module Network = Hermes_net.Network
 module Spec = Hermes_workload.Spec
 module Stats = Hermes_workload.Stats
 module Driver = Hermes_workload.Driver
 module Report = Hermes_history.Report
-module Committed = Hermes_history.Committed
-module Anomaly = Hermes_history.Anomaly
+module Correctness = Hermes_history.Correctness
 module View = Hermes_history.View
-module History = Hermes_history.History
 
 (* Closed-loop arrival at [mpl] with the suite's standard think time —
    the builder-API spelling of the old [global_mpl] flat field. *)
 let closed mpl = Spec.Closed { mpl; think_time_mean = Spec.think_time Spec.default }
 
-(* Shared run parameters: one seed override for the whole suite (each
-   experiment keeps its own default), an optional registry every run's
-   metrics are absorbed into, and the domain count the seed sweeps fan
-   out over. *)
-type params = {
-  seeds : int option;
-  metrics : Registry.t option;
-  jobs : int;
-  domains : int option;
-      (* within-run site parallelism for E16 (the other experiments run
-         on one execution shard for byte-identity); [jobs] above is
-         ACROSS-run fan-out of seed sweeps — the two compose *)
-}
+let absorb metrics reg = match metrics with Some dst -> Registry.absorb dst reg | None -> ()
 
-let default_params = { seeds = None; metrics = None; jobs = 1; domains = None }
+(* ------------------------------------------------------------------ *)
+(* The seed sweep and the columns read from its runs                   *)
+(* ------------------------------------------------------------------ *)
 
-let absorb_reg metrics reg = match metrics with Some dst -> Registry.absorb dst reg | None -> ()
-let absorb_into metrics obs = absorb_reg metrics (Obs.metrics obs)
+(* One seed's run: what it returned, its metrics and the verdict on the
+   history it recorded. *)
+type 'a run = { result : 'a; reg : Registry.t; verdict : Correctness.t }
+
+(* Seeds 1..[seeds] fan out over [jobs] domains, each run with its own
+   observability context; [f] returns its result and the history it
+   recorded, which is judged in the worker. [Pool.map] keeps seed order
+   and the registries are absorbed into [metrics] here, on the calling
+   domain, so tables and metrics dump are byte-identical for any
+   [jobs]. *)
+let sweep ?metrics ~jobs ~seeds f =
+  let runs =
+    Pool.map ~jobs
+      (fun seed ->
+        let obs = Obs.create () in
+        let result, history = f ~obs seed in
+        { result; reg = Obs.metrics obs; verdict = Correctness.check history })
+      (List.init seeds (fun i -> i + 1))
+  in
+  List.iter (fun r -> absorb metrics r.reg) runs;
+  runs
+
+(* [setup] at every seed of the sweep, through [drive] (default
+   {!Driver.run}). *)
+let driver_runs ?metrics ~jobs ~seeds ?(drive = Driver.run) setup =
+  sweep ?metrics ~jobs ~seeds (fun ~obs seed ->
+      let r = drive { setup with Driver.seed; obs = Some obs } in
+      (r, r.Driver.history))
+
+let mean f runs = List.fold_left (fun acc r -> acc +. f r) 0.0 runs /. float_of_int (max 1 (List.length runs))
+let mean_i f runs = mean (fun r -> float_of_int (f r)) runs
+
+(* "k/n": the runs that satisfy [p], of all the runs. *)
+let runs_where p runs = Fmt.str "%d/%d" (List.length (List.filter p runs)) (List.length runs)
+
+(* A registry counter summed over sites, and a histogram percentile over
+   sites, each averaged over the runs. *)
+let counter name runs = mean_i (fun r -> Registry.sum_counter r.reg name) runs
+
+let percentile name p runs =
+  mean (fun r -> float_of_int (Histogram.percentile (Registry.histogram_totals r.reg name) p)) runs
+
+let latency = "workload.commit_latency"
+let distorted r = r.verdict.Correctness.distortions <> []
+let cyclic r = r.verdict.Correctness.cg_cycle <> None
+
+(* "Clean": every run finished — [stuck] of its result is 0 — and its
+   history passes the verdict. *)
+let clean ~stuck runs = List.for_all (fun r -> stuck r.result = 0 && Correctness.ok r.verdict) runs
+
+(* The columns most driver tables share. *)
+let stuck (r : Driver.result) = r.Driver.stuck
+let stuck_runs runs = runs_where (fun r -> stuck r.result > 0) runs
+let commits runs = mean_i (fun r -> Stats.committed r.result.Driver.stats) runs
+let throughput runs = mean (fun r -> r.result.Driver.throughput) runs
+let abort_rate runs = mean (fun r -> Stats.abort_rate r.result.Driver.stats) runs
+let retries runs = mean_i (fun r -> Stats.retries r.result.Driver.stats) runs
+let resubmits runs = mean_i (fun r -> r.result.Driver.totals.Dtm.resubmissions) runs
+
+(* ------------------------------------------------------------------ *)
+(* Scenario experiments                                                *)
+(* ------------------------------------------------------------------ *)
 
 (* The certifier variants the scenario experiments compare. *)
 let scenario_configs =
@@ -60,7 +109,7 @@ let scenario_configs =
     ("full 2CM certifier", Config.full);
   ]
 
-let verdict (r : Scenario.run) =
+let view_cell (r : Scenario.run) =
   match r.Scenario.report.Report.view with
   | View.Serializable _ -> "VSR"
   | View.Not_serializable -> "NOT VSR"
@@ -79,8 +128,8 @@ let scenario_table ?metrics ~title ~note ~scenario () =
       (fun (name, certifier) ->
         let obs = Obs.create () in
         let r : Scenario.run = scenario ~certifier ~obs in
-        absorb_into metrics obs;
         let reg = Obs.metrics obs in
+        absorb metrics reg;
         let outcomes = List.map (fun (l, o) -> Fmt.str "%s %s" l (outcome_cell o)) r.Scenario.outcomes in
         let locals =
           List.map (fun (l, ok) -> Fmt.str "%s %s" l (if ok then "ok" else "failed")) r.Scenario.locals
@@ -91,7 +140,7 @@ let scenario_table ?metrics ~title ~note ~scenario () =
           T.i r.Scenario.resubmissions;
           T.i (List.length r.Scenario.report.Report.global_distortions);
           T.b (r.Scenario.report.Report.cg_cycle <> None);
-          verdict r;
+          view_cell r;
           T.i (Tracer.length (Obs.trace obs));
           T.i (Histogram.max_value (Registry.histogram_totals reg "agent.commit_delay"));
         ])
@@ -134,28 +183,19 @@ let e3_indirect_distortion ?metrics () =
     ()
 
 (* E4 — the §5.3 COMMIT-overtakes-PREPARE race and the prepare
-   certification extension. *)
-let e4_overtaking ?(seeds = 2_000) ?(jobs = 1) ?metrics () =
+   certification extension: one scenario per seed. *)
+let e4_overtaking ~seeds ~jobs ?metrics () =
   let jitters = [ 4_000; 8_000; 16_000; 32_000 ] in
   let count certifier jitter =
-    (* Seeds fan out over the domain pool; the registries come back in
-       seed order and are absorbed on this domain, so the metrics dump is
-       independent of [jobs]. *)
     let runs =
-      Pool.map ~jobs
-        (fun seed ->
-          let obs = Obs.create () in
+      sweep ?metrics ~jobs ~seeds (fun ~obs seed ->
           let r = Scenario.overtake ~certifier ~obs ~jitter ~seed () in
-          (r, Obs.metrics obs))
-        (List.init seeds (fun i -> i + 1))
+          (r, r.Scenario.o_run.Scenario.history))
     in
-    List.fold_left
-      (fun (races, cycles, refusals) ((r : Scenario.overtake_result), reg) ->
-        absorb_reg metrics reg;
-        ( (races + if r.Scenario.overtaken then 1 else 0),
-          (cycles + if r.Scenario.o_run.Scenario.report.Report.cg_cycle <> None then 1 else 0),
-          refusals + r.Scenario.extension_refusals ))
-      (0, 0, 0) runs
+    let n p = List.length (List.filter p runs) in
+    ( n (fun r -> r.result.Scenario.overtaken),
+      n cyclic,
+      List.fold_left (fun acc r -> acc + r.result.Scenario.extension_refusals) 0 runs )
   in
   let rows =
     List.map
@@ -183,88 +223,10 @@ let e4_overtaking ?(seeds = 2_000) ?(jobs = 1) ?metrics () =
 (* Driver-based experiments                                            *)
 (* ------------------------------------------------------------------ *)
 
-let avg xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (max 1 (List.length xs))
-let avg_i xs = avg (List.map float_of_int xs)
-
-type agg = {
-  a_committed : float;
-  a_abort_rate : float;  (* failed attempts / attempts *)
-  a_retries : float;
-  a_throughput : float;
-  a_mean_latency : float;  (* registry-sourced: workload.commit_latency mean *)
-  a_p95 : float;  (* registry-sourced: workload.commit_latency p95 *)
-  a_refused_ext : float;  (* registry-sourced: agent.refused_extension *)
-  a_refused_int : float;  (* registry-sourced: agent.refused_interval *)
-  a_commit_retries : float;  (* registry-sourced: agent.commit_retries *)
-  a_resub : float;
-  a_distortion_runs : int;  (* runs with >= 1 global view distortion *)
-  a_cycle_runs : int;  (* runs with a CG cycle *)
-  a_stuck_runs : int;
-  a_gate_delays : float;
-  a_glock_timeouts : float;
-  a_dlu_denials : float;
-  a_dropped : float;  (* registry-sourced: net.dropped *)
-  a_duplicated : float;  (* registry-sourced: net.duplicated *)
-  a_retransmissions : float;  (* registry-sourced: coord.retransmissions *)
-}
-
-(* Every run gets its own observability context; the per-run registries
-   feed the certification/latency columns and are absorbed into [metrics]
-   so a whole sweep exports as one dump. Seeds fan out over the domain
-   pool; [Pool.map] preserves seed order and the absorbs happen here on
-   the calling domain, so tables and dump are byte-identical for any
-   [jobs]. *)
-let aggregate ?metrics ?(jobs = 1) ~seeds ~setup_of () =
-  let runs =
-    Pool.map ~jobs
-      (fun i ->
-        let obs = Obs.create () in
-        let r = Driver.run { (setup_of (i + 1)) with Driver.obs = Some obs } in
-        (r, Obs.metrics obs))
-      (List.init seeds Fun.id)
-  in
-  List.iter (fun (_, reg) -> absorb_reg metrics reg) runs;
-  let results = List.map fst runs in
-  let regs = List.map snd runs in
-  let stats f = List.map f results in
-  let count f = List.length (List.filter f results) in
-  let reg_counter name = avg_i (List.map (fun reg -> Registry.sum_counter reg name) regs) in
-  let reg_latency f = avg (List.map (fun reg -> f (Registry.histogram_totals reg "workload.commit_latency")) regs) in
-  let analysis =
-    List.map
-      (fun (r : Driver.result) ->
-        let c = Committed.extended r.Driver.history in
-        (Anomaly.global_view_distortions c <> [], Anomaly.commit_order_cycle c <> None))
-      results
-  in
-  {
-    a_committed = avg_i (stats (fun r -> Stats.committed r.Driver.stats));
-    a_abort_rate = avg (stats (fun r -> Stats.abort_rate r.Driver.stats));
-    a_retries = avg_i (stats (fun r -> Stats.retries r.Driver.stats));
-    a_throughput = avg (stats (fun r -> r.Driver.throughput));
-    a_mean_latency = reg_latency Histogram.mean;
-    a_p95 = reg_latency (fun h -> float_of_int (Histogram.percentile h 95));
-    a_refused_ext = reg_counter "agent.refused_extension";
-    a_refused_int = reg_counter "agent.refused_interval";
-    a_commit_retries = reg_counter "agent.commit_retries";
-    a_resub = avg_i (stats (fun r -> r.Driver.totals.Dtm.resubmissions));
-    a_distortion_runs = List.length (List.filter fst analysis);
-    a_cycle_runs = List.length (List.filter snd analysis);
-    a_stuck_runs = count (fun r -> r.Driver.stuck > 0);
-    a_gate_delays =
-      avg_i (stats (fun r -> match r.Driver.cgm with Some s -> s.Cgm.gate_delays | None -> 0));
-    a_glock_timeouts =
-      avg_i (stats (fun r -> match r.Driver.cgm with Some s -> s.Cgm.glock_timeouts | None -> 0));
-    a_dlu_denials = avg_i (stats (fun r -> r.Driver.totals.Dtm.dlu_denials));
-    a_dropped = reg_counter "net.dropped";
-    a_duplicated = reg_counter "net.duplicated";
-    a_retransmissions = reg_counter "coord.retransmissions";
-  }
-
 (* E5 — §6 restrictiveness, failure-free: "in a failure-free situation
    [2CM] does not abort any transactions", vs CGM's coarse-granularity
    scheduling and the ticket scheme's forced total order. *)
-let e5_restrictiveness ?(seeds = 3) ?(jobs = 1) ?metrics () =
+let e5_restrictiveness ~seeds ~jobs ?metrics () =
   let protocols =
     [
       ("2CM", Driver.Two_pca Config.full);
@@ -278,20 +240,19 @@ let e5_restrictiveness ?(seeds = 3) ?(jobs = 1) ?metrics () =
       (fun mpl ->
         List.map
           (fun (name, protocol) ->
-            let a =
-              aggregate ?metrics ~jobs ~seeds
-                ~setup_of:(fun seed ->
-                  {
-                    Driver.default_setup with
-                    Driver.protocol;
-                    seed;
-                    spec = Spec.make ~n_global:120 ~arrival:(closed mpl) ();
-                  })
-                ()
+            let runs =
+              driver_runs ?metrics ~jobs ~seeds
+                {
+                  Driver.default_setup with
+                  Driver.protocol;
+                  spec = Spec.make ~n_global:120 ~arrival:(closed mpl) ();
+                }
             in
+            let cgm f = mean_i (fun r -> match r.result.Driver.cgm with Some s -> f s | None -> 0) runs in
             [
-              T.i mpl; name; T.pct a.a_abort_rate; T.f1 a.a_retries; T.f1 a.a_throughput;
-              T.f1 (a.a_p95 /. 1000.0); T.f1 a.a_gate_delays; T.f1 a.a_glock_timeouts;
+              T.i mpl; name; T.pct (abort_rate runs); T.f1 (retries runs); T.f1 (throughput runs);
+              T.f1 (percentile latency 95 runs /. 1000.0); T.f1 (cgm (fun s -> s.Cgm.gate_delays));
+              T.f1 (cgm (fun s -> s.Cgm.glock_timeouts));
             ])
           protocols)
       [ 2; 4; 8; 16 ]
@@ -309,7 +270,7 @@ let e5_restrictiveness ?(seeds = 3) ?(jobs = 1) ?metrics () =
 
 (* E6 — the failure sweep with ablations: which certification step stops
    which anomaly class. *)
-let e6_failure_sweep ?(seeds = 5) ?(jobs = 1) ?metrics () =
+let e6_failure_sweep ~seeds ~jobs ?metrics () =
   let variants =
     [
       ("2CM (full)", Config.full);
@@ -330,24 +291,20 @@ let e6_failure_sweep ?(seeds = 5) ?(jobs = 1) ?metrics () =
       (fun p ->
         List.map
           (fun (name, certifier) ->
-            let a =
-              aggregate ?metrics ~jobs ~seeds
-                ~setup_of:(fun seed ->
-                  {
-                    Driver.default_setup with
-                    Driver.protocol = Driver.Two_pca certifier;
-                    failure = Failure.prepared_rate p;
-                    seed;
-                    spec;
-                    time_limit = 30_000_000;
-                  })
-                ()
+            let runs =
+              driver_runs ?metrics ~jobs ~seeds
+                {
+                  Driver.default_setup with
+                  Driver.protocol = Driver.Two_pca certifier;
+                  failure = Failure.prepared_rate p;
+                  spec;
+                  time_limit = 30_000_000;
+                }
             in
             [
-              Fmt.str "%.2f" p; name; T.f1 a.a_committed; T.f1 a.a_resub;
-              T.f1 (a.a_refused_ext +. a.a_refused_int); T.pct a.a_abort_rate;
-              Fmt.str "%d/%d" a.a_distortion_runs seeds; Fmt.str "%d/%d" a.a_cycle_runs seeds;
-              Fmt.str "%d/%d" a.a_stuck_runs seeds;
+              Fmt.str "%.2f" p; name; T.f1 (commits runs); T.f1 (resubmits runs);
+              T.f1 (counter "agent.refused_extension" runs +. counter "agent.refused_interval" runs);
+              T.pct (abort_rate runs); runs_where distorted runs; runs_where cyclic runs; stuck_runs runs;
             ])
           variants)
       [ 0.0; 0.1; 0.3 ]
@@ -371,28 +328,24 @@ let e6_failure_sweep ?(seeds = 5) ?(jobs = 1) ?metrics () =
 
 (* E7 — §5.2: clock drift causes only unnecessary aborts, never
    incorrectness. *)
-let e7_clock_drift ?(seeds = 3) ?(jobs = 1) ?metrics () =
+let e7_clock_drift ~seeds ~jobs ?metrics () =
   let spec = Spec.make ~n_global:100 ~arrival:(closed 6) () in
   let rows =
     List.map
       (fun drift ->
-        let a =
-          aggregate ?metrics ~jobs ~seeds
-            ~setup_of:(fun seed ->
-              {
-                Driver.default_setup with
-                Driver.protocol = Driver.Two_pca Config.full;
-                failure = Failure.prepared_rate 0.1;
-                clock_of_site =
-                  (fun i -> Clock.make ~offset:(if i mod 2 = 0 then drift else -drift) ());
-                seed;
-                spec;
-              })
-            ()
+        let runs =
+          driver_runs ?metrics ~jobs ~seeds
+            {
+              Driver.default_setup with
+              Driver.protocol = Driver.Two_pca Config.full;
+              failure = Failure.prepared_rate 0.1;
+              clock_of_site = (fun i -> Clock.make ~offset:(if i mod 2 = 0 then drift else -drift) ());
+              spec;
+            }
         in
         [
-          T.i drift; T.f1 a.a_committed; T.f1 a.a_refused_ext; T.f1 a.a_retries; T.pct a.a_abort_rate;
-          Fmt.str "%d/%d" a.a_distortion_runs seeds; Fmt.str "%d/%d" a.a_cycle_runs seeds;
+          T.i drift; T.f1 (commits runs); T.f1 (counter "agent.refused_extension" runs); T.f1 (retries runs);
+          T.pct (abort_rate runs); runs_where distorted runs; runs_where cyclic runs;
         ])
       [ 0; 1_000; 10_000; 100_000 ]
   in
@@ -406,29 +359,27 @@ let e7_clock_drift ?(seeds = 3) ?(jobs = 1) ?metrics () =
 
 (* E8 — Appendix C: commit-certification retry behaviour vs network
    jitter. *)
-let e8_commit_retry ?(seeds = 3) ?(jobs = 1) ?metrics () =
+let e8_commit_retry ~seeds ~jobs ?metrics () =
   let spec =
     Spec.make ~n_global:100 ~arrival:(closed 8) ~key_dist:(Spec.Zipf { theta = 0.9 }) ()
   in
   let rows =
     List.map
       (fun jitter ->
-        let a =
-          aggregate ?metrics ~jobs ~seeds
-            ~setup_of:(fun seed ->
-              {
-                Driver.default_setup with
-                Driver.protocol = Driver.Two_pca Config.full;
-                failure = Failure.prepared_rate 0.1;
-                net = { Hermes_net.Network.default_config with base_delay = 500; jitter };
-                seed;
-                spec;
-              })
-            ()
+        let runs =
+          driver_runs ?metrics ~jobs ~seeds
+            {
+              Driver.default_setup with
+              Driver.protocol = Driver.Two_pca Config.full;
+              failure = Failure.prepared_rate 0.1;
+              net = { Network.default_config with base_delay = 500; jitter };
+              spec;
+            }
         in
         [
-          T.i jitter; T.f1 a.a_committed; T.f1 a.a_commit_retries; T.f1 (a.a_mean_latency /. 1000.0);
-          T.f1 (a.a_p95 /. 1000.0);
+          T.i jitter; T.f1 (commits runs); T.f1 (counter "agent.commit_retries" runs);
+          T.f1 (mean (fun r -> Histogram.mean (Registry.histogram_totals r.reg latency)) runs /. 1000.0);
+          T.f1 (percentile latency 95 runs /. 1000.0);
         ])
       [ 0; 1_000; 2_000; 4_000 ]
   in
@@ -445,27 +396,24 @@ let e8_commit_retry ?(seeds = 3) ?(jobs = 1) ?metrics () =
    mainframe that periodically crashes, site 1 a mid-range system with
    wait-for-graph deadlock detection, site 2 a fast system with single
    aborts; the certifier must keep the mix correct. *)
-let e10_heterogeneity ?(seeds = 5) ?(jobs = 1) ?metrics () =
-  let module Ltm_config = Hermes_ltm.Ltm_config in
+let e10_heterogeneity ~seeds ~jobs ?metrics () =
   let mainframe =
     {
-      Hermes_core.Dtm.ltm_config =
-        { Ltm_config.default with Ltm_config.cmd_latency = 800; op_latency = 150 };
+      Dtm.ltm_config = { Ltm_config.default with Ltm_config.cmd_latency = 800; op_latency = 150 };
       clock = Clock.make ~offset:3_000 ();
       failure = Failure.crashes ~mean_interval:150_000 ~horizon:2_000_000;
     }
   in
   let midrange =
     {
-      Hermes_core.Dtm.ltm_config =
-        { Ltm_config.default with Ltm_config.deadlock = Ltm_config.Detection_and_timeout };
+      Dtm.ltm_config = { Ltm_config.default with Ltm_config.deadlock = Ltm_config.Detection_and_timeout };
       clock = Clock.make ~offset:(-1_000) ();
       failure = Failure.disabled;
     }
   in
   let fast =
     {
-      Hermes_core.Dtm.ltm_config = { Ltm_config.default with Ltm_config.cmd_latency = 30; op_latency = 10 };
+      Dtm.ltm_config = { Ltm_config.default with Ltm_config.cmd_latency = 30; op_latency = 10 };
       clock = Clock.perfect;
       failure = Failure.prepared_rate 0.15;
     }
@@ -476,21 +424,18 @@ let e10_heterogeneity ?(seeds = 5) ?(jobs = 1) ?metrics () =
   let rows =
     List.map
       (fun (name, certifier) ->
-        let a =
-          aggregate ?metrics ~jobs ~seeds
-            ~setup_of:(fun seed ->
-              {
-                Driver.default_setup with
-                Driver.protocol = Driver.Two_pca certifier;
-                site_override = Some override;
-                seed;
-                spec;
-              })
-            ()
+        let runs =
+          driver_runs ?metrics ~jobs ~seeds
+            {
+              Driver.default_setup with
+              Driver.protocol = Driver.Two_pca certifier;
+              site_override = Some override;
+              spec;
+            }
         in
         [
-          name; T.f1 a.a_committed; T.f1 a.a_resub; T.pct a.a_abort_rate; T.f1 a.a_throughput;
-          Fmt.str "%d/%d" a.a_distortion_runs seeds; Fmt.str "%d/%d" a.a_cycle_runs seeds;
+          name; T.f1 (commits runs); T.f1 (resubmits runs); T.pct (abort_rate runs); T.f1 (throughput runs);
+          runs_where distorted runs; runs_where cyclic runs;
         ])
       variants
   in
@@ -513,7 +458,7 @@ let e10_heterogeneity ?(seeds = 5) ?(jobs = 1) ?metrics () =
    make recovery after a *full* agent crash possible: in-doubt
    subtransactions are rebuilt by resubmission, coordinators retransmit
    unacknowledged decisions, and duplicates are answered idempotently. *)
-let e11_crash_recovery ?(seeds = 5) ?(jobs = 1) ?metrics () =
+let e11_crash_recovery ~seeds ~jobs ?metrics () =
   let spec = Spec.make ~n_global:80 ~arrival:(closed 6) () in
   let schedule_of_crashes n =
     (* n crashes spread over the expected run, alternating sites. *)
@@ -524,23 +469,19 @@ let e11_crash_recovery ?(seeds = 5) ?(jobs = 1) ?metrics () =
       (fun n_crashes ->
         List.map
           (fun (name, certifier) ->
-            let a =
-              aggregate ?metrics ~jobs ~seeds
-                ~setup_of:(fun seed ->
-                  {
-                    Driver.default_setup with
-                    Driver.protocol = Driver.Two_pca certifier;
-                    failure = Failure.prepared_rate 0.05;
-                    crash_schedule = schedule_of_crashes n_crashes;
-                    seed;
-                    spec;
-                  })
-                ()
+            let runs =
+              driver_runs ?metrics ~jobs ~seeds
+                {
+                  Driver.default_setup with
+                  Driver.protocol = Driver.Two_pca certifier;
+                  failure = Failure.prepared_rate 0.05;
+                  crash_schedule = schedule_of_crashes n_crashes;
+                  spec;
+                }
             in
             [
-              T.i n_crashes; name; T.f1 a.a_committed; T.f1 a.a_resub; T.pct a.a_abort_rate;
-              Fmt.str "%d/%d" a.a_distortion_runs seeds; Fmt.str "%d/%d" a.a_cycle_runs seeds;
-              Fmt.str "%d/%d" a.a_stuck_runs seeds;
+              T.i n_crashes; name; T.f1 (commits runs); T.f1 (resubmits runs); T.pct (abort_rate runs);
+              runs_where distorted runs; runs_where cyclic runs; stuck_runs runs;
             ])
           [ ("2CM (full)", Config.full) ])
       [ 0; 2; 6 ]
@@ -562,8 +503,7 @@ let e11_crash_recovery ?(seeds = 5) ?(jobs = 1) ?metrics () =
    own policy anyway. The certifier must stay correct over all of them —
    wounds are just unilateral aborts to it — while throughput and abort
    rates differ. *)
-let e12_deadlock_policies ?(seeds = 3) ?(jobs = 1) ?metrics () =
-  let module Ltm_config = Hermes_ltm.Ltm_config in
+let e12_deadlock_policies ~seeds ~jobs ?metrics () =
   let policies =
     [
       ("timeout", Ltm_config.Timeout_only);
@@ -583,43 +523,25 @@ let e12_deadlock_policies ?(seeds = 3) ?(jobs = 1) ?metrics () =
     List.map
       (fun (name, deadlock) ->
         let runs =
-          Pool.map ~jobs
-            (fun i ->
-              let obs = Obs.create () in
-              let r =
-                Driver.run
-                  {
-                    Driver.default_setup with
-                    Driver.protocol = Driver.Two_pca Config.full;
-                    failure = Failure.prepared_rate 0.05;
-                    ltm = { Ltm_config.default with Ltm_config.deadlock };
-                    seed = i + 1;
-                    spec;
-                    obs = Some obs;
-                  }
-              in
-              (r, Obs.metrics obs))
-            (List.init seeds Fun.id)
+          driver_runs ?metrics ~jobs ~seeds
+            {
+              Driver.default_setup with
+              Driver.protocol = Driver.Two_pca Config.full;
+              failure = Failure.prepared_rate 0.05;
+              ltm = { Ltm_config.default with Ltm_config.deadlock };
+              spec;
+            }
         in
-        List.iter (fun (_, reg) -> absorb_reg metrics reg) runs;
-        let results = List.map fst runs in
-        let avg_of f = avg_i (List.map f results) in
-        let clean =
-          List.for_all
-            (fun (r : Driver.result) ->
-              let c = Committed.extended r.Driver.history in
-              Anomaly.global_view_distortions c = [] && Anomaly.commit_order_cycle c = None)
-            results
-        in
+        let totals f = mean_i (fun r -> f r.result.Driver.totals) runs in
         [
           name;
-          T.f1 (avg_of (fun r -> Stats.committed r.Driver.stats));
-          T.f1 (avg_of (fun r -> r.Driver.totals.Dtm.lock_timeouts));
-          T.f1 (avg_of (fun r -> r.Driver.totals.Dtm.deadlock_victims));
-          T.f1 (avg_of (fun r -> r.Driver.totals.Dtm.unilateral_aborts));
-          T.pct (avg (List.map (fun r -> Stats.abort_rate r.Driver.stats) results));
-          T.f1 (avg (List.map (fun r -> r.Driver.throughput) results));
-          T.b clean;
+          T.f1 (commits runs);
+          T.f1 (totals (fun t -> t.Dtm.lock_timeouts));
+          T.f1 (totals (fun t -> t.Dtm.deadlock_victims));
+          T.f1 (totals (fun t -> t.Dtm.unilateral_aborts));
+          T.pct (abort_rate runs);
+          T.f1 (throughput runs);
+          T.b (clean ~stuck runs);
         ])
       policies
   in
@@ -631,7 +553,8 @@ let e12_deadlock_policies ?(seeds = 3) ?(jobs = 1) ?metrics () =
       [
         "Hot-key workload (Zipf 1.0, 10 keys, 80% writes, MPL 10) with a 5% prepared-abort rate.";
         "'involuntary aborts' counts injector aborts plus wound-wait wounds (a wound IS a unilateral";
-        "abort to the agent, which simply resubmits). 'clean' = no distortion and acyclic CG anywhere.";
+        "abort to the agent, which simply resubmits). 'clean' = every run finished, and its history";
+        "has no distortion, an acyclic CG, rigorous sites, consistent values and no torn commit.";
       ]
     rows
 
@@ -645,8 +568,7 @@ let e12_deadlock_policies ?(seeds = 3) ?(jobs = 1) ?metrics () =
    which a crashed site is unreachable (deliveries become counted drops).
    Full 2CM must stay distortion-free, acyclic and live at every cell;
    the naive certifier is the ablation. *)
-let e13_unreliable_net ?(seeds = 3) ?(jobs = 1) ?metrics () =
-  let module Network = Hermes_net.Network in
+let e13_unreliable_net ~seeds ~jobs ?metrics () =
   let spec = Spec.make ~n_global:60 ~arrival:(closed 4) () in
   let crash_schedule = [ (20_000, 0); (60_000, 1); (120_000, 2) ] in
   let rows =
@@ -656,38 +578,35 @@ let e13_unreliable_net ?(seeds = 3) ?(jobs = 1) ?metrics () =
           (fun reboot ->
             List.map
               (fun (name, certifier) ->
-                let a =
-                  aggregate ?metrics ~jobs ~seeds
-                    ~setup_of:(fun seed ->
-                      {
-                        Driver.default_setup with
-                        Driver.protocol = Driver.Two_pca certifier;
-                        failure = Failure.prepared_rate 0.1;
-                        net =
-                          {
-                            Network.default_config with
-                            faults = { Network.no_faults with Network.drop = rate; dup = rate };
-                          };
-                        crash_schedule;
-                        reboot_delay = reboot;
-                        seed;
-                        spec;
-                        time_limit = 30_000_000;
-                      })
-                    ()
+                let runs =
+                  driver_runs ?metrics ~jobs ~seeds
+                    {
+                      Driver.default_setup with
+                      Driver.protocol = Driver.Two_pca certifier;
+                      failure = Failure.prepared_rate 0.1;
+                      net =
+                        {
+                          Network.default_config with
+                          faults = { Network.no_faults with Network.drop = rate; dup = rate };
+                        };
+                      crash_schedule;
+                      reboot_delay = reboot;
+                      spec;
+                      time_limit = 30_000_000;
+                    }
                 in
                 [
                   Fmt.str "%.0f%%" (rate *. 100.);
                   T.i reboot;
                   name;
-                  T.f1 a.a_committed;
-                  T.f1 a.a_dropped;
-                  T.f1 a.a_duplicated;
-                  T.f1 a.a_retransmissions;
-                  T.f1 (a.a_p95 /. 1000.0);
-                  Fmt.str "%d/%d" a.a_distortion_runs seeds;
-                  Fmt.str "%d/%d" a.a_cycle_runs seeds;
-                  Fmt.str "%d/%d" a.a_stuck_runs seeds;
+                  T.f1 (commits runs);
+                  T.f1 (counter "net.dropped" runs);
+                  T.f1 (counter "net.duplicated" runs);
+                  T.f1 (counter "coord.retransmissions" runs);
+                  T.f1 (percentile latency 95 runs /. 1000.0);
+                  runs_where distorted runs;
+                  runs_where cyclic runs;
+                  stuck_runs runs;
                 ])
               [ ("2CM (full)", Config.full); ("naive", Config.naive) ])
           [ 0; 25_000 ])
@@ -720,8 +639,7 @@ let e13_unreliable_net ?(seeds = 3) ?(jobs = 1) ?metrics () =
    participants were actually blocked. Every cell must stay live and
    clean — without this machinery the crashed coordinators' prepared
    participants hold their locks forever. *)
-let e14_coordinator_crashes ?(seeds = 3) ?(jobs = 1) ?metrics () =
-  let module Network = Hermes_net.Network in
+let e14_coordinator_crashes ~seeds ~jobs ?metrics () =
   let spec = Spec.make ~n_global:60 ~arrival:(closed 4) () in
   let rows =
     List.concat_map
@@ -729,70 +647,45 @@ let e14_coordinator_crashes ?(seeds = 3) ?(jobs = 1) ?metrics () =
         List.map
           (fun rate ->
             let runs =
-              Pool.map ~jobs
-                (fun i ->
-                  let obs = Obs.create () in
-                  let r =
-                    Driver.run
-                      {
-                        Driver.default_setup with
-                        Driver.protocol = Driver.Two_pca Config.full;
-                        failure = Failure.prepared_rate 0.05;
-                        net =
-                          {
-                            Network.default_config with
-                            faults = { Network.no_faults with Network.drop = rate; dup = rate };
-                          };
-                        crash_schedule = List.init 3 (fun k -> (first_crash + (k * 30_000), k mod 3));
-                        reboot_delay = 20_000;
-                        crash_coordinators = true;
-                        seed = i + 1;
-                        spec;
-                        time_limit = 30_000_000;
-                        obs = Some obs;
-                      }
-                  in
-                  (r, Obs.metrics obs))
-                (List.init seeds Fun.id)
+              driver_runs ?metrics ~jobs ~seeds
+                {
+                  Driver.default_setup with
+                  Driver.protocol = Driver.Two_pca Config.full;
+                  failure = Failure.prepared_rate 0.05;
+                  net =
+                    {
+                      Network.default_config with
+                      faults = { Network.no_faults with Network.drop = rate; dup = rate };
+                    };
+                  crash_schedule = List.init 3 (fun k -> (first_crash + (k * 30_000), k mod 3));
+                  reboot_delay = 20_000;
+                  crash_coordinators = true;
+                  spec;
+                  time_limit = 30_000_000;
+                }
             in
-            List.iter (fun (_, reg) -> absorb_reg metrics reg) runs;
-            let results = List.map fst runs in
-            let regs = List.map snd runs in
-            let reg_counter name = avg_i (List.map (fun reg -> Registry.sum_counter reg name) regs) in
             (* High-water of the per-site in-doubt gauges: the worst
                simultaneous blocking any single run exhibited. *)
-            let in_doubt_high reg =
+            let in_doubt_high r =
               List.fold_left
                 (fun acc (row : Registry.row) ->
                   match row.Registry.value with
                   | Registry.Gauge_value { high_water; _ } when row.Registry.name = "agent.in_doubt" ->
                       max acc high_water
                   | _ -> acc)
-                0 (Registry.rows reg)
+                0 (Registry.rows r.reg)
             in
-            let windows =
-              List.map (fun reg -> Registry.histogram_totals reg "agent.in_doubt_time") regs
-            in
-            let window_p95 = avg (List.map (fun h -> float_of_int (Histogram.percentile h 95)) windows) in
-            let clean =
-              List.for_all
-                (fun (r : Driver.result) ->
-                  let c = Committed.extended r.Driver.history in
-                  Anomaly.global_view_distortions c = [] && Anomaly.commit_order_cycle c = None)
-                results
-            in
-            let stuck = List.length (List.filter (fun (r : Driver.result) -> r.Driver.stuck > 0) results) in
             [
               T.i first_crash;
               Fmt.str "%.0f%%" (rate *. 100.);
-              T.f1 (avg_i (List.map (fun (r : Driver.result) -> Stats.committed r.Driver.stats) results));
-              T.f1 (reg_counter "coord.recovered_decisions");
-              T.f1 (reg_counter "coord.presumed_aborts");
-              T.f1 (reg_counter "agent.inquiries");
-              T.i (List.fold_left (fun acc reg -> max acc (in_doubt_high reg)) 0 regs);
-              T.f1 (window_p95 /. 1000.0);
-              Fmt.str "%d/%d" stuck seeds;
-              T.b clean;
+              T.f1 (commits runs);
+              T.f1 (counter "coord.recovered_decisions" runs);
+              T.f1 (counter "coord.presumed_aborts" runs);
+              T.f1 (counter "agent.inquiries" runs);
+              T.i (List.fold_left (fun acc r -> max acc (in_doubt_high r)) 0 runs);
+              T.f1 (percentile "agent.in_doubt_time" 95 runs /. 1000.0);
+              stuck_runs runs;
+              T.b (clean ~stuck runs);
             ])
           [ 0.0; 0.05 ])
       [ 10_000; 40_000 ]
@@ -826,7 +719,7 @@ let e14_coordinator_crashes ?(seeds = 3) ?(jobs = 1) ?metrics () =
    open-loop Poisson arrival stream (latency measured from *arrival*, so
    queueing under saturation lands in p99) at increasing rates, with
    batching off and on; correctness columns must stay clean in both. *)
-let e15_saturation ?(seeds = 3) ?(jobs = 1) ?metrics () =
+let e15_saturation ~seeds ~jobs ?metrics () =
   let spec rate =
     Spec.make ~n_global:200 ~keys_per_site:200
       ~arrival:(Spec.Open { rate; max_in_flight = 48 })
@@ -845,33 +738,13 @@ let e15_saturation ?(seeds = 3) ?(jobs = 1) ?metrics () =
         List.map
           (fun (gc_name, certifier) ->
             let runs =
-              Pool.map ~jobs
-                (fun i ->
-                  let obs = Obs.create () in
-                  let r =
-                    Driver.run
-                      {
-                        Driver.default_setup with
-                        Driver.protocol = Driver.Two_pca certifier;
-                        seed = i + 1;
-                        spec = spec rate;
-                        time_limit = 60_000_000;
-                        obs = Some obs;
-                      }
-                  in
-                  (r, Obs.metrics obs))
-                (List.init seeds Fun.id)
-            in
-            List.iter (fun (_, reg) -> absorb_reg metrics reg) runs;
-            let results = List.map fst runs in
-            let regs = List.map snd runs in
-            let p99 =
-              avg
-                (List.map
-                   (fun reg ->
-                     float_of_int
-                       (Histogram.percentile (Registry.histogram_totals reg "workload.commit_latency") 99))
-                   regs)
+              driver_runs ?metrics ~jobs ~seeds
+                {
+                  Driver.default_setup with
+                  Driver.protocol = Driver.Two_pca certifier;
+                  spec = spec rate;
+                  time_limit = 60_000_000;
+                }
             in
             let forces_per_commit (r : Driver.result) =
               let t = r.Driver.totals in
@@ -884,25 +757,17 @@ let e15_saturation ?(seeds = 3) ?(jobs = 1) ?metrics () =
               if t.Dtm.gc_flushes = 0 then 0.0
               else float_of_int t.Dtm.gc_staged /. float_of_int t.Dtm.gc_flushes
             in
-            let clean =
-              List.for_all
-                (fun (r : Driver.result) ->
-                  let c = Committed.extended r.Driver.history in
-                  Anomaly.global_view_distortions c = [] && Anomaly.commit_order_cycle c = None)
-                results
-            in
-            let stuck = List.length (List.filter (fun (r : Driver.result) -> r.Driver.stuck > 0) results) in
             [
               Fmt.str "%.0f" rate;
               gc_name;
-              T.f1 (avg_i (List.map (fun (r : Driver.result) -> Stats.committed r.Driver.stats) results));
-              T.f1 (avg (List.map (fun (r : Driver.result) -> r.Driver.throughput) results));
-              T.f1 (p99 /. 1000.0);
-              Fmt.str "%.2f" (avg (List.map forces_per_commit results));
-              T.f1 (avg_i (List.map (fun (r : Driver.result) -> r.Driver.totals.Dtm.gc_flushes) results));
-              T.f1 (avg (List.map batch_fill results));
-              Fmt.str "%d/%d" stuck seeds;
-              T.b clean;
+              T.f1 (commits runs);
+              T.f1 (throughput runs);
+              T.f1 (percentile latency 99 runs /. 1000.0);
+              Fmt.str "%.2f" (mean (fun r -> forces_per_commit r.result) runs);
+              T.f1 (mean_i (fun r -> r.result.Driver.totals.Dtm.gc_flushes) runs);
+              T.f1 (mean (fun r -> batch_fill r.result) runs);
+              stuck_runs runs;
+              T.b (clean ~stuck runs);
             ])
           variants)
       [ 50.0; 150.0; 500.0; 1_500.0 ]
@@ -932,8 +797,9 @@ let e15_saturation ?(seeds = 3) ?(jobs = 1) ?metrics () =
    wall time at domains=1 over wall time at that row. Speedup above 1
    needs actual cores: on a single-core host the barrier overhead makes
    every parallel row a slight loss, which is why the CI gate asserts
-   cleanliness and invariance, not speedup. *)
-let e16_multicore ?(seeds = 1) ?(domains = [ 1; 2; 4; 8 ]) ?metrics () =
+   cleanliness and invariance, not speedup. The seeds run one after
+   another: each run times wall clock on the domains it is given. *)
+let e16_multicore ~seeds ~domains ?metrics () =
   let sites_list = [ 4; 16; 64 ] in
   let rows =
     List.concat_map
@@ -945,33 +811,17 @@ let e16_multicore ?(seeds = 1) ?(domains = [ 1; 2; 4; 8 ]) ?metrics () =
         in
         let cell d =
           let runs =
-            List.init seeds (fun i ->
-                let obs = Obs.create () in
-                let r =
-                  Driver.run_windowed ~domains:d
-                    { Driver.default_setup with Driver.spec; seed = i + 1; obs = Some obs }
-                in
-                absorb_into metrics obs;
-                r)
+            driver_runs ?metrics ~jobs:1 ~seeds ~drive:(Driver.run_windowed ~domains:d)
+              { Driver.default_setup with Driver.spec }
           in
-          let committed = avg_i (List.map (fun (r : Driver.result) -> Stats.committed r.Driver.stats) runs) in
-          let wall = List.fold_left (fun acc (r : Driver.result) -> acc +. r.Driver.wall_s) 0.0 runs in
-          let stuck = List.length (List.filter (fun (r : Driver.result) -> r.Driver.stuck > 0) runs) in
-          let clean =
-            List.for_all
-              (fun (r : Driver.result) ->
-                let c = Committed.extended r.Driver.history in
-                Anomaly.global_view_distortions c = [] && Anomaly.commit_order_cycle c = None)
-              runs
-          in
-          (committed, wall, stuck, clean)
+          (runs, List.fold_left (fun acc r -> acc +. r.result.Driver.wall_s) 0.0 runs)
         in
-        let base_committed, base_wall, base_stuck, base_clean = cell 1 in
+        let base = cell 1 in
+        let _, base_wall = base in
         List.map
           (fun d ->
-            let committed, wall, stuck, clean =
-              if d = 1 then (base_committed, base_wall, base_stuck, base_clean) else cell d
-            in
+            let runs, wall = if d = 1 then base else cell d in
+            let committed = commits runs in
             [
               T.i n_sites;
               T.i d;
@@ -979,8 +829,8 @@ let e16_multicore ?(seeds = 1) ?(domains = [ 1; 2; 4; 8 ]) ?metrics () =
               Fmt.str "%.3f" wall;
               Fmt.str "%.0f" (if wall > 0.0 then committed *. float_of_int seeds /. wall else 0.0);
               Fmt.str "%.2fx" (if wall > 0.0 then base_wall /. wall else 0.0);
-              Fmt.str "%d/%d" stuck seeds;
-              (if clean then "ok" else "VIOLATION");
+              stuck_runs runs;
+              (if clean ~stuck runs then "ok" else "VIOLATION");
             ])
           domains)
       sites_list
@@ -1024,20 +874,20 @@ let e16_multicore ?(seeds = 1) ?(domains = [ 1; 2; 4; 8 ]) ?metrics () =
    saboteur idiom). Every staged transaction leaves both participants
    in doubt with the coordinator down, and the in-doubt histogram
    measures exactly how long each protocol pins their locks. *)
-let e17_commit_protocols ?(seeds = 3) ?(jobs = 1) ?metrics () =
+let e17_commit_protocols ~seeds ~jobs ?metrics () =
   let module Engine = Hermes_sim.Engine in
-  let module Network = Hermes_net.Network in
   let module Agent = Hermes_core.Agent in
   let module Program = Hermes_core.Program in
   let strandings = 12 in
   let protos =
     [ ("2pc", Config.Two_pc); ("backup-tm", Config.Backup_tm); ("paxos f=1", Config.Paxos { f = 1 }) ]
   in
-  let cell_run proto reboot_delay seed =
+  (* One seed: the strandings that resolved and the surviving
+     participants' blocking windows, with the recorded history. *)
+  let cell_run proto reboot_delay ~obs seed =
     let certifier =
       { Config.full with Config.commit_proto = proto; decision_inquiry_interval = 10_000 }
     in
-    let obs = Obs.create () in
     let engine = Engine.create () in
     let rng = Rng.create ~seed in
     let dtm =
@@ -1049,7 +899,7 @@ let e17_commit_protocols ?(seeds = 3) ?(jobs = 1) ?metrics () =
     List.iter
       (fun s -> List.iter (fun k -> Dtm.load dtm s ~table:"X" ~key:k ~value:100) (List.init 4 Fun.id))
       (Dtm.site_ids dtm);
-    let committed = ref 0 and finished = ref 0 in
+    let finished = ref 0 in
     let rec stage k =
       if k < strandings then begin
         (* The coordinator is hosted at the FIRST leg's site, so pinning
@@ -1072,7 +922,6 @@ let e17_commit_protocols ?(seeds = 3) ?(jobs = 1) ?metrics () =
              ~on_done:(fun o ->
                result := Some o;
                incr finished;
-               if o = Coordinator.Committed then incr committed;
                (* wait out the reboot so strandings never overlap *)
                Engine.schedule_unit engine ~delay:(reboot_delay + 20_000) (fun () -> stage (k + 1))));
         let agent = Dtm.agent dtm (Site.of_int 1) in
@@ -1091,10 +940,6 @@ let e17_commit_protocols ?(seeds = 3) ?(jobs = 1) ?metrics () =
     in
     stage 0;
     Engine.run engine;
-    let clean =
-      let cmt = Committed.extended (Dtm.history dtm) in
-      Anomaly.global_view_distortions cmt = [] && Anomaly.commit_order_cycle cmt = None
-    in
     (* Only the SURVIVING participants' blocking windows: sites 1 and 2. *)
     let reg = Obs.metrics obs in
     let survivor_windows =
@@ -1102,38 +947,26 @@ let e17_commit_protocols ?(seeds = 3) ?(jobs = 1) ?metrics () =
         (Registry.histogram reg ~site:(Site.of_int 1) "agent.in_doubt_time")
         (Registry.histogram reg ~site:(Site.of_int 2) "agent.in_doubt_time")
     in
-    (!finished, !committed, clean, survivor_windows, reg)
+    ((!finished, survivor_windows), Dtm.history dtm)
   in
   let rows =
     List.concat_map
       (fun (label, proto) ->
         List.map
           (fun reboot_delay ->
-            let runs =
-              Pool.map ~jobs (fun i -> cell_run proto reboot_delay (i + 1)) (List.init seeds Fun.id)
-            in
-            let regs = List.map (fun (_, _, _, _, reg) -> reg) runs in
-            List.iter (absorb_reg metrics) regs;
-            let reg_counter name = avg_i (List.map (fun reg -> Registry.sum_counter reg name) regs) in
-            let windows = List.map (fun (_, _, _, w, _) -> w) runs in
-            let window_p50 = avg (List.map (fun h -> float_of_int (Histogram.percentile h 50)) windows) in
-            let window_p95 = avg (List.map (fun h -> float_of_int (Histogram.percentile h 95)) windows) in
-            let window_max = avg (List.map (fun h -> float_of_int (Histogram.max_value h)) windows) in
-            let finished = List.fold_left (fun acc (f, _, _, _, _) -> acc + f) 0 runs in
-            let committed = List.fold_left (fun acc (_, c, _, _, _) -> acc + c) 0 runs in
-            let clean = List.for_all (fun (_, _, ok, _, _) -> ok) runs in
-            ignore committed;
+            let runs = sweep ?metrics ~jobs ~seeds (cell_run proto reboot_delay) in
+            let window q = mean (fun r -> float_of_int (q (snd r.result))) runs in
             [
               label;
               T.i (reboot_delay / 1000);
-              Fmt.str "%d/%d" finished (strandings * seeds);
-              T.f1 (reg_counter "agent.inquiries");
-              T.f1 (reg_counter "acceptor.recovery_ballots");
-              T.f1 (reg_counter "acceptor.log_force_writes");
-              T.f1 (window_p50 /. 1000.0);
-              T.f1 (window_p95 /. 1000.0);
-              T.f1 (window_max /. 1000.0);
-              T.b clean;
+              Fmt.str "%d/%d" (List.fold_left (fun acc r -> acc + fst r.result) 0 runs) (strandings * seeds);
+              T.f1 (counter "agent.inquiries" runs);
+              T.f1 (counter "acceptor.recovery_ballots" runs);
+              T.f1 (counter "acceptor.log_force_writes" runs);
+              T.f1 (window (fun h -> Histogram.percentile h 50) /. 1000.0);
+              T.f1 (window (fun h -> Histogram.percentile h 95) /. 1000.0);
+              T.f1 (window Histogram.max_value /. 1000.0);
+              T.b (clean ~stuck:(fun (finished, _) -> strandings - finished) runs);
             ])
           [ 20_000; 80_000 ])
       protos
@@ -1173,7 +1006,7 @@ let e17_commit_protocols ?(seeds = 3) ?(jobs = 1) ?metrics () =
    baseline (moves = 0, the byte-identical legacy path) against a churn
    cell, and the claim is that churn is a latency/retry price, never a
    correctness one: every cell commits its full quota distortion-free. *)
-let e18_elastic ?(seeds = 3) ?(jobs = 1) ?metrics () =
+let e18_elastic ~seeds ~jobs ?metrics () =
   let sites_list = [ 4; 16; 64 ] in
   let rows =
     List.concat_map
@@ -1195,51 +1028,21 @@ let e18_elastic ?(seeds = 3) ?(jobs = 1) ?metrics () =
             let leave_schedule = if churn then [ (20_000, n_sites - 1) ] else [] in
             let join_schedule = if churn then [ (60_000, n_sites - 1) ] else [] in
             let runs =
-              Pool.map ~jobs
-                (fun i ->
-                  let obs = Obs.create () in
-                  let r =
-                    Driver.run
-                      {
-                        Driver.default_setup with
-                        Driver.spec;
-                        seed = i + 1;
-                        obs = Some obs;
-                        moves;
-                        reconfigure_at;
-                        leave_schedule;
-                        join_schedule;
-                      }
-                  in
-                  absorb_into metrics obs;
-                  r)
-                (List.init seeds Fun.id)
-            in
-            let clean =
-              List.for_all
-                (fun (r : Driver.result) ->
-                  let c = Committed.extended r.Driver.history in
-                  Anomaly.global_view_distortions c = [] && Anomaly.commit_order_cycle c = None)
-                runs
-            in
-            let stuck = List.length (List.filter (fun (r : Driver.result) -> r.Driver.stuck > 0) runs) in
-            let p95 =
-              avg
-                (List.map
-                   (fun (r : Driver.result) ->
-                     float_of_int (Stats.latency_summary r.Driver.stats).Stats.p95)
-                   runs)
+              driver_runs ?metrics ~jobs ~seeds
+                { Driver.default_setup with Driver.spec; moves; reconfigure_at; leave_schedule; join_schedule }
             in
             [
               T.i n_sites;
               label;
-              T.f1 (avg_i (List.map (fun (r : Driver.result) -> Stats.committed r.Driver.stats) runs));
-              T.f1 (avg (List.map (fun (r : Driver.result) -> r.Driver.throughput) runs));
-              T.f1 (p95 /. 1000.0);
-              T.f1 (avg_i (List.map (fun (r : Driver.result) -> r.Driver.totals.Dtm.refused_epoch) runs));
-              T.f1 (avg_i (List.map (fun (r : Driver.result) -> Stats.retries r.Driver.stats) runs));
-              Fmt.str "%d/%d" stuck seeds;
-              T.b clean;
+              T.f1 (commits runs);
+              T.f1 (throughput runs);
+              T.f1
+                (mean (fun r -> float_of_int (Stats.latency_summary r.result.Driver.stats).Stats.p95) runs
+                /. 1000.0);
+              T.f1 (mean_i (fun r -> r.result.Driver.totals.Dtm.refused_epoch) runs);
+              T.f1 (retries runs);
+              stuck_runs runs;
+              T.b (clean ~stuck runs);
             ])
           [
             ("static", 0, false);
@@ -1276,8 +1079,11 @@ let e18_elastic ?(seeds = 3) ?(jobs = 1) ?metrics () =
    staleness bound, mutual-suspicion timeouts). The claim: every defended
    cell converts silent corruption (distortions, lost local commits,
    unbounded in-doubt waits) into explicit, accounted-for refusals and
-   bounded blocking. *)
-let e19_adversary ?(seeds = 3) ?(jobs = 1) ?metrics () =
+   bounded blocking. Serializability damage (a view distortion or a
+   commit-order cycle) is the 'anomalies' column, atomicity damage (a
+   torn commit: the lying agent's dropped commit, the equivocator's
+   rolled-back half) the 'torn' column. *)
+let e19_adversary ~seeds ~jobs ?metrics () =
   let spec = Spec.make ~n_global:90 ~arrival:(closed 4) () in
   let gray_factor = 60 in
   let certified c = { c with Config.decision_certificates = true } in
@@ -1326,78 +1132,28 @@ let e19_adversary ?(seeds = 3) ?(jobs = 1) ?metrics () =
     List.map
       (fun (adversary, defense, config, faults) ->
         let runs =
-          Pool.map ~jobs
-            (fun i ->
-              let obs = Obs.create () in
-              let r =
-                Driver.run
-                  {
-                    Driver.default_setup with
-                    Driver.spec;
-                    protocol = Driver.Two_pca config;
-                    net = { Driver.default_setup.Driver.net with Network.faults };
-                    seed = i + 1;
-                    obs = Some obs;
-                  }
-              in
-              (r, Obs.metrics obs))
-            (List.init seeds Fun.id)
+          driver_runs ?metrics ~jobs ~seeds
+            {
+              Driver.default_setup with
+              Driver.spec;
+              protocol = Driver.Two_pca config;
+              net = { Driver.default_setup.Driver.net with Network.faults };
+            }
         in
-        let regs = List.map snd runs in
-        List.iter (absorb_reg metrics) regs;
-        let results = List.map fst runs in
-        let reg_counter name = avg_i (List.map (fun reg -> Registry.sum_counter reg name) regs) in
-        let p95 =
-          avg
-            (List.map
-               (fun reg -> float_of_int (Histogram.percentile (Registry.histogram_totals reg "workload.commit_latency") 95))
-               regs)
-        in
-        let in_doubt_p99 =
-          avg
-            (List.map
-               (fun reg -> float_of_int (Histogram.percentile (Registry.histogram_totals reg "agent.in_doubt_time") 99))
-               regs)
-        in
-        (* Serializability damage: a view distortion or a commit-order
-           cycle in the extended committed projection. *)
-        let anomaly_runs =
-          List.length
-            (List.filter
-               (fun (r : Driver.result) ->
-                 let ext = Committed.extended r.Driver.history in
-                 Anomaly.global_view_distortions ext <> []
-                 || Option.is_some (Anomaly.commit_order_cycle ext))
-               results)
-        in
-        (* Atomicity damage: globally committed transactions whose final
-           incarnation never locally committed at some involved site — the
-           lying agent's dropped commit and the equivocator's rolled-back
-           half land here, invisible to the serializability detectors. *)
-        let torn_of (r : Driver.result) =
-          let h = r.Driver.history in
-          List.length
-            (List.filter
-               (fun t -> History.is_globally_committed h t && not (History.is_complete h t))
-               (History.global_txns h))
-        in
-        let torn_total = List.fold_left (fun acc r -> acc + torn_of r) 0 results in
-        let stuck = List.length (List.filter (fun (r : Driver.result) -> r.Driver.stuck > 0) results) in
-        let clean = anomaly_runs = 0 && torn_total = 0 && stuck = 0 in
         [
           adversary;
           defense;
-          T.f1 (avg_i (List.map (fun (r : Driver.result) -> Stats.committed r.Driver.stats) results));
-          T.f1 (avg (List.map (fun (r : Driver.result) -> r.Driver.throughput) results));
-          T.f1 (p95 /. 1000.0);
-          T.f1 (avg_i (List.map torn_of results));
-          Fmt.str "%d/%d" anomaly_runs seeds;
-          T.f1 (reg_counter "agent.refused_drift");
-          T.f1 (reg_counter "agent.suspicions");
-          T.f1 (reg_counter "coord.equivocations_detected");
-          T.f1 (in_doubt_p99 /. 1000.0);
-          Fmt.str "%d/%d" stuck seeds;
-          T.b clean;
+          T.f1 (commits runs);
+          T.f1 (throughput runs);
+          T.f1 (percentile latency 95 runs /. 1000.0);
+          T.f1 (mean_i (fun r -> List.length r.verdict.Correctness.torn) runs);
+          runs_where (fun r -> distorted r || cyclic r) runs;
+          T.f1 (counter "agent.refused_drift" runs);
+          T.f1 (counter "agent.suspicions" runs);
+          T.f1 (counter "coord.equivocations_detected" runs);
+          T.f1 (percentile "agent.in_doubt_time" 99 runs /. 1000.0);
+          stuck_runs runs;
+          T.b (clean ~stuck runs);
         ])
       cells
   in
@@ -1428,6 +1184,7 @@ let e19_adversary ?(seeds = 3) ?(jobs = 1) ?metrics () =
         "undefended row arms no termination timers and so records no in-doubt histogram).";
       ]
     rows
+
 let tables ~seeds_of ?(jobs = 1) ?metrics ?domains () =
   [
     ("e1", fun () -> e1_global_view_distortion ?metrics ());
@@ -1446,26 +1203,61 @@ let tables ~seeds_of ?(jobs = 1) ?metrics ?domains () =
     ("e15", fun () -> e15_saturation ~seeds:(seeds_of 3) ~jobs ?metrics ());
     ( "e16",
       fun () ->
-        let domain_list =
+        let domains =
           match domains with
           | Some d when d > 1 -> [ 1; d ]
           | Some _ -> [ 1 ]
           | None -> [ 1; 2; 4; 8 ]
         in
-        e16_multicore ~seeds:(seeds_of 1) ~domains:domain_list ?metrics () );
+        e16_multicore ~seeds:(seeds_of 1) ~domains ?metrics () );
     ("e17", fun () -> e17_commit_protocols ~seeds:(seeds_of 3) ~jobs ?metrics ());
     ("e18", fun () -> e18_elastic ~seeds:(seeds_of 3) ~jobs ?metrics ());
     ("e19", fun () -> e19_adversary ~seeds:(seeds_of 3) ~jobs ?metrics ());
   ]
 
-let run_all ?(params = default_params) () =
-  List.map
-    (fun (name, table) -> (name, table ()))
-    (tables
-       ~seeds_of:(fun default -> Option.value params.seeds ~default)
-       ~jobs:params.jobs ?metrics:params.metrics ?domains:params.domains ())
+(* ------------------------------------------------------------------ *)
+(* The fuzz space                                                      *)
+(* ------------------------------------------------------------------ *)
 
-let all ?(quick = false) () =
-  List.map
-    (fun (_, table) -> table ())
-    (tables ~seeds_of:(fun n -> if quick then max 1 (n / 3) else n) ())
+let random_setup rng =
+  let n_sites = Rng.int_in rng ~lo:2 ~hi:5 in
+  let crash_schedule =
+    if Rng.bool rng ~p:0.3 then
+      List.init (Rng.int_in rng ~lo:1 ~hi:3) (fun i ->
+          (10_000 + (i * Rng.int_in rng ~lo:10_000 ~hi:40_000), Rng.int rng ~bound:n_sites))
+    else []
+  in
+  let drift = if Rng.bool rng ~p:0.3 then Rng.int_in rng ~lo:100 ~hi:5_000 else 0 in
+  {
+    Driver.default_setup with
+    Driver.protocol = Driver.Two_pca Config.full;
+    failure = Failure.prepared_rate (Rng.float rng ~bound:0.4);
+    net = { Network.default_config with base_delay = 500; jitter = Rng.int rng ~bound:2_000 };
+    ltm =
+      {
+        Ltm_config.default with
+        Ltm_config.deadlock =
+          Rng.choice rng
+            [| Ltm_config.Timeout_only; Ltm_config.Detection_and_timeout; Ltm_config.Wait_die;
+               Ltm_config.Wound_wait |];
+      };
+    clock_of_site = (fun i -> Clock.make ~offset:(if i mod 2 = 0 then drift else -drift) ());
+    crash_schedule;
+    seed = Rng.int rng ~bound:1_000_000;
+    time_limit = 60_000_000;
+    spec =
+      (let n_global = Rng.int_in rng ~lo:20 ~hi:50 in
+       let mpl = Rng.int_in rng ~lo:2 ~hi:8 in
+       let sites_per_txn = Rng.int_in rng ~lo:1 ~hi:(min 3 n_sites) in
+       let ops_per_site = Rng.int_in rng ~lo:1 ~hi:3 in
+       let keys_per_site = Rng.int_in rng ~lo:8 ~hi:30 in
+       let n_tables = Rng.int_in rng ~lo:1 ~hi:3 in
+       let theta = Rng.float rng ~bound:1.1 in
+       let local_mpl_per_site = Rng.int rng ~bound:3 in
+       let local_write_ratio = Rng.float rng ~bound:1.0 in
+       Spec.make ~n_sites ~n_global ~arrival:(closed mpl)
+         ~mix:{ Spec.sites_per_txn; ops_per_site; write_ratio = 0.5 }
+         ~keys_per_site ~n_tables
+         ~key_dist:(Spec.Zipf { theta })
+         ~local_mpl_per_site ~local_write_ratio ~local_txn_cap:300 ());
+  }

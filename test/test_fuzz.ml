@@ -1,88 +1,51 @@
 (* Randomized end-to-end fuzzing: many runs across the configuration space
    (failure rates, site crashes, jitter, drift, skew, site counts,
-   deadlock policies), each verified by the offline checkers. The full
-   certifier must never produce a global view distortion, a commit-order
-   cycle, a non-rigorous local history, or a stuck transaction — the
-   paper's guarantees as one property over the whole parameter space.
-
-   Each run also cross-checks the money invariant: the generator's update
-   deltas are arbitrary, so instead of conservation we re-derive the
-   expected database state from the committed projection's replay — the
-   trace and the store must agree. *)
+   deadlock policies), drawn from the space `hermes fuzz` draws from
+   ({!Hermes_harness.Experiment.random_setup}) and judged as `hermes fuzz`
+   and the experiment tables judge a run: nothing stuck, and the history
+   passes {!Hermes_history.Correctness}. The full certifier must never
+   produce a global view distortion, a commit-order cycle, a non-rigorous
+   local history, a read the execution contradicts, a torn commit or a
+   stuck transaction — the paper's guarantees as one property over the
+   whole parameter space. *)
 
 open Hermes_kernel
-module Ltm_config = Hermes_ltm.Ltm_config
-module Failure = Hermes_ltm.Failure
 module Network = Hermes_net.Network
 module Config = Hermes_core.Config
 module Spec = Hermes_workload.Spec
 module Stats = Hermes_workload.Stats
 module Driver = Hermes_workload.Driver
-module Committed = Hermes_history.Committed
 module Anomaly = Hermes_history.Anomaly
-module Rigorous = Hermes_history.Rigorous
+module Correctness = Hermes_history.Correctness
 module History = Hermes_history.History
 
-let random_setup rng =
-  let n_sites = Rng.int_in rng ~lo:2 ~hi:5 in
-  let crash_schedule =
-    if Rng.bool rng ~p:0.3 then
-      List.init (Rng.int_in rng ~lo:1 ~hi:3) (fun i ->
-          (10_000 + (i * Rng.int_in rng ~lo:10_000 ~hi:40_000), Rng.int rng ~bound:n_sites))
-    else []
-  in
-  let drift = if Rng.bool rng ~p:0.3 then Rng.int_in rng ~lo:100 ~hi:5_000 else 0 in
-  {
-    Driver.default_setup with
-    Driver.protocol = Driver.Two_pca Config.full;
-    failure = Failure.prepared_rate (Rng.float rng ~bound:0.4);
-    net = { Network.default_config with base_delay = 500; jitter = Rng.int rng ~bound:2_000 };
-    ltm =
-      {
-        Ltm_config.default with
-        Ltm_config.deadlock =
-          Rng.choice rng
-            [| Ltm_config.Timeout_only; Ltm_config.Detection_and_timeout; Ltm_config.Wait_die;
-               Ltm_config.Wound_wait |];
-      };
-    clock_of_site = (fun i -> Clock.make ~offset:(if i mod 2 = 0 then drift else -drift) ());
-    crash_schedule;
-    seed = Rng.int rng ~bound:1_000_000;
-    time_limit = 60_000_000;
-    spec =
-      (let n_global = Rng.int_in rng ~lo:20 ~hi:50 in
-       let mpl = Rng.int_in rng ~lo:2 ~hi:8 in
-       let sites_per_txn = Rng.int_in rng ~lo:1 ~hi:(min 3 n_sites) in
-       let ops_per_site = Rng.int_in rng ~lo:1 ~hi:3 in
-       let keys_per_site = Rng.int_in rng ~lo:8 ~hi:30 in
-       let n_tables = Rng.int_in rng ~lo:1 ~hi:3 in
-       let theta = Rng.float rng ~bound:1.1 in
-       let local_mpl_per_site = Rng.int rng ~bound:3 in
-       let local_write_ratio = Rng.float rng ~bound:1.0 in
-       Spec.make ~n_sites ~n_global
-         ~arrival:(Spec.Closed { mpl; think_time_mean = Spec.think_time Spec.default })
-         ~mix:{ Spec.sites_per_txn; ops_per_site; write_ratio = 0.5 }
-         ~keys_per_site ~n_tables
-         ~key_dist:(Spec.Zipf { theta })
-         ~local_mpl_per_site ~local_write_ratio ~local_txn_cap:300 ());
-  }
+let random_setup = Hermes_harness.Experiment.random_setup
+
+(* The verdict on a run's history, one check per component so a failure
+   names what broke. *)
+let check_verdict label (v : Correctness.t) =
+  Alcotest.(check (list string))
+    (label "no global view distortion")
+    []
+    (List.map (Fmt.str "%a" Anomaly.pp_global) v.Correctness.distortions);
+  Alcotest.(check bool) (label "CG acyclic") true (v.Correctness.cg_cycle = None);
+  Alcotest.(check bool)
+    (label "rigorous everywhere")
+    true
+    (List.for_all (fun (_, vs) -> vs = []) v.Correctness.rigorous_violations);
+  Alcotest.(check int) (label "trace and execution agree") 0 (List.length v.Correctness.value_mismatches);
+  Alcotest.(check int) (label "no torn commit") 0 (List.length v.Correctness.torn);
+  Alcotest.(check bool) (label "verdict ok") true (Correctness.ok v)
 
 let check_run i setup =
   let r = Driver.run setup in
-  let label fmt = Fmt.str ("fuzz #%d: " ^^ fmt) i in
+  let label s = Fmt.str "fuzz #%d: %s" i s in
   Alcotest.(check int) (label "no stuck transactions") 0 r.Driver.stuck;
   Alcotest.(check int)
     (label "quota finished")
     setup.Driver.spec.Spec.n_global
     (Stats.committed r.Driver.stats + Stats.aborted_final r.Driver.stats);
-  let h = r.Driver.history in
-  Alcotest.(check bool) (label "rigorous everywhere") true (Rigorous.all_sites_rigorous h);
-  let c = Committed.extended h in
-  Alcotest.(check (list string))
-    (label "no global view distortion")
-    []
-    (List.map (Fmt.str "%a" Anomaly.pp_global) (Anomaly.global_view_distortions c));
-  Alcotest.(check bool) (label "CG acyclic") true (Anomaly.commit_order_cycle c = None)
+  check_verdict label (Correctness.check r.Driver.history)
 
 let test_fuzz_full_certifier () =
   let rng = Rng.create ~seed:20260706 in
@@ -106,14 +69,9 @@ let test_fuzz_cgm () =
       }
     in
     let r = Driver.run setup in
-    let label fmt = Fmt.str ("cgm fuzz #%d: " ^^ fmt) i in
+    let label s = Fmt.str "cgm fuzz #%d: %s" i s in
     Alcotest.(check int) (label "no stuck transactions") 0 r.Driver.stuck;
-    let c = Committed.extended r.Driver.history in
-    Alcotest.(check int)
-      (label "no global view distortion")
-      0
-      (List.length (Anomaly.global_view_distortions c));
-    Alcotest.(check bool) (label "CG acyclic") true (Anomaly.commit_order_cycle c = None)
+    check_verdict label (Correctness.check r.Driver.history)
   done
 
 (* Determinism across the space: re-running any fuzzed setup reproduces
@@ -166,12 +124,10 @@ let prop_lossy_run_matches_reliable =
           }
       in
       let committed r = Stats.committed r.Driver.stats in
-      let c = Committed.extended faulty.Driver.history in
       committed reliable = spec.Spec.n_global
       && committed faulty = committed reliable
       && faulty.Driver.stuck = 0
-      && Anomaly.global_view_distortions c = []
-      && Anomaly.commit_order_cycle c = None)
+      && Correctness.ok (Correctness.check faulty.Driver.history))
 
 let () =
   let q = QCheck_alcotest.to_alcotest in

@@ -148,7 +148,7 @@ let test_table_cells () =
 (* ------------------------------------------------------------------ *)
 
 let test_e1_shape () =
-  let t = Experiment.e1_global_view_distortion () in
+  let t = List.assoc "e1" (Experiment.tables ~seeds_of:Fun.id ()) () in
   let s = Table_fmt.to_string t in
   Alcotest.(check bool) "has naive row" true
     (List.exists (fun l -> String.length l > 0) (String.split_on_char '\n' s));
@@ -207,16 +207,21 @@ let test_pool_map_early_stop () =
     true (computed < 64)
 
 (* The acceptance criterion of the parallel runner: fanning a seed sweep
-   over domains changes neither the table text nor the metrics dump. *)
+   over domains changes neither the table text nor the metrics dump —
+   for E8, E18 (moves and churn over 4 to 64 sites) and E19 (the
+   adversaries). *)
 let test_parallel_byte_identical () =
-  let run jobs =
+  let run name jobs =
     let metrics = Hermes_obs.Registry.create () in
-    let t = Experiment.e8_commit_retry ~seeds:2 ~jobs ~metrics () in
+    let t = List.assoc name (Experiment.tables ~seeds_of:(fun _ -> 2) ~jobs ~metrics ()) () in
     (Table_fmt.to_string t, Hermes_obs.Registry.to_json metrics)
   in
-  let table1, metrics1 = run 1 and table2, metrics2 = run 2 in
-  Alcotest.(check string) "tables identical" table1 table2;
-  Alcotest.(check string) "metrics identical" metrics1 metrics2
+  List.iter
+    (fun name ->
+      let table1, metrics1 = run name 1 and table2, metrics2 = run name 2 in
+      Alcotest.(check string) (name ^ " tables identical") table1 table2;
+      Alcotest.(check string) (name ^ " metrics identical") metrics1 metrics2)
+    [ "e8"; "e18"; "e19" ]
 
 let () =
   Alcotest.run "harness"

@@ -2183,6 +2183,129 @@ let test_golden_report_naive_scc3 () =
   | Quasi.Quasi_serializable _ -> Alcotest.fail "expected an entangled SCC");
   Alcotest.(check string) "Report.pp digest" "825c31bdf0e9e8ba5a653ff941ab4150" (report_digest rep)
 
+(* ------------------------------------------------------------------ *)
+(* The run verdict                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Which of the verdict's five components fired, in the order
+   distortions, CG cycle, rigorousness, values, torn. *)
+let verdict_fired (v : Correctness.t) =
+  [
+    v.Correctness.distortions <> [];
+    v.Correctness.cg_cycle <> None;
+    List.exists (fun (_, vs) -> vs <> []) v.Correctness.rigorous_violations;
+    v.Correctness.value_mismatches <> [];
+    v.Correctness.torn <> [];
+  ]
+
+let check_fired name expected h =
+  let v = Correctness.check h in
+  Alcotest.(check (list bool)) (name ^ ": distortions, cycle, rigorousness, values, torn") expected (verdict_fired v);
+  Alcotest.(check bool) (name ^ ": ok") (not (List.mem true expected)) (Correctness.ok v)
+
+let test_verdict_full_run_ok () =
+  check_fired "full 2CM fault run" [ false; false; false; false; false ]
+    (Hermes_workload.Driver.run (fault_setup ~certifier:Hermes_core.Config.full ())).Hermes_workload.Driver.history
+
+(* The naive certifier under 30% unilateral aborts of prepared
+   subtransactions: resubmissions read from other transactions, and local
+   commits land in opposite orders. *)
+let test_verdict_naive_run () =
+  let v =
+    Correctness.check
+      (Hermes_workload.Driver.run (fault_setup ~certifier:Hermes_core.Config.naive ())).Hermes_workload.Driver.history
+  in
+  Alcotest.(check bool) "distortions" true (v.Correctness.distortions <> []);
+  Alcotest.(check bool) "CG cycle" true (v.Correctness.cg_cycle <> None);
+  Alcotest.(check bool) "not ok" false (Correctness.ok v)
+
+(* E19's undefended lying row: site 1 votes READY without preparing and
+   drops its local commit, so commits are torn — and, leaving C(H), show
+   no distortion. *)
+let test_verdict_lying_site_torn () =
+  let module Config = Hermes_core.Config in
+  let module Spec = Hermes_workload.Spec in
+  let module Driver = Hermes_workload.Driver in
+  let lying = { Config.full with Config.adversary = { Config.no_adversary with Config.lying_sites = [ 1 ] } } in
+  let r =
+    Driver.run
+      {
+        Driver.default_setup with
+        Driver.protocol = Driver.Two_pca lying;
+        spec = Spec.make ~n_global:90 ~arrival:(Spec.Closed { mpl = 4; think_time_mean = Spec.think_time Spec.default }) ();
+      }
+  in
+  let v = Correctness.check r.Driver.history in
+  Alcotest.(check bool) "torn" true (v.Correctness.torn <> []);
+  Alcotest.(check int) "no distortion" 0 (List.length v.Correctness.distortions);
+  Alcotest.(check bool) "not ok" false (Correctness.ok v)
+
+let test_verdict_hand_built () =
+  (* H2: local commits in opposite orders at a and b. *)
+  check_fired "H2" [ false; true; false; false; false ] h2;
+  (* T1's resubmission reads X^a from another transaction than its first
+     incarnation did; C(H) keeps both. *)
+  check_fired "resubmission" [ true; false; false; false; false ]
+    (History.of_ops [ r i10a xa; la i10a; w i20a xa; lc i20a; gc t2; r i11a xa; lc i11a; gc t1 ]);
+  (* T2 reads X^a that T1 wrote before T1 terminated. *)
+  check_fired "dirty read" [ false; false; true; false; false ]
+    (History.of_ops [ w i10a xa; r i20a xa; lc i10a; lc i20a; gc t1; gc t2 ]);
+  (* T2's read names T1's write but a value T1 never wrote. *)
+  check_fired "wrong value" [ false; false; false; true; false ]
+    (History.of_ops
+       [
+         Op.write ~value:5 ~inc:i10a ~item:xa ();
+         lc i10a;
+         gc t1;
+         Op.read ~value:99 ~inc:i20a ~item:xa ~from:(Some i10a) ();
+         lc i20a;
+         gc t2;
+       ]);
+  (* T1 commits globally but never locally at b. *)
+  let torn = History.of_ops [ w i10a xa; w i10b zb; p t1 a; p t1 b; gc t1; lc i10a ] in
+  check_fired "torn" [ false; false; false; false; true ] torn;
+  Alcotest.(check (list string)) "torn transaction" [ "T1" ]
+    (List.map Txn.show (Correctness.check torn).Correctness.torn)
+
+(* Until the report and the verdict become one, they must judge alike:
+   the four checks they share agree on every generated history. *)
+let verdict_agrees_with_report h =
+  let v = Correctness.check h and rep = Report.analyze h in
+  v.Correctness.distortions = rep.Report.global_distortions
+  && v.Correctness.cg_cycle = rep.Report.cg_cycle
+  && v.Correctness.rigorous_violations = rep.Report.rigorous_violations
+  && v.Correctness.value_mismatches = rep.Report.value_mismatches
+
+let resubmission_input seed =
+  let rng = Rng.create ~seed in
+  with_values rng (random_resubmission_history rng)
+
+let multi_site_input seed =
+  let rng = Rng.create ~seed in
+  with_values rng (with_global_commits rng (random_ltm_history rng ~n_sites:3))
+
+let prop_verdict_agrees_resubmission =
+  QCheck.Test.make ~name:"resubmission histories: verdict = Report.analyze" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> verdict_agrees_with_report (resubmission_input seed))
+
+let prop_verdict_agrees_multi_site =
+  QCheck.Test.make ~name:"multi-site histories: verdict = Report.analyze" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> verdict_agrees_with_report (multi_site_input seed))
+
+(* The two properties' inputs make every component fire somewhere, so
+   neither compares only empty lists. *)
+let test_verdict_generators_cover () =
+  let fired =
+    List.map verdict_fired
+      (List.concat_map (fun seed -> [ Correctness.check (resubmission_input seed); Correctness.check (multi_site_input seed) ])
+         (List.init 300 Fun.id))
+  in
+  List.iteri
+    (fun k name -> Alcotest.(check bool) name true (List.exists (fun f -> List.nth f k) fired))
+    [ "distortions"; "CG cycle"; "rigorousness violations"; "value mismatches" ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "history"
@@ -2400,6 +2523,16 @@ let () =
           Alcotest.test_case "H1 report" `Quick test_report_h1;
           Alcotest.test_case "clean report" `Quick test_report_clean;
           Alcotest.test_case "one SG for cycle and QSR" `Quick test_report_shares_sg;
+        ] );
+      ( "verdict",
+        [
+          Alcotest.test_case "full 2CM run is ok" `Quick test_verdict_full_run_ok;
+          Alcotest.test_case "naive run distorts and cycles" `Quick test_verdict_naive_run;
+          Alcotest.test_case "lying site tears commits" `Quick test_verdict_lying_site_torn;
+          Alcotest.test_case "each component fires alone" `Quick test_verdict_hand_built;
+          Alcotest.test_case "generators cover" `Quick test_verdict_generators_cover;
+          q prop_verdict_agrees_resubmission;
+          q prop_verdict_agrees_multi_site;
         ] );
       ( "golden",
         [

@@ -50,7 +50,7 @@ let check_golden name expected actual = Alcotest.(check string) name expected ac
 
 let test_golden_e1 () =
   check_golden "e1 table" "c071b67bdf460dfa42edac7f9d62961c"
-    (digest (Table_fmt.to_string (Experiment.e1_global_view_distortion ())))
+    (digest (Table_fmt.to_string (List.assoc "e1" (Experiment.tables ~seeds_of:Fun.id ()) ())))
 
 let test_golden_e5 () =
   check_golden "e5 run" "99cdc870e03bfb9eb99a7b7479910efd"
