@@ -38,34 +38,35 @@ let pp_global ppf d =
    kernel gives the writer of each read of a [wanted] incarnation, in
    history order; one scan of the index's incarnation column then lays
    out those incarnations' steps, and notes which of them locally
-   committed. Footprints are kept by incarnation id (newest step
-   first). *)
+   committed. The scan branches on the index's columns and takes each
+   step's item from its items. Footprints are kept by incarnation id
+   (newest step first). *)
 type step = { kind : Op.kind; item : Item.t; from : Txn.t option }
 
 let footprint_table h (wanted : bool array) =
   let ix = History.index h in
   let froms = ref [] in
   ignore
-    (Replay.replay h ~on_read:(fun i _ w _ ->
+    (Replay.replay h ~on_read:(fun i w _ ->
          if wanted.(ix.inc_of_op.(i)) then froms := (if w < 0 then None else Some ix.incs.(w).txn) :: !froms));
   let froms = ref (List.rev !froms) in
   let foot = Array.make (Array.length ix.incs) [] and committed = Array.make (Array.length ix.incs) false in
   Array.iteri
     (fun i j ->
       if j >= 0 && wanted.(j) then
-        match History.get h i with
-        | Op.Dml { kind; item; _ } ->
+        match ix.code_of_op.(i) with
+        | Op.Read ->
             let from =
-              match (kind, !froms) with
-              | Op.Write, _ -> None
-              | Op.Read, from :: rest ->
+              match !froms with
+              | from :: rest ->
                   froms := rest;
                   from
-              | Op.Read, [] -> invalid_arg "Anomaly.footprints: replay lost a read"
+              | [] -> invalid_arg "Anomaly.footprints: replay lost a read"
             in
-            foot.(j) <- { kind; item; from } :: foot.(j)
-        | Op.Local_commit _ -> committed.(j) <- true
-        | _ -> ())
+            foot.(j) <- { kind = Read; item = ix.items.(ix.item_of_op.(i)); from } :: foot.(j)
+        | Op.Write -> foot.(j) <- { kind = Write; item = ix.items.(ix.item_of_op.(i)); from = None } :: foot.(j)
+        | Op.Local_commit -> committed.(j) <- true
+        | Op.Local_abort | Op.Prepare | Op.Global_commit | Op.Global_abort -> ())
     ix.inc_of_op;
   (foot, committed)
 

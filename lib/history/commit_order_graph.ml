@@ -16,92 +16,178 @@
    transactions remaining proves a cycle, which is extracted by following
    blocked heads. Everything runs on the history's transaction ids. *)
 
+open Hermes_kernel
+
 (* Per-site commit sequences of transaction ids, in history order (first
    committer first). A transaction commits at most once per site in any
    run the simulator produces; hand-built histories are deduplicated
    defensively (first commit wins — later duplicates add no new ordering
    constraints given the transitive per-site total order).
 
-   The sequences come in the order a [Hashtbl.fold] over [by_site]
-   visits them. Which cycle a cyclic CG reports depends on this order,
-   and pinned reports print that cycle. *)
-let commit_sequences h (ix : History.index) =
+   Everything is dense. A (transaction, site) pair is one run of the
+   index's incarnations, so each incarnation gets its run's first
+   incarnation and its site's slot once, and "first commit wins" is one
+   flag per run. Two scans of the code column then lay the accepted
+   commits out by site slot, in history order. Sequence [q]'s
+   transactions are [seq_txn.(seq_off.(q))] .. [seq_txn.(seq_off.(q + 1)
+   - 1)], and transaction [x]'s sequences, ascending, are
+   [mem_seq.(mem_off.(x))] .. [mem_seq.(mem_off.(x + 1) - 1)].
+
+   The sequences come in the order a [Hashtbl.fold] visits a table of
+   the sites, created with 8 buckets and filled in the order of each
+   site's first local commit: which cycle a cyclic CG reports depends on
+   this order, and pinned reports print that cycle. The table holds the
+   distinct sites only; it is filled and folded once. *)
+type sequences = { seq_off : int array; seq_txn : int array; mem_off : int array; mem_seq : int array }
+
+let commit_sequences (ix : History.index) =
+  let n_txns = Array.length ix.txns and n_incs = Array.length ix.incs in
+  let run = Array.make n_incs 0 and slot = Array.make n_incs 0 in
+  let slots = Int_tbl.create 8 and sites = ref [] in
+  for x = 0 to n_txns - 1 do
+    for j = ix.txn_incs.(x) to ix.txn_incs.(x + 1) - 1 do
+      let site = ix.incs.(j).site in
+      if j > ix.txn_incs.(x) && Site.equal site ix.incs.(j - 1).site then begin
+        run.(j) <- run.(j - 1);
+        slot.(j) <- slot.(j - 1)
+      end
+      else begin
+        run.(j) <- j;
+        slot.(j) <-
+          (match Int_tbl.find slots (Site.to_int site) with
+          | s -> s
+          | exception Not_found ->
+              let s = Int_tbl.length slots in
+              Int_tbl.add slots (Site.to_int site) s;
+              sites := site :: !sites;
+              s)
+      end
+    done
+  done;
+  (* Two scans of the code column. The first flags each run's first
+     local commit, counts the flagged commits per slot and ranks the
+     slots by their first local commit; the second lays the flagged
+     commits out in history order, clearing each run's flag as it
+     takes its commit, so later commits of the run are skipped again. *)
+  let site_of_slot = Array.of_list (List.rev !sites) and code = ix.code_of_op in
+  let n_slots = Array.length site_of_slot in
+  let ranked = Array.make n_slots false and by_rank = Array.make n_slots 0 and n_sites = ref 0 in
+  let taken = Array.make n_incs false and count = Array.make n_slots 0 in
+  for i = 0 to Array.length code - 1 do
+    match code.(i) with
+    | Op.Local_commit ->
+        let j = ix.inc_of_op.(i) in
+        if not taken.(run.(j)) then begin
+          taken.(run.(j)) <- true;
+          let s = slot.(j) in
+          if not ranked.(s) then begin
+            ranked.(s) <- true;
+            by_rank.(!n_sites) <- s;
+            incr n_sites
+          end;
+          count.(s) <- count.(s) + 1
+        end
+    | _ -> ()
+  done;
   let by_site = Hashtbl.create 8 in
-  let committed_at = Array.make (Array.length ix.txns) [] in
-  History.iteri
-    (fun i op ->
-      match op with
-      | Op.Local_commit { site; _ } ->
-          let seq =
-            match Hashtbl.find_opt by_site site with
-            | Some seq -> seq
-            | None ->
-                let seq = ref [] in
-                Hashtbl.add by_site site seq;
-                seq
-          in
-          let x = ix.txn_of_op.(i) in
-          if not (List.memq seq committed_at.(x)) then begin
-            committed_at.(x) <- seq :: committed_at.(x);
-            seq := x :: !seq
-          end
-      | _ -> ())
-    h;
-  Hashtbl.fold (fun _ seq acc -> Array.of_list (List.rev !seq) :: acc) by_site [] |> Array.of_list
+  for r = 0 to !n_sites - 1 do
+    Hashtbl.add by_site site_of_slot.(by_rank.(r)) by_rank.(r)
+  done;
+  let seq_slots = Array.of_list (Hashtbl.fold (fun _ s acc -> s :: acc) by_site []) in
+  let n_seqs = Array.length seq_slots in
+  let seq_off = Array.make (n_seqs + 1) 0 and fill = Array.make n_slots 0 in
+  Array.iteri
+    (fun q s ->
+      fill.(s) <- seq_off.(q);
+      seq_off.(q + 1) <- seq_off.(q) + count.(s))
+    seq_slots;
+  let m = seq_off.(n_seqs) in
+  let seq_txn = Array.make m 0 and mem_off = Array.make (n_txns + 1) 0 in
+  for i = 0 to Array.length code - 1 do
+    match code.(i) with
+    | Op.Local_commit ->
+        let j = ix.inc_of_op.(i) in
+        if taken.(run.(j)) then begin
+          taken.(run.(j)) <- false;
+          let s = slot.(j) and x = ix.txn_of_op.(i) in
+          seq_txn.(fill.(s)) <- x;
+          fill.(s) <- fill.(s) + 1;
+          mem_off.(x + 1) <- mem_off.(x + 1) + 1
+        end
+    | _ -> ()
+  done;
+  for x = 0 to n_txns - 1 do
+    mem_off.(x + 1) <- mem_off.(x + 1) + mem_off.(x)
+  done;
+  let mem_seq = Array.make m 0 and fill = Array.sub mem_off 0 n_txns in
+  for q = 0 to n_seqs - 1 do
+    for p = seq_off.(q) to seq_off.(q + 1) - 1 do
+      let x = seq_txn.(p) in
+      mem_seq.(fill.(x)) <- q;
+      fill.(x) <- fill.(x) + 1
+    done
+  done;
+  { seq_off; seq_txn; mem_off; mem_seq }
 
 (* Greedy emission over the site sequences. Returns either a topological
-   order of CG(H) or a cycle, as transaction ids. *)
+   order of CG(H) or a cycle, as transaction ids. [heads.(q)] is the
+   position in [seq_txn] of sequence q's unemitted head. *)
 let emit h =
   let ix = History.index h in
-  let seqs = commit_sequences h ix in
-  let n = Array.length ix.txns in
-  let heads = Array.make (Array.length seqs) 0 in
-  (* The sequences each transaction appears in, ascending, and in how
-     many it is currently at the (unemitted) head. *)
-  let member_of = Array.make n [] in
-  for i = Array.length seqs - 1 downto 0 do
-    Array.iter (fun x -> member_of.(x) <- i :: member_of.(x)) seqs.(i)
+  let { seq_off; seq_txn; mem_off; mem_seq } = commit_sequences ix in
+  let n = Array.length ix.txns and n_seqs = Array.length seq_off - 1 in
+  let heads = Array.sub seq_off 0 n_seqs in
+  (* How many sequences each transaction heads. A transaction becomes
+     the head of each of its sequences once, so it reaches all of them
+     once: [ready] queues each transaction at most once, and the order
+     it is taken off in is the emission order. *)
+  let at_head = Array.make n 0 and ready = Array.make n 0 and emitted = ref 0 and queued = ref 0 in
+  let total = ref 0 in
+  for x = 0 to n - 1 do
+    if mem_off.(x + 1) > mem_off.(x) then incr total
   done;
-  let appears = Array.map List.length member_of in
-  let at_head = Array.make n 0 in
-  let total = Array.fold_left (fun acc k -> if k > 0 then acc + 1 else acc) 0 appears in
-  let ready = Queue.create () in
   let reach_head x =
     at_head.(x) <- at_head.(x) + 1;
-    if at_head.(x) = appears.(x) then Queue.add x ready
-  in
-  Array.iter (fun seq -> if Array.length seq > 0 then reach_head seq.(0)) seqs;
-  let emitted = Array.make n false in
-  let n_emitted = ref 0 and order = ref [] in
-  while not (Queue.is_empty ready) do
-    let x = Queue.pop ready in
-    if not emitted.(x) then begin
-      emitted.(x) <- true;
-      incr n_emitted;
-      order := x :: !order;
-      (* x heads every sequence it is in and no other sequence's head has
-         been emitted, so only x's sequences move, each by one. *)
-      List.iter
-        (fun i ->
-          heads.(i) <- heads.(i) + 1;
-          if heads.(i) < Array.length seqs.(i) then reach_head seqs.(i).(heads.(i)))
-        member_of.(x)
+    if at_head.(x) = mem_off.(x + 1) - mem_off.(x) then begin
+      ready.(!queued) <- x;
+      incr queued
     end
+  in
+  for q = 0 to n_seqs - 1 do
+    if seq_off.(q) < seq_off.(q + 1) then reach_head seq_txn.(seq_off.(q))
   done;
-  if !n_emitted = total then Ok (List.rev !order)
+  while !emitted < !queued do
+    let x = ready.(!emitted) in
+    incr emitted;
+    (* x heads every sequence it is in and no other sequence's head has
+       been emitted, so only x's sequences move, each by one. *)
+    for p = mem_off.(x) to mem_off.(x + 1) - 1 do
+      let q = mem_seq.(p) in
+      heads.(q) <- heads.(q) + 1;
+      if heads.(q) < seq_off.(q + 1) then reach_head seq_txn.(heads.(q))
+    done
+  done;
+  if !queued = !total then Ok (Array.sub ready 0 !queued)
   else begin
     (* Stalled: every unemitted head waits for the unemitted head of some
        other sequence. Follow "waits for the head of a sequence where I am
        not at the head" until a transaction repeats — that is a CG cycle
        (h before x at that site means arc h -> x; the walk follows arcs
-       backwards, so reverse it before returning). *)
-    let head_of i = seqs.(i).(heads.(i)) in
+       backwards, so reverse it before returning). A sequence that holds
+       an unemitted transaction is not exhausted. *)
+    let head_of q = seq_txn.(heads.(q)) in
     (* The first sequence still containing x whose unemitted head is not
        x: that head must commit before x can. *)
-    let blocker x = head_of (List.find (fun i -> head_of i <> x) member_of.(x)) in
+    let blocker x =
+      let p = ref mem_off.(x) in
+      while head_of mem_seq.(!p) = x do
+        incr p
+      done;
+      head_of mem_seq.(!p)
+    in
     (* Start from the first unemitted head. *)
     let start =
-      let rec find i = if heads.(i) < Array.length seqs.(i) then head_of i else find (i + 1) in
+      let rec find q = if heads.(q) < seq_off.(q + 1) then head_of q else find (q + 1) in
       find 0
     in
     let seen = Array.make n false in
@@ -130,4 +216,5 @@ let find_cycle h = match emit h with Ok _ -> None | Error cycle -> Some (txns h 
 let is_acyclic h = find_cycle h = None
 
 (* A global view serialization order, when CG is acyclic (paper §5.1). *)
-let serialization_order h = match emit h with Ok order -> Some (txns h order) | Error _ -> None
+let serialization_order h =
+  match emit h with Ok order -> Some (txns h (Array.to_list order)) | Error _ -> None

@@ -14,38 +14,44 @@
 
 open Hermes_kernel
 
-(* A transaction is kept iff it committed (a global commit, or a local
-   commit of a local transaction) and is complete: the final incarnation
-   of each of its subtransactions locally committed. A subtransaction's
-   final incarnation is the last of its run in the index's (site,
-   incarnation) order. *)
-let keep h =
+(* Per transaction id of H's index: whether it committed (a global
+   commit, or a local commit of a local transaction), and whether C(H)
+   keeps it, that is whether it committed and is complete: the final
+   incarnation of each of its subtransactions locally committed. A
+   subtransaction's final incarnation is the last of its run in the
+   index's (site, incarnation) order. The pass reads the code column
+   only. *)
+let flags h =
   let ix = History.index h in
   let committed = Array.make (Array.length ix.txns) false in
   let inc_committed = Array.make (Array.length ix.incs) false in
-  History.iteri
-    (fun i op ->
-      match op with
-      | Op.Global_commit _ -> committed.(ix.txn_of_op.(i)) <- true
-      | Op.Local_commit inc ->
-          inc_committed.(ix.inc_of_op.(i)) <- true;
-          if Txn.is_local inc.Txn.Incarnation.txn then committed.(ix.txn_of_op.(i)) <- true
-      | _ -> ())
-    h;
-  Array.mapi
-    (fun x committed ->
-      let kept = ref committed and last = ix.txn_incs.(x + 1) - 1 in
-      for j = ix.txn_incs.(x) to last do
-        let final = j = last || not (Site.equal ix.incs.(j).site ix.incs.(j + 1).site) in
-        if final && not inc_committed.(j) then kept := false
-      done;
-      !kept)
-    committed
+  let code = ix.code_of_op in
+  for i = 0 to Array.length code - 1 do
+    match code.(i) with
+    | Op.Global_commit -> committed.(ix.txn_of_op.(i)) <- true
+    | Op.Local_commit ->
+        let x = ix.txn_of_op.(i) in
+        inc_committed.(ix.inc_of_op.(i)) <- true;
+        if Txn.is_local ix.txns.(x) then committed.(x) <- true
+    | Op.Read | Op.Write | Op.Local_abort | Op.Prepare | Op.Global_abort -> ()
+  done;
+  let kept =
+    Array.mapi
+      (fun x committed ->
+        let kept = ref committed and last = ix.txn_incs.(x + 1) - 1 in
+        for j = ix.txn_incs.(x) to last do
+          let final = j = last || not (Site.equal ix.incs.(j).site ix.incs.(j + 1).site) in
+          if final && not inc_committed.(j) then kept := false
+        done;
+        !kept)
+      committed
+  in
+  (committed, kept)
 
 (* The extended committed projection: every operation (including operations
    and aborts of unilaterally aborted incarnations) of every kept
    transaction. *)
-let extended h = History.restrict h ~keep:(keep h)
+let extended h = History.restrict h ~keep:(snd (flags h))
 
 (* The classical committed projection: as [extended], but operations of
    aborted incarnations are dropped (only what eventually committed
@@ -55,9 +61,9 @@ let classical h =
   let c = extended h in
   let ix = History.index c in
   let aborted = Array.make (Array.length ix.incs) false in
-  History.iteri
-    (fun i op -> match op with Op.Local_abort _ -> aborted.(ix.inc_of_op.(i)) <- true | _ -> ())
-    c;
+  Array.iteri
+    (fun i (code : Op.code) -> match code with Op.Local_abort -> aborted.(ix.inc_of_op.(i)) <- true | _ -> ())
+    ix.code_of_op;
   History.of_ops
     (List.filteri
        (fun i _ ->

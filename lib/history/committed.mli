@@ -6,6 +6,13 @@
 
 val extended : History.t -> History.t
 
+val flags : History.t -> bool array * bool array
+(** [(committed, kept)] by transaction id of the history's
+    {!History.index}: whether the transaction committed (a global
+    commit; for a local transaction, a local commit), and whether C(H)
+    keeps it (committed and complete). A global transaction is torn
+    exactly when it committed and is not kept. *)
+
 val classical : History.t -> History.t
 (** The Bernstein/Hadzilacos/Goodman projection: aborted incarnations'
     operations dropped. Under it the H1 anomaly is invisible — the paper's

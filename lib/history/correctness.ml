@@ -16,17 +16,23 @@ type t = {
   torn : Txn.t list;
 }
 
+(* One pass over H's code column gives C(H) and the torn globals: a
+   global transaction is torn exactly when it committed and C(H) does
+   not keep it. *)
 let check h =
-  let c = Committed.extended h in
+  let committed, kept = Committed.flags h in
+  let c = History.restrict h ~keep:kept in
+  let txns = (History.index h).txns in
+  let torn = ref [] in
+  for x = Array.length txns - 1 downto 0 do
+    if Txn.is_global txns.(x) && committed.(x) && not kept.(x) then torn := txns.(x) :: !torn
+  done;
   {
     distortions = Anomaly.global_view_distortions c;
     cg_cycle = Commit_order_graph.find_cycle c;
     rigorous_violations = Rigorous.check_all_sites h;
     value_mismatches = Values.check h;
-    torn =
-      List.filter
-        (fun t -> History.is_globally_committed h t && not (History.is_complete h t))
-        (History.global_txns h);
+    torn = !torn;
   }
 
 let ok t =

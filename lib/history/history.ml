@@ -3,9 +3,11 @@
    also build them literally, e.g. the paper's H1, H2, H3.
 
    The container carries a lazily-built dense index that every checker
-   reads: per operation the ids of its transaction, incarnation and item,
-   the transactions in first-appearance order, and the incarnations
-   grouped by (transaction, site). The per-transaction accessors add
+   reads: per operation its code and the ids of its transaction,
+   incarnation and item, the transactions in first-appearance order, and
+   the incarnations grouped by (transaction, site). Building it is the
+   one pass that reads every operation: a checker reads an operation
+   itself only for a payload the columns do not hold. The per-transaction accessors add
    each transaction's operation positions. The index is built on first
    use and cached, without hashing a string or calling a polymorphic
    hash; it is derived state only, so histories stay values for every
@@ -17,10 +19,15 @@ open Hermes_kernel
 
 type event = { op : Op.t; at : Time.t; seq : int }
 
+(* The codes, unqualified: here [Op.Read] and [Op.Local_commit] name the
+   constructors of [Op.kind] and [Op.t]. *)
+type code = Op.code = Read | Write | Local_commit | Local_abort | Prepare | Global_commit | Global_abort
+
 type index = {
   txn_of_op : int array;
   inc_of_op : int array;
   item_of_op : int array;
+  code_of_op : Op.code array;
   txns : Txn.t array;
   txn_incs : int array;
   incs : Txn.Incarnation.t array;
@@ -32,25 +39,45 @@ type index = {
    positions), built on the first per-transaction query: the checkers
    never ask for them. *)
 type dense = { ix : index; find : Txn.t -> int; mutable by_txn : (int array * int array) option }
-type t = { ops : Op.t array; mutable dense : dense option }
 
-let of_ops ops = { ops = Array.of_list ops; dense = None }
-let of_array ops = { ops; dense = None }
+(* A history's operations. [restrict] makes C(H) without a copy of its
+   operations: it holds H's, with H's transaction column and the kept
+   flags, and the [m] kept operations are copied out when one is first
+   asked for. The checkers read C(H)'s index only. *)
+type ops = Ops of Op.t array | Kept of { from : Op.t array; txn_of_op : int array; keep : bool array; m : int }
+type t = { mutable ops : ops; mutable dense : dense option }
+
+let of_array ops = { ops = Ops ops; dense = None }
+let of_ops ops = of_array (Array.of_list ops)
 
 let of_events events =
   let compare a b = match Time.compare a.at b.at with 0 -> Int.compare a.seq b.seq | c -> c in
   of_ops (List.map (fun e -> e.op) (List.sort compare events))
 
-let ops t = Array.to_list t.ops
-let length t = Array.length t.ops
-let get t i = t.ops.(i)
-let append a b = { ops = Array.append a.ops b.ops; dense = None }
-let concat ts = { ops = Array.concat (List.map (fun t -> t.ops) ts); dense = None }
-let filter f t = { ops = Array.of_list (List.filter f (ops t)); dense = None }
+let ops_array t =
+  match t.ops with
+  | Ops a -> a
+  | Kept { from; txn_of_op; keep; m } ->
+      let a = if m = 0 then [||] else Array.make m from.(0) and k = ref 0 in
+      for i = 0 to Array.length from - 1 do
+        if keep.(txn_of_op.(i)) then begin
+          a.(!k) <- from.(i);
+          incr k
+        end
+      done;
+      t.ops <- Ops a;
+      a
 
-let fold f init t = Array.fold_left f init t.ops
-let iteri f t = Array.iteri f t.ops
-let exists f t = Array.exists f t.ops
+let ops t = Array.to_list (ops_array t)
+let length t = match t.ops with Ops a -> Array.length a | Kept { m; _ } -> m
+let get t i = match t.ops with Ops a -> a.(i) | Kept _ -> (ops_array t).(i)
+let append a b = of_array (Array.append (ops_array a) (ops_array b))
+let concat ts = of_array (Array.concat (List.map ops_array ts))
+let filter f t = of_ops (List.filter f (ops t))
+
+let fold f init t = Array.fold_left f init (ops_array t)
+let iteri f t = Array.iteri f (ops_array t)
+let exists f t = Array.exists f (ops_array t)
 
 (* A growable array: ids are handed out as values are first seen. *)
 type 'a vec = { mutable data : 'a array; mutable len : int }
@@ -105,9 +132,8 @@ let ids () = { direct = [||]; spill = Int_tbl.create 1 }
    range spills only when the budget cannot pay for an array that holds
    it; the budget only shrinks, so no later array of the map reaches
    that key. *)
-let find_id m k =
-  if 0 <= k && k < Array.length m.direct then m.direct.(k)
-  else match Int_tbl.find m.spill k with id -> id | exception Not_found -> -1
+let find_spill m k = match Int_tbl.find m.spill k with id -> id | exception Not_found -> -1
+let[@inline] find_id m k = if 0 <= k && k < Array.length m.direct then m.direct.(k) else find_spill m k
 
 let add_id sp m k id =
   let len = Array.length m.direct in
@@ -135,95 +161,146 @@ let rec table_ids at table = function
       keys
   | (name, keys) :: rest -> if String.equal name table then keys else table_ids at table rest
 
-(* One pass interns every transaction, incarnation and item without
-   hashing a string or calling a polymorphic hash. A global transaction
-   is found by its gid, a local one by its site and then its number; an
-   item by its (site, table), the table's name compared with each of the
-   site's, and then by its key. An incarnation is found among the (few)
-   incarnations already seen for its transaction. Ids follow first
-   appearance; the incarnations are then renumbered in (transaction id,
-   site, incarnation) order. *)
+(* The interning pass's state. Each transaction's incarnations form a
+   chain, newest first: [newest] holds the head by transaction id,
+   [older] the next link by incarnation id, and -1 ends a chain. *)
+type interning = {
+  sp : space;
+  globals : ids;
+  site_slot : ids;
+  sites : site_ids vec;
+  txns : Txn.t vec;
+  newest : int vec;
+  incs : Txn.Incarnation.t vec;
+  older : int vec;
+  items : Item.t vec;
+}
+
+let[@inline] site_at st s =
+  match find_id st.site_slot s with
+  | -1 ->
+      let at = { locals = ids (); tables = [] } in
+      add_id st.sp st.site_slot s (push st.sites at);
+      at
+  | k -> st.sites.data.(k)
+
+let add_txn st m k txn =
+  let x = push st.txns txn in
+  ignore (push st.newest (-1));
+  add_id st.sp m k x;
+  x
+
+(* A global transaction by its gid, a local one by its site and then its
+   number. *)
+let[@inline] txn_id st txn =
+  match txn with
+  | Txn.Global g -> ( match find_id st.globals g with -1 -> add_txn st st.globals g txn | x -> x)
+  | Txn.Local { site; n } -> (
+      let locals = (site_at st (site :> int)).locals in
+      match find_id locals n with -1 -> add_txn st locals n txn | x -> x)
+
+(* An incarnation among the (few) its transaction [x] already has,
+   walking the chain newest first. *)
+let[@inline] inc_id st x (inc : Txn.Incarnation.t) =
+  let j = ref st.newest.data.(x) in
+  while
+    !j >= 0
+    &&
+    let k : Txn.Incarnation.t = st.incs.data.(!j) in
+    not (k == inc || (Int.equal k.inc inc.inc && Site.equal k.site inc.site))
+  do
+    j := st.older.data.(!j)
+  done;
+  if !j >= 0 then !j
+  else begin
+    let j = push st.incs inc in
+    ignore (push st.older st.newest.data.(x));
+    st.newest.data.(x) <- j;
+    j
+  end
+
+(* An item by its (site, table), the table's name compared with each of
+   the site's, and then by its key. *)
+let[@inline] item_id st (item : Item.t) =
+  let at = site_at st (item.site :> int) in
+  let keys = table_ids at item.table at.tables in
+  match find_id keys item.key with
+  | -1 ->
+      let k = push st.items item in
+      add_id st.sp keys item.key k;
+      k
+  | k -> k
+
+(* One pass reads every operation once: it fills the code column and
+   interns every transaction, incarnation and item without hashing a
+   string or calling a polymorphic hash, allocating nothing per
+   operation but what a new id stores. The lookups above are inlined
+   into it: a lookup that finds its id calls only the walk over its
+   site's table names. Ids follow first appearance; the
+   incarnations are then renumbered in (transaction id, site,
+   incarnation) order. *)
 let build ops =
   let n = Array.length ops in
-  let sp = { limit = (4 * n) + 1024; budget = (8 * n) + 4096 } in
+  let st =
+    {
+      sp = { limit = (4 * n) + 1024; budget = (8 * n) + 4096 };
+      globals = ids ();
+      site_slot = ids ();
+      sites = vec ();
+      txns = vec ();
+      newest = vec ();
+      incs = vec ();
+      older = vec ();
+      items = vec ();
+    }
+  in
   let txn_of_op = Array.make n 0 and inc_of_op = Array.make n (-1) and item_of_op = Array.make n (-1) in
-  let txns = vec () and items = vec () and incs = vec () in
-  let incs_of_txn = vec () in
-  let globals = ids () and site_slot = ids () and sites = vec () in
-  let at_site (site : Site.t) =
-    let s = (site :> int) in
-    match find_id site_slot s with
-    | -1 ->
-        let at = { locals = ids (); tables = [] } in
-        add_id sp site_slot s (push sites at);
-        at
-    | k -> sites.data.(k)
-  in
-  let intern_txn m k txn =
-    match find_id m k with
-    | -1 ->
-        let x = push txns txn in
-        ignore (push incs_of_txn []);
-        add_id sp m k x;
-        x
-    | x -> x
-  in
-  let txn_id txn =
-    match txn with
-    | Txn.Global g -> intern_txn globals g txn
-    | Txn.Local { site; n } -> intern_txn (at_site site).locals n txn
-  in
-  let intern_inc x (inc : Txn.Incarnation.t) =
-    let rec find = function
-      | [] ->
-          let j = push incs inc in
-          incs_of_txn.data.(x) <- j :: incs_of_txn.data.(x);
-          j
-      | j :: rest ->
-          let k : Txn.Incarnation.t = incs.data.(j) in
-          if k == inc || (Int.equal k.inc inc.inc && Site.equal k.site inc.site) then j else find rest
-    in
-    find incs_of_txn.data.(x)
-  in
-  let item_id (item : Item.t) =
-    let at = at_site item.site in
-    let keys = table_ids at item.table at.tables in
-    match find_id keys item.key with
-    | -1 ->
-        let k = push items item in
-        add_id sp keys item.key k;
-        k
-    | k -> k
-  in
-  Array.iteri
-    (fun i op ->
-      let x = txn_id (Op.txn op) in
-      txn_of_op.(i) <- x;
-      match op with
-      | Op.Dml { inc; item; _ } ->
-          inc_of_op.(i) <- intern_inc x inc;
-          item_of_op.(i) <- item_id item
-      | Op.Local_commit inc | Op.Local_abort inc -> inc_of_op.(i) <- intern_inc x inc
-      | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ())
-    ops;
+  let code_of_op = Array.make n Global_abort in
+  for i = 0 to n - 1 do
+    match ops.(i) with
+    | Op.Dml { kind; inc; item; _ } ->
+        let x = txn_id st inc.txn in
+        txn_of_op.(i) <- x;
+        code_of_op.(i) <- (match kind with Op.Read -> Read | Op.Write -> Write);
+        inc_of_op.(i) <- inc_id st x inc;
+        item_of_op.(i) <- item_id st item
+    | Op.Local_commit inc ->
+        let x = txn_id st inc.txn in
+        txn_of_op.(i) <- x;
+        code_of_op.(i) <- Local_commit;
+        inc_of_op.(i) <- inc_id st x inc
+    | Op.Local_abort inc ->
+        let x = txn_id st inc.txn in
+        txn_of_op.(i) <- x;
+        code_of_op.(i) <- Local_abort;
+        inc_of_op.(i) <- inc_id st x inc
+    | Op.Prepare { txn; _ } ->
+        txn_of_op.(i) <- txn_id st txn;
+        code_of_op.(i) <- Prepare
+    | Op.Global_commit txn ->
+        txn_of_op.(i) <- txn_id st txn;
+        code_of_op.(i) <- Global_commit
+    | Op.Global_abort txn ->
+        txn_of_op.(i) <- txn_id st txn;
+        code_of_op.(i) <- Global_abort
+  done;
   (* Each transaction's incarnations are laid out from its offset in
-     [order] and sorted there by insertion: a transaction has a handful. *)
-  let n_txns = txns.len in
+     [order], newest first, and sorted there by insertion: a transaction
+     has a handful. *)
+  let incs = st.incs and n_txns = st.txns.len in
   let txn_incs = Array.make (n_txns + 1) 0 and order = Array.make incs.len 0 in
   let before j j' =
     let a : Txn.Incarnation.t = incs.data.(j) and b : Txn.Incarnation.t = incs.data.(j') in
     match Site.compare a.site b.site with 0 -> a.inc < b.inc | c -> c < 0
   in
   for x = 0 to n_txns - 1 do
-    let first = txn_incs.(x) in
-    let next =
-      List.fold_left
-        (fun p j ->
-          order.(p) <- j;
-          p + 1)
-        first incs_of_txn.data.(x)
-    in
-    for p = first + 1 to next - 1 do
+    let first = txn_incs.(x) and next = ref txn_incs.(x) and j = ref st.newest.data.(x) in
+    while !j >= 0 do
+      order.(!next) <- !j;
+      incr next;
+      j := st.older.data.(!j)
+    done;
+    for p = first + 1 to !next - 1 do
       let j = order.(p) and q = ref p in
       while !q > first && before j order.(!q - 1) do
         order.(!q) <- order.(!q - 1);
@@ -231,25 +308,29 @@ let build ops =
       done;
       order.(!q) <- j
     done;
-    txn_incs.(x + 1) <- next
+    txn_incs.(x + 1) <- !next
   done;
   let renumber = invert order incs.len in
-  Array.iteri (fun i j -> if j >= 0 then inc_of_op.(i) <- renumber.(j)) inc_of_op;
+  for i = 0 to n - 1 do
+    let j = inc_of_op.(i) in
+    if j >= 0 then inc_of_op.(i) <- renumber.(j)
+  done;
   let ix =
     {
       txn_of_op;
       inc_of_op;
       item_of_op;
-      txns = Array.sub txns.data 0 n_txns;
+      code_of_op;
+      txns = Array.sub st.txns.data 0 n_txns;
       txn_incs;
       incs = Array.map (Array.get incs.data) order;
-      items = Array.sub items.data 0 items.len;
+      items = Array.sub st.items.data 0 st.items.len;
     }
   in
   let find = function
-    | Txn.Global g -> find_id globals g
+    | Txn.Global g -> find_id st.globals g
     | Txn.Local { site; n } -> (
-        match find_id site_slot (site :> int) with -1 -> -1 | s -> find_id sites.data.(s).locals n)
+        match find_id st.site_slot (site :> int) with -1 -> -1 | s -> find_id st.sites.data.(s).locals n)
   in
   { ix; find; by_txn = None }
 
@@ -257,7 +338,7 @@ let dense t =
   match t.dense with
   | Some d -> d
   | None ->
-      let d = build t.ops in
+      let d = build (ops_array t) in
       t.dense <- Some d;
       d
 
@@ -284,20 +365,25 @@ let restrict t ~keep =
         done
       end)
     keep;
-  let m = Array.fold_left (fun m x -> if keep.(x) then m + 1 else m) 0 ix.txn_of_op in
-  let ops = if m = 0 then [||] else Array.make m t.ops.(0) in
+  let n = Array.length ix.txn_of_op and m = ref 0 in
+  for i = 0 to n - 1 do
+    if keep.(ix.txn_of_op.(i)) then incr m
+  done;
+  let m = !m in
   let txn_of_op = Array.make m 0 and inc_of_op = Array.make m (-1) and item_of_op = Array.make m (-1) in
+  let code_of_op = Array.make m Global_abort in
   let k = ref 0 in
-  Array.iteri
-    (fun i x ->
-      if keep.(x) then begin
-        ops.(!k) <- t.ops.(i);
-        txn_of_op.(!k) <- txn_id.(x);
-        (match ix.inc_of_op.(i) with -1 -> () | j -> inc_of_op.(!k) <- inc_id.(j));
-        item_of_op.(!k) <- ix.item_of_op.(i);
-        incr k
-      end)
-    ix.txn_of_op;
+  for i = 0 to n - 1 do
+    let x = ix.txn_of_op.(i) in
+    if keep.(x) then begin
+      let k' = !k in
+      txn_of_op.(k') <- txn_id.(x);
+      (match ix.inc_of_op.(i) with -1 -> () | j -> inc_of_op.(k') <- inc_id.(j));
+      item_of_op.(k') <- ix.item_of_op.(i);
+      code_of_op.(k') <- ix.code_of_op.(i);
+      k := k' + 1
+    end
+  done;
   let old_txn = invert txn_id !n_txns in
   let txn_incs = Array.make (!n_txns + 1) 0 in
   Array.iteri (fun y x -> txn_incs.(y + 1) <- txn_incs.(y) + ix.txn_incs.(x + 1) - ix.txn_incs.(x)) old_txn;
@@ -306,6 +392,7 @@ let restrict t ~keep =
       txn_of_op;
       inc_of_op;
       item_of_op;
+      code_of_op;
       txns = Array.map (Array.get ix.txns) old_txn;
       txn_incs;
       incs = Array.map (Array.get ix.incs) (invert inc_id !n_incs);
@@ -313,7 +400,10 @@ let restrict t ~keep =
     }
   in
   let find txn = match find txn with -1 -> -1 | x -> txn_id.(x) in
-  { ops; dense = Some { ix = ix'; find; by_txn = None } }
+  {
+    ops = Kept { from = ops_array t; txn_of_op = ix.txn_of_op; keep = Array.copy keep; m };
+    dense = Some { ix = ix'; find; by_txn = None };
+  }
 
 (* Transactions in order of first appearance. *)
 let txns t = Array.to_list (index t).txns
@@ -334,9 +424,9 @@ let fold_ops_of_txn t x f init =
             d.by_txn <- Some p;
             p
       in
-      let acc = ref init in
+      let ops = ops_array t and acc = ref init in
       for p = off.(k) to off.(k + 1) - 1 do
-        acc := f !acc t.ops.(pos.(p))
+        acc := f !acc ops.(pos.(p))
       done;
       !acc
 

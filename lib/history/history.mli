@@ -40,7 +40,8 @@ val ops_of_txn : t -> Txn.t -> Op.t list
     {!index}, which is cached on the history (as are the other
     per-transaction accessors). The cached index makes per-transaction
     queries cheap but is built unsynchronized: share a history across
-    domains only after forcing it once (e.g. by calling [txns]). *)
+    domains only after forcing it once (e.g. by calling [txns]; for a
+    history made by {!restrict}, also [ops]). *)
 
 val sites_of_txn : t -> Txn.t -> Site.t list
 
@@ -66,17 +67,21 @@ val show : t -> string
 
 (** {1 Dense index}
 
-    The checkers read a history through one index that gives its
-    transactions, incarnations and items dense ids. It is built on the
-    first query and cached, in one pass that hashes no string and calls
-    no polymorphic hash: a global transaction is found by its gid, a
-    local one by its site and number, an item by its (site, table) and
-    then its key. Ids are handed out in order of first appearance. *)
+    The checkers read a history through one index that gives each
+    operation its code and its transaction, incarnation and item dense
+    ids. It is built on the first query and cached, in one pass that
+    hashes no string and calls no polymorphic hash: a global transaction
+    is found by its gid, a local one by its site and number, an item by
+    its (site, table) and then its key. Ids are handed out in order of
+    first appearance. That pass is the only one that reads every
+    operation; a checker branches on the columns and reads an operation
+    only for a payload they do not hold. *)
 
 type index = private {
   txn_of_op : int array;  (** per operation: its transaction's id *)
   inc_of_op : int array;  (** per operation: its incarnation's id, or [-1] (prepares, global decisions) *)
   item_of_op : int array;  (** per operation: its item's id, or [-1] (not DML) *)
+  code_of_op : Op.code array;  (** per operation: {!Op.code} of it *)
   txns : Txn.t array;  (** by id: the order of first appearance *)
   txn_incs : int array;
       (** transaction [x]'s incarnations have the ids [txn_incs.(x)] ..
@@ -93,5 +98,7 @@ val restrict : t -> keep:bool array -> t
 (** [restrict h ~keep] has every operation of the transactions whose id
     [x] has [keep.(x)], in order, and is indexed on creation: its index
     is [h]'s restricted to those transactions, renumbered in order. Item
-    ids stay [h]'s, so some may not occur in the result. Raises
+    ids stay [h]'s, so some may not occur in the result. The operations
+    themselves are copied out of [h] when the result's are first read:
+    a checker that reads the index only never pays for them. Raises
     [Invalid_argument] unless [keep] has one flag per transaction. *)

@@ -15,6 +15,12 @@
 
 open Hermes_kernel
 
+(* What an operation is, without its payload: the checkers branch on a
+   column of these, one per operation, that the history's index fills
+   when it interns the operations. Declared before [kind] and [t], so
+   that [Op.Read] or [Op.Local_commit] alone still names those. *)
+type code = Read | Write | Local_commit | Local_abort | Prepare | Global_commit | Global_abort
+
 type kind = Read | Write
 
 let equal_kind a b = match (a, b) with Read, Read | Write, Write -> true | (Read | Write), _ -> false
@@ -52,6 +58,15 @@ let incarnation = function
   | Prepare _ | Global_commit _ | Global_abort _ -> None
 
 let item = function Dml { item; _ } -> Some item | _ -> None
+
+let code : t -> code = function
+  | Dml { kind = Read; _ } -> Read
+  | Dml { kind = Write; _ } -> Write
+  | Local_commit _ -> Local_commit
+  | Local_abort _ -> Local_abort
+  | Prepare _ -> Prepare
+  | Global_commit _ -> Global_commit
+  | Global_abort _ -> Global_abort
 
 let is_dml = function Dml _ -> true | _ -> false
 let is_read = function Dml { kind = Read; _ } -> true | _ -> false

@@ -6,6 +6,12 @@
 
 open Hermes_kernel
 
+type code = Read | Write | Local_commit | Local_abort | Prepare | Global_commit | Global_abort
+(** An operation's constructor, and a DML operation's kind, without its
+    payload. An array of codes is unboxed. Declared before {!kind} and
+    {!t}: where the expected type does not say otherwise, [Op.Read] and
+    [Op.Local_commit] name their constructors. *)
+
 type kind = Read | Write
 
 val equal_kind : kind -> kind -> bool
@@ -36,6 +42,8 @@ val site : t -> Site.t option
 
 val incarnation : t -> Txn.Incarnation.t option
 val item : t -> Item.t option
+
+val code : t -> code
 val is_dml : t -> bool
 val is_read : t -> bool
 val is_write : t -> bool

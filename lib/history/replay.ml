@@ -89,36 +89,37 @@ let replay h ~on_read =
       top.(j) <- -1
     end
   in
-  History.iteri
-    (fun i op ->
-      match op with
-      | Op.Dml { kind = Read; _ } ->
-          let k = ix.item_of_op.(i) in
-          on_read i op writer.(k) value.(k)
-      | Op.Dml { kind = Write; value = v; _ } ->
-          let j = ix.inc_of_op.(i) and k = ix.item_of_op.(i) and e = entry c in
-          c.item.(e) <- k;
-          c.before.(e) <- writer.(k);
-          c.before_value.(e) <- value.(k);
-          c.older.(e) <- top.(j);
-          if top.(j) < 0 then bottom.(j) <- e;
-          top.(j) <- e;
-          writer.(k) <- j;
-          value.(k) <- v;
-          written.(k) <- true
-      | Op.Local_abort _ ->
-          let j = ix.inc_of_op.(i) in
-          let e = ref top.(j) in
-          while !e >= 0 do
-            let k = c.item.(!e) in
-            writer.(k) <- c.before.(!e);
-            value.(k) <- c.before_value.(!e);
-            e := c.older.(!e)
-          done;
-          drop j
-      | Op.Local_commit _ -> drop ix.inc_of_op.(i)
-      | Op.Prepare _ | Op.Global_commit _ | Op.Global_abort _ -> ())
-    h;
+  let code = ix.code_of_op in
+  for i = 0 to Array.length code - 1 do
+    match code.(i) with
+    | Op.Read ->
+        let k = ix.item_of_op.(i) in
+        on_read i writer.(k) value.(k)
+    | Op.Write ->
+        let j = ix.inc_of_op.(i) and k = ix.item_of_op.(i) and e = entry c in
+        c.item.(e) <- k;
+        c.before.(e) <- writer.(k);
+        c.before_value.(e) <- value.(k);
+        c.older.(e) <- top.(j);
+        if top.(j) < 0 then bottom.(j) <- e;
+        top.(j) <- e;
+        writer.(k) <- j;
+        (* the one payload the replay reads: the value a write installs *)
+        value.(k) <- (match History.get h i with Op.Dml { value = v; _ } -> v | _ -> None);
+        written.(k) <- true
+    | Op.Local_abort ->
+        let j = ix.inc_of_op.(i) in
+        let e = ref top.(j) in
+        while !e >= 0 do
+          let k = c.item.(!e) in
+          writer.(k) <- c.before.(!e);
+          value.(k) <- c.before_value.(!e);
+          e := c.older.(!e)
+        done;
+        drop j
+    | Op.Local_commit -> drop ix.inc_of_op.(i)
+    | Op.Prepare | Op.Global_commit | Op.Global_abort -> ()
+  done;
   { writer; value; written; uncommitted = Array.map (fun e -> e >= 0) top }
 
 let writer_of (ix : History.index) w = if w < 0 then None else Some ix.incs.(w)
@@ -130,14 +131,12 @@ let run h =
   let occurrences = Int_tbl.create 64 in
   let reads = ref [] in
   let store =
-    replay h ~on_read:(fun i op w _ ->
-        match op with
-        | Op.Dml { inc; item; _ } ->
-            let key = (ix.inc_of_op.(i) * n_items) + ix.item_of_op.(i) in
-            let occ = Option.value ~default:0 (Int_tbl.find_opt occurrences key) in
-            Int_tbl.replace occurrences key (occ + 1);
-            reads := { reader = inc; item; occurrence = occ; from = writer_of ix w } :: !reads
-        | _ -> ())
+    replay h ~on_read:(fun i w _ ->
+        let j = ix.inc_of_op.(i) and k = ix.item_of_op.(i) in
+        let key = (j * n_items) + k in
+        let occ = Option.value ~default:0 (Int_tbl.find_opt occurrences key) in
+        Int_tbl.replace occurrences key (occ + 1);
+        reads := { reader = ix.incs.(j); item = ix.items.(k); occurrence = occ; from = writer_of ix w } :: !reads)
   in
   let final = ref Item.Map.empty and uncommitted = ref [] in
   Array.iteri

@@ -25,12 +25,13 @@ type store = private {
 }
 (** The store after the last operation. *)
 
-val replay : History.t -> on_read:(int -> Op.t -> int -> int option -> unit) -> store
+val replay : History.t -> on_read:(int -> int -> int option -> unit) -> store
 (** Replays the history in order: writes in place, each incarnation's
     writes undone newest first on its local abort and made permanent on
-    its local commit. [on_read i op w v] runs at each read [op], at
-    position [i], with its item's writer [w] and value [v] at that
-    point. *)
+    its local commit. [on_read i w v] runs at the read at position [i],
+    with its item's writer [w] and value [v] at that point. The replay
+    branches on the index's columns; the only operations it reads are
+    the writes, for the values they install. *)
 
 val writer_of : History.index -> int -> Txn.Incarnation.t option
 (** The incarnation a writer id names; [None] for T_0. *)

@@ -64,14 +64,14 @@ let sweep h ~part report =
     start.(k + 1) <- start.(k + 1) + start.(k)
   done;
   let codes = Array.make start.(n_items) 0 and fill = Array.sub start 0 n_items in
-  History.iteri
-    (fun i op ->
-      let k = ix.item_of_op.(i) in
+  Array.iteri
+    (fun i k ->
       if k >= 0 then begin
-        codes.(fill.(k)) <- (i lsl 1) lor Bool.to_int (Op.is_write op);
+        let is_write = match ix.code_of_op.(i) with Op.Write -> 1 | _ -> 0 in
+        codes.(fill.(k)) <- (i lsl 1) lor is_write;
         fill.(k) <- fill.(k) + 1
       end)
-    h;
+    ix.item_of_op;
   (* A group is named by its first slot in [codes]: [link] chains its
      slots in order, [last.(g)] is its newest. [reader.(j)] and
      [writer.(j)] are incarnation j's newest groups. *)
@@ -162,15 +162,19 @@ let check_all_sites h =
   in
   let slot_of_inc = Array.map (fun (inc : Txn.Incarnation.t) -> slot inc.site) ix.incs in
   let count = Array.make (Int_tbl.length slots) 0 and pos = Array.make (History.length h) 0 in
-  History.iteri
-    (fun i op ->
-      match ix.inc_of_op.(i) with
-      | -1 -> ( match op with Op.Prepare { site; _ } -> ignore (slot site) | _ -> ())
+  Array.iteri
+    (fun i j ->
+      match j with
+      | -1 -> (
+          (* a Prepare's site, which may hold no incarnation *)
+          match ix.code_of_op.(i) with
+          | Op.Prepare -> ( match History.get h i with Op.Prepare { site; _ } -> ignore (slot site) | _ -> ())
+          | _ -> ())
       | j ->
           let s = slot_of_inc.(j) in
           pos.(i) <- count.(s);
           count.(s) <- count.(s) + 1)
-    h;
+    ix.inc_of_op;
   let found = Array.make (Int_tbl.length slots) [] in
   sweep h ~part:slot_of_inc (fun i i' ->
       let s = slot_of_inc.(ix.inc_of_op.(i)) in

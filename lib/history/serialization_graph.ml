@@ -40,14 +40,14 @@ let build h =
     start.(k + 1) <- start.(k + 1) + start.(k)
   done;
   let codes = Array.make start.(n_items) 0 and fill = Array.sub start 0 n_items in
-  History.iteri
-    (fun i op ->
-      let k = ix.item_of_op.(i) in
+  Array.iteri
+    (fun i k ->
       if k >= 0 then begin
-        codes.(fill.(k)) <- (rank.(ix.txn_of_op.(i)) lsl 1) lor Bool.to_int (Op.is_write op);
+        let is_write = match ix.code_of_op.(i) with Op.Write -> 1 | _ -> 0 in
+        codes.(fill.(k)) <- (rank.(ix.txn_of_op.(i)) lsl 1) lor is_write;
         fill.(k) <- fill.(k) + 1
       end)
-    h;
+    ix.item_of_op;
   (* Per transaction, each item it touches: (item, first access, first
      write or max_int), as positions in [codes]. *)
   let touched = Array.make n [] in

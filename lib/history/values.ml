@@ -39,15 +39,17 @@ let check h =
   let ix = History.index h in
   let violations = ref [] in
   ignore
-    (Replay.replay h ~on_read:(fun index op w cur ->
-         match op with
+    (Replay.replay h ~on_read:(fun index w cur ->
+         match History.get h index with
          | Op.Dml { from; value = Some v; _ } as read ->
              (* Only annotated reads are checkable: a hand-built history's
                 [from = None] means "unspecified", not "T_0"; recorded
                 traces always carry values, and there [from] is
                 authoritative. *)
              let from_ok =
-               match from with None -> w < 0 | Some f -> w >= 0 && Txn.Incarnation.equal f ix.incs.(w)
+               match from with
+               | None -> w < 0
+               | Some f -> w >= 0 && (f == ix.incs.(w) || Txn.Incarnation.equal f ix.incs.(w))
              in
              let value_ok = match cur with Some v' -> v = v' | None -> true in
              if not (from_ok && value_ok) then
@@ -62,7 +64,7 @@ let consistent h = check h = []
    for comparing a trace against a database snapshot. *)
 let final_values h =
   let ix = History.index h in
-  let store = Replay.replay h ~on_read:(fun _ _ _ _ -> ()) in
+  let store = Replay.replay h ~on_read:(fun _ _ _ -> ()) in
   let finals = ref [] in
   Array.iteri (fun k v -> Option.iter (fun v -> finals := (ix.items.(k), v) :: !finals) v) store.value;
   List.sort (fun (i1, _) (i2, _) -> Item.compare i1 i2) !finals

@@ -62,7 +62,7 @@ type setup = {
          counters are exported into its registry *)
   moves : int;
       (* online reconfigurations: this many shard moves are scheduled
-         during the run (2PCA, sequential engine only); each installs a
+         during the run (2PCA, one execution shard only); each installs a
          new placement epoch after handing the moved shard's prepared
          certification state over to the gaining site *)
   reconfigure_at : int;
@@ -71,7 +71,7 @@ type setup = {
   leave_schedule : (int * int) list;
       (* (tick, site index): the site leaves the serving set — its shards
          redistribute over the survivors with a prepared-state handover
-         ({!Dtm.leave}). 2PCA, sequential engine only *)
+         ({!Dtm.leave}). 2PCA, one execution shard only *)
   join_schedule : (int * int) list;
       (* (tick, site index): the site (re)joins the serving set, owning
          nothing until a later move ({!Dtm.join}) *)
@@ -140,8 +140,8 @@ let execute ~k ~domains setup =
   if k > 1 then begin
     let refuse why = invalid_arg ("Driver.run_windowed: " ^ why) in
     if cgm then refuse "the CGM baseline is single-domain only";
-    if setup.moves > 0 then refuse "online reconfiguration runs on the sequential engine only";
-    if churn then refuse "site churn runs on the sequential engine only"
+    if setup.moves > 0 then refuse "online reconfiguration runs on one execution shard only";
+    if churn then refuse "site churn runs on one execution shard only"
   end;
   let rng = Rng.create ~seed:setup.seed in
   let engines = Array.init k (fun _ -> Engine.create ()) in

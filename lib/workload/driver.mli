@@ -48,8 +48,8 @@ type setup = {
           during the run, each installing a new placement epoch after the
           losing agent hands the moved shard's prepared certification
           state to the gaining site. [0] (default) keeps the static
-          epoch-0 map and the byte-identical legacy replay. 2PCA,
-          sequential engine only. *)
+          epoch-0 map and the byte-identical legacy replay. 2PCA, one
+          execution shard only. *)
   reconfigure_at : int;
       (** tick of the first scheduled move; move [m] fires at
           [m * reconfigure_at] *)
@@ -57,12 +57,12 @@ type setup = {
       (** [(tick, site)] site departures: the site leaves the serving set,
           its shards redistributing over the survivors after a prepared-
           state handover ({!Hermes_core.Dtm.leave}). Empty (default) =
-          no churn. 2PCA, sequential engine only. *)
+          no churn. 2PCA, one execution shard only. *)
   join_schedule : (int * int) list;
       (** [(tick, site)] site (re)admissions ({!Hermes_core.Dtm.join});
           the joiner owns nothing until a later move rebalances onto it.
           A join of a site already serving raises, so pair it with an
-          earlier leave. 2PCA, sequential engine only. *)
+          earlier leave. 2PCA, one execution shard only. *)
   domains : int;
       (** OCaml domains executing the run. [1] (the default) runs every
           site on one execution shard: the sequential engine,

@@ -1,5 +1,5 @@
 (* CI's gates, pinned in tier-1: the clean explore gates with their
-   counts, and the E-table gates.
+   counts, the E-table gates, and the Verify smokes' dumps and reports.
 
    Each explore case is one `hermes explore` invocation from the
    workflow's Explore, Reconfigure and Adversary smokes, rebuilt here the
@@ -230,6 +230,118 @@ let e19 () =
           | _ -> ()))
     (rows (quick "e19"))
 
+(* ------------------------------------------------------------------ *)
+(* Verify smokes                                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Config = Hermes_core.Config
+module Driver = Hermes_workload.Driver
+module Spec = Hermes_workload.Spec
+module Network = Hermes_net.Network
+module History = Hermes_history.History
+module Report = Hermes_history.Report
+module Serial_format = Hermes_history.Serial_format
+
+(* The history `hermes run --sites S -n N [--failure F] [--drop D] [-c
+   naive] --seed K` records, its setup built as the CLI builds it from
+   those flags, every other flag at its default. *)
+let cli_history ?(failure = 0.0) ?(drop = 0.0) ?(certifier = Config.full) ~sites ~n ~seed () =
+  let certifier =
+    {
+      certifier with
+      Config.commit_proto = Config.Two_pc;
+      adversary = Config.no_adversary;
+      decision_certificates = false;
+      max_sn_drift = None;
+      suspicion_timeout = 0;
+    }
+  in
+  let setup =
+    {
+      Driver.default_setup with
+      Driver.protocol = Driver.Two_pca certifier;
+      failure = Hermes_ltm.Failure.prepared_rate failure;
+      net =
+        {
+          Network.base_delay = 500;
+          jitter = 200;
+          faults = { Network.no_faults with drop; dup = 0.0; gray_sites = []; gray_factor = 20 };
+        };
+      clock_of_site = (fun _ -> Hermes_kernel.Clock.make ~offset:0 ());
+      seed;
+      spec =
+        Spec.make ~n_sites:sites ~n_global:n
+          ~arrival:(Spec.Closed { mpl = 4; think_time_mean = Spec.think_time Spec.default })
+          ~key_dist:(Spec.Zipf { theta = 0.6 })
+          ();
+    }
+  in
+  (Driver.run setup).Driver.history
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* What `sed -n '/^committed projection:/,$p'` keeps of the output of
+   `hermes run` or `hermes verify`: the report and its final newline. *)
+let report h = Fmt.str "%a@." Report.pp (Report.analyze h)
+
+let lines s = String.split_on_char '\n' s
+
+(* `sed -e 'F{h;d}' -e 'AG'`: line F moves to just after line A (A > F,
+   both numbered as in the input). *)
+let move_line ~from ~after s =
+  let l = Array.of_list (lines s) in
+  let moved = l.(from - 1) in
+  String.concat "\n"
+    (List.concat
+       [
+         Array.to_list (Array.sub l 0 (from - 1));
+         Array.to_list (Array.sub l from (after - from));
+         [ moved ];
+         Array.to_list (Array.sub l after (Array.length l - after));
+       ])
+
+(* `sed 'Ls/ OLD$/ NEW/'` *)
+let replace_line_suffix ~line ~old ~by s =
+  String.concat "\n"
+    (List.mapi
+       (fun k l ->
+         if k = line - 1 && String.ends_with ~suffix:old l then String.sub l 0 (String.length l - String.length old) ^ by
+         else l)
+       (lines s))
+
+let expect_md5 what expected s = Alcotest.(check string) (what ^ " md5") expected (md5 s)
+
+(* The Verify smoke: the clean fault run's dump and report, and the dump
+   with two local commits moved past reads of their incarnations'
+   writes, which breaks rigorousness at sites a and d. *)
+let verify_smoke () =
+  let h = cli_history ~sites:4 ~n:2000 ~failure:0.2 ~drop:0.01 ~seed:3 () in
+  let dump = Serial_format.to_string h in
+  expect_md5 "h.trace" "a8cd752d4b4217f43c8219cbbe300188" dump;
+  expect_md5 "h report" "1405ae60afc0ef8a3f90f6af9834dd64" (report h);
+  let r = move_line ~from:20 ~after:2195 (move_line ~from:86 ~after:246 dump) in
+  expect_md5 "r.trace" "a5f7b89363fe68af3ebf732e0ead49d3" r;
+  expect_md5 "r report" "f068f8d4d4e409490aa4ee7258bcff8a" (report (Serial_format.of_string r))
+
+(* The distorting run: the naive certifier under 30% unilateral aborts. *)
+let verify_smoke_distorting () =
+  let h = cli_history ~sites:4 ~n:2000 ~failure:0.3 ~certifier:Config.naive ~seed:3 () in
+  expect_md5 "n report" "0d44f38329be813ab8254a6ead879b3e" (report h)
+
+(* The 64-site smokes: a clean run, the same dump with one read's value
+   made wrong, and a distorting naive run. *)
+let verify_smoke_64 () =
+  let h = cli_history ~sites:64 ~n:1600 ~seed:2 () in
+  let dump = Serial_format.to_string h in
+  expect_md5 "w.trace" "0b490a1b664b5ea4bd8392457312e2cd" dump;
+  expect_md5 "w report" "4b70ed76645a7de0dddc1ade6f814b1f" (report h);
+  let bad = replace_line_suffix ~line:417 ~old:" 102" ~by:" 1102" dump in
+  Alcotest.(check string) "w-bad.trace line 417" "R L29:3 0 29 T3 22 L29:1.0@29 1102" (List.nth (lines bad) 416);
+  expect_md5 "w-bad report" "230c833ac73cc652c7f0a8a9eb95678c" (report (Serial_format.of_string bad));
+  let wn = cli_history ~sites:64 ~n:1600 ~failure:0.3 ~certifier:Config.naive ~seed:2 () in
+  expect_md5 "wn.trace" "06e6406413f29796027529dba46bc6d0" (Serial_format.to_string wn);
+  expect_md5 "wn report" "771d1c58c84799970e7a7a71df33b6b1" (report wn)
+
 let () =
   Alcotest.run "gates"
     [
@@ -246,5 +358,11 @@ let () =
           Alcotest.test_case "e17 every stranding resolves clean" `Slow e17;
           Alcotest.test_case "e18 churn costs retries, never commits" `Slow e18;
           Alcotest.test_case "e19 undefended damage, defended clean" `Slow e19;
+        ] );
+      ( "verify",
+        [
+          Alcotest.test_case "fault run and its rigorousness-breaking edit" `Slow verify_smoke;
+          Alcotest.test_case "distorting naive run" `Slow verify_smoke_distorting;
+          Alcotest.test_case "64 sites: clean, wrong value, distorting" `Slow verify_smoke_64;
         ] );
     ]

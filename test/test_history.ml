@@ -1928,11 +1928,12 @@ let random_index_history rng =
              let it = Item.make ~site:i.site ~table:(table ()) ~key:(pick keys) in
              if k < 7 then r i it else w i it))
 
-(* The seven columns, and [find] as the per-transaction accessors see it:
-   a transaction's operations are those at the positions the reference
-   gives its id, for the history's transactions and for an unseen gid
-   inside and past the direct array, a local at an unseen site and an
-   unseen local at site a. *)
+(* The seven columns, the code column (each operation's {!Op.code}), and
+   [find] as the per-transaction accessors see it: a transaction's
+   operations are those at the positions the reference gives its id, for
+   the history's transactions and for an unseen gid inside and past the
+   direct array, a local at an unseen site and an unseen local at site
+   a. *)
 let index_matches_hashed h =
   let ix = History.index h in
   let ops = History.ops h in
@@ -1948,12 +1949,103 @@ let index_matches_hashed h =
   && ix.txn_incs = ref_ix.txn_incs
   && ix.incs = ref_ix.incs
   && ix.items = ref_ix.items
+  && ix.code_of_op = Array.of_list (List.map Op.code ops)
   && List.for_all (fun x -> History.ops_of_txn h x = ops_of x) (absent @ Array.to_list ix.txns)
 
 let prop_index_matches_hashed =
   QCheck.Test.make ~name:"hash-free interning = the hashed index before it" ~count:1000
     QCheck.(int_bound 1_000_000)
     (fun seed -> index_matches_hashed (random_index_history (Rng.create ~seed)))
+
+(* Commit orders for CG against its list-based reference: per site a
+   random subset of the global transactions, in an order that about
+   half the sites share (sites that share it add no cycle) and the
+   others draw each for itself, perhaps with a local transaction, and
+   now and then a second local commit of a transaction at a site, of
+   the same incarnation or another. The sites' commits are interleaved
+   at random, with prepares and global decisions between them. Site ids
+   are spread over 0..299; half the histories have 17 to 40 sites, more
+   than the reference's 8-bucket site table holds before it resizes. *)
+let random_commit_order_history rng =
+  let n_sites = if Rng.bool rng ~p:0.5 then 1 + Rng.int rng ~bound:4 else 17 + Rng.int rng ~bound:24 in
+  let sites = Array.sub (Rng.shuffle rng (Array.init 300 Site.of_int)) 0 n_sites in
+  let n_txns = 1 + Rng.int rng ~bound:8 in
+  let shared = Rng.shuffle rng (Array.init n_txns (fun k -> k + 1)) in
+  let queues =
+    Array.mapi
+      (fun s site ->
+        let order = if Rng.bool rng ~p:0.5 then shared else Rng.shuffle rng (Array.init n_txns (fun k -> k + 1)) in
+        let commits =
+          List.concat_map
+            (fun n ->
+              if Rng.bool rng ~p:0.4 then []
+              else
+                let i = inc (g n) site 0 in
+                if Rng.bool rng ~p:0.1 then [ lc i; lc (inc (g n) site (Rng.int rng ~bound:2)) ] else [ lc i ])
+            (Array.to_list order)
+        in
+        let commits =
+          if Rng.bool rng ~p:0.3 then
+            let l = Txn.local ~site ~n:(s + 1) in
+            let k = Rng.int rng ~bound:(List.length commits + 1) in
+            List.filteri (fun j _ -> j < k) commits @ (lc (inc l site 0) :: List.filteri (fun j _ -> j >= k) commits)
+          else commits
+        in
+        ref commits)
+      sites
+  in
+  let rec interleave acc =
+    match List.filter (fun q -> !q <> []) (Array.to_list queues) with
+    | [] -> List.rev acc
+    | live ->
+        let q = List.nth live (Rng.int rng ~bound:(List.length live)) in
+        let op = List.hd !q in
+        q := List.tl !q;
+        let noise =
+          match Rng.int rng ~bound:8 with
+          | 0 -> [ p (g (1 + Rng.int rng ~bound:n_txns)) (Rng.choice rng sites) ]
+          | 1 -> [ gc (g (1 + Rng.int rng ~bound:n_txns)) ]
+          | 2 -> [ Op.Global_abort (g (1 + Rng.int rng ~bound:n_txns)) ]
+          | _ -> []
+        in
+        interleave (noise @ (op :: acc))
+  in
+  History.of_ops (interleave [])
+
+let cg_matches_list_reference h =
+  let module R = Deciders_reference.Commit_order_graph in
+  Commit_order_graph.find_cycle h = R.find_cycle h
+  && Commit_order_graph.serialization_order h = R.serialization_order h
+
+let prop_cg_matches_list_reference =
+  QCheck.Test.make ~name:"dense CG = list-based CG: same cycle, same order" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      cg_matches_list_reference (random_commit_order_history rng)
+      && cg_matches_list_reference (Committed.extended (random_resubmission_history rng))
+      && cg_matches_list_reference (Committed.extended (with_global_commits rng (random_ltm_history rng ~n_sites:3))))
+
+(* The generated commit orders reach what the property must see: cyclic
+   and acyclic CGs on more than 16 sites, and on a few. *)
+let test_commit_order_generator_covers () =
+  let shapes =
+    List.map
+      (fun seed ->
+        let h = random_commit_order_history (Rng.create ~seed) in
+        let sites =
+          List.sort_uniq Site.compare
+            (List.filter_map (function Op.Local_commit i -> Some i.Txn.Incarnation.site | _ -> None) (History.ops h))
+        in
+        (List.length sites > 16, Deciders_reference.Commit_order_graph.find_cycle h <> None))
+      (List.init 300 Fun.id)
+  in
+  List.iter
+    (fun ((wide, cyclic) as shape) ->
+      Alcotest.(check bool)
+        (Fmt.str "%s CG on %s sites" (if cyclic then "a cyclic" else "an acyclic") (if wide then "more than 16" else "a few"))
+        true (List.mem shape shapes))
+    [ (true, true); (true, false); (false, true); (false, false) ]
 
 (* SG(H) as first written: an edge for every pair of same-item
    operations, in history order, that [Op.conflicts]. *)
@@ -2294,6 +2386,20 @@ let prop_verdict_agrees_multi_site =
     QCheck.(int_bound 1_000_000)
     (fun seed -> verdict_agrees_with_report (multi_site_input seed))
 
+(* The verdict's torn globals come from the keep pass: committed and not
+   kept. They must be the globals that are globally committed and not
+   complete, the definition the verdict read before. *)
+let torn_by_definition h =
+  List.filter (fun t -> History.is_globally_committed h t && not (History.is_complete h t)) (History.global_txns h)
+
+let prop_torn_from_keep_pass =
+  QCheck.Test.make ~name:"torn globals from the keep pass = committed, not complete" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      List.for_all
+        (fun h -> (Correctness.check h).Correctness.torn = torn_by_definition h)
+        [ resubmission_input seed; multi_site_input seed ])
+
 (* The two properties' inputs make every component fire somewhere, so
    neither compares only empty lists. *)
 let test_verdict_generators_cover () =
@@ -2391,6 +2497,8 @@ let () =
           q prop_index_matches_hashed;
           q prop_index_matches_reference_resubmission;
           q prop_index_matches_reference_multi_site;
+          Alcotest.test_case "commit-order generator covers" `Quick test_commit_order_generator_covers;
+          q prop_cg_matches_list_reference;
         ] );
       ( "sg-reference",
         [
@@ -2533,6 +2641,7 @@ let () =
           Alcotest.test_case "generators cover" `Quick test_verdict_generators_cover;
           q prop_verdict_agrees_resubmission;
           q prop_verdict_agrees_multi_site;
+          q prop_torn_from_keep_pass;
         ] );
       ( "golden",
         [
