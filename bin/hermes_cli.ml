@@ -143,8 +143,8 @@ let resolve_commit_proto proto f =
   | `Two_pc -> Config.Two_pc
   | `Backup_tm -> Config.Backup_tm
   | `Paxos ->
-      if f < 1 then begin
-        Fmt.epr "hermes: --paxos-f must be at least 1@.";
+      if f < 1 || (2 * f) + 1 > Hermes_kernel.Wire.max_acceptors then begin
+        Fmt.epr "hermes: --paxos-f must be between 1 and %d@." ((Hermes_kernel.Wire.max_acceptors - 1) / 2);
         exit 2
       end;
       Config.Paxos { f }

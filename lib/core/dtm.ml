@@ -209,6 +209,8 @@ let create ~engines ~rng ~net_config ~certifier ?obs ?(crash_coordinators = fals
   if k < 1 || k > n then invalid_arg "Dtm.create: one to n_sites engines required";
   if k > 1 && Config.n_acceptors certifier > 0 then
     invalid_arg "Dtm.create: replicated commit protocols run on one execution shard only";
+  if Config.n_acceptors certifier > Wire.max_acceptors then
+    invalid_arg "Dtm.create: more acceptors than the network can address";
   (* Every stream is split here, in this order: a shard's [net] stream
      just before its first site's [failure] stream, suffixed with the
      shard only when there are several. One shard splits net, failure-0,

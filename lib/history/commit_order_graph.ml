@@ -16,8 +16,6 @@
    transactions remaining proves a cycle, which is extracted by following
    blocked heads. Everything runs on the history's transaction ids. *)
 
-open Hermes_kernel
-
 (* Per-site commit sequences of transaction ids, in history order (first
    committer first). A transaction commits at most once per site in any
    run the simulator produces; hand-built histories are deduplicated
@@ -26,8 +24,8 @@ open Hermes_kernel
 
    Everything is dense. A (transaction, site) pair is one run of the
    index's incarnations, so each incarnation gets its run's first
-   incarnation and its site's slot once, and "first commit wins" is one
-   flag per run. Two scans of the code column then lay the accepted
+   incarnation from the index's site slot column, and "first commit
+   wins" is one flag per run. Two scans of the code column then lay the accepted
    commits out by site slot, in history order. Sequence [q]'s
    transactions are [seq_txn.(seq_off.(q))] .. [seq_txn.(seq_off.(q + 1)
    - 1)], and transaction [x]'s sequences, ascending, are
@@ -42,26 +40,10 @@ type sequences = { seq_off : int array; seq_txn : int array; mem_off : int array
 
 let commit_sequences (ix : History.index) =
   let n_txns = Array.length ix.txns and n_incs = Array.length ix.incs in
-  let run = Array.make n_incs 0 and slot = Array.make n_incs 0 in
-  let slots = Int_tbl.create 8 and sites = ref [] in
+  let run = Array.make n_incs 0 and slot = ix.slot_of_inc in
   for x = 0 to n_txns - 1 do
     for j = ix.txn_incs.(x) to ix.txn_incs.(x + 1) - 1 do
-      let site = ix.incs.(j).site in
-      if j > ix.txn_incs.(x) && Site.equal site ix.incs.(j - 1).site then begin
-        run.(j) <- run.(j - 1);
-        slot.(j) <- slot.(j - 1)
-      end
-      else begin
-        run.(j) <- j;
-        slot.(j) <-
-          (match Int_tbl.find slots (Site.to_int site) with
-          | s -> s
-          | exception Not_found ->
-              let s = Int_tbl.length slots in
-              Int_tbl.add slots (Site.to_int site) s;
-              sites := site :: !sites;
-              s)
-      end
+      run.(j) <- (if j > ix.txn_incs.(x) && slot.(j) = slot.(j - 1) then run.(j - 1) else j)
     done
   done;
   (* Two scans of the code column. The first flags each run's first
@@ -69,7 +51,7 @@ let commit_sequences (ix : History.index) =
      slots by their first local commit; the second lays the flagged
      commits out in history order, clearing each run's flag as it
      takes its commit, so later commits of the run are skipped again. *)
-  let site_of_slot = Array.of_list (List.rev !sites) and code = ix.code_of_op in
+  let site_of_slot = ix.sites and code = ix.code_of_op in
   let n_slots = Array.length site_of_slot in
   let ranked = Array.make n_slots false and by_rank = Array.make n_slots 0 and n_sites = ref 0 in
   let taken = Array.make n_incs false and count = Array.make n_slots 0 in

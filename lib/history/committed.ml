@@ -19,8 +19,8 @@ open Hermes_kernel
    keeps it, that is whether it committed and is complete: the final
    incarnation of each of its subtransactions locally committed. A
    subtransaction's final incarnation is the last of its run in the
-   index's (site, incarnation) order. The pass reads the code column
-   only. *)
+   index's (site, incarnation) order. The pass reads the code and site
+   slot columns only. *)
 let flags h =
   let ix = History.index h in
   let committed = Array.make (Array.length ix.txns) false in
@@ -40,7 +40,7 @@ let flags h =
       (fun x committed ->
         let kept = ref committed and last = ix.txn_incs.(x + 1) - 1 in
         for j = ix.txn_incs.(x) to last do
-          let final = j = last || not (Site.equal ix.incs.(j).site ix.incs.(j + 1).site) in
+          let final = j = last || ix.slot_of_inc.(j) <> ix.slot_of_inc.(j + 1) in
           if final && not inc_committed.(j) then kept := false
         done;
         !kept)

@@ -31,6 +31,8 @@ type index = {
   txns : Txn.t array;
   txn_incs : int array;
   incs : Txn.Incarnation.t array;
+  slot_of_inc : int array;
+  sites : Site.t array;
   items : Item.t array;
 }
 
@@ -150,9 +152,9 @@ let add_id sp m k id =
     else Int_tbl.replace m.spill k id
   end
 
-(* A site's local transactions by number, and its tables as (name, item
-   ids by key): a site has a handful of tables. *)
-type site_ids = { locals : ids; mutable tables : (string * ids) list }
+(* A site, its local transactions by number, and its tables as (name,
+   item ids by key): a site has a handful of tables. *)
+type site_ids = { site : Site.t; locals : ids; mutable tables : (string * ids) list }
 
 let rec table_ids at table = function
   | [] ->
@@ -163,7 +165,9 @@ let rec table_ids at table = function
 
 (* The interning pass's state. Each transaction's incarnations form a
    chain, newest first: [newest] holds the head by transaction id,
-   [older] the next link by incarnation id, and -1 ends a chain. *)
+   [older] the next link by incarnation id, and -1 ends a chain. Sites
+   get slots as they are first seen; [inc_slot] holds each incarnation's
+   site slot by incarnation id. *)
 type interning = {
   sp : space;
   globals : ids;
@@ -173,16 +177,19 @@ type interning = {
   newest : int vec;
   incs : Txn.Incarnation.t vec;
   older : int vec;
+  inc_slot : int vec;
   items : Item.t vec;
 }
 
-let[@inline] site_at st s =
-  match find_id st.site_slot s with
+let[@inline] slot_at st (site : Site.t) =
+  match find_id st.site_slot (site :> int) with
   | -1 ->
-      let at = { locals = ids (); tables = [] } in
-      add_id st.sp st.site_slot s (push st.sites at);
-      at
-  | k -> st.sites.data.(k)
+      let k = push st.sites { site; locals = ids (); tables = [] } in
+      add_id st.sp st.site_slot (site :> int) k;
+      k
+  | k -> k
+
+let[@inline] site_at st site = st.sites.data.(slot_at st site)
 
 let add_txn st m k txn =
   let x = push st.txns txn in
@@ -196,7 +203,7 @@ let[@inline] txn_id st txn =
   match txn with
   | Txn.Global g -> ( match find_id st.globals g with -1 -> add_txn st st.globals g txn | x -> x)
   | Txn.Local { site; n } -> (
-      let locals = (site_at st (site :> int)).locals in
+      let locals = (site_at st site).locals in
       match find_id locals n with -1 -> add_txn st locals n txn | x -> x)
 
 (* An incarnation among the (few) its transaction [x] already has,
@@ -215,6 +222,7 @@ let[@inline] inc_id st x (inc : Txn.Incarnation.t) =
   else begin
     let j = push st.incs inc in
     ignore (push st.older st.newest.data.(x));
+    ignore (push st.inc_slot (slot_at st inc.site));
     st.newest.data.(x) <- j;
     j
   end
@@ -222,7 +230,7 @@ let[@inline] inc_id st x (inc : Txn.Incarnation.t) =
 (* An item by its (site, table), the table's name compared with each of
    the site's, and then by its key. *)
 let[@inline] item_id st (item : Item.t) =
-  let at = site_at st (item.site :> int) in
+  let at = site_at st item.site in
   let keys = table_ids at item.table at.tables in
   match find_id keys item.key with
   | -1 ->
@@ -232,7 +240,7 @@ let[@inline] item_id st (item : Item.t) =
   | k -> k
 
 (* One pass reads every operation once: it fills the code column and
-   interns every transaction, incarnation and item without hashing a
+   interns every site, transaction, incarnation and item without hashing a
    string or calling a polymorphic hash, allocating nothing per
    operation but what a new id stores. The lookups above are inlined
    into it: a lookup that finds its id calls only the walk over its
@@ -251,6 +259,7 @@ let build ops =
       newest = vec ();
       incs = vec ();
       older = vec ();
+      inc_slot = vec ();
       items = vec ();
     }
   in
@@ -274,9 +283,10 @@ let build ops =
         txn_of_op.(i) <- x;
         code_of_op.(i) <- Local_abort;
         inc_of_op.(i) <- inc_id st x inc
-    | Op.Prepare { txn; _ } ->
+    | Op.Prepare { txn; site; _ } ->
         txn_of_op.(i) <- txn_id st txn;
-        code_of_op.(i) <- Prepare
+        code_of_op.(i) <- Prepare;
+        ignore (slot_at st site)
     | Op.Global_commit txn ->
         txn_of_op.(i) <- txn_id st txn;
         code_of_op.(i) <- Global_commit
@@ -324,6 +334,8 @@ let build ops =
       txns = Array.sub st.txns.data 0 n_txns;
       txn_incs;
       incs = Array.map (Array.get incs.data) order;
+      slot_of_inc = Array.map (Array.get st.inc_slot.data) order;
+      sites = Array.init st.sites.len (fun k -> st.sites.data.(k).site);
       items = Array.sub st.items.data 0 st.items.len;
     }
   in
@@ -347,8 +359,8 @@ let index t = (dense t).ix
 (* Every operation of the kept transactions, with the index restricted
    to them. A kept transaction keeps all its operations, so renumbering
    transactions and incarnations in order keeps first-appearance order
-   and the (transaction, site, incarnation) grouping; item ids stay those
-   of the full history. *)
+   and the (transaction, site, incarnation) grouping; item ids and site
+   slots stay those of the full history. *)
 let restrict t ~keep =
   let { ix; find; _ } = dense t in
   if Array.length keep <> Array.length ix.txns then invalid_arg "History.restrict: one flag per transaction";
@@ -387,6 +399,7 @@ let restrict t ~keep =
   let old_txn = invert txn_id !n_txns in
   let txn_incs = Array.make (!n_txns + 1) 0 in
   Array.iteri (fun y x -> txn_incs.(y + 1) <- txn_incs.(y) + ix.txn_incs.(x + 1) - ix.txn_incs.(x)) old_txn;
+  let old_inc = invert inc_id !n_incs in
   let ix' =
     {
       txn_of_op;
@@ -395,7 +408,9 @@ let restrict t ~keep =
       code_of_op;
       txns = Array.map (Array.get ix.txns) old_txn;
       txn_incs;
-      incs = Array.map (Array.get ix.incs) (invert inc_id !n_incs);
+      incs = Array.map (Array.get ix.incs) old_inc;
+      slot_of_inc = Array.map (Array.get ix.slot_of_inc) old_inc;
+      sites = ix.sites;
       items = ix.items;
     }
   in

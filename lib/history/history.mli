@@ -89,6 +89,10 @@ type index = private {
   incs : Txn.Incarnation.t array;
       (** by id: ordered by (transaction id, site, incarnation), so each
           subtransaction's incarnations are consecutive and ascending *)
+  slot_of_inc : int array;  (** by incarnation id: its site's slot *)
+  sites : Site.t array;
+      (** by slot: every site an operation names, in order of first
+          appearance *)
   items : Item.t array;  (** by id *)
 }
 
@@ -98,7 +102,7 @@ val restrict : t -> keep:bool array -> t
 (** [restrict h ~keep] has every operation of the transactions whose id
     [x] has [keep.(x)], in order, and is indexed on creation: its index
     is [h]'s restricted to those transactions, renumbered in order. Item
-    ids stay [h]'s, so some may not occur in the result. The operations
+    ids and site slots stay [h]'s, so some may not occur in the result. The operations
     themselves are copied out of [h] when the result's are first read:
     a checker that reads the index only never pays for them. Raises
     [Invalid_argument] unless [keep] has one flag per transaction. *)

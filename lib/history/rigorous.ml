@@ -142,46 +142,45 @@ let violations h =
 
 let is_rigorous h = violations h = []
 
-(* Every site projection of a global history, from one sweep. Sites get
-   dense slots as they first appear, incarnations' sites first and then
-   those seen only through a Prepare, which get an empty list. [pos.(i)]
-   counts the operations of operation i's site before it that
+(* Every site projection of a global history, from one sweep, over the
+   index's site slots. A site is reported when an incarnation or a
+   Prepare names it; one named only by a Prepare gets an empty list.
+   [pos.(i)] counts the operations of operation i's site before it that
    {!Projection.ltm} keeps, so reported indices are positions in that
    projection. *)
 let check_all_sites h =
   let ix = History.index h in
-  let slots = Int_tbl.create 8 in
-  let slot site =
-    let s = Site.to_int site in
-    match Int_tbl.find slots s with
-    | k -> k
-    | exception Not_found ->
-        let k = Int_tbl.length slots in
-        Int_tbl.add slots s k;
-        k
-  in
-  let slot_of_inc = Array.map (fun (inc : Txn.Incarnation.t) -> slot inc.site) ix.incs in
-  let count = Array.make (Int_tbl.length slots) 0 and pos = Array.make (History.length h) 0 in
+  let n_slots = Array.length ix.sites and slot_of_inc = ix.slot_of_inc in
+  let named = Array.make n_slots false in
+  let slot_of_site = Int_tbl.create n_slots in
+  Array.iteri (fun s site -> Int_tbl.replace slot_of_site (Site.to_int site) s) ix.sites;
+  let count = Array.make n_slots 0 and pos = Array.make (History.length h) 0 in
   Array.iteri
     (fun i j ->
       match j with
       | -1 -> (
-          (* a Prepare's site, which may hold no incarnation *)
           match ix.code_of_op.(i) with
-          | Op.Prepare -> ( match History.get h i with Op.Prepare { site; _ } -> ignore (slot site) | _ -> ())
+          | Op.Prepare -> (
+              match History.get h i with
+              | Op.Prepare { site; _ } -> named.(Int_tbl.find slot_of_site (Site.to_int site)) <- true
+              | _ -> ())
           | _ -> ())
       | j ->
           let s = slot_of_inc.(j) in
+          named.(s) <- true;
           pos.(i) <- count.(s);
           count.(s) <- count.(s) + 1)
     ix.inc_of_op;
-  let found = Array.make (Int_tbl.length slots) [] in
+  let found = Array.make n_slots [] in
   sweep h ~part:slot_of_inc (fun i i' ->
       let s = slot_of_inc.(ix.inc_of_op.(i)) in
       found.(s) <-
         { first = History.get h i; first_index = pos.(i); second = History.get h i'; second_index = pos.(i') }
         :: found.(s));
-  Int_tbl.fold (fun site s acc -> (Site.of_int site, List.sort by_position found.(s)) :: acc) slots []
-  |> List.sort (fun (a, _) (b, _) -> Site.compare a b)
+  let sites = ref [] in
+  for s = n_slots - 1 downto 0 do
+    if named.(s) then sites := (ix.sites.(s), List.sort by_position found.(s)) :: !sites
+  done;
+  List.sort (fun (a, _) (b, _) -> Site.compare a b) !sites
 
 let all_sites_rigorous h = List.for_all (fun (_, vs) -> vs = []) (check_all_sites h)

@@ -24,24 +24,32 @@ let equal_address a b =
   | Acceptor x, Acceptor y -> Int.equal x.gid y.gid && Int.equal x.idx y.idx
   | (Coordinator _ | Agent _ | Acceptor _), _ -> false
 
-(* The fields times 3 plus the constructor, then spread: hash tables
-   mask off the low bits, and shard x of k allocates the gids
-   x + 1 + k * c, whose low bits are all alike when k has a power of two
-   as a factor (with [gid * 3] alone, a shard of 64 put its 128 gids in
-   2 of 128 buckets). Adding [h lsr 5] scales by about 33/32, and the
-   rounding breaks the power-of-two period: a factor up to 2^5 is
-   absorbed (for k up to 128, at most 8 of a shard's gids shared a
-   bucket in tables of 128 to 4096 buckets), and 2^j beyond it leaves
-   about 2^(j-5). The map is increasing, so it adds no collision, and one
-   shard's consecutive gids stay in neighbouring buckets: a
-   multiply-xorshift spread 64 shards as well but scattered them, and
-   one-shard runs paid about 3% for it. *)
-let spread h = h + (h lsr 5)
+(* An address packed into one int, for the network's int-keyed tables:
+   the constructor in the low two bits, its payload above them. An
+   acceptor's payload is its gid above its index. Every key is below
+   2^31, so two of them pack into one link key. *)
+let payload_bits = 29
+let acceptor_index_bits = 4
+let max_acceptors = 1 lsl acceptor_index_bits
 
-let hash_address = function
-  | Coordinator gid -> spread (gid * 3)
-  | Agent s -> spread ((Site.to_int s * 3) + 1)
-  | Acceptor { gid; idx } -> spread ((((gid * 31) + idx) * 3) + 2)
+let out_of_range a = invalid_arg (Fmt.str "Wire.address_key: %a out of range" pp_address a)
+
+let address_key a =
+  match a with
+  | Coordinator gid -> if gid lsr payload_bits <> 0 then out_of_range a else gid lsl 2
+  | Agent s ->
+      let s = Site.to_int s in
+      if s lsr payload_bits <> 0 then out_of_range a else (s lsl 2) lor 1
+  | Acceptor { gid; idx } ->
+      if gid lsr (payload_bits - acceptor_index_bits) <> 0 || idx lsr acceptor_index_bits <> 0 then
+        out_of_range a
+      else (((gid lsl acceptor_index_bits) lor idx) lsl 2) lor 2
+
+(* The source above and source xor destination below: both halves are
+   below 2^31, so the pair comes back out (the destination is the low
+   half xor the source), and both endpoints reach the low bits a table
+   hashes from. *)
+let link_key ~src ~dst = (src lsl 31) lor (src lxor dst)
 
 (* Why a Participant refused PREPARE (or a scheduler refused service). *)
 type refusal =

@@ -14,10 +14,19 @@ type address =
 val pp_address : address Fmt.t
 val equal_address : address -> address -> bool
 
-val hash_address : address -> int
-(** A hash consistent with {!equal_address}, for typed hash tables. The
-    strided gids of one execution shard spread over a table's buckets,
-    and consecutive gids get neighbouring ones. *)
+val address_key : address -> int
+(** [address] packed into one int below [2^31], injectively: the
+    constructor in the low two bits, the payload above. A coordinator's
+    gid and an agent's site must be below [2^29]; an acceptor's gid below
+    [2^25] and its index below {!max_acceptors}. Raises
+    [Invalid_argument] on anything outside those ranges. *)
+
+val max_acceptors : int
+(** 16: the acceptors per gid that {!address_key} can tell apart. *)
+
+val link_key : src:int -> dst:int -> int
+(** The (source, destination) pair of two {!address_key}s packed into
+    one non-negative int, injectively. *)
 
 (** Why a Participant refused PREPARE (or a baseline scheduler refused
     service). *)

@@ -27,6 +27,11 @@ let src = Logs.Src.create "hermes.net" ~doc:"Simulated network traffic"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* Whether [Log.debug] would print: checked before building the
+   message's closure, which the per-message paths would otherwise
+   allocate on every send. *)
+let debug () = Logs.Src.level src = Some Logs.Debug
+
 type endpoint = Any_addr | Addr of Wire.address
 
 type partition = {
@@ -66,24 +71,6 @@ type config = {
 
 let default_config = { base_delay = 500; jitter = 200; faults = no_faults }
 
-(* Tables keyed by address (and by link) hash and compare with the
-   address's own functions, not the polymorphic ones: they are consulted
-   on every send and every delivery. None of them is iterated, so the
-   choice of hash cannot reorder anything. *)
-module Addr_tbl = Hashtbl.Make (struct
-  type t = Wire.address
-
-  let equal = Wire.equal_address
-  let hash = Wire.hash_address
-end)
-
-module Link_tbl = Hashtbl.Make (struct
-  type t = Wire.address * Wire.address
-
-  let equal (s, d) (s', d') = Wire.equal_address s s' && Wire.equal_address d d'
-  let hash (s, d) = (Wire.hash_address s * 65599) + Wire.hash_address d
-end)
-
 type fabric = {
   here : int;  (* this network instance's shard *)
   locate : Wire.address -> int;  (* owning shard of an address *)
@@ -97,16 +84,19 @@ type t = {
   rng : Rng.t;
   config : config;
   fabric : fabric option;
-  handlers : (Wire.t -> unit) Addr_tbl.t;
-  last_delivery : Time.t ref Link_tbl.t;
+  (* Tables keyed by {!Wire.address_key} (and the link table by
+     {!Wire.link_key}): they are consulted on every send and every
+     delivery. None of them is iterated in an order that matters. *)
+  handlers : (Wire.t -> unit) Int_tbl.t;
+  last_delivery : Time.t ref Int_tbl.t;
       (* per link: the arrival of its last message, while that is not yet
          past (see [prune_links]); a cell, so a send updates it in place *)
   mutable prune_at : int;  (* sweep [last_delivery] when it holds this many *)
-  in_flight : (Time.t * int) list Addr_tbl.t option;
+  in_flight : (Time.t * int) list Int_tbl.t option;
       (* with [obs] only, per destination: every in-flight (arrival, gid),
          purged on delivery, for overtaking detection (the §5.3 race is
          cross-link, so per-link FIFO does not prevent it) *)
-  down : unit Addr_tbl.t;
+  down : unit Int_tbl.t;
   mutable down_rule : Wire.address -> bool;
       (* addresses down without a mark of their own (see [set_down_rule]) *)
   mutable gray_rule : Wire.address -> bool;
@@ -139,11 +129,11 @@ let create ~engine ~rng ?obs ?fabric ~config () = {
   rng;
   config;
   fabric;
-  handlers = Addr_tbl.create 32;
-  last_delivery = Link_tbl.create links_floor;
+  handlers = Int_tbl.create 32;
+  last_delivery = Int_tbl.create links_floor;
   prune_at = links_floor;
-  in_flight = Option.map (fun _ -> Addr_tbl.create 32) obs;
-  down = Addr_tbl.create 4;
+  in_flight = Option.map (fun _ -> Int_tbl.create 32) obs;
+  down = Int_tbl.create 4;
   down_rule = (fun _ -> false);
   gray_rule = (fun _ -> false);
   responder = (fun _ -> false);
@@ -157,21 +147,21 @@ let create ~engine ~rng ?obs ?fabric ~config () = {
   lossy = config_lossy config.faults;
 }
 
-let register t addr handler = Addr_tbl.replace t.handlers addr handler
-let unregister t addr = Addr_tbl.remove t.handlers addr
+let register t addr handler = Int_tbl.replace t.handlers (Wire.address_key addr) handler
+let unregister t addr = Int_tbl.remove t.handlers (Wire.address_key addr)
 
 let assume_lossy t = t.lossy <- true
 let lossy t = t.lossy
 
 let mark_down t addr =
   t.lossy <- true;
-  Addr_tbl.replace t.down addr ()
+  Int_tbl.replace t.down (Wire.address_key addr) ()
 
-let mark_up t addr = Addr_tbl.remove t.down addr
+let mark_up t addr = Int_tbl.remove t.down (Wire.address_key addr)
 let set_down_rule t rule = t.down_rule <- rule
 
-let is_down t addr =
-  (Addr_tbl.length t.down > 0 && Addr_tbl.mem t.down addr) || t.down_rule addr
+let down_at t addr ~key = (Int_tbl.length t.down > 0 && Int_tbl.mem t.down key) || t.down_rule addr
+let is_down t addr = down_at t addr ~key:(Wire.address_key addr)
 
 (* Gray failure: [addr]'s links slow down by [gray_factor] but nothing is
    lost, so — unlike [mark_down] — the network stays non-lossy and no
@@ -193,18 +183,21 @@ let count_drop t ~at ~dst ~gid ~reason =
 let endpoint_matches ep addr = match ep with Any_addr -> true | Addr a -> Wire.equal_address a addr
 
 let partitioned t ~src ~dst ~now =
-  List.exists
-    (fun { between = a, b; window = lo, hi } ->
-      let tick = Time.to_int now in
-      tick >= lo && tick < hi
-      && ((endpoint_matches a src && endpoint_matches b dst)
-         || (endpoint_matches a dst && endpoint_matches b src)))
-    t.config.faults.partitions
+  match t.config.faults.partitions with
+  | [] -> false
+  | partitions ->
+      List.exists
+        (fun { between = a, b; window = lo, hi } ->
+          let tick = Time.to_int now in
+          tick >= lo && tick < hi
+          && ((endpoint_matches a src && endpoint_matches b dst)
+             || (endpoint_matches a dst && endpoint_matches b src)))
+        partitions
 
 (* Remove one in-flight record (the delivered copy); identical tuples are
    interchangeable, so removing the first match is enough. *)
-let purge_in_flight in_flight dst ~arrival ~gid =
-  match Addr_tbl.find_opt in_flight dst with
+let purge_in_flight in_flight dkey ~arrival ~gid =
+  match Int_tbl.find_opt in_flight dkey with
   | None -> ()
   | Some l ->
       let rec drop_one = function
@@ -213,13 +206,13 @@ let purge_in_flight in_flight dst ~arrival ~gid =
         | e :: rest -> e :: drop_one rest
       in
       (match drop_one l with
-      | [] -> Addr_tbl.remove in_flight dst
-      | l' -> Addr_tbl.replace in_flight dst l')
+      | [] -> Int_tbl.remove in_flight dkey
+      | l' -> Int_tbl.replace in_flight dkey l')
 
 (* Account overtaking against every in-flight message to the same
    destination, then record this one in flight. *)
-let account_overtakes t in_flight ~now ~dst ~gid ~arrival =
-  let inbound = Option.value (Addr_tbl.find_opt in_flight dst) ~default:[] in
+let account_overtakes t in_flight ~now ~dst ~dkey ~gid ~arrival =
+  let inbound = Option.value (Int_tbl.find_opt in_flight dkey) ~default:[] in
   List.iter
     (fun (behind_arrival, behind_gid) ->
       if Time.(behind_arrival > arrival) then begin
@@ -228,29 +221,29 @@ let account_overtakes t in_flight ~now ~dst ~gid ~arrival =
             Tracer.Overtaking { dst = Fmt.str "%a" Wire.pp_address dst; gid; behind_gid })
       end)
     inbound;
-  Addr_tbl.replace in_flight dst ((arrival, gid) :: inbound)
+  Int_tbl.replace in_flight dkey ((arrival, gid) :: inbound)
 
 (* Destination-side intake: account overtaking (with [obs] only: nothing
    else reads the in-flight records) and schedule the delivery (which
    re-checks the down set — a message in flight when its destination goes
    down is lost). Runs on the destination's engine: directly from
    [transmit] when the destination is local, via [deliver_remote] when it
-   arrived over the fabric. *)
-let intake t msg ~arrival =
+   arrived over the fabric. [dkey] is the destination's address key. *)
+let intake t msg ~dkey ~arrival =
   let { Wire.dst; gid; _ } = msg in
   let now = Engine.now t.engine in
   (match t.in_flight with
-  | Some in_flight -> account_overtakes t in_flight ~now ~dst ~gid ~arrival
+  | Some in_flight -> account_overtakes t in_flight ~now ~dst ~dkey ~gid ~arrival
   | None -> ());
-  Log.debug (fun m -> m "[%a] %a (delivery %a)" Time.pp now Wire.pp msg Time.pp arrival);
+  if debug () then Log.debug (fun m -> m "[%a] %a (delivery %a)" Time.pp now Wire.pp msg Time.pp arrival);
   Engine.schedule_unit t.engine ~delay:(Time.diff arrival now) (fun () ->
       (match t.in_flight with
-      | Some in_flight -> purge_in_flight in_flight dst ~arrival ~gid
+      | Some in_flight -> purge_in_flight in_flight dkey ~arrival ~gid
       | None -> ());
-      if is_down t dst then count_drop t ~at:arrival ~dst ~gid ~reason:"down"
+      if down_at t dst ~key:dkey then count_drop t ~at:arrival ~dst ~gid ~reason:"down"
       else begin
         t.delivered <- t.delivered + 1;
-        match Addr_tbl.find_opt t.handlers dst with
+        match Int_tbl.find_opt t.handlers dkey with
         | Some handler -> handler msg
         | None ->
             if not (t.responder msg) then
@@ -258,7 +251,7 @@ let intake t msg ~arrival =
                 Wire.pp msg
       end)
 
-let deliver_remote t ~arrival msg = intake t msg ~arrival
+let deliver_remote t ~arrival msg = intake t msg ~dkey:(Wire.address_key msg.Wire.dst) ~arrival
 
 (* A link's clamp only ever moves an arrival that is not after the
    link's last one, and every arrival is at or after [now]: an entry with
@@ -267,10 +260,10 @@ let deliver_remote t ~arrival msg = intake t msg ~arrival
    every (coordinator, site) link of the run, at amortized constant cost
    per send. *)
 let prune_links t ~now =
-  Link_tbl.filter_map_inplace
+  Int_tbl.filter_map_inplace
     (fun _ last -> if Time.(!last < now) then None else Some last)
     t.last_delivery;
-  t.prune_at <- max links_floor (2 * Link_tbl.length t.last_delivery)
+  t.prune_at <- max links_floor (2 * Int_tbl.length t.last_delivery)
 
 (* Put one copy of [msg] on the wire: draw its delay, clamp to per-link
    FIFO, then either hand it to the local intake or forward it to the
@@ -296,25 +289,28 @@ let transmit t msg ~now =
   (* Per-link FIFO: never deliver before the link's previous message.
      One lookup: a known link's cell is updated in place. *)
   let earliest = Time.add now delay in
+  let dkey = Wire.address_key dst in
+  let link = Wire.link_key ~src:(Wire.address_key src) ~dst:dkey in
   let arrival =
-    match Link_tbl.find t.last_delivery (src, dst) with
+    match Int_tbl.find t.last_delivery link with
     | last ->
         let arrival = if Time.(!last >= earliest) then Time.add !last 1 else earliest in
         last := arrival;
         arrival
     | exception Not_found ->
-        Link_tbl.add t.last_delivery (src, dst) (ref earliest);
-        if Link_tbl.length t.last_delivery >= t.prune_at then prune_links t ~now;
+        Int_tbl.add t.last_delivery link (ref earliest);
+        if Int_tbl.length t.last_delivery >= t.prune_at then prune_links t ~now;
         earliest
   in
   (match t.delay_hist with Some h -> Histogram.record h (Time.diff arrival now) | None -> ());
   match t.fabric with
   | Some f when f.locate dst <> f.here ->
-      Log.debug (fun m ->
-          m "[%a] %a (forward to shard %d, delivery %a)" Time.pp now Wire.pp msg (f.locate dst)
-            Time.pp arrival);
+      if debug () then
+        Log.debug (fun m ->
+            m "[%a] %a (forward to shard %d, delivery %a)" Time.pp now Wire.pp msg (f.locate dst)
+              Time.pp arrival);
       f.forward ~shard:(f.locate dst) ~arrival msg
-  | _ -> intake t msg ~arrival
+  | _ -> intake t msg ~dkey ~arrival
 
 let send t ~src ~dst ~gid payload =
   let msg = { Wire.src; dst; gid; payload } in
@@ -340,8 +336,8 @@ let sent t = t.sent
 let delivered t = t.delivered
 let dropped t = t.dropped
 let duplicated t = t.duplicated
-let links t = Link_tbl.length t.last_delivery
-let handlers t = Addr_tbl.length t.handlers
+let links t = Int_tbl.length t.last_delivery
+let handlers t = Int_tbl.length t.handlers
 
 let in_flight t =
-  Option.fold ~none:0 ~some:(fun f -> Addr_tbl.fold (fun _ l n -> n + List.length l) f 0) t.in_flight
+  Option.fold ~none:0 ~some:(fun f -> Int_tbl.fold (fun _ l n -> n + List.length l) f 0) t.in_flight

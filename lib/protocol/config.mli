@@ -24,7 +24,9 @@ type commit_proto =
       (** Gray & Lamport's Paxos Commit: the decision is a
           Paxos-replicated register over [2f+1] acceptors with [f+1]
           read/write quorums — commit survives [f] replica failures with
-          zero blocking. *)
+          zero blocking. [2f+1] is at most {!Hermes_kernel.Wire.max_acceptors}
+          (so [f <= 7]): the network packs an acceptor's index into four
+          bits. *)
 
 (** The process-fault adversary: deterministic misbehaviours injected
     inside otherwise-honest machines.  With every knob at its

@@ -10,12 +10,13 @@
    commit-certification retry timers (Appendix A and C of the paper) need
    cancellation when a subtransaction leaves the prepared state.
 
-   The queue is a binary min-heap whose entries are three ints: the
-   event's time, its sequence number and the slot that holds it. An event
-   is written into its slot once, when scheduled, and read back once, when
-   popped; a sift step moves only ints. The arrays live in the major heap,
-   so storing a pointer to a young event into them goes through the write
-   barrier; storing an int does not. *)
+   The queue is a binary min-heap whose entries are two ints: a key that
+   packs the event's time above its sequence number, so that one integer
+   comparison orders (time, sequence) pairs, and the slot that holds the
+   event. An event is written into its slot once, when scheduled, and read
+   back once, when popped; a sift step moves only ints. The arrays live in
+   the major heap, so storing a pointer to a young event into them goes
+   through the write barrier; storing an int does not. *)
 
 open Hermes_kernel
 
@@ -28,10 +29,9 @@ let vacant = { at = Time.zero; run = ignore; cancelled = true }
 
 type t = {
   mutable now : Time.t;
-  (* The heap: entry [i] is ([times.(i)], [seqs.(i)], [slots.(i)]), ordered by
-     (at, seq); entries [0 .. size - 1] are live. *)
-  mutable times : int array;
-  mutable seqs : int array;
+  (* The heap: entry [i] is ([keys.(i)], [slots.(i)]), ordered by key;
+     entries [0 .. size - 1] are live. *)
+  mutable keys : int array;
   mutable slots : int array;
   mutable size : int;
   mutable table : event array;  (* slot -> event *)
@@ -48,19 +48,29 @@ type t = {
 
 exception Stuck of string
 
+(* A key is [time lsl seq_bits lor seq]: 32 bits of time (about 71
+   simulated minutes; the longest run here stops at 10^9 ticks) above 30
+   bits of sequence number (about 10^9 schedules; [run] stops at 5 * 10^7
+   events unless told otherwise). Both parts are non-negative, so keys
+   compare as the pairs do, and no key is negative. *)
+let seq_bits = 30
+let max_seq = (1 lsl seq_bits) - 1
+let max_time = Time.of_int (max_int lsr seq_bits)
+let[@inline] time_of key = key lsr seq_bits
+
 let initial_capacity = 16
 
-let create () =
+let create ?(first_seq = 0) () =
+  if first_seq < 0 || first_seq > max_seq then invalid_arg "Engine.create: first_seq out of range";
   let n = initial_capacity in
   {
     now = Time.zero;
-    times = Array.make n 0;
-    seqs = Array.make n 0;
+    keys = Array.make n 0;
     slots = Array.make n 0;
     size = 0;
     table = Array.make n vacant;
     free = Array.init n (fun i -> n - 1 - i);
-    next_seq = 0;
+    next_seq = first_seq;
     executed = 0;
     halted = false;
     last_fired = Time.zero;
@@ -74,54 +84,57 @@ let last_event_at t = t.last_fired
 (* Double every array; the new slots are all free. Called only when the
    heap is full, so no slot is free before. *)
 let grow t =
-  let n = Array.length t.times in
+  let n = Array.length t.keys in
   let extend a fill =
     let b = Array.make (2 * n) fill in
     Array.blit a 0 b 0 n;
     b
   in
-  t.times <- extend t.times 0;
-  t.seqs <- extend t.seqs 0;
+  t.keys <- extend t.keys 0;
   t.slots <- extend t.slots 0;
   t.table <- extend t.table vacant;
   t.free <- Array.init (2 * n) (fun i -> (2 * n) - 1 - i)
 
-let[@inline] before t i ~at ~seq = t.times.(i) < at || (t.times.(i) = at && t.seqs.(i) < seq)
+(* The sifts index the arrays unchecked: every position they touch is
+   below [t.size] or is the hole at [t.size], and both arrays hold
+   [Array.length t.keys] entries. *)
+let[@inline] key t i = Array.unsafe_get t.keys i
 
-let[@inline] put t i ~at ~seq ~slot =
-  t.times.(i) <- at;
-  t.seqs.(i) <- seq;
-  t.slots.(i) <- slot
+let[@inline] put t i ~key ~slot =
+  Array.unsafe_set t.keys i key;
+  Array.unsafe_set t.slots i slot
 
-let[@inline] move t ~src ~dst = put t dst ~at:t.times.(src) ~seq:t.seqs.(src) ~slot:t.slots.(src)
+let[@inline] move t ~src ~dst = put t dst ~key:(key t src) ~slot:(Array.unsafe_get t.slots src)
 
-(* Sift the hole at [i] up to where (at, seq) belongs, then fill it. *)
-let rec sift_up t i ~at ~seq ~slot =
+(* Sift the hole at [i] up to where [key] belongs, then fill it. *)
+let rec sift_up t i ~key:k ~slot =
   let parent = (i - 1) / 2 in
-  if i > 0 && not (before t parent ~at ~seq) then begin
+  if i > 0 && key t parent > k then begin
     move t ~src:parent ~dst:i;
-    sift_up t parent ~at ~seq ~slot
+    sift_up t parent ~key:k ~slot
   end
-  else put t i ~at ~seq ~slot
+  else put t i ~key:k ~slot
 
-(* Sift the hole at [i] down to where (at, seq) belongs among the first
+(* Sift the hole at [i] down to where [key] belongs among the first
    [t.size] entries, then fill it. *)
-let rec sift_down t i ~at ~seq ~slot =
+let rec sift_down t i ~key:k ~slot =
   let l = (2 * i) + 1 in
-  let c = if l + 1 < t.size && before t (l + 1) ~at:t.times.(l) ~seq:t.seqs.(l) then l + 1 else l in
-  if c < t.size && before t c ~at ~seq then begin
+  let c = if l + 1 < t.size && key t (l + 1) < key t l then l + 1 else l in
+  if c < t.size && key t c < k then begin
     move t ~src:c ~dst:i;
-    sift_down t c ~at ~seq ~slot
+    sift_down t c ~key:k ~slot
   end
-  else put t i ~at ~seq ~slot
+  else put t i ~key:k ~slot
 
 let schedule t ~delay run =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
+  if delay > Time.diff max_time t.now then invalid_arg "Engine.schedule: fire time past Engine.max_time";
+  if t.next_seq > max_seq then invalid_arg "Engine.schedule: sequence numbers exhausted";
   let ev = { at = Time.add t.now delay; run; cancelled = false } in
-  if t.size = Array.length t.times then grow t;
+  if t.size = Array.length t.keys then grow t;
   let slot = t.free.(Array.length t.free - t.size - 1) in
   t.table.(slot) <- ev;
-  sift_up t t.size ~at:(ev.at :> int) ~seq:t.next_seq ~slot;
+  sift_up t t.size ~key:(((ev.at :> int) lsl seq_bits) lor t.next_seq) ~slot;
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   if t.size > t.max_pending then t.max_pending <- t.size;
@@ -142,7 +155,7 @@ let pop t =
   t.size <- t.size - 1;
   t.free.(Array.length t.free - t.size - 1) <- slot;
   let last = t.size in
-  if last > 0 then sift_down t 0 ~at:t.times.(last) ~seq:t.seqs.(last) ~slot:t.slots.(last);
+  if last > 0 then sift_down t 0 ~key:t.keys.(last) ~slot:t.slots.(last);
   ev
 
 let step t =
@@ -160,7 +173,7 @@ let step t =
     true
   end
 
-let next_at t = if t.size = 0 then None else Some (Time.of_int t.times.(0))
+let next_at t = if t.size = 0 then None else Some (Time.of_int (time_of t.keys.(0)))
 
 type stats = { events : int; max_pending : int; cancelled : int; live : int }
 
@@ -170,7 +183,7 @@ let stats t =
 let run ?until ?(max_events = 50_000_000) t =
   (* An event is due when one is pending at or before [until]. *)
   let due () =
-    t.size > 0 && match until with None -> true | Some limit -> t.times.(0) <= (limit : Time.t :> int)
+    t.size > 0 && match until with None -> true | Some limit -> time_of t.keys.(0) <= (limit : Time.t :> int)
   in
   while (not t.halted) && t.executed < max_events && due () do
     ignore (step t)

@@ -11,7 +11,18 @@ type timer
 exception Stuck of string
 (** Raised by {!run} when the event budget is exhausted — a livelock guard. *)
 
-val create : unit -> t
+val create : ?first_seq:int -> unit -> t
+(** [first_seq] (default 0, at most {!max_seq}) is the sequence number
+    of the first event scheduled: the tests start near {!max_seq} with
+    it. *)
+
+val max_time : Time.t
+(** The latest time an event may fire at: [2^32 - 1] ticks. *)
+
+val max_seq : int
+(** The sequence numbers an engine hands out, one per {!schedule}
+    (cancelled timers included), run from [0] to [max_seq = 2^30 - 1]. *)
+
 val now : t -> Time.t
 
 val last_event_at : t -> Time.t
@@ -30,7 +41,10 @@ val stats : t -> stats
 
 val schedule : t -> delay:int -> (unit -> unit) -> timer
 (** Schedule a callback [delay] ticks from now (0 is allowed: it fires after
-    all already-scheduled events at the current instant). *)
+    all already-scheduled events at the current instant). Raises
+    [Invalid_argument] if [delay] is negative, if the event would fire
+    after {!max_time}, or if the engine has handed out {!max_seq}
+    already. *)
 
 val schedule_unit : t -> delay:int -> (unit -> unit) -> unit
 val cancel : timer -> unit

@@ -80,7 +80,11 @@ let think_time t =
   | Closed { think_time_mean; _ } -> think_time_mean
   | Open _ -> default_think_time
 
-let table_name i = "T" ^ string_of_int i
+(* One string per table index: every generated command names its table
+   with the string the site's tables were created with, so a lookup by
+   name that meets it stops at physical equality. *)
+let table_names = Array.init 64 (fun i -> "T" ^ string_of_int i)
+let table_name i = if 0 <= i && i < Array.length table_names then table_names.(i) else "T" ^ string_of_int i
 let tables t = List.init t.n_tables table_name
 
 let pp_arrival ppf = function

@@ -84,6 +84,8 @@ val think_time : t -> int
     and local clients. *)
 
 val table_name : int -> string
+(** ["T<i>"]: for [i] below 64, the same string on every call. *)
+
 val tables : t -> string list
 val pp_arrival : arrival Fmt.t
 val pp_key_dist : key_dist Fmt.t

@@ -242,14 +242,18 @@ module History = Hermes_history.History
 module Report = Hermes_history.Report
 module Serial_format = Hermes_history.Serial_format
 
-(* The history `hermes run --sites S -n N [--failure F] [--drop D] [-c
-   naive] --seed K` records, its setup built as the CLI builds it from
-   those flags, every other flag at its default. *)
-let cli_history ?(failure = 0.0) ?(drop = 0.0) ?(certifier = Config.full) ~sites ~n ~seed () =
+(* The history `hermes run --sites S -n N [--failure F] [--drop D] [--dup
+   P] [--jitter J] [--crashes C --reboot-delay R] [--crash-coordinator]
+   [--commit-proto paxos] [--gray-sites G --gray-factor X] [--domains M]
+   [-c naive] --seed K` records, its setup built as the CLI builds it
+   from those flags, every other flag at its default. *)
+let cli_history ?(failure = 0.0) ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 200) ?(crashes = 0)
+    ?(reboot_delay = 0) ?(crash_coordinator = false) ?(commit_proto = Config.Two_pc) ?(gray_sites = [])
+    ?(gray_factor = 20) ?(domains = 1) ?(certifier = Config.full) ~sites ~n ~seed () =
   let certifier =
     {
       certifier with
-      Config.commit_proto = Config.Two_pc;
+      Config.commit_proto;
       adversary = Config.no_adversary;
       decision_certificates = false;
       max_sn_drift = None;
@@ -264,11 +268,15 @@ let cli_history ?(failure = 0.0) ?(drop = 0.0) ?(certifier = Config.full) ~sites
       net =
         {
           Network.base_delay = 500;
-          jitter = 200;
-          faults = { Network.no_faults with drop; dup = 0.0; gray_sites = []; gray_factor = 20 };
+          jitter;
+          faults = { Network.no_faults with drop; dup; gray_sites; gray_factor };
         };
       clock_of_site = (fun _ -> Hermes_kernel.Clock.make ~offset:0 ());
       seed;
+      crash_schedule = List.init crashes (fun i -> (20_000 + (i * 30_000), i mod max 1 sites));
+      reboot_delay;
+      crash_coordinators = crash_coordinator;
+      domains;
       spec =
         Spec.make ~n_sites:sites ~n_global:n
           ~arrival:(Spec.Closed { mpl = 4; think_time_mean = Spec.think_time Spec.default })
@@ -342,6 +350,28 @@ let verify_smoke_64 () =
   expect_md5 "wn.trace" "06e6406413f29796027529dba46bc6d0" (Serial_format.to_string wn);
   expect_md5 "wn report" "771d1c58c84799970e7a7a71df33b6b1" (report wn)
 
+(* The other dumps CI pins: duplicates with a wide jitter, crashes of
+   sites and their coordinators under Paxos Commit, a gray site, and the
+   16-site run merged from 2 and from 4 domains (one dump for both). *)
+let verify_smoke_duplicates () =
+  let h = cli_history ~sites:4 ~n:2000 ~failure:0.2 ~drop:0.01 ~dup:0.05 ~jitter:5000 ~seed:3 () in
+  expect_md5 "j.trace" "ccf1e17099ae4d5e51547ef4d59b1e92" (Serial_format.to_string h)
+
+let verify_smoke_crashes () =
+  let h =
+    cli_history ~sites:4 ~n:2000 ~failure:0.2 ~drop:0.01 ~crashes:40 ~reboot_delay:20_000
+      ~crash_coordinator:true ~commit_proto:(Config.Paxos { f = 1 }) ~seed:3 ()
+  in
+  expect_md5 "c.trace" "7f159f9c055a35215dfb3c182f70291a" (Serial_format.to_string h)
+
+let verify_smoke_gray () =
+  let h = cli_history ~sites:4 ~n:2000 ~gray_sites:[ 1 ] ~gray_factor:4 ~seed:3 () in
+  expect_md5 "g.trace" "4f814fd1db1afa6e2aa218ef74e01157" (Serial_format.to_string h)
+
+let verify_smoke_merge domains () =
+  let h = cli_history ~sites:16 ~n:800 ~domains ~seed:2 () in
+  expect_md5 (Fmt.str "m%d.trace" domains) "714449c82741fb26442a560f909033c8" (Serial_format.to_string h)
+
 let () =
   Alcotest.run "gates"
     [
@@ -364,5 +394,10 @@ let () =
           Alcotest.test_case "fault run and its rigorousness-breaking edit" `Slow verify_smoke;
           Alcotest.test_case "distorting naive run" `Slow verify_smoke_distorting;
           Alcotest.test_case "64 sites: clean, wrong value, distorting" `Slow verify_smoke_64;
+          Alcotest.test_case "duplicates and a wide jitter" `Slow verify_smoke_duplicates;
+          Alcotest.test_case "site and coordinator crashes under Paxos Commit" `Slow verify_smoke_crashes;
+          Alcotest.test_case "a gray site" `Slow verify_smoke_gray;
+          Alcotest.test_case "16 sites merged from 2 domains" `Slow (verify_smoke_merge 2);
+          Alcotest.test_case "16 sites merged from 4 domains" `Slow (verify_smoke_merge 4);
         ] );
     ]

@@ -320,23 +320,86 @@ let test_comparators_do_not_allocate () =
       Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0. (minor_words_of f))
     cases
 
-(* Shard x of k allocates the gids x + 1 + k * c. The 128 gids of every
-   shard must spread over a 128-bucket table (the hash masked to its low
-   7 bits, as [Hashtbl.Make] does) with at most 8 in any bucket; with the
-   hash [gid * 3] a shard of 64 put all 128 into 2 buckets. *)
-let test_hash_address_spreads_strided_gids () =
+(* Shard x of k allocates the gids x + 1 + k * c. Packed, the 10 000
+   coordinator addresses of a shard, and the acceptor addresses of its
+   gids, must spread over an [Int_tbl]'s buckets as the gids themselves
+   do: no bucket holds more than 10. *)
+let test_address_keys_spread_strided_gids () =
+  let addresses =
+    [
+      ("coordinator", fun gid -> Wire.Coordinator gid);
+      ("acceptor 0", fun gid -> Wire.Acceptor { gid; idx = 0 });
+      ("acceptor 2", fun gid -> Wire.Acceptor { gid; idx = 2 });
+    ]
+  in
   List.iter
     (fun k ->
-      for x = 0 to k - 1 do
-        let buckets = Array.make 128 0 in
-        for c = 0 to 127 do
-          let b = Wire.hash_address (Wire.Coordinator (x + 1 + (k * c))) land 127 in
-          buckets.(b) <- buckets.(b) + 1
-        done;
-        let worst = Array.fold_left max 0 buckets in
-        if worst > 8 then Alcotest.failf "k = %d, shard %d: %d gids in one bucket" k x worst
-      done)
-    [ 1; 16; 64 ]
+      List.iter
+        (fun x ->
+          List.iter
+            (fun (what, address) ->
+              let t = Int_tbl.create 16 in
+              for c = 0 to 9_999 do
+                Int_tbl.replace t (Wire.address_key (address (x + 1 + (k * c)))) ()
+              done;
+              let worst = Int_tbl.max_bucket_length t in
+              if worst > 10 then Alcotest.failf "%s, k = %d, shard %d: %d in one bucket" what k x worst)
+            addresses)
+        [ 0; k / 2; k - 1 ])
+    [ 1; 16; 64; 128 ]
+
+(* Addresses in range, including the largest each field allows. *)
+let gen_address =
+  let max_gid = (1 lsl 29) - 1 and max_acceptor_gid = (1 lsl 25) - 1 in
+  let field bound = QCheck.Gen.(oneof [ int_bound 40; int_range (bound - 40) bound ]) in
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun gid -> Wire.Coordinator gid) (field max_gid);
+        map (fun s -> Wire.Agent (Site.of_int s)) (field max_gid);
+        map2
+          (fun gid idx -> Wire.Acceptor { gid; idx })
+          (field max_acceptor_gid)
+          (int_bound (Wire.max_acceptors - 1));
+      ])
+
+let print_address = Fmt.str "%a" Wire.pp_address
+
+(* Distinct addresses get distinct keys, and distinct links distinct
+   link keys: a shared key would merge two handlers or two links' FIFO
+   clamps. *)
+let prop_address_keys_injective =
+  QCheck.Test.make ~name:"address and link keys are injective" ~count:1000
+    (QCheck.make
+       ~print:QCheck.Print.(quad print_address print_address print_address print_address)
+       QCheck.Gen.(quad gen_address gen_address gen_address gen_address))
+    (fun (a, b, c, d) ->
+      let key = Wire.address_key in
+      let link s d = Wire.link_key ~src:(key s) ~dst:(key d) in
+      let same_links = Wire.equal_address a c && Wire.equal_address b d in
+      Bool.equal (Wire.equal_address a b) (key a = key b)
+      && key a >= 0
+      && key a < 1 lsl 31
+      && Bool.equal same_links (link a b = link c d)
+      && link a b >= 0)
+
+let test_address_key_range () =
+  let refused a =
+    match Wire.address_key a with
+    | _ -> Alcotest.failf "%a: key given" Wire.pp_address a
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter refused
+    [
+      Wire.Coordinator (-1);
+      Wire.Coordinator (1 lsl 29);
+      Wire.Coordinator max_int;
+      Wire.Agent (Site.of_int (1 lsl 29));
+      Wire.Acceptor { gid = 1 lsl 25; idx = 0 };
+      Wire.Acceptor { gid = -1; idx = 0 };
+      Wire.Acceptor { gid = 1; idx = Wire.max_acceptors };
+      Wire.Acceptor { gid = 1; idx = -1 };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Int_tbl                                                             *)
@@ -421,6 +484,130 @@ let prop_int_tbl_agrees_with_hashtbl =
               true)
         ops)
 
+(* Against the functor instance Int_tbl used to be. Beyond the answers,
+   the layout: both tables start from the same size, grow past the same
+   loads and keep each bucket in the same order, so every traversal
+   visits the bindings in the same order. Runs of strided keys force
+   resizes; [Add_in_fold] adds keys from inside a traversal, where a
+   resize must copy the buckets the traversal is walking. *)
+module R = Int_tbl_reference
+
+type layout_op =
+  | L_add of int * int
+  | L_replace of int * int
+  | L_remove of int
+  | L_find of int
+  | L_find_all of int
+  | L_mem of int
+  | L_run of int * int * int  (* [n] keys from [first], [stride] apart, each added *)
+  | L_fold
+  | L_iter
+  | L_filter of int  (* keep the bindings whose key + data is not a multiple of it, data + 1 *)
+  | L_add_in_fold of int  (* add this many keys at the first binding visited *)
+  | L_reset
+
+let gen_layout_op =
+  QCheck.Gen.(
+    let k = gen_int_tbl_key and v = int_bound 1000 in
+    frequency
+      [
+        (4, map2 (fun k v -> L_add (k, v)) k v);
+        (4, map2 (fun k v -> L_replace (k, v)) k v);
+        (3, map (fun k -> L_remove k) k);
+        (2, map (fun k -> L_find k) k);
+        (2, map (fun k -> L_find_all k) k);
+        (1, map (fun k -> L_mem k) k);
+        (2, map3 (fun n first stride -> L_run (n, first, stride)) (int_range 1 80) (int_bound 1000) (oneofl [ 1; 2; 64; 128; 1 lsl 20 ]));
+        (2, return L_fold);
+        (1, return L_iter);
+        (1, map (fun m -> L_filter m) (int_range 2 5));
+        (1, map (fun n -> L_add_in_fold n) (int_range 1 70));
+        (1, return L_reset);
+      ])
+
+let pp_layout_op ppf = function
+  | L_add (k, v) -> Fmt.pf ppf "add %d %d" k v
+  | L_replace (k, v) -> Fmt.pf ppf "replace %d %d" k v
+  | L_remove k -> Fmt.pf ppf "remove %d" k
+  | L_find k -> Fmt.pf ppf "find %d" k
+  | L_find_all k -> Fmt.pf ppf "find_all %d" k
+  | L_mem k -> Fmt.pf ppf "mem %d" k
+  | L_run (n, first, stride) -> Fmt.pf ppf "run %d from %d by %d" n first stride
+  | L_fold -> Fmt.string ppf "fold"
+  | L_iter -> Fmt.string ppf "iter"
+  | L_filter m -> Fmt.pf ppf "filter %d" m
+  | L_add_in_fold n -> Fmt.pf ppf "add %d in fold" n
+  | L_reset -> Fmt.string ppf "reset"
+
+let prop_int_tbl_layout =
+  QCheck.Test.make ~name:"Int_tbl lays out and traverses as its functor instance" ~count:1000
+    (QCheck.make
+       ~print:(fun (n, ops) -> Fmt.str "create %d; %a" n Fmt.(list ~sep:semi pp_layout_op) ops)
+       QCheck.Gen.(pair (int_range 1 40) (list_size (int_range 1 300) gen_layout_op)))
+    (fun (n, ops) ->
+      let t = Int_tbl.create n and r = R.create n in
+      let find f tbl k = match f tbl k with v -> Some v | exception Not_found -> None in
+      let visits fold tbl = List.rev (fold (fun k v acc -> (k, v) :: acc) tbl []) in
+      let iter_visits iter tbl =
+        let l = ref [] in
+        iter (fun k v -> l := (k, v) :: !l) tbl;
+        List.rev !l
+      in
+      let adding_fold fold add tbl m =
+        let added = ref false in
+        List.rev
+          (fold
+             (fun k v acc ->
+               if not !added then begin
+                 added := true;
+                 for i = 1 to m do
+                   add tbl (k + (i * 17)) i
+                 done
+               end;
+               (k, v) :: acc)
+             tbl [])
+      in
+      let filter m k v = if (k + v) mod m = 0 then None else Some (v + 1) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | L_add (k, v) ->
+              Int_tbl.add t k v;
+              R.add r k v;
+              true
+          | L_replace (k, v) ->
+              Int_tbl.replace t k v;
+              R.replace r k v;
+              true
+          | L_remove k ->
+              Int_tbl.remove t k;
+              R.remove r k;
+              true
+          | L_find k -> find Int_tbl.find t k = find R.find r k && Int_tbl.find_opt t k = R.find_opt r k
+          | L_find_all k -> Int_tbl.find_all t k = R.find_all r k
+          | L_mem k -> Int_tbl.mem t k = R.mem r k
+          | L_run (n, first, stride) ->
+              for i = 0 to n - 1 do
+                Int_tbl.add t (first + (i * stride)) i;
+                R.add r (first + (i * stride)) i
+              done;
+              true
+          | L_fold -> visits Int_tbl.fold t = visits R.fold r
+          | L_iter -> iter_visits Int_tbl.iter t = iter_visits R.iter r
+          | L_filter m ->
+              Int_tbl.filter_map_inplace (filter m) t;
+              R.filter_map_inplace (filter m) r;
+              true
+          | L_add_in_fold m -> adding_fold Int_tbl.fold Int_tbl.add t m = adding_fold R.fold R.add r m
+          | L_reset ->
+              Int_tbl.reset t;
+              R.reset r;
+              true)
+          && Int_tbl.length t = R.length r
+          && Int_tbl.max_bucket_length t = (R.stats r).Hashtbl.max_bucket_length)
+        ops
+      && visits Int_tbl.fold t = visits R.fold r)
+
 (* A shard's gids are x + 1 + k * c. Masked to a table's low bits, an
    identity hash stacks them up to 79 deep at k = 64 and 157 at k = 128;
    the mixing hash keeps every bucket short. *)
@@ -433,7 +620,7 @@ let test_int_tbl_spreads_strided_gids () =
           for c = 0 to 9_999 do
             Int_tbl.replace t (x + 1 + (k * c)) ()
           done;
-          let worst = (Int_tbl.stats t).Hashtbl.max_bucket_length in
+          let worst = Int_tbl.max_bucket_length t in
           if worst > 10 then Alcotest.failf "k = %d, shard %d: %d gids in one bucket" k x worst)
         [ 0; k / 2; k - 1 ])
     [ 1; 16; 64; 128 ]
@@ -487,12 +674,16 @@ let () =
           q prop_clock_monotone;
         ] );
       ( "wire",
-        [ Alcotest.test_case "strided gids spread over buckets" `Quick test_hash_address_spreads_strided_gids ]
-      );
+        [
+          Alcotest.test_case "strided gids spread over buckets" `Quick test_address_keys_spread_strided_gids;
+          q prop_address_keys_injective;
+          Alcotest.test_case "out-of-range addresses refused" `Quick test_address_key_range;
+        ] );
       ( "int-tbl",
         [
           q prop_int_tbl_agrees_with_hashtbl;
           Alcotest.test_case "strided gids spread over buckets" `Quick test_int_tbl_spreads_strided_gids;
+          q prop_int_tbl_layout;
         ] );
       ( "rng",
         [

@@ -217,18 +217,27 @@ module Network_reference = struct
   module Tracer = Hermes_obs.Tracer
   module Histogram = Hermes_obs.Histogram
 
+  (* The address hash the network used before it keyed its tables on
+     packed addresses. *)
+  let hash_address =
+    let spread h = h + (h lsr 5) in
+    function
+    | Wire.Coordinator gid -> spread (gid * 3)
+    | Wire.Agent s -> spread ((Site.to_int s * 3) + 1)
+    | Wire.Acceptor { gid; idx } -> spread ((((gid * 31) + idx) * 3) + 2)
+
   module Addr_tbl = Hashtbl.Make (struct
     type t = Wire.address
 
     let equal = Wire.equal_address
-    let hash = Wire.hash_address
+    let hash = hash_address
   end)
 
   module Link_tbl = Hashtbl.Make (struct
     type t = Wire.address * Wire.address
 
     let equal (s, d) (s', d') = Wire.equal_address s s' && Wire.equal_address d d'
-    let hash (s, d) = (Wire.hash_address s * 65599) + Wire.hash_address d
+    let hash (s, d) = (hash_address s * 65599) + hash_address d
   end)
 
   type t = {

@@ -1,6 +1,7 @@
 (* Tests for hermes.sim: the discrete-event engine (ordering,
-   determinism, timers, cancellation, the event budget), checked against
-   the engine as it was over a persistent leftist heap. *)
+   determinism, timers, cancellation, the event budget, the key bounds),
+   checked against the engine as it was over a persistent leftist heap
+   and as it was over a binary heap of three int arrays. *)
 
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
@@ -206,6 +207,153 @@ module Engine_reference = struct
     match until with Some limit when not t.halted -> t.now <- Time.max t.now limit | _ -> ()
 end
 
+(* The engine as it was over a binary heap of three int arrays (time,
+   sequence number, slot), read two at a time per comparison: the
+   reference for the heap of packed keys. Kept verbatim, plus
+   [first_seq]. *)
+module Engine_three_arrays = struct
+  type event = { at : Time.t; run : unit -> unit; mutable cancelled : bool }
+  type timer = event
+
+  let vacant = { at = Time.zero; run = ignore; cancelled = true }
+
+  type t = {
+    mutable now : Time.t;
+    mutable times : int array;
+    mutable seqs : int array;
+    mutable slots : int array;
+    mutable size : int;
+    mutable table : event array;
+    mutable free : int array;
+    mutable next_seq : int;
+    mutable executed : int;
+    mutable halted : bool;
+    mutable last_fired : Time.t;
+    mutable max_pending : int;
+    mutable cancelled_fired : int;
+  }
+
+  exception Stuck of string
+
+  let initial_capacity = 16
+
+  let create ?(first_seq = 0) () =
+    let n = initial_capacity in
+    {
+      now = Time.zero;
+      times = Array.make n 0;
+      seqs = Array.make n 0;
+      slots = Array.make n 0;
+      size = 0;
+      table = Array.make n vacant;
+      free = Array.init n (fun i -> n - 1 - i);
+      next_seq = first_seq;
+      executed = 0;
+      halted = false;
+      last_fired = Time.zero;
+      max_pending = 0;
+      cancelled_fired = 0;
+    }
+
+  let now t = t.now
+  let last_event_at t = t.last_fired
+
+  let grow t =
+    let n = Array.length t.times in
+    let extend a fill =
+      let b = Array.make (2 * n) fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.times <- extend t.times 0;
+    t.seqs <- extend t.seqs 0;
+    t.slots <- extend t.slots 0;
+    t.table <- extend t.table vacant;
+    t.free <- Array.init (2 * n) (fun i -> (2 * n) - 1 - i)
+
+  let before t i ~at ~seq = t.times.(i) < at || (t.times.(i) = at && t.seqs.(i) < seq)
+
+  let put t i ~at ~seq ~slot =
+    t.times.(i) <- at;
+    t.seqs.(i) <- seq;
+    t.slots.(i) <- slot
+
+  let move t ~src ~dst = put t dst ~at:t.times.(src) ~seq:t.seqs.(src) ~slot:t.slots.(src)
+
+  let rec sift_up t i ~at ~seq ~slot =
+    let parent = (i - 1) / 2 in
+    if i > 0 && not (before t parent ~at ~seq) then begin
+      move t ~src:parent ~dst:i;
+      sift_up t parent ~at ~seq ~slot
+    end
+    else put t i ~at ~seq ~slot
+
+  let rec sift_down t i ~at ~seq ~slot =
+    let l = (2 * i) + 1 in
+    let c = if l + 1 < t.size && before t (l + 1) ~at:t.times.(l) ~seq:t.seqs.(l) then l + 1 else l in
+    if c < t.size && before t c ~at ~seq then begin
+      move t ~src:c ~dst:i;
+      sift_down t c ~at ~seq ~slot
+    end
+    else put t i ~at ~seq ~slot
+
+  let schedule t ~delay run =
+    if delay < 0 then invalid_arg "Engine.schedule: negative delay";
+    let ev = { at = Time.add t.now delay; run; cancelled = false } in
+    if t.size = Array.length t.times then grow t;
+    let slot = t.free.(Array.length t.free - t.size - 1) in
+    t.table.(slot) <- ev;
+    sift_up t t.size ~at:(ev.at :> int) ~seq:t.next_seq ~slot;
+    t.next_seq <- t.next_seq + 1;
+    t.size <- t.size + 1;
+    if t.size > t.max_pending then t.max_pending <- t.size;
+    ev
+
+  let cancel timer = timer.cancelled <- true
+  let fire_at timer = timer.at
+  let halt t = t.halted <- true
+
+  let pop t =
+    let slot = t.slots.(0) in
+    let ev = t.table.(slot) in
+    t.table.(slot) <- vacant;
+    t.size <- t.size - 1;
+    t.free.(Array.length t.free - t.size - 1) <- slot;
+    let last = t.size in
+    if last > 0 then sift_down t 0 ~at:t.times.(last) ~seq:t.seqs.(last) ~slot:t.slots.(last);
+    ev
+
+  let step t =
+    if t.size = 0 then false
+    else begin
+      let ev = pop t in
+      if Time.(ev.at < t.now) then invalid_arg "Engine.step: time went backwards";
+      t.now <- ev.at;
+      if ev.cancelled then t.cancelled_fired <- t.cancelled_fired + 1
+      else begin
+        t.executed <- t.executed + 1;
+        t.last_fired <- ev.at;
+        ev.run ()
+      end;
+      true
+    end
+
+  let next_at t = if t.size = 0 then None else Some (Time.of_int t.times.(0))
+
+  let stats t =
+    { Engine.events = t.executed; max_pending = t.max_pending; cancelled = t.cancelled_fired; live = t.size }
+
+  let run ?until ?(max_events = 50_000_000) t =
+    let due () =
+      t.size > 0 && match until with None -> true | Some limit -> t.times.(0) <= (limit : Time.t :> int)
+    in
+    while (not t.halted) && t.executed < max_events && due () do
+      ignore (step t)
+    done;
+    if (not t.halted) && due () then raise (Stuck "Engine.run: event budget exhausted (livelock?)");
+    match until with Some limit when not t.halted -> t.now <- Time.max t.now limit | _ -> ()
+end
+
 let test_engine_order () =
   let e = Engine.create () in
   let log = ref [] in
@@ -388,8 +536,38 @@ module Exec (E : ENGINE) = struct
     List.rev !log
 end
 
-module Exec_engine = Exec (Engine)
+module Exec_engine = Exec (struct
+  include Engine
+
+  let create () = Engine.create ()
+end)
+
 module Exec_reference = Exec (Engine_reference)
+
+module Exec_three_arrays = Exec (struct
+  include Engine_three_arrays
+
+  let create () = Engine_three_arrays.create ()
+end)
+
+(* Near both key bounds: the first event gets one of the last 2^16
+   sequence numbers (no program schedules that many), and [near_time]
+   leaves 2^20 ticks below [Engine.max_time] (no program advances the
+   clock that far). *)
+let high_seq = Engine.max_seq + 1 - (1 lsl 16)
+let near_time = Run (Some (Time.to_int Engine.max_time - (1 lsl 20)))
+
+module Exec_engine_high = Exec (struct
+  include Engine
+
+  let create () = Engine.create ~first_seq:high_seq ()
+end)
+
+module Exec_three_arrays_high = Exec (struct
+  include Engine_three_arrays
+
+  let create () = Engine_three_arrays.create ~first_seq:high_seq ()
+end)
 
 (* Delays bunch on a few values, so many events share an instant, and
    are often 0, so events schedule more at the instant they fire. Only a
@@ -439,6 +617,45 @@ let prop_engine_matches_reference =
     (QCheck.make ~print:QCheck.Print.(list print_command) gen_program)
     (fun program -> Exec_engine.observe program = Exec_reference.observe program)
 
+(* The same programs fire the same events in the same order on both
+   heaps, from time 0 and sequence number 0, and near both key bounds. *)
+let prop_engine_matches_three_arrays =
+  QCheck.Test.make ~name:"engine = three-array heap reference engine" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(list print_command) gen_program)
+    (fun program ->
+      Exec_engine.observe program = Exec_three_arrays.observe program
+      && Exec_engine_high.observe (near_time :: program)
+         = Exec_three_arrays_high.observe (near_time :: program))
+
+(* Fire times up to [Engine.max_time] are taken, and keep their order
+   with early ones; one tick past it, or a sequence number past
+   [Engine.max_seq], is refused. *)
+let test_engine_key_bounds () =
+  let e = Engine.create ~first_seq:(Engine.max_seq - 2) () in
+  let log = ref [] in
+  let last = Time.to_int Engine.max_time in
+  Engine.schedule_unit e ~delay:last (fun () -> log := "last" :: !log);
+  Engine.schedule_unit e ~delay:(last - 1) (fun () -> log := "before" :: !log);
+  Engine.schedule_unit e ~delay:1 (fun () -> log := "first" :: !log);
+  Alcotest.check_raises "past max_seq" (Invalid_argument "Engine.schedule: sequence numbers exhausted")
+    (fun () -> Engine.schedule_unit e ~delay:0 ignore);
+  Engine.run e;
+  Alcotest.(check (list string)) "order at the bound" [ "first"; "before"; "last" ] (List.rev !log);
+  Alcotest.(check int) "clock at the bound" last (Time.to_int (Engine.now e));
+  let e = Engine.create () in
+  Engine.schedule_unit e ~delay:1000 ignore;
+  Engine.run e;
+  let refused delay =
+    Alcotest.check_raises
+      (Fmt.str "delay %d" delay)
+      (Invalid_argument "Engine.schedule: fire time past Engine.max_time")
+      (fun () -> Engine.schedule_unit e ~delay ignore)
+  in
+  refused (last - 999);
+  refused max_int;
+  Engine.schedule_unit e ~delay:(last - 1000) ignore;
+  Alcotest.(check (option int)) "at the bound" (Some last) (Option.map Time.to_int (Engine.next_at e))
+
 let prop_engine_deterministic =
   QCheck.Test.make ~name:"same schedule, same execution order" ~count:100
     QCheck.(list (int_bound 50))
@@ -480,5 +697,7 @@ let () =
             test_engine_budget_exhausted;
           q prop_engine_deterministic;
           q prop_engine_matches_reference;
+          q prop_engine_matches_three_arrays;
+          Alcotest.test_case "key bounds" `Quick test_engine_key_bounds;
         ] );
     ]
