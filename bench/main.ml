@@ -275,7 +275,7 @@ let table_json (name, (t : Table_fmt.t)) =
       ("notes", Json.List (List.map (fun n -> Json.String n) t.Table_fmt.notes));
     ]
 
-let dump_json ~path ~quick ~jobs ~domains ~tables ~metrics ~micro =
+let dump_json (path, oc) ~quick ~jobs ~domains ~tables ~metrics ~micro =
   let micro_json =
     List.map
       (fun (name, ns) ->
@@ -299,7 +299,6 @@ let dump_json ~path ~quick ~jobs ~domains ~tables ~metrics ~micro =
         ("microbench", Json.List micro_json);
       ]
   in
-  let oc = open_out path in
   output_string oc (Json.to_string doc);
   output_char oc '\n';
   close_out oc;
@@ -310,6 +309,18 @@ let dump_json ~path ~quick ~jobs ~domains ~tables ~metrics ~micro =
 (* ------------------------------------------------------------------ *)
 
 let bench quick jobs domains json =
+  (* Open the dump before the suite runs: a path that cannot be written
+     is a usage error, not an exception after every table. *)
+  let json =
+    Option.map
+      (fun path ->
+        match open_out path with
+        | oc -> (path, oc)
+        | exception Sys_error msg ->
+            Fmt.epr "bench: cannot write %s@." msg;
+            exit 2)
+      json
+  in
   let t0 = Unix.gettimeofday () in
   let metrics = Hermes_obs.Registry.create () in
   let seeds_of n = if quick then max 1 (n / 3) else n in
@@ -324,7 +335,7 @@ let bench quick jobs domains json =
   Hermes_harness.Obs_report.print ~title:"Suite metrics (all experiments)" metrics;
   let micro = run_microbenchmarks () in
   print_microbenchmarks micro;
-  Option.iter (fun path -> dump_json ~path ~quick ~jobs ~domains ~tables ~metrics ~micro) json;
+  Option.iter (fun out -> dump_json out ~quick ~jobs ~domains ~tables ~metrics ~micro) json;
   Fmt.pr "@.total wall time: %.1fs@." (Unix.gettimeofday () -. t0)
 
 let () =

@@ -72,6 +72,21 @@ let write_obs_outputs obs ~metrics_out ~trace_out ~summary =
           Fmt.pr "trace written to %s (%d events)@." path (Tracer.length (Obs.trace o)))
         trace_out
 
+(* Open every output path a command was given before it simulates or
+   verifies anything: one that cannot be written is a usage error (exit
+   2), not an exception at the end of the run. A missing file is created
+   empty and an existing one is left as it is until the command writes
+   it. The error names the path: "PATH: REASON". *)
+let require_writable paths =
+  List.iter
+    (fun path ->
+      match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+      | oc -> close_out oc
+      | exception Sys_error msg ->
+          Fmt.epr "hermes: cannot write %s@." msg;
+          exit 2)
+    (List.filter_map Fun.id paths)
+
 (* The exit code of a command that verified a history: 0 when it is
    certainly view serializable and its trace agrees with the execution,
    1 otherwise. A value mismatch means the trace contradicts itself, so
@@ -141,7 +156,7 @@ let paxos_f_arg =
 let resolve_commit_proto proto f =
   match proto with
   | `Two_pc -> Config.Two_pc
-  | `Backup_tm -> Config.Backup_tm
+  | `Backup_tm -> Config.backup_tm
   | `Paxos ->
       if f < 1 || (2 * f) + 1 > Hermes_kernel.Wire.max_acceptors then begin
         Fmt.epr "hermes: --paxos-f must be between 1 and %d@." ((Hermes_kernel.Wire.max_acceptors - 1) / 2);
@@ -420,9 +435,10 @@ let run_cmd =
     in
     let protocol =
       match cgm with
-      | Some granularity -> Driver.Cgm_baseline { Cgm.default_config with Cgm.granularity }
+      | Some granularity -> Driver.Cgm_baseline granularity
       | None -> Driver.Two_pca certifier
     in
+    require_writable [ dump; metrics_out; trace_out ];
     let obs = obs_of_flags ~metrics_out ~trace_out ~summary:metrics_summary in
     let crash_schedule =
       List.init crashes (fun i -> (20_000 + (i * 30_000), i mod max 1 sites))
@@ -436,7 +452,7 @@ let run_cmd =
           {
             Network.base_delay = 500;
             jitter;
-            faults = { Network.no_faults with drop; dup; gray_sites; gray_factor };
+            faults = { Network.drop; dup; gray_sites; gray_factor };
           };
         clock_of_site =
           (fun i -> Hermes_kernel.Clock.make ~offset:(if i mod 2 = 0 then drift else -drift) ());
@@ -500,8 +516,8 @@ let run_cmd =
          else float_of_int t.Dtm.gc_staged /. float_of_int t.Dtm.gc_flushes);
     (match r.Driver.cgm with
     | Some c ->
-        Fmt.pr "CGM: %d gate delays, %d gate aborts, %d global-lock timeouts@." c.Cgm.gate_delays
-          c.Cgm.gate_aborts c.Cgm.glock_timeouts
+        Fmt.pr "CGM: %d gate delays, %d global-lock timeouts@." c.Cgm.gate_delays
+          c.Cgm.glock_timeouts
     | None -> ());
     if verbose then Fmt.pr "@.committed projection:@.%a@." History.pp_with_from (Committed.extended r.Driver.history);
     (match dump with
@@ -540,6 +556,7 @@ let scenario_cmd =
   in
   let jitter = Arg.(value & opt int 8_000 & info [ "jitter" ] ~doc:"Jitter for the overtake scenario.") in
   let run () which certifier seed jitter metrics_out trace_out metrics_summary =
+    require_writable [ metrics_out; trace_out ];
     let obs = obs_of_flags ~metrics_out ~trace_out ~summary:metrics_summary in
     let show (r : Scenario.run) =
       List.iter (fun (l, o) -> Fmt.pr "%s: %a@." l Scenario.pp_outcome_opt o) r.Scenario.outcomes;
@@ -594,6 +611,7 @@ let verify_cmd =
     Fmt.pr "metrics written to %s@." path
   in
   let run () file verbose metrics_out =
+    require_writable [ metrics_out ];
     match Hermes_history.Serial_format.of_file file with
     | exception Hermes_history.Serial_format.Parse_error (line, msg) ->
         Fmt.epr "%s:%d: %s@." file line msg;
@@ -654,6 +672,7 @@ let experiments_cmd =
              $(b,--jobs), which fans independent seeded runs out across domains.")
   in
   let run () quick seeds only jobs domains metrics_out metrics_summary =
+    require_writable [ metrics_out ];
     let obs = obs_of_flags ~metrics_out ~trace_out:None ~summary:metrics_summary in
     let seeds_of default =
       match seeds with Some n -> n | None -> if quick then max 1 (default / 3) else default

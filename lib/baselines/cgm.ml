@@ -11,8 +11,8 @@
      view distortion instead of prepare certification;
    - the commit graph: at global-commit time the transaction's
      (transaction, site) edges are tentatively added; if they would close
-     a loop, the commit is delayed (or the transaction aborted, by
-     policy) until the graph clears — this replaces commit certification;
+     a loop, the commit is delayed until the graph clears — this replaces
+     commit certification;
    - per-subtransaction servers that simulate the prepared state and
      resubmit after unilateral aborts, without certification: the
      underlying DTM runs with [Config.naive] agents.
@@ -31,21 +31,13 @@ module Program = Hermes_core.Program
 module Coordinator = Hermes_core.Coordinator
 module Dtm = Hermes_core.Dtm
 
+(* Ticks a global lock request may wait. *)
+let global_lock_timeout = 400_000
+
 type granularity = Site_level | Table_level
-
-type loop_policy = Delay | Abort_txn
-
-type config = {
-  granularity : granularity;
-  loop_policy : loop_policy;
-  global_lock_timeout : int;  (* ticks a global lock request may wait *)
-}
-
-let default_config = { granularity = Site_level; loop_policy = Delay; global_lock_timeout = 400_000 }
 
 type stats = {
   mutable gate_delays : int;  (* commits held back by a commit-graph loop *)
-  mutable gate_aborts : int;  (* commits refused (Abort_txn policy) *)
   mutable glock_timeouts : int;  (* global-lock acquisition timeouts *)
   mutable gate_wait_ticks : int;  (* total ticks spent waiting at the gate *)
 }
@@ -55,7 +47,7 @@ type pending_gate = { gid : int; sites : Site.t list; proceed : unit -> unit; en
 type t = {
   engine : Engine.t;
   dtm : Dtm.t;
-  config : config;
+  granularity : granularity;
   glm : Lock.t;  (* the global lock manager; owners are CGM-local ids *)
   cg : Commit_graph.t;
   mutable queue : pending_gate list;  (* commits waiting for the graph to clear *)
@@ -63,19 +55,19 @@ type t = {
   stats : stats;
 }
 
-let create ~engine ~rng ~net_config ~config ?obs ~site_specs () =
+let create ~engine ~rng ~net_config ~granularity ?obs ~site_specs () =
   let dtm =
     Dtm.create ~engines:[| engine |] ~rng ~net_config ~certifier:Config.naive ?obs ~site_specs ()
   in
   {
     engine;
     dtm;
-    config;
+    granularity;
     glm = Lock.create ();
     cg = Commit_graph.create ();
     queue = [];
     next_owner = 0;
-    stats = { gate_delays = 0; gate_aborts = 0; glock_timeouts = 0; gate_wait_ticks = 0 };
+    stats = { gate_delays = 0; glock_timeouts = 0; gate_wait_ticks = 0 };
   }
 
 let dtm t = t.dtm
@@ -90,7 +82,7 @@ let global_locks t program =
   List.iter
     (fun (site, cmd) ->
       let key =
-        match t.config.granularity with
+        match t.granularity with
         | Site_level -> (Fmt.str "site-%d" (Site.to_int site), 0)
         | Table_level -> (Fmt.str "site-%d/%s" (Site.to_int site) (Command.table cmd), 0)
       in
@@ -120,15 +112,11 @@ let drain_queue t =
     pending
 
 let gate t : Coordinator.gate =
- fun ~gid ~sites ~proceed ~refuse ->
-  if Commit_graph.would_loop t.cg ~gid ~sites then
-    match t.config.loop_policy with
-    | Abort_txn ->
-        t.stats.gate_aborts <- t.stats.gate_aborts + 1;
-        refuse "commit-graph-loop"
-    | Delay ->
-        t.stats.gate_delays <- t.stats.gate_delays + 1;
-        t.queue <- { gid; sites; proceed; enqueued_at = Engine.now t.engine } :: t.queue
+ fun ~gid ~sites ~proceed ~refuse:_ ->
+  if Commit_graph.would_loop t.cg ~gid ~sites then begin
+    t.stats.gate_delays <- t.stats.gate_delays + 1;
+    t.queue <- { gid; sites; proceed; enqueued_at = Engine.now t.engine } :: t.queue
+  end
   else begin
     Commit_graph.enter t.cg ~gid ~sites;
     proceed ()
@@ -170,7 +158,7 @@ let submit t program ~on_done =
         | Lock.Waiting ->
             timer :=
               Some
-                (Engine.schedule t.engine ~delay:t.config.global_lock_timeout (fun () ->
+                (Engine.schedule t.engine ~delay:global_lock_timeout (fun () ->
                      timed_out := true;
                      t.stats.glock_timeouts <- t.stats.glock_timeouts + 1;
                      List.iter (fun cb -> cb ()) (Lock.cancel_waits t.glm ~owner);

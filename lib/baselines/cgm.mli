@@ -9,20 +9,9 @@
 open Hermes_kernel
 
 type granularity = Site_level | Table_level
-type loop_policy = Delay | Abort_txn
-
-type config = {
-  granularity : granularity;
-  loop_policy : loop_policy;
-  global_lock_timeout : int;
-}
-
-val default_config : config
-(** Site granularity, Delay policy. *)
 
 type stats = {
   mutable gate_delays : int;
-  mutable gate_aborts : int;
   mutable glock_timeouts : int;
   mutable gate_wait_ticks : int;
 }
@@ -33,7 +22,7 @@ val create :
   engine:Hermes_sim.Engine.t ->
   rng:Rng.t ->
   net_config:Hermes_net.Network.config ->
-  config:config ->
+  granularity:granularity ->
   ?obs:Hermes_obs.Obs.t ->
   site_specs:Hermes_core.Dtm.site_spec array ->
   unit ->

@@ -65,30 +65,13 @@ let commands e = List.rev e.commands
 
 let note_incarnation e ~inc = if inc > e.inc then e.inc <- inc
 
-(* The force-written prepare record (Appendix B). *)
-let force_prepare t e ~sn =
-  e.sn <- Some sn;
-  e.prepared <- true;
-  t.force_writes <- t.force_writes + 1
-
-(* The commit record (Appendix C); also advances the biggest committed
-   serial number the certification extension checks. Idempotent: a
-   decision re-delivered after recovery (retransmission, replayed
-   COMMIT) must not pay another synchronous force. *)
-let force_commit t e =
-  if not e.committed then begin
-    e.committed <- true;
-    t.force_writes <- t.force_writes + 1;
-    match e.sn with
-    | Some sn ->
-        t.max_committed_sn <-
-          Some (match t.max_committed_sn with Some m when Sn.(m > sn) -> m | _ -> sn)
-    | None -> ()
-  end
-
-(* Group commit: the same two records, written *without* their own
-   force — the caller stages a whole batch and pays one [batch_forced]
-   for all of it. *)
+(* The prepare record (Appendix B) and the commit record (Appendix C),
+   written without a force of their own: under group commit the caller
+   stages a whole batch and pays one [batch_forced] for all of it. The
+   commit record also advances the biggest committed serial number the
+   certification extension checks, and is idempotent: a decision
+   re-delivered after recovery (retransmission, replayed COMMIT) writes
+   nothing. *)
 let stage_prepare e ~sn =
   e.sn <- Some sn;
   e.prepared <- true
@@ -104,6 +87,18 @@ let stage_commit t e =
   end
 
 let batch_forced t = t.force_writes <- t.force_writes + 1
+
+(* The same records, each force-written on its own. A re-delivered
+   decision pays no second force. *)
+let force_prepare t e ~sn =
+  stage_prepare e ~sn;
+  batch_forced t
+
+let force_commit t e =
+  if not e.committed then begin
+    stage_commit t e;
+    batch_forced t
+  end
 
 (* A finished subtransaction keeps what a late message reads through the
    agent's log view (the flags and the serial number): its commands and

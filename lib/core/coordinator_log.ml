@@ -42,28 +42,11 @@ let entry t ~gid =
 
 let find t ~gid = Int_tbl.find_opt t.entries gid
 
-let force_begin t ~gid ~participants =
-  let e = entry t ~gid in
-  e.participants <- participants;
-  t.force_writes <- t.force_writes + 1
-
-let force_prepared t ~gid ~participants ~sn =
-  let e = entry t ~gid in
-  e.participants <- participants;
-  e.sn <- Some sn;
-  e.prepared <- true;
-  t.force_writes <- t.force_writes + 1
-
-(* Idempotent: a recovery-time presumed abort re-forced after a second
-   crash keeps the first decision (a decision, once forced, never
-   changes). *)
-let force_decision t ~gid ~committed =
-  let e = entry t ~gid in
-  (match e.decision with None -> e.decision <- Some committed | Some _ -> ());
-  t.force_writes <- t.force_writes + 1
-
-(* Group commit: the same three records, written *without* their own
-   force — the site's batcher pays one [force_tick] per flushed batch. *)
+(* The three records, written without a force of their own: under group
+   commit the site's batcher pays one [force_tick] per flushed batch. The
+   decision is idempotent: a recovery-time presumed abort re-written
+   after a second crash keeps the first decision (a decision, once
+   forced, never changes). *)
 let stage_begin t ~gid ~participants =
   let e = entry t ~gid in
   e.participants <- participants
@@ -79,6 +62,19 @@ let stage_decision t ~gid ~committed =
   match e.decision with None -> e.decision <- Some committed | Some _ -> ()
 
 let force_tick t = t.force_writes <- t.force_writes + 1
+
+(* The same records, each force-written on its own. *)
+let force_begin t ~gid ~participants =
+  stage_begin t ~gid ~participants;
+  force_tick t
+
+let force_prepared t ~gid ~participants ~sn =
+  stage_prepared t ~gid ~participants ~sn;
+  force_tick t
+
+let force_decision t ~gid ~committed =
+  stage_decision t ~gid ~committed;
+  force_tick t
 
 (* The round finished: every participant acknowledged its decision, so
    no recovery will re-drive it, and the participant set — read only by

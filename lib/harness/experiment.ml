@@ -231,8 +231,8 @@ let e5_restrictiveness ~seeds ~jobs ?metrics () =
     [
       ("2CM", Driver.Two_pca Config.full);
       ("ticket", Driver.Two_pca Config.ticket);
-      ("CGM-site", Driver.Cgm_baseline Cgm.default_config);
-      ("CGM-table", Driver.Cgm_baseline { Cgm.default_config with Cgm.granularity = Cgm.Table_level });
+      ("CGM-site", Driver.Cgm_baseline Cgm.Site_level);
+      ("CGM-table", Driver.Cgm_baseline Cgm.Table_level);
     ]
   in
   let rows =
@@ -880,7 +880,7 @@ let e17_commit_protocols ~seeds ~jobs ?metrics () =
   let module Program = Hermes_core.Program in
   let strandings = 12 in
   let protos =
-    [ ("2pc", Config.Two_pc); ("backup-tm", Config.Backup_tm); ("paxos f=1", Config.Paxos { f = 1 }) ]
+    [ ("2pc", Config.Two_pc); ("backup-tm", Config.backup_tm); ("paxos f=1", Config.Paxos { f = 1 }) ]
   in
   (* One seed: the strandings that resolved and the surviving
      participants' blocking windows, with the recorded history. *)

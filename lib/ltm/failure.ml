@@ -7,11 +7,12 @@
    buffer overflow (INGRES), or unexpected system bugs." (§1)
 
    The injector is lifecycle-driven so the event queue drains when the
-   workload does: when a transaction begins (or is moved to the simulated
-   prepared state by the 2PC Agent), the injector flips a coin and, on
-   heads, schedules one abort attempt an exponentially distributed delay
-   later. [p_prepared] is the interesting dial — unilateral aborts of
-   *prepared* subtransactions are what create the resubmission anomalies.
+   workload does: when the 2PC Agent moves a subtransaction to the
+   simulated prepared state, the injector flips a coin and, on heads,
+   schedules one abort attempt an exponentially distributed delay later.
+   Unilateral aborts of *prepared* subtransactions are what create the
+   resubmission anomalies. Only global subtransactions are ever held
+   open, so local transactions are struck only by site crashes.
 
    The TW assumption ("after a fixed number of resubmissions, any global
    subtransaction that should be committed can be committed") is realized
@@ -20,97 +21,74 @@
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
 
-type config = {
-  p_active : float;  (* chance an incarnation suffers an abort attempt while executing *)
-  p_prepared : float;  (* chance a prepared (agent-held) subtransaction is aborted *)
-  delay_mean : int;  (* mean ticks from begin/prepare to the attempt *)
-  global_only : bool;  (* spare purely local transactions *)
-  max_per_victim : int;  (* TW cap per logical transaction at this site *)
-  crash_interval : int;  (* mean ticks between site crashes (collective aborts); <= 0 disables *)
-  crash_horizon : int;  (* stop scheduling crashes after this tick (lets the run drain) *)
-}
+(* Mean ticks from prepare to the abort attempt. *)
+let delay_mean = 2_000
 
-let disabled =
-  {
-    p_active = 0.0;
-    p_prepared = 0.0;
-    delay_mean = 2_000;
-    global_only = true;
-    max_per_victim = 3;
-    crash_interval = 0;
-    crash_horizon = 0;
-  }
+(* TW cap per logical transaction at this site. *)
+let max_per_victim = 3
 
-let prepared_rate ?(delay_mean = 2_000) p = { disabled with p_prepared = p; delay_mean }
+type config =
+  | Disabled
+  | Prepared of float  (* chance a prepared (agent-held) subtransaction is aborted *)
+  | Crashes of { mean_interval : int; horizon : int }
+      (* mean ticks between site crashes (collective aborts); no crash is
+         scheduled past [horizon], so the run can drain *)
+
+let disabled = Disabled
+let prepared_rate p = if p > 0.0 then Prepared p else Disabled
 
 (* Site crashes: the paper's *collective* unilateral abort ("without
    making difference between single and collective abort (i.e. site
    crash)", §1). Every live transaction at the site is unilaterally
    aborted at once; the LDBS itself comes straight back (media recovery
    is RR's job, and the 2PC Agents then resubmit the prepared ones). *)
-let crashes ~mean_interval ~horizon = { disabled with crash_interval = mean_interval; crash_horizon = horizon }
+let crashes ~mean_interval ~horizon =
+  if mean_interval > 0 then Crashes { mean_interval; horizon } else Disabled
 
-type t = { mutable injected : int; mutable attempts : int; mutable crashes : int; config : config }
+type t = { mutable injected : int; mutable crashes : int }
 
 let attach ~engine ~rng ~config ltm =
-  let t = { injected = 0; attempts = 0; crashes = 0; config } in
-  let per_victim : (Txn.t, int) Hashtbl.t = Hashtbl.create 32 in
-  let under_cap owner =
-    Option.value ~default:0 (Hashtbl.find_opt per_victim owner) < config.max_per_victim
-  in
-  let attempt txn ~require_held =
-    t.attempts <- t.attempts + 1;
-    let owner = (Ltm.owner txn).Txn.Incarnation.txn in
-    if
-      Ltm.is_active txn
-      && ((not require_held) || Ltm.is_held_open txn)
-      && under_cap owner
-      && Ltm.unilateral_abort ltm txn
-    then begin
+  let t = { injected = 0; crashes = 0 } in
+  (* Injected aborts per victim, keyed [2 gid] for global transaction
+     [gid] and [2 n + 1] for local transaction [n]: an injector serves
+     one site, so the key is injective. *)
+  let per_victim = Int_tbl.create 32 in
+  let strike txn =
+    let key =
+      match (Ltm.owner txn).Txn.Incarnation.txn with
+      | Txn.Global gid -> 2 * gid
+      | Txn.Local { n; _ } -> (2 * n) + 1
+    in
+    let struck = Option.value ~default:0 (Int_tbl.find_opt per_victim key) in
+    if struck < max_per_victim && Ltm.unilateral_abort ltm txn then begin
       t.injected <- t.injected + 1;
-      Hashtbl.replace per_victim owner (1 + Option.value ~default:0 (Hashtbl.find_opt per_victim owner))
+      Int_tbl.replace per_victim key (struck + 1)
     end
   in
-  let eligible txn =
-    (not config.global_only) || Txn.is_global (Ltm.owner txn).Txn.Incarnation.txn
-  in
-  if config.p_active > 0.0 then
-    Ltm.set_begin_hook ltm (fun txn ->
-        if eligible txn && Rng.bool rng ~p:config.p_active then
-          Engine.schedule_unit engine ~delay:(Rng.exponential rng ~mean:config.delay_mean) (fun () ->
-              attempt txn ~require_held:false));
-  if config.p_prepared > 0.0 then
-    Ltm.set_held_open_hook ltm (fun txn ->
-        if eligible txn && Rng.bool rng ~p:config.p_prepared then
-          Engine.schedule_unit engine ~delay:(Rng.exponential rng ~mean:config.delay_mean) (fun () ->
-              attempt txn ~require_held:true));
-  if config.crash_interval > 0 then begin
-    (* Collective abort: kill every live transaction at the site. The cap
-       still applies per victim, so a crashloop cannot break TW. The crash
-       scheduler stops at the horizon so the event queue can drain. *)
-    let rec crash_tick () =
-      if Time.to_int (Engine.now engine) < config.crash_horizon then begin
-        let victims = Ltm.live_txns ltm in
-        if victims <> [] then begin
-          t.crashes <- t.crashes + 1;
-          List.iter
-            (fun txn ->
-              t.attempts <- t.attempts + 1;
-              let owner = (Ltm.owner txn).Txn.Incarnation.txn in
-              if under_cap owner && Ltm.unilateral_abort ltm txn then begin
-                t.injected <- t.injected + 1;
-                Hashtbl.replace per_victim owner
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt per_victim owner))
-              end)
-            victims
-        end;
-        Engine.schedule_unit engine ~delay:(Rng.exponential rng ~mean:config.crash_interval) crash_tick
-      end
-    in
-    Engine.schedule_unit engine ~delay:(Rng.exponential rng ~mean:config.crash_interval) crash_tick
-  end;
+  (match config with
+  | Disabled -> ()
+  | Prepared p ->
+      Ltm.set_held_open_hook ltm (fun txn ->
+          if Rng.bool rng ~p then
+            Engine.schedule_unit engine ~delay:(Rng.exponential rng ~mean:delay_mean) (fun () ->
+                if Ltm.is_held_open txn then strike txn))
+  | Crashes { mean_interval; horizon } ->
+      (* Collective abort: strike every live transaction at the site. The
+         cap still applies per victim, so a crashloop cannot break TW.
+         The crash scheduler stops at the horizon so the event queue can
+         drain. *)
+      let rec crash_tick () =
+        if Time.to_int (Engine.now engine) < horizon then begin
+          let victims = Ltm.live_txns ltm in
+          if victims <> [] then begin
+            t.crashes <- t.crashes + 1;
+            List.iter strike victims
+          end;
+          Engine.schedule_unit engine ~delay:(Rng.exponential rng ~mean:mean_interval) crash_tick
+        end
+      in
+      Engine.schedule_unit engine ~delay:(Rng.exponential rng ~mean:mean_interval) crash_tick);
   t
 
 let injected t = t.injected
-let attempts t = t.attempts
 let crash_count t = t.crashes

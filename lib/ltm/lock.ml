@@ -202,26 +202,6 @@ let release_all t ~owner =
     held;
   !newly
 
-(* Release only the Shared locks of [owner] — the non-rigorous ablation
-   (dropping read locks early breaks the SRS assumption on purpose). *)
-let release_shared t ~owner =
-  let held = match Int_tbl.find_opt t.held owner with Some l -> !l | None -> [] in
-  let newly = ref [] in
-  let kept = ref [] in
-  List.iter
-    (fun e ->
-      match holder_mode e owner with
-      | Some Shared ->
-          e.holders <- List.remove_assoc owner e.holders;
-          let granted = drain e in
-          note_granted t e granted;
-          newly := List.map (fun r -> r.on_grant) granted @ !newly
-      | Some Exclusive -> kept := e :: !kept
-      | None -> ())
-    held;
-  (match Int_tbl.find_opt t.held owner with Some l -> l := !kept | None -> ());
-  !newly
-
 let holders t key = match find_entry t key with Some e -> e.holders | None -> []
 
 (* Current holders that conflict with a (hypothetical or queued) request —

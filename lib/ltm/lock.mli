@@ -32,10 +32,6 @@ val release_all : t -> owner:int -> (unit -> unit) list
 (** Release everything [owner] holds; returns grant callbacks of newly
     granted waiters. *)
 
-val release_shared : t -> owner:int -> (unit -> unit) list
-(** Release only [owner]'s Shared locks — the deliberate non-rigorous
-    ablation (breaks SRS). *)
-
 val holders : t -> key -> (int * mode) list
 
 val blockers : t -> key -> owner:int -> mode:mode -> int list

@@ -35,6 +35,9 @@ let src = Logs.Src.create "hermes.ltm" ~doc:"Local transaction manager events"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* Ticks a lock request may wait before its owner aborts. *)
+let lock_timeout = 50_000
+
 type abort_reason = Lock_timeout | Deadlock_victim | Dlu_denied | Unilateral | Owner_abort
 
 let pp_abort_reason ppf r =
@@ -87,7 +90,6 @@ type t = {
   txns : txn Int_tbl.t;  (* the active transactions: dropped on commit or abort *)
   mutable next_id : int;
   stats : stats;
-  mutable on_begin : (txn -> unit) option;  (* failure-injector hook *)
   mutable on_held_open : (txn -> unit) option;  (* failure-injector hook *)
   obs : Obs.t option;
 }
@@ -112,7 +114,6 @@ let create ~engine ~db ~config ~trace ?obs () =
         deadlock_victims = 0;
         commands = 0;
       };
-    on_begin = None;
     on_held_open = None;
     obs;
   }
@@ -132,7 +133,6 @@ let mark_held_open t txn v =
   txn.held_open <- v;
   if v then match t.on_held_open with Some hook -> hook txn | None -> ()
 
-let set_begin_hook t hook = t.on_begin <- Some hook
 let set_held_open_hook t hook = t.on_held_open <- Some hook
 let set_uan txn cb = txn.uan <- Some cb
 
@@ -156,7 +156,6 @@ let begin_txn t ~owner =
   t.next_id <- t.next_id + 1;
   t.stats.begun <- t.stats.begun + 1;
   Int_tbl.replace t.txns txn.id txn;
-  (match t.on_begin with Some hook -> hook txn | None -> ());
   txn
 
 let footprint txn = Item.Set.elements txn.footprint
@@ -334,7 +333,8 @@ let apply t txn cmd ~planned =
 
 (* DLU (checked inside [exec], both before lock acquisition and again at
    apply time — the item may have become bound while the command waited):
-   a *local* transaction may not update bound data. *)
+   a *local* transaction may not update bound data, and one that tries is
+   aborted. *)
 let exec t txn cmd ~on_done =
   match txn.state with
   | Aborted_state reason -> Engine.schedule_unit t.engine ~delay:0 (fun () -> on_done (Failed reason))
@@ -349,29 +349,17 @@ let exec t txn cmd ~on_done =
       let targets = Decompose.plan t.db cmd in
       let planned = List.map fst targets in
       let is_local = Txn.is_local txn.owner.Txn.Incarnation.txn in
-      let dlu_blocked () =
-        (match t.config.Ltm_config.dlu with Ltm_config.Ignore -> false | Ltm_config.Deny | Ltm_config.Block -> true)
-        && is_local
-        && List.exists
-             (fun (key, mode) -> mode = Lock.Exclusive && Bound.is_bound t.bound ~table ~key)
-             targets
-      in
-      (* DLU gate: Deny aborts immediately; Block polls until the data are
-         unbound, with the lock timeout as the total wait budget (a local
-         transaction already holding locks could otherwise stall a
-         recovering subtransaction's resubmission forever). *)
-      let dlu_budget = ref t.config.Ltm_config.lock_timeout in
-      let rec dlu_gate k =
-        if not (dlu_blocked ()) then k ()
-        else if t.config.Ltm_config.dlu = Ltm_config.Block && !dlu_budget > 0 then begin
-          dlu_budget := !dlu_budget - t.config.Ltm_config.dlu_retry_interval;
-          Engine.schedule_unit t.engine ~delay:t.config.Ltm_config.dlu_retry_interval (fun () ->
-              if is_active txn then dlu_gate k)
-        end
-        else begin
+      let dlu_gate k =
+        if
+          is_local
+          && List.exists
+               (fun (key, mode) -> mode = Lock.Exclusive && Bound.is_bound t.bound ~table ~key)
+               targets
+        then begin
           Bound.note_denial t.bound;
           abort_internal t txn Dlu_denied ~notify:false
         end
+        else k ()
       in
       let finish_ok () =
         (* Spend command + per-op latency, then apply. *)
@@ -385,8 +373,6 @@ let exec t txn cmd ~on_done =
                   txn.last_op_done <- Engine.now t.engine;
                   txn.busy <- false;
                   txn.pending <- None;
-                  if not t.config.Ltm_config.rigorous then
-                    run_grants (Lock.release_shared t.locks ~owner:txn.id);
                   on_done (Done result)))
       in
       let rec acquire = function
@@ -414,7 +400,7 @@ let exec t txn cmd ~on_done =
                 let arm_timeout () =
                   txn.wait_timer <-
                     Some
-                      (Engine.schedule t.engine ~delay:t.config.Ltm_config.lock_timeout (fun () ->
+                      (Engine.schedule t.engine ~delay:lock_timeout (fun () ->
                            if is_active txn then abort_internal t txn Lock_timeout ~notify:false))
                 in
                 let conflicting_holders () =

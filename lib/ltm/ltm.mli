@@ -12,6 +12,9 @@ open Hermes_kernel
 type t
 type txn
 
+val lock_timeout : int
+(** Ticks a lock request may wait before its owner aborts. *)
+
 type abort_reason = Lock_timeout | Deadlock_victim | Dlu_denied | Unilateral | Owner_abort
 
 val pp_abort_reason : abort_reason Fmt.t
@@ -77,9 +80,6 @@ val mark_held_open : t -> txn -> bool -> unit
 (** Tag set by the 2PC Agent while it simulates the prepared state; the
     failure injector can target held-open transactions (it is told through
     the held-open hook). *)
-
-val set_begin_hook : t -> (txn -> unit) -> unit
-(** Failure-injector hook, fired on every [begin_txn]. *)
 
 val set_held_open_hook : t -> (txn -> unit) -> unit
 (** Failure-injector hook, fired when a transaction is marked held-open. *)

@@ -1,11 +1,6 @@
 (* Tunables of one LTM. Defaults model a responsive early-90s DBMS at
    microsecond-tick resolution: elementary operations take tens of
-   microseconds, lock waits time out after 50 ms. *)
-
-type dlu_enforcement =
-  | Deny  (* abort a local transaction that tries to update bound data *)
-  | Block  (* make it wait (bounded by lock_timeout), then abort *)
-  | Ignore  (* ablation: let the violation happen *)
+   microseconds (lock waits time out after 50 ms: {!Ltm.lock_timeout}). *)
 
 type deadlock_resolution =
   | Timeout_only  (* the paper's assumption for 2CM (§6) *)
@@ -14,22 +9,9 @@ type deadlock_resolution =
   | Wound_wait  (* an older requester wounds (aborts) younger conflicting holders *)
 
 type t = {
-  lock_timeout : int;  (* ticks a lock request may wait before its owner aborts *)
   deadlock : deadlock_resolution;
   cmd_latency : int;  (* fixed per-command processing ticks *)
   op_latency : int;  (* ticks per elementary operation *)
-  dlu : dlu_enforcement;
-  dlu_retry_interval : int;  (* Block mode: ticks between bound-data rechecks *)
-  rigorous : bool;  (* false = release read locks at command end (breaks SRS; ablation) *)
 }
 
-let default =
-  {
-    lock_timeout = 50_000;
-    deadlock = Timeout_only;
-    cmd_latency = 100;
-    op_latency = 30;
-    dlu = Deny;
-    dlu_retry_interval = 2_000;
-    rigorous = true;
-  }
+let default = { deadlock = Timeout_only; cmd_latency = 100; op_latency = 30 }

@@ -1,9 +1,6 @@
-(** Tunables of one LTM. *)
-
-type dlu_enforcement =
-  | Deny  (** abort a local transaction that tries to update bound data *)
-  | Block  (** make it wait (bounded by [lock_timeout]), then abort *)
-  | Ignore  (** ablation: let the violation happen *)
+(** Tunables of one LTM. The lock-wait timeout is the constant
+    {!Ltm.lock_timeout}; local updates of bound data are always denied
+    (DLU), and locks are always held to transaction end (SRS). *)
 
 type deadlock_resolution =
   | Timeout_only  (** the paper's assumption for 2CM (§6) *)
@@ -11,14 +8,6 @@ type deadlock_resolution =
   | Wait_die  (** a requester younger than a conflicting holder dies (non-preemptive) *)
   | Wound_wait  (** an older requester aborts ("wounds") younger conflicting holders *)
 
-type t = {
-  lock_timeout : int;
-  deadlock : deadlock_resolution;
-  cmd_latency : int;
-  op_latency : int;
-  dlu : dlu_enforcement;
-  dlu_retry_interval : int;  (** Block mode: ticks between bound-data rechecks *)
-  rigorous : bool;  (** false = release read locks early (breaks SRS; ablation) *)
-}
+type t = { deadlock : deadlock_resolution; cmd_latency : int; op_latency : int }
 
 val default : t

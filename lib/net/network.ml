@@ -7,14 +7,13 @@
    race §5.3's prepare-certification extension exists to survive.
 
    Opt-in fault injection relaxes the reliability assumption: messages
-   can be dropped or duplicated (per-message coin flips), hit a delay
-   spike, or fall into a partition window on their link; a destination
-   can be marked down so deliveries to it are counted drops instead of
-   reaching a handler. All faults are driven by the network's own seeded
-   RNG — and every fault coin is guarded by its probability being
-   positive, so a fault-free configuration draws exactly the pre-fault
-   sequence and runs are byte-identical to a build without this file's
-   fault paths. *)
+   can be dropped or duplicated (per-message coin flips) or slowed on a
+   gray site's links; a destination can be marked down so deliveries to
+   it are counted drops instead of reaching a handler. All faults are
+   driven by the network's own seeded RNG — and every fault coin is
+   guarded by its probability being positive, so a fault-free
+   configuration draws exactly the pre-fault sequence and runs are
+   byte-identical to a build without this file's fault paths. *)
 
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
@@ -32,19 +31,9 @@ module Log = (val Logs.src_log src : Logs.LOG)
    allocate on every send. *)
 let debug () = Logs.Src.level src = Some Logs.Debug
 
-type endpoint = Any_addr | Addr of Wire.address
-
-type partition = {
-  between : endpoint * endpoint;  (* matched in either direction *)
-  window : int * int;  (* [lo, hi) in ticks: sends inside it are dropped *)
-}
-
 type faults = {
   drop : float;  (* per-message drop probability *)
   dup : float;  (* per-message duplication probability *)
-  spike_p : float;  (* per-message delay-spike probability *)
-  spike_factor : int;  (* delay multiplier when a spike hits *)
-  partitions : partition list;
   gray_sites : int list;
       (* gray-failed sites: every message to or from their agent runs
          [gray_factor] times slower, but nothing is ever lost — the
@@ -52,16 +41,7 @@ type faults = {
   gray_factor : int;  (* delay multiplier on gray-site links *)
 }
 
-let no_faults =
-  {
-    drop = 0.;
-    dup = 0.;
-    spike_p = 0.;
-    spike_factor = 1;
-    partitions = [];
-    gray_sites = [];
-    gray_factor = 1;
-  }
+let no_faults = { drop = 0.; dup = 0.; gray_sites = []; gray_factor = 1 }
 
 type config = {
   base_delay : int;  (* ticks every message takes *)
@@ -118,7 +98,6 @@ type t = {
          determinism on a reliable run) *)
 }
 
-let config_lossy faults = faults.drop > 0. || faults.partitions <> []
 
 (* The size at which the link table is first swept, and below which it
    never is. *)
@@ -144,7 +123,7 @@ let create ~engine ~rng ?obs ?fabric ~config () = {
   delivered = 0;
   dropped = 0;
   duplicated = 0;
-  lossy = config_lossy config.faults;
+  lossy = config.faults.drop > 0.;
 }
 
 let register t addr handler = Int_tbl.replace t.handlers (Wire.address_key addr) handler
@@ -179,20 +158,6 @@ let count_drop t ~at ~dst ~gid ~reason =
   t.dropped <- t.dropped + 1;
   Obs.emit t.obs ~at (fun () ->
       Tracer.Message_dropped { dst = Fmt.str "%a" Wire.pp_address dst; gid; reason })
-
-let endpoint_matches ep addr = match ep with Any_addr -> true | Addr a -> Wire.equal_address a addr
-
-let partitioned t ~src ~dst ~now =
-  match t.config.faults.partitions with
-  | [] -> false
-  | partitions ->
-      List.exists
-        (fun { between = a, b; window = lo, hi } ->
-          let tick = Time.to_int now in
-          tick >= lo && tick < hi
-          && ((endpoint_matches a src && endpoint_matches b dst)
-             || (endpoint_matches a dst && endpoint_matches b src)))
-        partitions
 
 (* Remove one in-flight record (the delivered copy); identical tuples are
    interchangeable, so removing the first match is enough. *)
@@ -276,10 +241,6 @@ let transmit t msg ~now =
   let delay =
     t.config.base_delay + if t.config.jitter > 0 then Rng.int t.rng ~bound:(t.config.jitter + 1) else 0
   in
-  let delay =
-    if faults.spike_p > 0. && Rng.bool t.rng ~p:faults.spike_p then delay * faults.spike_factor
-    else delay
-  in
   (* Gray links: a deterministic multiplier, no extra RNG draw — a
      gray-free configuration transmits byte-identically. *)
   let delay =
@@ -317,8 +278,7 @@ let send t ~src ~dst ~gid payload =
   t.sent <- t.sent + 1;
   let now = Engine.now t.engine in
   let faults = t.config.faults in
-  if partitioned t ~src ~dst ~now then count_drop t ~at:now ~dst ~gid ~reason:"partition"
-  else if faults.drop > 0. && Rng.bool t.rng ~p:faults.drop then
+  if faults.drop > 0. && Rng.bool t.rng ~p:faults.drop then
     count_drop t ~at:now ~dst ~gid ~reason:"drop"
   else begin
     transmit t msg ~now;

@@ -3,28 +3,16 @@
     can overtake a PREPARE from a different sender (§5.3).
 
     Reliable by default; {!faults} opts into seed-deterministic message
-    loss, duplication, delay spikes and partition windows, and
-    {!mark_down} makes a destination unreachable (deliveries to it are
-    counted drops). With {!no_faults} and no down sites, runs are
+    loss and duplication and into gray (slow) sites, and {!mark_down}
+    makes a destination unreachable (deliveries to it are counted
+    drops). With {!no_faults} and no down sites, runs are
     byte-identical to the fault-free network at the same seed. *)
 
 open Hermes_kernel
 
-type endpoint =
-  | Any_addr  (** matches every address (e.g. to isolate one site) *)
-  | Addr of Wire.address
-
-type partition = {
-  between : endpoint * endpoint;  (** matched in either direction *)
-  window : int * int;  (** [\[lo, hi)] in ticks: sends inside it are dropped *)
-}
-
 type faults = {
   drop : float;  (** per-message drop probability *)
   dup : float;  (** per-message duplication probability *)
-  spike_p : float;  (** per-message delay-spike probability *)
-  spike_factor : int;  (** delay multiplier when a spike hits *)
-  partitions : partition list;
   gray_sites : int list;
       (** gray-failed sites: alive and reachable, but every message to or
           from their agent runs [gray_factor] times slower — slow enough
@@ -34,8 +22,7 @@ type faults = {
 }
 
 val no_faults : faults
-(** All probabilities zero, no partitions, no gray sites: the reliable
-    network. *)
+(** Both probabilities zero, no gray sites: the reliable network. *)
 
 type config = { base_delay : int; jitter : int; faults : faults }
 
@@ -137,17 +124,17 @@ val assume_lossy : t -> unit
     says otherwise (e.g. sites will be marked down later in the run). *)
 
 val lossy : t -> bool
-(** True once messages can fail to be delivered: the fault config drops
-    or partitions, a site has been {!mark_down}, or {!assume_lossy} was
-    called. Protocol layers consult this before arming loss-recovery
-    timers, so reliable runs stay byte-identical. *)
+(** True once messages can fail to be delivered: the fault config drops,
+    a site has been {!mark_down}, or {!assume_lossy} was called. Protocol
+    layers consult this before arming loss-recovery timers, so reliable
+    runs stay byte-identical. *)
 
 val sent : t -> int
 val delivered : t -> int
 
 val dropped : t -> int
-(** Messages lost to the drop coin, a partition window, or delivery to a
-    down destination. *)
+(** Messages lost to the drop coin or to delivery to a down
+    destination. *)
 
 val duplicated : t -> int
 

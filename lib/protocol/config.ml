@@ -6,16 +6,18 @@
 (* How the coordinator's commit/abort decision is made durable.
    [Two_pc] is the paper's protocol: the decision lives in the
    coordinator's own force-written log, so a crashed coordinator blocks
-   in-doubt participants until its site reboots.  [Backup_tm] and
-   [Paxos] replicate the decision into a register spread over acceptor
-   processes on other sites (Gray & Lamport, "Consensus on Transaction
-   Commit"): the leader announces COMMIT only after a write quorum of
-   acceptors has accepted it, and any in-doubt party can drive a
-   recovery ballot against a read quorum, so the decision survives F
-   replica failures with no blocking.  [Backup_tm] is the degenerate
-   single-acceptor exemplar (the t2pc ENABLEBTM shape): one backup TM
-   on the next site, non-blocking under exactly one failure. *)
-type commit_proto = Two_pc | Backup_tm | Paxos of { f : int }
+   in-doubt participants until its site reboots.  [Paxos] replicates the
+   decision into a register spread over acceptor processes on other
+   sites (Gray & Lamport, "Consensus on Transaction Commit"): the leader
+   announces COMMIT only after a write quorum of acceptors has accepted
+   it, and any in-doubt party can drive a recovery ballot against a read
+   quorum, so the decision survives F replica failures with no blocking.
+   [backup_tm] is its degenerate F = 0 register (the t2pc ENABLEBTM
+   shape): one backup TM on the next site, non-blocking under exactly one
+   failure. *)
+type commit_proto = Two_pc | Paxos of { f : int }
+
+let backup_tm = Paxos { f = 0 }
 
 (* The process-fault adversary (Zhao, "A Byzantine Fault Tolerant
    Distributed Commit Protocol"): deterministic misbehaviours injected
@@ -81,18 +83,15 @@ let group_commit t = t.group_commit_window > 0
 let lying t ~site = List.mem site t.adversary.lying_sites
 
 (* Replica-set geometry of the decision register.  2PC has no acceptors
-   (the coordinator log is the register); backup-TM has one; Paxos
-   Commit has 2f+1 with matching f+1 read/write quorums, so any read
-   quorum intersects any write quorum. *)
-let n_acceptors t =
-  match t.commit_proto with Two_pc -> 0 | Backup_tm -> 1 | Paxos { f } -> (2 * f) + 1
-
-let replica_quorum t =
-  match t.commit_proto with Two_pc -> 0 | Backup_tm -> 1 | Paxos { f } -> f + 1
+   (the coordinator log is the register); Paxos Commit has 2f+1 with
+   matching f+1 read/write quorums, so any read quorum intersects any
+   write quorum — backup-TM's one acceptor and quorum of one at f = 0. *)
+let n_acceptors t = match t.commit_proto with Two_pc -> 0 | Paxos { f } -> (2 * f) + 1
+let replica_quorum t = match t.commit_proto with Two_pc -> 0 | Paxos { f } -> f + 1
 
 let pp_commit_proto ppf = function
   | Two_pc -> Fmt.string ppf "2pc"
-  | Backup_tm -> Fmt.string ppf "backup-tm"
+  | Paxos { f = 0 } -> Fmt.string ppf "backup-tm"
   | Paxos { f } -> Fmt.pf ppf "paxos(f=%d)" f
 
 (* The full 2CM certifier as the paper specifies it. *)

@@ -16,10 +16,6 @@ type commit_proto =
       (** The paper's protocol: the decision lives only in the
           coordinator's force-written log, so a crashed coordinator
           blocks in-doubt participants until its site reboots. *)
-  | Backup_tm
-      (** One backup acceptor on the next site (the t2pc [ENABLEBTM]
-          exemplar): the degenerate single-replica register, non-blocking
-          under exactly one failure. *)
   | Paxos of { f : int }
       (** Gray & Lamport's Paxos Commit: the decision is a
           Paxos-replicated register over [2f+1] acceptors with [f+1]
@@ -27,6 +23,11 @@ type commit_proto =
           zero blocking. [2f+1] is at most {!Hermes_kernel.Wire.max_acceptors}
           (so [f <= 7]): the network packs an acceptor's index into four
           bits. *)
+
+val backup_tm : commit_proto
+(** [Paxos { f = 0 }]: one backup acceptor on the next site (the t2pc
+    [ENABLEBTM] exemplar), the degenerate single-replica register,
+    non-blocking under exactly one failure. Printed ["backup-tm"]. *)
 
 (** The process-fault adversary: deterministic misbehaviours injected
     inside otherwise-honest machines.  With every knob at its
@@ -119,8 +120,8 @@ val lying : t -> site:int -> bool
 (** Is the agent at (integer) site id [site] a configured liar? *)
 
 val n_acceptors : t -> int
-(** Acceptors of the decision register: 0 for {!Two_pc}, 1 for
-    {!Backup_tm}, [2f+1] for {!Paxos}. *)
+(** Acceptors of the decision register: 0 for {!Two_pc}, [2f+1] for
+    {!Paxos} (1 for {!backup_tm}). *)
 
 val replica_quorum : t -> int
 (** Read = write quorum of the register: 0 / 1 / [f+1]. Any read quorum

@@ -25,7 +25,7 @@ module Registry = Hermes_obs.Registry
 
 type protocol =
   | Two_pca of Config.t  (* the paper's DTM, or its ablations/naive/ticket variants *)
-  | Cgm_baseline of Cgm.config
+  | Cgm_baseline of Cgm.granularity
 
 let protocol_name = function
   | Two_pca c ->
@@ -33,8 +33,8 @@ let protocol_name = function
       else if c = Config.naive then "naive"
       else if c = Config.ticket then "ticket"
       else "2CM-variant"
-  | Cgm_baseline c -> (
-      match c.Cgm.granularity with Cgm.Site_level -> "CGM-site" | Cgm.Table_level -> "CGM-table")
+  | Cgm_baseline Cgm.Site_level -> "CGM-site"
+  | Cgm_baseline Cgm.Table_level -> "CGM-table"
 
 type setup = {
   spec : Spec.t;
@@ -163,9 +163,9 @@ let execute ~k ~domains setup =
             ()
         in
         (dtm, (fun ?shards program ~on_done -> ignore (Dtm.submit dtm ?shards program ~on_done)), None)
-    | Cgm_baseline config ->
+    | Cgm_baseline granularity ->
         let cgm =
-          Cgm.create ~engine:engines.(0) ~rng ~net_config:setup.net ~config ?obs:setup.obs
+          Cgm.create ~engine:engines.(0) ~rng ~net_config:setup.net ~granularity ?obs:setup.obs
             ~site_specs ()
         in
         (Cgm.dtm cgm, (fun ?shards:_ program ~on_done -> Cgm.submit cgm program ~on_done),
@@ -177,7 +177,7 @@ let execute ~k ~domains setup =
       List.iter
         (fun table ->
           for key = 0 to spec.Spec.keys_per_site - 1 do
-            Dtm.load dtm site ~table ~key ~value:spec.Spec.initial_value
+            Dtm.load dtm site ~table ~key ~value:Spec.initial_value
           done)
         (Generator.local_partition_table :: Spec.tables spec))
     (Dtm.site_ids dtm);

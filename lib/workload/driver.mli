@@ -9,7 +9,8 @@ open Hermes_kernel
 type protocol =
   | Two_pca of Hermes_core.Config.t
       (** the paper's DTM, or an ablation/naive/ticket variant of it *)
-  | Cgm_baseline of Hermes_baselines.Cgm.config
+  | Cgm_baseline of Hermes_baselines.Cgm.granularity
+      (** the CGM baseline, with global locks at this granularity *)
 
 val protocol_name : protocol -> string
 

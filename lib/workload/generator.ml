@@ -19,19 +19,12 @@ open Hermes_kernel
 (* The key sampler, one per generator, compiled from the spec's key
    distribution. The legacy Zipf path keeps its exact draw sequence (one
    float per key) so old specs replay byte-identically. *)
-type sampler =
-  | Zipfian of Zipf.t
-  | Uniform_keys of int
-  | Hot of { n : int; hot : int; weight : float }
+type sampler = Zipfian of Zipf.t | Uniform_keys of int
 
 let sampler_of_spec spec =
   match spec.Spec.key_dist with
   | Spec.Zipf { theta } -> Zipfian (Zipf.create ~n:spec.Spec.keys_per_site ~theta)
   | Spec.Uniform -> Uniform_keys spec.Spec.keys_per_site
-  | Spec.Hotspot { fraction; weight } ->
-      let n = spec.Spec.keys_per_site in
-      let hot = max 1 (int_of_float (Float.round (fraction *. float_of_int n))) in
-      Hot { n; hot; weight }
 
 type t = { spec : Spec.t; sampler : sampler; rng : Rng.t }
 
@@ -41,10 +34,6 @@ let sample_key t =
   match t.sampler with
   | Zipfian z -> Zipf.sample z t.rng
   | Uniform_keys n -> Rng.int t.rng ~bound:n
-  | Hot { n; hot; weight } ->
-      if Rng.bool t.rng ~p:weight then Rng.int t.rng ~bound:hot
-      else if n = hot then Rng.int t.rng ~bound:n
-      else hot + Rng.int t.rng ~bound:(n - hot)
 
 let distinct_shards t =
   let n_shards = Spec.shards t.spec in
@@ -123,7 +112,7 @@ let global_program_rooted t ~site =
   Hermes_core.Program.make steps
 
 (* The locally-updateable partition of the CGM baseline: a dedicated
-   per-site table local writes are confined to (paper §6: CGM partitions
+   per-site table local writes are confined to (paper §6: CGM splits the
    items into locally- and globally-updateable sets; global updaters may
    not read the locally-updateable set — our globals never touch it). *)
 let local_partition_table = "LOCAL"
@@ -139,8 +128,8 @@ let local_commands ?(partitioned = false) t =
      (long_tail = 0) replay byte-identically. *)
   let n_ops =
     if t.spec.Spec.local_long_tail > 0.0 && Rng.bool t.rng ~p:t.spec.Spec.local_long_tail then
-      t.spec.Spec.local_ops * 8
-    else t.spec.Spec.local_ops
+      Spec.local_ops * 8
+    else Spec.local_ops
   in
   List.init n_ops (fun _ ->
       let key = sample_key t in

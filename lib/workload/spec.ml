@@ -7,6 +7,12 @@
    release is gone — [arrival], [key_dist] and [mix] are authoritative
    and non-optional. *)
 
+(* The value every key is loaded with. *)
+let initial_value = 100
+
+(* Commands per local transaction (8x that for a long-tail one). *)
+let local_ops = 2
+
 type arrival =
   | Closed of { mpl : int; think_time_mean : int }
       (* a fixed population of clients, each thinking between txns *)
@@ -15,11 +21,7 @@ type arrival =
          arrivals beyond [max_in_flight] in-service clients queue, and
          latency is measured from arrival (queueing delay included) *)
 
-type key_dist =
-  | Uniform
-  | Zipf of { theta : float }  (* item i+1 has weight 1/(i+1)^theta *)
-  | Hotspot of { fraction : float; weight : float }
-      (* the first [fraction] of the key space draws [weight] of accesses *)
+type key_dist = Uniform | Zipf of { theta : float }  (* item i+1 has weight 1/(i+1)^theta *)
 
 type mix = { sites_per_txn : int; ops_per_site : int; write_ratio : float }
 
@@ -30,7 +32,6 @@ type t = {
          shard per site (the static identity map, the legacy behavior) *)
   keys_per_site : int;  (* keys per table *)
   n_tables : int;  (* tables per site (named "T0", "T1", ...) *)
-  initial_value : int;
   (* Global transactions. *)
   n_global : int;  (* run this many global transactions to completion *)
   arrival : arrival;
@@ -38,7 +39,6 @@ type t = {
   key_dist : key_dist;
   (* Local transactions (run while the global quota is being worked off). *)
   local_mpl_per_site : int;
-  local_ops : int;
   local_write_ratio : float;
   local_txn_cap : int;  (* total local txns per run: bounds analysis cost when a protocol livelocks *)
   local_long_tail : float;  (* fraction of local txns running 8x the ops; 0 = off *)
@@ -47,24 +47,21 @@ type t = {
 
 let default_think_time = 2_000
 
-let make ?(n_sites = 3) ?n_shards ?(keys_per_site = 40) ?(n_tables = 4) ?(initial_value = 100)
-    ?(n_global = 100) ?(arrival = Closed { mpl = 4; think_time_mean = default_think_time })
+let make ?(n_sites = 3) ?n_shards ?(keys_per_site = 40) ?(n_tables = 4) ?(n_global = 100)
+    ?(arrival = Closed { mpl = 4; think_time_mean = default_think_time })
     ?(mix = { sites_per_txn = 2; ops_per_site = 2; write_ratio = 0.5 })
-    ?(key_dist = Zipf { theta = 0.6 }) ?(local_mpl_per_site = 1) ?(local_ops = 2)
-    ?(local_write_ratio = 0.5) ?(local_txn_cap = 2_000) ?(local_long_tail = 0.0)
-    ?(max_retries = 10) () =
+    ?(key_dist = Zipf { theta = 0.6 }) ?(local_mpl_per_site = 1) ?(local_write_ratio = 0.5)
+    ?(local_txn_cap = 2_000) ?(local_long_tail = 0.0) ?(max_retries = 10) () =
   {
     n_sites;
     n_shards;
     keys_per_site;
     n_tables;
-    initial_value;
     n_global;
     arrival;
     mix;
     key_dist;
     local_mpl_per_site;
-    local_ops;
     local_write_ratio;
     local_txn_cap;
     local_long_tail;
@@ -94,7 +91,6 @@ let pp_arrival ppf = function
 let pp_key_dist ppf = function
   | Uniform -> Fmt.string ppf "uniform"
   | Zipf { theta } -> Fmt.pf ppf "zipf(%.2f)" theta
-  | Hotspot { fraction; weight } -> Fmt.pf ppf "hotspot(%.2f->%.2f)" fraction weight
 
 let pp ppf t =
   Fmt.pf ppf

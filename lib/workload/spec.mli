@@ -23,9 +23,6 @@ type arrival =
 type key_dist =
   | Uniform
   | Zipf of { theta : float }  (** item [i+1] has weight [1/(i+1)^theta] *)
-  | Hotspot of { fraction : float; weight : float }
-      (** the first [fraction] of the key space draws [weight] of all
-          accesses, the rest is uniform *)
 
 (** The global-transaction shape. *)
 type mix = { sites_per_txn : int; ops_per_site : int; write_ratio : float }
@@ -37,21 +34,25 @@ type t = {
           shard per site (the static identity map, the legacy behavior) *)
   keys_per_site : int;  (** keys per table *)
   n_tables : int;  (** tables per site, named ["T0"], ["T1"], ... *)
-  initial_value : int;
   n_global : int;  (** global transactions to run to completion *)
   arrival : arrival;
   mix : mix;
   key_dist : key_dist;
   local_mpl_per_site : int;
-  local_ops : int;
   local_write_ratio : float;
   local_txn_cap : int;  (** bound on total local transactions per run *)
   local_long_tail : float;
-      (** fraction of local transactions running 8x [local_ops] — a
+      (** fraction of local transactions running 8x {!local_ops} — a
           long-tail of fat local readers/writers; [0.] (default) draws no
           randomness and leaves earlier runs byte-identical *)
   max_retries : int;  (** retries of an aborted global transaction *)
 }
+
+val initial_value : int
+(** The value every key is loaded with: 100. *)
+
+val local_ops : int
+(** Commands per local transaction: 2 (16 for a long-tail one). *)
 
 val default : t
 (** Closed loop, MPL 4, Zipf 0.6 — the PR 1-era parameters. *)
@@ -61,13 +62,11 @@ val make :
   ?n_shards:int ->
   ?keys_per_site:int ->
   ?n_tables:int ->
-  ?initial_value:int ->
   ?n_global:int ->
   ?arrival:arrival ->
   ?mix:mix ->
   ?key_dist:key_dist ->
   ?local_mpl_per_site:int ->
-  ?local_ops:int ->
   ?local_write_ratio:float ->
   ?local_txn_cap:int ->
   ?local_long_tail:float ->

@@ -51,11 +51,11 @@ let test_cg_indirect_loop () =
 
 type world = { engine : Engine.t; cgm : Cgm.t }
 
-let make_world ?(config = Cgm.default_config) ?(failure = Failure.disabled) ?(seed = 3) () =
+let make_world ?(granularity = Cgm.Site_level) ?(failure = Failure.disabled) ?(seed = 3) () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed in
   let cgm =
-    Cgm.create ~engine ~rng ~net_config:Hermes_net.Network.default_config ~config
+    Cgm.create ~engine ~rng ~net_config:Hermes_net.Network.default_config ~granularity
       ~site_specs:(Array.make 2 { Dtm.default_site_spec with Dtm.failure }) ()
   in
   List.iter
@@ -97,7 +97,7 @@ let test_cgm_gate_delays () =
 
 let test_cgm_readonly_overlap_delays () =
   (* Read-only transactions hold shared global locks, reach the gate
-     concurrently, and loop in the commit graph: the Delay policy must
+     concurrently, and loop in the commit graph: the gate must
      hold some back and release them on completion. *)
   let w = make_world () in
   let committed = ref 0 in
@@ -110,20 +110,6 @@ let test_cgm_readonly_overlap_delays () =
   Engine.run w.engine;
   Alcotest.(check int) "all committed" 4 !committed;
   Alcotest.(check bool) "delays happened" true ((Cgm.stats w.cgm).Cgm.gate_delays > 0)
-
-let test_cgm_abort_policy () =
-  let w = make_world ~config:{ Cgm.default_config with Cgm.loop_policy = Cgm.Abort_txn } () in
-  let committed = ref 0 and aborted = ref 0 in
-  let sel site keys = (site, Command.Select { table = "X"; keys }) in
-  for i = 0 to 3 do
-    Cgm.submit w.cgm
-      (Program.make [ sel a [ i ]; sel b [ i ] ])
-      ~on_done:(fun o -> if o = Coordinator.Committed then incr committed else incr aborted)
-  done;
-  Engine.run w.engine;
-  Alcotest.(check int) "all finished" 4 (!committed + !aborted);
-  Alcotest.(check bool) "some gate aborts" true ((Cgm.stats w.cgm).Cgm.gate_aborts > 0);
-  Alcotest.(check int) "aborts match" !aborted (Cgm.stats w.cgm).Cgm.gate_aborts
 
 let test_cgm_under_failures () =
   (* Resubmission without certification, protected by global locks and the
@@ -151,7 +137,7 @@ let test_cgm_under_failures () =
 let test_cgm_table_granularity_allows_disjoint () =
   (* At table granularity, transactions on different tables at the same
      sites proceed with no global-lock conflict. *)
-  let w = make_world ~config:{ Cgm.default_config with Cgm.granularity = Cgm.Table_level } () in
+  let w = make_world ~granularity:Cgm.Table_level () in
   List.iter
     (fun site ->
       List.iter (fun k -> Dtm.load (Cgm.dtm w.cgm) site ~table:"Y" ~key:k ~value:50) (List.init 10 Fun.id))
@@ -182,7 +168,6 @@ let () =
           Alcotest.test_case "commits" `Quick test_cgm_commits;
           Alcotest.test_case "gate consistency" `Quick test_cgm_gate_delays;
           Alcotest.test_case "read-only overlap delays" `Quick test_cgm_readonly_overlap_delays;
-          Alcotest.test_case "abort policy" `Quick test_cgm_abort_policy;
           Alcotest.test_case "under failures" `Quick test_cgm_under_failures;
           Alcotest.test_case "table granularity" `Quick test_cgm_table_granularity_allows_disjoint;
         ] );

@@ -64,7 +64,7 @@ let test_fuzz_cgm () =
     let setup =
       {
         setup with
-        Driver.protocol = Driver.Cgm_baseline Hermes_baselines.Cgm.default_config;
+        Driver.protocol = Driver.Cgm_baseline Hermes_baselines.Cgm.Site_level;
         crash_schedule = [];
       }
     in

@@ -445,17 +445,17 @@ let test_lock_conflict_serializes () =
   Alcotest.(check int) "both applied" 112 (Row.value (Option.get (Database.read w.db ~table:"X" ~key:1)))
 
 let test_lock_timeout_aborts () =
-  let config = { Ltm_config.default with Ltm_config.lock_timeout = 1_000 } in
-  let w = make_world ~config () in
+  let w = make_world () in
   let t1 = Ltm.begin_txn w.ltm ~owner:(ginc 1) in
   let t2 = Ltm.begin_txn w.ltm ~owner:(ginc 2) in
   Ltm.exec w.ltm t1 (upd 1 5) ~on_done:ignore;
   let result = ref None in
-  Ltm.exec w.ltm t2 (upd 1 7) ~on_done:(fun r -> result := Some r);
-  (* t1 never commits; t2 must time out. *)
+  Ltm.exec w.ltm t2 (upd 1 7) ~on_done:(fun r -> result := Some (r, Engine.now w.engine));
+  (* t1 never commits; t2 must time out, a lock timeout after it queued. *)
   Engine.run w.engine;
   match !result with
-  | Some (Ltm.Failed Ltm.Lock_timeout) -> ()
+  | Some (Ltm.Failed Ltm.Lock_timeout, at) ->
+      Alcotest.(check bool) "waited out the timeout" true (Time.to_int at >= Ltm.lock_timeout)
   | _ -> Alcotest.fail "expected lock timeout"
 
 let test_deadlock_detection () =
@@ -563,46 +563,6 @@ let test_dlu_allows_global_update () =
   | Some (Ltm.Done (Command.Count 1)) -> ()
   | _ -> Alcotest.fail "global update of bound data is not DLU's business"
 
-let test_dlu_block_mode () =
-  (* Block mode: the local write waits until the data are unbound, then
-     proceeds. *)
-  let config = { Ltm_config.default with Ltm_config.dlu = Ltm_config.Block } in
-  let w = make_world ~config () in
-  let item = Item.make ~site:site0 ~table:"X" ~key:1 in
-  Bound.bind (Ltm.bound_registry w.ltm) [ item ];
-  let txn = Ltm.begin_txn w.ltm ~owner:(linc 1) in
-  let result = ref None in
-  Ltm.exec w.ltm txn (upd 1 5) ~on_done:(fun r -> result := Some r);
-  Engine.run ~until:(Time.of_int 10_000) w.engine;
-  Alcotest.(check bool) "still waiting" true (!result = None);
-  Bound.unbind (Ltm.bound_registry w.ltm) [ item ];
-  Engine.run w.engine;
-  (match !result with
-  | Some (Ltm.Done (Command.Count 1)) -> ()
-  | _ -> Alcotest.fail "expected the blocked write to proceed after unbind");
-  (* And the budget: a permanently bound item eventually aborts. *)
-  let w2 = make_world ~config () in
-  Bound.bind (Ltm.bound_registry w2.ltm) [ item ];
-  let txn2 = Ltm.begin_txn w2.ltm ~owner:(linc 2) in
-  let result2 = ref None in
-  Ltm.exec w2.ltm txn2 (upd 1 5) ~on_done:(fun r -> result2 := Some r);
-  Engine.run w2.engine;
-  match !result2 with
-  | Some (Ltm.Failed Ltm.Dlu_denied) -> ()
-  | _ -> Alcotest.fail "expected budget-exhausted denial"
-
-let test_dlu_ignore_mode () =
-  let config = { Ltm_config.default with Ltm_config.dlu = Ltm_config.Ignore } in
-  let w = make_world ~config () in
-  Bound.bind (Ltm.bound_registry w.ltm) [ Item.make ~site:site0 ~table:"X" ~key:1 ];
-  let txn = Ltm.begin_txn w.ltm ~owner:(linc 1) in
-  let result = ref None in
-  Ltm.exec w.ltm txn (upd 1 5) ~on_done:(fun r -> result := Some r);
-  Engine.run w.engine;
-  match !result with
-  | Some (Ltm.Done _) -> ()
-  | _ -> Alcotest.fail "Ignore mode lets the violation through"
-
 let test_bound_refcount () =
   let b = Bound.create () in
   let item = Item.make ~site:site0 ~table:"X" ~key:1 in
@@ -617,30 +577,64 @@ let test_bound_refcount () =
 (* Failure injector                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_injector_caps_aborts () =
+(* The incarnations of global transaction 1 at site0, begun one after
+   another: each executes an update, is left to the injector while
+   [expose] runs the engine, and commits if it survived. Returns which
+   survived. *)
+let incarnations_struck w ~n ~expose =
+  List.init n (fun k ->
+      let owner = Txn.Incarnation.make ~txn:(Txn.global 1) ~site:site0 ~inc:k in
+      let txn = Ltm.begin_txn w.ltm ~owner in
+      Ltm.exec w.ltm txn (upd 1 1) ~on_done:ignore;
+      expose txn;
+      let survived = Ltm.is_alive txn in
+      if survived then Ltm.commit w.ltm txn ~on_done:ignore;
+      survived)
+
+let test_injector_caps_prepared () =
+  (* Every prepared incarnation is struck until the TW cap: exactly the
+     first [max_per_victim] of them die. *)
   let w = make_world () in
-  let rng = Rng.create ~seed:5 in
-  let config =
-    { Failure.disabled with Failure.p_active = 1.0; delay_mean = 10; max_per_victim = 2 }
+  let inj =
+    Failure.attach ~engine:w.engine ~rng:(Rng.create ~seed:5) ~config:(Failure.prepared_rate 1.0) w.ltm
   in
-  let inj = Failure.attach ~engine:w.engine ~rng ~config w.ltm in
-  (* Same logical transaction begins 5 incarnations; at most 2 die. *)
-  for k = 0 to 4 do
-    let owner = Txn.Incarnation.make ~txn:(Txn.global 1) ~site:site0 ~inc:k in
-    let txn = Ltm.begin_txn w.ltm ~owner in
-    Ltm.exec w.ltm txn (upd (k mod 3) 1) ~on_done:ignore;
-    Engine.run w.engine;
-    if Ltm.is_alive txn then Ltm.commit w.ltm txn ~on_done:ignore;
-    Engine.run w.engine
-  done;
-  Alcotest.(check bool) "TW cap respected" true (Failure.injected inj <= 2)
+  let n = Failure.max_per_victim + 2 in
+  let survived =
+    incarnations_struck w ~n ~expose:(fun txn ->
+        Engine.run w.engine;
+        Ltm.mark_held_open w.ltm txn true;
+        Engine.run w.engine)
+  in
+  Alcotest.(check int) "struck up to the cap" Failure.max_per_victim (Failure.injected inj);
+  Alcotest.(check (list bool)) "the first ones die"
+    (List.init n (fun k -> k >= Failure.max_per_victim))
+    survived
+
+let test_injector_caps_crashes () =
+  (* Crashes at every tick strike each live incarnation, but a global
+     transaction's incarnations at one site only [max_per_victim] times. *)
+  let w = make_world () in
+  let inj =
+    Failure.attach ~engine:w.engine ~rng:(Rng.create ~seed:5)
+      ~config:(Failure.crashes ~mean_interval:1 ~horizon:20_000) w.ltm
+  in
+  let n = Failure.max_per_victim + 2 in
+  let survived =
+    incarnations_struck w ~n ~expose:(fun _ ->
+        Engine.run ~until:(Time.add (Engine.now w.engine) 1_000) w.engine)
+  in
+  Alcotest.(check bool) "crashes happened" true (Failure.crash_count inj > Failure.max_per_victim);
+  Alcotest.(check int) "struck up to the cap" Failure.max_per_victim (Failure.injected inj);
+  Alcotest.(check (list bool)) "the first ones die"
+    (List.init n (fun k -> k >= Failure.max_per_victim))
+    survived
 
 let test_site_crash_collective_abort () =
   (* A crash aborts every live transaction at once (collective unilateral
      abort, paper §1). *)
   let w = make_world () in
   let rng = Rng.create ~seed:5 in
-  let config = { Failure.disabled with Failure.crash_interval = 1_000; crash_horizon = 5_000 } in
+  let config = Failure.crashes ~mean_interval:1_000 ~horizon:5_000 in
   let inj = Failure.attach ~engine:w.engine ~rng ~config w.ltm in
   let txns = List.init 4 (fun n -> Ltm.begin_txn w.ltm ~owner:(ginc n)) in
   List.iteri (fun i txn -> Ltm.exec w.ltm txn (upd i 1) ~on_done:ignore) txns;
@@ -654,30 +648,14 @@ let test_site_crash_collective_abort () =
     Alcotest.(check int) "restored" 100 (Row.value (Option.get (Database.read w.db ~table:"X" ~key:k)))
   done
 
-let test_injector_spares_locals () =
-  let w = make_world () in
-  let rng = Rng.create ~seed:5 in
-  let config =
-    { Failure.disabled with Failure.p_active = 1.0; delay_mean = 10; max_per_victim = 10 }
-  in
-  let inj = Failure.attach ~engine:w.engine ~rng ~config w.ltm in
-  for n = 0 to 4 do
-    let txn = Ltm.begin_txn w.ltm ~owner:(linc n) in
-    Ltm.exec w.ltm txn (upd (n mod 3) 1) ~on_done:ignore;
-    Engine.run w.engine;
-    if Ltm.is_alive txn then Ltm.commit w.ltm txn ~on_done:ignore;
-    Engine.run w.engine
-  done;
-  Alcotest.(check int) "locals spared" 0 (Failure.injected inj)
-
 (* ------------------------------------------------------------------ *)
 (* The central property: S2PL yields rigorous histories                *)
 (* ------------------------------------------------------------------ *)
 
 (* Random concurrent transactions against one LTM; the recorded history
-   must be rigorous (and with the non-rigorous ablation, eventually not). *)
-let run_random_workload ~config ~seed ~n_txns =
-  let w = make_world ~config () in
+   must be rigorous. *)
+let run_random_workload ~seed ~n_txns =
+  let w = make_world () in
   let rng = Rng.create ~seed in
   let rec client n =
     if n < n_txns then begin
@@ -716,21 +694,8 @@ let prop_s2pl_rigorous =
   QCheck.Test.make ~name:"S2PL histories are rigorous" ~count:25
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let h = run_random_workload ~config:Ltm_config.default ~seed ~n_txns:15 in
+      let h = run_random_workload ~seed ~n_txns:15 in
       Rigorous.is_rigorous (Hermes_history.Projection.ltm h site0))
-
-let test_nonrigorous_ablation () =
-  (* Releasing read locks early must eventually produce a non-rigorous
-     history on some seed. *)
-  let config = { Ltm_config.default with Ltm_config.rigorous = false } in
-  let found = ref false in
-  for seed = 0 to 30 do
-    if not !found then begin
-      let h = run_random_workload ~config ~seed ~n_txns:15 in
-      if not (Rigorous.is_rigorous (Hermes_history.Projection.ltm h site0)) then found := true
-    end
-  done;
-  Alcotest.(check bool) "ablation breaks rigorousness" true !found
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
@@ -884,19 +849,16 @@ let () =
           Alcotest.test_case "denies local update" `Quick test_dlu_denies_local_update;
           Alcotest.test_case "allows local read" `Quick test_dlu_allows_local_read;
           Alcotest.test_case "allows global update" `Quick test_dlu_allows_global_update;
-          Alcotest.test_case "block mode" `Quick test_dlu_block_mode;
-          Alcotest.test_case "ignore mode" `Quick test_dlu_ignore_mode;
           Alcotest.test_case "refcount" `Quick test_bound_refcount;
         ] );
       ( "failure",
         [
-          Alcotest.test_case "TW cap" `Quick test_injector_caps_aborts;
+          Alcotest.test_case "TW cap" `Quick test_injector_caps_prepared;
+          Alcotest.test_case "TW cap under crashes" `Quick test_injector_caps_crashes;
           Alcotest.test_case "site crash = collective abort" `Quick test_site_crash_collective_abort;
-          Alcotest.test_case "locals spared" `Quick test_injector_spares_locals;
         ] );
       ( "rigorousness",
-        [ q prop_s2pl_rigorous; Alcotest.test_case "non-rigorous ablation" `Quick test_nonrigorous_ablation ]
-      );
+        [ q prop_s2pl_rigorous ] );
       ( "trace",
         [
           q prop_trace_matches_reference;

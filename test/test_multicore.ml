@@ -312,7 +312,7 @@ let test_sequential_moves_open_digest () =
 
 let test_windowed_rejects_cgm () =
   let setup =
-    { windowed_setup with Driver.protocol = Driver.Cgm_baseline Cgm.default_config }
+    { windowed_setup with Driver.protocol = Driver.Cgm_baseline Cgm.Site_level }
   in
   Alcotest.check_raises "CGM is single-domain"
     (Invalid_argument "Driver.run_windowed: the CGM baseline is single-domain only") (fun () ->

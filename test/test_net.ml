@@ -126,33 +126,6 @@ let test_down_site_drops () =
   Engine.run engine;
   Alcotest.(check int) "delivered after reboot" 1 !got
 
-let test_partition_window () =
-  (* Sends inside the window are dropped (either direction); sends after
-     it get through. *)
-  let config =
-    faults_config
-      {
-        Network.no_faults with
-        partitions =
-          [ { Network.between = (Network.Addr (Wire.Agent a), Network.Any_addr); window = (0, 1_000) } ];
-      }
-  in
-  let engine, net = make ~config () in
-  let got = ref 0 in
-  Network.register net (Wire.Agent a) (fun _ -> incr got);
-  Network.register net (Wire.Agent b) (fun _ -> incr got);
-  (* Inside the window, both directions across the cut. *)
-  Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:1 (Wire.Begin { epoch = 0 });
-  Network.send net ~src:(Wire.Agent a) ~dst:(Wire.Agent b) ~gid:2 (Wire.Begin { epoch = 0 });
-  (* Unrelated link: unaffected. *)
-  Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent b) ~gid:3 (Wire.Begin { epoch = 0 });
-  (* After the window closes. *)
-  Engine.schedule_unit engine ~delay:2_000 (fun () ->
-      Network.send net ~src:(Wire.Coordinator 1) ~dst:(Wire.Agent a) ~gid:4 (Wire.Begin { epoch = 0 }));
-  Engine.run engine;
-  Alcotest.(check int) "partition drops" 2 (Network.dropped net);
-  Alcotest.(check int) "others delivered" 2 !got
-
 (* Regression for the overtaking under-count: the old detector compared
    only the single most recent in-flight arrival, so one late message
    overtaking k earlier ones counted at most once. The counter must
@@ -211,7 +184,7 @@ let prop_fifo_always =
 (* The network as it was before its link state was bounded: a FIFO
    clamp entry for every link ever used, and in-flight records kept
    whether or not an [Obs] is attached. Kept verbatim as the reference,
-   less the fabric, partitions, gray links and logging, which the
+   less the fabric, gray links and logging, which the
    property below does not drive. *)
 module Network_reference = struct
   module Tracer = Hermes_obs.Tracer
@@ -325,13 +298,8 @@ module Network_reference = struct
 
   let transmit t msg ~now =
     let { Wire.src; dst; _ } = msg in
-    let faults = t.config.faults in
     let delay =
       t.config.base_delay + if t.config.jitter > 0 then Rng.int t.rng ~bound:(t.config.jitter + 1) else 0
-    in
-    let delay =
-      if faults.spike_p > 0. && Rng.bool t.rng ~p:faults.spike_p then delay * faults.spike_factor
-      else delay
     in
     let arrival =
       let earliest = Time.add now delay in
@@ -372,7 +340,6 @@ type net_case = {
   jitter : int;
   drop : float;
   dup : float;
-  spike_p : float;
   with_obs : bool;
   seed : int;
   steps : (int * net_act) list;  (* gap in ticks before the act, act *)
@@ -386,7 +353,6 @@ let gen_net_case =
   let* jitter = oneofl [ 0; 50; 5_000; 20_000 ] in
   let* drop = oneofl [ 0.; 0.05 ] in
   let* dup = oneofl [ 0.; 0.1 ] in
-  let* spike_p = oneofl [ 0.; 0.05 ] in
   let* with_obs = bool in
   let* seed = int_bound 10_000 in
   let* len = int_range 1 600 in
@@ -407,7 +373,7 @@ let gen_net_case =
     return (gap, act)
   in
   let+ steps = flatten_l (List.init len step) in
-  { base_delay; jitter; drop; dup; spike_p; with_obs; seed; steps }
+  { base_delay; jitter; drop; dup; with_obs; seed; steps }
 
 let print_net_case c =
   let act = function
@@ -415,8 +381,8 @@ let print_net_case c =
     | Down s -> Printf.sprintf "down%d" s
     | Up s -> Printf.sprintf "up%d" s
   in
-  Printf.sprintf "base=%d jitter=%d drop=%g dup=%g spike=%g obs=%b seed=%d [%s]" c.base_delay
-    c.jitter c.drop c.dup c.spike_p c.with_obs c.seed
+  Printf.sprintf "base=%d jitter=%d drop=%g dup=%g obs=%b seed=%d [%s]" c.base_delay c.jitter
+    c.drop c.dup c.with_obs c.seed
     (String.concat "; " (List.map (fun (g, a) -> Printf.sprintf "+%d %s" g (act a)) c.steps))
 
 (* What a run shows from outside: every delivery with its time, the
@@ -446,8 +412,7 @@ module Play (N : NET) = struct
       {
         Network.base_delay = c.base_delay;
         jitter = c.jitter;
-        faults =
-          { Network.no_faults with drop = c.drop; dup = c.dup; spike_p = c.spike_p; spike_factor = 10 };
+        faults = { Network.no_faults with drop = c.drop; dup = c.dup };
       }
     in
     let net = N.create ~engine ~rng:(Rng.create ~seed:c.seed) ?obs ~config () in
@@ -517,7 +482,6 @@ let () =
           Alcotest.test_case "drop all" `Quick test_drop_all;
           Alcotest.test_case "duplicate all" `Quick test_duplicate_all;
           Alcotest.test_case "down site: counted drops" `Quick test_down_site_drops;
-          Alcotest.test_case "partition window" `Quick test_partition_window;
           Alcotest.test_case "overtaking counts every overtaken message" `Quick test_overtake_counts_all;
           q prop_fifo_always;
           q prop_matches_reference;

@@ -79,8 +79,8 @@ let arb_walk =
         (String.concat "; " (List.map pp_step steps)))
 
 (* Total and disjoint: every shard has exactly one owner, and the owner
-   is a serving site. [shards_of] over the serving sites partitions the
-   shard space. *)
+   is a serving site. [shards_of] over the serving sites covers the
+   shard space without overlap. *)
 let coverage_ok m =
   let n = Shard_map.n_shards m in
   let sites = Shard_map.sites m in

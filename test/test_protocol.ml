@@ -1327,7 +1327,7 @@ module P = Hermes_protocol.Paxos_coordinator_sm
 module Acceptor = Hermes_core.Acceptor
 
 let pcfg = { cfg with Config.commit_proto = Config.Paxos { f = 1 } }
-let btm_cfg = { cfg with Config.commit_proto = Config.Backup_tm }
+let btm_cfg = { cfg with Config.commit_proto = Config.backup_tm }
 let pcstep st input = Csm.step (Csm.config pcfg) st input
 
 (* Drive the paxos-mode coordinator to the Preparing phase. *)
@@ -1680,7 +1680,7 @@ let test_explore_paxos_f_plus_1_kills_block () =
 let test_explore_backup_tm_single_kill_blocks () =
   (* Backup-TM survives no permanent replica failure (F = 0): one kill
      already blocks, which is exactly why Paxos Commit runs 2F+1. *)
-  let st = Explore.run (kill_scenario ~proto:Config.Backup_tm ~kills:1 ()) in
+  let st = Explore.run (kill_scenario ~proto:Config.backup_tm ~kills:1 ()) in
   Alcotest.(check bool) "violations found" true (st.Explore.n_violations > 0)
 
 (* ------------------------------------------------------------------ *)

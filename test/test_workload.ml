@@ -166,31 +166,6 @@ let test_spec_shards_default () =
 (* Key distributions and the local long tail                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_generator_hotspot_keys () =
-  let spec =
-    Spec.make ~n_sites:4 ~keys_per_site:100
-      ~key_dist:(Spec.Hotspot { fraction = 0.1; weight = 0.9 })
-      ()
-  in
-  let gen = Generator.create ~spec ~rng:(Rng.create ~seed:8) in
-  let total = ref 0 and hot = ref 0 in
-  for _ = 1 to 300 do
-    let p = Generator.global_program gen in
-    List.iter
-      (fun site ->
-        List.iter
-          (function
-            | Command.Update { key; _ } ->
-                incr total;
-                if key < 10 then incr hot
-            | _ -> ())
-          (Program.commands_at p site))
-      (Program.sites p)
-  done;
-  Alcotest.(check bool) "hot tenth dominates" true
-    (float_of_int !hot > 0.6 *. float_of_int !total);
-  Alcotest.(check bool) "cold keys still drawn" true (!hot < !total)
-
 let test_generator_uniform_keys_in_range () =
   let spec = Spec.make ~keys_per_site:16 ~key_dist:Spec.Uniform () in
   let gen = Generator.create ~spec ~rng:(Rng.create ~seed:11) in
@@ -210,10 +185,10 @@ let test_generator_uniform_keys_in_range () =
 let test_generator_long_tail_locals () =
   (* With a certain long tail every local txn runs 8x the ops; with the
      feature off the legacy length is untouched. *)
-  let tailed = Spec.make ~local_ops:2 ~local_long_tail:1.0 () in
+  let tailed = Spec.make ~local_long_tail:1.0 () in
   let gen = Generator.create ~spec:tailed ~rng:(Rng.create ~seed:12) in
   Alcotest.(check int) "8x ops" 16 (List.length (Generator.local_commands gen));
-  let flat = Spec.make ~local_ops:2 ~local_long_tail:0.0 () in
+  let flat = Spec.make ~local_long_tail:0.0 () in
   let gen = Generator.create ~spec:flat ~rng:(Rng.create ~seed:12) in
   Alcotest.(check int) "legacy length" 2 (List.length (Generator.local_commands gen))
 
@@ -284,7 +259,7 @@ let test_driver_cgm_protocol () =
     Driver.run
       {
         Driver.default_setup with
-        Driver.protocol = Driver.Cgm_baseline Cgm.default_config;
+        Driver.protocol = Driver.Cgm_baseline Cgm.Site_level;
         seed = 14;
         spec = { Spec.default with Spec.n_global = 30 };
       }
@@ -358,7 +333,7 @@ let test_protocol_names () =
   Alcotest.(check string) "2cm" "2CM" (Driver.protocol_name (Driver.Two_pca Config.full));
   Alcotest.(check string) "naive" "naive" (Driver.protocol_name (Driver.Two_pca Config.naive));
   Alcotest.(check string) "ticket" "ticket" (Driver.protocol_name (Driver.Two_pca Config.ticket));
-  Alcotest.(check string) "cgm" "CGM-site" (Driver.protocol_name (Driver.Cgm_baseline Cgm.default_config))
+  Alcotest.(check string) "cgm" "CGM-site" (Driver.protocol_name (Driver.Cgm_baseline Cgm.Site_level))
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -382,7 +357,6 @@ let () =
           Alcotest.test_case "distinct sites" `Quick test_generator_distinct_sites;
           Alcotest.test_case "no upgrade patterns" `Quick test_generator_no_upgrades;
           Alcotest.test_case "partitioned locals" `Quick test_generator_partitioned_locals;
-          Alcotest.test_case "hotspot keys" `Quick test_generator_hotspot_keys;
           Alcotest.test_case "uniform keys in range" `Quick test_generator_uniform_keys_in_range;
           Alcotest.test_case "long-tail locals" `Quick test_generator_long_tail_locals;
         ] );
