@@ -87,12 +87,6 @@ let require_writable paths =
           exit 2)
     (List.filter_map Fun.id paths)
 
-(* The exit code of a command that verified a history: 0 when it is
-   certainly view serializable and its trace agrees with the execution,
-   1 otherwise. A value mismatch means the trace contradicts itself, so
-   no verdict drawn from it can be trusted. *)
-let verdict_exit rep = if Report.serializable rep && rep.Report.value_mismatches = [] then 0 else 1
-
 (* Structured logging: components emit on the hermes.* sources (agent,
    coordinator, ltm, net); every message carries the simulated time. *)
 let setup_logs =
@@ -528,7 +522,7 @@ let run_cmd =
     write_obs_outputs obs ~metrics_out ~trace_out ~summary:metrics_summary;
     let rep = Report.analyze r.Driver.history in
     Fmt.pr "@.%a@." Report.pp rep;
-    verdict_exit rep
+    if Report.ok rep then 0 else 1
   in
   let term =
     Term.(
@@ -564,7 +558,7 @@ let scenario_cmd =
       Fmt.pr "@.committed projection:@.  %a@." History.pp_with_from (Committed.extended r.Scenario.history);
       Fmt.pr "@.%a@." Report.pp r.Scenario.report;
       write_obs_outputs obs ~metrics_out ~trace_out ~summary:metrics_summary;
-      verdict_exit r.Scenario.report
+      if Report.ok r.Scenario.report then 0 else 1
     in
     match which with
     | `H1 -> show (Scenario.h1 ~certifier ~seed ?obs ())
@@ -601,12 +595,13 @@ let verify_cmd =
     c "verify.ops" rep.Report.n_ops;
     c "verify.txns_global" rep.Report.n_global;
     c "verify.txns_local" rep.Report.n_local;
+    let v = rep.Report.verdict in
     c "verify.rigorous_violations"
-      (List.fold_left (fun n (_, vs) -> n + List.length vs) 0 rep.Report.rigorous_violations);
-    c "verify.global_distortions" (List.length rep.Report.global_distortions);
-    c "verify.value_mismatches" (List.length rep.Report.value_mismatches);
-    Registry.Gauge.set (Registry.gauge reg "verify.serializable") (if Report.serializable rep then 1 else 0);
-    Registry.Gauge.set (Registry.gauge reg "verify.rigorous") (if Report.rigorous rep then 1 else 0);
+      (List.fold_left (fun n (_, vs) -> n + List.length vs) 0 v.Correctness.rigorous_violations);
+    c "verify.global_distortions" (List.length v.Correctness.distortions);
+    c "verify.value_mismatches" (List.length v.Correctness.value_mismatches);
+    Registry.Gauge.set (Registry.gauge reg "verify.serializable") (if Correctness.serializable v then 1 else 0);
+    Registry.Gauge.set (Registry.gauge reg "verify.rigorous") (if Correctness.rigorous v then 1 else 0);
     Obs.write_metrics obs path;
     Fmt.pr "metrics written to %s@." path
   in
@@ -623,7 +618,7 @@ let verify_cmd =
         let rep = Report.analyze h in
         Fmt.pr "@.%a@." Report.pp rep;
         Option.iter (report_metrics rep) metrics_out;
-        verdict_exit rep
+        if Report.ok rep then 0 else 1
   in
   let term = Term.(const run $ setup_logs $ file $ verbose $ metrics_out_arg) in
   Cmd.v

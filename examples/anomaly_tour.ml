@@ -50,8 +50,8 @@ let () =
     "With only the commit certification enabled, T1 and T2 deadlock through the\n\
      resubmitted locks: T1's recovery waits for T2's locks, T2's commit waits for\n\
      T1's smaller serial number. The run is cut off by the time cap with both\n\
-     transactions stuck -- the Correctness Invariant enforced at prepare time is\n\
-     what keeps recovery live."
+     transactions stuck, globally committed but not at every site (torn) -- the\n\
+     Correctness Invariant enforced at prepare time is what keeps recovery live."
     [ ("commit cert only", Scenario.h1 ~certifier:commit_only ()) ];
   tour "H2 -- local view distortion via a direct conflict (paper S5.1)"
     "T1's subtransaction at a recovers slowly; T3 reads Z^b from T1 and commits at\n\

@@ -7,7 +7,7 @@
    Checks two invariants at the end:
      - conservation: inter-bank transfers are zero-sum, local fee postings
        are accounted, so total money = initial + posted fees;
-     - serializability: the recorded history passes the full analysis.
+     - correctness: the recorded history's verdict is ok (Report.ok).
 
    Run with:  dune exec examples/banking.exe *)
 
@@ -139,4 +139,4 @@ let () =
     totals.Dtm.resubmissions totals.Dtm.dlu_denials;
   let rep = Report.analyze (Dtm.history dtm) in
   Fmt.pr "@.%a@." Report.pp rep;
-  if money <> expected || not (Report.serializable rep) then exit 1
+  if money <> expected || not (Report.ok rep) then exit 1

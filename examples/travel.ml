@@ -20,9 +20,8 @@ module Config = Hermes_core.Config
 module Program = Hermes_core.Program
 module Coordinator = Hermes_core.Coordinator
 module Dtm = Hermes_core.Dtm
-module Committed = Hermes_history.Committed
 module Anomaly = Hermes_history.Anomaly
-module Report = Hermes_history.Report
+module Correctness = Hermes_history.Correctness
 
 let airline = Site.of_int 0
 let hotel = Site.of_int 1
@@ -105,10 +104,8 @@ let run ~name ~certifier ~seed =
   reporter hotel "rooms" (n_hotels - 1);
   reporter cars "fleet" (n_cars - 1);
   Engine.run engine;
-  let h = Dtm.history dtm in
-  let c = Committed.extended h in
-  let distortions = Anomaly.global_view_distortions c in
-  let cycle = Anomaly.commit_order_cycle c in
+  let v = Correctness.check (Dtm.history dtm) in
+  let distortions = v.Correctness.distortions and cycle = v.Correctness.cg_cycle in
   let totals = Dtm.totals dtm in
   Fmt.pr "@.== %s ==@." name;
   Fmt.pr "bookings: %d committed, %d given up; resubmissions: %d, unilateral aborts: %d@." !committed

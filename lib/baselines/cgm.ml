@@ -112,7 +112,7 @@ let drain_queue t =
     pending
 
 let gate t : Coordinator.gate =
- fun ~gid ~sites ~proceed ~refuse:_ ->
+ fun ~gid ~sites ~proceed ->
   if Commit_graph.would_loop t.cg ~gid ~sites then begin
     t.stats.gate_delays <- t.stats.gate_delays + 1;
     t.queue <- { gid; sites; proceed; enqueued_at = Engine.now t.engine } :: t.queue

@@ -39,5 +39,4 @@ let enter t ~gid ~sites =
 
 let leave t ~gid = t.graph <- G.remove_vertex t.graph (Txn_node gid)
 
-let in_graph t ~gid = List.exists (function Txn_node g -> g = gid | Site_node _ -> false) (G.vertices t.graph)
 let pp ppf t = G.pp ppf t.graph

@@ -19,5 +19,4 @@ val would_loop : t -> gid:int -> sites:Site.t list -> bool
 
 val enter : t -> gid:int -> sites:Site.t list -> unit
 val leave : t -> gid:int -> unit
-val in_graph : t -> gid:int -> bool
 val pp : t Fmt.t

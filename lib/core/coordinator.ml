@@ -30,7 +30,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type reason = Types.reason =
   | Exec_failed of Site.t * string
   | Refused of Site.t * Wire.refusal
-  | Gate_refused of string  (* a baseline scheduler (e.g. CGM) rejected the commit *)
+  | Gate_refused of string  (* CGM gave up on the commit: its global-lock timeout fired *)
   | Presumed_abort  (* coordinator crash recovery found no decision record *)
   | Register_abort  (* a recovery ballot of the replicated decision register chose abort *)
 
@@ -41,12 +41,11 @@ type outcome = Types.outcome = Committed | Aborted of reason
 let pp_outcome = Types.pp_outcome
 
 (* A commit gate lets a baseline scheduler (the CGM commit graph) sit
-   between execution and the PREPARE phase: it may let the transaction
-   proceed now, later, or refuse it. The default gate proceeds
-   immediately. *)
-type gate = gid:int -> sites:Site.t list -> proceed:(unit -> unit) -> refuse:(string -> unit) -> unit
+   between execution and the PREPARE phase: it lets the transaction
+   proceed now or later. The default gate proceeds immediately. *)
+type gate = gid:int -> sites:Site.t list -> proceed:(unit -> unit) -> unit
 
-let open_gate : gate = fun ~gid:_ ~sites:_ ~proceed ~refuse:_ -> proceed ()
+let open_gate : gate = fun ~gid:_ ~sites:_ ~proceed -> proceed ()
 
 type t = {
   gid : int;
@@ -246,7 +245,6 @@ and interpret t (eff : Sm.effect) =
             if t.config.Sm.certifier.Config.sn_at_begin then None else Some (t.sn_gen ())
           in
           feed t (Sm.Gate_opened { sn; lossy = Network.lossy t.net }))
-        ~refuse:(fun why -> feed t (Sm.Gate_refused why))
   | Types.Decide outcome -> decide t outcome
 
 and arm t (timer : Sm.timer) ~delay =

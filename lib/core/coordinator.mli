@@ -9,7 +9,7 @@ open Hermes_kernel
 type reason =
   | Exec_failed of Site.t * string
   | Refused of Site.t * Wire.refusal
-  | Gate_refused of string  (** a baseline scheduler (e.g. CGM) rejected the commit *)
+  | Gate_refused of string  (** CGM gave up on the commit: its global-lock timeout fired *)
   | Presumed_abort
       (** coordinator crash recovery found no decision record for the
           round and terminated it by presuming abort *)
@@ -23,9 +23,10 @@ type outcome = Committed | Aborted of reason
 
 val pp_outcome : outcome Fmt.t
 
-type gate = gid:int -> sites:Site.t list -> proceed:(unit -> unit) -> refuse:(string -> unit) -> unit
-(** A commit gate sits between execution and the PREPARE phase; baseline
-    schedulers (the CGM commit graph) hook in here. *)
+type gate = gid:int -> sites:Site.t list -> proceed:(unit -> unit) -> unit
+(** A commit gate sits between execution and the PREPARE phase and calls
+    [proceed] when the round may go on; baseline schedulers (the CGM
+    commit graph) hook in here. *)
 
 val open_gate : gate
 (** The default gate: proceed immediately. *)

@@ -42,18 +42,18 @@ let absorb metrics reg = match metrics with Some dst -> Registry.absorb dst reg 
 type 'a run = { result : 'a; reg : Registry.t; verdict : Correctness.t }
 
 (* Seeds 1..[seeds] fan out over [jobs] domains, each run with its own
-   observability context; [f] returns its result and the history it
-   recorded, which is judged in the worker. [Pool.map] keeps seed order
-   and the registries are absorbed into [metrics] here, on the calling
-   domain, so tables and metrics dump are byte-identical for any
-   [jobs]. *)
+   observability context; [f] returns its result and the verdict on the
+   history it recorded, so the history is judged in the worker.
+   [Pool.map] keeps seed order and the registries are absorbed into
+   [metrics] here, on the calling domain, so tables and metrics dump are
+   byte-identical for any [jobs]. *)
 let sweep ?metrics ~jobs ~seeds f =
   let runs =
     Pool.map ~jobs
       (fun seed ->
         let obs = Obs.create () in
-        let result, history = f ~obs seed in
-        { result; reg = Obs.metrics obs; verdict = Correctness.check history })
+        let result, verdict = f ~obs seed in
+        { result; reg = Obs.metrics obs; verdict })
       (List.init seeds (fun i -> i + 1))
   in
   List.iter (fun r -> absorb metrics r.reg) runs;
@@ -64,7 +64,7 @@ let sweep ?metrics ~jobs ~seeds f =
 let driver_runs ?metrics ~jobs ~seeds ?(drive = Driver.run) setup =
   sweep ?metrics ~jobs ~seeds (fun ~obs seed ->
       let r = drive { setup with Driver.seed; obs = Some obs } in
-      (r, r.Driver.history))
+      (r, Correctness.check r.Driver.history))
 
 let mean f runs = List.fold_left (fun acc r -> acc +. f r) 0.0 runs /. float_of_int (max 1 (List.length runs))
 let mean_i f runs = mean (fun r -> float_of_int (f r)) runs
@@ -109,11 +109,11 @@ let scenario_configs =
     ("full 2CM certifier", Config.full);
   ]
 
-let view_cell (r : Scenario.run) =
-  match r.Scenario.report.Report.view with
+let view_cell (v : Correctness.t) =
+  match v.Correctness.view with
   | View.Serializable _ -> "VSR"
   | View.Not_serializable -> "NOT VSR"
-  | View.Too_large -> if Report.serializable r.Scenario.report then "VSR (criterion)" else "violates criterion"
+  | View.Too_large -> if Correctness.serializable v then "VSR (criterion)" else "violates criterion"
 
 let outcome_cell o =
   match o with
@@ -134,13 +134,14 @@ let scenario_table ?metrics ~title ~note ~scenario () =
         let locals =
           List.map (fun (l, ok) -> Fmt.str "%s %s" l (if ok then "ok" else "failed")) r.Scenario.locals
         in
+        let v = r.Scenario.report.Report.verdict in
         [
           name;
           String.concat ", " (outcomes @ locals);
           T.i r.Scenario.resubmissions;
-          T.i (List.length r.Scenario.report.Report.global_distortions);
-          T.b (r.Scenario.report.Report.cg_cycle <> None);
-          view_cell r;
+          T.i (List.length v.Correctness.distortions);
+          T.b (v.Correctness.cg_cycle <> None);
+          view_cell v;
           T.i (Tracer.length (Obs.trace obs));
           T.i (Histogram.max_value (Registry.histogram_totals reg "agent.commit_delay"));
         ])
@@ -190,7 +191,7 @@ let e4_overtaking ~seeds ~jobs ?metrics () =
     let runs =
       sweep ?metrics ~jobs ~seeds (fun ~obs seed ->
           let r = Scenario.overtake ~certifier ~obs ~jitter ~seed () in
-          (r, r.Scenario.o_run.Scenario.history))
+          (r, r.Scenario.o_run.Scenario.report.Report.verdict))
     in
     let n p = List.length (List.filter p runs) in
     ( n (fun r -> r.result.Scenario.overtaken),
@@ -947,7 +948,7 @@ let e17_commit_protocols ~seeds ~jobs ?metrics () =
         (Registry.histogram reg ~site:(Site.of_int 1) "agent.in_doubt_time")
         (Registry.histogram reg ~site:(Site.of_int 2) "agent.in_doubt_time")
     in
-    ((!finished, survivor_windows), Dtm.history dtm)
+    ((!finished, survivor_windows), Correctness.check (Dtm.history dtm))
   in
   let rows =
     List.concat_map

@@ -157,5 +157,3 @@ let global_view_distortions h =
 (* Local view distortion is *possible* only if CG(C(H)) is cyclic
    (paper §5.1); the cycle is the diagnostic. *)
 let commit_order_cycle h = Commit_order_graph.find_cycle h
-
-let has_global_view_distortion h = global_view_distortions h <> []

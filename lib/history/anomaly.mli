@@ -22,7 +22,6 @@ val footprints : History.t -> (Txn.Incarnation.t * step list) list
     logical transaction read from. *)
 
 val global_view_distortions : History.t -> global_distortion list
-val has_global_view_distortion : History.t -> bool
 
 val commit_order_cycle : History.t -> Txn.t list option
 (** A cycle in CG(H), if any — the paper's necessary condition for local

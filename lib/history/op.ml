@@ -23,9 +23,6 @@ type code = Read | Write | Local_commit | Local_abort | Prepare | Global_commit 
 
 type kind = Read | Write
 
-let equal_kind a b = match (a, b) with Read, Read | Write, Write -> true | (Read | Write), _ -> false
-let compare_kind a b = match (a, b) with Read, Read | Write, Write -> 0 | Read, Write -> -1 | Write, Read -> 1
-
 type t =
   | Dml of {
       kind : kind;

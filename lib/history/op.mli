@@ -14,9 +14,6 @@ type code = Read | Write | Local_commit | Local_abort | Prepare | Global_commit 
 
 type kind = Read | Write
 
-val equal_kind : kind -> kind -> bool
-val compare_kind : kind -> kind -> int
-
 type t =
   | Dml of {
       kind : kind;

@@ -6,10 +6,6 @@ open Hermes_kernel
 
 let site h s = History.filter (fun op -> match Op.site op with Some s' -> Site.equal s s' | None -> false) h
 
-let txn h x = History.filter (fun op -> Txn.equal (Op.txn op) x) h
-
-let dml h = History.filter Op.is_dml h
-
 (* The projection the LTM actually schedules: elementary operations and
    local terminations at one site (no Prepare — prepares live in the 2PCA,
    above the local interface). *)

@@ -1,7 +1,7 @@
-(** Combined verification of a recorded history: rigorousness per site,
-    SG/CG cycles, global view distortions, and a view-serializability
-    verdict (exact for small histories; by the paper's sufficient
-    criterion otherwise). *)
+(** The verification report of a recorded history: the verdict
+    ({!Correctness.check}) and what explains it — the size of C(H), the
+    SG(C(H)) cycle and the related-work QSR criterion — printed by
+    {!pp}. *)
 
 open Hermes_kernel
 
@@ -10,20 +10,18 @@ type t = {
   n_global : int;
   n_local : int;
   n_ops : int;
-  rigorous_violations : (Site.t * Rigorous.violation list) list;
+  verdict : Correctness.t;
   sg_cycle : Txn.t list option;
-  cg_cycle : Txn.t list option;
-  global_distortions : Anomaly.global_distortion list;
-  view : View.decision;
   quasi : Quasi.verdict;  (** the related-work [11] criterion, for contrast *)
-  value_mismatches : Values.mismatch list;  (** trace-vs-execution cross-check *)
 }
 
-val analyze : ?vsr_limit:int -> History.t -> t
-(** Computes the extended committed projection internally; [vsr_limit]
-    bounds the exact view-serializability search (default 10 transactions). *)
+val analyze : History.t -> t
+(** One {!Correctness.check_projection}, then SG(C(H)) once for its cycle
+    and the QSR verdict. *)
 
-val rigorous : t -> bool
-val serializable : t -> bool
 val ok : t -> bool
+(** {!Correctness.ok} of the verdict. *)
+
 val pp : t Fmt.t
+(** One line per check. The torn globals' line appears only when some
+    global is torn. *)

@@ -26,8 +26,6 @@ let intersects a b = Time.(a.lo <= b.hi) && Time.(b.lo <= a.hi)
 let intersection a b =
   if intersects a b then Some { lo = Time.max a.lo b.lo; hi = Time.min a.hi b.hi } else None
 
-let contains t x = Time.(t.lo <= x) && Time.(x <= t.hi)
-let length t = Time.diff t.hi t.lo
 
 let pp ppf t = Fmt.pf ppf "[%a, %a]" Time.pp t.lo Time.pp t.hi
 let show t = Fmt.str "%a" pp t

@@ -22,8 +22,6 @@ val intersects : t -> t -> bool
 (** Closed-interval intersection: [intersects a b] iff they share a point. *)
 
 val intersection : t -> t -> t option
-val contains : t -> Time.t -> bool
-val length : t -> int
 
 val pp : t Fmt.t
 val show : t -> string

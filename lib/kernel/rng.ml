@@ -36,9 +36,6 @@ let exponential t ~mean =
   let u = if u <= 0.0 then 1e-12 else u in
   max 1 (int_of_float (-.float_of_int mean *. log u))
 
-(* Uniform integer delay in [lo, hi]. *)
-let uniform_delay t ~lo ~hi = int_in t ~lo ~hi
-
 let shuffle t arr =
   let a = Array.copy arr in
   for i = Array.length a - 1 downto 1 do

@@ -22,7 +22,5 @@ val choice : t -> 'a array -> 'a
 val exponential : t -> mean:int -> int
 (** Exponentially distributed integer with the given mean, at least 1. *)
 
-val uniform_delay : t -> lo:int -> hi:int -> int
-
 val shuffle : t -> 'a array -> 'a array
 (** A shuffled copy; the input is not modified. *)

@@ -14,37 +14,23 @@
 
 open Hermes_kernel
 
-(* Per table name (a site has a handful, kept in a short list), the
-   reference count of each bound row key. *)
-type t = { mutable tables : (string * int Int_tbl.t) list; mutable denials : int }
+(* Per table name ({!Tables}), the reference count of each bound row
+   key. *)
+type t = { tables : int Tables.t; mutable denials : int }
 
-let create () = { tables = []; denials = 0 }
-
-(* The rows of table [name]; raises [Not_found] before its first bind. *)
-let rec rows_of tables name =
-  match tables with
-  | [] -> raise Not_found
-  | (name', rows) :: rest -> if String.equal name name' then rows else rows_of rest name
-
-let rows t name =
-  match rows_of t.tables name with
-  | rows -> rows
-  | exception Not_found ->
-      let rows = Int_tbl.create 64 in
-      t.tables <- (name, rows) :: t.tables;
-      rows
+let create () = { tables = Tables.create ~rows:64; denials = 0 }
 
 let bind t items =
   List.iter
     (fun item ->
-      let rows = rows t (Item.table item) and k = Item.key item in
+      let rows = Tables.find_or_add t.tables (Item.table item) and k = Item.key item in
       Int_tbl.replace rows k (1 + Option.value ~default:0 (Int_tbl.find_opt rows k)))
     items
 
 let unbind t items =
   List.iter
     (fun item ->
-      match rows_of t.tables (Item.table item) with
+      match Tables.find t.tables (Item.table item) with
       | exception Not_found -> ()
       | rows -> (
           let k = Item.key item in
@@ -55,8 +41,8 @@ let unbind t items =
     items
 
 let is_bound t ~table ~key:k =
-  match rows_of t.tables table with rows -> Int_tbl.mem rows k | exception Not_found -> false
+  match Tables.find t.tables table with rows -> Int_tbl.mem rows k | exception Not_found -> false
 
 let note_denial t = t.denials <- t.denials + 1
 let denials t = t.denials
-let n_bound t = List.fold_left (fun acc (_, rows) -> acc + Int_tbl.length rows) 0 t.tables
+let n_bound t = Tables.fold (fun _ rows acc -> acc + Int_tbl.length rows) t.tables 0

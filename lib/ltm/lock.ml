@@ -42,36 +42,20 @@ type entry = {
   mutable queue : request list;  (* head = next to grant *)
 }
 
-(* A site has a handful of tables, so a lock is found by its table's
-   name in a short list, compared with [String.equal], and then by its
-   row key in that table's int table: no generic hash on the hot path. *)
-type table = { name : string; rows : entry Int_tbl.t }
-
-(* The owner indexes hold entries, which carry their keys, so releasing
-   and cancelling reach a lock without a lookup. *)
+(* A lock is found by its table's name ({!Tables}) and then by its row
+   key in that table's int table: no generic hash on the hot path. The
+   owner indexes hold entries, which carry their keys, so releasing and
+   cancelling reach a lock without a lookup. *)
 type t = {
-  mutable tables : table list;
+  tables : entry Tables.t;
   held : entry list ref Int_tbl.t;  (* owner -> locks it holds, newest first *)
   waits : entry Int_tbl.t;  (* owner -> the lock it is queued on *)
 }
 
-let create () = { tables = []; held = Int_tbl.create 64; waits = Int_tbl.create 64 }
-
-(* The rows of table [name]; raises [Not_found] before its first lock. *)
-let rec rows_of tables name =
-  match tables with
-  | [] -> raise Not_found
-  | tbl :: rest -> if String.equal tbl.name name then tbl.rows else rows_of rest name
+let create () = { tables = Tables.create ~rows:256; held = Int_tbl.create 64; waits = Int_tbl.create 64 }
 
 let entry t ((name, k) as key) =
-  let rows =
-    match rows_of t.tables name with
-    | rows -> rows
-    | exception Not_found ->
-        let rows = Int_tbl.create 256 in
-        t.tables <- { name; rows } :: t.tables;
-        rows
-  in
+  let rows = Tables.find_or_add t.tables name in
   match Int_tbl.find_opt rows k with
   | Some e -> e
   | None ->
@@ -80,7 +64,7 @@ let entry t ((name, k) as key) =
       e
 
 let find_entry t (name, k) =
-  match rows_of t.tables name with rows -> Int_tbl.find_opt rows k | exception Not_found -> None
+  match Tables.find t.tables name with rows -> Int_tbl.find_opt rows k | exception Not_found -> None
 
 (* One entry per key, so an entry's identity stands for its key. *)
 let note_held t ~owner e =
@@ -217,19 +201,16 @@ let blockers t key ~owner ~mode =
 let compare_key (table, k) (table', k') =
   match String.compare table table' with 0 -> Int.compare k k' | c -> c
 
-let fold_entries f t acc =
-  List.fold_left (fun acc tbl -> Int_tbl.fold (fun _ e acc -> f e acc) tbl.rows acc) acc t.tables
-
 (* All waiting requests, as (key, owner, mode) triples: by ascending key,
    each key's requests in queue (FIFO) order — independent of how the
    tables lay their entries out. *)
 let waiting t =
-  fold_entries (fun e acc -> if e.queue = [] then acc else e :: acc) t []
+  Tables.fold
+    (fun _ rows acc -> Int_tbl.fold (fun _ e acc -> if e.queue = [] then acc else e :: acc) rows acc)
+    t.tables []
   |> List.sort (fun e e' -> compare_key e.key e'.key)
   |> List.concat_map (fun e -> List.map (fun r -> (e.key, r.req_owner, r.req_mode)) e.queue)
 
 let held_keys t ~owner =
   match Int_tbl.find_opt t.held owner with Some l -> List.map (fun e -> e.key) !l | None -> []
 
-let n_locks_held t = fold_entries (fun e acc -> acc + List.length e.holders) t 0
-let n_waiting t = fold_entries (fun e acc -> acc + List.length e.queue) t 0

@@ -41,5 +41,3 @@ val blockers : t -> key -> owner:int -> mode:mode -> int list
 
 val waiting : t -> (key * int * mode) list
 val held_keys : t -> owner:int -> key list
-val n_locks_held : t -> int
-val n_waiting : t -> int

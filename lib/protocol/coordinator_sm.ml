@@ -134,7 +134,6 @@ type input =
       (* [sn] is a fresh serial number the adapter drew iff the config
          does not use [sn_at_begin]; [lossy] is the network's current
          lossiness, deciding whether PREPARE retransmission is armed *)
-  | Gate_refused of string
   | Crash
       (* the coordinating site crashed: volatile state is lost (the
          adapter discards the machine); the returned effects silence the
@@ -265,8 +264,8 @@ let next_step config st =
   | [] ->
       let cancels = if st.exec_armed then [ Cancel_timer Exec_timeout ] else [] in
       (* All commands executed: the application submits the global Commit.
-         The gate (a baseline scheduler's hook) may hold or refuse it;
-         the adapter answers with [Gate_opened] or [Gate_refused]. *)
+         The gate (a baseline scheduler's hook) may hold it; the
+         adapter answers with [Gate_opened] when it proceeds. *)
       ({ st with exec_armed = false; outstanding = None }, cancels @ [ Invoke_gate ])
 
 let is_outstanding st site step =
@@ -613,9 +612,7 @@ let step config st input : state * effect list =
         @
         if lossy then [ Arm_timer { timer = Prepare_retransmit; delay = prepare_retry_interval } ]
         else [] )
-  | Gate_refused why when st.phase = Executing && not st.finished ->
-      start_abort config st (Gate_refused why)
-  | Gate_opened _ | Gate_refused _ ->
+  | Gate_opened _ ->
       (* A gate answer held across a coordinator crash: the recovered
          machine already carries a (presumed or logged) decision. *)
       (st, [])

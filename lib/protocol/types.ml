@@ -20,7 +20,7 @@ let absurd : never -> 'a = function _ -> .
 type reason =
   | Exec_failed of Site.t * string
   | Refused of Site.t * Wire.refusal
-  | Gate_refused of string  (* a baseline scheduler (e.g. CGM) rejected the commit *)
+  | Gate_refused of string  (* CGM gave up on the commit: its global-lock timeout fired *)
   | Presumed_abort
       (* coordinator crash recovery: the stable log holds no decision
          record (or the logged decision was an abort — the log keeps only

@@ -21,7 +21,7 @@ type reason =
   | Exec_failed of Site.t * string
   | Refused of Site.t * Wire.refusal
   | Gate_refused of string
-      (** A baseline scheduler (e.g. CGM) rejected the commit. *)
+      (** CGM gave up on the commit: its global-lock timeout fired. *)
   | Presumed_abort
       (** Coordinator crash recovery: the stable log holds no decision
           record (or the logged decision was an abort), so 2PC's

@@ -9,24 +9,13 @@
 
 open Hermes_kernel
 
-(* A site has a handful of tables: find one by name in a short list,
-   then the row by key in its int table. *)
-type table = Row.t Int_tbl.t
+(* A table is found by name ({!Tables}), then the row by key in its int
+   table. *)
+type t = { site : Site.t; tables : Row.t Tables.t }
 
-type t = { site : Site.t; mutable tables : (string * table) list }
-
-let create ~site = { site; tables = [] }
+let create ~site = { site; tables = Tables.create ~rows:64 }
 let site t = t.site
-
-let table t name =
-  let rec find = function
-    | (name', tbl) :: rest -> if String.equal name name' then tbl else find rest
-    | [] ->
-        let tbl = Int_tbl.create 64 in
-        t.tables <- (name, tbl) :: t.tables;
-        tbl
-  in
-  find t.tables
+let table t name = Tables.find_or_add t.tables name
 
 let read t ~table:name ~key = Int_tbl.find_opt (table t name) key
 
@@ -68,9 +57,8 @@ let mem t ~table:name ~key = Int_tbl.mem (table t name) key
 
 let item t ~table ~key = Item.make ~site:t.site ~table ~key
 
-let table_names t = List.map fst t.tables |> List.sort String.compare
-
-let size t = List.fold_left (fun acc (_, tbl) -> acc + Int_tbl.length tbl) 0 t.tables
+let table_names t = Tables.fold (fun name _ acc -> name :: acc) t.tables [] |> List.sort String.compare
+let size t = Tables.fold (fun _ tbl acc -> acc + Int_tbl.length tbl) t.tables 0
 
 (* A deterministic snapshot of the whole database, for invariant checks in
    tests and examples (e.g. conservation of money in the banking example). *)

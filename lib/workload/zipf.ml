@@ -22,8 +22,6 @@ let create ~n ~theta =
   cdf.(n - 1) <- 1.0;
   { cdf }
 
-let n t = Array.length t.cdf
-
 (* Binary search for the first index with cdf >= u. *)
 let sample t rng =
   let u = Rng.float rng ~bound:1.0 in

@@ -5,6 +5,5 @@ open Hermes_kernel
 type t
 
 val create : n:int -> theta:float -> t
-val n : t -> int
 val sample : t -> Rng.t -> int
 (** A key in [0, n), item 0 hottest. *)

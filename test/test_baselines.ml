@@ -10,6 +10,7 @@ module Dtm = Hermes_core.Dtm
 module Commit_graph = Hermes_baselines.Commit_graph
 module Cgm = Hermes_baselines.Cgm
 module Report = Hermes_history.Report
+module Correctness = Hermes_history.Correctness
 
 let a = Site.of_int 0
 let b = Site.of_int 1
@@ -131,8 +132,8 @@ let test_cgm_under_failures () =
   Engine.run w.engine;
   Alcotest.(check int) "all finished" 12 !finished;
   let rep = Report.analyze (Dtm.history (Cgm.dtm w.cgm)) in
-  Alcotest.(check bool) "no distortions" true (rep.Report.global_distortions = []);
-  Alcotest.(check bool) "CG acyclic" true (rep.Report.cg_cycle = None)
+  Alcotest.(check bool) "no distortions" true (rep.Report.verdict.Correctness.distortions = []);
+  Alcotest.(check bool) "CG acyclic" true (rep.Report.verdict.Correctness.cg_cycle = None)
 
 let test_cgm_table_granularity_allows_disjoint () =
   (* At table granularity, transactions on different tables at the same

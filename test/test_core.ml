@@ -15,6 +15,7 @@ module Alive_table = Hermes_protocol.Alive_table
 module Coordinator = Hermes_core.Coordinator
 module Dtm = Hermes_core.Dtm
 module Report = Hermes_history.Report
+module Correctness = Hermes_history.Correctness
 module History = Hermes_history.History
 module Committed = Hermes_history.Committed
 module Anomaly = Hermes_history.Anomaly
@@ -110,9 +111,9 @@ let test_many_sequential_commits () =
   run_to_completion w;
   Alcotest.(check int) "all committed" 20 !committed;
   let rep = Report.analyze (Dtm.history w.dtm) in
-  Alcotest.(check bool) "rigorous" true (Report.rigorous rep);
-  Alcotest.(check bool) "no distortions" true (rep.Report.global_distortions = []);
-  Alcotest.(check bool) "CG acyclic" true (rep.Report.cg_cycle = None)
+  Alcotest.(check bool) "rigorous" true (Correctness.rigorous rep.Report.verdict);
+  Alcotest.(check bool) "no distortions" true (rep.Report.verdict.Correctness.distortions = []);
+  Alcotest.(check bool) "CG acyclic" true (rep.Report.verdict.Correctness.cg_cycle = None)
 
 let test_concurrent_nonconflicting () =
   let w = make_world () in
@@ -175,9 +176,9 @@ let test_resubmission_recovers () =
   Alcotest.(check bool) "most committed" true (!committed >= 10);
   let h = Dtm.history w.dtm in
   let rep = Report.analyze h in
-  Alcotest.(check bool) "rigorous" true (Report.rigorous rep);
-  Alcotest.(check bool) "no global distortion" true (rep.Report.global_distortions = []);
-  Alcotest.(check bool) "CG acyclic" true (rep.Report.cg_cycle = None);
+  Alcotest.(check bool) "rigorous" true (Correctness.rigorous rep.Report.verdict);
+  Alcotest.(check bool) "no global distortion" true (rep.Report.verdict.Correctness.distortions = []);
+  Alcotest.(check bool) "CG acyclic" true (rep.Report.verdict.Correctness.cg_cycle = None);
   (* At least one resubmission actually happened, else the test is vacuous. *)
   let totals = Dtm.totals w.dtm in
   Alcotest.(check bool) "resubmissions occurred" true (totals.Dtm.resubmissions > 0)
@@ -234,9 +235,9 @@ let test_site_crash_recovery () =
   Alcotest.(check bool) "most committed" true (!committed >= 15);
   Alcotest.(check bool) "crashes happened" true (Failure.crash_count (Dtm.injector w.dtm a) >= 1);
   let rep = Report.analyze (Dtm.history w.dtm) in
-  Alcotest.(check bool) "rigorous" true (Report.rigorous rep);
-  Alcotest.(check bool) "no distortions" true (rep.Report.global_distortions = []);
-  Alcotest.(check bool) "CG acyclic" true (rep.Report.cg_cycle = None)
+  Alcotest.(check bool) "rigorous" true (Correctness.rigorous rep.Report.verdict);
+  Alcotest.(check bool) "no distortions" true (rep.Report.verdict.Correctness.distortions = []);
+  Alcotest.(check bool) "CG acyclic" true (rep.Report.verdict.Correctness.cg_cycle = None)
 
 (* ------------------------------------------------------------------ *)
 (* Agent crash & recovery (Agent-log durability, 2PC idempotence)      *)
@@ -335,9 +336,9 @@ let test_crash_storm_workload () =
   in
   Alcotest.(check int) "money conserved" 2000 total;
   let rep = Report.analyze (Dtm.history w.dtm) in
-  Alcotest.(check bool) "rigorous" true (Report.rigorous rep);
-  Alcotest.(check bool) "no distortions" true (rep.Report.global_distortions = []);
-  Alcotest.(check bool) "CG acyclic" true (rep.Report.cg_cycle = None)
+  Alcotest.(check bool) "rigorous" true (Correctness.rigorous rep.Report.verdict);
+  Alcotest.(check bool) "no distortions" true (rep.Report.verdict.Correctness.distortions = []);
+  Alcotest.(check bool) "CG acyclic" true (rep.Report.verdict.Correctness.cg_cycle = None)
 
 (* Regression: the coordinator used to count PREPARE-phase votes with a
    plain integer, so two READYs from the same site (a duplicated message

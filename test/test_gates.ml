@@ -265,21 +265,22 @@ module Spec = Hermes_workload.Spec
 module Network = Hermes_net.Network
 module History = Hermes_history.History
 module Report = Hermes_history.Report
+module Correctness = Hermes_history.Correctness
 module Serial_format = Hermes_history.Serial_format
 
 (* The history `hermes run --sites S -n N [--failure F] [--drop D] [--dup
    P] [--jitter J] [--crashes C --reboot-delay R] [--crash-coordinator]
    [--commit-proto paxos] [--gray-sites G --gray-factor X] [--domains M]
-   [-c naive] --seed K` records, its setup built as the CLI builds it
-   from those flags, every other flag at its default. *)
+   [--lying-sites L] [-c naive] --seed K` records, its setup built as the
+   CLI builds it from those flags, every other flag at its default. *)
 let cli_history ?(failure = 0.0) ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 200) ?(crashes = 0)
     ?(reboot_delay = 0) ?(crash_coordinator = false) ?(commit_proto = Config.Two_pc) ?(gray_sites = [])
-    ?(gray_factor = 20) ?(domains = 1) ?(certifier = Config.full) ~sites ~n ~seed () =
+    ?(gray_factor = 20) ?(domains = 1) ?(lying_sites = []) ?(certifier = Config.full) ~sites ~n ~seed () =
   let certifier =
     {
       certifier with
       Config.commit_proto;
-      adversary = Config.no_adversary;
+      adversary = { Config.no_adversary with Config.lying_sites };
       decision_certificates = false;
       max_sn_drift = None;
       suspicion_timeout = 0;
@@ -389,6 +390,22 @@ let verify_smoke_gray () =
   let h = cli_history ~sites:4 ~n:2000 ~gray_sites:[ 1 ] ~gray_factor:4 ~seed:3 () in
   expect_md5 "g.trace" "4f814fd1db1afa6e2aa218ef74e01157" (Serial_format.to_string h)
 
+(* The Adversary smoke's lying run: the agent at site b votes READY
+   without preparing and drops its local commit, so 37 of the 90 globals
+   commit everywhere but at b. C(H) leaves torn globals out, so every
+   serializability line reads clean; the verdict still fails, and the
+   report says why. *)
+let verify_smoke_lying () =
+  let h = cli_history ~sites:4 ~n:90 ~lying_sites:[ 1 ] ~seed:1 () in
+  expect_md5 "l.trace" "22f1caf6b1ef3da337544884661340c8" (Serial_format.to_string h);
+  let rep = Report.analyze h in
+  Alcotest.(check bool) "Report.ok" false (Report.ok rep);
+  let torn = rep.Report.verdict.Correctness.torn in
+  Alcotest.(check int) "torn globals" 37 (List.length torn);
+  Alcotest.(check string) "first torn global" "T1" (Hermes_kernel.Txn.show (List.hd torn));
+  Alcotest.(check bool) "the torn line" true
+    (List.mem "atomic commitment: 37 TORN globals (first: T1)" (lines (report h)))
+
 let verify_smoke_merge domains () =
   let h = cli_history ~sites:16 ~n:800 ~domains ~seed:2 () in
   expect_md5 (Fmt.str "m%d.trace" domains) "714449c82741fb26442a560f909033c8" (Serial_format.to_string h)
@@ -424,5 +441,6 @@ let () =
           Alcotest.test_case "a gray site" `Slow verify_smoke_gray;
           Alcotest.test_case "16 sites merged from 2 domains" `Slow (verify_smoke_merge 2);
           Alcotest.test_case "16 sites merged from 4 domains" `Slow (verify_smoke_merge 4);
+          Alcotest.test_case "a lying site tears commits" `Slow verify_smoke_lying;
         ] );
     ]

@@ -9,13 +9,15 @@ module Table_fmt = Hermes_harness.Table_fmt
 module Config = Hermes_core.Config
 module Coordinator = Hermes_core.Coordinator
 module Report = Hermes_history.Report
+module Correctness = Hermes_history.Correctness
 module View = Hermes_history.View
 
 let commit_only = { Config.naive with Config.commit_certification = true }
 let prepare_only = { Config.naive with Config.prepare_certification = true; bind_data = true }
 
-let is_not_vsr (r : Scenario.run) = r.Scenario.report.Report.view = View.Not_serializable
-let has_cg_cycle (r : Scenario.run) = r.Scenario.report.Report.cg_cycle <> None
+let verdict (r : Scenario.run) = r.Scenario.report.Report.verdict
+let is_not_vsr r = (verdict r).Correctness.view = View.Not_serializable
+let has_cg_cycle r = (verdict r).Correctness.cg_cycle <> None
 let all_finished (r : Scenario.run) = List.for_all (fun (_, o) -> o <> None) r.Scenario.outcomes
 
 let committed label (r : Scenario.run) =
@@ -31,25 +33,33 @@ let test_h1_naive_distorts () =
   let r = Scenario.h1 ~certifier:Config.naive () in
   Alcotest.(check bool) "T1 committed" true (committed "T1" r);
   Alcotest.(check bool) "T2 committed" true (committed "T2" r);
-  Alcotest.(check bool) "distortion" true (r.Scenario.report.Report.global_distortions <> []);
+  Alcotest.(check bool) "distortion" true ((verdict r).Correctness.distortions <> []);
   Alcotest.(check bool) "not VSR" true (is_not_vsr r)
 
 let test_h1_prepare_cert_prevents () =
   let r = Scenario.h1 ~certifier:prepare_only () in
   Alcotest.(check bool) "T1 committed" true (committed "T1" r);
-  Alcotest.(check bool) "no distortion" true (r.Scenario.report.Report.global_distortions = []);
-  Alcotest.(check bool) "serializable" true (Report.serializable r.Scenario.report)
+  Alcotest.(check bool) "no distortion" true ((verdict r).Correctness.distortions = []);
+  Alcotest.(check bool) "serializable" true (Correctness.serializable (verdict r))
 
 let test_h1_full_prevents () =
   let r = Scenario.h1 ~certifier:Config.full () in
   Alcotest.(check bool) "T1 committed" true (committed "T1" r);
-  Alcotest.(check bool) "serializable" true (Report.serializable r.Scenario.report)
+  Alcotest.(check bool) "serializable" true (Correctness.serializable (verdict r))
 
 let test_h1_commit_only_livelocks () =
   (* The liveness finding: without the Correctness Invariant at prepare
-     time, recovery deadlocks against the conflicting prepared T2. *)
-  let r = Scenario.h1 ~certifier:commit_only () in
-  Alcotest.(check bool) "stuck transactions" false (all_finished r)
+     time, recovery deadlocks against the conflicting prepared T2. T1 and
+     T2 committed globally but never at every site, so both are torn and
+     the verdict fails. *)
+  List.iter
+    (fun (name, certifier) ->
+      let r = Scenario.h1 ~certifier () in
+      Alcotest.(check bool) (name ^ ": stuck transactions") false (all_finished r);
+      Alcotest.(check (list string)) (name ^ ": torn") [ "T1"; "T2" ]
+        (List.map Hermes_kernel.Txn.show (verdict r).Correctness.torn);
+      Alcotest.(check bool) (name ^ ": Report.ok") false (Report.ok r.Scenario.report))
+    [ ("commit only", commit_only); ("no prepare cert", Config.without_prepare_certification) ]
 
 (* ------------------------------------------------------------------ *)
 (* H2                                                                  *)
@@ -60,18 +70,18 @@ let test_h2_naive_distorts () =
   Alcotest.(check bool) "CG cycle" true (has_cg_cycle r);
   Alcotest.(check bool) "not VSR" true (is_not_vsr r);
   (* ... and it is a *local* view distortion: no global one. *)
-  Alcotest.(check bool) "no global distortion" true (r.Scenario.report.Report.global_distortions = [])
+  Alcotest.(check bool) "no global distortion" true ((verdict r).Correctness.distortions = [])
 
 let test_h2_commit_cert_prevents () =
   let r = Scenario.h2 ~certifier:commit_only () in
   Alcotest.(check bool) "T1 committed" true (committed "T1" r);
   Alcotest.(check bool) "T3 committed" true (committed "T3" r);
   Alcotest.(check bool) "CG acyclic" false (has_cg_cycle r);
-  Alcotest.(check bool) "serializable" true (Report.serializable r.Scenario.report)
+  Alcotest.(check bool) "serializable" true (Correctness.serializable (verdict r))
 
 let test_h2_full_prevents () =
   let r = Scenario.h2 ~certifier:Config.full () in
-  Alcotest.(check bool) "serializable" true (Report.serializable r.Scenario.report)
+  Alcotest.(check bool) "serializable" true (Correctness.serializable (verdict r))
 
 (* ------------------------------------------------------------------ *)
 (* H3                                                                  *)
@@ -86,11 +96,11 @@ let test_h3_commit_cert_prevents () =
   let r = Scenario.h3 ~certifier:commit_only () in
   Alcotest.(check bool) "T5 committed" true (committed "T5" r);
   Alcotest.(check bool) "T6 committed" true (committed "T6" r);
-  Alcotest.(check bool) "serializable" true (Report.serializable r.Scenario.report)
+  Alcotest.(check bool) "serializable" true (Correctness.serializable (verdict r))
 
 let test_h3_full_prevents () =
   let r = Scenario.h3 ~certifier:Config.full () in
-  Alcotest.(check bool) "serializable" true (Report.serializable r.Scenario.report)
+  Alcotest.(check bool) "serializable" true (Correctness.serializable (verdict r))
 
 (* ------------------------------------------------------------------ *)
 (* Overtaking (§5.3)                                                   *)
@@ -110,11 +120,11 @@ let test_overtake_extension () =
   | None -> Alcotest.fail "no race in 500 seeds"
   | Some (seed, r) ->
       Alcotest.(check bool) "race causes CG cycle without extension" true
-        (r.Scenario.o_run.Scenario.report.Report.cg_cycle <> None);
+        ((verdict r.Scenario.o_run).Correctness.cg_cycle <> None);
       let f = Scenario.overtake ~certifier:Config.full ~jitter:8_000 ~seed () in
       Alcotest.(check bool) "extension refuses" true (f.Scenario.extension_refusals > 0);
       Alcotest.(check bool) "no cycle with extension" true
-        (f.Scenario.o_run.Scenario.report.Report.cg_cycle = None)
+        ((verdict f.Scenario.o_run).Correctness.cg_cycle = None)
 
 let test_overtake_none_without_jitter () =
   for seed = 1 to 50 do

@@ -1074,7 +1074,9 @@ let test_retirement_faults () =
 (* A committed and an aborted round finish and leave the network; a
    DECISION-REQ to either address is then answered from the coordinator
    log with its decision, a stray COMMIT-ACK is swallowed, and a message
-   for a round that was never submitted still fails. *)
+   for a round that was never submitted still fails. The second round
+   aborts because its command at b times out on a lock that a local
+   transaction holds to the end of the run. *)
 let test_retired_address_answers_from_log () =
   let engine = Engine.create () in
   let dtm =
@@ -1093,16 +1095,22 @@ let test_retired_address_answers_from_log () =
         (b, Command.Update { table = "X"; key; delta = -1 });
       ]
   in
+  let ltm_b = Dtm.ltm dtm b in
+  let holder =
+    Hermes_ltm.Ltm.begin_txn ltm_b ~owner:(Txn.Incarnation.make ~txn:(Txn.local ~site:b ~n:1) ~site:b ~inc:0)
+  in
+  Hermes_ltm.Ltm.exec ltm_b holder (Command.Update { table = "X"; key = 1; delta = 1 }) ~on_done:ignore;
   let outcomes = ref [] in
   let on_done o = outcomes := o :: !outcomes in
   let committed = Dtm.submit dtm (program 0) ~on_done in
-  let aborted =
-    Dtm.submit dtm (program 1) ~on_done ~gate:(fun ~gid:_ ~sites:_ ~proceed:_ ~refuse ->
-        refuse "held back")
-  in
+  let aborted = Dtm.submit dtm (program 1) ~on_done in
   Engine.run engine;
   Alcotest.(check int) "both rounds finished" 2 (List.length !outcomes);
   Alcotest.(check bool) "one committed" true (List.mem Coordinator.Committed !outcomes);
+  Alcotest.(check bool) "the other failed at b" true
+    (List.exists
+       (function Coordinator.Aborted (Coordinator.Exec_failed (s, _)) -> Site.equal s b | _ -> false)
+       !outcomes);
   let net = List.hd (Dtm.networks dtm) in
   Alcotest.(check int) "both coordinators left the network" 2 (Network.handlers net);
   let probe = Wire.Agent (site 9) in
