@@ -124,8 +124,8 @@ let h1_chain_history n =
   in
   History.of_ops (h1_ops @ spectators)
 
-(* The baselines M9, M11 and M13 time, the references the tests check
-   the library's fast versions against. *)
+(* The baselines M9, M11 and M13 time, kept with the tests' reference
+   deciders. *)
 open Deciders_reference
 
 (* ------------------------------------------------------------------ *)
@@ -140,7 +140,7 @@ let run_microbenchmarks () =
   let sn33 = Sn.make ~ts:(Time.of_int 33) ~site:(site 0) ~seq:0 in
   let open Bechamel in
   let m1 =
-    Test.make ~name:"M1 alive-interval certification, fast path (64 prepared)"
+    Test.make ~name:"M1 alive-interval certification, array scan (64 prepared)"
       (Staged.stage (fun () -> ignore (Alive_table.all_intersect table64 candidate)))
   in
   let m2 =
@@ -208,7 +208,7 @@ let run_microbenchmarks () =
       (Staged.stage (fun () -> ignore (all_intersect_fold table64 candidate)))
   in
   let m12 =
-    Test.make ~name:"M12 commit certification min-SN, sorted map (64 prepared)"
+    Test.make ~name:"M12 commit certification min-SN, array scan (64 prepared)"
       (Staged.stage (fun () -> ignore (Alive_table.min_sn_holds table64 ~gid:33 ~sn:sn33)))
   in
   let m13 =

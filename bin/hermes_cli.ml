@@ -600,8 +600,12 @@ let verify_cmd =
       (List.fold_left (fun n (_, vs) -> n + List.length vs) 0 v.Correctness.rigorous_violations);
     c "verify.global_distortions" (List.length v.Correctness.distortions);
     c "verify.value_mismatches" (List.length v.Correctness.value_mismatches);
-    Registry.Gauge.set (Registry.gauge reg "verify.serializable") (if Correctness.serializable v then 1 else 0);
-    Registry.Gauge.set (Registry.gauge reg "verify.rigorous") (if Correctness.rigorous v then 1 else 0);
+    c "verify.torn_globals" (List.length v.Correctness.torn);
+    let g name holds = Registry.Gauge.set (Registry.gauge reg name) (if holds then 1 else 0) in
+    g "verify.serializable" (Correctness.serializable v);
+    g "verify.rigorous" (Correctness.rigorous v);
+    (* the verdict the exit code reports *)
+    g "verify.ok" (Report.ok rep);
     Obs.write_metrics obs path;
     Fmt.pr "metrics written to %s@." path
   in
@@ -616,8 +620,10 @@ let verify_cmd =
           (List.length (History.txns h));
         if verbose then Fmt.pr "@.committed projection:@.%a@." History.pp_with_from (Committed.extended h);
         let rep = Report.analyze h in
-        Fmt.pr "@.%a@." Report.pp rep;
+        (* written first, as [run] writes its files, so that the output
+           from the report on is the same as [run]'s *)
         Option.iter (report_metrics rep) metrics_out;
+        Fmt.pr "@.%a@." Report.pp rep;
         if Report.ok rep then 0 else 1
   in
   let term = Term.(const run $ setup_logs $ file $ verbose $ metrics_out_arg) in

@@ -8,7 +8,7 @@
     countermeasures.  The timers no run varies (alive checks, commit
     retries, command-reply timeouts, decision and PREPARE
     retransmission) are constants of {!Agent_sm} and {!Coordinator_sm}.
-    A configuration is pure data: the same record drives the pure state
+    A configuration is pure data: the same record drives the protocol
     machines, the effectful adapters and the {!Explore} model checker. *)
 
 type commit_proto =

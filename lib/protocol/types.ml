@@ -1,4 +1,4 @@
-(* The shared vocabulary of the pure protocol machines.
+(* The shared vocabulary of the effect-free protocol machines.
 
    A machine step never performs an effect: it returns an ordered
    [effect list] that an adapter (or the model checker) interprets. The

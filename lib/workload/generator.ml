@@ -26,20 +26,47 @@ let sampler_of_spec spec =
   | Spec.Zipf { theta } -> Zipfian (Zipf.create ~n:spec.Spec.keys_per_site ~theta)
   | Spec.Uniform -> Uniform_keys spec.Spec.keys_per_site
 
-type t = { spec : Spec.t; sampler : sampler; rng : Rng.t }
+type t = {
+  spec : Spec.t;
+  sampler : sampler;
+  rng : Rng.t;
+  scratch : int array;  (* the participant draw's candidates, shuffled in place *)
+}
 
-let create ~spec ~rng = { spec; sampler = sampler_of_spec spec; rng }
+let create ~spec ~rng =
+  {
+    spec;
+    sampler = sampler_of_spec spec;
+    rng;
+    scratch = Array.make (max (Spec.shards spec) spec.Spec.n_sites) 0;
+  }
 
 let sample_key t =
   match t.sampler with
   | Zipfian z -> Zipf.sample z t.rng
   | Uniform_keys n -> Rng.int t.rng ~bound:n
 
+(* Shuffle the first [n] scratch slots in place with exactly the draws
+   of [Rng.shuffle]: one [Rng.int ~bound:(i + 1)] per index [i], from the
+   top index down. A participant draw then builds no list but its
+   result, and the RNG stream is the one the list-based draw consumed. *)
+let shuffle_scratch t n =
+  let a = t.scratch in
+  for i = n - 1 downto 1 do
+    let j = Rng.int t.rng ~bound:(i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done
+
 let distinct_shards t =
   let n_shards = Spec.shards t.spec in
   let n = min t.spec.Spec.mix.Spec.sites_per_txn n_shards in
-  let all = Rng.shuffle t.rng (Array.init n_shards Fun.id) in
-  Array.to_list (Array.sub all 0 n)
+  for i = 0 to n_shards - 1 do
+    t.scratch.(i) <- i
+  done;
+  shuffle_scratch t n_shards;
+  List.init n (Array.get t.scratch)
 
 let pick_table t = Spec.table_name (Rng.int t.rng ~bound:t.spec.Spec.n_tables)
 
@@ -93,15 +120,18 @@ let global_program t =
    (reconfiguration is sequential-engine-gated), so this stays in site
    space. *)
 let distinct_sites_rooted t ~site =
-  let n = min t.spec.Spec.mix.Spec.sites_per_txn t.spec.Spec.n_sites in
-  let others =
-    Array.of_list
-      (List.filter
-         (fun s -> not (Site.equal s site))
-         (List.init t.spec.Spec.n_sites Site.of_int))
-  in
-  let others = Rng.shuffle t.rng others in
-  site :: Array.to_list (Array.sub others 0 (n - 1))
+  let n_sites = t.spec.Spec.n_sites in
+  let n = min t.spec.Spec.mix.Spec.sites_per_txn n_sites in
+  (* the other sites, in increasing order *)
+  let m = ref 0 in
+  for s = 0 to n_sites - 1 do
+    if s <> Site.to_int site then begin
+      t.scratch.(!m) <- s;
+      incr m
+    end
+  done;
+  shuffle_scratch t !m;
+  site :: List.init (n - 1) (fun i -> Site.of_int t.scratch.(i))
 
 let global_program_rooted t ~site =
   let steps =

@@ -9,6 +9,16 @@ type t
 
 val create : spec:Spec.t -> rng:Rng.t -> t
 
+val distinct_shards : t -> int list
+(** One transaction's participating shards: [min sites_per_txn shards]
+    distinct shards, in the order a shuffle of all of them puts first.
+    Draws one [Rng.int] per shard but the first. *)
+
+val distinct_sites_rooted : t -> site:Site.t -> Site.t list
+(** [site] followed by [min sites_per_txn n_sites - 1] distinct other
+    sites, in the order a shuffle of the other sites puts first. Draws
+    one [Rng.int] per other site but the first. *)
+
 val shard_steps : t -> (int * Command.t) list
 (** One global transaction's steps in shard space: distinct participating
     shards, each with its command list, in coordinator-first order. The

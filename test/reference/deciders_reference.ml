@@ -29,28 +29,66 @@ let view_serializable_naive ?(limit = 8) h =
     match witness with Some order -> View.Serializable order | None -> View.Not_serializable
   end
 
-(* The commit certification as a fold over every entry: the reference
-   the sorted-map versions must agree with. Equal serial numbers break
-   ties on the smaller gid, so the witness does not depend on the order
-   of the entries. *)
+(* The alive table as it would be kept without the array: an
+   association list from gid to (serial number, interval), newest first,
+   and every query a fold over it. [Alive_table] must answer as this
+   model does after any sequence of inserts, removals, interval updates
+   and extensions. Equal serial numbers break ties on the smaller gid,
+   and the smallest gid is the intersection witness, so no answer depends
+   on the order of the entries. *)
+module Alive_model = struct
+  type t = { mutable entries : (int * (Sn.t * Interval.t)) list }
+
+  let create () = { entries = [] }
+  let mem t ~gid = List.mem_assoc gid t.entries
+  let size t = List.length t.entries
+
+  let insert t ~gid ~sn ~interval =
+    if mem t ~gid then invalid_arg "Alive_table.insert: duplicate entry";
+    t.entries <- (gid, (sn, interval)) :: t.entries
+
+  let remove t ~gid = t.entries <- List.remove_assoc gid t.entries
+
+  let set_interval t ~gid f =
+    t.entries <- List.map (fun (g, (sn, iv)) -> if g = gid then (g, (sn, f iv)) else (g, (sn, iv))) t.entries
+
+  let update_interval t ~gid interval = set_interval t ~gid (fun _ -> interval)
+
+  let extend_interval t ~gid ~hi =
+    set_interval t ~gid (fun iv -> if Time.(Interval.lo iv <= hi) then Interval.extend_to iv ~hi else iv)
+
+  (* (gid, serial number, interval), by gid *)
+  let sorted t = List.sort compare (List.map (fun (g, (sn, iv)) -> (g, sn, iv)) t.entries)
+  let find t ~gid = List.assoc_opt gid t.entries
+  let all_intersect t candidate = List.for_all (fun (_, (_, iv)) -> Interval.intersects candidate iv) t.entries
+
+  let first_non_intersecting t candidate =
+    List.fold_left
+      (fun acc (g, (_, iv)) ->
+        if Interval.intersects candidate iv then acc
+        else match acc with Some b when b < g -> acc | _ -> Some g)
+      None t.entries
+
+  let min_sn_holds t ~gid ~sn = List.for_all (fun (g, (s, _)) -> g = gid || Sn.(s > sn)) t.entries
+
+  let min_sn_blocker t ~gid ~sn =
+    List.fold_left
+      (fun acc (g, (s, _)) ->
+        if g = gid || Sn.(s > sn) then acc
+        else
+          match acc with
+          | Some (bg, bs) when Sn.compare bs s < 0 || (Sn.compare bs s = 0 && bg < g) -> acc
+          | _ -> Some (g, s))
+      None t.entries
+    |> Option.map fst
+end
+
+(* The commit certification and the Alive Time Intersection Rule as
+   folds over the table's entries: the baselines M13 and M11 time
+   against the table's own scans. *)
 let min_sn_holds_fold t ~gid ~sn =
   List.for_all (fun (e : Alive_table.entry) -> e.gid = gid || Sn.(e.sn > sn)) (Alive_table.entries t)
 
-let min_sn_blocker_fold t ~gid ~sn =
-  List.fold_left
-    (fun acc (e : Alive_table.entry) ->
-      if e.gid = gid || Sn.(e.sn > sn) then acc
-      else
-        match acc with
-        | Some (b : Alive_table.entry) when Sn.compare b.sn e.sn < 0 || (Sn.compare b.sn e.sn = 0 && b.gid < e.gid)
-          ->
-            acc
-        | _ -> Some e)
-    None (Alive_table.entries t)
-
-(* The Alive Time Intersection Rule as a fold over every entry: the
-   reference the (max-lo, min-hi) window of [Alive_table.all_intersect]
-   must agree with. *)
 let all_intersect_fold t candidate =
   List.for_all
     (fun (e : Alive_table.entry) -> Interval.intersects candidate e.interval)

@@ -1,14 +1,16 @@
-(* CI's gates, pinned in tier-1: the clean explore gates with their
-   counts, the E-table gates, and the Verify smokes' dumps and reports.
+(* CI's gates, pinned in tier-1: the explore gates with their counts,
+   the E-table gates, and the Verify smokes' dumps and reports.
 
    Each explore case is one `hermes explore` invocation from the
    workflow's Explore, Reconfigure and Adversary smokes, rebuilt here the
    way the CLI builds its scenario from the flags. The workflow only
-   checks that these exit 0 (no violation, space exhausted); the state,
+   checks their exit codes: 0 for a clean gate (no violation, space
+   exhausted), 1 for a gate that must find a violation. The state,
    transition and terminal counts move with any change to a machine's
    transitions or to the explored space, so pinning them turns each gate
-   into a schedule pin. The unilateral-abort gate is pinned in
-   test_protocol.ml.
+   into a schedule pin; a violation-finding gate also pins its violation
+   count and the invariant its first counterexample breaks. The
+   unilateral-abort gate is pinned in test_protocol.ml.
 
    The coordinator-crash gate (`--sites 2 --txns 1 --coord-crashes 1
    --inquiries 1 --retransmits 1 --uaborts 0 --alive-fires 0
@@ -28,7 +30,8 @@ open Hermes_protocol
    other two off. *)
 let cli ?(certifier = Config.full) ?(commit_proto = Config.Two_pc) ?(sites = 2) ?(txns = 2)
     ?(txn_shards = 0) ?(lying_sites = []) ?(equivocate = false) ?(sn_drift = 0)
-    ?(certificates = false) ?drift_bound ?(suspicion = 0) budgets =
+    ?(certificates = false) ?drift_bound ?(suspicion = 0) ?(quorum = Coordinator_sm.Dedup)
+    ?(termination = true) ?(handover = true) budgets =
   {
     Explore.n_sites = sites;
     n_txns = txns;
@@ -42,10 +45,10 @@ let cli ?(certifier = Config.full) ?(commit_proto = Config.Two_pc) ?(sites = 2) 
         bind_data = false;
         commit_proto;
       };
-    quorum = Coordinator_sm.Dedup;
+    quorum;
     budgets;
-    termination = true;
-    handover = true;
+    termination;
+    handover;
     txn_shards;
     max_states = 2_000_000;
   }
@@ -84,6 +87,52 @@ let check (states, transitions, terminals) scenario () =
   Alcotest.(check (list int))
     "states, transitions, terminals, violations" [ states; transitions; terminals; 0 ]
     [ st.Explore.states; st.Explore.transitions; st.Explore.terminals; st.Explore.n_violations ]
+
+(* The gates CI runs expecting exit 1: each must find its violation, with
+   these counts, and its first counterexample must break this invariant
+   (the message's prefix up to the first colon, as `hermes explore
+   --json` reports it). *)
+let violation_gates =
+  [
+    ( "--sites 2 --txns 1 --dups 1 --quorum counted",
+      (fun () -> cli ~txns:1 ~quorum:Coordinator_sm.Counted { none with Explore.dups = 1 }),
+      (1_869, 6_084, 4, 32, "machine exception") );
+    ( "--sites 2 --txns 1 --coord-crashes 1 --inquiries 1 --retransmits 1 --no-termination",
+      (fun () ->
+        cli ~txns:1 ~termination:false
+          { none with Explore.coord_crashes = 1; inquiries = 1; retransmits = 1 }),
+      (7_847, 28_176, 40, 32, "I5") );
+    ( "--sites 2 --txns 1 --commit-proto paxos --replica-kills 2",
+      (fun () -> cli ~txns:1 ~commit_proto:(Config.Paxos { f = 1 }) { none with Explore.replica_kills = 2 }),
+      (67_188, 220_087, 864, 162, "I5") );
+    ( "--sites 2 --txns 1 --commit-proto backup-tm --replica-kills 1",
+      (fun () -> cli ~txns:1 ~commit_proto:Config.backup_tm { none with Explore.replica_kills = 1 }),
+      (1_114, 2_692, 35, 14, "I5") );
+    ( "--sites 2 --txns 2 --txn-shards 1 --reconfigures 1 --no-handover",
+      (fun () -> cli ~txn_shards:1 ~handover:false { none with Explore.reconfigures = 1 }),
+      (56_120, 158_786, 422, 120, "I6") );
+    ( "--lying-sites 1",
+      (fun () -> cli ~lying_sites:[ 1 ] none),
+      (18_080, 86_784, 0, 3_200, "I2") );
+    ("--txns 1 --equivocate", (fun () -> cli ~txns:1 ~equivocate:true none), (104, 244, 1, 1, "I4"));
+    ( "-c no-extension --sn-drift 1000 --commit-retries 2",
+      (fun () ->
+        cli ~certifier:Config.without_extension ~sn_drift:1000 { none with Explore.commit_retries = 2 }),
+      (59_904, 286_208, 24, 5_120, "I3") );
+  ]
+
+let check_violation (states, transitions, terminals, violations, invariant) scenario () =
+  let st = Explore.run (scenario ()) in
+  Alcotest.(check bool) "exhausted" false st.Explore.truncated;
+  Alcotest.(check (list int))
+    "states, transitions, terminals, violations" [ states; transitions; terminals; violations ]
+    [ st.Explore.states; st.Explore.transitions; st.Explore.terminals; st.Explore.n_violations ];
+  match st.Explore.violations with
+  | (msg, trail) :: _ ->
+      let prefix = match String.index_opt msg ':' with Some i -> String.sub msg 0 i | None -> msg in
+      Alcotest.(check string) "first counterexample's invariant" invariant prefix;
+      Alcotest.(check bool) "a non-empty schedule" true (trail <> [])
+  | [] -> Alcotest.fail "no counterexample reported"
 
 
 
@@ -416,6 +465,13 @@ let () =
       ( "explore",
         List.map (fun (name, scenario, counts) -> Alcotest.test_case name `Slow (check counts scenario)) gates
       );
+      (* Alcotest pads every group to the longest group name and cuts test
+         names to fit its 80 columns, so a group name longer than "explore"
+         would shorten the names every other group prints. *)
+      ( "finds",
+        List.map
+          (fun (name, scenario, pin) -> Alcotest.test_case name `Slow (check_violation pin scenario))
+          violation_gates );
       ( "tables",
         [
           Alcotest.test_case "e13 full 2CM masks drops, duplicates and reboots" `Slow e13;

@@ -70,6 +70,33 @@ let test_generator_distinct_sites () =
     Alcotest.(check int) "distinct" 2 (List.length (List.sort_uniq Site.compare sites))
   done
 
+(* The scratch-array participant draws pick exactly what the list-based
+   draws of [Generator_reference] pick from the same seed, draw after
+   draw, and leave the RNG stream in the same place: the next number
+   drawn from each stream agrees too. *)
+let prop_participant_draws_match_reference =
+  QCheck.Test.make ~name:"participant draws = list-based draws" ~count:300
+    QCheck.(quad (int_range 1 80) (int_range 0 79) (int_range 1 82) (pair (int_range 1 80) small_nat))
+    (fun (n_sites, root, sites_per_txn, (n_shards, seed)) ->
+      let site = Site.of_int (root mod n_sites) in
+      let spec =
+        Spec.make ~n_sites ~n_shards
+          ~mix:{ Spec.sites_per_txn; ops_per_site = 1; write_ratio = 0.5 }
+          ()
+      in
+      let rng = Rng.create ~seed and ref_rng = Rng.create ~seed in
+      let gen = Generator.create ~spec ~rng in
+      let same = ref true in
+      for _ = 1 to 8 do
+        same :=
+          !same
+          && Generator.distinct_sites_rooted gen ~site
+             = Generator_reference.distinct_sites_rooted ref_rng ~n_sites ~sites_per_txn ~site
+          && Generator.distinct_shards gen
+             = Generator_reference.distinct_shards ref_rng ~n_shards ~sites_per_txn
+      done;
+      !same && Rng.int rng ~bound:1_000_000 = Rng.int ref_rng ~bound:1_000_000)
+
 let test_generator_no_upgrades () =
   (* Within one site's command list, no key is both read (by a select or a
      range scan) and updated — the upgrade-deadlock trap. *)
@@ -355,6 +382,7 @@ let () =
       ( "generator",
         [
           Alcotest.test_case "distinct sites" `Quick test_generator_distinct_sites;
+          q prop_participant_draws_match_reference;
           Alcotest.test_case "no upgrade patterns" `Quick test_generator_no_upgrades;
           Alcotest.test_case "partitioned locals" `Quick test_generator_partitioned_locals;
           Alcotest.test_case "uniform keys in range" `Quick test_generator_uniform_keys_in_range;
