@@ -101,8 +101,7 @@ let emit_event t inst (ev : Sm.event) =
             inst.a_gid inst.a_idx ballot promised)
 
 let feed t inst input =
-  let machine, effects = Sm.step t.config inst.machine input in
-  inst.machine <- machine;
+  let effects = Sm.step t.config inst.machine input in
   List.iter
     (fun (eff : Sm.effect) ->
       match eff with
