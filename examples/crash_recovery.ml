@@ -12,7 +12,7 @@
 open Hermes_kernel
 module Engine = Hermes_sim.Engine
 module Agent = Hermes_core.Agent
-module Agent_log = Hermes_core.Agent_log
+module Agent_log = Hermes_protocol.Agent_log
 module Config = Hermes_core.Config
 module Program = Hermes_core.Program
 module Coordinator = Hermes_core.Coordinator

@@ -40,6 +40,8 @@ module Tracer = Hermes_obs.Tracer
 module Registry = Hermes_obs.Registry
 module Histogram = Hermes_obs.Histogram
 module Agent_sm = Hermes_protocol.Agent_sm
+module Agent_log = Hermes_protocol.Agent_log
+module Local_txn = Hermes_protocol.Local_txn
 module Types = Hermes_protocol.Types
 
 let src = Logs.Src.create "hermes.agent" ~doc:"2PC Agent / Certifier events"
@@ -147,11 +149,6 @@ let txn_exn t gid =
   match Int_tbl.find_opt t.txns gid with
   | Some txn -> txn
   | None -> Fmt.invalid_arg "agent %a: no LTM transaction for T%d" Site.pp t.site gid
-
-let entry_exn t gid =
-  match Agent_log.find t.log ~gid with
-  | Some e -> e
-  | None -> Fmt.invalid_arg "agent %a: no log entry for T%d" Site.pp t.site gid
 
 (* The read-only LTM view the machine certifies against, looked up per
    gid while the machine steps. That is as exact as a snapshot taken when
@@ -292,17 +289,6 @@ let emit_event t (ev : Agent_sm.event) =
           m "[%a %a] T%d: conflicting bare decision dropped (equivocation detected)" Time.pp
             (now t) Site.pp t.site gid)
 
-let log_write t (r : Agent_sm.record) =
-  match r with
-  | R_entry { gid; coordinator } -> ignore (Agent_log.entry t.log ~gid ~coordinator)
-  | R_command { gid; cmd } -> Agent_log.append_command (entry_exn t gid) cmd
-  | R_incarnation { gid; inc } -> Agent_log.note_incarnation (entry_exn t gid) ~inc
-  | R_prepare { gid; sn } -> Agent_log.force_prepare t.log (entry_exn t gid) ~sn
-  | R_commit { gid } -> Agent_log.force_commit t.log (entry_exn t gid)
-  | R_local_commit { gid } -> Agent_log.note_local_commit (entry_exn t gid)
-  | R_rollback { gid } -> (
-      match Agent_log.find t.log ~gid with Some e -> Agent_log.note_rollback e | None -> ())
-
 let record_history t (h : Types.history_event) =
   match h with
   | H_prepare { gid; sn } ->
@@ -321,18 +307,8 @@ and interpret t (eff : Agent_sm.effect) =
   | Types.Send { dst; gid; payload } -> Network.send t.net ~src:(address t) ~dst ~gid payload
   | Types.Arm_timer { timer; delay } -> arm t timer ~delay
   | Types.Cancel_timer timer -> cancel t timer
-  | Types.Force_log r -> log_write t r
-  | Types.Force_batch rs ->
-      (* group commit: every record of the batch lands in the log, but
-         only one synchronous force is paid for all of them *)
-      List.iter
-        (fun (r : Agent_sm.record) ->
-          match r with
-          | R_prepare { gid; sn } -> Agent_log.stage_prepare (entry_exn t gid) ~sn
-          | R_commit { gid } -> Agent_log.stage_commit t.log (entry_exn t gid)
-          | r -> log_write t r)
-        rs;
-      Agent_log.batch_forced t.log
+  | Types.Force_log r -> Agent_log.apply t.log r
+  | Types.Force_batch rs -> Agent_log.apply_batch t.log rs
   | Types.Stage_log _ ->
       (* the agent machine batches internally and emits [Force_batch];
          [Stage_log] is the coordinator machine's vocabulary *)
@@ -404,9 +380,14 @@ and ltm_call t (c : Agent_sm.call) =
           in
           feed t (Agent_sm.Exec_done { env = env t; gid; inc; purpose; result }))
   | L_commit { gid; inc } ->
-      Ltm.commit t.ltm (txn_exn t gid) ~on_done:(fun result ->
-          let committed = match result with Ltm.Committed -> true | Ltm.Commit_refused _ -> false in
-          feed t (Agent_sm.Commit_done { env = env t; gid; inc; committed }))
+      (* A commit withheld by group commit may name an incarnation that a
+         unilateral abort and a resubmission have since replaced: it is
+         dropped, and the current incarnation commits on its own path. *)
+      let txn = txn_exn t gid in
+      if Local_txn.current (Ltm.status txn) ~inc then
+        Ltm.commit t.ltm txn ~on_done:(fun result ->
+            let committed = match result with Ltm.Committed -> true | Ltm.Commit_refused _ -> false in
+            feed t (Agent_sm.Commit_done { env = env t; gid; inc; committed }))
   | L_abort { gid } -> Ltm.abort t.ltm (txn_exn t gid)
   | L_abort_all_live ->
       List.iter (fun txn -> ignore (Ltm.unilateral_abort t.ltm txn)) (Ltm.live_txns t.ltm)
@@ -419,21 +400,18 @@ and ltm_call t (c : Agent_sm.call) =
   | L_watch_uan { gid; inc } ->
       Ltm.set_uan (txn_exn t gid) (fun () -> feed t (Agent_sm.Uan { env = env t; gid; inc }))
   | L_bind { gid } ->
-      let e = entry_exn t gid in
-      e.Agent_log.bound <- Ltm.footprint (txn_exn t gid);
-      Bound.bind (Ltm.bound_registry t.ltm) e.Agent_log.bound
+      let items = Ltm.footprint (txn_exn t gid) in
+      ignore (Agent_log.set_bound t.log ~gid items);
+      Bound.bind (Ltm.bound_registry t.ltm) items
   | L_rebind { gid } ->
       (* The bound set is logged so it survives a crash. *)
-      let e = entry_exn t gid in
-      if e.Agent_log.bound <> [] then Bound.unbind (Ltm.bound_registry t.ltm) e.Agent_log.bound;
-      e.Agent_log.bound <- Ltm.footprint (txn_exn t gid);
-      Bound.bind (Ltm.bound_registry t.ltm) e.Agent_log.bound
+      let items = Ltm.footprint (txn_exn t gid) in
+      let old = Agent_log.set_bound t.log ~gid items in
+      if old <> [] then Bound.unbind (Ltm.bound_registry t.ltm) old;
+      Bound.bind (Ltm.bound_registry t.ltm) items
   | L_unbind { gid } ->
-      let e = entry_exn t gid in
-      if e.Agent_log.bound <> [] then begin
-        Bound.unbind (Ltm.bound_registry t.ltm) e.Agent_log.bound;
-        e.Agent_log.bound <- []
-      end
+      let old = Agent_log.set_bound t.log ~gid [] in
+      if old <> [] then Bound.unbind (Ltm.bound_registry t.ltm) old
   | L_forget { gid } ->
       Int_tbl.remove t.txns gid;
       Int_tbl.remove t.alive_timers gid;
@@ -444,21 +422,6 @@ and ltm_call t (c : Agent_sm.call) =
 (* Inbound boundaries: network, crash, recovery                        *)
 (* ------------------------------------------------------------------ *)
 
-let log_view t gid : Agent_sm.log_view =
-  match Agent_log.find t.log ~gid with
-  | Some e ->
-      {
-        known = true;
-        prepared = e.Agent_log.prepared;
-        committed = e.Agent_log.committed;
-        locally_committed = e.Agent_log.locally_committed;
-        rolled_back = e.Agent_log.rolled_back;
-        sn = e.Agent_log.sn;
-      }
-  | None ->
-      { known = false; prepared = false; committed = false; locally_committed = false;
-        rolled_back = false; sn = None }
-
 let handle t (msg : Wire.t) =
   feed t
     (Agent_sm.Deliver
@@ -467,7 +430,7 @@ let handle t (msg : Wire.t) =
          src = msg.Wire.src;
          gid = msg.Wire.gid;
          payload = msg.Wire.payload;
-         log = log_view t msg.Wire.gid;
+         log = Agent_log.view t.log ~gid:msg.Wire.gid;
        })
 
 let attach t = Network.register t.net (address t) (handle t)
@@ -502,18 +465,4 @@ let export_handover t ~gids = Agent_sm.export_handover t.machine ~gids
 let adopt_handover t entries = t.machine <- Agent_sm.adopt_handover t.machine entries
 let drop_foreign t ~gid = t.machine <- Agent_sm.drop_foreign t.machine ~gid
 
-let recover t =
-  let entries =
-    List.map
-      (fun (e : Agent_log.entry) ->
-        {
-          Agent_sm.r_gid = e.Agent_log.gid;
-          r_coordinator = Option.get e.Agent_log.coordinator;
-          r_inc = e.Agent_log.inc;
-          r_sn = e.Agent_log.sn;
-          r_commands = Agent_log.commands e;
-          r_committed = e.Agent_log.committed;
-        })
-      (Agent_log.in_doubt t.log)
-  in
-  feed t (Agent_sm.Recover { env = env t; entries })
+let recover t = feed t (Agent_sm.Recover { env = env t; entries = Agent_log.in_doubt t.log })

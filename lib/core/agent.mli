@@ -65,7 +65,7 @@ val attach : t -> unit
 val address : t -> Wire.address
 val stats : t -> stats
 val alive_table : t -> Hermes_protocol.Alive_table.t
-val agent_log : t -> Agent_log.t
+val agent_log : t -> Hermes_protocol.Agent_log.t
 val n_prepared : t -> int
 
 val flush_pending : t -> bool
@@ -75,7 +75,7 @@ val flush_pending : t -> bool
 val crash : t -> unit
 (** A site crash: every live transaction at the LTM is collectively
     aborted (paper §1's "collective abort") and all volatile agent state
-    is lost; only the {!Agent_log} survives. Follow with {!recover}. *)
+    is lost; only the {!Hermes_protocol.Agent_log} survives. Follow with {!recover}. *)
 
 val recover : t -> unit
 (** Rebuild every in-doubt subtransaction from the log by resubmission;

@@ -21,6 +21,7 @@ module Obs = Hermes_obs.Obs
 module Registry = Hermes_obs.Registry
 module Histogram = Hermes_obs.Histogram
 module Sm = Hermes_protocol.Coordinator_sm
+module Coordinator_log = Hermes_protocol.Coordinator_log
 module Types = Hermes_protocol.Types
 
 let src = Logs.Src.create "hermes.coordinator" ~doc:"2PC Coordinator events"
@@ -187,32 +188,21 @@ and run_effects t = function
           let epoch = t.epoch in
           Group_commit.stage b
             {
-              Group_commit.write = (fun () -> if t.epoch = epoch then log_stage t r);
+              Group_commit.write =
+                (fun () ->
+                  match t.log with
+                  | Some log when t.epoch = epoch -> Coordinator_log.stage log ~gid:t.gid r
+                  | Some _ | None -> ());
               release = (fun () -> if t.epoch = epoch then run_effects t rest);
             })
   | eff :: rest ->
       interpret t eff;
       run_effects t rest
 
-and log_force t (r : Sm.record) =
+and log_force t r =
   match t.log with
-  | Some log -> (
-      match r with
-      | Sm.R_begin { participants } -> Coordinator_log.force_begin log ~gid:t.gid ~participants
-      | Sm.R_prepared { participants; sn } ->
-          Coordinator_log.force_prepared log ~gid:t.gid ~participants ~sn
-      | Sm.R_decision { committed } -> Coordinator_log.force_decision log ~gid:t.gid ~committed)
+  | Some log -> Coordinator_log.apply log ~gid:t.gid r
   | None -> () (* log-less coordinators (direct [start] in tests) stay volatile *)
-
-and log_stage t (r : Sm.record) =
-  match t.log with
-  | Some log -> (
-      match r with
-      | Sm.R_begin { participants } -> Coordinator_log.stage_begin log ~gid:t.gid ~participants
-      | Sm.R_prepared { participants; sn } ->
-          Coordinator_log.stage_prepared log ~gid:t.gid ~participants ~sn
-      | Sm.R_decision { committed } -> Coordinator_log.stage_decision log ~gid:t.gid ~committed)
-  | None -> ()
 
 and interpret t (eff : Sm.effect) =
   match eff with
@@ -340,17 +330,11 @@ let crash t =
    presuming abort. *)
 let recover t =
   if not t.machine.Sm.finished then
-    match Option.bind t.log (fun log -> Coordinator_log.find log ~gid:t.gid) with
+    match Option.bind t.log (Coordinator_log.recover ~gid:t.gid) with
     | None -> () (* never started (no log): nothing was promised anywhere *)
-    | Some e ->
+    | Some input ->
         t.machine <- Sm.init ~gid:t.gid ~site:t.site ~participants:[] ~steps:[] ~sn:None;
-        feed t
-          (Sm.Recover
-             {
-               participants = e.Coordinator_log.participants;
-               sn = e.Coordinator_log.sn;
-               decision = e.Coordinator_log.decision;
-             })
+        feed t input
 
 let finished t = t.machine.Sm.finished
 let latency t = Time.diff t.finished_at t.started_at

@@ -36,7 +36,7 @@ type t
 val start :
   ?gate:gate ->
   ?obs:Hermes_obs.Obs.t ->
-  ?log:Coordinator_log.t ->
+  ?log:Hermes_protocol.Coordinator_log.t ->
   ?batcher:Group_commit.t ->
   ?epoch:int ->
   gid:int ->
@@ -63,7 +63,7 @@ val start :
     aborts for re-resolution. *)
 
 val retired_reply :
-  log:Coordinator_log.t -> gid:int -> Wire.t -> Hermes_protocol.Coordinator_sm.effect list option
+  log:Hermes_protocol.Coordinator_log.t -> gid:int -> Wire.t -> Hermes_protocol.Coordinator_sm.effect list option
 (** What round [gid]'s finished machine would do with the message, from
     the decision in [log] alone ({!Hermes_protocol.Coordinator_sm.finished_reply}):
     answer a DECISION-REQ, swallow a stray agent reply or register
@@ -73,7 +73,7 @@ val retired_reply :
 val answer_retired :
   engine:Hermes_sim.Engine.t ->
   net:Hermes_net.Network.t ->
-  log:Coordinator_log.t ->
+  log:Hermes_protocol.Coordinator_log.t ->
   gid:int ->
   Wire.t ->
   bool

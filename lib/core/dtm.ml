@@ -24,6 +24,8 @@ module Obs = Hermes_obs.Obs
 module Registry = Hermes_obs.Registry
 module Shard_map = Hermes_placement.Shard_map
 module Agent_sm = Hermes_protocol.Agent_sm
+module Agent_log = Hermes_protocol.Agent_log
+module Coordinator_log = Hermes_protocol.Coordinator_log
 
 type site_spec = {
   ltm_config : Hermes_ltm.Ltm_config.t;

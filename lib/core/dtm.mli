@@ -49,7 +49,7 @@ val create :
 
     [?crash_coordinators] (default [false]) makes {!crash_site} also
     crash the coordinators hosted at the site — they reboot from the
-    site's {!Coordinator_log} — and enables the agents' in-doubt
+    site's {!Hermes_protocol.Coordinator_log} — and enables the agents' in-doubt
     termination protocol (DECISION-REQ inquiries and in-doubt metrics).
     Off, runs are byte-identical to earlier revisions.
 
@@ -76,7 +76,7 @@ val ltm : t -> Site.t -> Hermes_ltm.Ltm.t
 val database : t -> Site.t -> Hermes_store.Database.t
 val agent : t -> Site.t -> Agent.t
 
-val coordinator_log : t -> Site.t -> Coordinator_log.t
+val coordinator_log : t -> Site.t -> Hermes_protocol.Coordinator_log.t
 (** The site's stable coordinator log (participant sets and decisions
     force-written by the coordinators the site hosts). *)
 
@@ -149,7 +149,7 @@ val crash_site : ?reboot_delay:int -> t -> Site.t -> unit
     When the Dtm was created with [crash_coordinators], the crash also
     takes down every coordinator the site hosts (addresses dark for the
     outage, volatile 2PC state lost); at reboot each rebuilds from the
-    site's {!Coordinator_log}, re-driving its logged decision or
+    site's {!Hermes_protocol.Coordinator_log}, re-driving its logged decision or
     presuming abort. *)
 
 val history : t -> Hermes_history.History.t

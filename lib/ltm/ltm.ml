@@ -30,6 +30,7 @@ module Op = Hermes_history.Op
 module Engine = Hermes_sim.Engine
 module Obs = Hermes_obs.Obs
 module Tracer = Hermes_obs.Tracer
+module Local_txn = Hermes_protocol.Local_txn
 
 let src = Logs.Src.create "hermes.ltm" ~doc:"Local transaction manager events"
 
@@ -53,20 +54,18 @@ type exec_result = Done of Command.result | Failed of abort_reason
 
 type commit_result = Committed | Commit_refused of abort_reason
 
-type state = Active | Committed_state | Aborted_state of abort_reason
-
 type txn = {
   id : int;
   owner : Txn.Incarnation.t;
   undo : Undo.t;
-  mutable state : state;
-  mutable busy : bool;  (* a command is in flight *)
+  status : (unit -> unit) Local_txn.t;
+      (* active/committed/aborted, command in flight, held open by the
+         agent (simulated prepared state), last completed operation, and
+         the unilateral abort notification *)
+  mutable abort_reason : abort_reason;  (* read once [status] says aborted *)
   mutable footprint : Item.Set.t;  (* items accessed so far *)
-  mutable uan : (unit -> unit) option;  (* unilateral abort notification *)
   mutable pending : (exec_result -> unit) option;  (* in-flight exec's callback *)
   mutable wait_timer : Engine.timer option;
-  mutable last_op_done : Time.t;
-  mutable held_open : bool;  (* agent keeps it open in (simulated) prepared state *)
   mutable n_commands : int;
 }
 
@@ -124,17 +123,18 @@ let bound_registry t = t.bound
 let database t = t.db
 
 let owner txn = txn.owner
-let last_op_done txn = txn.last_op_done
-let is_active txn = match txn.state with Active -> true | Committed_state | Aborted_state _ -> false
-let is_alive txn = is_active txn && not txn.busy
-let is_held_open txn = txn.held_open
+let last_op_done txn = txn.status.Local_txn.last_op_done
+let status txn = txn.status
+let is_active txn = Local_txn.is_active txn.status
+let is_alive txn = Local_txn.is_alive txn.status
+let is_held_open txn = txn.status.Local_txn.held_open
 
 let mark_held_open t txn v =
-  txn.held_open <- v;
+  Local_txn.hold_open txn.status v;
   if v then match t.on_held_open with Some hook -> hook txn | None -> ()
 
 let set_held_open_hook t hook = t.on_held_open <- Some hook
-let set_uan txn cb = txn.uan <- Some cb
+let set_uan txn cb = Local_txn.watch txn.status cb
 
 let begin_txn t ~owner =
   let txn =
@@ -142,14 +142,11 @@ let begin_txn t ~owner =
       id = t.next_id;
       owner;
       undo = Undo.create ();
-      state = Active;
-      busy = false;
+      status = Local_txn.start ~inc:owner.Txn.Incarnation.inc ~now:(Engine.now t.engine);
+      abort_reason = Owner_abort;
       footprint = Item.Set.empty;
-      uan = None;
       pending = None;
       wait_timer = None;
-      last_op_done = Engine.now t.engine;
-      held_open = false;
       n_commands = 0;
     }
   in
@@ -180,11 +177,11 @@ let cancel_wait_timer txn =
    store, trace the abort, then release locks (strictness: the undo is in
    place before anyone else can touch the data). *)
 let abort_internal t txn reason ~notify =
-  if is_active txn then begin
+  if Local_txn.abort txn.status then begin
     Log.debug (fun m ->
         m "[%a %a] abort %a: %a" Time.pp (Engine.now t.engine) Site.pp (site t) Txn.Incarnation.pp txn.owner
           pp_abort_reason reason);
-    txn.state <- Aborted_state reason;
+    txn.abort_reason <- reason;
     Int_tbl.remove t.txns txn.id;
     t.stats.aborted <- t.stats.aborted + 1;
     (match reason with
@@ -207,11 +204,10 @@ let abort_internal t txn reason ~notify =
     (match txn.pending with
     | Some cb ->
         txn.pending <- None;
-        txn.busy <- false;
         Engine.schedule_unit t.engine ~delay:0 (fun () -> cb (Failed reason))
     | None -> ());
     if notify then
-      match txn.uan with
+      match txn.status.Local_txn.uan with
       | Some cb -> Engine.schedule_unit t.engine ~delay:0 cb
       | None -> ()
   end
@@ -228,14 +224,14 @@ let unilateral_abort t txn =
   else false
 
 let commit t txn ~on_done =
-  match txn.state with
-  | Aborted_state reason -> Engine.schedule_unit t.engine ~delay:0 (fun () -> on_done (Commit_refused reason))
-  | Committed_state -> Engine.schedule_unit t.engine ~delay:0 (fun () -> on_done Committed)
-  | Active ->
-      if txn.busy then invalid_arg "Ltm.commit: command still in flight";
+  match Local_txn.commit txn.status with
+  | Local_txn.Refused ->
+      let reason = txn.abort_reason in
+      Engine.schedule_unit t.engine ~delay:0 (fun () -> on_done (Commit_refused reason))
+  | Local_txn.Already_committed -> Engine.schedule_unit t.engine ~delay:0 (fun () -> on_done Committed)
+  | Local_txn.Applied ->
       Log.debug (fun m ->
           m "[%a %a] commit %a" Time.pp (Engine.now t.engine) Site.pp (site t) Txn.Incarnation.pp txn.owner);
-      txn.state <- Committed_state;
       Int_tbl.remove t.txns txn.id;
       t.stats.committed <- t.stats.committed + 1;
       Undo.discard txn.undo;
@@ -336,114 +332,112 @@ let apply t txn cmd ~planned =
    a *local* transaction may not update bound data, and one that tries is
    aborted. *)
 let exec t txn cmd ~on_done =
-  match txn.state with
-  | Aborted_state reason -> Engine.schedule_unit t.engine ~delay:0 (fun () -> on_done (Failed reason))
-  | Committed_state -> invalid_arg "Ltm.exec: transaction already committed"
-  | Active ->
-      if txn.busy then invalid_arg "Ltm.exec: previous command still in flight";
-      txn.busy <- true;
-      txn.pending <- Some on_done;
-      txn.n_commands <- txn.n_commands + 1;
-      t.stats.commands <- t.stats.commands + 1;
-      let table = Command.table cmd in
-      let targets = Decompose.plan t.db cmd in
-      let planned = List.map fst targets in
-      let is_local = Txn.is_local txn.owner.Txn.Incarnation.txn in
-      let dlu_gate k =
-        if
-          is_local
-          && List.exists
-               (fun (key, mode) -> mode = Lock.Exclusive && Bound.is_bound t.bound ~table ~key)
-               targets
-        then begin
-          Bound.note_denial t.bound;
-          abort_internal t txn Dlu_denied ~notify:false
-        end
-        else k ()
-      in
-      let finish_ok () =
-        (* Spend command + per-op latency, then apply. *)
-        let n_ops = max 1 (List.length (Decompose.elementary_planned t.db cmd ~planned)) in
-        let dur = t.config.Ltm_config.cmd_latency + (t.config.Ltm_config.op_latency * n_ops) in
-        Engine.schedule_unit t.engine ~delay:dur (fun () ->
-            if is_active txn then
-              (* The item may have become bound while the command waited. *)
-              dlu_gate (fun () ->
-                  let result = apply t txn cmd ~planned in
-                  txn.last_op_done <- Engine.now t.engine;
-                  txn.busy <- false;
-                  txn.pending <- None;
-                  on_done (Done result)))
-      in
-      let rec acquire = function
-        | [] -> finish_ok ()
-        | (key, mode) :: rest -> (
-            let lkey = (table, key) in
-            let wait_started = Engine.now t.engine in
-            let continue () =
-              if is_active txn then begin
-                cancel_wait_timer txn;
-                Obs.emit t.obs ~at:(Engine.now t.engine) (fun () ->
-                    Tracer.Lock_wait
-                      { site = site t; owner = Fmt.str "%a" Txn.Incarnation.pp txn.owner; table; key;
-                        waited = Time.diff (Engine.now t.engine) wait_started });
-                acquire rest
-              end
-            in
-            let on_grant () = Engine.schedule_unit t.engine ~delay:0 continue in
-            match Lock.acquire t.locks lkey ~owner:txn.id ~mode ~on_grant with
-            | Lock.Granted -> acquire rest
-            | Lock.Waiting ->
-                (* Deadlock handling per policy; the lock-wait timeout is
-                   always armed as a backstop (FIFO queue-order waits are
-                   invisible to every strategy below). *)
-                let arm_timeout () =
-                  txn.wait_timer <-
-                    Some
-                      (Engine.schedule t.engine ~delay:lock_timeout (fun () ->
-                           if is_active txn then abort_internal t txn Lock_timeout ~notify:false))
-                in
-                let conflicting_holders () =
-                  List.filter_map (fun id -> Int_tbl.find_opt t.txns id)
-                    (Lock.blockers t.locks lkey ~owner:txn.id ~mode)
-                in
-                (match t.config.Ltm_config.deadlock with
-                | Ltm_config.Timeout_only -> arm_timeout ()
-                | Ltm_config.Detection_and_timeout ->
-                    if Deadlock.would_deadlock t.locks ~waiter:txn.id ~key:lkey ~mode then begin
-                      Obs.emit t.obs ~at:(Engine.now t.engine) (fun () ->
-                          Tracer.Deadlock_resolved
-                            { site = site t; victim = Fmt.str "%a" Txn.Incarnation.pp txn.owner;
-                              policy = "detection" });
-                      abort_internal t txn Deadlock_victim ~notify:false
-                    end
-                    else arm_timeout ()
-                | Ltm_config.Wait_die ->
-                    (* Non-preemptive: a requester younger (bigger id,
-                       begun later) than any conflicting holder dies. *)
-                    if List.exists (fun holder -> holder.id < txn.id) (conflicting_holders ()) then begin
-                      Obs.emit t.obs ~at:(Engine.now t.engine) (fun () ->
-                          Tracer.Deadlock_resolved
-                            { site = site t; victim = Fmt.str "%a" Txn.Incarnation.pp txn.owner;
-                              policy = "wait-die" });
-                      abort_internal t txn Deadlock_victim ~notify:false
-                    end
-                    else arm_timeout ()
-                | Ltm_config.Wound_wait ->
-                    (* Preemptive: an older requester wounds every younger
-                       conflicting holder — an involuntary abort, so it
-                       goes through the unilateral path (UAN fires; a
-                       wounded prepared subtransaction just resubmits). *)
-                    List.iter
-                      (fun holder ->
-                        if holder.id > txn.id then begin
-                          Obs.emit t.obs ~at:(Engine.now t.engine) (fun () ->
-                              Tracer.Deadlock_resolved
-                                { site = site t; victim = Fmt.str "%a" Txn.Incarnation.pp holder.owner;
-                                  policy = "wound-wait" });
-                          ignore (unilateral_abort t holder)
-                        end)
-                      (conflicting_holders ());
-                    arm_timeout ()))
-      in
-      dlu_gate (fun () -> acquire targets)
+  if not (Local_txn.exec txn.status) then
+    let reason = txn.abort_reason in
+    Engine.schedule_unit t.engine ~delay:0 (fun () -> on_done (Failed reason))
+  else begin
+    txn.pending <- Some on_done;
+    txn.n_commands <- txn.n_commands + 1;
+    t.stats.commands <- t.stats.commands + 1;
+    let table = Command.table cmd in
+    let targets = Decompose.plan t.db cmd in
+    let planned = List.map fst targets in
+    let is_local = Txn.is_local txn.owner.Txn.Incarnation.txn in
+    let dlu_gate k =
+      if
+        is_local
+        && List.exists
+             (fun (key, mode) -> mode = Lock.Exclusive && Bound.is_bound t.bound ~table ~key)
+             targets
+      then begin
+        Bound.note_denial t.bound;
+        abort_internal t txn Dlu_denied ~notify:false
+      end
+      else k ()
+    in
+    let finish_ok () =
+      (* Spend command + per-op latency, then apply. *)
+      let n_ops = max 1 (List.length (Decompose.elementary_planned t.db cmd ~planned)) in
+      let dur = t.config.Ltm_config.cmd_latency + (t.config.Ltm_config.op_latency * n_ops) in
+      Engine.schedule_unit t.engine ~delay:dur (fun () ->
+          if is_active txn then
+            (* The item may have become bound while the command waited. *)
+            dlu_gate (fun () ->
+                let result = apply t txn cmd ~planned in
+                Local_txn.exec_done txn.status ~now:(Engine.now t.engine);
+                txn.pending <- None;
+                on_done (Done result)))
+    in
+    let rec acquire = function
+      | [] -> finish_ok ()
+      | (key, mode) :: rest -> (
+          let lkey = (table, key) in
+          let wait_started = Engine.now t.engine in
+          let continue () =
+            if is_active txn then begin
+              cancel_wait_timer txn;
+              Obs.emit t.obs ~at:(Engine.now t.engine) (fun () ->
+                  Tracer.Lock_wait
+                    { site = site t; owner = Fmt.str "%a" Txn.Incarnation.pp txn.owner; table; key;
+                      waited = Time.diff (Engine.now t.engine) wait_started });
+              acquire rest
+            end
+          in
+          let on_grant () = Engine.schedule_unit t.engine ~delay:0 continue in
+          match Lock.acquire t.locks lkey ~owner:txn.id ~mode ~on_grant with
+          | Lock.Granted -> acquire rest
+          | Lock.Waiting ->
+              (* Deadlock handling per policy; the lock-wait timeout is
+                 always armed as a backstop (FIFO queue-order waits are
+                 invisible to every strategy below). *)
+              let arm_timeout () =
+                txn.wait_timer <-
+                  Some
+                    (Engine.schedule t.engine ~delay:lock_timeout (fun () ->
+                         if is_active txn then abort_internal t txn Lock_timeout ~notify:false))
+              in
+              let conflicting_holders () =
+                List.filter_map (fun id -> Int_tbl.find_opt t.txns id)
+                  (Lock.blockers t.locks lkey ~owner:txn.id ~mode)
+              in
+              (match t.config.Ltm_config.deadlock with
+              | Ltm_config.Timeout_only -> arm_timeout ()
+              | Ltm_config.Detection_and_timeout ->
+                  if Deadlock.would_deadlock t.locks ~waiter:txn.id ~key:lkey ~mode then begin
+                    Obs.emit t.obs ~at:(Engine.now t.engine) (fun () ->
+                        Tracer.Deadlock_resolved
+                          { site = site t; victim = Fmt.str "%a" Txn.Incarnation.pp txn.owner;
+                            policy = "detection" });
+                    abort_internal t txn Deadlock_victim ~notify:false
+                  end
+                  else arm_timeout ()
+              | Ltm_config.Wait_die ->
+                  (* Non-preemptive: a requester younger (bigger id,
+                     begun later) than any conflicting holder dies. *)
+                  if List.exists (fun holder -> holder.id < txn.id) (conflicting_holders ()) then begin
+                    Obs.emit t.obs ~at:(Engine.now t.engine) (fun () ->
+                        Tracer.Deadlock_resolved
+                          { site = site t; victim = Fmt.str "%a" Txn.Incarnation.pp txn.owner;
+                            policy = "wait-die" });
+                    abort_internal t txn Deadlock_victim ~notify:false
+                  end
+                  else arm_timeout ()
+              | Ltm_config.Wound_wait ->
+                  (* Preemptive: an older requester wounds every younger
+                     conflicting holder — an involuntary abort, so it
+                     goes through the unilateral path (UAN fires; a
+                     wounded prepared subtransaction just resubmits). *)
+                  List.iter
+                    (fun holder ->
+                      if holder.id > txn.id then begin
+                        Obs.emit t.obs ~at:(Engine.now t.engine) (fun () ->
+                            Tracer.Deadlock_resolved
+                              { site = site t; victim = Fmt.str "%a" Txn.Incarnation.pp holder.owner;
+                                policy = "wound-wait" });
+                        ignore (unilateral_abort t holder)
+                      end)
+                    (conflicting_holders ());
+                  arm_timeout ()))
+    in
+    dlu_gate (fun () -> acquire targets)
+  end

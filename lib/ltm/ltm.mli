@@ -76,6 +76,10 @@ val is_alive : txn -> bool
 
 val is_active : txn -> bool
 
+val status : txn -> (unit -> unit) Hermes_protocol.Local_txn.t
+(** The transaction's status automaton, which {!exec}, {!commit} and the
+    aborts step; callers read it. *)
+
 val mark_held_open : t -> txn -> bool -> unit
 (** Tag set by the 2PC Agent while it simulates the prepared state; the
     failure injector can target held-open transactions (it is told through

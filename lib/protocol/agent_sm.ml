@@ -43,11 +43,11 @@
    instead. The coordinator machines follow the same rule.
 
    Volatility: the machine state is exactly the agent's *volatile* state
-   — a crash input empties it. The stable Agent log lives outside (the
-   adapter owns it); the machine reads it through [log_view] /
-   [recover_entry] snapshots and writes it through [Force_log] effects,
-   mirroring just enough (the command list) to dedup EXECs and replay
-   commands without a query effect. *)
+   — a crash input empties it. The stable Agent log lives outside
+   ({!Agent_log}, owned by the site); the machine reads it through
+   [log_view] / [recover_entry] snapshots and writes it through
+   [Force_log] effects, mirroring just enough (the command list) to
+   dedup EXECs and replay commands without a query effect. *)
 
 open Hermes_kernel
 open Types
@@ -946,7 +946,14 @@ let step (config : Config.t) (st : state) (input : input) : effect list =
           let rearm =
             [ Arm_timer { timer = T_alive gid; delay = alive_check_interval } ]
           in
-          if sub.resubmitting then rearm (* a new interval starts when it completes *)
+          if sub.resubmitting || sub.committing then
+            (* Resubmitting: a new interval starts when it completes.
+               Committing: the local commit is under way, and the LTM's
+               commit ends the transaction's aliveness before its
+               callback arrives; a resubmission now would commit the
+               subtransaction a second time. A refused commit resubmits
+               from [Commit_done]. *)
+            rearm
           else
             let alive = view_alive env gid in
             if alive then begin

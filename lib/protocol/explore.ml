@@ -3,13 +3,17 @@
    The simulator (hermes.sim + hermes.core) runs *one* schedule per
    seed; this module runs *all* schedules of a small scenario. A global
    state is the product of every coordinator machine, every agent
-   machine, and pure models of everything the adapters own imperatively:
-   the network (a message multiset — delivery in any order, optional
-   drops and duplications under a budget), the LTMs (transaction status
-   + in-flight command count per site), the stable Agent logs, and the
-   armed-timer sets. An enabled action applies one machine step (or one
-   fault) and yields a successor; a DFS with a visited set enumerates
-   the reachable space exhaustively, within the fault budgets.
+   machine, and the world they act on. The world is the same values the
+   simulator keeps, changed by the same functions: each site's
+   {!Agent_log}, the {!Coordinator_log}, and one {!Local_txn} status per
+   (site, gid) in place of an LTM, where a commit takes effect at once
+   and its callback follows. Only the network (a message multiset —
+   delivery in any order, optional drops and duplications under a
+   budget), the pending LTM callbacks and the armed-timer sets are
+   modelled here. An enabled action applies one machine step (or one
+   fault) to copies of what it changes and yields a successor; a DFS
+   with a visited set enumerates the reachable space exhaustively,
+   within the fault budgets.
 
    Faults are budgeted rather than probabilistic: a budget of one drop
    explores *every* schedule in which any single message is lost. Time
@@ -22,8 +26,10 @@
      inputs (e.g. a COMMIT for an unknown, uncommitted subtransaction),
      so any schedule that provokes one is a counterexample;
    - invariant checks, tested on every transition or at terminal states:
-     I1  no site both locally commits and rolls back a gid, and no local
-         commit (rollback) of a globally aborted (committed) gid;
+     I1  no site both locally commits and rolls back a gid, no local
+         commit (rollback) of a globally aborted (committed) gid, and no
+         site begins an incarnation of a gid it has committed locally
+         (at most one local commit per subtransaction);
      I2  a global commit is only decided once every participant sent
          READY — the all-READY rule, and the direct detector for the
          duplicate-READY fake-quorum bug under [Counted] quorum;
@@ -43,8 +49,8 @@
 
    Coordinator crashes ([coord_crashes] budget) model the coordinating
    site losing its volatile 2PC state. With [termination] on (the
-   default) the crash is atomic with recovery from the modelled
-   coordinator log — the begin/prepared/decision records force-written
+   default) the crash is atomic with recovery from the coordinator
+   log — the begin/prepared/decision records force-written
    by the machine — re-driving a logged decision and presuming abort
    otherwise. With [termination] off the coordinator stays dead (the
    pre-durability behaviour): its timers die, deliveries to it are
@@ -151,46 +157,15 @@ let default =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Pure models of the adapters' imperative surroundings                 *)
+(* The global state                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* One local transaction inside a modelled LTM. Aliveness is the
-   paper's: active, and every submitted command completely executed. *)
-type ltxn = {
-  l_gid : int;
-  l_inc : int;  (* incarnation the record belongs to *)
-  l_status : [ `Active | `Aborted | `Committed ];
-  l_in_flight : int;  (* submitted commands not yet executed *)
-  l_held : bool;  (* held open past its last command (simulated prepared) *)
-  l_watch : int option;  (* incarnation subscribed to the UAN *)
-  l_last : int;  (* logical time of the last completed operation *)
-}
-
-(* One stable Agent-log entry (survives crashes). *)
-type entry = {
-  e_gid : int;
-  e_coord : Wire.address;
-  e_cmds : Command.t list;  (* oldest first *)
-  e_inc : int;
-  e_sn : Sn.t option;
-  e_prepared : bool;
-  e_committed : bool;  (* decision record forced *)
-  e_lcommitted : bool;
-  e_rolled : bool;
-}
-
-(* One stable Coordinator-log entry (survives coordinator crashes):
-   what {!Hermes_core.Coordinator_log} would hold for the round. *)
-type centry = {
-  c_participants : Site.t list;
-  c_sn : Sn.t option;
-  c_decision : bool option;
-}
-
-(* An asynchronous LTM completion still in flight. *)
+(* An asynchronous LTM completion still in flight. A commit has already
+   taken effect when its callback is queued: [committed] is what the LTM
+   answered. *)
 type cb =
   | Cb_exec of { site : int; gid : int; inc : int; purpose : A.purpose }
-  | Cb_commit of { site : int; gid : int; inc : int }
+  | Cb_commit of { site : int; gid : int; inc : int; committed : bool }
   | Cb_uan of { site : int; gid : int; inc : int }
 
 type tmr = T_agent of int * A.timer | T_coord of int * C.timer
@@ -199,7 +174,9 @@ type g = {
   clock : int;  (* logical; advances on timers and faults only *)
   sn_seq : int;
   coords : (int * C.state) list;  (* by gid *)
-  clogs : (int * centry) list;  (* stable coordinator-log entries, by gid *)
+  clog : Coordinator_log.t;
+      (* the coordinating sites' stable logs, one value for every round
+         (rounds are keyed by gid); survives coordinator crashes *)
   cstaged : (int * (int * C.record * C.effect list) list) list;
       (* group commit: per coordinating site, the staged-but-unforced
          coordinator records (gid, record, withheld rest-of-step
@@ -214,9 +191,10 @@ type g = {
          change to them is forced in the same step) *)
   dead_accs : (int * int) list;  (* permanently killed acceptors *)
   agents : (int * A.state) list;  (* by site id *)
-  logs : (int * entry list) list;  (* by site id *)
-  max_csn : (int * Sn.t) list;  (* per site: biggest committed SN in the log *)
-  ltms : (int * ltxn list) list;  (* by site id *)
+  logs : (int * Agent_log.t) list;  (* the stable Agent logs, by site id *)
+  ltms : (int * (int * int Local_txn.t) list) list;
+      (* by site id: each gid's latest local transaction at the site;
+         the UAN goes to the subscribed incarnation *)
   msgs : Wire.t list;  (* the network: an unordered multiset *)
   cbs : cb list;
   timers : tmr list;
@@ -267,17 +245,19 @@ let remove_one x l =
   in
   go l
 
-let find_entry g s gid = List.find_opt (fun e -> e.e_gid = gid) (assoc_or s g.logs ~default:[])
+let log_of g s = List.assoc s g.logs
+let txns_of g s = List.assoc s g.ltms
+let find_txn g s gid = List.assoc_opt gid (txns_of g s)
 
-let put_entry g s e =
-  let entries = assoc_or s g.logs ~default:[] in
-  { g with logs = upd s (e :: List.filter (fun x -> x.e_gid <> e.e_gid) entries) g.logs }
-
-let find_ltxn g s gid = List.find_opt (fun l -> l.l_gid = gid) (assoc_or s g.ltms ~default:[])
-
-let put_ltxn g s l =
-  let txns = assoc_or s g.ltms ~default:[] in
-  { g with ltms = upd s (l :: List.filter (fun x -> x.l_gid <> l.l_gid) txns) g.ltms }
+(* An action that writes a site's Agent log or local transactions first
+   takes copies of them, so the state it was applied to stays as it was
+   (the DFS branches from it again), as the machines step on copies. *)
+let own_site g s =
+  {
+    g with
+    logs = upd s (Agent_log.copy (log_of g s)) g.logs;
+    ltms = upd s (List.map (fun (gid, l) -> (gid, Local_txn.copy l)) (txns_of g s)) g.ltms;
+  }
 
 (* The [env] snapshot an adapter would sample for a site right now. *)
 let env_of scenario g s =
@@ -292,130 +272,61 @@ let env_of scenario g s =
     views =
       (fun gid ->
         Option.map
-          (fun l ->
-            { A.alive = l.l_status = `Active && l.l_in_flight = 0; last_op_done = Time.of_int l.l_last })
-          (find_ltxn g s gid));
-    max_committed_sn = List.assoc_opt s g.max_csn;
+          (fun (l : int Local_txn.t) ->
+            { A.alive = Local_txn.is_alive l; last_op_done = l.Local_txn.last_op_done })
+          (find_txn g s gid));
+    max_committed_sn = Agent_log.max_committed_sn (log_of g s);
     epoch = g.epoch;
   }
 
-let log_view_of g s gid =
-  match find_entry g s gid with
-  | None ->
-      { A.known = false; prepared = false; committed = false; locally_committed = false;
-        rolled_back = false; sn = None }
-  | Some e ->
-      {
-        A.known = true;
-        prepared = e.e_prepared;
-        committed = e.e_committed;
-        locally_committed = e.e_lcommitted;
-        rolled_back = e.e_rolled;
-        sn = e.e_sn;
-      }
+let log_view_of g s gid = Agent_log.view (log_of g s) ~gid
+let in_doubt g s = Agent_log.in_doubt (log_of g s)
 
 (* ------------------------------------------------------------------ *)
-(* Effect interpretation (pure: every handler returns the next [g])     *)
+(* Effect interpretation: every handler returns the next [g]            *)
 (* ------------------------------------------------------------------ *)
 
 (* I1, checked at the log writes where a local decision lands. *)
-let log_write g s (r : A.record) =
+let check_local_decision g s (r : A.record) =
+  let fail fmt = Fmt.kstr (fun m -> raise (Violation m)) ("I1: site %a " ^^ fmt) Site.pp (site_of s) in
+  let facts gid = (Agent_log.find (log_of g s) ~gid, List.assoc_opt gid g.outcomes) in
   match r with
-  | A.R_entry { gid; coordinator } -> (
-      match find_entry g s gid with
-      | Some _ -> g
-      | None ->
-          put_entry g s
-            {
-              e_gid = gid;
-              e_coord = coordinator;
-              e_cmds = [];
-              e_inc = 0;
-              e_sn = None;
-              e_prepared = false;
-              e_committed = false;
-              e_lcommitted = false;
-              e_rolled = false;
-            })
-  | A.R_command { gid; cmd } -> (
-      match find_entry g s gid with
-      | Some e -> put_entry g s { e with e_cmds = e.e_cmds @ [ cmd ] }
-      | None -> g)
-  | A.R_incarnation { gid; inc } -> (
-      match find_entry g s gid with
-      | Some e -> put_entry g s { e with e_inc = max e.e_inc inc }
-      | None -> g)
-  | A.R_prepare { gid; sn } -> (
-      match find_entry g s gid with
-      | Some e -> put_entry g s { e with e_prepared = true; e_sn = Some sn }
-      | None -> g)
-  | A.R_commit { gid } -> (
-      match find_entry g s gid with
-      | Some e -> (
-          let g = put_entry g s { e with e_committed = true } in
-          match e.e_sn with
-          | Some sn ->
-              let mx =
-                match List.assoc_opt s g.max_csn with Some m when Sn.(m > sn) -> m | _ -> sn
-              in
-              { g with max_csn = upd s mx g.max_csn }
-          | None -> g)
-      | None -> g)
   | A.R_local_commit { gid } -> (
-      match find_entry g s gid with
-      | Some e ->
-          if e.e_rolled then
-            raise
-              (Violation
-                 (Fmt.str "I1: site %a both rolled back and locally committed T%d" Site.pp (site_of s) gid));
-          (match List.assoc_opt gid g.outcomes with
-          | Some (Types.Aborted _) ->
-              raise
-                (Violation
-                   (Fmt.str "I1: site %a locally committed T%d, which globally aborted" Site.pp
-                      (site_of s) gid))
-          | Some Types.Committed | None -> ());
-          put_entry g s { e with e_lcommitted = true }
-      | None -> g)
+      match facts gid with
+      | Some { Agent_log.rolled_back = true; _ }, _ -> fail "both rolled back and locally committed T%d" gid
+      | Some _, Some (Types.Aborted _) -> fail "locally committed T%d, which globally aborted" gid
+      | _ -> ())
   | A.R_rollback { gid } -> (
-      match find_entry g s gid with
-      | Some e ->
-          if e.e_lcommitted then
-            raise
-              (Violation
-                 (Fmt.str "I1: site %a rolled back T%d after committing it locally" Site.pp (site_of s)
-                    gid));
-          (match List.assoc_opt gid g.outcomes with
-          | Some Types.Committed ->
-              raise
-                (Violation
-                   (Fmt.str "I1: site %a rolled back T%d, which globally committed" Site.pp (site_of s)
-                      gid))
-          | Some (Types.Aborted _) | None -> ());
-          put_entry g s { e with e_rolled = true }
-      | None -> g)
+      match facts gid with
+      | Some { Agent_log.locally_committed = true; _ }, _ ->
+          fail "rolled back T%d after committing it locally" gid
+      | Some _, Some Types.Committed -> fail "rolled back T%d, which globally committed" gid
+      | _ -> ())
+  | A.R_entry _ | A.R_command _ | A.R_incarnation _ | A.R_prepare _ | A.R_commit _ -> ()
 
 let rec ltm_call scenario g s (c : A.call) =
   match c with
   | A.L_begin { gid; inc } ->
-      put_ltxn g s
-        {
-          l_gid = gid;
-          l_inc = inc;
-          l_status = `Active;
-          l_in_flight = 0;
-          l_held = false;
-          l_watch = None;
-          l_last = g.clock;
-        }
+      (* I1, at most once: a subtransaction commits locally once per
+         site, so no incarnation of a gid may begin where the gid has
+         already committed. (A site crash empties the site's LTM table,
+         as the adapter forgets its handles, so this sees the commits
+         since the site's last crash.) *)
+      (match find_txn g s gid with
+      | Some { Local_txn.status = Local_txn.Committed; inc = committed; _ } ->
+          raise
+            (Violation
+               (Fmt.str "I1: site %a begins incarnation %d of T%d after committing incarnation %d locally"
+                  Site.pp (site_of s) inc gid committed))
+      | Some _ | None -> ());
+      let l = Local_txn.start ~inc ~now:(Time.of_int g.clock) in
+      { g with ltms = upd s ((gid, l) :: List.remove_assoc gid (txns_of g s)) g.ltms }
   | A.L_exec { gid; inc; purpose; cmd = _ } ->
-      let g =
-        match find_ltxn g s gid with
-        | Some l when l.l_inc = inc -> put_ltxn g s { l with l_in_flight = l.l_in_flight + 1 }
-        | Some _ | None -> g
-      in
+      (match find_txn g s gid with
+      | Some l when Local_txn.current l ~inc -> ignore (Local_txn.exec l)
+      | Some _ | None -> ());
       { g with cbs = Cb_exec { site = s; gid; inc; purpose } :: g.cbs }
-  | A.L_commit { gid; inc } ->
+  | A.L_commit { gid; inc } -> (
       (* I3: the machine may only release a local commit while it holds
          the smallest prepared serial number at the site (Appendix C).
          Under group commit the rule is the vectorized one the machine
@@ -455,42 +366,50 @@ let rec ltm_call scenario g s (c : A.call) =
                 extension off (which would have refused this PREPARE), e.g.
                 under a stale-clock serial-number adversary. *)
              List.iter
-               (fun e' ->
-                 match e'.e_sn with
-                 | Some sn' when e'.e_gid <> gid && e'.e_lcommitted && Sn.(sn' > e.Alive_table.sn) ->
+               (fun (e' : Agent_log.entry) ->
+                 match e'.Agent_log.sn with
+                 | Some sn'
+                   when e'.Agent_log.gid <> gid && e'.Agent_log.locally_committed
+                        && Sn.(sn' > e.Alive_table.sn) ->
                      raise
                        (Violation
                           (Fmt.str
                              "I3: site %a releases the local commit of T%d below the \
                               already-committed bigger-SN T%d — commits released out of \
                               serial-number order"
-                             Site.pp (site_of s) gid e'.e_gid))
+                             Site.pp (site_of s) gid e'.Agent_log.gid))
                  | _ -> ())
-               (assoc_or s g.logs ~default:[])
+               (Agent_log.entries (log_of g s))
          | None -> ());
-      { g with cbs = Cb_commit { site = s; gid; inc } :: g.cbs }
-  | A.L_abort { gid } -> (
-      match find_ltxn g s gid with
-      | Some l when l.l_status = `Active -> put_ltxn g s { l with l_status = `Aborted }
+      (* The commit takes effect now; its callback follows. A commit for
+         an incarnation that is no longer the gid's current one is
+         dropped, as the adapter drops it. *)
+      match find_txn g s gid with
+      | Some l when Local_txn.current l ~inc ->
+          let committed =
+            match Local_txn.commit l with
+            | Local_txn.Applied | Local_txn.Already_committed -> true
+            | Local_txn.Refused -> false
+          in
+          { g with cbs = Cb_commit { site = s; gid; inc; committed } :: g.cbs }
       | Some _ | None -> g)
+  | A.L_abort { gid } ->
+      Option.iter (fun l -> ignore (Local_txn.abort l)) (find_txn g s gid);
+      g
   | A.L_abort_all_live ->
-      let txns =
-        List.map
-          (fun l -> if l.l_status = `Active then { l with l_status = `Aborted } else l)
-          (assoc_or s g.ltms ~default:[])
-      in
-      { g with ltms = upd s txns g.ltms }
-  | A.L_hold_open { gid } -> (
-      match find_ltxn g s gid with Some l -> put_ltxn g s { l with l_held = true } | None -> g)
+      List.iter (fun (_, l) -> ignore (Local_txn.abort l)) (txns_of g s);
+      g
+  | A.L_hold_open { gid } ->
+      Option.iter (fun l -> Local_txn.hold_open l true) (find_txn g s gid);
+      g
   | A.L_hold_open_batch { gids } ->
       List.fold_left (fun g gid -> ltm_call scenario g s (A.L_hold_open { gid })) g gids
   | A.L_commit_batch { txns } ->
       (* each released commit gets the per-gid I3 check of [L_commit] *)
       List.fold_left (fun g (gid, inc) -> ltm_call scenario g s (A.L_commit { gid; inc })) g txns
-  | A.L_watch_uan { gid; inc } -> (
-      match find_ltxn g s gid with
-      | Some l -> put_ltxn g s { l with l_watch = Some inc }
-      | None -> g)
+  | A.L_watch_uan { gid; inc } ->
+      Option.iter (fun l -> Local_txn.watch l inc) (find_txn g s gid);
+      g
   | A.L_bind _ | A.L_rebind _ | A.L_unbind _ -> g (* data binding is not modelled *)
   | A.L_forget _ -> g (* adapter bookkeeping only *)
 
@@ -520,58 +439,59 @@ let feed_agent scenario g s input =
     else
       { g with required = List.filter (fun (s', gid) -> not (s' = s && abandoned gid)) g.required }
   in
-  List.fold_left
-    (fun g (eff : A.effect) ->
-      match eff with
-      | Types.Send { dst; gid; payload } ->
-          (* [g.ready] records *genuine* READYs only: votes backed by a
-             durable prepare record (forced earlier in this same effect
-             list). A lying agent's READY has no prepare behind it, so it
-             never registers and I2 exposes the fake quorum. *)
-          let genuine =
-            match find_entry g s gid with Some e -> e.e_prepared | None -> false
-          in
-          let g =
-            match payload with
-            | (Wire.Ready | Wire.Ready_certified _) when genuine && not (List.mem (gid, s) g.ready)
-              ->
-                { g with ready = (gid, s) :: g.ready }
-            | _ -> g
-          in
-          { g with msgs = { Wire.src = Wire.Agent (site_of s); dst; gid; payload } :: g.msgs }
-      | Types.Arm_timer { timer; delay = _ } -> { g with timers = T_agent (s, timer) :: g.timers }
-      | Types.Cancel_timer timer -> { g with timers = remove_one (T_agent (s, timer)) g.timers }
-      | Types.Force_log r -> log_write g s r
-      | Types.Force_batch rs ->
-          (* one force I/O for the whole batch; every record still gets
-             its own I1 check *)
-          List.fold_left (fun g r -> log_write g s r) g rs
-      | Types.Stage_log _ -> assert false (* the agent batches internally (Force_batch) *)
-      | Types.Ltm_call c -> ltm_call scenario g s c
-      | Types.Record _ | Types.Emit _ -> g
-      | Types.Invoke_gate | Types.Decide _ -> assert false (* coordinator-only effects *))
-    g effs
+  (* The LTM and the log raise [Invalid_argument] where the simulator
+     would die: a command submitted to a committed transaction, a commit
+     with a command in flight, a record for a gid the log never saw. *)
+  try
+    List.fold_left
+      (fun g (eff : A.effect) ->
+        match eff with
+        | Types.Send { dst; gid; payload } ->
+            (* [g.ready] records *genuine* READYs only: votes backed by a
+               durable prepare record (forced earlier in this same effect
+               list). A lying agent's READY has no prepare behind it, so
+               it never registers and I2 exposes the fake quorum. *)
+            let g =
+              match payload with
+              | (Wire.Ready | Wire.Ready_certified _)
+                when (log_view_of g s gid).A.prepared && not (List.mem (gid, s) g.ready) ->
+                  { g with ready = (gid, s) :: g.ready }
+              | _ -> g
+            in
+            { g with msgs = { Wire.src = Wire.Agent (site_of s); dst; gid; payload } :: g.msgs }
+        | Types.Arm_timer { timer; delay = _ } -> { g with timers = T_agent (s, timer) :: g.timers }
+        | Types.Cancel_timer timer -> { g with timers = remove_one (T_agent (s, timer)) g.timers }
+        | Types.Force_log r ->
+            check_local_decision g s r;
+            Agent_log.apply (log_of g s) r;
+            g
+        | Types.Force_batch rs ->
+            (* one force I/O for the whole batch; every record still gets
+               its own I1 check *)
+            List.iter (check_local_decision g s) rs;
+            Agent_log.apply_batch (log_of g s) rs;
+            g
+        | Types.Stage_log _ -> assert false (* the agent batches internally (Force_batch) *)
+        | Types.Ltm_call c -> ltm_call scenario g s c
+        | Types.Record _ | Types.Emit _ -> g
+        | Types.Invoke_gate | Types.Decide _ -> assert false (* coordinator-only effects *))
+      g effs
+  with Invalid_argument m -> raise (Violation ("environment exception: " ^ m))
 
-let clog_write g gid (r : C.record) =
-  let e = assoc_or gid g.clogs ~default:{ c_participants = []; c_sn = None; c_decision = None } in
-  let e, decided_now =
-    match r with
-    | C.R_begin { participants } -> ({ e with c_participants = participants }, false)
-    | C.R_prepared { participants; sn } ->
-        ({ e with c_participants = participants; c_sn = Some sn }, false)
-    | C.R_decision { committed } -> (
-        (* idempotent, like the real log: the first decision wins *)
-        match e.c_decision with
-        | None -> ({ e with c_decision = Some committed }, true)
-        | Some _ -> (e, false))
+(* A coordinator-log write, forced ([Coordinator_log.apply]) or staged
+   ([Coordinator_log.stage]), on a copy of the log. *)
+let clog_write write g gid (r : C.record) =
+  let undecided log =
+    match Coordinator_log.find log ~gid with Some e -> e.Coordinator_log.decision = None | None -> true
   in
-  let g = { g with clogs = upd gid e g.clogs } in
-  if decided_now then
-    (* The forced decision fixes the gid's fate: certification of new
-       work no longer depends on the gainer holding its handed-over
-       interval, so any outstanding handover obligation is discharged. *)
-    { g with required = List.filter (fun (_, gid') -> gid' <> gid) g.required }
-  else g
+  let clog = Coordinator_log.copy g.clog in
+  write clog ~gid r;
+  if undecided g.clog && not (undecided clog) then
+    (* The decision fixes the gid's fate: certification of new work no
+       longer depends on the gainer holding its handed-over interval, so
+       any outstanding handover obligation is discharged. *)
+    { g with clog; required = List.filter (fun (_, gid') -> gid' <> gid) g.required }
+  else { g with clog }
 
 let rec feed_coord scenario g gid input =
   let st = List.assoc gid g.coords in
@@ -615,7 +535,7 @@ and coord_eff scenario gid g (eff : C.effect) =
       { g with msgs = { Wire.src = Wire.Coordinator gid; dst; gid = mgid; payload } :: g.msgs }
   | Types.Arm_timer { timer; delay = _ } -> { g with timers = T_coord (gid, timer) :: g.timers }
   | Types.Cancel_timer timer -> { g with timers = remove_one (T_coord (gid, timer)) g.timers }
-  | Types.Force_log r -> clog_write g gid r
+  | Types.Force_log r -> clog_write Coordinator_log.apply g gid r
   | Types.Stage_log _ -> assert false (* consumed by [run_coord_effs] *)
   | Types.Force_batch _ -> assert false (* agent-only effect *)
   | Types.Ltm_call _ -> .
@@ -756,6 +676,7 @@ let deliver scenario g (m : Wire.t) =
         (P.Deliver { src = m.Wire.src; payload = m.Wire.payload })
   | Wire.Agent site ->
       let s = Site.to_int site in
+      let g = own_site g s in
       feed_agent scenario g s
         (A.Deliver
            {
@@ -769,24 +690,24 @@ let deliver scenario g (m : Wire.t) =
 let run_cb scenario g (c : cb) =
   match c with
   | Cb_exec { site = s; gid; inc; purpose } ->
-      let result, g =
-        match find_ltxn g s gid with
-        | Some l when l.l_inc = inc ->
-            let l = { l with l_in_flight = l.l_in_flight - 1 } in
-            if l.l_status = `Active then (A.Done (Command.Count 1), put_ltxn g s { l with l_last = g.clock })
-            else (A.Failed "unilaterally aborted", put_ltxn g s l)
-        | Some _ | None -> (A.Failed "superseded incarnation", g)
+      let g = own_site g s in
+      let result =
+        match find_txn g s gid with
+        | Some l when Local_txn.current l ~inc ->
+            if Local_txn.is_active l then begin
+              Local_txn.exec_done l ~now:(Time.of_int g.clock);
+              A.Done (Command.Count 1)
+            end
+            else A.Failed "unilaterally aborted"
+        | Some _ | None -> A.Failed "superseded incarnation"
       in
       feed_agent scenario g s (A.Exec_done { env = env_of scenario g s; gid; inc; purpose; result })
-  | Cb_commit { site = s; gid; inc } ->
-      let committed, g =
-        match find_ltxn g s gid with
-        | Some l when l.l_inc = inc && l.l_status = `Active ->
-            (true, put_ltxn g s { l with l_status = `Committed; l_last = g.clock })
-        | Some _ | None -> (false, g)
-      in
+  | Cb_commit { site = s; gid; inc; committed } ->
+      let g = own_site g s in
       feed_agent scenario g s (A.Commit_done { env = env_of scenario g s; gid; inc; committed })
-  | Cb_uan { site = s; gid; inc } -> feed_agent scenario g s (A.Uan { env = env_of scenario g s; gid; inc })
+  | Cb_uan { site = s; gid; inc } ->
+      let g = own_site g s in
+      feed_agent scenario g s (A.Uan { env = env_of scenario g s; gid; inc })
 
 let charge (b : budgets) = function
   | T_agent (_, A.T_alive _) -> { b with alive_fires = b.alive_fires - 1 }
@@ -805,6 +726,7 @@ let fire scenario g t =
      a sound subset of the schedules, and far fewer distinct states. *)
   let clock = match t with T_agent (_, A.T_alive _) -> g.clock + 1 | _ -> g.clock in
   let g = { g with timers = remove_one t g.timers; clock; b = charge g.b t } in
+  let g = match t with T_agent (s, _) -> own_site g s | T_coord _ -> g in
   match t with
   | T_agent (s, A.T_alive gid) -> feed_agent scenario g s (A.Alive_fired { env = env_of scenario g s; gid })
   | T_agent (s, A.T_commit_retry gid) ->
@@ -820,37 +742,23 @@ let fire scenario g t =
 
 let unilateral_abort g s gid =
   let g = { g with clock = g.clock + 1; b = { g.b with uaborts = g.b.uaborts - 1 } } in
-  match find_ltxn g s gid with
-  | Some l when l.l_status = `Active ->
-      let g = put_ltxn g s { l with l_status = `Aborted } in
+  let g = own_site g s in
+  match find_txn g s gid with
+  | Some l when Local_txn.abort l -> (
       (* The LTM notifies the subscribed incarnation, if any. *)
-      (match l.l_watch with
-      | Some w -> { g with cbs = Cb_uan { site = s; gid; inc = w } :: g.cbs }
+      match l.Local_txn.uan with
+      | Some inc -> { g with cbs = Cb_uan { site = s; gid; inc } :: g.cbs }
       | None -> g)
   | Some _ | None -> g
 
-let in_doubt g s =
-  assoc_or s g.logs ~default:[]
-  |> List.filter (fun e -> e.e_prepared && (not e.e_lcommitted) && not e.e_rolled)
-  |> List.sort (fun a b -> compare a.e_gid b.e_gid)
-  |> List.map (fun e ->
-         {
-           A.r_gid = e.e_gid;
-           r_coordinator = e.e_coord;
-           r_inc = e.e_inc;
-           r_sn = e.e_sn;
-           r_commands = e.e_cmds;
-           r_committed = e.e_committed;
-         })
-
 let crash_recover scenario g s =
   let g = { g with clock = g.clock + 1; b = { g.b with crashes = g.b.crashes - 1 } } in
-  let live =
-    List.length (List.filter (fun l -> l.l_status = `Active) (assoc_or s g.ltms ~default:[]))
-  in
+  let g = own_site g s in
+  let live = List.length (List.filter (fun (_, l) -> Local_txn.is_active l) (txns_of g s)) in
   let g = feed_agent scenario g s (A.Crash { live }) in
-  (* The crash also takes the LTM's volatile transactions, the pending
-     local completions and any leftover armed timers down with it. *)
+  (* The crash also takes the site's table of local transactions (the
+     live ones have just aborted; the adapter forgets every handle),
+     the pending local completions and any leftover armed timers. *)
   let g =
     {
       g with
@@ -872,54 +780,43 @@ let crash_recover scenario g s =
   in
   feed_agent scenario g s (A.Recover { env = env_of scenario g s; entries = in_doubt g s })
 
-(* The coordinating site of [gid] crashes: the round's volatile 2PC
-   state is lost, its armed timers die. With [termination] the reboot is
-   atomic — a fresh machine replays the stable coordinator-log entry
-   (re-driving a logged decision, presuming abort otherwise). Without it
-   the coordinator is simply gone, the pre-durability behaviour. *)
-let coord_crash scenario g gid =
-  let g = { g with clock = g.clock + 1; b = { g.b with coord_crashes = g.b.coord_crashes - 1 } } in
-  let g =
-    {
-      g with
-      timers = List.filter (function T_coord (gid', _) -> gid' <> gid | T_agent _ -> true) g.timers;
-    }
-  in
-  (* Staged-but-unforced records of this round (and the withheld effects
-     behind them) are volatile: the crash takes them. *)
-  let g =
-    {
-      g with
-      cstaged =
-        List.map (fun (s, q) -> (s, List.filter (fun (gid', _, _) -> gid' <> gid) q)) g.cstaged;
-    }
-  in
-  if not scenario.termination then { g with dead = gid :: g.dead }
-  else
-    match List.assoc_opt gid g.clogs with
-    | None -> g (* nothing was ever promised anywhere *)
-    | Some e ->
-        let st = List.assoc gid g.coords in
-        let fresh = C.init ~gid ~site:st.C.site ~participants:[] ~steps:[] ~sn:None in
-        let g = { g with coords = upd gid fresh g.coords } in
-        feed_coord scenario g gid
-          (C.Recover { participants = e.c_participants; sn = e.c_sn; decision = e.c_decision })
-
-(* A permanent leader kill: the coordinating site dies for good (the
-   Paxos Commit failure model). Same bookkeeping as a [termination]-off
-   coordinator crash — timers die, staged records vanish, deliveries to
-   it will be lost — but charged to the [replica_kills] budget, because
-   under a replicated protocol the register is meant to survive it. *)
-let kill_leader g gid =
+(* Round [gid]'s coordinating site goes down: the round's armed timers
+   die, and so do its staged-but-unforced records and the effects
+   withheld behind them. *)
+let lose_coordinator g gid =
   {
     g with
     clock = g.clock + 1;
-    b = { g.b with replica_kills = g.b.replica_kills - 1 };
     timers = List.filter (function T_coord (gid', _) -> gid' <> gid | T_agent _ -> true) g.timers;
     cstaged =
       List.map (fun (s, q) -> (s, List.filter (fun (gid', _, _) -> gid' <> gid) q)) g.cstaged;
-    dead = gid :: g.dead;
   }
+
+(* The coordinating site of [gid] crashes. With [termination] the
+   reboot is atomic — a fresh machine replays the stable coordinator-log
+   entry (re-driving a logged decision, presuming abort otherwise).
+   Without it the coordinator is simply gone, the pre-durability
+   behaviour. *)
+let coord_crash scenario g gid =
+  let g = lose_coordinator g gid in
+  let g = { g with b = { g.b with coord_crashes = g.b.coord_crashes - 1 } } in
+  if not scenario.termination then { g with dead = gid :: g.dead }
+  else
+    match Coordinator_log.recover g.clog ~gid with
+    | None -> g (* nothing was ever promised anywhere *)
+    | Some input ->
+        let st = List.assoc gid g.coords in
+        let fresh = C.init ~gid ~site:st.C.site ~participants:[] ~steps:[] ~sn:None in
+        let g = { g with coords = upd gid fresh g.coords } in
+        feed_coord scenario g gid input
+
+(* A permanent leader kill: the coordinating site dies for good (the
+   Paxos Commit failure model), like a [termination]-off coordinator
+   crash, but charged to the [replica_kills] budget, because under a
+   replicated protocol the register is meant to survive it. *)
+let kill_leader g gid =
+  let g = lose_coordinator g gid in
+  { g with b = { g.b with replica_kills = g.b.replica_kills - 1 }; dead = gid :: g.dead }
 
 (* A permanent acceptor kill: the machine keeps its state (irrelevant —
    it will never step again) and every future delivery to it is lost. *)
@@ -950,7 +847,10 @@ let reconfigure scenario g ~shard ~to_ =
      creates a handover obligation. *)
   let decided gid =
     List.mem_assoc gid g.outcomes
-    || match List.assoc_opt gid g.clogs with Some e -> e.c_decision <> None | None -> false
+    ||
+    match Coordinator_log.find g.clog ~gid with
+    | Some e -> e.Coordinator_log.decision <> None
+    | None -> false
   in
   let prepared_gids =
     Alive_table.entries lst.A.table
@@ -975,7 +875,7 @@ let reconfigure scenario g ~shard ~to_ =
 let coord_flush scenario g s =
   let q = assoc_or s g.cstaged ~default:[] in
   let g = { g with cstaged = upd s [] g.cstaged } in
-  let g = List.fold_left (fun g (gid, r, _) -> clog_write g gid r) g q in
+  let g = List.fold_left (fun g (gid, r, _) -> clog_write Coordinator_log.stage g gid r) g q in
   List.fold_left (fun g (gid, _, effs) -> run_coord_effs scenario gid g effs) g q
 
 let apply scenario g = function
@@ -1022,9 +922,8 @@ let enabled scenario g =
       List.concat_map
         (fun (s, txns) ->
           List.filter_map
-            (fun l ->
-              if l.l_status = `Active then Some (Unilateral_abort { site = s; gid = l.l_gid })
-              else None)
+            (fun (gid, l) ->
+              if Local_txn.is_active l then Some (Unilateral_abort { site = s; gid }) else None)
             txns)
         g.ltms
     else []
@@ -1153,8 +1052,7 @@ let in_doubt_violations scenario g =
     let n_acc = Config.n_acceptors scenario.config in
     let quorum = Config.replica_quorum scenario.config in
     let timer_armed f = List.exists f g.timers in
-    let resolvable s (e : entry) =
-      let gid = e.e_gid in
+    let resolvable s gid =
       let inquiry_armed =
         timer_armed (function T_agent (s', A.T_inquiry g') -> s' = s && g' = gid | _ -> false)
       in
@@ -1207,23 +1105,18 @@ let in_doubt_violations scenario g =
       | None -> false
     in
     List.concat_map
-      (fun (s, entries) ->
+      (fun (s, log) ->
         List.filter_map
-          (fun e ->
-            if
-              e.e_prepared
-              && (not e.e_lcommitted)
-              && (not e.e_rolled)
-              && (not (decision_known s e.e_gid))
-              && not (resolvable s e)
-            then
+          (fun (e : A.recover_entry) ->
+            let gid = e.A.r_gid in
+            if (not (decision_known s gid)) && not (resolvable s gid) then
               Some
                 (Fmt.str
                    "I5: T%d is in doubt at site %a at quiescence with no retransmission or inquiry \
                     armed that can still reach a decision — blocked forever"
-                   e.e_gid Site.pp (site_of s))
+                   gid Site.pp (site_of s))
             else None)
-          entries)
+          (Agent_log.in_doubt log))
       g.logs
 
 (* I6, on every transition: after a shard move, the gaining site must
@@ -1276,18 +1169,17 @@ let terminal_violations g =
           g.timers
       in
       List.filter_map
-        (fun (s, entries) ->
+        (fun (s, log) ->
           if not (List.mem (site_of s) participants) then None
           else
-          let e = List.find_opt (fun e -> e.e_gid = gid) entries in
-          match (outcome, e) with
-          | Types.Committed, Some e when (not e.e_lcommitted) && not (still_driven s) ->
+          match (outcome, Agent_log.find log ~gid) with
+          | Types.Committed, Some e when (not e.Agent_log.locally_committed) && not (still_driven s) ->
               Some
                 (Fmt.str "I4: T%d decided commit but site %a never committed locally" gid Site.pp
                    (site_of s))
           | Types.Committed, None ->
               Some (Fmt.str "I4: T%d decided commit but site %a has no log entry" gid Site.pp (site_of s))
-          | Types.Aborted _, Some e when e.e_lcommitted ->
+          | Types.Aborted _, Some e when e.Agent_log.locally_committed ->
               Some
                 (Fmt.str "I4: T%d decided abort but site %a committed locally" gid Site.pp (site_of s))
           | _ -> None)
@@ -1324,24 +1216,29 @@ let canon_agent (s, (st : A.state)) =
          (Alive_table.entries st.A.table)),
     (st.A.pending, st.A.batch, st.A.flush_armed) )
 
-(* A canonical, Marshal-stable projection: maps and sets become sorted
-   lists, multisets are sorted, assoc lists are keyed in order. *)
+(* A canonical projection, marshalled without sharing so that equal
+   states hash equally however their values came to be allocated: maps
+   and sets become sorted lists, multisets are sorted, assoc lists are
+   keyed in order, and each log lists its entries in gid order (an
+   [Int_tbl]'s bucket layout depends on its insertion history). The
+   logs' force counters are accounting, not state, and are left out. *)
 let fingerprint g =
   let sorted_assoc l = List.sort (fun (a, _) (b, _) -> compare a b) l in
   let canon =
     ( (g.clock, g.sn_seq),
       List.map canon_coord (sorted_assoc g.coords),
-      (sorted_assoc g.clogs, List.sort compare g.dead, sorted_assoc g.cstaged),
+      (Coordinator_log.entries g.clog, List.sort compare g.dead, sorted_assoc g.cstaged),
       (sorted_assoc g.accs, List.sort compare g.dead_accs),
       List.map canon_agent (sorted_assoc g.agents),
-      List.map (fun (s, es) -> (s, List.sort compare es)) (sorted_assoc g.logs),
-      sorted_assoc g.max_csn,
-      List.map (fun (s, ls) -> (s, List.sort compare ls)) (sorted_assoc g.ltms),
+      List.map
+        (fun (s, log) -> (s, Agent_log.max_committed_sn log, Agent_log.entries log))
+        (sorted_assoc g.logs),
+      List.map (fun (s, txns) -> (s, sorted_assoc txns)) (sorted_assoc g.ltms),
       (List.sort compare g.msgs, List.sort compare g.cbs, List.sort compare g.timers),
       (g.unstarted, List.sort compare g.outcomes, List.sort compare g.ready, g.b),
       (g.epoch, sorted_assoc g.owner, sorted_assoc g.tepoch, List.sort compare g.required) )
   in
-  Digest.string (Marshal.to_string canon [])
+  Digest.string (Marshal.to_string canon [ Marshal.No_sharing ])
 
 let init scenario =
   let sites = List.init scenario.n_sites Fun.id in
@@ -1351,14 +1248,13 @@ let init scenario =
       clock = 0;
       sn_seq = 0;
       coords = [];
-      clogs = [];
+      clog = Coordinator_log.create ();
       cstaged = [];
       dead = [];
       accs = [];
       dead_accs = [];
       agents = List.map (fun s -> (s, A.init ~site:(site_of s))) sites;
-      logs = List.map (fun s -> (s, [])) sites;
-      max_csn = [];
+      logs = List.map (fun s -> (s, Agent_log.create ())) sites;
       ltms = List.map (fun s -> (s, [])) sites;
       msgs = [];
       cbs = [];
@@ -1398,8 +1294,9 @@ let pp_action ppf = function
   | Drop m -> Fmt.pf ppf "drop %a" Wire.pp m
   | Ltm_complete (Cb_exec { site; gid; inc; _ }) ->
       Fmt.pf ppf "LTM at %a finishes a command of T%d (inc %d)" Site.pp (site_of site) gid inc
-  | Ltm_complete (Cb_commit { site; gid; _ }) ->
-      Fmt.pf ppf "LTM at %a finishes the local commit of T%d" Site.pp (site_of site) gid
+  | Ltm_complete (Cb_commit { site; gid; inc; committed }) ->
+      Fmt.pf ppf "LTM at %a reports the local commit of T%d (inc %d) %s" Site.pp (site_of site) gid
+        inc (if committed then "done" else "refused")
   | Ltm_complete (Cb_uan { site; gid; inc }) ->
       Fmt.pf ppf "UAN for T%d (inc %d) reaches the agent at %a" gid inc Site.pp (site_of site)
   | Fire (T_agent (s, A.T_alive gid)) ->

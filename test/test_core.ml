@@ -12,6 +12,9 @@ module Trace = Hermes_ltm.Trace
 module Config = Hermes_core.Config
 module Program = Hermes_core.Program
 module Alive_table = Hermes_protocol.Alive_table
+module Agent_sm = Hermes_protocol.Agent_sm
+module Agent_log = Hermes_protocol.Agent_log
+module Coordinator_log = Hermes_protocol.Coordinator_log
 module Coordinator = Hermes_core.Coordinator
 module Dtm = Hermes_core.Dtm
 module Report = Hermes_history.Report
@@ -414,10 +417,8 @@ let test_commit_while_crashed_noted_durably () =
            but before recovery: the decision must already be durable,
            the local commit must not have happened. *)
         Engine.schedule_unit w.engine ~delay:5_000 (fun () ->
-            (match Hermes_core.Agent_log.find (Hermes_core.Agent.agent_log agent) ~gid:1 with
-            | Some e ->
-                noted :=
-                  e.Hermes_core.Agent_log.committed && not e.Hermes_core.Agent_log.locally_committed
+            (match Agent_log.find (Hermes_core.Agent.agent_log agent) ~gid:1 with
+            | Some e -> noted := e.Agent_log.committed && not e.Agent_log.locally_committed
             | None -> ());
             Hermes_core.Agent.recover agent)
       end
@@ -472,55 +473,59 @@ let test_fully_duplicated_network () =
   Alcotest.(check bool) "clean" true (Report.ok (Report.analyze (Dtm.history w.dtm)))
 
 let test_agent_log_in_doubt () =
-  let log = Hermes_core.Agent_log.create () in
-  let coord = Wire.Coordinator 1 in
+  let log = Agent_log.create () in
+  let coordinator = Wire.Coordinator 1 in
   let sn = Sn.make ~ts:(Time.of_int 5) ~site:a ~seq:1 in
-  let e1 = Hermes_core.Agent_log.entry log ~gid:1 ~coordinator:coord in
-  let e2 = Hermes_core.Agent_log.entry log ~gid:2 ~coordinator:coord in
-  let e3 = Hermes_core.Agent_log.entry log ~gid:3 ~coordinator:coord in
-  let e4 = Hermes_core.Agent_log.entry log ~gid:4 ~coordinator:coord in
-  ignore (Hermes_core.Agent_log.entry log ~gid:5 ~coordinator:coord);
-  (* e1: prepared, in doubt. e2: decision forced but not locally committed:
-     still needs recovery (redo). e3: fully committed. e4: rolled back.
-     e5: never prepared. *)
-  Hermes_core.Agent_log.force_prepare log e1 ~sn;
-  Hermes_core.Agent_log.force_prepare log e2 ~sn;
-  Hermes_core.Agent_log.force_commit log e2;
-  Hermes_core.Agent_log.force_prepare log e3 ~sn;
-  Hermes_core.Agent_log.force_commit log e3;
-  e3.Hermes_core.Agent_log.locally_committed <- true;
-  Hermes_core.Agent_log.force_prepare log e4 ~sn;
-  Hermes_core.Agent_log.note_rollback e4;
-  let in_doubt = List.map (fun e -> e.Hermes_core.Agent_log.gid) (Hermes_core.Agent_log.in_doubt log) in
+  List.iter (fun gid -> Agent_log.apply log (Agent_sm.R_entry { gid; coordinator })) [ 1; 2; 3; 4; 5 ];
+  (* 1: prepared, in doubt. 2: decision forced but not locally committed:
+     still needs recovery (redo). 3: fully committed. 4: rolled back.
+     5: never prepared. *)
+  List.iter (Agent_log.apply log)
+    [
+      Agent_sm.R_prepare { gid = 1; sn };
+      R_prepare { gid = 2; sn };
+      R_commit { gid = 2 };
+      R_prepare { gid = 3; sn };
+      R_commit { gid = 3 };
+      R_local_commit { gid = 3 };
+      R_prepare { gid = 4; sn };
+      R_rollback { gid = 4 };
+    ];
+  let in_doubt = List.map (fun e -> e.Agent_sm.r_gid) (Agent_log.in_doubt log) in
   Alcotest.(check (list int)) "in doubt" [ 1; 2 ] in_doubt;
-  Alcotest.(check bool) "max committed sn" true
-    (Hermes_core.Agent_log.max_committed_sn log = Some sn);
-  Alcotest.(check bool) "force writes counted" true (Hermes_core.Agent_log.force_writes log >= 6)
+  Alcotest.(check bool) "max committed sn" true (Agent_log.max_committed_sn log = Some sn);
+  Alcotest.(check bool) "force writes counted" true (Agent_log.force_writes log >= 6)
 
 let test_agent_log_force_commit_idempotent () =
   (* A decision replayed after recovery must not pay a second synchronous
      force or disturb the biggest-committed-SN watermark. *)
-  let log = Hermes_core.Agent_log.create () in
+  let log = Agent_log.create () in
   let sn = Sn.make ~ts:(Time.of_int 9) ~site:a ~seq:1 in
-  let e = Hermes_core.Agent_log.entry log ~gid:1 ~coordinator:(Wire.Coordinator 1) in
-  Hermes_core.Agent_log.force_prepare log e ~sn;
-  Hermes_core.Agent_log.force_commit log e;
-  let forces = Hermes_core.Agent_log.force_writes log in
-  Hermes_core.Agent_log.force_commit log e;
-  Hermes_core.Agent_log.force_commit log e;
-  Alcotest.(check int) "replayed forces are free" forces (Hermes_core.Agent_log.force_writes log);
-  Alcotest.(check bool) "still committed" true e.Hermes_core.Agent_log.committed;
-  Alcotest.(check bool) "watermark unchanged" true
-    (Hermes_core.Agent_log.max_committed_sn log = Some sn)
+  List.iter (Agent_log.apply log)
+    [
+      Agent_sm.R_entry { gid = 1; coordinator = Wire.Coordinator 1 };
+      R_prepare { gid = 1; sn };
+      R_commit { gid = 1 };
+    ];
+  let forces = Agent_log.force_writes log in
+  Agent_log.apply log (Agent_sm.R_commit { gid = 1 });
+  Agent_log.apply log (Agent_sm.R_commit { gid = 1 });
+  Alcotest.(check int) "replayed forces are free" forces (Agent_log.force_writes log);
+  Alcotest.(check bool) "still committed" true (Agent_log.view log ~gid:1).Agent_sm.committed;
+  Alcotest.(check bool) "watermark unchanged" true (Agent_log.max_committed_sn log = Some sn)
 
 let test_agent_log_commands_order () =
-  let log = Hermes_core.Agent_log.create () in
-  let e = Hermes_core.Agent_log.entry log ~gid:1 ~coordinator:(Wire.Coordinator 1) in
+  let log = Agent_log.create () in
   let c1 = Command.Select { table = "X"; keys = [ 1 ] } in
   let c2 = Command.Update { table = "X"; key = 2; delta = 1 } in
-  Hermes_core.Agent_log.append_command e c1;
-  Hermes_core.Agent_log.append_command e c2;
-  Alcotest.(check bool) "replay order preserved" true (Hermes_core.Agent_log.commands e = [ c1; c2 ])
+  List.iter (Agent_log.apply log)
+    [
+      Agent_sm.R_entry { gid = 1; coordinator = Wire.Coordinator 1 };
+      R_command { gid = 1; cmd = c1 };
+      R_command { gid = 1; cmd = c2 };
+    ];
+  Alcotest.(check bool) "replay order preserved" true
+    (Agent_log.commands (Option.get (Agent_log.find log ~gid:1)) = [ c1; c2 ])
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator crash & recovery (Coordinator-log durability,           *)
@@ -561,7 +566,7 @@ let test_crash_coordinating_site_legacy_immortal () =
   (* The coordinator log was written regardless (begin + prepared), so
      enabling the flag later has a log to recover from. *)
   Alcotest.(check bool) "coordinator log populated" true
-    (Hermes_core.Coordinator_log.find (Dtm.coordinator_log w.dtm a) ~gid:1 <> None);
+    (Coordinator_log.find (Dtm.coordinator_log w.dtm a) ~gid:1 <> None);
   Alcotest.(check bool) "clean" true (Report.ok (Report.analyze (Dtm.history w.dtm)))
 
 (* With [crash_coordinators], the same crash kills the coordinator
@@ -589,8 +594,8 @@ let test_crash_coordinating_site_presumes_abort () =
   Alcotest.(check int) "a rolled back" 100 (Hermes_store.Row.value (Option.get va));
   Alcotest.(check int) "b rolled back" 100 (Hermes_store.Row.value (Option.get vb));
   (* The log's decision record is the presumed abort. *)
-  (match Hermes_core.Coordinator_log.find (Dtm.coordinator_log w.dtm a) ~gid:1 with
-  | Some e -> Alcotest.(check bool) "decision = abort" true (e.Hermes_core.Coordinator_log.decision = Some false)
+  (match Coordinator_log.find (Dtm.coordinator_log w.dtm a) ~gid:1 with
+  | Some e -> Alcotest.(check bool) "decision = abort" true (e.Coordinator_log.decision = Some false)
   | None -> Alcotest.fail "no coordinator-log entry");
   Alcotest.(check bool) "clean" true (Report.ok (Report.analyze (Dtm.history w.dtm)))
 
@@ -621,8 +626,8 @@ let test_coordinator_crash_after_partial_commit () =
   let fired = ref false in
   let rec poll () =
     if (not !fired) && Time.to_int (Engine.now w.engine) < 2_000_000 then
-      match Hermes_core.Coordinator_log.find clog ~gid:1 with
-      | Some e when e.Hermes_core.Coordinator_log.decision = Some true ->
+      match Coordinator_log.find clog ~gid:1 with
+      | Some e when e.Coordinator_log.decision = Some true ->
           fired := true;
           Dtm.crash_site ~reboot_delay:100_000 w.dtm a
       | Some _ | None -> Engine.schedule_unit w.engine ~delay:100 poll
@@ -651,8 +656,8 @@ let test_coordinator_crash_after_partial_commit () =
   (* The log kept the decision; nothing (the one round) is left
      undecided. *)
   Alcotest.(check bool) "no undecided coordinator-log entries" true
-    (match Hermes_core.Coordinator_log.find clog ~gid:1 with
-    | Some e -> e.Hermes_core.Coordinator_log.decision <> None
+    (match Coordinator_log.find clog ~gid:1 with
+    | Some e -> e.Coordinator_log.decision <> None
     | None -> false);
   Alcotest.(check bool) "clean" true (Report.ok (Report.analyze (Dtm.history w.dtm)))
 

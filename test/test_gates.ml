@@ -10,13 +10,9 @@
    transitions or to the explored space, so pinning them turns each gate
    into a schedule pin; a violation-finding gate also pins its violation
    count and the invariant its first counterexample breaks. The
-   unilateral-abort gate is pinned in test_protocol.ml.
-
-   The coordinator-crash gate (`--sites 2 --txns 1 --coord-crashes 1
-   --inquiries 1 --retransmits 1 --uaborts 0 --alive-fires 0
-   --commit-retries 0`: 411 537 states, 2 017 055 transitions, 85
-   terminal states, no violation) takes about 15 s on a 2-core host, so
-   only CI runs it.
+   unilateral-abort gate is pinned in test_protocol.ml; every other CI
+   explore gate is pinned here, the coordinator-crash gate (about 2.5 s
+   on a 2-core host) included.
 
    The E-table gates read the tables `bench/main.exe --quick --jobs 2
    --domains 2` prints (the workflow's Bench smoke), cell by cell under
@@ -62,10 +58,10 @@ let gates =
       (68_160, 318_592, 44) );
     ( "--sites 2 --txns 1 --commit-proto paxos --replica-kills 1",
       (fun () -> cli ~txns:1 ~commit_proto:(Config.Paxos { f = 1 }) { none with Explore.replica_kills = 1 }),
-      (12_780, 40_600, 96) );
+      (9_276, 30_616, 51) );
     ( "--sites 2 --txns 2 --txn-shards 1 --reconfigures 1",
       (fun () -> cli ~txn_shards:1 { none with Explore.reconfigures = 1 }),
-      (62_748, 178_326, 438) );
+      (61_394, 175_534, 396) );
     ( "--lying-sites 1 --certificates",
       (fun () -> cli ~lying_sites:[ 1 ] ~certificates:true none),
       (13_088, 61_312, 2) );
@@ -73,12 +69,15 @@ let gates =
       (fun () ->
         cli ~txns:1 ~equivocate:true ~certificates:true ~suspicion:5
           { none with Explore.inquiries = 1; retransmits = 1 }),
-      (6_586, 27_609, 4) );
+      (5_064, 20_888, 4) );
     ( "-c no-extension --sn-drift 1000 --drift-bound 100 --commit-retries 2",
       (fun () ->
         cli ~certifier:Config.without_extension ~sn_drift:1000 ~drift_bound:100
           { none with Explore.commit_retries = 2 }),
       (25_344, 121_152, 4) );
+    ( "--sites 2 --txns 1 --coord-crashes 1 --inquiries 1 --retransmits 1",
+      (fun () -> cli ~txns:1 { none with Explore.coord_crashes = 1; inquiries = 1; retransmits = 1 }),
+      (135_632, 668_963, 51) );
   ]
 
 let check (states, transitions, terminals) scenario () =
@@ -96,21 +95,21 @@ let violation_gates =
   [
     ( "--sites 2 --txns 1 --dups 1 --quorum counted",
       (fun () -> cli ~txns:1 ~quorum:Coordinator_sm.Counted { none with Explore.dups = 1 }),
-      (1_869, 6_084, 4, 32, "machine exception") );
+      (1_521, 5_054, 4, 32, "machine exception") );
     ( "--sites 2 --txns 1 --coord-crashes 1 --inquiries 1 --retransmits 1 --no-termination",
       (fun () ->
         cli ~txns:1 ~termination:false
           { none with Explore.coord_crashes = 1; inquiries = 1; retransmits = 1 }),
-      (7_847, 28_176, 40, 32, "I5") );
+      (3_999, 14_308, 30, 32, "I5") );
     ( "--sites 2 --txns 1 --commit-proto paxos --replica-kills 2",
       (fun () -> cli ~txns:1 ~commit_proto:(Config.Paxos { f = 1 }) { none with Explore.replica_kills = 2 }),
-      (67_188, 220_087, 864, 162, "I5") );
+      (42_420, 145_159, 480, 162, "I5") );
     ( "--sites 2 --txns 1 --commit-proto backup-tm --replica-kills 1",
       (fun () -> cli ~txns:1 ~commit_proto:Config.backup_tm { none with Explore.replica_kills = 1 }),
-      (1_114, 2_692, 35, 14, "I5") );
+      (906, 2_236, 27, 14, "I5") );
     ( "--sites 2 --txns 2 --txn-shards 1 --reconfigures 1 --no-handover",
       (fun () -> cli ~txn_shards:1 ~handover:false { none with Explore.reconfigures = 1 }),
-      (56_120, 158_786, 422, 120, "I6") );
+      (55_256, 157_302, 380, 120, "I6") );
     ( "--lying-sites 1",
       (fun () -> cli ~lying_sites:[ 1 ] none),
       (18_080, 86_784, 0, 3_200, "I2") );
@@ -256,16 +255,27 @@ let e18 () =
     "a churn cell met the wrong-epoch path" true
     (List.exists (fun row -> cell row "churn" <> "static" && num row "wrong-epoch" > 0.) rows)
 
-(* E19 gates the adversary suite end to end: every undefended adversary
-   row must show its damage (clean = no) and every defended row must be
-   clean with zero stuck runs; the drift bound must actually refuse stale
-   PREPAREs, the equivocation defense must detect forged decisions, and
-   the gray-site suspicion row's in-doubt p99 must stay within twice the
-   90 ms suspicion timeout (timeout + one healthy-quorum round trip). *)
+(* E19 gates the adversary suite end to end. Every undefended process
+   adversary (lying, equivocation, sn drift) must show its damage (clean
+   = no); every defended row and both gray rows must be clean with zero
+   stuck runs. A gray site does no damage to correctness: the undefended
+   gray row shows it as latency instead, its p95 at least 10x the
+   adversary-free row's (1048.6 ms against 12.6 ms). The drift bound
+   must actually refuse stale PREPAREs, the equivocation defense must
+   detect forged decisions, and the gray-site suspicion row's in-doubt
+   p99 must stay within twice the 90 ms suspicion timeout (timeout + one
+   healthy-quorum round trip). *)
 let e19 () =
+  let rows = rows (quick "e19") in
+  let p95 row = num row "p95 (ms)" in
+  let calm = List.find (fun row -> cell row "adversary" = "none") rows in
   List.iter
     (fun row ->
+      let gray = String.starts_with ~prefix:"gray" (cell row "adversary") in
       match cell row "defense" with
+      | "off" when gray ->
+          expect_clean row;
+          expect row "gray latency not seen" (p95 row >= 10. *. p95 calm)
       | "off" -> expect row "undefended adversary shows no damage" (cell row "clean" = "no")
       | defense -> (
           expect_clean row;
@@ -278,7 +288,7 @@ let e19 () =
               let p99 = num row "in-doubt p99 (ms)" in
               expect row "gray in-doubt p99 outside the suspicion bound" (p99 > 0. && p99 <= 180.)
           | _ -> ()))
-    (rows (quick "e19"))
+    rows
 
 (* E1-E12 carry no predicate gate, so their bytes are pinned instead:
    each table as `hermes experiments --quick --jobs 2 --only eN` prints
@@ -320,11 +330,13 @@ module Serial_format = Hermes_history.Serial_format
 (* The history `hermes run --sites S -n N [--failure F] [--drop D] [--dup
    P] [--jitter J] [--crashes C --reboot-delay R] [--crash-coordinator]
    [--commit-proto paxos] [--gray-sites G --gray-factor X] [--domains M]
-   [--lying-sites L] [-c naive] --seed K` records, its setup built as the
-   CLI builds it from those flags, every other flag at its default. *)
+   [--lying-sites L] [-c naive] [--open-loop RATE] [--mpl M]
+   [--group-commit] --seed K` records, its setup built as the CLI builds
+   it from those flags, every other flag at its default. *)
 let cli_history ?(failure = 0.0) ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 200) ?(crashes = 0)
     ?(reboot_delay = 0) ?(crash_coordinator = false) ?(commit_proto = Config.Two_pc) ?(gray_sites = [])
-    ?(gray_factor = 20) ?(domains = 1) ?(lying_sites = []) ?(certifier = Config.full) ~sites ~n ~seed () =
+    ?(gray_factor = 20) ?(domains = 1) ?(lying_sites = []) ?(certifier = Config.full) ?open_loop
+    ?(mpl = 4) ?(group_commit = false) ~sites ~n ~seed () =
   let certifier =
     {
       certifier with
@@ -334,6 +346,20 @@ let cli_history ?(failure = 0.0) ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 200) ?(cr
       max_sn_drift = None;
       suspicion_timeout = 0;
     }
+  in
+  let certifier =
+    if group_commit then
+      {
+        certifier with
+        Config.group_commit_window = Config.grouped.Config.group_commit_window;
+        max_batch = Config.grouped.Config.max_batch;
+      }
+    else certifier
+  in
+  let arrival =
+    match open_loop with
+    | Some rate -> Spec.Open { rate; max_in_flight = mpl }
+    | None -> Spec.Closed { mpl; think_time_mean = Spec.think_time Spec.default }
   in
   let setup =
     {
@@ -352,11 +378,7 @@ let cli_history ?(failure = 0.0) ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 200) ?(cr
       reboot_delay;
       crash_coordinators = crash_coordinator;
       domains;
-      spec =
-        Spec.make ~n_sites:sites ~n_global:n
-          ~arrival:(Spec.Closed { mpl = 4; think_time_mean = Spec.think_time Spec.default })
-          ~key_dist:(Spec.Zipf { theta = 0.6 })
-          ();
+      spec = Spec.make ~n_sites:sites ~n_global:n ~arrival ~key_dist:(Spec.Zipf { theta = 0.6 }) ();
     }
   in
   (Driver.run setup).Driver.history
@@ -459,6 +481,59 @@ let verify_smoke_merge domains () =
   let h = cli_history ~sites:16 ~n:800 ~domains ~seed:2 () in
   expect_md5 (Fmt.str "m%d.trace" domains) "714449c82741fb26442a560f909033c8" (Serial_format.to_string h)
 
+(* ------------------------------------------------------------------ *)
+(* One local commit per subtransaction                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Op = Hermes_history.Op
+
+(* The (gid, site) pairs of [h] that commit locally more than once. *)
+let committed_twice h =
+  let seen = Hashtbl.create 4096 in
+  History.fold
+    (fun twice op ->
+      match op with
+      | Op.Local_commit { Hermes_kernel.Txn.Incarnation.txn; site; _ }
+        when Hermes_kernel.Txn.is_global txn ->
+          if Hashtbl.mem seen (txn, site) then (txn, site) :: twice
+          else begin
+            Hashtbl.add seen (txn, site) ();
+            twice
+          end
+      | _ -> twice)
+    [] h
+
+(* A run that used to commit a subtransaction twice, or to die on a
+   stale commit: its verdict must be ok, and no subtransaction may
+   commit twice at a site. *)
+let commits_once history () =
+  let h = history () in
+  Alcotest.(check (list string))
+    "subtransactions committed twice at a site" []
+    (List.map
+       (fun (txn, site) -> Fmt.str "%a at %a" Hermes_kernel.Txn.pp txn Hermes_kernel.Site.pp site)
+       (committed_twice h));
+  Alcotest.(check bool) "Report.ok" true (Report.ok (Report.analyze h))
+
+(* `--sites 4 -n 500 --open-loop 150 --mpl 48 --group-commit [--failure
+   F] --seed K` *)
+let open_gc ?failure seed () =
+  cli_history ~sites:4 ~n:500 ~open_loop:150. ~mpl:48 ~group_commit:true ?failure ~seed ()
+
+let once =
+  [
+    (* An alive check that fires between a local commit and its callback
+       finds the subtransaction dead; it must not resubmit it. *)
+    ("alive check during a local commit: group commit, 5% aborts, seed 1", open_gc ~failure:0.05 1);
+    ("alive check during a local commit: group commit, seed 8", open_gc 8);
+    ("alive check during a local commit: group commit, seed 16", open_gc 16);
+    ( "alive check during a local commit: a gray site, seed 4",
+      fun () -> cli_history ~sites:4 ~n:500 ~gray_sites:[ 1 ] ~gray_factor:8 ~seed:4 () );
+    (* A commit withheld by group commit for an incarnation that a
+       unilateral abort and a resubmission replaced must be dropped. *)
+    ("stale incarnation's commit dropped: 5% aborts, seed 10", open_gc ~failure:0.05 10);
+  ]
+
 let () =
   Alcotest.run "gates"
     [
@@ -487,6 +562,7 @@ let () =
             (fun (name, expected) ->
               Alcotest.test_case (name ^ " renders byte for byte") `Slow (table_bytes name expected))
             table_md5s );
+      ("once", List.map (fun (name, h) -> Alcotest.test_case name `Slow (commits_once h)) once);
       ( "verify",
         [
           Alcotest.test_case "fault run and its rigorousness-breaking edit" `Slow verify_smoke;

@@ -276,6 +276,22 @@ let test_alive_check_triggers_resubmission () =
     (has_call effs (A.L_exec { gid = 1; inc = 1; purpose = A.Feed; cmd }));
   Alcotest.(check bool) "still re-arms the alive check" true (has_arm effs (A.T_alive 1))
 
+let test_alive_check_during_local_commit () =
+  (* The LTM commits at once and calls back later, so an alive check in
+     between finds the committed transaction not alive. Resubmitting it
+     then would commit the subtransaction a second time: the check only
+     re-arms. *)
+  let st = A.init ~site:a in
+  ignore (prepared ~sn:(mk_sn 0) st);
+  let commit = deliver ~env:(env ~views:[ (1, v ()) ] ()) st ~gid:1 Wire.Commit in
+  Alcotest.(check bool) "the local commit goes out" true
+    (has_call commit (A.L_commit { gid = 1; inc = 0 }));
+  let effs =
+    A.step cfg st (A.Alive_fired { env = env ~now:7 ~views:[ (1, v ~alive:false ()) ] (); gid = 1 })
+  in
+  Alcotest.(check bool) "only re-arms" true
+    (effs = [ T.Arm_timer { timer = A.T_alive 1; delay = A.alive_check_interval } ])
+
 (* The explorer's projection of a whole machine state: two states with
    equal views are the same state to the model checker. *)
 let agent_view st = Explore.canon_agent (0, st)
@@ -682,7 +698,7 @@ let test_coordinator_answers_decision_req () =
 (* Retired rounds: the coordinator log answers for a finished machine   *)
 (* ------------------------------------------------------------------ *)
 
-module Coordinator_log = Hermes_core.Coordinator_log
+module Coordinator_log = Hermes_protocol.Coordinator_log
 
 (* Drive a one-participant round to its finish with the given decision,
    writing its forced records into a fresh coordinator log as the adapter
@@ -694,14 +710,7 @@ let finished_round ~gid ~participant ~committed =
   in
   let step input =
     List.iter
-      (function
-        | T.Force_log (Csm.R_begin { participants }) ->
-            Coordinator_log.force_begin log ~gid ~participants
-        | T.Force_log (Csm.R_prepared { participants; sn }) ->
-            Coordinator_log.force_prepared log ~gid ~participants ~sn
-        | T.Force_log (Csm.R_decision { committed }) ->
-            Coordinator_log.force_decision log ~gid ~committed
-        | _ -> ())
+      (function T.Force_log r -> Coordinator_log.apply log ~gid r | _ -> ())
       (cstep st input)
   in
   let reply payload = Csm.From_agent { src = participant; payload } in
@@ -897,23 +906,75 @@ let test_explore_reconfigure_clean () =
   let st = Explore.run (reconfigure_scenario ~handover:true) in
   check_clean "2x2 reconfigure" st
 
-(* CI's unilateral-abort gate, with its counts pinned: the state and
-   transition counts move with any change to a machine's transitions or
-   to the explored space, while the exit code only says "no violation". *)
+(* CI's unilateral-abort gate: `hermes explore --sites 2 --txns 2
+   --txn-shards 1 --uaborts 1 --alive-fires 1 --commit-retries 1`. *)
+let uabort_gate =
+  {
+    Explore.default with
+    Explore.txn_shards = 1;
+    budgets = { Explore.no_faults with Explore.uaborts = 1; alive_fires = 1; commit_retries = 1 };
+  }
+
+(* The gate with its counts pinned: the state and transition counts move
+   with any change to a machine's transitions or to the explored space,
+   while the exit code only says "no violation". *)
 let test_explore_uabort_gate_counts () =
-  let st =
-    Explore.run
-      {
-        Explore.default with
-        Explore.txn_shards = 1;
-        budgets =
-          { Explore.no_faults with Explore.uaborts = 1; alive_fires = 1; commit_retries = 1 };
-      }
-  in
+  let st = Explore.run uabort_gate in
   Alcotest.(check bool) "exhausted" false st.Explore.truncated;
   Alcotest.(check (list int))
-    "states, transitions, terminals, violations" [ 78_442; 279_522; 114; 0 ]
+    "states, transitions, terminals, violations" [ 48_754; 166_382; 106; 0 ]
     [ st.Explore.states; st.Explore.transitions; st.Explore.terminals; st.Explore.n_violations ]
+
+module Local_txn = Hermes_protocol.Local_txn
+
+(* The first 16 steps of the gate's first counterexample when the alive
+   check resubmitted a committing subtransaction: T2 at site b commits,
+   and its callback has not arrived when T2's alive check fires (the
+   17th step). That check then began incarnation 1 of the committed T2,
+   which I1 reports. No unilateral abort is needed. *)
+let commit_gap_schedule =
+  [
+    "deliver coord(T1) -> agent(a) [T1] BEGIN";
+    "deliver coord(T1) -> agent(a) [T1] EXEC #0 UPDATE t[1] := 0";
+    "deliver coord(T2) -> agent(b) [T2] BEGIN";
+    "deliver coord(T2) -> agent(b) [T2] EXEC #0 UPDATE t[2] := 1";
+    "LTM at a finishes a command of T1 (inc 0)";
+    "deliver agent(a) -> coord(T1) [T1] OK #0 count(1)";
+    "deliver coord(T1) -> agent(a) [T1] PREPARE sn=0.a.0";
+    "deliver agent(a) -> coord(T1) [T1] READY";
+    "deliver coord(T1) -> agent(a) [T1] COMMIT";
+    "LTM at b finishes a command of T2 (inc 0)";
+    "deliver agent(b) -> coord(T2) [T2] OK #0 count(1)";
+    "deliver coord(T2) -> agent(b) [T2] PREPARE sn=0.b.1";
+    "deliver agent(b) -> coord(T2) [T2] READY";
+    "deliver coord(T2) -> agent(b) [T2] COMMIT";
+    "LTM at a reports the local commit of T1 (inc 0) done";
+    "deliver agent(a) -> coord(T1) [T1] COMMIT-ACK";
+  ]
+
+let test_explore_commit_gap () =
+  let step g label =
+    match
+      List.find_opt
+        (fun action -> Fmt.str "%a" Explore.pp_action action = label)
+        (Explore.enabled uabort_gate g)
+    with
+    | Some action -> Explore.apply uabort_gate g action
+    | None -> Alcotest.failf "not enabled: %s" label
+  in
+  let t2_at_b (g : Explore.g) = List.assoc 2 (List.assoc 1 g.Explore.ltms) in
+  let pending (g : Explore.g) =
+    List.mem (Explore.Cb_commit { site = 1; gid = 2; inc = 0; committed = true }) g.Explore.cbs
+  in
+  let g = List.fold_left step (Explore.init uabort_gate) commit_gap_schedule in
+  Alcotest.(check bool) "T2 committed at b" true ((t2_at_b g).Local_txn.status = Local_txn.Committed);
+  Alcotest.(check bool) "its callback pending" true (pending g);
+  let g = step g "alive-check timer fires for T2 at b" in
+  Alcotest.(check int) "the alive check begins no new incarnation" 0 (t2_at_b g).Local_txn.inc;
+  Alcotest.(check int) "the agent's incarnation" 0
+    (A.Int_map.find 2 (List.assoc 1 g.Explore.agents).A.subs).A.inc;
+  Alcotest.(check bool) "still committed, callback still pending" true
+    ((t2_at_b g).Local_txn.status = Local_txn.Committed && pending g)
 
 let test_explore_no_handover_unsound () =
   (* Ablation: install the new epoch without handing over the loser's
@@ -1013,7 +1074,7 @@ let test_quiesced_no_live_timers_dup_network () =
 (* ------------------------------------------------------------------ *)
 
 module Agent = Hermes_core.Agent
-module Agent_log = Hermes_core.Agent_log
+module Agent_log = Hermes_protocol.Agent_log
 
 (* Four clients run [globals] two-site transactions over three sites;
    with [crashes], the sites take turns crashing for 10 000 ticks every
@@ -2124,6 +2185,8 @@ let () =
         [
           Alcotest.test_case "alive check extends the interval" `Quick test_alive_check_extends_interval;
           Alcotest.test_case "dead subtransaction resubmits" `Quick test_alive_check_triggers_resubmission;
+          Alcotest.test_case "committing subtransaction only re-arms" `Quick
+            test_alive_check_during_local_commit;
           Alcotest.test_case "step on a copy leaves st" `Quick test_step_on_copy_leaves_state;
         ] );
       ( "agent-commit",
@@ -2196,6 +2259,8 @@ let () =
           Alcotest.test_case "2x1 lossy network exhausts clean" `Slow test_explore_losses_clean;
           Alcotest.test_case "unilateral-abort gate pins its counts" `Slow
             test_explore_uabort_gate_counts;
+          Alcotest.test_case "alive check in the commit gap begins nothing" `Quick
+            test_explore_commit_gap;
           Alcotest.test_case "fake quorum rediscovered under Counted" `Quick test_explore_finds_fake_quorum;
           Alcotest.test_case "dedup quorum survives the same adversary" `Quick
             test_explore_dedup_quorum_clean;
